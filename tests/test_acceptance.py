@@ -7,6 +7,7 @@ order; runtime budgets are asserted alongside.
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 from qkoszul.exact import LambdaSeries, MultiPoly, gr
 from qkoszul.koszul import (
@@ -34,6 +35,7 @@ from qkoszul.stages import StageConfig, StagePipeline, check_stage_equality
 
 L = 4
 DEGREE = 3
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def s1_context(Jq=None) -> ReductionContext:
@@ -145,11 +147,15 @@ def test_criterion_5_reduction_in_stages():
 
 
 def test_criterion_6_determinism():
+    # the first report of each format must also equal the committed golden
+    # bytes, so a refactor cannot change what a builtin scenario reports
     from qkoszul.cli import SCENARIOS, builtin_config, emit_report, run_scenario
     for name in sorted(SCENARIOS):
         first = emit_report(run_scenario(builtin_config(name)), "json")
+        assert first == (GOLDEN / f"{name}.json").read_bytes(), name
         second = emit_report(run_scenario(builtin_config(name)), "json")
         assert first == second, name
         third = emit_report(run_scenario(builtin_config(name)), "text")
+        assert third == (GOLDEN / f"{name}.txt").read_bytes(), name
         fourth = emit_report(run_scenario(builtin_config(name)), "text")
         assert third == fourth, name
