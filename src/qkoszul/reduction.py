@@ -8,7 +8,8 @@ difference operator; they must agree exactly and the test suite holds them
 to that.
 
 Shifted and magnetic scenarios are assembled by pulling every piece of
-homotopy data back along a fiber translation.
+homotopy data back along a fiber translation; for the star product that is a
+change of its constant matrix.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exact import (
     GR_MINUS_I,
+    GR_ONE,
+    GR_ZERO,
     AlgebraError,
     ContractViolationError,
     LambdaSeries,
@@ -28,7 +31,7 @@ from .exact import (
 )
 from .koszul import GoodTube, ReductionContext
 from .lie import MomentumMap, QuantumMomentumMap, TranslationAction
-from .phase_space import PhaseSpace, StarProduct, poisson_bracket_poly
+from .phase_space import Matrix, PhaseSpace, StarProduct, poisson_bracket_poly
 
 
 def elevate_context(ctx: ReductionContext, order: int) -> ReductionContext:
@@ -103,7 +106,7 @@ def reduced_star(red: ReducedAlgebra) -> StarProduct:
         down = quantum_restriction(ctx.star.eval(lf, lg), ctx)
         return red.push_down_series(down)
 
-    return StarProduct.custom(red.space, ev, hermitian=red.ctx.star.hermitian)
+    return StarProduct(red.space, ev, red.ctx.star.hermitian)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +245,7 @@ def knp_reduced_star(red: ReducedAlgebra) -> StarProduct:
         down = H.map_coeffs(lambda c: c.substitute(zero).with_vars(ctx.cvars))
         return red.push_down_series(down)
 
-    return StarProduct.custom(red.space, ev, hermitian=red.ctx.star.hermitian)
+    return StarProduct(red.space, ev, red.ctx.star.hermitian)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +280,9 @@ def build_shifted_context(base: ReductionContext,
                           mu: Mapping[int, Fraction]) -> ReductionContext:
     """Scenario with magnetic term and shifted momentum value, assembled by
     pulling every piece of the base scenario back along the fiber
-    translation p_a -> p_a + b·q_c - mu_a.
+    translation p_a -> p_a + b·q_c - mu_a.  The translation is affine, so the
+    pulled-back product has the constant matrix M C Mᵀ, where M is the
+    Jacobian of the inverse translation; the constant part drops out.
 
     ``b`` maps a translated coordinate label to the pair (coupled label,
     coupling constant); the coupled coordinate must not itself be
@@ -306,7 +311,17 @@ def build_shifted_context(base: ReductionContext,
     if not any(not al.is_zero() for al in alpha.values()):
         return base
 
-    star = StarProduct.pullback(base.star, s_subst, s_inv)
+    # column i of M: the image of the i-th coordinate direction
+    cols = {i: {i: GR_ONE} for i in range(len(space.vars))}
+    for a, (c_label, b_val) in b.items():
+        cols[space.vars.index(f"q{c_label}")][space.vars.index(f"p{a}")] = \
+            gr(-Fraction(b_val))
+    C: Matrix = {}
+    for (i, j), cij in base.star.matrix.items():
+        for k, mki in cols[i].items():
+            for l, mlj in cols[j].items():
+                C[k, l] = C.get((k, l), GR_ZERO) + mki * cij * mlj
+    star = StarProduct.constant(space, C)
     apply_s = lambda f: f.substitute(s_subst)
     J = MomentumMap(base.J.lie,
                     [apply_s(c.with_vars(space.vars)) for c in base.J.components])

@@ -9,8 +9,7 @@ names, so the comparison is literal equality of series.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .exact import AlgebraError, LambdaSeries, MultiPoly
 from .koszul import (
@@ -23,7 +22,7 @@ from .koszul import (
     restriction,
 )
 from .lie import LieAlgebraData, MomentumMap, QuantumMomentumMap, TranslationAction
-from .phase_space import PhaseSpace, StarProduct
+from .phase_space import PhaseSpace
 from .reduction import ReducedAlgebra, reduced_star
 
 
@@ -94,27 +93,28 @@ class StagePipeline:
         J1 = MomentumMap(action1.lie,
                          [ctx.J.components[i - 1] for i in cfg.first])
         Jq1 = restrict_momentum_map(ctx.Jq, cfg)
-        sub1 = {k: v for k, v in ctx.tube.s_subst.items()
-                if k in {f"p{a}" for a in translated1}}
-        inv1 = {k: v for k, v in ctx.tube.s_inv.items()
-                if k in {f"p{a}" for a in translated1}}
-        tube1 = GoodTube(space, translated1, J1, sub1, inv1)
-        self.ctx1 = ReductionContext(space, action1, ctx.star, J1, Jq1, L, tube1)
+        self.ctx1 = ReductionContext(space, action1, ctx.star, J1, Jq1, L,
+                                     _stage_tube(ctx, space, translated1, J1))
         self.red1 = ReducedAlgebra(self.ctx1)
         self.star_red1 = reduced_star(self.red1)
 
-        # stage 2: reduce the first quotient by the induced momentum map
+        # stage 2: reduce the first quotient by the induced momentum map,
+        # whose classical part is the first-stage restriction of the
+        # one-step components
         translated2 = tuple(ctx.action.translated[i - 1] for i in cfg.second)
         space2 = self.red1.space
         action2 = TranslationAction(space2, translated2)
-        J2 = MomentumMap(action2.lie, [space2.p(a) for a in translated2])
+        J2 = MomentumMap(action2.lie, [
+            self.red1.push_down(restriction(ctx.series(ctx.J.components[i - 1]),
+                                            self.ctx1).coeffs[0])
+            for i in cfg.second])
         self.Jq2 = induced_second_momentum_map(self)
         if self.Jq2.classical_part() != J2:
             raise AlgebraError(
                 "induced second-stage momentum map does not deform the "
                 "classical one")
-        self.ctx2 = ReductionContext(space2, action2, self.star_red1,
-                                     J2, self.Jq2, L)
+        self.ctx2 = ReductionContext(space2, action2, self.star_red1, J2, self.Jq2,
+                                     L, _stage_tube(ctx, space2, translated2, J2))
         self.red2 = ReducedAlgebra(self.ctx2)
         self.star_red2 = reduced_star(self.red2)
 
@@ -125,6 +125,16 @@ class StagePipeline:
         # the residual variable names
         if self.red2.space.vars != self.red.space.vars:
             raise AlgebraError("residual variables disagree between routes")
+
+
+def _stage_tube(ctx: ReductionContext, space: PhaseSpace, translated: Sequence[int],
+                J: MomentumMap) -> GoodTube:
+    """The tube of one stage: the one-step fiber translation of the stage's
+    momenta, read on the stage's phase space."""
+    momenta = {f"p{a}" for a in translated}
+    sub, inv = ({k: v.with_vars(space.vars) for k, v in s.items() if k in momenta}
+                for s in (ctx.tube.s_subst, ctx.tube.s_inv))
+    return GoodTube(space, translated, J, sub, inv)
 
 
 def induced_second_momentum_map(pipe: StagePipeline) -> QuantumMomentumMap:

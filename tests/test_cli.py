@@ -136,6 +136,28 @@ class TestConfigFile:
         assert res.returncode == 2
         assert b"out of range" in res.stderr
 
+    def test_std_reduction_hermitian_expected(self, tmp_path):
+        # the reduced standard-ordered product inherits the non-Hermitian
+        # matrix, so its Hermitian check fails as expected
+        cfg = {"name": "std-red", "n": 2, "translated": [1], "star": "std",
+               "checks": ["reduction"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        res = run("--config", str(path))
+        assert res.returncode == 0, res.stdout
+        names = [c["name"] for c in json.loads(res.stdout)["checks"]]
+        assert "reduction.hermitian_fails_as_expected" in names
+
+    @pytest.mark.parametrize("shift", ({"mu": {"2": "1/2"}},
+                                       {"b": {"2": [3, "1/2"]}}))
+    def test_shifted_second_stage(self, tmp_path, shift):
+        cfg = {"name": "stage2-shift", "n": 3, "translated": [1, 2],
+               "stage_first": [1], "checks": ["stages"], **shift}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        res = run("--config", str(path))
+        assert res.returncode == 0, res.stderr
+
     def test_broken_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")

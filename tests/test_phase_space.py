@@ -3,7 +3,8 @@
 The Weyl product is cross-checked against an independently coded one
 dimensional Moyal expansion; the product constants come out of the matrix
 conventions fixed in the phase_space module and are asserted as frozen
-oracles here.
+oracles here.  Shifted products are cross-checked against a pullback by
+substitution.
 """
 
 import math
@@ -12,7 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from qkoszul.exact import LambdaSeries, MultiPoly, gr
+from qkoszul.exact import AlgebraError, LambdaSeries, MultiPoly, gr
+from qkoszul.koszul import ReductionContext
 from qkoszul.phase_space import (
     PhaseSpace,
     StarProduct,
@@ -20,7 +22,10 @@ from qkoszul.phase_space import (
     poisson_bracket,
     poisson_bracket_poly,
 )
-from qkoszul.sampling import sample_polys
+from qkoszul.reduction import build_shifted_context
+from qkoszul.sampling import sample_pairs, sample_polys
+
+KINDS = ("weyl", "wick", "std")
 
 
 def moyal_1d(f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
@@ -58,10 +63,6 @@ class TestPhaseSpace:
     def test_labels_survive(self):
         sp = PhaseSpace([2, 5])
         assert sp.vars == ("q2", "q5", "p2", "p5")
-
-    def test_omega_inverse_identity(self):
-        # the constructor asserts omega_upper @ omega_lower = id
-        PhaseSpace.of_dim(3)
 
 
 class TestPoissonBracket:
@@ -165,26 +166,84 @@ class TestStdOrdered:
             assert by_name[name]["status"] == "pass"
 
 
+class Pullback(StarProduct):
+    """Reference for shifted products: ``base`` transported along a
+    polynomial automorphism by substituting the inverse into both factors,
+    multiplying, and substituting forward.  Its bracket is the transported
+    one."""
+
+    def __init__(self, base, subst, subst_inv):
+        self.base, self.subst, self.subst_inv = base, subst, subst_inv
+        # generator round trip pins mutual invertibility
+        for v in base.space.vars:
+            x = MultiPoly.variable(base.space.vars, v)
+            if self.forward(self.back(x)) != x or self.back(self.forward(x)) != x:
+                raise AlgebraError(f"substitutions are not mutually inverse on {v!r}")
+
+        def ev(f, g, order):
+            res = base.eval_poly(self.back(f), self.back(g), order)
+            return res.map_coeffs(self.forward)
+
+        super().__init__(base.space, ev, base.hermitian)
+
+    def forward(self, f):
+        return f.substitute(self.subst) if self.subst else f
+
+    def back(self, f):
+        return f.substitute(self.subst_inv) if self.subst_inv else f
+
+    def bracket_poly(self, f, g):
+        return self.forward(self.base.bracket_poly(self.back(f), self.back(g)))
+
+
 class TestPullback:
     def test_translation_preserves_axioms(self):
         sp = PhaseSpace.of_dim(1)
         shift = sp.q(1).scale(Fraction(2, 3))
         subst = {"p1": sp.p(1) + shift}
         inv = {"p1": sp.p(1) - shift}
-        star = StarProduct.pullback(StarProduct.weyl(sp), subst, inv)
+        star = Pullback(StarProduct.weyl(sp), subst, inv)
         checks = check_star_axioms(star, sample_polys(9, sp.vars, 3, 8), 4)
         assert all(c["status"] == "pass" for c in checks)
 
     def test_non_inverse_rejected(self):
-        from qkoszul.exact import AlgebraError
         sp = PhaseSpace.of_dim(1)
         subst = {"p1": sp.p(1) + sp.q(1)}
         with pytest.raises(AlgebraError):
-            StarProduct.pullback(StarProduct.weyl(sp), subst, subst)
+            Pullback(StarProduct.weyl(sp), subst, subst)
 
     def test_unit_map_is_identity(self):
         sp = PhaseSpace.of_dim(1)
         base = StarProduct.weyl(sp)
-        star = StarProduct.pullback(base, {}, {})
+        star = Pullback(base, {}, {})
         f, g = sp.q(1) * sp.p(1), sp.p(1)
         assert star.eval_poly(f, g, 3) == base.eval_poly(f, g, 3)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_shifted_matrix_equals_substitution(self, kind):
+        # the magnetic, shifted scenario on T*R^4: its product, built from
+        # the transformed matrix, against the pullback by substitution
+        sp = PhaseSpace.of_dim(4)
+        base = ReductionContext.canonical(sp, [1, 2], getattr(StarProduct, kind)(sp), 4)
+        ctx = build_shifted_context(
+            base, {1: (3, Fraction(1, 2)), 2: (4, Fraction(-2, 3))},
+            {1: Fraction(3), 2: Fraction(-1, 4)})
+        oracle = Pullback(base.star, ctx.tube.s_subst, ctx.tube.s_inv)
+        assert ctx.star.hermitian == base.star.hermitian
+        for f, g in sample_pairs(211, sp.vars, 3, 6):
+            assert ctx.star.eval_poly(f, g, 4) == oracle.eval_poly(f, g, 4)
+            assert ctx.star.bracket_poly(f, g) == oracle.bracket_poly(f, g)
+
+
+class TestMatrix:
+    def test_hermitian_read_off_the_matrix(self):
+        sp = PhaseSpace.of_dim(2)
+        assert [getattr(StarProduct, k)(sp).hermitian for k in KINDS] == \
+            [True, True, False]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bracket_is_canonical(self, kind):
+        sp = PhaseSpace.of_dim(2)
+        star = getattr(StarProduct, kind)(sp)
+        for f, g in sample_pairs(223, sp.vars, 3, 6):
+            assert star.bracket_poly(f, g) == poisson_bracket_poly(f, g, sp)

@@ -104,6 +104,22 @@ class TestReducedStar:
         assert all(c["status"] == "pass" for c in checks)
 
 
+class TestResidualProduct:
+    # a canonical translation scenario reduces to the same kind of product
+    # on the untranslated directions, by either route
+    @pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+    @pytest.mark.parametrize("n, translated", ((3, (1, 2)), (3, (2,))))
+    def test_both_routes_equal_residual_product(self, kind, n, translated):
+        sp = PhaseSpace.of_dim(n)
+        red = ReducedAlgebra(ReductionContext.canonical(
+            sp, translated, getattr(StarProduct, kind)(sp), L))
+        direct = getattr(StarProduct, kind)(red.space)
+        routes = (reduced_star(red), knp_reduced_star(red))
+        for f, g in sample_pairs(137, red.space.vars, 3, 6):
+            want = direct.eval_poly(f, g, L)
+            assert [r.eval_poly(f, g, L) for r in routes] == [want, want]
+
+
 class TestSymbolIso:
     def test_vector_field_symbol(self):
         sp = PhaseSpace.of_dim(2)
