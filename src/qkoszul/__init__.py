@@ -14,7 +14,6 @@ from .exact import (
     VariableMismatchError,
     gr,
     invert_unipotent,
-    t_integral,
 )
 from .phase_space import PhaseSpace, StarProduct, check_star_axioms, poisson_bracket
 
@@ -28,7 +27,6 @@ __all__ = [
     "VariableMismatchError",
     "gr",
     "invert_unipotent",
-    "t_integral",
     "PhaseSpace",
     "StarProduct",
     "check_star_axioms",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -327,28 +327,6 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.render()})"
-
-
-def t_integral(f: MultiPoly, tvar: str = "t") -> MultiPoly:
-    """Exact definite integral over ``tvar`` in [0, 1].
-
-    Each monomial ``t^m * g`` contributes ``g / (m + 1)``; the auxiliary
-    variable is removed from the result's variable list.
-    """
-    if tvar not in f.vars:
-        raise VariableMismatchError(f"{tvar!r} not among variables")
-    i = f.vars.index(tvar)
-    rest = tuple(v for v in f.vars if v != tvar)
-    out: Dict[Exponent, GaussianRational] = {}
-    for exp, c in f.terms.items():
-        m = exp[i]
-        e = tuple(k for j, k in enumerate(exp) if j != i)
-        s = out.get(e, GR_ZERO) + c * GaussianRational.of(Fraction(1, m + 1))
-        if s.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return MultiPoly(rest, out)
 
 
 class LambdaSeries:

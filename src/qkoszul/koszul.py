@@ -2,15 +2,17 @@
 
 A scenario bundles a star product, momentum maps and a global good tube on a
 flat cotangent bundle with a lifted translation action.  On such scenarios
-the tube is total (trivial cutoff, no globalization data), the retraction is
-a coordinate substitution, and every operator below is an exact polynomial
-operation.
+the tube is total (trivial cutoff, no globalization data) and every operator
+below is an exact polynomial operation.
 
-Shifted and magnetic scenarios carry a fiber-translation substitution; the
-homotopy and restriction are the conjugates of the canonical ones by that
-substitution, while the boundary operators use the context's momentum maps
-directly (the two descriptions agree because the substitution is an algebra
-morphism intertwining all data).
+The tube is the one place that knows the constrained directions.  In
+straightened fiber coordinates, where the momentum components are the
+fiber coordinates p_a of the translated directions, the restriction keeps
+the monomials x^m of vertical degree |m_v| = 0, and the contracting
+homotopy at grade k sends x^m to m_a/(|m_v|+k) · x^{m-e_a}, one output per
+constrained direction a.  A shifted or magnetic scenario straightens by its
+fiber translation before these maps and unstraightens after them; the
+boundary operators use the context's momentum maps directly.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .exact import (
     MultiPoly,
     gr,
     invert_unipotent,
-    t_integral,
 )
 from .lie import (
     LieAlgebraData,
@@ -129,7 +130,8 @@ class KoszulChain:
 
     def __eq__(self, other):
         return (isinstance(other, KoszulChain)
-                and self.grade == other.grade
+                and (self.gdim, self.grade, self.order, self.vars)
+                == (other.gdim, other.grade, other.order, other.vars)
                 and self.terms == other.terms)
 
     def render(self) -> str:
@@ -146,10 +148,10 @@ class GoodTube:
     """Global good tube of a flat translation scenario.
 
     The tube straightens the momentum map into the fiber coordinates of the
-    translated directions.  ``s_subst``/``s_inv`` is the fiber-translation
-    substitution relating the scenario to the canonical one (identity maps
-    for the canonical scenario itself): the constrained fiber coordinate of
-    each translated direction maps to the matching momentum component.
+    translated directions by one coordinate change: ``s_inv`` straightens
+    and ``s_subst`` unstraightens (the scenario's fiber translation and its
+    inverse; both are the identity for a canonical scenario).  Restriction
+    and homotopy are closed-form maps on the straightened monomials.
     """
 
     def __init__(self, space: PhaseSpace, translated: Sequence[int],
@@ -162,6 +164,8 @@ class GoodTube:
         self.cvars = tuple(v for v in space.vars if v not in self.constrained)
         self.s_subst = dict(s_subst) if s_subst else {}
         self.s_inv = dict(s_inv) if s_inv else {}
+        self._vpos = tuple(space.vars.index(pa) for pa in self.constrained)
+        self._cpos = tuple(space.vars.index(v) for v in self.cvars)
         # tube property: the momentum components straighten to the fiber
         # coordinates under the inverse substitution
         for pa, Ja in zip(self.constrained, J.components):
@@ -177,11 +181,31 @@ class GoodTube:
     def apply_s_inv(self, f: MultiPoly) -> MultiPoly:
         return f.substitute(self.s_inv) if self.s_inv else f
 
-    def apply_s_series(self, f: LambdaSeries) -> LambdaSeries:
-        return f.map_coeffs(self.apply_s) if self.s_subst else f
+    def restrict(self, f: MultiPoly) -> MultiPoly:
+        """Restriction to the constraint set: the straightened monomials of
+        vertical degree 0, re-expressed on ``cvars``."""
+        vpos, cpos = self._vpos, self._cpos
+        kept = {tuple(e[i] for i in cpos): c
+                for e, c in self.apply_s_inv(f).terms.items()
+                if not any(e[i] for i in vpos)}
+        return MultiPoly(self.cvars, kept)
 
-    def apply_s_inv_series(self, f: LambdaSeries) -> LambdaSeries:
-        return f.map_coeffs(self.apply_s_inv) if self.s_inv else f
+    def homotopy(self, f: MultiPoly, k: int,
+                 directions: Sequence[int]) -> Dict[int, MultiPoly]:
+        """Grade-k contracting homotopy along each listed constrained
+        direction a (1-based): in straightened coordinates x^m goes to
+        m_a/(|m_v|+k) · x^{m-e_a}."""
+        vpos = self._vpos
+        outs: Dict[int, dict] = {a: {} for a in directions}
+        for e, c in self.apply_s_inv(f).terms.items():
+            deg = sum(e[i] for i in vpos)
+            for a, out in outs.items():
+                i = vpos[a - 1]
+                m = e[i]
+                if m:
+                    out[e[:i] + (m - 1,) + e[i + 1:]] = c * gr(Fraction(m, deg + k))
+        return {a: self.apply_s(MultiPoly(self.space.vars, out))
+                for a, out in outs.items()}
 
 
 class ReductionContext:
@@ -385,15 +409,8 @@ def adjoint_representation(lie: LieAlgebraData) -> List[List[List[Fraction]]]:
 # ---------------------------------------------------------------------------
 
 def restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """Classical restriction to the constraint set: undo the fiber
-    translation, then set the constrained fiber coordinates to zero."""
-    tube = ctx.tube
-    zero = {pa: MultiPoly.zero(ctx.space.vars) for pa in tube.constrained}
-
-    def on_poly(c: MultiPoly) -> MultiPoly:
-        return tube.apply_s_inv(c).substitute(zero).with_vars(tube.cvars)
-
-    return f.map_coeffs(on_poly)
+    """Classical restriction to the constraint set, coefficientwise."""
+    return f.map_coeffs(ctx.tube.restrict)
 
 
 def prolongation(f, ctx: ReductionContext) -> LambdaSeries:
@@ -407,36 +424,17 @@ def prolongation(f, ctx: ReductionContext) -> LambdaSeries:
 
 
 def classical_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
-    """Contracting homotopy from the good tube: in straightened coordinates,
-    differentiate along each fiber direction, scale the fiber by the
-    integration parameter, and integrate it out."""
-    tube = ctx.tube
-    vars_t = ctx.space.vars + ("t",)
+    """Contracting homotopy from the good tube at the chain's grade: each
+    coefficient goes through ``GoodTube.homotopy`` once, and the output
+    along direction a is wedged onto the basis key."""
     k = x.grade
-    scale_sub = {
-        pa: MultiPoly.variable(vars_t, "t") * MultiPoly.variable(vars_t, pa)
-        for pa in tube.constrained
-    }
-    tpow = MultiPoly.variable(vars_t, "t")
-    tk = MultiPoly.const(vars_t, 1)
-    for _ in range(k):
-        tk = tk * tpow
-
-    def h_poly(c: MultiPoly, pa: str) -> MultiPoly:
-        g = tube.apply_s_inv(c).diff(pa)
-        if g.is_zero():
-            return g
-        scaled = g.substitute(scale_sub) * tk
-        return tube.apply_s(t_integral(scaled, "t").with_vars(ctx.space.vars))
-
     out = ctx.zero_chain(k + 1)
     for key, F in x.terms.items():
-        for alpha, pa in enumerate(tube.constrained, start=1):
-            ins = insert_index(alpha, key)
-            if ins is None:
-                continue
-            sign, newkey = ins
-            G = F.map_coeffs(lambda c, pa=pa: h_poly(c, pa)).scale(sign)
+        free = [a for a in range(1, ctx.gdim + 1) if a not in key]
+        parts = [ctx.tube.homotopy(c, k, free) for c in F.coeffs]
+        for alpha in free:
+            sign, newkey = insert_index(alpha, key)
+            G = LambdaSeries([p[alpha] for p in parts]).scale(sign)
             if not G.is_zero():
                 out = out + KoszulChain(ctx.gdim, k + 1, x.vars, x.order, {newkey: G})
     return out
@@ -484,13 +482,6 @@ def quantum_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
 
     inv = invert_unipotent(raiser, ctx.order)
     return classical_homotopy(inv(x), ctx)
-
-
-def quantum_homotopy_minus_one(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """At grade -1 the quantum homotopy collapses to the prolongation."""
-    if f.vars != ctx.cvars:
-        raise AlgebraError("grade -1 input lives on the constraint algebra")
-    return prolongation(f, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +575,13 @@ def verify_complex_identities(ctx: ReductionContext,
             break
     entry("homotopy_kills_prolongations", ok, wit)
 
-    # quantum restriction structure
+    # quantum restriction structure; several checks read each sample's
+    # quantum restriction, which is computed once
+    series = [ctx.series(f) for f in samples]
+    qres = [quantum_restriction(fs, ctx) for fs in series]
     ok, wit = True, None
-    for f in samples:
-        fs = ctx.series(f)
-        if quantum_restriction(fs, ctx).coeffs[0] != restriction(fs, ctx).coeffs[0]:
+    for f, fs, qf in zip(samples, series, qres):
+        if qf.coeffs[0] != restriction(fs, ctx).coeffs[0]:
             ok, wit = False, {"f": f.render()}
             break
     entry("quantum_restriction_classical_limit", ok, wit)
@@ -602,9 +595,8 @@ def verify_complex_identities(ctx: ReductionContext,
     entry("quantum_restriction_right_inverse", ok, wit)
 
     ok, wit = True, None
-    for f in samples:
-        fs = ctx.series(f)
-        proj = prolongation(quantum_restriction(fs, ctx), ctx)
+    for f, qf in zip(samples, qres):
+        proj = prolongation(qf, ctx)
         if prolongation(quantum_restriction(proj, ctx), ctx) != proj:
             ok, wit = False, {"f": f.render()}
             break
@@ -624,9 +616,8 @@ def verify_complex_identities(ctx: ReductionContext,
 
     # direct sum decomposition: complement lands in the kernel
     ok, wit = True, None
-    for f in samples:
-        fs = ctx.series(f)
-        rest = fs - prolongation(quantum_restriction(fs, ctx), ctx)
+    for f, fs, qf in zip(samples, series, qres):
+        rest = fs - prolongation(qf, ctx)
         if not quantum_restriction(rest, ctx).is_zero():
             ok, wit = False, {"f": f.render()}
             break
@@ -635,11 +626,11 @@ def verify_complex_identities(ctx: ReductionContext,
     # quantum homotopy identity at low grades
     for k in range(0, min(gdim, 2) + 1):
         ok, wit = True, None
-        for x in chains_of_grade(k):
+        for i, x in enumerate(chains_of_grade(k)):
             if k == 0:
-                lhs = KoszulChain.of_series(
-                    gdim, prolongation(quantum_restriction(x.series(), ctx), ctx)
-                ) + quantum_koszul_boundary(quantum_homotopy(x, ctx), ctx)
+                # the grade-0 chains wrap the samples in order
+                lhs = KoszulChain.of_series(gdim, prolongation(qres[i], ctx)) + \
+                    quantum_koszul_boundary(quantum_homotopy(x, ctx), ctx)
             else:
                 lhs = quantum_homotopy(quantum_koszul_boundary(x, ctx), ctx) + \
                     quantum_koszul_boundary(quantum_homotopy(x, ctx), ctx)

@@ -12,16 +12,9 @@ map: with J(e_a) = p_a the vector field of e_a acts on observables as
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .exact import (
-    GR_I,
-    AlgebraError,
-    GaussianRational,
-    LambdaSeries,
-    MultiPoly,
-    gr,
-)
+from .exact import GR_I, AlgebraError, LambdaSeries, MultiPoly
 from .phase_space import PhaseSpace, StarProduct, poisson_bracket_poly
 
 
@@ -153,50 +146,6 @@ def canonical_momentum_map(action: TranslationAction) -> MomentumMap:
     return MomentumMap(action.lie, comps)
 
 
-def magnetic_momentum_map(action: TranslationAction, b: Fraction,
-                          pair: Tuple[int, int]) -> MomentumMap:
-    """Momentum map for the magnetically perturbed symplectic form
-    b dq_a ∧ dq_c: the component of the translated direction a picks up the
-    primitive b q_c.  Requires q_c untranslated so the primitive is
-    invariant under the action."""
-    a, c = pair
-    if a not in action.translated:
-        raise AlgebraError(f"coordinate {a} is not translated")
-    if c in action.translated:
-        raise AlgebraError(
-            f"coordinate {c} is translated: the magnetic primitive would not be invariant"
-        )
-    if c not in action.space.coords:
-        raise AlgebraError(f"coordinate {c} not on the phase space")
-    b = Fraction(b)
-    comps = []
-    for t in action.translated:
-        J = action.space.p(t)
-        if t == a and b != 0:
-            J = J + action.space.q(c).scale(b)
-        comps.append(J)
-    return MomentumMap(action.lie, comps)
-
-
-def shift_momentum_map(J, mu: Sequence[Fraction]):
-    """Subtract a constant momentum value componentwise.  Works on both the
-    classical and the quantum kind; the quantum version shifts the
-    order-zero coefficient."""
-    mu = [Fraction(m) for m in mu]
-    if len(mu) != len(J.components):
-        raise AlgebraError("momentum value has wrong length")
-    if isinstance(J, MomentumMap):
-        comps = [c - MultiPoly.const(c.vars, m) for c, m in zip(J.components, mu)]
-        return MomentumMap(J.lie, comps)
-    if isinstance(J, QuantumMomentumMap):
-        comps = []
-        for c, m in zip(J.components, mu):
-            shifted = [c.coeffs[0] - MultiPoly.const(c.vars, m)] + list(c.coeffs[1:])
-            comps.append(LambdaSeries(shifted))
-        return QuantumMomentumMap(J.lie, comps)
-    raise TypeError("expected a classical or quantum momentum map")
-
-
 def check_classical_equivariance(J: MomentumMap, space: PhaseSpace) -> List[dict]:
     """Verify {J(e_a), J(e_b)} = J([e_a, e_b]) for all basis pairs."""
     checks = []
@@ -265,6 +214,9 @@ def check_quantum_momentum_map(star: StarProduct, Jq: QuantumMomentumMap,
             if lhs != rhs:
                 ok, witness = False, {"pair": (a, b), "commutator": lhs.render(),
                                       "expected": rhs.render()}
+                break
+        if not ok:
+            break
     e = {"name": "quantum_bracket_compatibility", "status": "pass" if ok else "fail"}
     if witness:
         e["witness"] = witness

@@ -171,19 +171,22 @@ def _exponential(terms, f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
 class StarProduct:
     """An exact formal star product on a flat phase space.
 
-    ``eval_poly(f, g, order)`` is the product truncated at λ^order, and
+    ``eval_poly(f, g, order)`` is the product truncated at λ^order,
+    ``bracket_poly(f, g)`` the classical bracket it deforms, and
     ``hermitian`` says whether conj(f ⋆ g) = conj(g) ⋆ conj(f).  Products on
     a phase space come from ``constant`` and keep their ``matrix``; reduced
-    products are built from their evaluation and deform the canonical
-    bracket.  Evaluation is bilinear over Gaussian rationals and pure: the
-    same inputs always give the same series.
+    products are built from their evaluation and their reduced bracket.
+    Evaluation is bilinear over Gaussian rationals and pure: the same inputs
+    always give the same series.
     """
 
     def __init__(self, space: PhaseSpace,
                  eval_poly: Callable[[MultiPoly, MultiPoly, int], LambdaSeries],
+                 bracket: Callable[[MultiPoly, MultiPoly], MultiPoly],
                  hermitian: bool, matrix: Optional[Matrix] = None):
         self.space = space
         self._eval_poly = eval_poly
+        self._bracket = bracket
         self.hermitian = hermitian
         self.matrix = matrix
 
@@ -192,7 +195,8 @@ class StarProduct:
     @staticmethod
     def constant(space: PhaseSpace, C: Matrix) -> "StarProduct":
         """μ ∘ exp(λ Σ C^{ij} ∂_i ⊗ ∂_j), with C factored once into rank-one
-        terms; the bracket and the Hermitian property are read off C."""
+        terms; the bracket -i (C - Cᵀ) and the Hermitian property are read
+        off C."""
         C = {ij: c for ij, c in C.items() if not c.is_zero()}
         terms = _rank_one_terms(C)
         hermitian = all(C.get((j, i), GR_ZERO) == c.conjugate()
@@ -201,7 +205,10 @@ class StarProduct:
         def ev(f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
             return _exponential(terms, f, g, order)
 
-        return StarProduct(space, ev, hermitian, C)
+        def bracket(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+            return (_pairing(C, f, g) - _pairing(C, g, f)).scale(GR_MINUS_I)
+
+        return StarProduct(space, ev, bracket, hermitian, C)
 
     @staticmethod
     def weyl(space: PhaseSpace) -> "StarProduct":
@@ -238,12 +245,7 @@ class StarProduct:
         return self._eval_poly(f, g, order)
 
     def bracket_poly(self, f: MultiPoly, g: MultiPoly) -> MultiPoly:
-        """The classical bracket this product deforms: -i (C - Cᵀ) for a
-        constant product, the canonical one for a reduced product."""
-        if self.matrix is None:
-            return poisson_bracket_poly(f, g, self.space)
-        C = self.matrix
-        return (_pairing(C, f, g) - _pairing(C, g, f)).scale(GR_MINUS_I)
+        return self._bracket(f, g)
 
     def eval(self, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
         if f.order != g.order:

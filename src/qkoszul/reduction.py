@@ -7,31 +7,32 @@ the quantum restriction, and the closed-form one through the vertical
 difference operator; they must agree exactly and the test suite holds them
 to that.
 
-Shifted and magnetic scenarios are assembled by pulling every piece of
-homotopy data back along a fiber translation; for the star product that is a
-change of its constant matrix.
+Both routes end in the tube's restriction, and the closed form divides by
+the momentum components with the grade-0 homotopy of the tube.  Shifted and
+magnetic scenarios are assembled by pulling every piece of homotopy data
+back along a fiber translation; for the star product that is a change of
+its constant matrix, and for the tube it is the coordinate change that
+straightens the momentum map.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .exact import (
-    GR_MINUS_I,
     GR_ONE,
     GR_ZERO,
     AlgebraError,
-    ContractViolationError,
     LambdaSeries,
     MultiPoly,
     gr,
     invert_unipotent,
-    t_integral,
 )
-from .koszul import GoodTube, ReductionContext
-from .lie import MomentumMap, QuantumMomentumMap, TranslationAction
-from .phase_space import Matrix, PhaseSpace, StarProduct, poisson_bracket_poly
+from .koszul import GoodTube, ReductionContext, prolongation, quantum_restriction, \
+    restriction
+from .lie import MomentumMap, QuantumMomentumMap
+from .phase_space import Matrix, PhaseSpace, StarProduct
 
 
 def elevate_context(ctx: ReductionContext, order: int) -> ReductionContext:
@@ -41,9 +42,7 @@ def elevate_context(ctx: ReductionContext, order: int) -> ReductionContext:
         return ctx
     Jq = QuantumMomentumMap(ctx.Jq.lie,
                             [c.truncate(order) for c in ctx.Jq.components])
-    tube = GoodTube(ctx.space, ctx.action.translated, ctx.J,
-                    ctx.tube.s_subst, ctx.tube.s_inv)
-    return ReductionContext(ctx.space, ctx.action, ctx.star, ctx.J, Jq, order, tube)
+    return ReductionContext(ctx.space, ctx.action, ctx.star, ctx.J, Jq, order, ctx.tube)
 
 
 class ReducedAlgebra:
@@ -85,19 +84,21 @@ class ReducedAlgebra:
 def reduced_poisson_bracket(f: MultiPoly, g: MultiPoly,
                             red: ReducedAlgebra) -> MultiPoly:
     """Bracket of the reduced symplectic structure, computed upstairs:
-    prolong both, bracket, restrict, push down."""
+    prolong both, take the bracket the scenario's product deforms, restrict
+    through the tube, push down."""
     ctx = red.ctx
-    F = ctx.tube.apply_s(red.lift(f).with_vars(ctx.space.vars))
-    G = ctx.tube.apply_s(red.lift(g).with_vars(ctx.space.vars))
-    br = poisson_bracket_poly(F, G, ctx.space)
-    zero = {pa: MultiPoly.zero(ctx.space.vars) for pa in ctx.tube.constrained}
-    restricted = ctx.tube.apply_s_inv(br).substitute(zero).with_vars(ctx.cvars)
-    return red.push_down(restricted)
+    F, G = (red.lift(h).with_vars(ctx.space.vars) for h in (f, g))
+    return red.push_down(ctx.tube.restrict(ctx.star.bracket_poly(F, G)))
+
+
+def _reduced_product(red: ReducedAlgebra, ev) -> StarProduct:
+    return StarProduct(red.space, ev,
+                       lambda f, g: reduced_poisson_bracket(f, g, red),
+                       red.ctx.star.hermitian)
 
 
 def reduced_star(red: ReducedAlgebra) -> StarProduct:
     """The reduced star product through the quantum restriction."""
-    from .koszul import prolongation, quantum_restriction
 
     def ev(f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
         ctx = red.ctx_at(order)
@@ -106,89 +107,24 @@ def reduced_star(red: ReducedAlgebra) -> StarProduct:
         down = quantum_restriction(ctx.star.eval(lf, lg), ctx)
         return red.push_down_series(down)
 
-    return StarProduct(red.space, ev, red.ctx.star.hermitian)
+    return _reduced_product(red, ev)
 
 
 # ---------------------------------------------------------------------------
-# symbol calculus on a flat configuration space
-# ---------------------------------------------------------------------------
-
-def symbol_vars(space: PhaseSpace) -> Tuple[str, ...]:
-    """Variable list for symmetric-tensor symbols: configuration coordinates
-    plus one commuting symbol per coordinate vector field."""
-    return space.qvars + tuple(f"u{i}" for i in space.coords)
-
-
-def symbol_to_function(T: MultiPoly, space: PhaseSpace) -> MultiPoly:
-    """The universal momentum map on symbols: pair each vector-field symbol
-    with the fiber coordinate.  A ring isomorphism onto the fiberwise
-    polynomials."""
-    if T.vars != symbol_vars(space):
-        raise AlgebraError("input is not in symbol normal form")
-    return T.substitute({f"u{i}": space.p(i) for i in space.coords})
-
-
-def function_to_symbol(F: MultiPoly, space: PhaseSpace) -> MultiPoly:
-    if F.vars != space.vars:
-        raise AlgebraError("input does not live on the phase space")
-    svars = symbol_vars(space)
-    return F.substitute(
-        {f"p{i}": MultiPoly.variable(svars, f"u{i}") for i in space.coords})
-
-
-# ---------------------------------------------------------------------------
-# horizontal/vertical splitting and the vertical difference operator
+# the vertical difference operator and the closed-form reduced product
 # ---------------------------------------------------------------------------
 
 class CotangentSplit:
-    """Horizontal/vertical decomposition of fiberwise polynomials with
-    respect to the translated directions, transported along the scenario's
-    fiber translation."""
+    """Division of fiberwise polynomials by the momentum components of the
+    translated directions: F = prolongation(restriction(F)) + Σ r_i(F)·J_i."""
 
     def __init__(self, ctx: ReductionContext):
         self.ctx = ctx
-        self.vertical = ctx.action.translated
-        self.horizontal = tuple(c for c in ctx.space.coords if c not in self.vertical)
-        self._vert_pos = [ctx.space.vars.index(f"p{a}") for a in self.vertical]
-
-    def _vertical_degree(self, exponent) -> int:
-        return sum(exponent[i] for i in self._vert_pos)
-
-    def h(self, F: MultiPoly) -> MultiPoly:
-        """Projection to vertical degree zero (in straightened coordinates)."""
-        G = self.ctx.tube.apply_s_inv(F)
-        kept = {e: c for e, c in G.terms.items() if self._vertical_degree(e) == 0}
-        return self.ctx.tube.apply_s(MultiPoly(self.ctx.space.vars, kept))
-
-    def pv(self, F: MultiPoly) -> MultiPoly:
-        return F - self.h(F)
 
     def r(self, i: int, F: MultiPoly) -> MultiPoly:
-        """The i-th division operator (1-based over the vertical directions):
-        the splitting coefficients along the momentum components."""
-        ctx = self.ctx
-        pa = f"p{self.vertical[i - 1]}"
-        G = ctx.tube.apply_s_inv(F)
-        g = G.diff(pa)
-        if g.is_zero():
-            return MultiPoly.zero(ctx.space.vars)
-        vars_t = ctx.space.vars + ("t",)
-        scale = {
-            f"p{a}": MultiPoly.variable(vars_t, "t") * MultiPoly.variable(vars_t, f"p{a}")
-            for a in self.vertical
-        }
-        integrated = t_integral(g.substitute(scale), "t").with_vars(ctx.space.vars)
-        return ctx.tube.apply_s(integrated)
-
-
-def hv_split(F: MultiPoly, ctx: ReductionContext) -> Tuple[MultiPoly, MultiPoly]:
-    split = CotangentSplit(ctx)
-    hF = split.h(F)
-    return hF, F - hF
-
-
-def r_i(F: MultiPoly, ctx: ReductionContext, i: int) -> MultiPoly:
-    return CotangentSplit(ctx).r(i, F)
+        """The i-th division operator (1-based over the vertical
+        directions): the grade-0 homotopy along direction i."""
+        return self.ctx.tube.homotopy(F, 0, (i,))[i]
 
 
 def _vertical_difference(F: LambdaSeries, ctx: ReductionContext,
@@ -208,25 +144,11 @@ def _vertical_difference(F: LambdaSeries, ctx: ReductionContext,
     return out
 
 
-def delta_star(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """The vertical difference operator divided exactly by i times the
-    parameter.  The order-0 remainder must vanish; otherwise the scenario
-    data is inconsistent."""
-    L = F.order
-    up = elevate_context(ctx, L + 1)
-    D = _vertical_difference(F.truncate(L + 1), up)
-    if not D.coeffs[0].is_zero():
-        raise ContractViolationError(
-            "vertical difference has an order-0 remainder; cannot divide")
-    return LambdaSeries(D.coeffs[1:]).scale(GR_MINUS_I)
-
-
 def knp_reduced_star(red: ReducedAlgebra) -> StarProduct:
     """Closed-form reduced star product: lift both factors horizontally,
-    star-multiply, invert the unipotent vertical correction, project to the
-    horizontal part and identify with the reduced algebra.  Agrees exactly
-    with the homological reduced star product."""
-    from .koszul import prolongation
+    star-multiply, invert the unipotent vertical correction, restrict and
+    identify with the reduced algebra.  Agrees exactly with the homological
+    reduced star product."""
 
     def ev(f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
         ctx = red.ctx_at(order)
@@ -239,13 +161,9 @@ def knp_reduced_star(red: ReducedAlgebra) -> StarProduct:
             return _vertical_difference(G, ctx, split)
 
         G = invert_unipotent(correction, order)(F)
-        H = G.map_coeffs(lambda c: ctx.tube.apply_s_inv(split.h(c)))
-        # the horizontal part of an invariant product is a reduced element
-        zero = {pa: MultiPoly.zero(ctx.space.vars) for pa in ctx.tube.constrained}
-        down = H.map_coeffs(lambda c: c.substitute(zero).with_vars(ctx.cvars))
-        return red.push_down_series(down)
+        return red.push_down_series(restriction(G, ctx))
 
-    return StarProduct(red.space, ev, red.ctx.star.hermitian)
+    return _reduced_product(red, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +185,6 @@ def fiber_translate_subst(space: PhaseSpace, alpha: Mapping[int, MultiPoly]
         subst[f"p{a}"] = pa + al
         inv[f"p{a}"] = pa - al
     return subst, inv
-
-
-def fiber_translate(f: LambdaSeries, space: PhaseSpace,
-                    alpha: Mapping[int, MultiPoly]) -> LambdaSeries:
-    subst, _ = fiber_translate_subst(space, alpha)
-    return f.map_coeffs(lambda c: c.substitute(subst))
 
 
 def build_shifted_context(base: ReductionContext,
@@ -322,10 +234,10 @@ def build_shifted_context(base: ReductionContext,
             for l, mlj in cols[j].items():
                 C[k, l] = C.get((k, l), GR_ZERO) + mki * cij * mlj
     star = StarProduct.constant(space, C)
-    apply_s = lambda f: f.substitute(s_subst)
+    translate = lambda f: f.substitute(s_subst)
     J = MomentumMap(base.J.lie,
-                    [apply_s(c.with_vars(space.vars)) for c in base.J.components])
+                    [translate(c.with_vars(space.vars)) for c in base.J.components])
     Jq = QuantumMomentumMap(base.Jq.lie,
-                            [c.map_coeffs(apply_s) for c in base.Jq.components])
+                            [c.map_coeffs(translate) for c in base.Jq.components])
     tube = GoodTube(space, translated, J, s_subst, s_inv)
     return ReductionContext(space, base.action, star, J, Jq, base.order, tube)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import AlgebraError, LambdaSeries, MultiPoly
+from .exact import AlgebraError, MultiPoly
 from .koszul import (
     GoodTube,
     KoszulChain,
@@ -277,11 +277,6 @@ def build_compatible_prolongations(pipe: StagePipeline,
     entry("descended_restriction_identity", ok, wit)
 
     return checks
-
-
-def two_stage_reduce(f: MultiPoly, g: MultiPoly, pipe: StagePipeline) -> LambdaSeries:
-    """Star product of two residual polynomials through both stages."""
-    return pipe.star_red2.eval_poly(f, g, pipe.ctx.order)
 
 
 def check_stage_equality(pipe: StagePipeline,

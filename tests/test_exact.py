@@ -15,7 +15,6 @@ from qkoszul.exact import (
     VariableMismatchError,
     gr,
     invert_unipotent,
-    t_integral,
 )
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -122,21 +121,6 @@ class TestMultiPoly:
         y = MultiPoly.variable(VARS, "y")
         p = y + x * x
         assert p.render().index("x^2") < p.render().index("y")
-
-
-class TestTIntegral:
-    def test_monomial(self):
-        vs = ("x", "t")
-        x = MultiPoly.variable(vs, "x")
-        t = MultiPoly.variable(vs, "t")
-        # integral of x t^2 over the unit interval is x/3
-        res = t_integral(x * t * t)
-        assert res == MultiPoly.variable(("x",), "x").scale(Fraction(1, 3))
-
-    def test_constant_in_t(self):
-        vs = ("x", "t")
-        x = MultiPoly.variable(vs, "x")
-        assert t_integral(x * x) == (lambda z: z * z)(MultiPoly.variable(("x",), "x"))
 
 
 class TestLambdaSeries:

@@ -1,4 +1,9 @@
-"""The augmented Koszul complex: boundaries, homotopies, quantum restriction."""
+"""The augmented Koszul complex: boundaries, homotopies, quantum restriction.
+
+The closed-form restriction and homotopy are held to the substitution path
+they replace: straighten, substitute zero for the constrained fiber
+coordinates, or scale them by t and integrate t over [0, 1].
+"""
 
 from fractions import Fraction
 from itertools import combinations
@@ -31,6 +36,7 @@ from qkoszul.koszul import (
 )
 from qkoszul.lie import LieAlgebraData, QuantumMomentumMap
 from qkoszul.phase_space import PhaseSpace, StarProduct
+from qkoszul.reduction import CotangentSplit, build_shifted_context
 from qkoszul.sampling import sample_polys
 
 L = 4
@@ -57,6 +63,29 @@ class TestWedgeBookkeeping:
         pos = key.index(2)
         sign_r, back = remove_index(key, pos)
         assert back == (1, 3) and sign_i * sign_r == 1
+
+
+class TestReductionContext:
+    def test_order0_remainder_rejected(self):
+        # a quantum momentum map whose λ⁰ differs from J is rejected at
+        # context construction
+        sp = PhaseSpace.of_dim(2)
+        ctx = ReductionContext.canonical(sp, [1], StarProduct.weyl(sp), L)
+        bad = QuantumMomentumMap(
+            ctx.Jq.lie, [LambdaSeries.from_poly(ctx.space.q(1), L)])
+        with pytest.raises(AlgebraError):
+            ReductionContext(ctx.space, ctx.action, ctx.star, ctx.J, bad, L)
+
+
+class TestKoszulChain:
+    def test_equality_compares_shape(self):
+        ctx = s1_context()
+        vs = ctx.space.vars
+        zero = KoszulChain.zero(ctx.gdim, 1, vs, L)
+        assert zero == KoszulChain.zero(ctx.gdim, 1, vs, L)
+        assert zero != KoszulChain.zero(ctx.gdim, 1, vs, L + 1)
+        assert zero != KoszulChain.zero(ctx.gdim + 1, 1, vs, L)
+        assert zero != KoszulChain.zero(ctx.gdim, 1, ctx.cvars, L)
 
 
 class TestKoszulBoundary:
@@ -235,3 +264,105 @@ class TestFullSuite:
         failing = [c for c in verify_complex_identities(ctx, samples)
                    if c["status"] != "pass"]
         assert failing == []
+
+
+# ---------------------------------------------------------------------------
+# the substitution path, as the oracle for the closed forms
+# ---------------------------------------------------------------------------
+
+def t_integral(f: MultiPoly) -> MultiPoly:
+    """∫_0^1 dt of a polynomial whose last variable is t: each monomial
+    t^m·g contributes g/(m+1)."""
+    out = MultiPoly.zero(f.vars[:-1])
+    for e, c in f.terms.items():
+        out = out + MultiPoly(out.vars, {e[:-1]: c * gr(Fraction(1, e[-1] + 1))})
+    return out
+
+
+def oracle_restriction(c: MultiPoly, tube) -> MultiPoly:
+    """Straighten, substitute zero for the constrained fiber coordinates."""
+    zero = {pa: MultiPoly.zero(tube.space.vars) for pa in tube.constrained}
+    return c.substitute(tube.s_inv).substitute(zero).with_vars(tube.cvars)
+
+
+def oracle_homotopy(c: MultiPoly, tube, pa: str, k: int) -> MultiPoly:
+    """Straighten, differentiate along pa, scale every constrained fiber
+    coordinate by t, multiply by t^k, integrate t out, unstraighten."""
+    vars_t = tube.space.vars + ("t",)
+    t = MultiPoly.variable(vars_t, "t")
+    scale = {pb: t * MultiPoly.variable(vars_t, pb) for pb in tube.constrained}
+    g = c.substitute(tube.s_inv).diff(pa).substitute(scale)
+    for _ in range(k):
+        g = g * t
+    return t_integral(g).substitute(tube.s_subst)
+
+
+def oracle_classical_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
+    out = ctx.zero_chain(x.grade + 1)
+    for key, F in x.terms.items():
+        for alpha, pa in enumerate(ctx.tube.constrained, start=1):
+            ins = insert_index(alpha, key)
+            if ins is not None:
+                sign, newkey = ins
+                G = F.map_coeffs(
+                    lambda c: oracle_homotopy(c, ctx.tube, pa, x.grade)).scale(sign)
+                out = out + KoszulChain(ctx.gdim, x.grade + 1, x.vars, x.order,
+                                        {newkey: G})
+    return out
+
+
+ORACLE_ORDER = 2
+# (n, translated, b, mu): s1-translation, s2-magnetic, and the data of the
+# magnetic reduction benchmark
+ORACLE_SCENARIOS = {
+    "s1-translation": (3, (1, 2), {}, {}),
+    "s2-magnetic": (2, (1,), {1: (2, Fraction(1, 2))}, {1: Fraction(3)}),
+    "reduce-magnetic": (4, (1, 2), {1: (3, Fraction(1, 2)), 2: (4, Fraction(-2, 3))},
+                        {1: Fraction(3), 2: Fraction(-1, 4)}),
+}
+
+
+def oracle_context(scenario: str, kind: str) -> ReductionContext:
+    n, translated, b, mu = ORACLE_SCENARIOS[scenario]
+    sp = PhaseSpace.of_dim(n)
+    base = ReductionContext.canonical(sp, translated, getattr(StarProduct, kind)(sp),
+                                      ORACLE_ORDER)
+    return build_shifted_context(base, b, mu)
+
+
+def oracle_series(ctx: ReductionContext, seed: int):
+    """Series with a sample at every power of the parameter."""
+    polys = sample_polys(seed, ctx.space.vars, 3, 3 * (ORACLE_ORDER + 1))
+    return [LambdaSeries(polys[i:i + ORACLE_ORDER + 1])
+            for i in range(0, len(polys), ORACLE_ORDER + 1)]
+
+
+@pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+@pytest.mark.parametrize("scenario", tuple(ORACLE_SCENARIOS))
+class TestClosedFormsAgainstSubstitution:
+    def test_restriction(self, scenario, kind):
+        ctx = oracle_context(scenario, kind)
+        for F in oracle_series(ctx, 151):
+            want = F.map_coeffs(lambda c: oracle_restriction(c, ctx.tube))
+            assert restriction(F, ctx) == want
+
+    def test_homotopy_at_every_grade(self, scenario, kind):
+        ctx = oracle_context(scenario, kind)
+        series = oracle_series(ctx, 157)
+        for k in range(ctx.gdim + 1):
+            keys = list(combinations(range(1, ctx.gdim + 1), k))
+            x = KoszulChain(ctx.gdim, k, ctx.space.vars, ORACLE_ORDER,
+                            {key: series[j % len(series)] for j, key in enumerate(keys)})
+            got = classical_homotopy(x, ctx)
+            assert got == oracle_classical_homotopy(x, ctx)
+            assert k < ctx.gdim or got.is_zero()
+
+    def test_division_operator(self, scenario, kind):
+        ctx = oracle_context(scenario, kind)
+        split = CotangentSplit(ctx)
+        J1 = ctx.J.components[0]
+        for f in sample_polys(163, ctx.space.vars, 3, 4):
+            # a factor J1² keeps a vertical factor in every output
+            F = f * J1 * J1
+            for i, pa in enumerate(ctx.tube.constrained, start=1):
+                assert split.r(i, F) == oracle_homotopy(F, ctx.tube, pa, 0)

@@ -13,10 +13,10 @@ from qkoszul.lie import (
     canonical_momentum_map,
     check_classical_equivariance,
     check_quantum_momentum_map,
-    magnetic_momentum_map,
-    shift_momentum_map,
 )
+from qkoszul.koszul import ReductionContext
 from qkoszul.phase_space import PhaseSpace, StarProduct
+from qkoszul.reduction import build_shifted_context
 from qkoszul.sampling import sample_polys
 
 
@@ -73,28 +73,30 @@ class TestMomentumMaps:
         with pytest.raises(AlgebraError):
             MomentumMap(lie, [sp.p(1).scale(gr(0, 1))])
 
+    # magnetic and shifted momentum maps come from the fiber translation of
+    # a shifted scenario
+
     def test_magnetic_component(self):
         sp = PhaseSpace.of_dim(2)
-        act = TranslationAction(sp, [1])
-        J = magnetic_momentum_map(act, Fraction(3, 2), (1, 2))
+        base = ReductionContext.canonical(sp, [1], StarProduct.weyl(sp), 3)
+        J = build_shifted_context(base, {1: (2, Fraction(3, 2))}, {}).J
         assert J.components[0] == sp.p(1) + sp.q(2).scale(Fraction(3, 2))
 
     def test_magnetic_invariance_guard(self):
         sp = PhaseSpace.of_dim(2)
-        act = TranslationAction(sp, [1, 2])
+        both = ReductionContext.canonical(sp, [1, 2], StarProduct.weyl(sp), 3)
         with pytest.raises(AlgebraError):
-            magnetic_momentum_map(act, Fraction(1), (1, 2))
+            build_shifted_context(both, {1: (2, Fraction(1))}, {})
+        one = ReductionContext.canonical(sp, [1], StarProduct.weyl(sp), 3)
         with pytest.raises(AlgebraError):
-            magnetic_momentum_map(TranslationAction(sp, [1]), Fraction(1), (2, 1))
+            build_shifted_context(one, {2: (1, Fraction(1))}, {})
 
     def test_shift_classical_and_quantum(self):
         sp = PhaseSpace.of_dim(1)
-        J = canonical_momentum_map(TranslationAction(sp, [1]))
-        shifted = shift_momentum_map(J, [Fraction(5)])
-        assert shifted.components[0] == sp.p(1) - MultiPoly.const(sp.vars, 5)
-        Jq = QuantumMomentumMap.from_classical(J, 3)
-        sq = shift_momentum_map(Jq, [Fraction(5)])
-        assert sq.classical_part() == shifted
+        base = ReductionContext.canonical(sp, [1], StarProduct.weyl(sp), 3)
+        ctx = build_shifted_context(base, {}, {1: Fraction(5)})
+        assert ctx.J.components[0] == sp.p(1) - MultiPoly.const(sp.vars, 5)
+        assert ctx.Jq.classical_part() == ctx.J
 
     def test_equivariance_abelian(self):
         sp = PhaseSpace.of_dim(3)
@@ -143,3 +145,14 @@ class TestQuantumMomentumMap:
                   check_quantum_momentum_map(star, Jq, samples, 3)}
         entry = checks["quantum_hamiltonian_identity"]
         assert entry["status"] == "fail" and "witness" in entry
+
+    def test_bracket_witness_is_first_failing_pair(self):
+        # [q1, p1] and [q1, p1] both fail on an abelian algebra; the scan
+        # stops at the first, (1, 2), rather than reporting the last, (1, 3)
+        sp = PhaseSpace.of_dim(1)
+        Jq = QuantumMomentumMap(LieAlgebraData.abelian(3), [
+            LambdaSeries.from_poly(c, 2) for c in (sp.q(1), sp.p(1), sp.p(1))])
+        checks = {c["name"]: c for c in check_quantum_momentum_map(
+            StarProduct.weyl(sp), Jq, [sp.q(1)], 2)}
+        entry = checks["quantum_bracket_compatibility"]
+        assert entry["status"] == "fail" and entry["witness"]["pair"] == (1, 2)

@@ -184,16 +184,16 @@ class Pullback(StarProduct):
             res = base.eval_poly(self.back(f), self.back(g), order)
             return res.map_coeffs(self.forward)
 
-        super().__init__(base.space, ev, base.hermitian)
+        def bracket(f, g):
+            return self.forward(base.bracket_poly(self.back(f), self.back(g)))
+
+        super().__init__(base.space, ev, bracket, base.hermitian)
 
     def forward(self, f):
         return f.substitute(self.subst) if self.subst else f
 
     def back(self, f):
         return f.substitute(self.subst_inv) if self.subst_inv else f
-
-    def bracket_poly(self, f, g):
-        return self.forward(self.base.bracket_poly(self.back(f), self.back(g)))
 
 
 class TestPullback:

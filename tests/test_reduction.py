@@ -7,7 +7,6 @@ import pytest
 
 from qkoszul.exact import (
     AlgebraError,
-    ContractViolationError,
     LambdaSeries,
     MultiPoly,
     gr,
@@ -17,6 +16,7 @@ from qkoszul.koszul import (
     ReductionContext,
     classical_homotopy,
     koszul_boundary,
+    prolongation,
     quantum_koszul_boundary,
     restriction,
     verify_complex_identities,
@@ -25,18 +25,13 @@ from qkoszul.phase_space import PhaseSpace, StarProduct, check_star_axioms
 from qkoszul.reduction import (
     CotangentSplit,
     ReducedAlgebra,
+    _vertical_difference,
     build_shifted_context,
-    delta_star,
-    fiber_translate,
+    elevate_context,
     fiber_translate_subst,
-    function_to_symbol,
-    hv_split,
     knp_reduced_star,
-    r_i,
     reduced_poisson_bracket,
     reduced_star,
-    symbol_to_function,
-    symbol_vars,
 )
 from qkoszul.sampling import sample_pairs, sample_polys
 
@@ -120,30 +115,9 @@ class TestResidualProduct:
             assert [r.eval_poly(f, g, L) for r in routes] == [want, want]
 
 
-class TestSymbolIso:
-    def test_vector_field_symbol(self):
-        sp = PhaseSpace.of_dim(2)
-        sv = symbol_vars(sp)
-        assert symbol_to_function(MultiPoly.variable(sv, "u1"), sp) == sp.p(1)
-
-    def test_configuration_functions_fixed(self):
-        sp = PhaseSpace.of_dim(2)
-        sv = symbol_vars(sp)
-        chi = MultiPoly.variable(sv, "q2") * MultiPoly.variable(sv, "q1")
-        assert symbol_to_function(chi, sp) == sp.q(2) * sp.q(1)
-
-    def test_ring_iso_roundtrip(self):
-        sp = PhaseSpace.of_dim(2)
-        sv = symbol_vars(sp)
-        import random
-        rng = random.Random(61)
-        from qkoszul.sampling import random_poly
-        for _ in range(6):
-            a = random_poly(rng, sv, 3)
-            b = random_poly(rng, sv, 3)
-            assert symbol_to_function(a * b, sp) == \
-                symbol_to_function(a, sp) * symbol_to_function(b, sp)
-            assert function_to_symbol(symbol_to_function(a, sp), sp) == a
+def horizontal(F: MultiPoly, ctx: ReductionContext) -> MultiPoly:
+    """The horizontal part prolongation(restriction(F)) of a polynomial."""
+    return prolongation(restriction(ctx.series(F), ctx), ctx).coeffs[0]
 
 
 class TestHvSplit:
@@ -151,17 +125,15 @@ class TestHvSplit:
         ctx = s1p_ctx()
         sp = ctx.space
         F = sp.p(1) * sp.p(1)
-        h, pv = hv_split(F, ctx)
-        assert h.is_zero() and pv == F
-        assert r_i(F, ctx, 1) == sp.p(1)
+        assert horizontal(F, ctx).is_zero()
+        assert CotangentSplit(ctx).r(1, F) == sp.p(1)
 
     def test_purely_horizontal(self):
         ctx = s1p_ctx()
         sp = ctx.space
         F = sp.q(1) * sp.q(2)
-        h, pv = hv_split(F, ctx)
-        assert h == F and pv.is_zero()
-        assert r_i(F, ctx, 1).is_zero()
+        assert horizontal(F, ctx) == F
+        assert CotangentSplit(ctx).r(1, F).is_zero()
 
     def test_split_identity(self):
         ctx = ReductionContext.canonical(
@@ -169,14 +141,15 @@ class TestHvSplit:
             StarProduct.weyl(PhaseSpace.of_dim(3)), L)
         split = CotangentSplit(ctx)
         for F in sample_polys(67, ctx.space.vars, 4, 10):
-            recon = split.h(F)
+            recon = horizontal(F, ctx)
             for i in range(1, ctx.gdim + 1):
                 Ji = ctx.J.components[i - 1]
                 recon = recon + split.r(i, F) * Ji
             assert recon == F
             # projections
-            assert split.h(split.h(F)) == split.h(F)
-            assert split.h(split.pv(F)).is_zero()
+            hF = horizontal(F, ctx)
+            assert horizontal(hF, ctx) == hF
+            assert horizontal(F - hF, ctx).is_zero()
 
     def test_split_identity_shifted(self):
         # in the magnetic scenario the splitting runs along the shifted
@@ -184,7 +157,7 @@ class TestHvSplit:
         ctx = s2_ctx()
         split = CotangentSplit(ctx)
         for F in sample_polys(71, ctx.space.vars, 3, 6):
-            recon = split.h(F)
+            recon = horizontal(F, ctx)
             for i in range(1, ctx.gdim + 1):
                 recon = recon + split.r(i, F) * ctx.J.components[i - 1]
             assert recon == F
@@ -196,6 +169,15 @@ class TestHvSplit:
             h = classical_homotopy(
                 KoszulChain.of_series(ctx.gdim, ctx.series(F)), ctx)
             assert h.get((1,)) == ctx.series(split.r(1, F))
+
+
+def delta_star(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
+    """The vertical difference operator of the closed-form route divided
+    exactly by i times the parameter (its order-0 remainder vanishes)."""
+    up = elevate_context(ctx, F.order + 1)
+    D = _vertical_difference(F.truncate(F.order + 1), up)
+    assert D.coeffs[0].is_zero()
+    return LambdaSeries(D.coeffs[1:]).scale(gr(0, -1))
 
 
 class TestDeltaStar:
@@ -228,16 +210,6 @@ class TestDeltaStar:
             via_boundaries = LambdaSeries(D.coeffs[1:]).scale(gr(0, -1))
             assert via_op == via_boundaries
 
-    def test_order0_remainder_rejected(self):
-        ctx = s1p_ctx()
-        # sabotage: a quantum momentum map whose λ⁰ differs from J breaks
-        # the divisibility precondition at context construction already
-        from qkoszul.lie import QuantumMomentumMap
-        bad = QuantumMomentumMap(
-            ctx.Jq.lie, [LambdaSeries.from_poly(ctx.space.q(1), L)])
-        with pytest.raises(AlgebraError):
-            ReductionContext(ctx.space, ctx.action, ctx.star, ctx.J, bad, L)
-
 
 class TestKnpEquivalence:
     def test_s1p_pairs(self):
@@ -267,16 +239,16 @@ class TestKnpEquivalence:
 class TestFiberTranslation:
     def test_zero_is_identity(self):
         sp = PhaseSpace.of_dim(2)
-        f = sp.series(sp.p(1) * sp.q(2), L)
-        assert fiber_translate(f, sp, {1: MultiPoly.zero(sp.vars)}) == f
+        subst, inv = fiber_translate_subst(sp, {1: MultiPoly.zero(sp.vars)})
+        f = sp.p(1) * sp.q(2)
+        assert f.substitute(subst) == f and f.substitute(inv) == f
 
     def test_inverse(self):
         sp = PhaseSpace.of_dim(2)
-        al = {1: sp.q(2).scale(Fraction(5, 3))}
-        neg = {1: sp.q(2).scale(Fraction(-5, 3))}
+        subst, inv = fiber_translate_subst(sp, {1: sp.q(2).scale(Fraction(5, 3))})
         for f in sample_polys(97, sp.vars, 3, 6):
-            fs = sp.series(f, L)
-            assert fiber_translate(fiber_translate(fs, sp, al), sp, neg) == fs
+            assert f.substitute(subst).substitute(inv) == f
+            assert f.substitute(inv).substitute(subst) == f
 
     def test_momentum_dependence_rejected(self):
         sp = PhaseSpace.of_dim(2)

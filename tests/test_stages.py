@@ -15,6 +15,7 @@ from qkoszul.lie import (
     check_quantum_momentum_map,
 )
 from qkoszul.phase_space import PhaseSpace, StarProduct
+from qkoszul.reduction import build_shifted_context
 from qkoszul.sampling import sample_pairs, sample_polys
 from qkoszul.stages import (
     StageConfig,
@@ -22,7 +23,6 @@ from qkoszul.stages import (
     build_compatible_prolongations,
     check_stage_equality,
     restrict_momentum_map,
-    two_stage_reduce,
 )
 
 L = 4
@@ -110,6 +110,19 @@ class TestInducedSecondStage:
         assert checks["quantum_hamiltonian_identity"]["status"] == "pass"
 
 
+    @pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+    def test_induced_map_under_magnetic_second_stage(self, kind):
+        # the first reduced product deforms the magnetic bracket of the
+        # second-stage direction, and reports that bracket
+        sp = PhaseSpace.of_dim(3)
+        base = ReductionContext.canonical(sp, [1, 2], getattr(StarProduct, kind)(sp), 3)
+        ctx = build_shifted_context(base, {2: (3, Fraction(1, 2))}, {})
+        pipe = StagePipeline(ctx, StageConfig(ctx.action.lie, [1]))
+        samples = sample_polys(5, pipe.red1.space.vars, 3, 6)
+        checks = check_quantum_momentum_map(pipe.star_red1, pipe.Jq2, samples, 3)
+        assert [c["status"] for c in checks] == ["pass"] * len(checks)
+
+
 class TestCompatibleProlongations:
     def test_all_identities(self):
         ctx = s1_ctx()
@@ -140,7 +153,7 @@ class TestStageEquality:
         rs = pipe.red2.space
         one = MultiPoly.const(rs.vars, 1)
         f = rs.q(3) * rs.p(3)
-        assert two_stage_reduce(one, f, pipe) == LambdaSeries.from_poly(f, L)
+        assert pipe.star_red2.eval_poly(one, f, L) == LambdaSeries.from_poly(f, L)
         assert pipe.star_red.eval_poly(one, f, L) == LambdaSeries.from_poly(f, L)
 
     def test_residual_variables_agree(self):
