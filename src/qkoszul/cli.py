@@ -36,6 +36,12 @@ class ConfigError(Exception):
     pass
 
 
+SUITES = ("axioms", "momentum", "complex", "reduction", "knp", "stages", "ce")
+# suites on a reduction context, and those among them on the reduced space
+CONTEXT_SUITES = {"momentum", "complex", "reduction", "knp", "stages"}
+REDUCED_SUITES = {"reduction", "knp", "stages"}
+
+
 @dataclass
 class ScenarioConfig:
     name: str
@@ -52,6 +58,9 @@ class ScenarioConfig:
     checks: Tuple[str, ...] = ("axioms",)
 
     def validate(self) -> None:
+        if any(sep in self.name for sep in ("/", "\\", "..")) or \
+                not self.name.isprintable():
+            raise ConfigError(f"name {self.name!r} is not a plain file name")
         if self.lambda_order < 1:
             raise ConfigError("lambda_order must be >= 1")
         if self.degree < 1:
@@ -72,19 +81,26 @@ class ScenarioConfig:
             if c in self.translated:
                 raise ConfigError(f"magnetic pair ({a}, {c}) couples two translated "
                                   "coordinates")
+        k = len(self.translated)
         if self.stage_first is not None:
-            k = len(self.translated)
             for i in self.stage_first:
                 if not 1 <= i <= k:
                     raise ConfigError(f"stage index {i} out of range 1..{k}")
-        known = {"axioms", "momentum", "complex", "reduction", "knp", "stages", "ce"}
         for c in self.checks:
-            if c not in known:
+            if c not in SUITES:
                 raise ConfigError(f"unknown check suite {c!r}")
-        if "stages" in self.checks and (self.stage_first is None
-                                        or len(self.translated) < 2):
+        suites = set(self.checks)
+        if suites & CONTEXT_SUITES and k == 0:
+            raise ConfigError("suites on a reduction context need a translated "
+                              "coordinate")
+        if suites & REDUCED_SUITES and len(set(self.translated)) >= self.n:
+            raise ConfigError("every coordinate is translated: the reduced space "
+                              "is a point")
+        if "stages" in suites and (self.stage_first is None or k < 2):
             raise ConfigError("stages suite needs a stage split and at least "
                               "two translated coordinates")
+        if "stages" in suites and not 0 < len(set(self.stage_first)) < k:
+            raise ConfigError("stage split must leave both stages nonempty")
 
     def echo(self) -> dict:
         return {
@@ -130,35 +146,57 @@ def builtin_config(name: str) -> ScenarioConfig:
     return ScenarioConfig(name=name, **SCENARIOS[name])
 
 
+def _typed(key: str, value, kind: type):
+    """``value`` if it has the JSON type ``kind``; true and false are not
+    integers."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key!r} must be of type {kind.__name__}, got {value!r}")
+
+
+def _typed_list(key: str, value, kind: type) -> tuple:
+    return tuple(_typed(key, v, kind) for v in _typed(key, value, list))
+
+
+def _entries(key: str, raw: dict, parse) -> dict:
+    """A JSON object keyed by coordinate label, each value parsed."""
+    try:
+        return {int(a): parse(v) for a, v in _typed(key, raw[key], dict).items()}
+    except (ValueError, TypeError, IndexError, OverflowError, ZeroDivisionError) as e:
+        raise ConfigError(f"bad {key!r} entry: {e}")
+
+
+def _number(v) -> Fraction:
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise TypeError(f"{v!r} is not a number")
+    return Fraction(v)
+
+
 def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise ConfigError(f"cannot read config {path!r}: {e}")
     if not isinstance(raw, dict) or "name" not in raw:
         raise ConfigError("config must be a JSON object with a 'name' field")
-    cfg = ScenarioConfig(name=raw["name"])
-    for key in ("n", "lambda_order", "degree", "samples", "seed", "star"):
+    cfg = ScenarioConfig(name=_typed("name", raw["name"], str))
+    for key in ("n", "lambda_order", "degree", "samples", "seed"):
         if key in raw:
-            setattr(cfg, key, raw[key])
+            setattr(cfg, key, _typed(key, raw[key], int))
+    if "star" in raw:
+        cfg.star = _typed("star", raw["star"], str)
     if "translated" in raw:
-        cfg.translated = tuple(int(a) for a in raw["translated"])
+        cfg.translated = _typed_list("translated", raw["translated"], int)
     if "checks" in raw:
-        cfg.checks = tuple(raw["checks"])
-    if "stage_first" in raw and raw["stage_first"] is not None:
-        cfg.stage_first = tuple(int(i) for i in raw["stage_first"])
+        cfg.checks = _typed_list("checks", raw["checks"], str)
+    if raw.get("stage_first") is not None:
+        cfg.stage_first = _typed_list("stage_first", raw["stage_first"], int)
     if "b" in raw:
-        try:
-            cfg.b = {int(a): (int(cv[0]), Fraction(cv[1]))
-                     for a, cv in raw["b"].items()}
-        except (ValueError, TypeError, IndexError) as e:
-            raise ConfigError(f"bad 'b' entry: {e}")
+        cfg.b = _entries("b", raw, lambda cv: (_typed("b", _typed("b", cv, list)[0], int),
+                                               _number(cv[1])))
     if "mu" in raw:
-        try:
-            cfg.mu = {int(a): Fraction(v) for a, v in raw["mu"].items()}
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"bad 'mu' entry: {e}")
+        cfg.mu = _entries("mu", raw, _number)
     return cfg
 
 
@@ -206,9 +244,16 @@ def suite_axioms(cfg: ScenarioConfig) -> List[dict]:
     return _prefixed("axioms", star_axiom_checks(star, samples, cfg.lambda_order))
 
 
+def upstairs_samples(cfg: ScenarioConfig, ctx: ReductionContext,
+                     seed: int) -> List[MultiPoly]:
+    """Samples on the scenario's phase space, straightened into the
+    coordinates its context computes in."""
+    return [ctx.straighten(f) for f in sample_polys(seed, ctx.space.vars, cfg.degree,
+                                                    min(cfg.samples, 6))]
+
+
 def suite_momentum(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
-    samples = sample_polys(cfg.seed, ctx.space.vars, cfg.degree,
-                           min(cfg.samples, 6))
+    samples = upstairs_samples(cfg, ctx, cfg.seed)
     checks = check_classical_equivariance(ctx.J, ctx.space)
     checks += check_quantum_momentum_map(ctx.star, ctx.Jq, samples,
                                          cfg.lambda_order)
@@ -216,8 +261,7 @@ def suite_momentum(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
 
 
 def suite_complex(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
-    samples = sample_polys(cfg.seed, ctx.space.vars, cfg.degree,
-                           min(cfg.samples, 6))
+    samples = upstairs_samples(cfg, ctx, cfg.seed)
     return _prefixed("complex", verify_complex_identities(ctx, samples))
 
 
@@ -265,9 +309,7 @@ def suite_knp(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
 
 def suite_stages(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
     pipe = StagePipeline(ctx, StageConfig(ctx.action.lie, cfg.stage_first))
-    probes = sample_polys(cfg.seed + 3, ctx.space.vars, cfg.degree,
-                          min(cfg.samples, 6))
-    checks = build_compatible_prolongations(pipe, probes)
+    checks = build_compatible_prolongations(pipe, upstairs_samples(cfg, ctx, cfg.seed + 3))
     pairs = sample_pairs(cfg.seed + 4, pipe.red2.space.vars, cfg.degree,
                          cfg.samples)
     checks += check_stage_equality(pipe, pairs)
@@ -321,8 +363,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     cfg.validate()
     checks: List[dict] = []
     ctx = None
-    needs_ctx = {"momentum", "complex", "reduction", "knp", "stages"}
-    if needs_ctx & set(cfg.checks):
+    if CONTEXT_SUITES & set(cfg.checks):
         ctx = build_context(cfg)
     for suite in cfg.checks:
         if suite == "axioms":

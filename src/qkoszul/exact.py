@@ -237,7 +237,6 @@ class MultiPoly:
                 images.append(assignments[v])
             else:
                 images.append(MultiPoly.variable(target, v))
-        out = MultiPoly.zero(target)
         # cache powers per variable index
         powers: Dict[Tuple[int, int], MultiPoly] = {}
 
@@ -249,13 +248,24 @@ class MultiPoly:
                 powers[key] = power(i, k - 1) * images[i]
             return powers[key]
 
+        out: Dict[Exponent, GaussianRational] = {}
         for exp, c in self.terms.items():
             term = MultiPoly.const(target, 1).scale(c)
             for i, k in enumerate(exp):
                 if k:
                     term = term * power(i, k)
-            out = out + term
-        return out
+            for e, v in term.terms.items():
+                out[e] = out[e] + v if e in out else v
+        return MultiPoly(target, out)
+
+    def zero_outside(self, vars: Sequence[str]) -> "MultiPoly":
+        """Image under setting every variable not in ``vars`` to zero,
+        re-expressed on ``vars`` (each of them a variable of ``self``)."""
+        vs = tuple(vars)
+        keep = tuple(self.vars.index(v) for v in vs)
+        drop = tuple(i for i in range(len(self.vars)) if i not in keep)
+        return MultiPoly(vs, {tuple(e[i] for i in keep): c for e, c in self.terms.items()
+                              if not any(e[i] for i in drop)})
 
     def with_vars(self, vars: Sequence[str]) -> "MultiPoly":
         """Re-express over a different variable list (a superset or a list

@@ -5,14 +5,13 @@ flat cotangent bundle with a lifted translation action.  On such scenarios
 the tube is total (trivial cutoff, no globalization data) and every operator
 below is an exact polynomial operation.
 
-The tube is the one place that knows the constrained directions.  In
-straightened fiber coordinates, where the momentum components are the
-fiber coordinates p_a of the translated directions, the restriction keeps
-the monomials x^m of vertical degree |m_v| = 0, and the contracting
-homotopy at grade k sends x^m to m_a/(|m_v|+k) · x^{m-e_a}, one output per
-constrained direction a.  A shifted or magnetic scenario straightens by its
-fiber translation before these maps and unstraightens after them; the
-boundary operators use the context's momentum maps directly.
+The momentum components are the fiber coordinates p_a of the translated
+directions, so the tube needs no coordinate change: the restriction keeps
+the monomials x^m of vertical degree |m_v| = 0, and the contracting homotopy
+at grade k sends x^m to m_a/(|m_v|+k) · x^{m-e_a}, one output per
+constrained direction a.  A shifted or magnetic scenario is this canonical
+scenario in straightened coordinates: its context records the straightening
+p_a -> p_a - alpha_a, which maps samples in once (``straighten``).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .exact import (
 )
 from .lie import (
     LieAlgebraData,
-    MomentumMap,
     QuantumMomentumMap,
     TranslationAction,
     canonical_momentum_map,
@@ -145,88 +143,63 @@ class KoszulChain:
 
 
 class GoodTube:
-    """Global good tube of a flat translation scenario.
+    """Global good tube of a canonical translation scenario.
 
-    The tube straightens the momentum map into the fiber coordinates of the
-    translated directions by one coordinate change: ``s_inv`` straightens
-    and ``s_subst`` unstraightens (the scenario's fiber translation and its
-    inverse; both are the identity for a canonical scenario).  Restriction
-    and homotopy are closed-form maps on the straightened monomials.
+    The momentum components are the fiber coordinates of the translated
+    directions, so restriction and homotopy are closed-form maps on the
+    monomials.
     """
 
-    def __init__(self, space: PhaseSpace, translated: Sequence[int],
-                 J: MomentumMap,
-                 s_subst: Optional[Mapping[str, MultiPoly]] = None,
-                 s_inv: Optional[Mapping[str, MultiPoly]] = None):
+    def __init__(self, space: PhaseSpace, translated: Sequence[int]):
         self.space = space
         self.translated = tuple(translated)
         self.constrained = tuple(f"p{a}" for a in self.translated)
         self.cvars = tuple(v for v in space.vars if v not in self.constrained)
-        self.s_subst = dict(s_subst) if s_subst else {}
-        self.s_inv = dict(s_inv) if s_inv else {}
         self._vpos = tuple(space.vars.index(pa) for pa in self.constrained)
-        self._cpos = tuple(space.vars.index(v) for v in self.cvars)
-        # tube property: the momentum components straighten to the fiber
-        # coordinates under the inverse substitution
-        for pa, Ja in zip(self.constrained, J.components):
-            straight = self.apply_s_inv(Ja.with_vars(space.vars))
-            if straight != MultiPoly.variable(space.vars, pa):
-                raise AlgebraError(
-                    f"tube property violated: {Ja.render()} does not straighten to {pa}"
-                )
-
-    def apply_s(self, f: MultiPoly) -> MultiPoly:
-        return f.substitute(self.s_subst) if self.s_subst else f
-
-    def apply_s_inv(self, f: MultiPoly) -> MultiPoly:
-        return f.substitute(self.s_inv) if self.s_inv else f
 
     def restrict(self, f: MultiPoly) -> MultiPoly:
-        """Restriction to the constraint set: the straightened monomials of
-        vertical degree 0, re-expressed on ``cvars``."""
-        vpos, cpos = self._vpos, self._cpos
-        kept = {tuple(e[i] for i in cpos): c
-                for e, c in self.apply_s_inv(f).terms.items()
-                if not any(e[i] for i in vpos)}
-        return MultiPoly(self.cvars, kept)
+        """Restriction to the constraint set: the monomials of vertical
+        degree 0, re-expressed on ``cvars``."""
+        return f.zero_outside(self.cvars)
 
     def homotopy(self, f: MultiPoly, k: int,
                  directions: Sequence[int]) -> Dict[int, MultiPoly]:
         """Grade-k contracting homotopy along each listed constrained
-        direction a (1-based): in straightened coordinates x^m goes to
-        m_a/(|m_v|+k) · x^{m-e_a}."""
+        direction a (1-based): x^m goes to m_a/(|m_v|+k) · x^{m-e_a}."""
         vpos = self._vpos
         outs: Dict[int, dict] = {a: {} for a in directions}
-        for e, c in self.apply_s_inv(f).terms.items():
+        for e, c in f.terms.items():
             deg = sum(e[i] for i in vpos)
             for a, out in outs.items():
                 i = vpos[a - 1]
                 m = e[i]
                 if m:
                     out[e[:i] + (m - 1,) + e[i + 1:]] = c * gr(Fraction(m, deg + k))
-        return {a: self.apply_s(MultiPoly(self.space.vars, out))
-                for a, out in outs.items()}
+        return {a: MultiPoly(self.space.vars, out) for a, out in outs.items()}
 
 
 class ReductionContext:
     """Everything needed to run one reduction scenario: the star product,
     the classical and quantum momentum maps, the good tube and the
-    prolongation.  Immutable after construction."""
+    prolongation.  The classical momentum map is the canonical one of the
+    action; a shifted scenario adds the substitution that straightens its
+    samples.  Immutable after construction."""
 
     def __init__(self, space: PhaseSpace, action: TranslationAction,
-                 star: StarProduct, J: MomentumMap, Jq: QuantumMomentumMap,
-                 order: int, tube: Optional[GoodTube] = None):
+                 star: StarProduct, Jq: QuantumMomentumMap, order: int,
+                 straighten: Optional[Mapping[str, MultiPoly]] = None):
         self.space = space
         self.action = action
         self.star = star
-        self.J = J
+        self.J = canonical_momentum_map(action)
         self.Jq = Jq
         self.order = order
         if Jq.classical_part().components != tuple(
-            c.with_vars(space.vars) for c in J.components
+            c.with_vars(space.vars) for c in self.J.components
         ):
             raise AlgebraError("quantum momentum map does not deform the classical one")
-        self.tube = tube or GoodTube(space, action.translated, J)
+        self.straightening = dict(straighten) if straighten else {}
+        self.tube = GoodTube(space, action.translated)
         self.gdim = action.dim
         self._iqq = None
 
@@ -234,12 +207,16 @@ class ReductionContext:
     def canonical(space: PhaseSpace, translated: Sequence[int], star: StarProduct,
                   order: int, Jq: Optional[QuantumMomentumMap] = None) -> "ReductionContext":
         action = TranslationAction(space, translated)
-        J = canonical_momentum_map(action)
         if Jq is None:
-            Jq = QuantumMomentumMap.from_classical(J, order)
-        return ReductionContext(space, action, star, J, Jq, order)
+            Jq = QuantumMomentumMap.from_classical(canonical_momentum_map(action), order)
+        return ReductionContext(space, action, star, Jq, order)
 
     # -- convenience ----------------------------------------------------
+
+    def straighten(self, f: MultiPoly) -> MultiPoly:
+        """A sample of the scenario in the canonical coordinates the context
+        computes in; the identity for a canonical scenario."""
+        return f.substitute(self.straightening) if self.straightening else f
 
     @property
     def cvars(self) -> Tuple[str, ...]:

@@ -292,9 +292,9 @@ def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],
     ok, witness = True, None
     for i in range(len(samples) - 2):
         f, g, h = samples[i], samples[i + 1], samples[i + 2]
-        fs, gs, hs = (space.series(x, L) for x in (f, g, h))
-        lhs = star.eval(star.eval(fs, gs), hs)
-        rhs = star.eval(fs, star.eval(gs, hs))
+        fv, gv, hv = (x.with_vars(space.vars) for x in (f, g, h))
+        lhs = star.eval(product(fv, gv), space.series(hv, L))
+        rhs = star.eval(space.series(fv, L), product(gv, hv))
         if lhs != rhs:
             ok, witness = False, {"f": f.render(), "g": g.render(), "h": h.render(),
                                   "lhs": lhs.render(), "rhs": rhs.render()}

@@ -8,11 +8,11 @@ difference operator; they must agree exactly and the test suite holds them
 to that.
 
 Both routes end in the tube's restriction, and the closed form divides by
-the momentum components with the grade-0 homotopy of the tube.  Shifted and
-magnetic scenarios are assembled by pulling every piece of homotopy data
-back along a fiber translation; for the star product that is a change of
-its constant matrix, and for the tube it is the coordinate change that
-straightens the momentum map.
+the momentum components with the grade-0 homotopy of the tube.  A shifted or
+magnetic scenario is the pullback of the canonical one along a fiber
+translation, so it runs as the canonical scenario in straightened
+coordinates: its samples are mapped in once, and the reduced products, which
+never involve the translated fiber coordinates, are the canonical ones.
 """
 
 from __future__ import annotations
@@ -20,19 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
 
-from .exact import (
-    GR_ONE,
-    GR_ZERO,
-    AlgebraError,
-    LambdaSeries,
-    MultiPoly,
-    gr,
-    invert_unipotent,
-)
-from .koszul import GoodTube, ReductionContext, prolongation, quantum_restriction, \
-    restriction
-from .lie import MomentumMap, QuantumMomentumMap
-from .phase_space import Matrix, PhaseSpace, StarProduct
+from .exact import AlgebraError, LambdaSeries, MultiPoly, invert_unipotent
+from .koszul import ReductionContext, prolongation, quantum_restriction, restriction
+from .lie import QuantumMomentumMap
+from .phase_space import PhaseSpace, StarProduct
 
 
 def elevate_context(ctx: ReductionContext, order: int) -> ReductionContext:
@@ -42,7 +33,7 @@ def elevate_context(ctx: ReductionContext, order: int) -> ReductionContext:
         return ctx
     Jq = QuantumMomentumMap(ctx.Jq.lie,
                             [c.truncate(order) for c in ctx.Jq.components])
-    return ReductionContext(ctx.space, ctx.action, ctx.star, ctx.J, Jq, order, ctx.tube)
+    return ReductionContext(ctx.space, ctx.action, ctx.star, Jq, order, ctx.straightening)
 
 
 class ReducedAlgebra:
@@ -190,11 +181,12 @@ def fiber_translate_subst(space: PhaseSpace, alpha: Mapping[int, MultiPoly]
 def build_shifted_context(base: ReductionContext,
                           b: Mapping[int, Tuple[int, Fraction]],
                           mu: Mapping[int, Fraction]) -> ReductionContext:
-    """Scenario with magnetic term and shifted momentum value, assembled by
-    pulling every piece of the base scenario back along the fiber
-    translation p_a -> p_a + b·q_c - mu_a.  The translation is affine, so the
-    pulled-back product has the constant matrix M C Mᵀ, where M is the
-    Jacobian of the inverse translation; the constant part drops out.
+    """Scenario with magnetic term and shifted momentum value: the pullback
+    of the base scenario along the fiber translation
+    p_a -> p_a + alpha_a, alpha_a = b·q_c - mu_a.  Every piece of it is the
+    exact conjugate of the base, so the result keeps the base's product and
+    quantum momentum map and records the straightening p_a -> p_a - alpha_a,
+    which maps the scenario's samples into the base's coordinates.
 
     ``b`` maps a translated coordinate label to the pair (coupled label,
     coupling constant); the coupled coordinate must not itself be
@@ -219,25 +211,9 @@ def build_shifted_context(base: ReductionContext,
         if a not in translated:
             raise AlgebraError(f"coordinate {a} is not translated")
 
-    s_subst, s_inv = fiber_translate_subst(space, alpha)
+    _, straighten = fiber_translate_subst(space, alpha)
     if not any(not al.is_zero() for al in alpha.values()):
         return base
-
-    # column i of M: the image of the i-th coordinate direction
-    cols = {i: {i: GR_ONE} for i in range(len(space.vars))}
-    for a, (c_label, b_val) in b.items():
-        cols[space.vars.index(f"q{c_label}")][space.vars.index(f"p{a}")] = \
-            gr(-Fraction(b_val))
-    C: Matrix = {}
-    for (i, j), cij in base.star.matrix.items():
-        for k, mki in cols[i].items():
-            for l, mlj in cols[j].items():
-                C[k, l] = C.get((k, l), GR_ZERO) + mki * cij * mlj
-    star = StarProduct.constant(space, C)
-    translate = lambda f: f.substitute(s_subst)
-    J = MomentumMap(base.J.lie,
-                    [translate(c.with_vars(space.vars)) for c in base.J.components])
-    Jq = QuantumMomentumMap(base.Jq.lie,
-                            [c.map_coeffs(translate) for c in base.Jq.components])
-    tube = GoodTube(space, translated, J, s_subst, s_inv)
-    return ReductionContext(space, base.action, star, J, Jq, base.order, tube)
+    # a shifted base composes: fiber translations add up
+    return ReductionContext(space, base.action, base.star, base.Jq, base.order,
+                            {pa: base.straighten(img) for pa, img in straighten.items()})

@@ -13,7 +13,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .exact import AlgebraError, MultiPoly
 from .koszul import (
-    GoodTube,
     KoszulChain,
     ReductionContext,
     classical_homotopy,
@@ -21,8 +20,7 @@ from .koszul import (
     quantum_restriction,
     restriction,
 )
-from .lie import LieAlgebraData, MomentumMap, QuantumMomentumMap, TranslationAction
-from .phase_space import PhaseSpace
+from .lie import LieAlgebraData, QuantumMomentumMap, TranslationAction
 from .reduction import ReducedAlgebra, reduced_star
 
 
@@ -90,31 +88,17 @@ class StagePipeline:
         # stage 1: reduce by the subalgebra
         translated1 = tuple(ctx.action.translated[i - 1] for i in cfg.first)
         action1 = TranslationAction(space, translated1)
-        J1 = MomentumMap(action1.lie,
-                         [ctx.J.components[i - 1] for i in cfg.first])
-        Jq1 = restrict_momentum_map(ctx.Jq, cfg)
-        self.ctx1 = ReductionContext(space, action1, ctx.star, J1, Jq1, L,
-                                     _stage_tube(ctx, space, translated1, J1))
+        self.ctx1 = ReductionContext(space, action1, ctx.star,
+                                     restrict_momentum_map(ctx.Jq, cfg), L)
         self.red1 = ReducedAlgebra(self.ctx1)
         self.star_red1 = reduced_star(self.red1)
 
-        # stage 2: reduce the first quotient by the induced momentum map,
-        # whose classical part is the first-stage restriction of the
-        # one-step components
+        # stage 2: reduce the first quotient by the induced momentum map
         translated2 = tuple(ctx.action.translated[i - 1] for i in cfg.second)
         space2 = self.red1.space
         action2 = TranslationAction(space2, translated2)
-        J2 = MomentumMap(action2.lie, [
-            self.red1.push_down(restriction(ctx.series(ctx.J.components[i - 1]),
-                                            self.ctx1).coeffs[0])
-            for i in cfg.second])
         self.Jq2 = induced_second_momentum_map(self)
-        if self.Jq2.classical_part() != J2:
-            raise AlgebraError(
-                "induced second-stage momentum map does not deform the "
-                "classical one")
-        self.ctx2 = ReductionContext(space2, action2, self.star_red1, J2, self.Jq2,
-                                     L, _stage_tube(ctx, space2, translated2, J2))
+        self.ctx2 = ReductionContext(space2, action2, self.star_red1, self.Jq2, L)
         self.red2 = ReducedAlgebra(self.ctx2)
         self.star_red2 = reduced_star(self.red2)
 
@@ -125,16 +109,6 @@ class StagePipeline:
         # the residual variable names
         if self.red2.space.vars != self.red.space.vars:
             raise AlgebraError("residual variables disagree between routes")
-
-
-def _stage_tube(ctx: ReductionContext, space: PhaseSpace, translated: Sequence[int],
-                J: MomentumMap) -> GoodTube:
-    """The tube of one stage: the one-step fiber translation of the stage's
-    momenta, read on the stage's phase space."""
-    momenta = {f"p{a}" for a in translated}
-    sub, inv = ({k: v.with_vars(space.vars) for k, v in s.items() if k in momenta}
-                for s in (ctx.tube.s_subst, ctx.tube.s_inv))
-    return GoodTube(space, translated, J, sub, inv)
 
 
 def induced_second_momentum_map(pipe: StagePipeline) -> QuantumMomentumMap:
@@ -169,18 +143,6 @@ def build_compatible_prolongations(pipe: StagePipeline,
             e["witness"] = witness
         checks.append(e)
 
-    def to_reduced(f: MultiPoly) -> MultiPoly:
-        keep = {v: MultiPoly.variable(red.space.vars, v) for v in red.space.vars}
-        drop = {v: MultiPoly.zero(red.space.vars)
-                for v in ctx.space.vars if v not in red.space.vars}
-        return f.substitute({**keep, **drop})
-
-    def to_cvars2(f: MultiPoly) -> MultiPoly:
-        keep = {v: MultiPoly.variable(ctx2.cvars, v) for v in ctx2.cvars}
-        drop = {v: MultiPoly.zero(ctx2.cvars)
-                for v in ctx.space.vars if v not in ctx2.cvars}
-        return f.substitute({**keep, **drop})
-
     # prol = prol1 ∘ i1* ∘ prol on constraint-algebra probes
     ok, wit = True, None
     for f in samples:
@@ -195,7 +157,7 @@ def build_compatible_prolongations(pipe: StagePipeline,
     # (i) pi1* prol2 = i1* prol on second-stage constraint probes
     ok, wit = True, None
     for f in samples:
-        c2 = ctx2.constraint_series(to_cvars2(f))
+        c2 = ctx2.constraint_series(f.zero_outside(ctx2.cvars))
         lhs = prolongation(c2, ctx2).map_coeffs(lambda c: c.with_vars(ctx1.cvars))
         rhs = restriction(
             prolongation(c2.map_coeffs(lambda c: c.with_vars(ctx.cvars)), ctx),
@@ -208,7 +170,7 @@ def build_compatible_prolongations(pipe: StagePipeline,
     # (ii) prol1 pi1* prol2 pi2* = prol pi* on reduced probes
     ok, wit = True, None
     for f in samples:
-        phi = red2.space.series(to_reduced(f), ctx.order)
+        phi = red2.space.series(f.zero_outside(red.space.vars), ctx.order)
         via2 = prolongation(
             prolongation(phi.map_coeffs(red2.lift), ctx2)
             .map_coeffs(lambda c: c.with_vars(ctx1.cvars)),
@@ -222,7 +184,7 @@ def build_compatible_prolongations(pipe: StagePipeline,
     # (iii) the one-step homotopy kills stagewise prolongations
     ok, wit = True, None
     for f in samples:
-        phi = red2.space.series(to_reduced(f), ctx.order)
+        phi = red2.space.series(f.zero_outside(red.space.vars), ctx.order)
         lifted = prolongation(
             prolongation(phi.map_coeffs(red2.lift), ctx2)
             .map_coeffs(lambda c: c.with_vars(ctx1.cvars)),
@@ -235,7 +197,7 @@ def build_compatible_prolongations(pipe: StagePipeline,
     # (iv) classical and quantum restriction agree on stagewise prolongations
     ok, wit = True, None
     for f in samples:
-        phi = red2.space.series(to_reduced(f), ctx.order)
+        phi = red2.space.series(f.zero_outside(red.space.vars), ctx.order)
         lifted = prolongation(
             prolongation(phi.map_coeffs(red2.lift), ctx2)
             .map_coeffs(lambda c: c.with_vars(ctx1.cvars)),
@@ -258,12 +220,7 @@ def build_compatible_prolongations(pipe: StagePipeline,
     # j* pi1* prol2 i2** = j** pi1* on first reduced algebra probes
     ok, wit = True, None
     for f in samples:
-        F = red1.space.series(
-            f.substitute({
-                **{v: MultiPoly.variable(red1.space.vars, v) for v in red1.space.vars},
-                **{v: MultiPoly.zero(red1.space.vars)
-                   for v in ctx.space.vars if v not in red1.space.vars},
-            }), ctx.order)
+        F = red1.space.series(f.zero_outside(red1.space.vars), ctx.order)
         via = prolongation(quantum_restriction(F, ctx2), ctx2)
         lhs = restriction(
             prolongation(via.map_coeffs(lambda c: c.with_vars(ctx1.cvars)), ctx1),

@@ -1,11 +1,18 @@
 """Scenario runner: exit codes, report schema, determinism, config handling."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qkoszul.cli import main
 
 CLI = [sys.executable, "-m", "qkoszul.cli"]
 
@@ -162,6 +169,68 @@ class TestConfigFile:
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
         assert run("--config", str(path)).returncode == 2
+
+    @pytest.mark.parametrize("fields, message", [
+        pytest.param({"n": "3"}, "'n' must be of type int", id="n-string"),
+        pytest.param({"lambda_order": 2.5}, "'lambda_order' must be of type int",
+                     id="lambda-order-float"),
+        pytest.param({"n": True}, "'n' must be of type int", id="n-bool"),
+        pytest.param({"checks": "axioms"}, "'checks' must be of type list",
+                     id="checks-string"),
+        pytest.param({"mu": {"1": "1/0"}}, "bad 'mu' entry", id="mu-zero-denominator"),
+        pytest.param({"n": 1, "translated": [1], "checks": ["reduction"]},
+                     "reduced space is a point", id="reduce-to-point"),
+        pytest.param({"n": 1, "translated": [1], "checks": ["knp"]},
+                     "reduced space is a point", id="knp-on-point"),
+        pytest.param({"n": 2, "translated": [1, 2], "stage_first": [1],
+                      "checks": ["stages"]},
+                     "reduced space is a point", id="stages-to-point"),
+        pytest.param({"translated": [], "checks": ["complex"]},
+                     "need a translated coordinate", id="nothing-translated"),
+        pytest.param({"n": 3, "translated": [1, 2], "stage_first": [1, 2],
+                      "checks": ["stages"]},
+                     "both stages nonempty", id="empty-second-stage"),
+    ])
+    def test_rejected(self, tmp_path, fields, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"name": "bad", **fields}))
+        res = run("--config", str(path))
+        assert res.returncode == 2
+        assert message.encode() in res.stderr
+        assert b"Traceback" not in res.stderr
+
+    def test_name_cannot_leave_report_dir(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"name": "../escaped", "checks": ["ce"]}))
+        res = run("--config", str(path), env={"QK_REPORT_DIR": str(tmp_path / "reports")})
+        assert res.returncode == 2
+        assert b"not a plain file name" in res.stderr
+        assert not (tmp_path / "escaped.json").exists()
+
+
+# values of every JSON type, most of them ill-typed for any given field
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+FIELDS = ("name", "n", "translated", "star", "lambda_order", "degree", "samples",
+          "seed", "b", "mu", "stage_first")
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=st.dictionaries(st.sampled_from(FIELDS), JSON_VALUES, min_size=1))
+def test_ill_typed_fields_exit_cleanly(values):
+    cfg = {"name": "fuzz", "checks": ["ce"], **values}
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--config", path])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestReportDir:

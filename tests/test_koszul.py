@@ -1,8 +1,9 @@
 """The augmented Koszul complex: boundaries, homotopies, quantum restriction.
 
 The closed-form restriction and homotopy are held to the substitution path
-they replace: straighten, substitute zero for the constrained fiber
-coordinates, or scale them by t and integrate t over [0, 1].
+they replace: substitute zero for the constrained fiber coordinates, or
+scale them by t and integrate t over [0, 1].  Shifted scenarios feed these
+their straightened samples.
 """
 
 from fractions import Fraction
@@ -74,7 +75,7 @@ class TestReductionContext:
         bad = QuantumMomentumMap(
             ctx.Jq.lie, [LambdaSeries.from_poly(ctx.space.q(1), L)])
         with pytest.raises(AlgebraError):
-            ReductionContext(ctx.space, ctx.action, ctx.star, ctx.J, bad, L)
+            ReductionContext(ctx.space, ctx.action, ctx.star, bad, L)
 
 
 class TestKoszulChain:
@@ -280,21 +281,21 @@ def t_integral(f: MultiPoly) -> MultiPoly:
 
 
 def oracle_restriction(c: MultiPoly, tube) -> MultiPoly:
-    """Straighten, substitute zero for the constrained fiber coordinates."""
+    """Substitute zero for the constrained fiber coordinates."""
     zero = {pa: MultiPoly.zero(tube.space.vars) for pa in tube.constrained}
-    return c.substitute(tube.s_inv).substitute(zero).with_vars(tube.cvars)
+    return c.substitute(zero).with_vars(tube.cvars)
 
 
 def oracle_homotopy(c: MultiPoly, tube, pa: str, k: int) -> MultiPoly:
-    """Straighten, differentiate along pa, scale every constrained fiber
-    coordinate by t, multiply by t^k, integrate t out, unstraighten."""
+    """Differentiate along pa, scale every constrained fiber coordinate by
+    t, multiply by t^k, integrate t out."""
     vars_t = tube.space.vars + ("t",)
     t = MultiPoly.variable(vars_t, "t")
     scale = {pb: t * MultiPoly.variable(vars_t, pb) for pb in tube.constrained}
-    g = c.substitute(tube.s_inv).diff(pa).substitute(scale)
+    g = c.diff(pa).substitute(scale)
     for _ in range(k):
         g = g * t
-    return t_integral(g).substitute(tube.s_subst)
+    return t_integral(g)
 
 
 def oracle_classical_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
@@ -331,8 +332,9 @@ def oracle_context(scenario: str, kind: str) -> ReductionContext:
 
 
 def oracle_series(ctx: ReductionContext, seed: int):
-    """Series with a sample at every power of the parameter."""
-    polys = sample_polys(seed, ctx.space.vars, 3, 3 * (ORACLE_ORDER + 1))
+    """Series with a straightened sample at every power of the parameter."""
+    polys = [ctx.straighten(f) for f in
+             sample_polys(seed, ctx.space.vars, 3, 3 * (ORACLE_ORDER + 1))]
     return [LambdaSeries(polys[i:i + ORACLE_ORDER + 1])
             for i in range(0, len(polys), ORACLE_ORDER + 1)]
 
@@ -363,6 +365,6 @@ class TestClosedFormsAgainstSubstitution:
         J1 = ctx.J.components[0]
         for f in sample_polys(163, ctx.space.vars, 3, 4):
             # a factor J1² keeps a vertical factor in every output
-            F = f * J1 * J1
+            F = ctx.straighten(f) * J1 * J1
             for i, pa in enumerate(ctx.tube.constrained, start=1):
                 assert split.r(i, F) == oracle_homotopy(F, ctx.tube, pa, 0)

@@ -112,8 +112,9 @@ class TestInducedSecondStage:
 
     @pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
     def test_induced_map_under_magnetic_second_stage(self, kind):
-        # the first reduced product deforms the magnetic bracket of the
-        # second-stage direction, and reports that bracket
+        # a magnetic term on a second-stage direction is a coordinate
+        # change: the induced map is a quantum momentum map of the first
+        # reduced product
         sp = PhaseSpace.of_dim(3)
         base = ReductionContext.canonical(sp, [1, 2], getattr(StarProduct, kind)(sp), 3)
         ctx = build_shifted_context(base, {2: (3, Fraction(1, 2))}, {})
