@@ -15,7 +15,7 @@ from .exact import (
     gr,
     invert_unipotent,
 )
-from .phase_space import PhaseSpace, StarProduct, check_star_axioms, poisson_bracket
+from .phase_space import PhaseSpace, StarProduct, check_star_axioms
 
 __all__ = [
     "AlgebraError",
@@ -30,5 +30,4 @@ __all__ = [
     "PhaseSpace",
     "StarProduct",
     "check_star_axioms",
-    "poisson_bracket",
 ]

@@ -5,7 +5,8 @@ the requested check suites and emits a deterministic report: with a fixed
 seed the report bytes are identical on every run.  Timing is printed to
 stderr only, never into the report.
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 config error.
+Exit codes: 0 all checks pass, 1 at least one check failed, 2 config error,
+3 internal error (an operator broke its contract).
 """
 
 from __future__ import annotations
@@ -13,20 +14,23 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import AlgebraError, MultiPoly, gr
-from .koszul import ReductionContext, ce_boundary, adjoint_representation, \
+from .exact import AlgebraError, ContractViolationError, MultiPoly, gr
+from .koszul import ReductionContext, adjoint_representation, basis_label, ce_boundary, \
     verify_complex_identities
 from .lie import LieAlgebraData, check_classical_equivariance, \
     check_quantum_momentum_map
 from .phase_space import PhaseSpace, StarProduct, check_star_axioms
 from .reduction import ReducedAlgebra, build_shifted_context, knp_reduced_star, \
     reduced_poisson_bracket, reduced_star
+from .report import check, prefixed
 from .sampling import sample_pairs, sample_polys
 from .stages import StageConfig, StagePipeline, build_compatible_prolongations, \
     check_stage_equality
@@ -218,10 +222,6 @@ def build_context(cfg: ScenarioConfig) -> ReductionContext:
     return ctx
 
 
-def _prefixed(suite: str, checks: List[dict]) -> List[dict]:
-    return [{**c, "name": f"{suite}.{c['name']}"} for c in checks]
-
-
 def star_axiom_checks(star: StarProduct, samples: Sequence[MultiPoly],
                       order: int) -> List[dict]:
     """``check_star_axioms``, with the outcome a product's own matrix
@@ -241,7 +241,7 @@ def suite_axioms(cfg: ScenarioConfig) -> List[dict]:
     space = PhaseSpace.of_dim(cfg.n)
     star = make_star(cfg.star, space)
     samples = sample_polys(cfg.seed, space.vars, cfg.degree, cfg.samples)
-    return _prefixed("axioms", star_axiom_checks(star, samples, cfg.lambda_order))
+    return prefixed("axioms", star_axiom_checks(star, samples, cfg.lambda_order))
 
 
 def upstairs_samples(cfg: ScenarioConfig, ctx: ReductionContext,
@@ -257,34 +257,30 @@ def suite_momentum(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
     checks = check_classical_equivariance(ctx.J, ctx.space)
     checks += check_quantum_momentum_map(ctx.star, ctx.Jq, samples,
                                          cfg.lambda_order)
-    return _prefixed("momentum", checks)
+    return prefixed("momentum", checks)
 
 
 def suite_complex(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
     samples = upstairs_samples(cfg, ctx, cfg.seed)
-    return _prefixed("complex", verify_complex_identities(ctx, samples))
+    return prefixed("complex", verify_complex_identities(ctx, samples))
 
 
 def suite_reduction(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
     red = ReducedAlgebra(ctx)
     star_red = reduced_star(red)
     samples = sample_polys(cfg.seed + 1, red.space.vars, cfg.degree, cfg.samples)
-    checks = star_axiom_checks(star_red, samples, cfg.lambda_order)
-    ok, wit = True, None
-    for i in range(len(samples) - 2):
-        f, g, h = samples[i], samples[i + 1], samples[i + 2]
-        jac = reduced_poisson_bracket(f, reduced_poisson_bracket(g, h, red), red) \
-            + reduced_poisson_bracket(g, reduced_poisson_bracket(h, f, red), red) \
-            + reduced_poisson_bracket(h, reduced_poisson_bracket(f, g, red), red)
-        if not jac.is_zero():
-            ok, wit = False, {"f": f.render(), "g": g.render(), "h": h.render(),
-                              "jacobiator": jac.render()}
-            break
-    entry = {"name": "reduced_bracket_jacobi", "status": "pass" if ok else "fail"}
-    if wit:
-        entry["witness"] = wit
-    checks.append(entry)
-    return _prefixed("reduction", checks)
+
+    def jacobi():
+        for f, g, h in zip(samples, samples[1:], samples[2:]):
+            jac = reduced_poisson_bracket(f, reduced_poisson_bracket(g, h, red), red) \
+                + reduced_poisson_bracket(g, reduced_poisson_bracket(h, f, red), red) \
+                + reduced_poisson_bracket(h, reduced_poisson_bracket(f, g, red), red)
+            if not jac.is_zero():
+                yield {"f": f.render(), "g": g.render(), "h": h.render(),
+                       "jacobiator": jac.render()}
+
+    return prefixed("reduction", star_axiom_checks(star_red, samples, cfg.lambda_order)
+                    + [check("reduced_bracket_jacobi", jacobi())])
 
 
 def suite_knp(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
@@ -292,19 +288,17 @@ def suite_knp(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
     star_red = reduced_star(red)
     knp = knp_reduced_star(red)
     pairs = sample_pairs(cfg.seed + 2, red.space.vars, cfg.degree, cfg.samples)
-    ok, wit = True, None
-    for f, g in pairs:
-        a = knp.eval_poly(f, g, cfg.lambda_order)
-        b = star_red.eval_poly(f, g, cfg.lambda_order)
-        if a != b:
-            ok, wit = False, {"f": f.render(), "g": g.render(),
-                              "closed_form": a.render(), "homological": b.render()}
-            break
-    entry = {"name": "closed_form_equals_homological",
-             "status": "pass" if ok else "fail"}
-    if wit:
-        entry["witness"] = wit
-    return _prefixed("knp", [entry])
+
+    def closed_form_equals_homological():
+        for f, g in pairs:
+            a = knp.eval_poly(f, g, cfg.lambda_order)
+            b = star_red.eval_poly(f, g, cfg.lambda_order)
+            if a != b:
+                yield {"f": f.render(), "g": g.render(),
+                       "closed_form": a.render(), "homological": b.render()}
+
+    return prefixed("knp", [check("closed_form_equals_homological",
+                                  closed_form_equals_homological())])
 
 
 def suite_stages(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
@@ -313,11 +307,10 @@ def suite_stages(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
     pairs = sample_pairs(cfg.seed + 4, pipe.red2.space.vars, cfg.degree,
                          cfg.samples)
     checks += check_stage_equality(pipe, pairs)
-    return _prefixed("stages", checks)
+    return prefixed("stages", checks)
 
 
 def suite_ce(cfg: ScenarioConfig) -> List[dict]:
-    import random
     lie = LieAlgebraData.heisenberg()
     rep = adjoint_representation(lie)
     rng = random.Random(cfg.seed)
@@ -326,14 +319,15 @@ def suite_ce(cfg: ScenarioConfig) -> List[dict]:
         return tuple(gr(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
                      for _ in range(lie.dim))
 
-    checks: List[dict] = []
-    from itertools import combinations
-    for grade in (2, 3):
+    def boundary_squared_zero(grade: int):
         x = {key: vec() for key in combinations(range(1, lie.dim + 1), grade)}
         sq = ce_boundary(lie, rep, ce_boundary(lie, rep, x, grade), grade - 1)
-        checks.append({"name": f"boundary_squared_zero_grade{grade}",
-                       "status": "pass" if not sq else "fail"})
-    return _prefixed("ce", checks)
+        if sq:
+            yield {"grade": grade, "d_squared": {basis_label(key): [c.render() for c in v]
+                                                 for key, v in sorted(sq.items())}}
+
+    return prefixed("ce", [check(f"boundary_squared_zero_grade{grade}",
+                                 boundary_squared_zero(grade)) for grade in (2, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +375,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
         elif suite == "ce":
             checks += suite_ce(cfg)
     checks.sort(key=lambda c: c["name"])
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
+    status = "fail" if any(c["status"] == "fail" for c in checks) else "pass"
     return {
         "scenario": cfg.name,
         "status": status,
@@ -446,6 +440,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         started = time.monotonic()
         report = run_scenario(cfg)
         elapsed = time.monotonic() - started
+    except ContractViolationError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     except (ConfigError, AlgebraError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -299,14 +299,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
-    def constant_term(self) -> GaussianRational:
-        return self.terms.get((0,) * len(self.vars), GR_ZERO)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiPoly)
@@ -377,10 +369,6 @@ class LambdaSeries:
             coeffs[shift] = p
         return LambdaSeries(coeffs)
 
-    @staticmethod
-    def const(vars: Sequence[str], c, order: int) -> "LambdaSeries":
-        return LambdaSeries.from_poly(MultiPoly.const(vars, c), order)
-
     # -- ring operations ----------------------------------------------
 
     def _check(self, other: "LambdaSeries") -> None:
@@ -399,23 +387,6 @@ class LambdaSeries:
 
     def __neg__(self) -> "LambdaSeries":
         return LambdaSeries([-a for a in self.coeffs])
-
-    def __mul__(self, other: "LambdaSeries") -> "LambdaSeries":
-        """Cauchy product truncated at the common order."""
-        self._check(other)
-        L = self.order
-        z = MultiPoly.zero(self.vars)
-        out = [z] * (L + 1)
-        for r, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for s, b in enumerate(other.coeffs):
-                if r + s > L:
-                    break
-                if b.is_zero():
-                    continue
-                out[r + s] = out[r + s] + a * b
-        return LambdaSeries(out)
 
     def scale(self, c) -> "LambdaSeries":
         return LambdaSeries([a.scale(c) for a in self.coeffs])

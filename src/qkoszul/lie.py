@@ -16,6 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .exact import GR_I, AlgebraError, LambdaSeries, MultiPoly
 from .phase_space import PhaseSpace, StarProduct, poisson_bracket_poly
+from .report import check
 
 
 class LieAlgebraData:
@@ -61,9 +62,6 @@ class LieAlgebraData:
                 out[g] = v
         return out
 
-    def is_abelian(self) -> bool:
-        return not self.structure
-
     @staticmethod
     def abelian(dim: int) -> "LieAlgebraData":
         return LieAlgebraData(dim, {})
@@ -95,11 +93,6 @@ class TranslationAction:
     @property
     def dim(self) -> int:
         return len(self.translated)
-
-    def fundamental_derivative(self, alpha: int, f: MultiPoly) -> MultiPoly:
-        """Action of basis element e_alpha (1-based) on an observable."""
-        a = self.translated[alpha - 1]
-        return f.diff(f"q{a}")
 
 
 class MomentumMap:
@@ -148,24 +141,18 @@ def canonical_momentum_map(action: TranslationAction) -> MomentumMap:
 
 def check_classical_equivariance(J: MomentumMap, space: PhaseSpace) -> List[dict]:
     """Verify {J(e_a), J(e_b)} = J([e_a, e_b]) for all basis pairs."""
-    checks = []
+    def equivariance(a: int, b: int):
+        lhs = poisson_bracket_poly(J.components[a - 1].with_vars(space.vars),
+                                   J.components[b - 1].with_vars(space.vars), space)
+        rhs = MultiPoly.zero(space.vars)
+        for g, coeff in J.lie.bracket_coeffs(a, b).items():
+            rhs = rhs + J.components[g - 1].with_vars(space.vars).scale(coeff)
+        if lhs != rhs:
+            yield {"bracket": lhs.render(), "image_of_bracket": rhs.render()}
+
     k = J.lie.dim
-    for a in range(1, k + 1):
-        for b in range(a + 1, k + 1):
-            lhs = poisson_bracket_poly(
-                J.components[a - 1].with_vars(space.vars),
-                J.components[b - 1].with_vars(space.vars),
-                space,
-            )
-            rhs = MultiPoly.zero(space.vars)
-            for g, coeff in J.lie.bracket_coeffs(a, b).items():
-                rhs = rhs + J.components[g - 1].with_vars(space.vars).scale(coeff)
-            ok = lhs == rhs
-            e = {"name": f"equivariance_e{a}_e{b}", "status": "pass" if ok else "fail"}
-            if not ok:
-                e["witness"] = {"bracket": lhs.render(), "image_of_bracket": rhs.render()}
-            checks.append(e)
-    return checks
+    return [check(f"equivariance_e{a}_e{b}", equivariance(a, b))
+            for a in range(1, k + 1) for b in range(a + 1, k + 1)]
 
 
 def check_quantum_momentum_map(star: StarProduct, Jq: QuantumMomentumMap,
@@ -175,57 +162,43 @@ def check_quantum_momentum_map(star: StarProduct, Jq: QuantumMomentumMap,
     qualifies (strong invariance)."""
     space = star.space
     L = order
-    checks = []
     J0 = Jq.classical_part()
+    basis = range(1, Jq.lie.dim + 1)
 
     # generation identity: commutator with Jq reproduces the scaled bracket
-    ok, witness = True, None
-    for a in range(1, Jq.lie.dim + 1):
-        Ja = Jq.components[a - 1].truncate(L)
-        for f in samples:
-            fs = space.series(f, L)
-            lhs = star.eval(Ja, fs) - star.eval(fs, Ja)
-            bracket = star.bracket_poly(
-                J0.components[a - 1].with_vars(space.vars), f.with_vars(space.vars)
-            )
-            rhs = LambdaSeries.from_poly(bracket.scale(GR_I), L, shift=1)
-            if lhs != rhs:
-                ok, witness = False, {"generator": a, "f": f.render(),
-                                      "commutator": lhs.render(), "expected": rhs.render()}
-                break
-        if not ok:
-            break
-    e = {"name": "quantum_hamiltonian_identity", "status": "pass" if ok else "fail"}
-    if witness:
-        e["witness"] = witness
-    checks.append(e)
+    def hamiltonian_identity():
+        for a in basis:
+            Ja = Jq.components[a - 1].truncate(L)
+            for f in samples:
+                fs = space.series(f, L)
+                lhs = star.eval(Ja, fs) - star.eval(fs, Ja)
+                bracket = star.bracket_poly(
+                    J0.components[a - 1].with_vars(space.vars), f.with_vars(space.vars))
+                rhs = LambdaSeries.from_poly(bracket.scale(GR_I), L, shift=1)
+                if lhs != rhs:
+                    yield {"generator": a, "f": f.render(),
+                           "commutator": lhs.render(), "expected": rhs.render()}
 
     # bracket compatibility on basis pairs
-    ok, witness = True, None
-    for a in range(1, Jq.lie.dim + 1):
-        for b in range(a + 1, Jq.lie.dim + 1):
-            Ja = Jq.components[a - 1].truncate(L)
-            Jb = Jq.components[b - 1].truncate(L)
-            lhs = star.eval(Ja, Jb) - star.eval(Jb, Ja)
-            rhs = LambdaSeries.zero(space.vars, L)
-            for g, coeff in Jq.lie.bracket_coeffs(a, b).items():
-                rhs = rhs + Jq.components[g - 1].truncate(L).scale(coeff)
-            rhs = rhs.scale(GR_I).lambda_shift(1)
-            if lhs != rhs:
-                ok, witness = False, {"pair": (a, b), "commutator": lhs.render(),
-                                      "expected": rhs.render()}
-                break
-        if not ok:
-            break
-    e = {"name": "quantum_bracket_compatibility", "status": "pass" if ok else "fail"}
-    if witness:
-        e["witness"] = witness
-    checks.append(e)
+    def bracket_compatibility():
+        for a in basis:
+            for b in range(a + 1, Jq.lie.dim + 1):
+                Ja = Jq.components[a - 1].truncate(L)
+                Jb = Jq.components[b - 1].truncate(L)
+                lhs = star.eval(Ja, Jb) - star.eval(Jb, Ja)
+                rhs = LambdaSeries.zero(space.vars, L)
+                for g, coeff in Jq.lie.bracket_coeffs(a, b).items():
+                    rhs = rhs + Jq.components[g - 1].truncate(L).scale(coeff)
+                rhs = rhs.scale(GR_I).lambda_shift(1)
+                if lhs != rhs:
+                    yield {"pair": (a, b), "commutator": lhs.render(),
+                           "expected": rhs.render()}
 
     # reported property, not a requirement: the classical map may itself
     # already be a quantum momentum map
     strongly = Jq == QuantumMomentumMap.from_classical(J0, Jq.components[0].order)
-    checks.append({"name": "strong_invariance", "status": "pass",
-                   "info": "classical map is quantum" if strongly
-                   else "quantum map carries corrections"})
-    return checks
+    return [check("quantum_hamiltonian_identity", hamiltonian_identity()),
+            check("quantum_bracket_compatibility", bracket_compatibility()),
+            {"name": "strong_invariance", "status": "pass",
+             "info": "classical map is quantum" if strongly
+             else "quantum map carries corrections"}]

@@ -29,6 +29,7 @@ from .exact import (
     VariableMismatchError,
     gr,
 )
+from .report import check
 
 # Nonzero entries of a matrix over the variables of a phase space, keyed by
 # (row position, column position) in the variable list.
@@ -61,9 +62,6 @@ class PhaseSpace:
     def p(self, i: int) -> MultiPoly:
         return MultiPoly.variable(self.vars, f"p{i}")
 
-    def zero_series(self, order: int) -> LambdaSeries:
-        return LambdaSeries.zero(self.vars, order)
-
     def series(self, poly: MultiPoly, order: int) -> LambdaSeries:
         return LambdaSeries.from_poly(poly.with_vars(self.vars), order)
 
@@ -74,24 +72,6 @@ def poisson_bracket_poly(f: MultiPoly, g: MultiPoly, space: PhaseSpace) -> Multi
     out = MultiPoly.zero(space.vars)
     for qv, pv in zip(space.qvars, space.pvars):
         out = out + f.diff(qv) * g.diff(pv) - f.diff(pv) * g.diff(qv)
-    return out
-
-
-def poisson_bracket(f: LambdaSeries, g: LambdaSeries, space: PhaseSpace) -> LambdaSeries:
-    """Canonical bracket, extended bilinearly over the formal parameter."""
-    if f.order != g.order:
-        raise AlgebraError("order mismatch")
-    L = f.order
-    out = space.zero_series(L)
-    for r, a in enumerate(f.coeffs):
-        if a.is_zero():
-            continue
-        for s, b in enumerate(g.coeffs):
-            if r + s > L or b.is_zero():
-                continue
-            out = out + LambdaSeries.from_poly(
-                poisson_bracket_poly(a, b, space), L, shift=r + s
-            )
     return out
 
 
@@ -261,9 +241,6 @@ class StarProduct:
                 out = out + self.eval_poly(a, b, L - r - s).truncate(L).lambda_shift(r + s)
         return out
 
-    def commutator(self, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
-        return self.eval(f, g) - self.eval(g, f)
-
 
 def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],
                       order: int) -> List[dict]:
@@ -271,7 +248,6 @@ def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],
     sample set.  Failures are report entries carrying a witness, never
     exceptions."""
     space = star.space
-    checks: List[dict] = []
     L = order
     # several checks read the same product; each pair is evaluated once
     products: Dict[Tuple[MultiPoly, MultiPoly], LambdaSeries] = {}
@@ -282,74 +258,54 @@ def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],
             products[key] = star.eval_poly(f, g, L)
         return products[key]
 
-    def entry(name, ok, witness=None):
-        e = {"name": name, "status": "pass" if ok else "fail"}
-        if witness is not None:
-            e["witness"] = witness
-        checks.append(e)
+    def pairs():
+        """Consecutive sample pairs, with both read on the product's space."""
+        for f, g in zip(samples, samples[1:]):
+            yield f, g, f.with_vars(space.vars), g.with_vars(space.vars)
 
-    # associativity on consecutive triples
-    ok, witness = True, None
-    for i in range(len(samples) - 2):
-        f, g, h = samples[i], samples[i + 1], samples[i + 2]
-        fv, gv, hv = (x.with_vars(space.vars) for x in (f, g, h))
-        lhs = star.eval(product(fv, gv), space.series(hv, L))
-        rhs = star.eval(space.series(fv, L), product(gv, hv))
-        if lhs != rhs:
-            ok, witness = False, {"f": f.render(), "g": g.render(), "h": h.render(),
-                                  "lhs": lhs.render(), "rhs": rhs.render()}
-            break
-    entry("associativity", ok, witness)
+    def associativity():
+        for f, g, h in zip(samples, samples[1:], samples[2:]):
+            fv, gv, hv = (x.with_vars(space.vars) for x in (f, g, h))
+            lhs = star.eval(product(fv, gv), space.series(hv, L))
+            rhs = star.eval(space.series(fv, L), product(gv, hv))
+            if lhs != rhs:
+                yield {"f": f.render(), "g": g.render(), "h": h.render(),
+                       "lhs": lhs.render(), "rhs": rhs.render()}
 
-    # order-0 term is the pointwise product
-    ok, witness = True, None
-    for i in range(len(samples) - 1):
-        f, g = samples[i], samples[i + 1]
-        prod = product(f.with_vars(space.vars), g.with_vars(space.vars))
-        if prod.coeffs[0] != f.with_vars(space.vars) * g.with_vars(space.vars):
-            ok, witness = False, {"f": f.render(), "g": g.render(),
-                                  "order0": prod.coeffs[0].render()}
-            break
-    entry("order0_pointwise", ok, witness)
+    def order0_pointwise():
+        for f, g, fv, gv in pairs():
+            prod = product(fv, gv)
+            if prod.coeffs[0] != fv * gv:
+                yield {"f": f.render(), "g": g.render(), "order0": prod.coeffs[0].render()}
 
-    # first-order commutator reproduces i{.,.}
-    ok, witness = True, None
-    for i in range(len(samples) - 1):
-        f, g = samples[i], samples[i + 1]
-        fv, gv = f.with_vars(space.vars), g.with_vars(space.vars)
-        comm = product(fv, gv) - product(gv, fv)
-        expected = star.bracket_poly(fv, gv).scale(GR_I)
-        if comm.coeffs[1] != expected:
-            ok, witness = False, {"f": f.render(), "g": g.render(),
-                                  "commutator_order1": comm.coeffs[1].render(),
-                                  "i_bracket": expected.render()}
-            break
-    entry("order1_commutator_bracket", ok, witness)
+    def order1_commutator_bracket():
+        for f, g, fv, gv in pairs():
+            comm = product(fv, gv) - product(gv, fv)
+            expected = star.bracket_poly(fv, gv).scale(GR_I)
+            if comm.coeffs[1] != expected:
+                yield {"f": f.render(), "g": g.render(),
+                       "commutator_order1": comm.coeffs[1].render(),
+                       "i_bracket": expected.render()}
 
-    # Hermitian property (reported, not required by the axioms)
-    ok, witness = True, None
-    for i in range(len(samples) - 1):
-        f, g = samples[i], samples[i + 1]
-        fv, gv = f.with_vars(space.vars), g.with_vars(space.vars)
-        lhs = product(fv, gv).conjugate()
-        rhs = product(gv.conjugate(), fv.conjugate())
-        if lhs != rhs:
-            ok, witness = False, {"f": f.render(), "g": g.render(),
-                                  "conj_product": lhs.render(), "product_conj": rhs.render()}
-            break
-    entry("hermitian", ok, witness)
+    # reported, not required by the axioms
+    def hermitian():
+        for f, g, fv, gv in pairs():
+            lhs = product(fv, gv).conjugate()
+            rhs = product(gv.conjugate(), fv.conjugate())
+            if lhs != rhs:
+                yield {"f": f.render(), "g": g.render(),
+                       "conj_product": lhs.render(), "product_conj": rhs.render()}
 
-    # unit
-    ok, witness = True, None
-    one = MultiPoly.const(space.vars, 1)
-    for f in samples:
-        fv = f.with_vars(space.vars)
-        left = product(one, fv)
-        right = product(fv, one)
-        want = LambdaSeries.from_poly(fv, L)
-        if left != want or right != want:
-            ok, witness = False, {"f": f.render()}
-            break
-    entry("unit", ok, witness)
+    def unit():
+        one = MultiPoly.const(space.vars, 1)
+        for f in samples:
+            fv = f.with_vars(space.vars)
+            want = LambdaSeries.from_poly(fv, L)
+            if product(one, fv) != want or product(fv, one) != want:
+                yield {"f": f.render()}
 
-    return checks
+    return [check("associativity", associativity()),
+            check("order0_pointwise", order0_pointwise()),
+            check("order1_commutator_bracket", order1_commutator_bracket()),
+            check("hermitian", hermitian()),
+            check("unit", unit())]

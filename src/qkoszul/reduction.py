@@ -162,20 +162,17 @@ def knp_reduced_star(red: ReducedAlgebra) -> StarProduct:
 # ---------------------------------------------------------------------------
 
 def fiber_translate_subst(space: PhaseSpace, alpha: Mapping[int, MultiPoly]
-                          ) -> Tuple[Dict[str, MultiPoly], Dict[str, MultiPoly]]:
-    """Substitution pair for the fiber translation p_a -> p_a + alpha_a(q),
-    together with its inverse (alpha -> -alpha)."""
+                          ) -> Dict[str, MultiPoly]:
+    """The substitution p_a -> p_a - alpha_a(q) that straightens the fiber
+    translation p_a -> p_a + alpha_a(q)."""
     subst: Dict[str, MultiPoly] = {}
-    inv: Dict[str, MultiPoly] = {}
     for a, al in alpha.items():
         al = al.with_vars(space.vars)
         for pv in space.pvars:
             if al.uses(pv):
                 raise AlgebraError("translation coefficients must depend on q only")
-        pa = MultiPoly.variable(space.vars, f"p{a}")
-        subst[f"p{a}"] = pa + al
-        inv[f"p{a}"] = pa - al
-    return subst, inv
+        subst[f"p{a}"] = MultiPoly.variable(space.vars, f"p{a}") - al
+    return subst
 
 
 def build_shifted_context(base: ReductionContext,
@@ -211,7 +208,7 @@ def build_shifted_context(base: ReductionContext,
         if a not in translated:
             raise AlgebraError(f"coordinate {a} is not translated")
 
-    _, straighten = fiber_translate_subst(space, alpha)
+    straighten = fiber_translate_subst(space, alpha)
     if not any(not al.is_zero() for al in alpha.values()):
         return base
     # a shifted base composes: fiber translations add up

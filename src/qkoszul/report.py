@@ -1,0 +1,27 @@
+"""Report entries.
+
+Every check of a report is one entry: its ``name``, its ``status`` and, when
+it fails, the ``witness`` of the first input it fails on.  A check is written
+as a generator of witness dicts, one for each input that violates the
+identity, and ``check`` reads no further than the first of them, so a check
+stops at its first failure.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, List
+
+
+def check(name: str, witnesses: Iterable[dict]) -> dict:
+    """The entry of the check ``name``: a pass when ``witnesses`` is empty,
+    else a fail carrying its first item.  Nothing after that item is
+    consumed."""
+    witness = next(iter(witnesses), None)
+    if witness is None:
+        return {"name": name, "status": "pass"}
+    return {"name": name, "status": "fail", "witness": witness}
+
+
+def prefixed(suite: str, checks: List[dict]) -> List[dict]:
+    """The entries of one suite, each name prefixed with the suite's."""
+    return [{**c, "name": f"{suite}.{c['name']}"} for c in checks]

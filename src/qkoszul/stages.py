@@ -22,6 +22,7 @@ from .koszul import (
 )
 from .lie import LieAlgebraData, QuantumMomentumMap, TranslationAction
 from .reduction import ReducedAlgebra, reduced_star
+from .report import check
 
 
 class StageConfig:
@@ -135,122 +136,76 @@ def build_compatible_prolongations(pipe: StagePipeline,
     """
     ctx, ctx1, ctx2 = pipe.ctx, pipe.ctx1, pipe.ctx2
     red, red1, red2 = pipe.red, pipe.red1, pipe.red2
-    checks: List[dict] = []
 
-    def entry(name, ok, witness=None):
-        e = {"name": name, "status": "pass" if ok else "fail"}
-        if witness is not None:
-            e["witness"] = witness
-        checks.append(e)
+    def on_cvars1(s):
+        return s.map_coeffs(lambda c: c.with_vars(ctx1.cvars))
+
+    # each sample as a reduced probe phi, with its stagewise prolongation
+    # prol1 pi1* prol2 pi2* phi
+    reduced = {f: red2.space.series(f.zero_outside(red.space.vars), ctx.order)
+               for f in samples}
+    stagewise = {f: prolongation(on_cvars1(prolongation(phi.map_coeffs(red2.lift), ctx2)), ctx1)
+                 for f, phi in reduced.items()}
+
+    def failures(holds):
+        """The witness of each sample on which ``holds`` fails."""
+        return ({"f": f.render()} for f in samples if not holds(f))
 
     # prol = prol1 ∘ i1* ∘ prol on constraint-algebra probes
-    ok, wit = True, None
-    for f in samples:
+    def one_step_prolongation_factors(f):
         c = restriction(ctx.series(f), ctx)
-        lhs = prolongation(c, ctx)
-        rhs = prolongation(restriction(prolongation(c, ctx), ctx1), ctx1)
-        if lhs != rhs:
-            ok, wit = False, {"f": f.render()}
-            break
-    entry("one_step_prolongation_factors", ok, wit)
+        return prolongation(c, ctx) == \
+            prolongation(restriction(prolongation(c, ctx), ctx1), ctx1)
 
     # (i) pi1* prol2 = i1* prol on second-stage constraint probes
-    ok, wit = True, None
-    for f in samples:
+    def second_prolongation_compatible(f):
         c2 = ctx2.constraint_series(f.zero_outside(ctx2.cvars))
-        lhs = prolongation(c2, ctx2).map_coeffs(lambda c: c.with_vars(ctx1.cvars))
-        rhs = restriction(
-            prolongation(c2.map_coeffs(lambda c: c.with_vars(ctx.cvars)), ctx),
-            ctx1)
-        if lhs != rhs:
-            ok, wit = False, {"f": f.render()}
-            break
-    entry("second_prolongation_compatible", ok, wit)
-
-    # (ii) prol1 pi1* prol2 pi2* = prol pi* on reduced probes
-    ok, wit = True, None
-    for f in samples:
-        phi = red2.space.series(f.zero_outside(red.space.vars), ctx.order)
-        via2 = prolongation(
-            prolongation(phi.map_coeffs(red2.lift), ctx2)
-            .map_coeffs(lambda c: c.with_vars(ctx1.cvars)),
-            ctx1)
-        direct = prolongation(phi.map_coeffs(red.lift), ctx)
-        if via2 != direct:
-            ok, wit = False, {"f": f.render()}
-            break
-    entry("stagewise_prolongation_equals_one_step", ok, wit)
-
-    # (iii) the one-step homotopy kills stagewise prolongations
-    ok, wit = True, None
-    for f in samples:
-        phi = red2.space.series(f.zero_outside(red.space.vars), ctx.order)
-        lifted = prolongation(
-            prolongation(phi.map_coeffs(red2.lift), ctx2)
-            .map_coeffs(lambda c: c.with_vars(ctx1.cvars)),
-            ctx1)
-        if not classical_homotopy(KoszulChain.of_series(ctx.gdim, lifted), ctx).is_zero():
-            ok, wit = False, {"f": f.render()}
-            break
-    entry("homotopy_kills_stagewise_prolongations", ok, wit)
-
-    # (iv) classical and quantum restriction agree on stagewise prolongations
-    ok, wit = True, None
-    for f in samples:
-        phi = red2.space.series(f.zero_outside(red.space.vars), ctx.order)
-        lifted = prolongation(
-            prolongation(phi.map_coeffs(red2.lift), ctx2)
-            .map_coeffs(lambda c: c.with_vars(ctx1.cvars)),
-            ctx1)
-        if restriction(lifted, ctx) != quantum_restriction(lifted, ctx):
-            ok, wit = False, {"f": f.render()}
-            break
-    entry("restrictions_agree_on_stagewise_prolongations", ok, wit)
+        return on_cvars1(prolongation(c2, ctx2)) == restriction(
+            prolongation(c2.map_coeffs(lambda c: c.with_vars(ctx.cvars)), ctx), ctx1)
 
     # j** := i** prol1 satisfies j** i1** = i**
-    ok, wit = True, None
-    for f in samples:
+    def composite_quantum_restriction_factors(f):
         fs = ctx.series(f)
-        lhs = quantum_restriction(prolongation(quantum_restriction(fs, ctx1), ctx1), ctx)
-        if lhs != quantum_restriction(fs, ctx):
-            ok, wit = False, {"f": f.render()}
-            break
-    entry("composite_quantum_restriction_factors", ok, wit)
+        return quantum_restriction(
+            prolongation(quantum_restriction(fs, ctx1), ctx1), ctx) == quantum_restriction(fs, ctx)
 
     # j* pi1* prol2 i2** = j** pi1* on first reduced algebra probes
-    ok, wit = True, None
-    for f in samples:
+    def descended_restriction_identity(f):
         F = red1.space.series(f.zero_outside(red1.space.vars), ctx.order)
         via = prolongation(quantum_restriction(F, ctx2), ctx2)
-        lhs = restriction(
-            prolongation(via.map_coeffs(lambda c: c.with_vars(ctx1.cvars)), ctx1),
-            ctx)
-        rhs = quantum_restriction(
-            prolongation(F.map_coeffs(lambda c: c.with_vars(ctx1.cvars)), ctx1),
-            ctx)
-        if lhs != rhs:
-            ok, wit = False, {"f": f.render()}
-            break
-    entry("descended_restriction_identity", ok, wit)
+        return restriction(prolongation(on_cvars1(via), ctx1), ctx) == \
+            quantum_restriction(prolongation(on_cvars1(F), ctx1), ctx)
 
-    return checks
+    return [
+        check("one_step_prolongation_factors", failures(one_step_prolongation_factors)),
+        check("second_prolongation_compatible", failures(second_prolongation_compatible)),
+        # (ii) prol1 pi1* prol2 pi2* = prol pi* on reduced probes
+        check("stagewise_prolongation_equals_one_step", failures(
+            lambda f: stagewise[f] == prolongation(reduced[f].map_coeffs(red.lift), ctx))),
+        # (iii) the one-step homotopy kills stagewise prolongations
+        check("homotopy_kills_stagewise_prolongations", failures(
+            lambda f: classical_homotopy(
+                KoszulChain.of_series(ctx.gdim, stagewise[f]), ctx).is_zero())),
+        # (iv) classical and quantum restriction agree on stagewise prolongations
+        check("restrictions_agree_on_stagewise_prolongations", failures(
+            lambda f: restriction(stagewise[f], ctx) == quantum_restriction(stagewise[f], ctx))),
+        check("composite_quantum_restriction_factors",
+              failures(composite_quantum_restriction_factors)),
+        check("descended_restriction_identity", failures(descended_restriction_identity)),
+    ]
 
 
 def check_stage_equality(pipe: StagePipeline,
                          pairs: Sequence[Tuple[MultiPoly, MultiPoly]]) -> List[dict]:
     """Two-stage versus one-step reduction, literal equality of series."""
-    checks: List[dict] = []
     L = pipe.ctx.order
-    ok, wit = True, None
-    for f, g in pairs:
-        two = pipe.star_red2.eval_poly(f, g, L)
-        one = pipe.star_red.eval_poly(f, g, L)
-        if two != one:
-            ok, wit = False, {"f": f.render(), "g": g.render(),
-                              "two_stage": two.render(), "one_step": one.render()}
-            break
-    entry = {"name": "stage_equality", "status": "pass" if ok else "fail"}
-    if wit is not None:
-        entry["witness"] = wit
-    checks.append(entry)
-    return checks
+
+    def stage_equality():
+        for f, g in pairs:
+            two = pipe.star_red2.eval_poly(f, g, L)
+            one = pipe.star_red.eval_poly(f, g, L)
+            if two != one:
+                yield {"f": f.render(), "g": g.render(),
+                       "two_stage": two.render(), "one_step": one.render()}
+
+    return [check("stage_equality", stage_equality())]

@@ -4,6 +4,7 @@ Everything is exact Gaussian-rational equality at the stated truncation
 order; runtime budgets are asserted alongside.
 """
 
+import json
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -159,3 +160,10 @@ def test_criterion_6_determinism():
         assert third == (GOLDEN / f"{name}.txt").read_bytes(), name
         fourth = emit_report(run_scenario(builtin_config(name)), "text")
         assert third == fourth, name
+    # every committed entry has the report's shape: a failure carries the
+    # witness it failed on, and no entry has a key outside the schema
+    for path in sorted(GOLDEN.glob("*.json")):
+        for c in json.loads(path.read_bytes())["checks"]:
+            assert set(c) <= {"name", "status", "witness", "info"}, (path.name, c)
+            assert c["status"] in ("pass", "fail"), (path.name, c)
+            assert c["status"] == "pass" or "witness" in c, (path.name, c)

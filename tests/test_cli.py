@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkoszul.cli import main
+from qkoszul import cli
+from qkoszul.cli import builtin_config, main, run_scenario
+from qkoszul.exact import ContractViolationError
 
 CLI = [sys.executable, "-m", "qkoszul.cli"]
 
@@ -38,6 +40,17 @@ class TestBasics:
         res = run("--scenario", "no-such-thing")
         assert res.returncode == 2
         assert b"config error" in res.stderr
+
+
+    def test_internal_error_is_not_a_config_error(self, monkeypatch, capsys):
+        def broken(cfg):
+            raise ContractViolationError("operator did not raise minimal order")
+
+        monkeypatch.setattr(cli, "run_scenario", broken)
+        assert main(["--scenario", "s1p-single"]) == 3
+        err = capsys.readouterr().err
+        assert "internal error: operator did not raise minimal order" in err
+        assert "config error" not in err and "Traceback" not in err
 
 
 class TestReports:
@@ -75,6 +88,19 @@ class TestReports:
         assert entry["status"] == "pass"
         assert "witness" in entry
         assert "conj_product" in entry["witness"]
+
+    def test_ce_failures_carry_witnesses(self, monkeypatch):
+        # a "boundary" that drops the first index without a sign is not
+        # nilpotent, so both ce checks fail and each names its grade
+        def shift(lie, rep, x, grade):
+            return {key[1:]: v for key, v in x.items()}
+
+        monkeypatch.setattr(cli, "ce_boundary", shift)
+        report = run_scenario(builtin_config("ce-heisenberg"))
+        assert report["status"] == "fail"
+        failing = [c for c in report["checks"] if c["status"] == "fail"]
+        assert [c["witness"]["grade"] for c in failing] == [2, 3]
+        assert all(c["witness"]["d_squared"] for c in failing)
 
     def test_text_format(self):
         res = run("--scenario", "ce-heisenberg", "--format", "text")

@@ -124,14 +124,6 @@ class TestMultiPoly:
 
 
 class TestLambdaSeries:
-    def test_cauchy_product_truncates(self):
-        one = MultiPoly.const(("x",), 1)
-        s = LambdaSeries([one, one, one])  # 1 + t + t^2
-        prod = s * s
-        assert prod.coeffs[0] == one
-        assert prod.coeffs[1] == one.scale(2)
-        assert prod.coeffs[2] == one.scale(3)
-
     def test_shift_drops_top(self):
         one = MultiPoly.const(("x",), 1)
         s = LambdaSeries([one, one])

@@ -11,6 +11,7 @@ from itertools import combinations
 
 import pytest
 
+from qkoszul import koszul
 from qkoszul.exact import (
     AlgebraError,
     ContractViolationError,
@@ -158,8 +159,8 @@ class TestClassicalHomotopy:
         sp = PhaseSpace.of_dim(2)
         ctx = ReductionContext.canonical(sp, [1], StarProduct.weyl(sp), L)
         x = KoszulChain.of_series(1, ctx.series(sp.p(1) * sp.p(1)))
-        h = classical_homotopy(x, ctx)
-        assert h.get((1,)) == ctx.series(sp.p(1))
+        assert classical_homotopy(x, ctx) == \
+            KoszulChain(1, 1, sp.vars, L, {(1,): ctx.series(sp.p(1))})
 
     def test_homotopy_identity_grade1(self):
         ctx = s1_context()
@@ -265,6 +266,27 @@ class TestFullSuite:
         failing = [c for c in verify_complex_identities(ctx, samples)
                    if c["status"] != "pass"]
         assert failing == []
+
+    def test_failure_reports_the_first_witness(self, monkeypatch):
+        # a boundary that adds q4 e_1 to grade-2 inputs breaks d∘d at grades
+        # 2 and 3; the check stops at the first failing grade
+        sp = PhaseSpace.of_dim(4)
+        ctx = ReductionContext.canonical(sp, [1, 2, 3], StarProduct.weyl(sp), 2)
+        boundary = koszul.koszul_boundary
+
+        def broken(x, ctx):
+            out = boundary(x, ctx)
+            if x.grade == 2:
+                out = out + KoszulChain(ctx.gdim, 1, sp.vars, ctx.order,
+                                        {(1,): ctx.series(sp.q(4))})
+            return out
+
+        monkeypatch.setattr(koszul, "koszul_boundary", broken)
+        checks = {c["name"]: c for c in
+                  verify_complex_identities(ctx, sample_polys(5, sp.vars, 2, 3))}
+        entry = checks["koszul_d_squared_zero"]
+        assert entry["status"] == "fail"
+        assert entry["witness"]["grade"] == 2
 
 
 # ---------------------------------------------------------------------------
