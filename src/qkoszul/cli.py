@@ -23,8 +23,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import AlgebraError, ContractViolationError, MultiPoly, gr
-from .koszul import ReductionContext, adjoint_representation, basis_label, ce_boundary, \
-    verify_complex_identities
+from .koszul import ReductionContext, basis_label, ce_boundary, verify_complex_identities
 from .lie import LieAlgebraData, check_classical_equivariance, \
     check_quantum_momentum_map
 from .phase_space import PhaseSpace, StarProduct, check_star_axioms
@@ -44,6 +43,13 @@ SUITES = ("axioms", "momentum", "complex", "reduction", "knp", "stages", "ce")
 # suites on a reduction context, and those among them on the reduced space
 CONTEXT_SUITES = {"momentum", "complex", "reduction", "knp", "stages"}
 REDUCED_SUITES = {"reduction", "knp", "stages"}
+# Resource caps: every builtin, and the benchmark, runs far below them, and a
+# builtin with one of these fields at its cap still runs in seconds (README,
+# "Limits").
+MAX_N = 6
+MAX_LAMBDA_ORDER = 8
+MAX_DEGREE = 6
+MAX_SAMPLES = 100
 
 
 @dataclass
@@ -65,16 +71,12 @@ class ScenarioConfig:
         if any(sep in self.name for sep in ("/", "\\", "..")) or \
                 not self.name.isprintable():
             raise ConfigError(f"name {self.name!r} is not a plain file name")
-        if self.lambda_order < 1:
-            raise ConfigError("lambda_order must be >= 1")
-        if self.degree < 1:
-            raise ConfigError("degree must be >= 1")
-        if self.samples < 1:
-            raise ConfigError("samples must be >= 1")
+        for key, cap in (("n", MAX_N), ("lambda_order", MAX_LAMBDA_ORDER),
+                         ("degree", MAX_DEGREE), ("samples", MAX_SAMPLES)):
+            if not 1 <= getattr(self, key) <= cap:
+                raise ConfigError(f"{key} must be between 1 and {cap}")
         if self.star not in ("weyl", "wick", "std"):
             raise ConfigError(f"unknown star kind {self.star!r}")
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
         for a in self.translated:
             if not 1 <= a <= self.n:
                 raise ConfigError(f"translated coordinate {a} out of range 1..{self.n}")
@@ -244,19 +246,54 @@ def suite_axioms(cfg: ScenarioConfig) -> List[dict]:
     return prefixed("axioms", star_axiom_checks(star, samples, cfg.lambda_order))
 
 
+def raw_samples(cfg: ScenarioConfig, ctx: ReductionContext, seed: int) -> List[MultiPoly]:
+    """Samples on the scenario's phase space, in its own coordinates."""
+    return sample_polys(seed, ctx.space.vars, cfg.degree, min(cfg.samples, 6))
+
+
 def upstairs_samples(cfg: ScenarioConfig, ctx: ReductionContext,
                      seed: int) -> List[MultiPoly]:
-    """Samples on the scenario's phase space, straightened into the
-    coordinates its context computes in."""
-    return [ctx.straighten(f) for f in sample_polys(seed, ctx.space.vars, cfg.degree,
-                                                    min(cfg.samples, 6))]
+    """The raw samples, straightened into the coordinates the context
+    computes in."""
+    return [ctx.straighten(f) for f in raw_samples(cfg, ctx, seed)]
+
+
+def shift_checks(cfg: ScenarioConfig, ctx: ReductionContext,
+                 raw: Sequence[MultiPoly]) -> List[dict]:
+    """The straightening and the restriction of a shifted or magnetic
+    context against the momentum map the config declares:
+    J_a = p_a + alpha_a with alpha_a = b·q_c - mu_a."""
+    space = ctx.space
+    alpha = {a: MultiPoly.zero(space.vars) for a in cfg.translated}
+    for a, (c, b) in cfg.b.items():
+        alpha[a] = alpha[a] + space.q(c).scale(b)
+    for a, mu in cfg.mu.items():
+        alpha[a] = alpha[a] - MultiPoly.const(space.vars, mu)
+    # on the constraint set J_a = 0, that is p_a = -alpha_a
+    solved = {f"p{a}": (-al).with_vars(ctx.cvars) for a, al in alpha.items()}
+
+    def straighten_sends_J_to_p():
+        for a, al in sorted(alpha.items()):
+            J = space.p(a) + al
+            if ctx.straighten(J) != space.p(a):
+                yield {"a": a, "J": J.render()}
+
+    def restriction_solves_constraint():
+        for f in raw:
+            if ctx.tube.restrict(ctx.straighten(f)) != f.substitute(solved):
+                yield {"f": f.render()}
+
+    return [check("straighten_sends_J_to_p", straighten_sends_J_to_p()),
+            check("restriction_solves_constraint", restriction_solves_constraint())]
 
 
 def suite_momentum(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
-    samples = upstairs_samples(cfg, ctx, cfg.seed)
+    raw = raw_samples(cfg, ctx, cfg.seed)
     checks = check_classical_equivariance(ctx.J, ctx.space)
-    checks += check_quantum_momentum_map(ctx.star, ctx.Jq, samples,
+    checks += check_quantum_momentum_map(ctx.star, ctx.Jq, [ctx.straighten(f) for f in raw],
                                          cfg.lambda_order)
+    if cfg.b or cfg.mu:
+        checks += shift_checks(cfg, ctx, raw)
     return prefixed("momentum", checks)
 
 
@@ -312,7 +349,6 @@ def suite_stages(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
 
 def suite_ce(cfg: ScenarioConfig) -> List[dict]:
     lie = LieAlgebraData.heisenberg()
-    rep = adjoint_representation(lie)
     rng = random.Random(cfg.seed)
 
     def vec():
@@ -321,7 +357,7 @@ def suite_ce(cfg: ScenarioConfig) -> List[dict]:
 
     def boundary_squared_zero(grade: int):
         x = {key: vec() for key in combinations(range(1, lie.dim + 1), grade)}
-        sq = ce_boundary(lie, rep, ce_boundary(lie, rep, x, grade), grade - 1)
+        sq = ce_boundary(lie, ce_boundary(lie, x, grade), grade - 1)
         if sq:
             yield {"grade": grade, "d_squared": {basis_label(key): [c.render() for c in v]
                                                  for key, v in sorted(sq.items())}}

@@ -157,11 +157,7 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = out.get(exp, GR_ZERO) + c
-            if s.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = s
+            out[exp] = out.get(exp, GR_ZERO) + c
         return MultiPoly(self.vars, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
@@ -176,11 +172,7 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, GR_ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                out[e] = out.get(e, GR_ZERO) + c1 * c2
         return MultiPoly(self.vars, out)
 
     def scale(self, c) -> "MultiPoly":
@@ -209,11 +201,7 @@ class MultiPoly:
             k = e[i]
             e[i] = k - 1
             e = tuple(e)
-            s = out.get(e, GR_ZERO) + c * GaussianRational.of(k)
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = out.get(e, GR_ZERO) + c * GaussianRational.of(k)
         return MultiPoly(self.vars, out)
 
     def substitute(self, assignments: Mapping[str, "MultiPoly"]) -> "MultiPoly":

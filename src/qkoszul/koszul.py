@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exact import (
     AlgebraError,
-    ContractViolationError,
     GaussianRational,
     LambdaSeries,
     MultiPoly,
@@ -84,10 +83,6 @@ class KoszulChain:
             if not s.is_zero():
                 clean[key] = s
         self.terms = clean
-
-    @staticmethod
-    def zero(gdim: int, grade: int, vars: Sequence[str], order: int) -> "KoszulChain":
-        return KoszulChain(gdim, grade, vars, order, {})
 
     @staticmethod
     def of_series(gdim: int, f: LambdaSeries) -> "KoszulChain":
@@ -197,7 +192,6 @@ class ReductionContext:
         self.straightening = dict(straighten) if straighten else {}
         self.tube = GoodTube(space, action.translated)
         self.gdim = action.dim
-        self._iqq = None
 
     @staticmethod
     def canonical(space: PhaseSpace, translated: Sequence[int], star: StarProduct,
@@ -218,9 +212,6 @@ class ReductionContext:
     def cvars(self) -> Tuple[str, ...]:
         return self.tube.cvars
 
-    def zero_chain(self, grade: int) -> KoszulChain:
-        return KoszulChain.zero(self.gdim, grade, self.space.vars, self.order)
-
     def series(self, poly: MultiPoly) -> LambdaSeries:
         return LambdaSeries.from_poly(poly.with_vars(self.space.vars), self.order)
 
@@ -232,105 +223,66 @@ class ReductionContext:
 # boundary operators
 # ---------------------------------------------------------------------------
 
-def koszul_boundary(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
-    """Classical boundary: multiply by the momentum components against the
-    insertion derivation."""
+def _boundary(x: KoszulChain, ctx: ReductionContext,
+              times: Callable[[LambdaSeries, int], LambdaSeries]) -> KoszulChain:
+    """The insertion derivation against the momentum components: the entry
+    at a key goes to the key without index a, multiplied by component a
+    through ``times(F, a)``."""
     if x.grade < 1:
         raise AlgebraError("boundary needs grade >= 1")
-    out = ctx.zero_chain(x.grade - 1)
+    out: Dict[IndexKey, LambdaSeries] = {}
     for key, F in x.terms.items():
         for pos, idx in enumerate(key):
             sign, rest = remove_index(key, pos)
-            Jp = ctx.J.components[idx - 1].with_vars(ctx.space.vars)
-            contrib = F.map_coeffs(lambda c, Jp=Jp: c * Jp).scale(sign)
-            out = out + KoszulChain(ctx.gdim, x.grade - 1, x.vars, x.order,
-                                    {rest: contrib})
-    return out
+            contrib = times(F, idx).scale(sign)
+            out[rest] = out[rest] + contrib if rest in out else contrib
+    return KoszulChain(ctx.gdim, x.grade - 1, ctx.space.vars, ctx.order, out)
+
+
+def koszul_boundary(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
+    """Classical boundary: pointwise multiplication by the momentum
+    components."""
+    J = [c.with_vars(ctx.space.vars) for c in ctx.J.components]
+    return _boundary(x, ctx, lambda F, a: F.map_coeffs(lambda c: c * J[a - 1]))
 
 
 def quantum_koszul_boundary(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
     """Quantum boundary: right star multiplication by the quantum momentum
     components.  Every context acts by an abelian algebra, so there is no
     structure-constant correction."""
-    if x.grade < 1:
-        raise AlgebraError("boundary needs grade >= 1")
-    out = ctx.zero_chain(x.grade - 1)
-    for key, F in x.terms.items():
-        for pos, idx in enumerate(key):
-            sign, rest = remove_index(key, pos)
-            Jq = ctx.Jq.components[idx - 1].truncate(ctx.order)
-            contrib = ctx.star.eval(F, Jq).scale(sign)
-            out = out + KoszulChain(ctx.gdim, x.grade - 1, x.vars, x.order,
-                                    {rest: contrib})
-    return out
+    Jq = [c.truncate(ctx.order) for c in ctx.Jq.components]
+    return _boundary(x, ctx, lambda F, a: ctx.star.eval(F, Jq[a - 1]))
 
 
 # ---------------------------------------------------------------------------
-# Chevalley-Eilenberg boundary on a matrix representation
+# Chevalley-Eilenberg boundary on the adjoint representation
 # ---------------------------------------------------------------------------
 
 Vector = Tuple[GaussianRational, ...]
 CEElement = Dict[IndexKey, Vector]
 
 
-def _mat_apply(m: Sequence[Sequence[Fraction]], v: Vector) -> Vector:
-    return tuple(
-        sum((gr(m[i][j]) * v[j] for j in range(len(v))), gr(0))
-        for i in range(len(v))
-    )
-
-
-def _vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vec_scale(v: Vector, c: Fraction) -> Vector:
-    return tuple(x * gr(c) for x in v)
-
-
-def check_representation(lie: LieAlgebraData, rep: Sequence[Sequence[Sequence[Fraction]]]) -> None:
-    """Validate rho([a,b]) = rho(a)rho(b) - rho(b)rho(a) on basis pairs."""
-    dimv = len(rep[0])
-
-    def matmul(A, B):
-        return [[sum(A[i][k] * B[k][j] for k in range(dimv)) for j in range(dimv)]
-                for i in range(dimv)]
-
-    def matsub(A, B):
-        return [[A[i][j] - B[i][j] for j in range(dimv)] for i in range(dimv)]
-
-    for a in range(1, lie.dim + 1):
-        for b in range(1, lie.dim + 1):
-            comm = matsub(matmul(rep[a - 1], rep[b - 1]), matmul(rep[b - 1], rep[a - 1]))
-            want = [[Fraction(0)] * dimv for _ in range(dimv)]
-            for g, c in lie.bracket_coeffs(a, b).items():
-                for i in range(dimv):
-                    for j in range(dimv):
-                        want[i][j] += c * rep[g - 1][i][j]
-            if comm != want:
-                raise ContractViolationError(
-                    f"matrices do not represent the algebra at pair {(a, b)}")
-
-
-def ce_boundary(lie: LieAlgebraData, rep: Sequence[Sequence[Sequence[Fraction]]],
-                x: CEElement, grade: int) -> CEElement:
-    """Lie algebra homology boundary for a finite-dimensional representation,
-    written with the insertion derivations and structure constants."""
+def ce_boundary(lie: LieAlgebraData, x: CEElement, grade: int) -> CEElement:
+    """Lie algebra homology boundary with coefficients in the adjoint
+    representation, written with the insertion derivations and read off the
+    structure constants: e_alpha acts on v by [e_alpha, v]."""
     if grade < 1:
         raise AlgebraError("boundary needs grade >= 1")
-    check_representation(lie, rep)
     out: CEElement = {}
 
     def add(key: IndexKey, v: Vector):
         cur = out.get(key)
-        out[key] = _vec_add(cur, v) if cur else v
+        out[key] = tuple(a + b for a, b in zip(cur, v)) if cur else v
 
     for key, v in x.items():
         # representation term
         for pos, alpha in enumerate(key):
             sign, rest = remove_index(key, pos)
-            w = _mat_apply(rep[alpha - 1], v)
-            add(rest, _vec_scale(w, Fraction(sign)))
+            ad = [gr(0)] * lie.dim
+            for beta, vb in enumerate(v, 1):
+                for gamma, c in lie.bracket_coeffs(alpha, beta).items():
+                    ad[gamma - 1] = ad[gamma - 1] + vb * gr(sign * c)
+            add(rest, tuple(ad))
         # structure-constant term, with the opposite sign of the quantum one
         for pos_b, beta in enumerate(key):
             sign_b, key_b = remove_index(key, pos_b)
@@ -341,16 +293,9 @@ def ce_boundary(lie: LieAlgebraData, rep: Sequence[Sequence[Sequence[Fraction]]]
                     if ins is None:
                         continue
                     sign_g, newkey = ins
-                    add(newkey, _vec_scale(v, Fraction(-sign_b * sign_a * sign_g, 2) * c))
+                    w = gr(Fraction(-sign_b * sign_a * sign_g, 2) * c)
+                    add(newkey, tuple(vi * w for vi in v))
     return {k: v for k, v in out.items() if any(not c.is_zero() for c in v)}
-
-
-def adjoint_representation(lie: LieAlgebraData) -> List[List[List[Fraction]]]:
-    d = lie.dim
-    return [
-        [[lie.c(a, b, g) for b in range(1, d + 1)] for g in range(1, d + 1)]
-        for a in range(1, d + 1)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -377,39 +322,27 @@ def classical_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
     coefficient goes through ``GoodTube.homotopy`` once, and the output
     along direction a is wedged onto the basis key."""
     k = x.grade
-    out = ctx.zero_chain(k + 1)
+    out: Dict[IndexKey, LambdaSeries] = {}
     for key, F in x.terms.items():
         free = [a for a in range(1, ctx.gdim + 1) if a not in key]
         parts = [ctx.tube.homotopy(c, k, free) for c in F.coeffs]
         for alpha in free:
             sign, newkey = insert_index(alpha, key)
             G = LambdaSeries([p[alpha] for p in parts]).scale(sign)
-            if not G.is_zero():
-                out = out + KoszulChain(ctx.gdim, k + 1, x.vars, x.order, {newkey: G})
-    return out
+            out[newkey] = out[newkey] + G if newkey in out else G
+    return KoszulChain(ctx.gdim, k + 1, ctx.space.vars, ctx.order, out)
 
 
 def quantum_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     """Deformed restriction: the classical one composed with the geometric
     series inverting the unipotent correction built from the difference of
     the two boundary operators and the homotopy."""
-    return _quantum_restriction_op(ctx)(f)
 
+    def raiser(F: LambdaSeries) -> LambdaSeries:
+        hF = classical_homotopy(KoszulChain.of_series(ctx.gdim, F), ctx)
+        return (koszul_boundary(hF, ctx) - quantum_koszul_boundary(hF, ctx)).series()
 
-def _quantum_restriction_op(ctx: ReductionContext) -> Callable[[LambdaSeries], LambdaSeries]:
-    if ctx._iqq is None:
-        def raiser(F: LambdaSeries) -> LambdaSeries:
-            hF = classical_homotopy(KoszulChain.of_series(ctx.gdim, F), ctx)
-            diff = quantum_koszul_boundary(hF, ctx) - koszul_boundary(hF, ctx)
-            return diff.series().scale(-1)
-
-        inv = invert_unipotent(raiser, ctx.order)
-
-        def iqq(F: LambdaSeries) -> LambdaSeries:
-            return restriction(inv(F), ctx)
-
-        ctx._iqq = iqq
-    return ctx._iqq
+    return restriction(invert_unipotent(raiser, ctx.order)(f), ctx)
 
 
 def quantum_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
@@ -417,11 +350,11 @@ def quantum_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
     composed with the inverse of (h ∂_q + ∂_q h), which deviates from the
     identity at order one in the parameter."""
     k = x.grade
-    iqq = _quantum_restriction_op(ctx)
 
     def inner(y: KoszulChain) -> KoszulChain:
         if k == 0:
-            lifted = KoszulChain.of_series(ctx.gdim, prolongation(iqq(y.series()), ctx))
+            lifted = KoszulChain.of_series(
+                ctx.gdim, prolongation(quantum_restriction(y.series(), ctx), ctx))
         else:
             lifted = classical_homotopy(quantum_koszul_boundary(y, ctx), ctx)
         return lifted + quantum_koszul_boundary(classical_homotopy(y, ctx), ctx)

@@ -16,7 +16,7 @@ conj(C) = Cᵀ.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .exact import (
     GR_I,
@@ -154,8 +154,8 @@ class StarProduct:
     ``eval_poly(f, g, order)`` is the product truncated at λ^order,
     ``bracket_poly(f, g)`` the classical bracket it deforms, and
     ``hermitian`` says whether conj(f ⋆ g) = conj(g) ⋆ conj(f).  Products on
-    a phase space come from ``constant`` and keep their ``matrix``; reduced
-    products are built from their evaluation and their reduced bracket.
+    a phase space come from ``constant``; reduced products are built from
+    their evaluation and their reduced bracket.
     Evaluation is bilinear over Gaussian rationals and pure: the same inputs
     always give the same series.
     """
@@ -163,12 +163,11 @@ class StarProduct:
     def __init__(self, space: PhaseSpace,
                  eval_poly: Callable[[MultiPoly, MultiPoly, int], LambdaSeries],
                  bracket: Callable[[MultiPoly, MultiPoly], MultiPoly],
-                 hermitian: bool, matrix: Optional[Matrix] = None):
+                 hermitian: bool):
         self.space = space
         self._eval_poly = eval_poly
         self._bracket = bracket
         self.hermitian = hermitian
-        self.matrix = matrix
 
     # -- constructors ---------------------------------------------------
 
@@ -188,7 +187,7 @@ class StarProduct:
         def bracket(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             return (_pairing(C, f, g) - _pairing(C, g, f)).scale(GR_MINUS_I)
 
-        return StarProduct(space, ev, bracket, hermitian, C)
+        return StarProduct(space, ev, bracket, hermitian)
 
     @staticmethod
     def weyl(space: PhaseSpace) -> "StarProduct":

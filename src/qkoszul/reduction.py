@@ -18,7 +18,7 @@ never involve the translated fiber coordinates, are the canonical ones.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .exact import AlgebraError, LambdaSeries, MultiPoly, invert_unipotent
 from .koszul import ReductionContext, prolongation, quantum_restriction, restriction
@@ -46,12 +46,6 @@ class ReducedAlgebra:
         residual = tuple(c for c in ctx.space.coords if c not in ctx.action.translated)
         self.space = PhaseSpace(residual)
         self.translated_q = tuple(f"q{a}" for a in ctx.action.translated)
-        self._by_order: Dict[int, ReductionContext] = {ctx.order: ctx}
-
-    def ctx_at(self, order: int) -> ReductionContext:
-        if order not in self._by_order:
-            self._by_order[order] = elevate_context(self.ctx, order)
-        return self._by_order[order]
 
     def lift(self, f: MultiPoly) -> MultiPoly:
         """The injection of reduced polynomials into the constraint algebra."""
@@ -92,7 +86,7 @@ def reduced_star(red: ReducedAlgebra) -> StarProduct:
     """The reduced star product through the quantum restriction."""
 
     def ev(f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
-        ctx = red.ctx_at(order)
+        ctx = elevate_context(red.ctx, order)
         lf = prolongation(red.lift(f), ctx)
         lg = prolongation(red.lift(g), ctx)
         down = quantum_restriction(ctx.star.eval(lf, lg), ctx)
@@ -118,12 +112,11 @@ class CotangentSplit:
         return self.ctx.tube.homotopy(F, 0, (i,))[i]
 
 
-def _vertical_difference(F: LambdaSeries, ctx: ReductionContext,
-                         split: Optional[CotangentSplit] = None) -> LambdaSeries:
+def _vertical_difference(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     """Sum over vertical directions of r_i(F)·J_i - r_i(F) ⋆ Jq_i; vanishes
     at order zero in the parameter whenever the quantum momentum map deforms
     the classical one."""
-    split = split or CotangentSplit(ctx)
+    split = CotangentSplit(ctx)
     out = LambdaSeries.zero(ctx.space.vars, ctx.order)
     for i in range(1, ctx.gdim + 1):
         rF = F.map_coeffs(lambda c, i=i: split.r(i, c))
@@ -142,16 +135,11 @@ def knp_reduced_star(red: ReducedAlgebra) -> StarProduct:
     reduced star product."""
 
     def ev(f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
-        ctx = red.ctx_at(order)
-        split = CotangentSplit(ctx)
+        ctx = elevate_context(red.ctx, order)
         lf = prolongation(red.lift(f), ctx)
         lg = prolongation(red.lift(g), ctx)
         F = ctx.star.eval(lf, lg)
-
-        def correction(G: LambdaSeries) -> LambdaSeries:
-            return _vertical_difference(G, ctx, split)
-
-        G = invert_unipotent(correction, order)(F)
+        G = invert_unipotent(lambda H: _vertical_difference(H, ctx), order)(F)
         return red.push_down_series(restriction(G, ctx))
 
     return _reduced_product(red, ev)

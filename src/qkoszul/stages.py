@@ -9,7 +9,7 @@ names, so the comparison is literal equality of series.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .exact import AlgebraError, MultiPoly
 from .koszul import (
@@ -35,19 +35,13 @@ class StageConfig:
     algebra split at its center, say) is rejected with a diagnostic.
     """
 
-    def __init__(self, lie: LieAlgebraData, first: Sequence[int],
-                 second: Optional[Sequence[int]] = None):
+    def __init__(self, lie: LieAlgebraData, first: Sequence[int]):
         self.lie = lie
         self.first = tuple(sorted(first))
-        all_idx = set(range(1, lie.dim + 1))
-        if not set(self.first) <= all_idx:
+        all_idx = range(1, lie.dim + 1)
+        if not set(self.first) <= set(all_idx):
             raise AlgebraError("first-stage indices out of range")
-        if second is None:
-            second = sorted(all_idx - set(self.first))
-        self.second = tuple(sorted(second))
-        if set(self.first) | set(self.second) != all_idx or \
-                set(self.first) & set(self.second):
-            raise AlgebraError("indices do not partition the algebra")
+        self.second = tuple(i for i in all_idx if i not in self.first)
         self._validate()
 
     def _validate(self) -> None:

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkoszul import cli
+from qkoszul import cli, reduction
 from qkoszul.cli import builtin_config, main, run_scenario
-from qkoszul.exact import ContractViolationError
+from qkoszul.exact import ContractViolationError, MultiPoly
 
 CLI = [sys.executable, "-m", "qkoszul.cli"]
 
@@ -92,7 +92,7 @@ class TestReports:
     def test_ce_failures_carry_witnesses(self, monkeypatch):
         # a "boundary" that drops the first index without a sign is not
         # nilpotent, so both ce checks fail and each names its grade
-        def shift(lie, rep, x, grade):
+        def shift(lie, x, grade):
             return {key[1:]: v for key, v in x.items()}
 
         monkeypatch.setattr(cli, "ce_boundary", shift)
@@ -101,6 +101,22 @@ class TestReports:
         failing = [c for c in report["checks"] if c["status"] == "fail"]
         assert [c["witness"]["grade"] for c in failing] == [2, 3]
         assert all(c["witness"]["d_squared"] for c in failing)
+
+    def test_forward_straightening_fails_s2_magnetic(self, monkeypatch, capsysbinary):
+        # translating p_a forward by alpha_a instead of back keeps every
+        # check on the straightened samples; only the two checks against the
+        # declared shift see it
+        def forward(space, alpha):
+            return {f"p{a}": MultiPoly.variable(space.vars, f"p{a}") + al.with_vars(space.vars)
+                    for a, al in alpha.items()}
+
+        monkeypatch.setattr(reduction, "fiber_translate_subst", forward)
+        assert main(["--scenario", "s2-magnetic"]) == 1
+        report = json.loads(capsysbinary.readouterr().out)
+        failing = [c for c in report["checks"] if c["status"] == "fail"]
+        assert [c["name"] for c in failing] == ["momentum.restriction_solves_constraint",
+                                                "momentum.straighten_sends_J_to_p"]
+        assert failing[0]["witness"]["f"] and failing[1]["witness"]["a"] == 1
 
     def test_text_format(self):
         res = run("--scenario", "ce-heisenberg", "--format", "text")
@@ -224,6 +240,23 @@ class TestConfigFile:
         assert res.returncode == 2
         assert message.encode() in res.stderr
         assert b"Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("key, cap", [("n", cli.MAX_N),
+                                          ("lambda_order", cli.MAX_LAMBDA_ORDER),
+                                          ("degree", cli.MAX_DEGREE),
+                                          ("samples", cli.MAX_SAMPLES)])
+    def test_cap(self, key, cap, capsys):
+        # only validated, never run: main stops at the config check
+        cfg = builtin_config("s1-translation")
+        setattr(cfg, key, cap)
+        cfg.validate()
+        setattr(cfg, key, cap + 1)
+        with pytest.raises(cli.ConfigError, match=f"{key} must be between 1 and {cap}"):
+            cfg.validate()
+        if key != "n":   # n has no command-line override
+            flag = "--" + key.replace("_", "-")
+            assert main(["--scenario", "ce-heisenberg", flag, str(cap + 1)]) == 2
+            assert f"{key} must be between 1 and {cap}" in capsys.readouterr().err
 
     def test_name_cannot_leave_report_dir(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ their straightened samples.
 """
 
 from fractions import Fraction
+import random
 from itertools import combinations
 
 import pytest
@@ -14,7 +15,6 @@ import pytest
 from qkoszul import koszul
 from qkoszul.exact import (
     AlgebraError,
-    ContractViolationError,
     LambdaSeries,
     MultiPoly,
     gr,
@@ -22,9 +22,7 @@ from qkoszul.exact import (
 from qkoszul.koszul import (
     KoszulChain,
     ReductionContext,
-    adjoint_representation,
     ce_boundary,
-    check_representation,
     classical_homotopy,
     insert_index,
     koszul_boundary,
@@ -38,7 +36,13 @@ from qkoszul.koszul import (
 )
 from qkoszul.lie import LieAlgebraData, QuantumMomentumMap
 from qkoszul.phase_space import PhaseSpace, StarProduct
-from qkoszul.reduction import CotangentSplit, build_shifted_context
+from qkoszul.reduction import (
+    CotangentSplit,
+    ReducedAlgebra,
+    build_shifted_context,
+    knp_reduced_star,
+    reduced_star,
+)
 from qkoszul.sampling import sample_polys
 
 L = 4
@@ -83,11 +87,11 @@ class TestKoszulChain:
     def test_equality_compares_shape(self):
         ctx = s1_context()
         vs = ctx.space.vars
-        zero = KoszulChain.zero(ctx.gdim, 1, vs, L)
-        assert zero == KoszulChain.zero(ctx.gdim, 1, vs, L)
-        assert zero != KoszulChain.zero(ctx.gdim, 1, vs, L + 1)
-        assert zero != KoszulChain.zero(ctx.gdim + 1, 1, vs, L)
-        assert zero != KoszulChain.zero(ctx.gdim, 1, ctx.cvars, L)
+        zero = KoszulChain(ctx.gdim, 1, vs, L, {})
+        assert zero == KoszulChain(ctx.gdim, 1, vs, L, {})
+        assert zero != KoszulChain(ctx.gdim, 1, vs, L + 1, {})
+        assert zero != KoszulChain(ctx.gdim + 1, 1, vs, L, {})
+        assert zero != KoszulChain(ctx.gdim, 1, ctx.cvars, L, {})
 
 
 class TestKoszulBoundary:
@@ -128,28 +132,76 @@ class TestQuantumBoundary:
             quantum_koszul_boundary(x, ctx), ctx).is_zero()
 
 
+def adjoint_matrices(lie: LieAlgebraData):
+    """The adjoint representation as matrices: entry (g, b) of the a-th is
+    the structure constant c(a, b, g)."""
+    d = lie.dim
+    return [[[lie.c(a, b, g) for b in range(1, d + 1)] for g in range(1, d + 1)]
+            for a in range(1, d + 1)]
+
+
+def matrix_ce_boundary(lie: LieAlgebraData, x, grade: int):
+    """The CE boundary through the adjoint matrices: the oracle for the
+    boundary read off the structure constants."""
+    rep = adjoint_matrices(lie)
+    out = {}
+
+    def add(key, v):
+        cur = out.get(key)
+        out[key] = tuple(a + b for a, b in zip(cur, v)) if cur else v
+
+    for key, v in x.items():
+        for pos, alpha in enumerate(key):
+            sign, rest = remove_index(key, pos)
+            m = rep[alpha - 1]
+            add(rest, tuple(sum((gr(m[i][j] * sign) * v[j] for j in range(len(v))), gr(0))
+                            for i in range(len(v))))
+        for pos_b, beta in enumerate(key):
+            sign_b, key_b = remove_index(key, pos_b)
+            for pos_a, alpha in enumerate(key_b):
+                sign_a, key_ab = remove_index(key_b, pos_a)
+                for gamma in range(1, lie.dim + 1):
+                    ins = insert_index(gamma, key_ab)
+                    c = lie.c(alpha, beta, gamma)
+                    if ins is None or c == 0:
+                        continue
+                    w = gr(Fraction(-sign_b * sign_a * ins[0], 2) * c)
+                    add(ins[1], tuple(vi * w for vi in v))
+    return {k: v for k, v in out.items() if any(not c.is_zero() for c in v)}
+
+
+# so(3): [e1, e2] = e3 and cyclic
+SO3 = LieAlgebraData(3, {(1, 2, 3): 1, (2, 1, 3): -1, (2, 3, 1): 1, (3, 2, 1): -1,
+                         (3, 1, 2): 1, (1, 3, 2): -1})
+
+
 class TestChevalleyEilenberg:
     def test_heisenberg_adjoint_squares_to_zero(self):
         lie = LieAlgebraData.heisenberg()
-        rep = adjoint_representation(lie)
         v = tuple(gr(Fraction(k, 3)) for k in (1, -2, 5))
         for grade in (2, 3):
             x = {key: v for key in combinations((1, 2, 3), grade)}
-            once = ce_boundary(lie, rep, x, grade)
-            assert ce_boundary(lie, rep, once, grade - 1) == {}
+            once = ce_boundary(lie, x, grade)
+            assert ce_boundary(lie, once, grade - 1) == {}
 
-    def test_nonrepresentation_rejected(self):
-        lie = LieAlgebraData.heisenberg()
-        bad = [[[Fraction(1) if i == j else Fraction(0) for j in range(3)]
-                for i in range(3)] for _ in range(3)]
-        with pytest.raises(ContractViolationError):
-            check_representation(lie, bad)
+    @pytest.mark.parametrize("lie", (LieAlgebraData.heisenberg(), SO3,
+                                     LieAlgebraData.abelian(3)),
+                             ids=("heisenberg", "so3", "abelian"))
+    def test_equals_matrix_route(self, lie):
+        rng = random.Random(61)
+        for grade in (1, 2, 3):
+            for _ in range(4):
+                x = {key: tuple(gr(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                                   Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                                for _ in range(lie.dim))
+                     for key in combinations(range(1, lie.dim + 1), grade)
+                     if rng.random() < 0.8}
+                assert ce_boundary(lie, x, grade) == matrix_ce_boundary(lie, x, grade)
 
     def test_grade0_rejected(self):
         lie = LieAlgebraData.heisenberg()
-        rep = adjoint_representation(lie)
         with pytest.raises(AlgebraError):
-            ce_boundary(lie, rep, {(): (gr(1), gr(0), gr(0))}, 0)
+            ce_boundary(lie, {(): (gr(1), gr(0), gr(0))}, 0)
 
 
 class TestClassicalHomotopy:
@@ -321,7 +373,7 @@ def oracle_homotopy(c: MultiPoly, tube, pa: str, k: int) -> MultiPoly:
 
 
 def oracle_classical_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
-    out = ctx.zero_chain(x.grade + 1)
+    out = KoszulChain(ctx.gdim, x.grade + 1, ctx.space.vars, ctx.order, {})
     for key, F in x.terms.items():
         for alpha, pa in enumerate(ctx.tube.constrained, start=1):
             ins = insert_index(alpha, key)

@@ -17,7 +17,9 @@ from qkoszul.koszul import (
     classical_homotopy,
     koszul_boundary,
     prolongation,
+    quantum_homotopy,
     quantum_koszul_boundary,
+    quantum_restriction,
     restriction,
     verify_complex_identities,
 )
@@ -52,6 +54,33 @@ def s1p_ctx() -> ReductionContext:
 def s2_ctx() -> ReductionContext:
     return build_shifted_context(s1p_ctx(), {1: (2, Fraction(1, 2))},
                                  {1: Fraction(3)})
+
+
+def attributes(obj) -> dict:
+    """The attributes of ``obj``, each dict among them copied, so that a
+    cache filled later shows as a change."""
+    return {k: dict(v) if isinstance(v, dict) else v for k, v in vars(obj).items()}
+
+
+class TestNoHiddenState:
+    def test_context_unchanged_by_the_operators(self):
+        ctx = s2_ctx()
+        before = attributes(ctx)
+        fs = ctx.series(ctx.straighten(ctx.space.q(1) * ctx.space.p(1) * ctx.space.p(2)))
+        quantum_restriction(fs, ctx)
+        assert attributes(ctx) == before
+        quantum_homotopy(KoszulChain.of_series(ctx.gdim, fs), ctx)
+        assert attributes(ctx) == before
+
+    def test_reduced_products_below_the_order_leave_no_state(self):
+        red = s1_red()
+        ctx_before, red_before = attributes(red.ctx), attributes(red)
+        (f, g), = sample_pairs(59, red.space.vars, 2, 1)
+        for star in (reduced_star(red), knp_reduced_star(red)):
+            for order in (L - 2, L - 1):
+                star.eval_poly(f, g, order)
+        assert attributes(red.ctx) == ctx_before
+        assert attributes(red) == red_before
 
 
 class TestReducedBracket:

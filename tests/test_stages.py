@@ -42,10 +42,6 @@ class TestStageConfig:
         with pytest.raises(AlgebraError):
             StageConfig(LieAlgebraData.abelian(2), [3])
 
-    def test_overlap_rejected(self):
-        with pytest.raises(AlgebraError):
-            StageConfig(LieAlgebraData.abelian(2), [1], [1, 2])
-
     def test_heisenberg_center_rejected(self):
         # the center is an ideal but has no invariant complement
         with pytest.raises(AlgebraError, match="complement is not invariant"):
