@@ -23,12 +23,13 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import AlgebraError, ContractViolationError, MultiPoly, gr
-from .koszul import ReductionContext, basis_label, ce_boundary, verify_complex_identities
+from .koszul import ReductionContext, basis_label, ce_boundary, quantum_restriction, \
+    verify_complex_identities
 from .lie import LieAlgebraData, check_classical_equivariance, \
     check_quantum_momentum_map
 from .phase_space import PhaseSpace, StarProduct, check_star_axioms
 from .reduction import ReducedAlgebra, build_shifted_context, knp_reduced_star, \
-    reduced_poisson_bracket, reduced_star
+    knp_restriction, reduced_poisson_bracket, reduced_star
 from .report import check, prefixed
 from .sampling import sample_pairs, sample_polys
 from .stages import StageConfig, StagePipeline, build_compatible_prolongations, \
@@ -289,7 +290,7 @@ def shift_checks(cfg: ScenarioConfig, ctx: ReductionContext,
 
 def suite_momentum(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
     raw = raw_samples(cfg, ctx, cfg.seed)
-    checks = check_classical_equivariance(ctx.J, ctx.space)
+    checks = check_classical_equivariance(ctx.J, ctx.star)
     checks += check_quantum_momentum_map(ctx.star, ctx.Jq, [ctx.straighten(f) for f in raw],
                                          cfg.lambda_order)
     if cfg.b or cfg.mu:
@@ -334,8 +335,18 @@ def suite_knp(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
                 yield {"f": f.render(), "g": g.render(),
                        "closed_form": a.render(), "homological": b.render()}
 
+    def deformed_restriction_equals_quantum_restriction():
+        # upstairs samples carry p_a, so the vertical correction is not zero
+        for f in upstairs_samples(cfg, ctx, cfg.seed + 2):
+            F = ctx.space.series(f, ctx.order)
+            a, b = knp_restriction(F, ctx), quantum_restriction(F, ctx)
+            if a != b:
+                yield {"f": f.render(), "knp": a.render(), "quantum": b.render()}
+
     return prefixed("knp", [check("closed_form_equals_homological",
-                                  closed_form_equals_homological())])
+                                  closed_form_equals_homological()),
+                            check("deformed_restriction_equals_quantum_restriction",
+                                  deformed_restriction_equals_quantum_restriction())])
 
 
 def suite_stages(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
@@ -362,8 +373,21 @@ def suite_ce(cfg: ScenarioConfig) -> List[dict]:
             yield {"grade": grade, "d_squared": {basis_label(key): [c.render() for c in v]
                                                  for key, v in sorted(sq.items())}}
 
+    def grade1_is_adjoint_action():
+        # expected through lie.c, not bracket_coeffs, which ce_boundary reads
+        basis = range(1, lie.dim + 1)
+        for alpha in basis:
+            for beta in basis:
+                e_beta = tuple(gr(int(g == beta)) for g in basis)
+                got = ce_boundary(lie, {(alpha,): e_beta}, 1).get((), (gr(0),) * lie.dim)
+                want = tuple(gr(lie.c(alpha, beta, g)) for g in basis)
+                if got != want:
+                    yield {"alpha": alpha, "beta": beta, "boundary": [c.render() for c in got],
+                           "bracket": [c.render() for c in want]}
+
     return prefixed("ce", [check(f"boundary_squared_zero_grade{grade}",
-                                 boundary_squared_zero(grade)) for grade in (2, 3)])
+                                 boundary_squared_zero(grade)) for grade in (2, 3)]
+                    + [check("grade1_is_adjoint_action", grade1_is_adjoint_action())])
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +395,8 @@ def suite_ce(cfg: ScenarioConfig) -> List[dict]:
 # ---------------------------------------------------------------------------
 
 def conventions() -> Dict[str, str]:
-    """Sign and normalization facts derived at startup on a 1-dim space."""
+    """Sign and normalization facts, derived for every report on a 1-dim
+    space."""
     sp = PhaseSpace.of_dim(1)
     q, p = sp.q(1), sp.p(1)
     weyl = StarProduct.weyl(sp)
@@ -490,11 +515,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     report_dir = os.environ.get("QK_REPORT_DIR")
     if report_dir:
-        os.makedirs(report_dir, exist_ok=True)
         ext = "json" if args.format == "json" else "txt"
         path = os.path.join(report_dir, f"{cfg.name}.{ext}")
-        with open(path, "wb") as fh:
-            fh.write(payload)
+        try:
+            os.makedirs(report_dir, exist_ok=True)
+            with open(path, "wb") as fh:
+                fh.write(payload)
+        except OSError as e:
+            print(f"config error: cannot write report {path!r}: {e}", file=sys.stderr)
+            return 2
 
     return 0 if report["status"] == "pass" else 1
 

@@ -16,6 +16,7 @@ conj(C) = Cᵀ.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .exact import (
@@ -26,7 +27,6 @@ from .exact import (
     GaussianRational,
     LambdaSeries,
     MultiPoly,
-    VariableMismatchError,
     gr,
 )
 from .report import check
@@ -66,21 +66,13 @@ class PhaseSpace:
         return LambdaSeries.from_poly(poly.with_vars(self.vars), order)
 
 
-def poisson_bracket_poly(f: MultiPoly, g: MultiPoly, space: PhaseSpace) -> MultiPoly:
-    if f.vars != space.vars or g.vars != space.vars:
-        raise VariableMismatchError("arguments do not live on the phase space")
-    out = MultiPoly.zero(space.vars)
-    for qv, pv in zip(space.qvars, space.pvars):
-        out = out + f.diff(qv) * g.diff(pv) - f.diff(pv) * g.diff(qv)
-    return out
-
-
-def _rank_one_terms(C: Matrix) -> List[Tuple[GaussianRational, Vector, Vector]]:
-    """Exact factorisation C = Σ_k s_k a_k b_kᵀ by rank-one elimination.
+def _rank_one_terms(C: Matrix) -> List[Tuple[Vector, Vector]]:
+    """Exact factorisation C = Σ_k a_k b_kᵀ by rank-one elimination.
 
     Each step takes the first nonzero entry C^{ij} as pivot and removes
-    C[:, j] C[i, :] / C^{ij}, which clears row i and column j, so there are
-    rank(C) terms.  a_k and b_k are scaled to 1 at the pivot.
+    a b = C[:, j] C[i, :] / C^{ij}, which clears row i and column j, so there
+    are rank(C) terms.  a is the pivot column and b the pivot row scaled to 1
+    at the pivot.
     """
     C = dict(C)
     terms = []
@@ -96,8 +88,7 @@ def _rank_one_terms(C: Matrix) -> List[Tuple[GaussianRational, Vector, Vector]]:
                     C.pop((k, l), None)
                 else:
                     C[k, l] = v
-        terms.append((pivot, [(k, c / pivot) for k, c in col],
-                      [(l, c / pivot) for l, c in row]))
+        terms.append((col, [(l, c / pivot) for l, c in row]))
     return terms
 
 
@@ -109,29 +100,27 @@ def _pairing(C: Matrix, f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return out
 
 
-def _derivative(f: MultiPoly, v: Vector) -> MultiPoly:
-    """The directional derivative Σ_i v_i ∂_i f."""
+def _derivative(f: MultiPoly, v: Vector, m: int = 1) -> MultiPoly:
+    """The directional derivative Σ_i v_i ∂_i f, divided by m."""
     out: Dict[Tuple[int, ...], GaussianRational] = {}
     for e, c in f.terms.items():
         for i, vi in v:
             k = e[i]
             if k:
                 d = e[:i] + (k - 1,) + e[i + 1:]
-                out[d] = out.get(d, GR_ZERO) + c * vi * GaussianRational.of(k)
+                out[d] = out.get(d, GR_ZERO) + c * vi * GaussianRational.of(Fraction(k, m))
     return MultiPoly(f.vars, out)
 
 
 def _exponential(terms, f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
-    """μ ∘ exp(λ Σ_k s_k D_{a_k} ⊗ D_{b_k}) on a polynomial pair, truncated
-    at λ^order.  The exponential is a product of commuting factors, so it
-    expands over multi-indices m as Σ_m λ^{|m|} Π_k s_k^{m_k}/m_k! ·
+    """μ ∘ exp(λ Σ_k D_{a_k} ⊗ D_{b_k}) on a polynomial pair, truncated at
+    λ^order.  The exponential is a product of commuting factors, so it
+    expands over multi-indices m as Σ_m λ^{|m|} Π_k 1/m_k! ·
     (D_a^m f)(D_b^m g).  The walk fixes m_k one k at a time, carrying the
-    derivatives of both factors along, and drops a branch once either
-    factor is killed or λ^order is reached."""
+    derivatives of both factors along (the left one takes the 1/m of the
+    step to multiplicity m), and drops a branch once either factor is
+    killed or λ^order is reached."""
     acc = [MultiPoly.zero(f.vars)] * (order + 1)
-    # left directions carry the weight s_k / m of the step to multiplicity m
-    steps = [[[(i, c * s * gr(Fraction(1, m))) for i, c in a] for m in range(1, order + 1)]
-             for s, a, _ in terms]
     stack = [(0, 0, f, g)]
     while stack:
         k, r, left, right = stack.pop()
@@ -140,8 +129,8 @@ def _exponential(terms, f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
             continue
         for m in range(order - r + 1):
             if m:
-                left = _derivative(left, steps[k][m - 1])
-                right = _derivative(right, terms[k][2])
+                left = _derivative(left, terms[k][0], m)
+                right = _derivative(right, terms[k][1])
                 if left.is_zero() or right.is_zero():
                     break
             stack.append((k + 1, r + m, left, right))
@@ -174,20 +163,18 @@ class StarProduct:
     @staticmethod
     def constant(space: PhaseSpace, C: Matrix) -> "StarProduct":
         """μ ∘ exp(λ Σ C^{ij} ∂_i ⊗ ∂_j), with C factored once into rank-one
-        terms; the bracket -i (C - Cᵀ) and the Hermitian property are read
-        off C."""
+        terms; the bracket matrix -i (C - Cᵀ) and the Hermitian property are
+        read off C once."""
         C = {ij: c for ij, c in C.items() if not c.is_zero()}
-        terms = _rank_one_terms(C)
         hermitian = all(C.get((j, i), GR_ZERO) == c.conjugate()
                         for (i, j), c in C.items())
-
-        def ev(f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
-            return _exponential(terms, f, g, order)
-
-        def bracket(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-            return (_pairing(C, f, g) - _pairing(C, g, f)).scale(GR_MINUS_I)
-
-        return StarProduct(space, ev, bracket, hermitian)
+        bracket_matrix: Matrix = {}
+        for i, j in sorted(set(C) | {(j, i) for i, j in C}):
+            c = (C.get((i, j), GR_ZERO) - C.get((j, i), GR_ZERO)) * GR_MINUS_I
+            if not c.is_zero():
+                bracket_matrix[i, j] = c
+        return StarProduct(space, partial(_exponential, _rank_one_terms(C)),
+                           partial(_pairing, bracket_matrix), hermitian)
 
     @staticmethod
     def weyl(space: PhaseSpace) -> "StarProduct":
@@ -227,18 +214,19 @@ class StarProduct:
         return self._bracket(f, g)
 
     def eval(self, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
+        """The product of two series: coefficient t of a_r ⋆ b_s lands at
+        λ^{r+s+t}."""
         if f.order != g.order:
             raise AlgebraError("order mismatch")
         L = f.order
-        out = LambdaSeries.zero(f.vars, L)
+        acc = [MultiPoly.zero(f.vars)] * (L + 1)
         for r, a in enumerate(f.coeffs):
-            if a.is_zero():
-                continue
-            for s, b in enumerate(g.coeffs):
-                if r + s > L or b.is_zero():
+            for s, b in enumerate(g.coeffs[:L - r + 1]):
+                if a.is_zero() or b.is_zero():
                     continue
-                out = out + self.eval_poly(a, b, L - r - s).truncate(L).lambda_shift(r + s)
-        return out
+                for t, c in enumerate(self.eval_poly(a, b, L - r - s).coeffs, r + s):
+                    acc[t] = acc[t] + c
+        return LambdaSeries(acc)
 
 
 def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],

@@ -128,19 +128,23 @@ def _vertical_difference(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries
     return out
 
 
+def knp_restriction(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
+    """The classical restriction taken after inverting the unipotent
+    vertical correction; equals the quantum restriction on every series."""
+    G = invert_unipotent(lambda H: _vertical_difference(H, ctx), ctx.order)(F)
+    return restriction(G, ctx)
+
+
 def knp_reduced_star(red: ReducedAlgebra) -> StarProduct:
     """Closed-form reduced star product: lift both factors horizontally,
-    star-multiply, invert the unipotent vertical correction, restrict and
-    identify with the reduced algebra.  Agrees exactly with the homological
-    reduced star product."""
+    star-multiply, take ``knp_restriction`` and identify with the reduced
+    algebra.  Agrees exactly with the homological reduced star product."""
 
     def ev(f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
         ctx = elevate_context(red.ctx, order)
         lf = prolongation(red.lift(f), ctx)
         lg = prolongation(red.lift(g), ctx)
-        F = ctx.star.eval(lf, lg)
-        G = invert_unipotent(lambda H: _vertical_difference(H, ctx), order)(F)
-        return red.push_down_series(restriction(G, ctx))
+        return red.push_down_series(knp_restriction(ctx.star.eval(lf, lg), ctx))
 
     return _reduced_product(red, ev)
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from qkoszul import cli, reduction
 from qkoszul.cli import builtin_config, main, run_scenario
 from qkoszul.exact import ContractViolationError, MultiPoly
+from qkoszul.lie import LieAlgebraData
 
 CLI = [sys.executable, "-m", "qkoszul.cli"]
 
@@ -99,8 +100,35 @@ class TestReports:
         report = run_scenario(builtin_config("ce-heisenberg"))
         assert report["status"] == "fail"
         failing = [c for c in report["checks"] if c["status"] == "fail"]
-        assert [c["witness"]["grade"] for c in failing] == [2, 3]
-        assert all(c["witness"]["d_squared"] for c in failing)
+        assert [c["witness"]["grade"] for c in failing[:2]] == [2, 3]
+        assert all(c["witness"]["d_squared"] for c in failing[:2])
+        # nor does it act by the bracket: ad(e_1) e_1 = 0, not e_1
+        assert failing[2]["name"] == "ce.grade1_is_adjoint_action"
+        assert failing[2]["witness"] == {
+            "alpha": 1, "beta": 1, "boundary": ["(1/1)+(0/1)i", "(0/1)+(0/1)i", "(0/1)+(0/1)i"],
+            "bracket": ["(0/1)+(0/1)i"] * 3}
+
+    def test_swapped_action_fails_ce_heisenberg(self, monkeypatch, capsysbinary):
+        # d∘d = 0 on the Heisenberg algebra holds for the swapped action too;
+        # only the grade-1 check against the structure constants sees it
+        bracket_coeffs = LieAlgebraData.bracket_coeffs
+        monkeypatch.setattr(LieAlgebraData, "bracket_coeffs",
+                            lambda lie, alpha, beta: bracket_coeffs(lie, beta, alpha))
+        assert main(["--scenario", "ce-heisenberg"]) == 1
+        report = json.loads(capsysbinary.readouterr().out)
+        failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
+        assert failing == ["ce.grade1_is_adjoint_action"]
+
+    def test_doubled_vertical_difference_fails_s1p_single(self, monkeypatch, capsysbinary):
+        # the reduced-product inputs carry no p_a, so their correction is
+        # zero; the upstairs samples of the knp suite carry p_a
+        vertical_difference = reduction._vertical_difference
+        monkeypatch.setattr(reduction, "_vertical_difference",
+                            lambda F, ctx: vertical_difference(F, ctx).scale(2))
+        assert main(["--scenario", "s1p-single"]) == 1
+        report = json.loads(capsysbinary.readouterr().out)
+        failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
+        assert failing == ["knp.deformed_restriction_equals_quantum_restriction"]
 
     def test_forward_straightening_fails_s2_magnetic(self, monkeypatch, capsysbinary):
         # translating p_a forward by alpha_a instead of back keeps every
@@ -299,3 +327,12 @@ class TestReportDir:
         assert res.returncode == 0
         written = (tmp_path / "ce-heisenberg.json").read_bytes()
         assert written == res.stdout
+
+    def test_unwritable_report_dir_is_a_config_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        res = run("--scenario", "ce-heisenberg",
+                  env={"QK_REPORT_DIR": str(blocker / "sub")})
+        assert res.returncode == 2
+        assert b"config error: cannot write report" in res.stderr
+        assert b"Traceback" not in res.stderr

@@ -96,7 +96,7 @@ class TestMomentumMaps:
         sp = PhaseSpace.of_dim(3)
         J = canonical_momentum_map(TranslationAction(sp, [1, 2]))
         assert all(c["status"] == "pass"
-                   for c in check_classical_equivariance(J, sp))
+                   for c in check_classical_equivariance(J, StarProduct.weyl(sp)))
 
 
 class TestQuantumMomentumMap:

@@ -4,25 +4,63 @@ The Weyl product is cross-checked against an independently coded one
 dimensional Moyal expansion; the product constants come out of the matrix
 conventions fixed in the phase_space module and are asserted as frozen
 oracles here.  A product pulled back by substitution along a fiber
-translation keeps the axioms.
+translation keeps the axioms.  Every kind is also held to the benchmark's
+reference evaluator, written apart from qkoszul, and every product's bracket
+to the canonical one.
 """
 
+import importlib.util
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from qkoszul.exact import AlgebraError, LambdaSeries, MultiPoly, gr
-from qkoszul.phase_space import (
-    PhaseSpace,
-    StarProduct,
-    check_star_axioms,
-    poisson_bracket_poly,
-)
+from qkoszul.phase_space import PhaseSpace, StarProduct, check_star_axioms
 from qkoszul.sampling import sample_pairs, sample_polys
 
 KINDS = ("weyl", "wick", "std")
+ORACLE = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+
+
+def load_oracle():
+    spec = importlib.util.spec_from_file_location("bench_oracle", ORACLE)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
+oracle = load_oracle()
+
+
+def program_poly(p, vars) -> MultiPoly:
+    """An oracle polynomial as a MultiPoly on ``vars``."""
+    return MultiPoly(vars, {e: gr(re, im) for e, (re, im) in p.items()})
+
+
+def canonical_bracket(f: MultiPoly, g: MultiPoly, sp: PhaseSpace) -> MultiPoly:
+    """Oracle: Σ_i ∂f/∂q_i ∂g/∂p_i - ∂f/∂p_i ∂g/∂q_i, coded by hand."""
+    out = MultiPoly.zero(sp.vars)
+    for qv, pv in zip(sp.qvars, sp.pvars):
+        out = out + f.diff(qv) * g.diff(pv) - f.diff(pv) * g.diff(qv)
+    return out
+
+
+def matrix_bracket(kind: str, f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """Oracle: -i (Σ C^{ij} ∂_i f ∂_j g - Σ C^{ij} ∂_i g ∂_j f) with C the
+    benchmark's matrix of the kind."""
+    C = oracle.kind_matrix(kind, len(f.vars) // 2)
+
+    def pairing(a, b):
+        out = MultiPoly.zero(a.vars)
+        for (i, j), (re, im) in C.items():
+            out = out + (a.diff(a.vars[i]) * b.diff(b.vars[j])).scale(gr(re, im))
+        return out
+
+    return (pairing(f, g) - pairing(g, f)).scale(gr(0, -1))
 
 
 def moyal_1d(f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
@@ -63,22 +101,26 @@ class TestPhaseSpace:
 
 
 class TestPoissonBracket:
+    """The bracket every product deforms is the canonical one."""
+
     def test_canonical_pairs(self):
         sp = PhaseSpace.of_dim(2)
         one = MultiPoly.const(sp.vars, 1)
-        assert poisson_bracket_poly(sp.q(1), sp.p(1), sp) == one
-        assert poisson_bracket_poly(sp.q(1), sp.p(2), sp).is_zero()
-        assert poisson_bracket_poly(sp.q(1), sp.q(2), sp).is_zero()
+        for kind in KINDS:
+            bracket = getattr(StarProduct, kind)(sp).bracket_poly
+            assert bracket(sp.q(1), sp.p(1)) == one
+            assert bracket(sp.q(1), sp.p(2)).is_zero()
+            assert bracket(sp.q(1), sp.q(2)).is_zero()
 
     def test_jacobi_on_samples(self):
         sp = PhaseSpace.of_dim(2)
         samples = sample_polys(7, sp.vars, 3, 9)
-        for i in range(len(samples) - 2):
-            f, g, h = samples[i], samples[i + 1], samples[i + 2]
-            jac = poisson_bracket_poly(f, poisson_bracket_poly(g, h, sp), sp) \
-                + poisson_bracket_poly(g, poisson_bracket_poly(h, f, sp), sp) \
-                + poisson_bracket_poly(h, poisson_bracket_poly(f, g, sp), sp)
-            assert jac.is_zero()
+        for kind in KINDS:
+            bracket = getattr(StarProduct, kind)(sp).bracket_poly
+            for f, g, h in zip(samples, samples[1:], samples[2:]):
+                jac = bracket(f, bracket(g, h)) + bracket(g, bracket(h, f)) \
+                    + bracket(h, bracket(f, g))
+                assert jac.is_zero()
 
 
 class TestWeyl:
@@ -223,4 +265,56 @@ class TestMatrix:
         sp = PhaseSpace.of_dim(2)
         star = getattr(StarProduct, kind)(sp)
         for f, g in sample_pairs(223, sp.vars, 3, 6):
-            assert star.bracket_poly(f, g) == poisson_bracket_poly(f, g, sp)
+            assert star.bracket_poly(f, g) == canonical_bracket(f, g, sp)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bracket_matrix_against_the_pairings(self, kind):
+        sp = PhaseSpace.of_dim(3)
+        star = getattr(StarProduct, kind)(sp)
+        for f, g in sample_pairs(227, sp.vars, 3, 6):
+            assert star.bracket_poly(f, g) == matrix_bracket(kind, f, g)
+
+
+class TestAgainstReference:
+    """``eval_poly`` of every kind against ``oracle.ConstantStar`` on dense
+    pairs, one product per kind and space, with the orders taken out of
+    sequence so no order can lean on one evaluated before it."""
+
+    ORDERS = (4, 0, 6, 2, 5, 1, 3)
+    # (n, powers of f's linear forms, powers of g's)
+    SHAPES = ((1, (3, 3), (3, 3)), (2, (2, 1), (2,)), (3, (2,), (1, 1)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_eval_poly_equals_reference(self, kind):
+        rng = random.Random(f"reference:{kind}")
+        for n, pf, pg in self.SHAPES:
+            labels = range(1, n + 1)
+            vars = oracle.variables(labels)
+            star = getattr(StarProduct, kind)(PhaseSpace(labels))
+            reference = oracle.ConstantStar(oracle.kind_matrix(kind, n), 2 * n)
+            for order in self.ORDERS:
+                f = oracle.dense_poly(rng, 2 * n, pf)
+                g = oracle.dense_poly(rng, 2 * n, pg)
+                got = star.eval_poly(program_poly(f, vars), program_poly(g, vars), order)
+                assert got.render() == oracle.render_series(reference(f, g, order), vars), \
+                    (n, order)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_series_product_sums_the_polynomial_products(kind):
+    # both factors carry λ^0, λ^1 and λ^2, so every shift r + s is exercised
+    sp = PhaseSpace.of_dim(2)
+    star = getattr(StarProduct, kind)(sp)
+    L = 4
+    a = sample_polys(31, sp.vars, 3, 3)
+    b = sample_polys(37, sp.vars, 2, 3)
+    zero = MultiPoly.zero(sp.vars)
+    F = LambdaSeries(a + [zero] * (L - 2))
+    G = LambdaSeries(b + [zero] * (L - 2))
+    want = LambdaSeries.zero(sp.vars, L)
+    for r in range(3):
+        for s in range(3):
+            if r + s <= L:
+                want = want + star.eval_poly(a[r], b[s], L - r - s).truncate(L) \
+                    .lambda_shift(r + s)
+    assert star.eval(F, G) == want
