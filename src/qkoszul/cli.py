@@ -28,8 +28,8 @@ from .koszul import ReductionContext, basis_label, ce_boundary, quantum_restrict
 from .lie import LieAlgebraData, check_classical_equivariance, \
     check_quantum_momentum_map
 from .phase_space import PhaseSpace, StarProduct, check_star_axioms
-from .reduction import ReducedAlgebra, build_shifted_context, knp_reduced_star, \
-    knp_restriction, reduced_poisson_bracket, reduced_star
+from .reduction import CotangentSplit, ReducedAlgebra, build_shifted_context, \
+    knp_reduced_star, knp_restriction, reduced_poisson_bracket, reduced_star
 from .report import check, prefixed
 from .sampling import sample_pairs, sample_polys
 from .stages import StageConfig, StagePipeline, build_compatible_prolongations, \
@@ -51,6 +51,8 @@ MAX_N = 6
 MAX_LAMBDA_ORDER = 8
 MAX_DEGREE = 6
 MAX_SAMPLES = 100
+# checks over consecutive triples of samples need three to check anything
+MIN_SAMPLES = 3
 
 
 @dataclass
@@ -72,10 +74,11 @@ class ScenarioConfig:
         if any(sep in self.name for sep in ("/", "\\", "..")) or \
                 not self.name.isprintable():
             raise ConfigError(f"name {self.name!r} is not a plain file name")
-        for key, cap in (("n", MAX_N), ("lambda_order", MAX_LAMBDA_ORDER),
-                         ("degree", MAX_DEGREE), ("samples", MAX_SAMPLES)):
-            if not 1 <= getattr(self, key) <= cap:
-                raise ConfigError(f"{key} must be between 1 and {cap}")
+        for key, low, cap in (("n", 1, MAX_N), ("lambda_order", 1, MAX_LAMBDA_ORDER),
+                              ("degree", 1, MAX_DEGREE),
+                              ("samples", MIN_SAMPLES, MAX_SAMPLES)):
+            if not low <= getattr(self, key) <= cap:
+                raise ConfigError(f"{key} must be between {low} and {cap}")
         if self.star not in ("weyl", "wick", "std"):
             raise ConfigError(f"unknown star kind {self.star!r}")
         for a in self.translated:
@@ -335,18 +338,31 @@ def suite_knp(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
                 yield {"f": f.render(), "g": g.render(),
                        "closed_form": a.render(), "homological": b.render()}
 
+    # upstairs samples carry p_a, so the vertical correction is not zero
+    upstairs = upstairs_samples(cfg, ctx, cfg.seed + 2)
+
     def deformed_restriction_equals_quantum_restriction():
-        # upstairs samples carry p_a, so the vertical correction is not zero
-        for f in upstairs_samples(cfg, ctx, cfg.seed + 2):
+        for f in upstairs:
             F = ctx.space.series(f, ctx.order)
             a, b = knp_restriction(F, ctx), quantum_restriction(F, ctx)
             if a != b:
                 yield {"f": f.render(), "knp": a.render(), "quantum": b.render()}
 
+    def division_identity():
+        # F = prol(res F) + Σ_a r_a(F)·J_a: the tube homotopy divides by J
+        split = CotangentSplit(ctx)
+        for f in upstairs:
+            recon = ctx.tube.restrict(f).with_vars(ctx.space.vars)
+            for a, Ja in enumerate(ctx.J.components, start=1):
+                recon = recon + split.r(a, f) * Ja
+            if recon != f:
+                yield {"f": f.render()}
+
     return prefixed("knp", [check("closed_form_equals_homological",
                                   closed_form_equals_homological()),
                             check("deformed_restriction_equals_quantum_restriction",
-                                  deformed_restriction_equals_quantum_restriction())])
+                                  deformed_restriction_equals_quantum_restriction()),
+                            check("division_identity", division_identity())])
 
 
 def suite_stages(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:

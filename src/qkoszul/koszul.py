@@ -173,8 +173,9 @@ class ReductionContext:
     """Everything needed to run one reduction scenario: the star product,
     the classical and quantum momentum maps, the good tube and the
     prolongation.  The classical momentum map is the canonical one of the
-    action; a shifted scenario adds the substitution that straightens its
-    samples.  Immutable after construction."""
+    action, and the quantum one is held truncated to the context's order; a
+    shifted scenario adds the substitution that straightens its samples.
+    Immutable after construction."""
 
     def __init__(self, space: PhaseSpace, action: TranslationAction,
                  star: StarProduct, Jq: QuantumMomentumMap, order: int,
@@ -183,11 +184,9 @@ class ReductionContext:
         self.action = action
         self.star = star
         self.J = canonical_momentum_map(action)
-        self.Jq = Jq
+        self.Jq = QuantumMomentumMap(Jq.lie, [c.truncate(order) for c in Jq.components])
         self.order = order
-        if Jq.classical_part().components != tuple(
-            c.with_vars(space.vars) for c in self.J.components
-        ):
+        if self.Jq.classical_part() != self.J:
             raise AlgebraError("quantum momentum map does not deform the classical one")
         self.straightening = dict(straighten) if straighten else {}
         self.tube = GoodTube(space, action.translated)
@@ -242,16 +241,14 @@ def _boundary(x: KoszulChain, ctx: ReductionContext,
 def koszul_boundary(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
     """Classical boundary: pointwise multiplication by the momentum
     components."""
-    J = [c.with_vars(ctx.space.vars) for c in ctx.J.components]
-    return _boundary(x, ctx, lambda F, a: F.map_coeffs(lambda c: c * J[a - 1]))
+    return _boundary(x, ctx, lambda F, a: F.map_coeffs(lambda c: c * ctx.J.components[a - 1]))
 
 
 def quantum_koszul_boundary(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
     """Quantum boundary: right star multiplication by the quantum momentum
     components.  Every context acts by an abelian algebra, so there is no
     structure-constant correction."""
-    Jq = [c.truncate(ctx.order) for c in ctx.Jq.components]
-    return _boundary(x, ctx, lambda F, a: ctx.star.eval(F, Jq[a - 1]))
+    return _boundary(x, ctx, lambda F, a: ctx.star.eval(F, ctx.Jq.components[a - 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -333,37 +330,30 @@ def classical_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
     return KoszulChain(ctx.gdim, k + 1, ctx.space.vars, ctx.order, out)
 
 
+def _corrected(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
+    """(id - A)^{-1} x with A = (∂ - ∂_q) h, on a chain of any grade: the
+    one geometric series that deforms both the restriction and the homotopy.
+    A raises the order in the parameter because the two boundaries agree at
+    order zero."""
+
+    def raiser(y: KoszulChain) -> KoszulChain:
+        hy = classical_homotopy(y, ctx)
+        return koszul_boundary(hy, ctx) - quantum_koszul_boundary(hy, ctx)
+
+    return invert_unipotent(raiser, ctx.order)(x)
+
+
 def quantum_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """Deformed restriction: the classical one composed with the geometric
-    series inverting the unipotent correction built from the difference of
-    the two boundary operators and the homotopy."""
-
-    def raiser(F: LambdaSeries) -> LambdaSeries:
-        hF = classical_homotopy(KoszulChain.of_series(ctx.gdim, F), ctx)
-        return (koszul_boundary(hF, ctx) - quantum_koszul_boundary(hF, ctx)).series()
-
-    return restriction(invert_unipotent(raiser, ctx.order)(f), ctx)
+    """Deformed restriction i** = i* (id - A)^{-1}: the classical restriction
+    of the corrected grade-0 chain of f."""
+    return restriction(_corrected(KoszulChain.of_series(ctx.gdim, f), ctx).series(), ctx)
 
 
 def quantum_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
-    """Quantum contracting homotopy at the chain's grade: the classical one
-    composed with the inverse of (h ∂_q + ∂_q h), which deviates from the
-    identity at order one in the parameter."""
-    k = x.grade
-
-    def inner(y: KoszulChain) -> KoszulChain:
-        if k == 0:
-            lifted = KoszulChain.of_series(
-                ctx.gdim, prolongation(quantum_restriction(y.series(), ctx), ctx))
-        else:
-            lifted = classical_homotopy(quantum_koszul_boundary(y, ctx), ctx)
-        return lifted + quantum_koszul_boundary(classical_homotopy(y, ctx), ctx)
-
-    def raiser(y: KoszulChain) -> KoszulChain:
-        return y - inner(y)
-
-    inv = invert_unipotent(raiser, ctx.order)
-    return classical_homotopy(inv(x), ctx)
+    """Quantum contracting homotopy h_q = h (id - A)^{-1}: the classical
+    homotopy of the corrected chain.  As h∘h = 0 and h∘prol = 0, it is the
+    classical homotopy composed with the inverse of h ∂_q + ∂_q h."""
+    return classical_homotopy(_corrected(x, ctx), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +365,6 @@ def verify_complex_identities(ctx: ReductionContext,
     """Run every classical and quantum complex identity on chains built from
     the samples.  Returns one pass/fail entry per identity."""
     gdim = ctx.gdim
-    L = ctx.order
     # several checks read each sample's quantum restriction, computed once
     series = [ctx.series(f) for f in samples]
     qres = [quantum_restriction(fs, ctx) for fs in series]
@@ -383,7 +372,7 @@ def verify_complex_identities(ctx: ReductionContext,
     def chains_of_grade(k: int):
         keys = list(combinations(range(1, gdim + 1), k))
         for i in range(len(samples)):
-            yield KoszulChain(gdim, k, ctx.space.vars, L,
+            yield KoszulChain(gdim, k, ctx.space.vars, ctx.order,
                               {key: series[(i + j) % len(samples)]
                                for j, key in enumerate(keys)})
 
@@ -435,7 +424,7 @@ def verify_complex_identities(ctx: ReductionContext,
     def kernel_contains_ideal_generators():
         for f, fs in zip(samples, series):
             for a in range(gdim):
-                gen = ctx.star.eval(fs, ctx.Jq.components[a].truncate(L))
+                gen = ctx.star.eval(fs, ctx.Jq.components[a])
                 if not quantum_restriction(gen, ctx).is_zero():
                     yield {"f": f.render(), "generator": a + 1}
 

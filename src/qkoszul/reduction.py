@@ -22,7 +22,6 @@ from typing import Dict, Mapping, Tuple
 
 from .exact import AlgebraError, LambdaSeries, MultiPoly, invert_unipotent
 from .koszul import ReductionContext, prolongation, quantum_restriction, restriction
-from .lie import QuantumMomentumMap
 from .phase_space import PhaseSpace, StarProduct
 
 
@@ -31,9 +30,8 @@ def elevate_context(ctx: ReductionContext, order: int) -> ReductionContext:
     quantum momentum components are polynomial in the parameter."""
     if order == ctx.order:
         return ctx
-    Jq = QuantumMomentumMap(ctx.Jq.lie,
-                            [c.truncate(order) for c in ctx.Jq.components])
-    return ReductionContext(ctx.space, ctx.action, ctx.star, Jq, order, ctx.straightening)
+    return ReductionContext(ctx.space, ctx.action, ctx.star, ctx.Jq, order,
+                            ctx.straightening)
 
 
 class ReducedAlgebra:
@@ -118,12 +116,10 @@ def _vertical_difference(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries
     the classical one."""
     split = CotangentSplit(ctx)
     out = LambdaSeries.zero(ctx.space.vars, ctx.order)
-    for i in range(1, ctx.gdim + 1):
+    for i, (Ji, Jqi) in enumerate(zip(ctx.J.components, ctx.Jq.components), start=1):
         rF = F.map_coeffs(lambda c, i=i: split.r(i, c))
         if rF.is_zero():
             continue
-        Ji = ctx.J.components[i - 1].with_vars(ctx.space.vars)
-        Jqi = ctx.Jq.components[i - 1].truncate(ctx.order)
         out = out + rF.map_coeffs(lambda c, Ji=Ji: c * Ji) - ctx.star.eval(rF, Jqi)
     return out
 

@@ -113,8 +113,7 @@ def induced_second_momentum_map(pipe: StagePipeline) -> QuantumMomentumMap:
     lie2 = LieAlgebraData.abelian(len(cfg.second))
     comps = []
     for i in cfg.second:
-        full = ctx.Jq.components[i - 1].truncate(ctx.order)
-        down = quantum_restriction(full, pipe.ctx1)
+        down = quantum_restriction(ctx.Jq.components[i - 1], pipe.ctx1)
         comps.append(pipe.red1.push_down_series(down))
     return QuantumMomentumMap(lie2, comps)
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from qkoszul import cli, reduction
 from qkoszul.cli import builtin_config, main, run_scenario
 from qkoszul.exact import ContractViolationError, MultiPoly
+from qkoszul.koszul import GoodTube
 from qkoszul.lie import LieAlgebraData
 
 CLI = [sys.executable, "-m", "qkoszul.cli"]
@@ -25,6 +26,13 @@ def run(*args, env=None):
     if env:
         full_env.update(env)
     return subprocess.run(CLI + list(args), capture_output=True, env=full_env)
+
+
+def off_by_one_weight(monkeypatch):
+    """Give the tube homotopy the weight m_a/(|m_v|+k+1)."""
+    homotopy = GoodTube.homotopy
+    monkeypatch.setattr(GoodTube, "homotopy",
+                        lambda tube, f, k, directions: homotopy(tube, f, k + 1, directions))
 
 
 class TestBasics:
@@ -146,6 +154,30 @@ class TestReports:
                                                 "momentum.straighten_sends_J_to_p"]
         assert failing[0]["witness"]["f"] and failing[1]["witness"]["a"] == 1
 
+    def test_wrong_tube_weight_fails_s1p_single(self, monkeypatch, capsysbinary):
+        # m_a/(|m_v|+k+1) in place of m_a/(|m_v|+k) breaks h ∂ + ∂ h = id,
+        # and it is reported as that failed check, not as an internal error
+        off_by_one_weight(monkeypatch)
+        assert main(["--scenario", "s1p-single"]) == 1
+        report = json.loads(capsysbinary.readouterr().out)
+        failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
+        assert "complex.homotopy_identity_grade_zero" in failing
+        assert "knp.division_identity" in failing
+
+    def test_wrong_tube_weight_fails_the_knp_suite(self, monkeypatch, tmp_path,
+                                                   capsysbinary):
+        # without the complex suite, only the division identity reads the
+        # tube homotopy on inputs that carry p_a
+        off_by_one_weight(monkeypatch)
+        path = tmp_path / "knp-only.json"
+        path.write_text(json.dumps({"name": "knp-only", "n": 2, "translated": [1],
+                                    "checks": ["reduction", "knp"]}))
+        assert main(["--config", str(path)]) == 1
+        report = json.loads(capsysbinary.readouterr().out)
+        failing = [c for c in report["checks"] if c["status"] == "fail"]
+        assert [c["name"] for c in failing] == ["knp.division_identity"]
+        assert failing[0]["witness"]["f"]
+
     def test_text_format(self):
         res = run("--scenario", "ce-heisenberg", "--format", "text")
         assert res.returncode == 0
@@ -260,6 +292,8 @@ class TestConfigFile:
         pytest.param({"n": 3, "translated": [1, 2], "stage_first": [1, 2],
                       "checks": ["stages"]},
                      "both stages nonempty", id="empty-second-stage"),
+        pytest.param({"samples": 2, "checks": ["axioms"]},
+                     "samples must be between 3 and 100", id="two-samples"),
     ])
     def test_rejected(self, tmp_path, fields, message):
         path = tmp_path / "cfg.json"
@@ -275,16 +309,29 @@ class TestConfigFile:
                                           ("samples", cli.MAX_SAMPLES)])
     def test_cap(self, key, cap, capsys):
         # only validated, never run: main stops at the config check
-        cfg = builtin_config("s1-translation")
-        setattr(cfg, key, cap)
-        cfg.validate()
-        setattr(cfg, key, cap + 1)
-        with pytest.raises(cli.ConfigError, match=f"{key} must be between 1 and {cap}"):
+        low = cli.MIN_SAMPLES if key == "samples" else 1
+        message = f"{key} must be between {low} and {cap}"
+        cfg = builtin_config("ce-heisenberg")
+        for ok in (low, cap):
+            setattr(cfg, key, ok)
             cfg.validate()
-        if key != "n":   # n has no command-line override
-            flag = "--" + key.replace("_", "-")
-            assert main(["--scenario", "ce-heisenberg", flag, str(cap + 1)]) == 2
-            assert f"{key} must be between 1 and {cap}" in capsys.readouterr().err
+        for bad in (low - 1, cap + 1):
+            setattr(cfg, key, bad)
+            with pytest.raises(cli.ConfigError, match=message):
+                cfg.validate()
+            if key != "n":   # n has no command-line override
+                flag = "--" + key.replace("_", "-")
+                assert main(["--scenario", "ce-heisenberg", flag, str(bad)]) == 2
+                assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", (1, 2))
+    def test_too_few_samples_rejected(self, samples):
+        # with fewer than three samples the pair and triple checks would
+        # pass on no input at all
+        res = run("--scenario", "s1-translation", "--samples", str(samples))
+        assert res.returncode == 2
+        assert b"samples must be between 3 and 100" in res.stderr
+        assert b"Traceback" not in res.stderr
 
     def test_name_cannot_leave_report_dir(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -2,8 +2,9 @@
 
 The closed-form restriction and homotopy are held to the substitution path
 they replace: substitute zero for the constrained fiber coordinates, or
-scale them by t and integrate t over [0, 1].  Shifted scenarios feed these
-their straightened samples.
+scale them by t and integrate t over [0, 1].  The quantum homotopy is held
+to the formula it replaces, the classical homotopy composed with the inverse
+of h ∂_q + ∂_q h.  Shifted scenarios feed these their straightened samples.
 """
 
 from fractions import Fraction
@@ -13,11 +14,14 @@ from itertools import combinations
 import pytest
 
 from qkoszul import koszul
+from qkoszul.cli import main
 from qkoszul.exact import (
     AlgebraError,
+    ContractViolationError,
     LambdaSeries,
     MultiPoly,
     gr,
+    invert_unipotent,
 )
 from qkoszul.koszul import (
     KoszulChain,
@@ -320,17 +324,17 @@ class TestFullSuite:
         assert failing == []
 
     def test_failure_reports_the_first_witness(self, monkeypatch):
-        # a boundary that adds q4 e_1 to grade-2 inputs breaks d∘d at grades
-        # 2 and 3; the check stops at the first failing grade
+        # a boundary that adds λ·q4·x_{12} e_1 to grade-2 inputs breaks d∘d
+        # at grades 2 and 3; the check stops at the first failing grade
         sp = PhaseSpace.of_dim(4)
         ctx = ReductionContext.canonical(sp, [1, 2, 3], StarProduct.weyl(sp), 2)
         boundary = koszul.koszul_boundary
 
         def broken(x, ctx):
             out = boundary(x, ctx)
-            if x.grade == 2:
-                out = out + KoszulChain(ctx.gdim, 1, sp.vars, ctx.order,
-                                        {(1,): ctx.series(sp.q(4))})
+            if x.grade == 2 and (1, 2) in x.terms:
+                extra = x.terms[(1, 2)].map_coeffs(lambda c: c * sp.q(4)).lambda_shift(1)
+                out = out + KoszulChain(ctx.gdim, 1, sp.vars, ctx.order, {(1,): extra})
             return out
 
         monkeypatch.setattr(koszul, "koszul_boundary", broken)
@@ -339,6 +343,33 @@ class TestFullSuite:
         entry = checks["koszul_d_squared_zero"]
         assert entry["status"] == "fail"
         assert entry["witness"]["grade"] == 2
+
+    def test_order_zero_fault_breaks_the_correction_contract(self, monkeypatch,
+                                                             capsys):
+        # the correction reads the classical boundary on h y, of grade >= 2
+        # for y of grade >= 1, so an order-0 term added there does not let
+        # (∂ - ∂_q) h raise the order: an internal error, not a failed check
+        boundary = koszul.koszul_boundary
+
+        def broken_at(var):
+            def broken(x, ctx):
+                out = boundary(x, ctx)
+                if x.grade == 2:
+                    out = out + KoszulChain(ctx.gdim, 1, ctx.space.vars, ctx.order,
+                                            {(1,): ctx.series(MultiPoly.variable(
+                                                ctx.space.vars, var))})
+                return out
+            return broken
+
+        sp = PhaseSpace.of_dim(4)
+        ctx = ReductionContext.canonical(sp, [1, 2, 3], StarProduct.weyl(sp), 2)
+        monkeypatch.setattr(koszul, "koszul_boundary", broken_at("q4"))
+        with pytest.raises(ContractViolationError):
+            verify_complex_identities(ctx, sample_polys(5, sp.vars, 2, 3))
+        monkeypatch.setattr(koszul, "koszul_boundary", broken_at("q3"))
+        assert main(["--scenario", "s1-translation"]) == 3
+        assert "internal error: operator did not raise minimal order" in \
+            capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -442,3 +473,82 @@ class TestClosedFormsAgainstSubstitution:
             F = ctx.straighten(f) * J1 * J1
             for i, pa in enumerate(ctx.tube.constrained, start=1):
                 assert split.r(i, F) == oracle_homotopy(F, ctx.tube, pa, 0)
+
+
+# ---------------------------------------------------------------------------
+# the quantum homotopy against the inverse of h ∂_q + ∂_q h
+# ---------------------------------------------------------------------------
+
+def oracle_quantum_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
+    """The classical homotopy composed with the inverse of h ∂_q + ∂_q h,
+    which deviates from the identity at order one in the parameter; at
+    grade 0, h ∂_q is replaced by the projection prol i**."""
+
+    def raiser(y: KoszulChain) -> KoszulChain:
+        if x.grade == 0:
+            lifted = KoszulChain.of_series(
+                ctx.gdim, prolongation(quantum_restriction(y.series(), ctx), ctx))
+        else:
+            lifted = classical_homotopy(quantum_koszul_boundary(y, ctx), ctx)
+        return y - lifted - quantum_koszul_boundary(classical_homotopy(y, ctx), ctx)
+
+    return classical_homotopy(invert_unipotent(raiser, ctx.order)(x), ctx)
+
+
+# (n, translated, kind, order, Jq corrected by iλ·a/7, b, mu)
+HOMOTOPY_CASES = {
+    "n2-weyl": (2, (1,), "weyl", 3, False, {}, {}),
+    "n2-wick": (2, (1,), "wick", 5, False, {}, {}),
+    "n3-std-corrected": (3, (1, 2), "std", 4, True, {}, {}),
+    "n4-weyl-corrected": (4, (1, 2, 3), "weyl", 3, True, {}, {}),
+    "n3-wick-shifted": (3, (1, 3), "wick", 4, False, {1: (2, Fraction(1, 2))},
+                        {3: Fraction(3)}),
+}
+
+
+def homotopy_chains(case: str):
+    """A context and chains of every grade from 0 to gdim, each entry a
+    straightened sample times J_1² plus λ times the next sample."""
+    n, translated, kind, order, corrected, b, mu = HOMOTOPY_CASES[case]
+    sp = PhaseSpace.of_dim(n)
+    Jq = None
+    if corrected:
+        Jq = QuantumMomentumMap(LieAlgebraData.abelian(len(translated)), [
+            LambdaSeries.from_poly(sp.p(a), order) + LambdaSeries.from_poly(
+                MultiPoly.const(sp.vars, 1).scale(gr(0, Fraction(i, 7))), order, shift=1)
+            for i, a in enumerate(translated, start=1)])
+    base = ReductionContext.canonical(sp, translated, getattr(StarProduct, kind)(sp),
+                                      order, Jq=Jq)
+    ctx = build_shifted_context(base, b, mu)
+    # a factor J_1² keeps vertical degree in h of the leading coefficient
+    J1 = ctx.J.components[0]
+    polys = [ctx.straighten(f) for f in sample_polys(167 + n, sp.vars, 2, 5)]
+    series = [ctx.series(f * J1 * J1) + LambdaSeries.from_poly(g, order, shift=1)
+              for f, g in zip(polys, polys[1:])]
+    chains = []
+    for k in range(ctx.gdim + 1):
+        keys = list(combinations(range(1, ctx.gdim + 1), k))
+        chains += [KoszulChain(ctx.gdim, k, sp.vars, order,
+                               {key: series[(i + j) % len(series)]
+                                for j, key in enumerate(keys)})
+                   for i in range(len(series))]
+    return ctx, chains
+
+
+@pytest.mark.parametrize("case", tuple(HOMOTOPY_CASES))
+class TestQuantumHomotopyAgainstOracle:
+    def test_equals_oracle_at_every_grade(self, case):
+        ctx, chains = homotopy_chains(case)
+        assert {x.grade for x in chains} == set(range(ctx.gdim + 1))
+        for x in chains:
+            assert quantum_homotopy(x, ctx) == oracle_quantum_homotopy(x, ctx)
+
+    def test_homotopy_squares_to_zero_and_kills_prolongations(self, case):
+        # the two facts that make the correction series of the restriction
+        # and of the homotopy one series
+        ctx, chains = homotopy_chains(case)
+        for x in chains:
+            assert classical_homotopy(classical_homotopy(x, ctx), ctx).is_zero()
+            prolonged = KoszulChain(ctx.gdim, x.grade, x.vars, x.order, {
+                key: prolongation(restriction(F, ctx), ctx) for key, F in x.terms.items()})
+            assert classical_homotopy(prolonged, ctx).is_zero()
