@@ -40,10 +40,13 @@ class ConfigError(Exception):
     pass
 
 
-SUITES = ("axioms", "momentum", "complex", "reduction", "knp", "stages", "ce")
-# suites on a reduction context, and those among them on the reduced space
-CONTEXT_SUITES = {"momentum", "complex", "reduction", "knp", "stages"}
-REDUCED_SUITES = {"reduction", "knp", "stages"}
+# Each check suite, with what it needs: a reduction context, and a reduced
+# space that is not a point.  Suite ``name`` runs as ``suite_<name>(cfg, ctx)``,
+# looked up by name as it runs, so a wrapper bound in its place is what runs;
+# ctx is None when no suite of the scenario needs it.
+SUITES = {"axioms": (), "momentum": ("context",), "complex": ("context",),
+          "reduction": ("context", "reduced"), "knp": ("context", "reduced"),
+          "stages": ("context", "reduced"), "ce": ()}
 # Resource caps: every builtin, and the benchmark, runs far below them, and a
 # builtin with one of these fields at its cap still runs in seconds (README,
 # "Limits").
@@ -96,20 +99,24 @@ class ScenarioConfig:
             for i in self.stage_first:
                 if not 1 <= i <= k:
                     raise ConfigError(f"stage index {i} out of range 1..{k}")
+            if len(set(self.stage_first)) < len(self.stage_first):
+                raise ConfigError("a stage index is listed twice")
         for c in self.checks:
             if c not in SUITES:
                 raise ConfigError(f"unknown check suite {c!r}")
-        suites = set(self.checks)
-        if suites & CONTEXT_SUITES and k == 0:
+        if len(set(self.checks)) < len(self.checks):
+            raise ConfigError("a check suite is listed twice")
+        needs = {need for c in self.checks for need in SUITES[c]}
+        if "context" in needs and k == 0:
             raise ConfigError("suites on a reduction context need a translated "
                               "coordinate")
-        if suites & REDUCED_SUITES and len(set(self.translated)) >= self.n:
+        if "reduced" in needs and len(set(self.translated)) >= self.n:
             raise ConfigError("every coordinate is translated: the reduced space "
                               "is a point")
-        if "stages" in suites and (self.stage_first is None or k < 2):
+        if "stages" in self.checks and (self.stage_first is None or k < 2):
             raise ConfigError("stages suite needs a stage split and at least "
                               "two translated coordinates")
-        if "stages" in suites and not 0 < len(set(self.stage_first)) < k:
+        if "stages" in self.checks and not 0 < len(self.stage_first) < k:
             raise ConfigError("stage split must leave both stages nonempty")
 
     def echo(self) -> dict:
@@ -129,31 +136,31 @@ class ScenarioConfig:
         }
 
 
+# The builtin scenarios, each a JSON config without its name.
 SCENARIOS: Dict[str, dict] = {
     # translation reduction on T*R^3 by two commuting translations, with a
     # two-stage split
-    "s1-translation": dict(n=3, translated=(1, 2), star="weyl", stage_first=(1,),
-                           checks=("momentum", "complex", "reduction", "knp",
-                                   "stages")),
+    "s1-translation": {"n": 3, "translated": [1, 2], "star": "weyl", "stage_first": [1],
+                       "checks": ["momentum", "complex", "reduction", "knp", "stages"]},
     # a single translation on T*R^2
-    "s1p-single": dict(n=2, translated=(1,), star="weyl",
-                       checks=("momentum", "complex", "reduction", "knp")),
+    "s1p-single": {"n": 2, "translated": [1], "star": "weyl",
+                   "checks": ["momentum", "complex", "reduction", "knp"]},
     # magnetic term and shifted momentum value on T*R^2
-    "s2-magnetic": dict(n=2, translated=(1,), star="weyl",
-                        b={1: (2, Fraction(1, 2))}, mu={1: Fraction(3)},
-                        checks=("momentum", "complex", "reduction", "knp")),
-    "axioms-weyl": dict(n=3, star="weyl", checks=("axioms",)),
-    "axioms-wick": dict(n=3, star="wick", checks=("axioms",)),
-    "axioms-std": dict(n=3, star="std", checks=("axioms",)),
+    "s2-magnetic": {"n": 2, "translated": [1], "star": "weyl",
+                    "b": {"1": [2, "1/2"]}, "mu": {"1": "3"},
+                    "checks": ["momentum", "complex", "reduction", "knp"]},
+    "axioms-weyl": {"n": 3, "star": "weyl", "checks": ["axioms"]},
+    "axioms-wick": {"n": 3, "star": "wick", "checks": ["axioms"]},
+    "axioms-std": {"n": 3, "star": "std", "checks": ["axioms"]},
     # Lie algebra homology boundary on the Heisenberg adjoint representation
-    "ce-heisenberg": dict(checks=("ce",)),
+    "ce-heisenberg": {"checks": ["ce"]},
 }
 
 
 def builtin_config(name: str) -> ScenarioConfig:
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; use --list-scenarios")
-    return ScenarioConfig(name=name, **SCENARIOS[name])
+    return parse_config({"name": name, **SCENARIOS[name]})
 
 
 def _typed(key: str, value, kind: type):
@@ -188,6 +195,11 @@ def load_config(path: str) -> ScenarioConfig:
             raw = json.load(fh)
     except (OSError, ValueError) as e:
         raise ConfigError(f"cannot read config {path!r}: {e}")
+    return parse_config(raw)
+
+
+def parse_config(raw) -> ScenarioConfig:
+    """The config a JSON value declares, every field type-checked."""
     if not isinstance(raw, dict) or "name" not in raw:
         raise ConfigError("config must be a JSON object with a 'name' field")
     cfg = ScenarioConfig(name=_typed("name", raw["name"], str))
@@ -228,26 +240,11 @@ def build_context(cfg: ScenarioConfig) -> ReductionContext:
     return ctx
 
 
-def star_axiom_checks(star: StarProduct, samples: Sequence[MultiPoly],
-                      order: int) -> List[dict]:
-    """``check_star_axioms``, with the outcome a product's own matrix
-    predicts: a product that is not Hermitian must fail the Hermitian check
-    with a witness, and then passes ``hermitian_fails_as_expected``."""
-    checks = check_star_axioms(star, samples, order)
-    if not star.hermitian:
-        for c in checks:
-            if c["name"] == "hermitian":
-                failed = c["status"] == "fail" and "witness" in c
-                c["name"] = "hermitian_fails_as_expected"
-                c["status"] = "pass" if failed else "fail"
-    return checks
-
-
-def suite_axioms(cfg: ScenarioConfig) -> List[dict]:
+def suite_axioms(cfg: ScenarioConfig, ctx: Optional[ReductionContext]) -> List[dict]:
     space = PhaseSpace.of_dim(cfg.n)
     star = make_star(cfg.star, space)
     samples = sample_polys(cfg.seed, space.vars, cfg.degree, cfg.samples)
-    return prefixed("axioms", star_axiom_checks(star, samples, cfg.lambda_order))
+    return check_star_axioms(star, samples, cfg.lambda_order)
 
 
 def raw_samples(cfg: ScenarioConfig, ctx: ReductionContext, seed: int) -> List[MultiPoly]:
@@ -298,12 +295,11 @@ def suite_momentum(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
                                          cfg.lambda_order)
     if cfg.b or cfg.mu:
         checks += shift_checks(cfg, ctx, raw)
-    return prefixed("momentum", checks)
+    return checks
 
 
 def suite_complex(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
-    samples = upstairs_samples(cfg, ctx, cfg.seed)
-    return prefixed("complex", verify_complex_identities(ctx, samples))
+    return verify_complex_identities(ctx, upstairs_samples(cfg, ctx, cfg.seed))
 
 
 def suite_reduction(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
@@ -320,8 +316,8 @@ def suite_reduction(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
                 yield {"f": f.render(), "g": g.render(), "h": h.render(),
                        "jacobiator": jac.render()}
 
-    return prefixed("reduction", star_axiom_checks(star_red, samples, cfg.lambda_order)
-                    + [check("reduced_bracket_jacobi", jacobi())])
+    return check_star_axioms(star_red, samples, cfg.lambda_order) + \
+        [check("reduced_bracket_jacobi", jacobi())]
 
 
 def suite_knp(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
@@ -358,11 +354,10 @@ def suite_knp(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
             if recon != f:
                 yield {"f": f.render()}
 
-    return prefixed("knp", [check("closed_form_equals_homological",
-                                  closed_form_equals_homological()),
-                            check("deformed_restriction_equals_quantum_restriction",
-                                  deformed_restriction_equals_quantum_restriction()),
-                            check("division_identity", division_identity())])
+    return [check("closed_form_equals_homological", closed_form_equals_homological()),
+            check("deformed_restriction_equals_quantum_restriction",
+                  deformed_restriction_equals_quantum_restriction()),
+            check("division_identity", division_identity())]
 
 
 def suite_stages(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
@@ -370,11 +365,10 @@ def suite_stages(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
     checks = build_compatible_prolongations(pipe, upstairs_samples(cfg, ctx, cfg.seed + 3))
     pairs = sample_pairs(cfg.seed + 4, pipe.red2.space.vars, cfg.degree,
                          cfg.samples)
-    checks += check_stage_equality(pipe, pairs)
-    return prefixed("stages", checks)
+    return checks + check_stage_equality(pipe, pairs)
 
 
-def suite_ce(cfg: ScenarioConfig) -> List[dict]:
+def suite_ce(cfg: ScenarioConfig, ctx: Optional[ReductionContext]) -> List[dict]:
     lie = LieAlgebraData.heisenberg()
     rng = random.Random(cfg.seed)
 
@@ -401,9 +395,9 @@ def suite_ce(cfg: ScenarioConfig) -> List[dict]:
                     yield {"alpha": alpha, "beta": beta, "boundary": [c.render() for c in got],
                            "bracket": [c.render() for c in want]}
 
-    return prefixed("ce", [check(f"boundary_squared_zero_grade{grade}",
-                                 boundary_squared_zero(grade)) for grade in (2, 3)]
-                    + [check("grade1_is_adjoint_action", grade1_is_adjoint_action())])
+    return [check(f"boundary_squared_zero_grade{grade}", boundary_squared_zero(grade))
+            for grade in (2, 3)] + \
+        [check("grade1_is_adjoint_action", grade1_is_adjoint_action())]
 
 
 # ---------------------------------------------------------------------------
@@ -432,25 +426,10 @@ def conventions() -> Dict[str, str]:
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
     cfg.validate()
+    ctx = build_context(cfg) if any("context" in SUITES[s] for s in cfg.checks) else None
     checks: List[dict] = []
-    ctx = None
-    if CONTEXT_SUITES & set(cfg.checks):
-        ctx = build_context(cfg)
     for suite in cfg.checks:
-        if suite == "axioms":
-            checks += suite_axioms(cfg)
-        elif suite == "momentum":
-            checks += suite_momentum(cfg, ctx)
-        elif suite == "complex":
-            checks += suite_complex(cfg, ctx)
-        elif suite == "reduction":
-            checks += suite_reduction(cfg, ctx)
-        elif suite == "knp":
-            checks += suite_knp(cfg, ctx)
-        elif suite == "stages":
-            checks += suite_stages(cfg, ctx)
-        elif suite == "ce":
-            checks += suite_ce(cfg)
+        checks += prefixed(suite, globals()[f"suite_{suite}"](cfg, ctx))
     checks.sort(key=lambda c: c["name"])
     status = "fail" if any(c["status"] == "fail" for c in checks) else "pass"
     return {

@@ -29,7 +29,7 @@ from .exact import (
     MultiPoly,
     gr,
 )
-from .report import check
+from .report import check, expected_failure
 
 # Nonzero entries of a matrix over the variables of a phase space, keyed by
 # (row position, column position) in the variable list.
@@ -233,7 +233,7 @@ def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],
                       order: int) -> List[dict]:
     """Exact order-by-order verification of the star product axioms on the
     sample set.  Failures are report entries carrying a witness, never
-    exceptions."""
+    exceptions.  A product whose matrix is not Hermitian must fail ``hermitian``."""
     space = star.space
     L = order
     # several checks read the same product; each pair is evaluated once
@@ -294,5 +294,6 @@ def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],
     return [check("associativity", associativity()),
             check("order0_pointwise", order0_pointwise()),
             check("order1_commutator_bracket", order1_commutator_bracket()),
-            check("hermitian", hermitian()),
+            check("hermitian", hermitian()) if star.hermitian else
+            expected_failure("hermitian_fails_as_expected", hermitian()),
             check("unit", unit())]

@@ -74,7 +74,15 @@ def reduced_poisson_bracket(f: MultiPoly, g: MultiPoly,
     return red.push_down(ctx.tube.restrict(ctx.star.bracket_poly(F, G)))
 
 
-def _reduced_product(red: ReducedAlgebra, ev) -> StarProduct:
+def _reduced_product(red: ReducedAlgebra, restrict) -> StarProduct:
+    """Lift both factors horizontally, star-multiply, ``restrict``, push down."""
+
+    def ev(f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
+        ctx = elevate_context(red.ctx, order)
+        lf = prolongation(red.lift(f), ctx)
+        lg = prolongation(red.lift(g), ctx)
+        return red.push_down_series(restrict(ctx.star.eval(lf, lg), ctx))
+
     return StarProduct(red.space, ev,
                        lambda f, g: reduced_poisson_bracket(f, g, red),
                        red.ctx.star.hermitian)
@@ -82,15 +90,7 @@ def _reduced_product(red: ReducedAlgebra, ev) -> StarProduct:
 
 def reduced_star(red: ReducedAlgebra) -> StarProduct:
     """The reduced star product through the quantum restriction."""
-
-    def ev(f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
-        ctx = elevate_context(red.ctx, order)
-        lf = prolongation(red.lift(f), ctx)
-        lg = prolongation(red.lift(g), ctx)
-        down = quantum_restriction(ctx.star.eval(lf, lg), ctx)
-        return red.push_down_series(down)
-
-    return _reduced_product(red, ev)
+    return _reduced_product(red, quantum_restriction)
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +132,9 @@ def knp_restriction(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
 
 
 def knp_reduced_star(red: ReducedAlgebra) -> StarProduct:
-    """Closed-form reduced star product: lift both factors horizontally,
-    star-multiply, take ``knp_restriction`` and identify with the reduced
-    algebra.  Agrees exactly with the homological reduced star product."""
-
-    def ev(f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
-        ctx = elevate_context(red.ctx, order)
-        lf = prolongation(red.lift(f), ctx)
-        lg = prolongation(red.lift(g), ctx)
-        return red.push_down_series(knp_restriction(ctx.star.eval(lf, lg), ctx))
-
-    return _reduced_product(red, ev)
+    """Closed-form reduced star product through ``knp_restriction``.  Agrees
+    exactly with the homological reduced star product."""
+    return _reduced_product(red, knp_restriction)
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,38 @@ class TestConfigFile:
         assert b"not a plain file name" in res.stderr
         assert not (tmp_path / "escaped.json").exists()
 
+    @pytest.mark.parametrize("fields, message", [
+        pytest.param({"checks": ["axioms", "axioms"]}, "a check suite is listed twice",
+                     id="repeated-suite"),
+        pytest.param({"n": 3, "translated": [1, 2], "stage_first": [1, 1],
+                      "checks": ["momentum", "complex", "stages"]},
+                     "a stage index is listed twice", id="repeated-stage-index"),
+    ])
+    def test_repeated_entry_rejected_before_any_suite(self, tmp_path, monkeypatch,
+                                                      capsysbinary, fields, message):
+        ran = []
+        for suite in cli.SUITES:
+            monkeypatch.setattr(cli, f"suite_{suite}",
+                                lambda *args, suite=suite: ran.append(suite) or [])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"name": "repeated", **fields}))
+        assert main(["--config", str(path)]) == 2
+        out, err = capsysbinary.readouterr()
+        assert out == b""
+        assert message.encode() in err
+        assert b"Traceback" not in err
+        assert ran == []
+
+    @pytest.mark.parametrize("name", sorted(cli.SCENARIOS))
+    def test_builtin_is_a_json_config(self, tmp_path, name):
+        # a builtin is the JSON value a config file would hold, and is read
+        # by the same parser
+        raw = cli.SCENARIOS[name]
+        assert json.loads(json.dumps(raw)) == raw
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"name": name, **raw}))
+        assert builtin_config(name).echo() == cli.load_config(str(path)).echo()
+
 
 # values of every JSON type, most of them ill-typed for any given field
 JSON_VALUES = st.recursive(

@@ -4,12 +4,18 @@ The closed-form restriction and homotopy are held to the substitution path
 they replace: substitute zero for the constrained fiber coordinates, or
 scale them by t and integrate t over [0, 1].  The quantum homotopy is held
 to the formula it replaces, the classical homotopy composed with the inverse
-of h ∂_q + ∂_q h.  Shifted scenarios feed these their straightened samples.
+of h ∂_q + ∂_q h.  The quantum restriction is held to the classical
+restriction after the operator T that conjugates the quantum complex to the
+classical one, written from the product's matrix alone.  Shifted scenarios
+feed these their straightened samples.
 """
 
+import importlib.util
 from fractions import Fraction
 import random
 from itertools import combinations
+from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -552,3 +558,94 @@ class TestQuantumHomotopyAgainstOracle:
             prolonged = KoszulChain(ctx.gdim, x.grade, x.vars, x.order, {
                 key: prolongation(restriction(F, ctx), ctx) for key, F in x.terms.items()})
             assert classical_homotopy(prolonged, ctx).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the quantum restriction against the conjugating operator T
+# ---------------------------------------------------------------------------
+
+def load_bench_oracle():
+    """The benchmark's reference module, which imports nothing from qkoszul."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_oracle = load_bench_oracle()
+
+
+def conjugating_operator(F: LambdaSeries, C, P, c) -> LambdaSeries:
+    """T F for T = τ_{-λc} ∘ exp(λX), from the matrix C (keyed by variable
+    positions), the positions P of the translated p_a and the constants c_a:
+
+        X = -Σ_a Σ_{i∉P} C^{i p_a} ∂_i∂_{p_a} - ½ Σ_{a,b} C^{p_a p_b} ∂_{p_a}∂_{p_b},
+        τ_{-λc} = Σ_k (-λ)^k (c·∂_p)^k / k!.
+
+    With Jq_a = p_a + λc_a, T(f ⋆ Jq_a) = p_a T(f), so i** = i* ∘ T."""
+    vs = F.vars
+
+    def d(f, i, j):
+        return f.diff(vs[i]).diff(vs[j])
+
+    def X(f):
+        out = MultiPoly.zero(vs)
+        for a in P:
+            for i in range(len(vs)):
+                if i not in P and (i, a) in C:
+                    out = out - d(f, i, a).scale(C[i, a])
+            for b in P:
+                if (a, b) in C:
+                    out = out - d(f, a, b).scale(C[a, b] * gr(Fraction(1, 2)))
+        return out
+
+    def c_dp(f):
+        out = MultiPoly.zero(vs)
+        for a, ca in zip(P, c):
+            out = out + f.diff(vs[a]).scale(ca)
+        return out
+
+    def exponential(G, op, sign):
+        """Σ_k (sign·λ)^k op^k G / k!, truncated at the order of G."""
+        out = [MultiPoly.zero(vs)] * (G.order + 1)
+        for r, g in enumerate(G.coeffs):
+            for k in range(G.order - r + 1):
+                out[r + k] = out[r + k] + g.scale(Fraction(sign ** k, factorial(k)))
+                g = op(g)
+        return LambdaSeries(out)
+
+    return exponential(exponential(F, X, 1), c_dp, -1)
+
+
+# the constants c_a of Jq_a = p_a + λc_a, by translated label
+CORRECTIONS = (gr(0, Fraction(1, 3)), gr(0, Fraction(-2, 7)), gr(Fraction(1, 5)))
+
+
+@pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+def test_quantum_restriction_is_the_restriction_after_T(kind):
+    differ = 0
+    for n, translated in ((2, (1,)), (3, (1, 2)), (4, (2, 3))):
+        sp = PhaseSpace.of_dim(n)
+        C = {ij: gr(re, im) for ij, (re, im) in bench_oracle.kind_matrix(kind, n).items()}
+        P = [sp.vars.index(f"p{a}") for a in translated]
+        # the identity needs C symmetric on the translated fiber block
+        assert all(C.get((a, b)) == C.get((b, a)) for a in P for b in P)
+        samples = sample_polys(173 + n, sp.vars, 4, 4)
+        for corrected in (False, True):
+            c = [CORRECTIONS[a - 1] if corrected else gr(0) for a in translated]
+            for order in (3, 4):
+                Jq = QuantumMomentumMap(LieAlgebraData.abelian(len(translated)), [
+                    LambdaSeries.from_poly(sp.p(a), order) + LambdaSeries.from_poly(
+                        MultiPoly.const(sp.vars, 1).scale(ca), order, shift=1)
+                    for a, ca in zip(translated, c)])
+                ctx = ReductionContext.canonical(
+                    sp, translated, getattr(StarProduct, kind)(sp), order, Jq=Jq)
+                for f in samples:
+                    F = ctx.series(f)
+                    got = quantum_restriction(F, ctx)
+                    assert got == restriction(conjugating_operator(F, C, P, c), ctx)
+                    differ += got != restriction(F, ctx)
+    # the correction is not zero on every input
+    assert differ > 0
+

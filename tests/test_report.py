@@ -1,6 +1,7 @@
-"""Report entries: the first witness of a check, and suite prefixes."""
+"""Report entries: the first witness of a check, expected failures, and
+suite prefixes."""
 
-from qkoszul.report import check, prefixed
+from qkoszul.report import check, expected_failure, prefixed
 
 
 def test_pass_without_witnesses():
@@ -19,6 +20,25 @@ def test_fail_keeps_the_first_witness_and_reads_no_further():
     assert entry == {"name": "d_squared_zero", "status": "fail",
                      "witness": {"grade": 2}}
     assert read == [2]
+
+
+def test_expected_failure_passes_with_the_first_witness():
+    read = []
+
+    def witnesses():
+        for k in (2, 3):
+            read.append(k)
+            yield {"f": k}
+
+    entry = expected_failure("hermitian_fails_as_expected", witnesses())
+    assert entry == {"name": "hermitian_fails_as_expected", "status": "pass",
+                     "witness": {"f": 2}}
+    assert read == [2]
+
+
+def test_expected_failure_without_a_witness_fails():
+    assert expected_failure("hermitian_fails_as_expected", iter(())) == \
+        {"name": "hermitian_fails_as_expected", "status": "fail"}
 
 
 def test_prefixed_keeps_every_other_key():

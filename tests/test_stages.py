@@ -33,6 +33,14 @@ def s1_ctx(Jq=None) -> ReductionContext:
     return ReductionContext.canonical(sp, [1, 2], StarProduct.weyl(sp), L, Jq=Jq)
 
 
+NOT_THE_ACTING_ALGEBRA = "not a split of the context's acting algebra"
+
+
+def three_translations() -> ReductionContext:
+    sp = PhaseSpace.of_dim(4)
+    return ReductionContext.canonical(sp, [1, 2, 3], StarProduct.weyl(sp), 2)
+
+
 class TestStageConfig:
     def test_partition(self):
         cfg = StageConfig(LieAlgebraData.abelian(3), [2])
@@ -42,14 +50,30 @@ class TestStageConfig:
         with pytest.raises(AlgebraError):
             StageConfig(LieAlgebraData.abelian(2), [3])
 
+    def test_repeated_index_rejected(self):
+        with pytest.raises(AlgebraError, match="repeated"):
+            StageConfig(LieAlgebraData.abelian(3), [1, 1])
+
+    # a context acts by the abelian algebra of its translations, so a split
+    # of any other algebra is not a split of the context's: the pipeline
+    # rejects it rather than build abelian stages for it
     def test_heisenberg_center_rejected(self):
-        # the center is an ideal but has no invariant complement
-        with pytest.raises(AlgebraError, match="complement is not invariant"):
-            StageConfig(LieAlgebraData.heisenberg(), [3])
+        with pytest.raises(AlgebraError, match=NOT_THE_ACTING_ALGEBRA):
+            StagePipeline(three_translations(), StageConfig(LieAlgebraData.heisenberg(), [3]))
 
     def test_heisenberg_non_ideal_rejected(self):
-        with pytest.raises(AlgebraError, match="not an ideal"):
-            StageConfig(LieAlgebraData.heisenberg(), [1])
+        with pytest.raises(AlgebraError, match=NOT_THE_ACTING_ALGEBRA):
+            StagePipeline(three_translations(), StageConfig(LieAlgebraData.heisenberg(), [1]))
+
+    def test_split_of_a_non_abelian_algebra_rejected(self):
+        # aff(1) ⊕ R, split at the ideal aff(1) with the invariant complement R
+        aff_plus_r = LieAlgebraData(3, {(1, 2, 2): Fraction(1), (2, 1, 2): Fraction(-1)})
+        with pytest.raises(AlgebraError, match=NOT_THE_ACTING_ALGEBRA):
+            StagePipeline(three_translations(), StageConfig(aff_plus_r, [1, 2]))
+        # the same index split of the acting algebra is accepted
+        pipe = StagePipeline(three_translations(),
+                             StageConfig(LieAlgebraData.abelian(3), [1, 2]))
+        assert pipe.red2.space.vars == ("q4", "p4")
 
 
 class TestRestrictedMomentumMap:
