@@ -7,10 +7,12 @@ order in the deformation parameter; no floating point anywhere.
 from .exact import (
     AlgebraError,
     ContractViolationError,
+    ExponentOverflowError,
     GaussianRational,
     LambdaSeries,
     MultiPoly,
     OrderMismatchError,
+    TermLimitError,
     VariableMismatchError,
     gr,
     invert_unipotent,
@@ -20,10 +22,12 @@ from .phase_space import PhaseSpace, StarProduct, check_star_axioms
 __all__ = [
     "AlgebraError",
     "ContractViolationError",
+    "ExponentOverflowError",
     "GaussianRational",
     "LambdaSeries",
     "MultiPoly",
     "OrderMismatchError",
+    "TermLimitError",
     "VariableMismatchError",
     "gr",
     "invert_unipotent",

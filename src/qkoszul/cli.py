@@ -101,6 +101,8 @@ class ScenarioConfig:
                     raise ConfigError(f"stage index {i} out of range 1..{k}")
             if len(set(self.stage_first)) < len(self.stage_first):
                 raise ConfigError("a stage index is listed twice")
+        if not self.checks:
+            raise ConfigError("no check suite selected")
         for c in self.checks:
             if c not in SUITES:
                 raise ConfigError(f"unknown check suite {c!r}")

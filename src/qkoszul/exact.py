@@ -8,9 +8,13 @@ floating point appears anywhere in this package.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Mapping, Sequence, Tuple
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
+from typing import Callable, Dict, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -29,6 +33,22 @@ class OrderMismatchError(AlgebraError):
 
 class ContractViolationError(AlgebraError):
     """An operator failed a structural contract (e.g. order raising)."""
+
+
+class ExponentOverflowError(AlgebraError):
+    """An exponent does not fit its slot of a packed monomial key."""
+
+
+class TermLimitError(AlgebraError):
+    """An operation built a polynomial with more than ``MAX_TERMS`` terms."""
+
+
+# Bits per variable in a packed monomial key; the top bit of each slot is a
+# guard, so an exponent is at most 2**(SLOT_BITS - 1) - 1.
+SLOT_BITS = 16
+# The most terms any polynomial an operation builds may have.  The largest
+# product of the builtin scenarios and benchmark workloads has 462 terms.
+MAX_TERMS = 100_000
 
 
 def _as_fraction(x) -> Fraction:
@@ -101,19 +121,147 @@ def gr(re=0, im=0) -> GaussianRational:
     return GaussianRational.of(re, im)
 
 
+# -- packed exponent keys -------------------------------------------------
+#
+# A monomial is one int: the exponent of variable j sits in bits
+# [SLOT_BITS*(n-1-j), SLOT_BITS*(n-j)) of an n-variable key, so the first
+# variable is the most significant slot and the key of a product of two
+# monomials is the sum of their keys.  The
+# top bit of each slot is a guard that no stored exponent sets: the sum of
+# two stored keys never carries from one slot into the next, and a product
+# whose keys set a guard bit raises ExponentOverflowError instead.
+
+_layouts: Dict[Tuple[int, int], Tuple[Tuple[int, ...], int, int]] = {}
+
+
+def _layout(n: int) -> Tuple[Tuple[int, ...], int, int]:
+    """(slot shift of each variable, guard bits, slot mask) of an
+    n-variable key at the current ``SLOT_BITS``."""
+    S = SLOT_BITS
+    lay = _layouts.get((S, n))
+    if lay is None:
+        shifts = tuple(S * (n - 1 - j) for j in range(n))
+        guard = sum(1 << (s + S - 1) for s in shifts)
+        lay = _layouts[S, n] = (shifts, guard, (1 << S) - 1)
+    return lay
+
+
+def _overflow() -> ExponentOverflowError:
+    top = (1 << (SLOT_BITS - 1)) - 1
+    return ExponentOverflowError(f"an exponent exceeds {top}, the largest a "
+                                 f"{SLOT_BITS}-bit monomial slot holds")
+
+
+def _pack(exp: Exponent) -> int:
+    S, top = SLOT_BITS, 1 << (SLOT_BITS - 1)
+    key = 0
+    for e in exp:
+        if e >= top:
+            raise _overflow()
+        key = (key << S) | e
+    return key
+
+
+def _unpack(key: int, n: int) -> Exponent:
+    shifts, _, mask = _layout(n)
+    return tuple((key >> s) & mask for s in shifts)
+
+
+def _gauss(c) -> Tuple[int, int, int]:
+    """(den, re, im) with c = (re + i·im)/den in lowest terms, for an int,
+    a Fraction or a GaussianRational."""
+    if isinstance(c, int):
+        return 1, c, 0
+    if isinstance(c, Fraction):
+        return c.denominator, c.numerator, 0
+    re, im = c.re, c.im
+    d = lcm(re.denominator, im.denominator)
+    return d, re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+
+
+def _render_part(num: int, den: int) -> str:
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
+def _wrap(vars: Tuple[str, ...], den: int, nums: Dict[int, Tuple[int, int]]) -> "MultiPoly":
+    """A polynomial from data already in canonical form."""
+    p = object.__new__(MultiPoly)
+    p.vars, p.den, p.nums = vars, den, nums
+    return p
+
+
+def _canonical(vars: Tuple[str, ...], den: int,
+               nums: Dict[int, Tuple[int, int]]) -> "MultiPoly":
+    """A polynomial from nonzero numerators over a positive denominator:
+    the common factor of the denominator and every numerator is divided
+    out, and the term limit is enforced."""
+    if len(nums) > MAX_TERMS:
+        raise TermLimitError(f"a polynomial of {len(nums)} terms exceeds the "
+                             f"limit of {MAX_TERMS} terms")
+    if not nums:
+        den = 1
+    elif den != 1:
+        g = den
+        for r, i in nums.values():
+            g = gcd(g, r, i)
+            if g == 1:
+                break
+        if g != 1:
+            den //= g
+            nums = {k: (r // g, i // g) for k, (r, i) in nums.items()}
+    return _wrap(vars, den, nums)
+
+
+def _nonzero(acc: Dict[int, Tuple[int, int]]) -> Dict[int, Tuple[int, int]]:
+    return {k: v for k, v in acc.items() if v[0] or v[1]}
+
+
+class _Terms(Mapping):
+    """Read-only view of a polynomial's coefficients: exponent tuple to
+    GaussianRational, built on access."""
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p: "MultiPoly"):
+        self._p = p
+
+    def __len__(self) -> int:
+        return len(self._p.nums)
+
+    def __iter__(self):
+        n = len(self._p.vars)
+        return (_unpack(k, n) for k in self._p.nums)
+
+    def __getitem__(self, exp) -> GaussianRational:
+        p = self._p
+        if len(exp) != len(p.vars) or any(e < 0 for e in exp):
+            raise KeyError(exp)
+        try:
+            r, i = p.nums[_pack(exp)]
+        except (KeyError, ExponentOverflowError):
+            raise KeyError(exp) from None
+        return GaussianRational(Fraction(r, p.den), Fraction(i, p.den))
+
+
 class MultiPoly:
     """Sparse multivariate polynomial over Gaussian rationals.
 
-    ``vars`` is an ordered tuple of variable names; ``terms`` maps exponent
-    tuples (one entry per variable) to nonzero coefficients.  Instances are
-    immutable by convention: no method mutates ``terms`` after construction.
+    ``vars`` is an ordered tuple of variable names.  The coefficients are
+    Gaussian-integer numerators over one shared denominator: ``nums`` maps
+    the packed key of each monomial to ``(re, im)``, and the coefficient is
+    (re + i·im)/``den``.  The form is canonical: ``den`` is positive, no
+    entry is (0, 0), and ``den`` and all numerators have no common factor,
+    so equal polynomials have equal fields.  ``terms`` is a read-only view
+    from exponent tuples to GaussianRational coefficients.  Instances are
+    immutable.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "den", "nums")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[Exponent, GaussianRational]):
         vs = tuple(vars)
-        clean: Dict[Exponent, GaussianRational] = {}
+        coeffs = []
         for exp, c in terms.items():
             if len(exp) != len(vs):
                 raise VariableMismatchError(
@@ -122,30 +270,33 @@ class MultiPoly:
             if any(e < 0 for e in exp):
                 raise AlgebraError(f"negative exponent in {exp}")
             if not c.is_zero():
-                clean[tuple(exp)] = c
-        self.vars = vs
-        self.terms = clean
+                coeffs.append((_pack(exp), _gauss(c)))
+        den = lcm(*(d for _, (d, _, _) in coeffs))
+        p = _canonical(vs, den, {k: (r * (den // d), i * (den // d))
+                                 for k, (d, r, i) in coeffs})
+        self.vars, self.den, self.nums = p.vars, p.den, p.nums
+
+    @property
+    def terms(self) -> Mapping[Exponent, GaussianRational]:
+        return _Terms(self)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(vars: Sequence[str]) -> "MultiPoly":
-        return MultiPoly(vars, {})
+        return _wrap(tuple(vars), 1, {})
 
     @staticmethod
     def const(vars: Sequence[str], c) -> "MultiPoly":
-        if isinstance(c, (int, Fraction)):
-            c = GaussianRational.of(c)
-        return MultiPoly(vars, {(0,) * len(tuple(vars)): c})
+        d, r, i = _gauss(c)
+        return _wrap(tuple(vars), d, {0: (r, i)}) if r or i else MultiPoly.zero(vars)
 
     @staticmethod
     def variable(vars: Sequence[str], name: str) -> "MultiPoly":
         vs = tuple(vars)
         if name not in vs:
             raise VariableMismatchError(f"unknown variable {name!r}")
-        exp = [0] * len(vs)
-        exp[vs.index(name)] = 1
-        return MultiPoly(vs, {tuple(exp): GR_ONE})
+        return _wrap(vs, 1, {1 << _layout(len(vs))[0][vs.index(name)]: (1, 0)})
 
     # -- ring operations ----------------------------------------------
 
@@ -153,56 +304,130 @@ class MultiPoly:
         if self.vars != other.vars:
             raise VariableMismatchError(f"{self.vars} vs {other.vars}")
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+    def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """self + sign·other."""
         self._check(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            out[exp] = out.get(exp, GR_ZERO) + c
-        return MultiPoly(self.vars, out)
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other if sign > 0 else -other
+        da, db = self.den, other.den
+        den = da if da == db else lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        out = dict(self.nums) if sa == 1 else \
+            {k: (r * sa, i * sa) for k, (r, i) in self.nums.items()}
+        for k, (r, i) in other.nums.items():
+            if sb != 1:
+                r, i = r * sb, i * sb
+            t = out.get(k)
+            if t is None:
+                out[k] = (r, i)
+            else:
+                r, i = t[0] + r, t[1] + i
+                if r or i:
+                    out[k] = (r, i)
+                else:
+                    del out[k]
+        return _canonical(self.vars, den, out)
+
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _wrap(self.vars, self.den, {k: (-r, -i) for k, (r, i) in self.nums.items()})
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out: Dict[Exponent, GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, GR_ZERO) + c1 * c2
-        return MultiPoly(self.vars, out)
+        acc: Dict[int, Tuple[int, int]] = {}
+        right = list(other.nums.items())
+        for k1, (a, b) in self.nums.items():
+            for k2, (c, d) in right:
+                k = k1 + k2
+                if k in acc:
+                    t = acc[k]
+                    acc[k] = (t[0] + a * c - b * d, t[1] + a * d + b * c)
+                else:
+                    acc[k] = (a * c - b * d, a * d + b * c)
+        if acc and reduce(or_, acc) & _layout(len(self.vars))[1]:
+            raise _overflow()
+        return _canonical(self.vars, self.den * other.den, _nonzero(acc))
 
     def scale(self, c) -> "MultiPoly":
-        if isinstance(c, (int, Fraction)):
-            c = GaussianRational.of(c)
-        if c.is_zero():
+        d, cr, ci = _gauss(c)
+        if not (cr or ci):
             return MultiPoly.zero(self.vars)
-        return MultiPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+        if (d, cr, ci) == (1, 1, 0):
+            return self
+        return _canonical(self.vars, self.den * d, {
+            k: (r * cr - i * ci, r * ci + i * cr) for k, (r, i) in self.nums.items()})
 
     def conjugate(self) -> "MultiPoly":
         """Complex conjugation of coefficients; variables stay fixed."""
-        return MultiPoly(self.vars, {e: c.conjugate() for e, c in self.terms.items()})
+        return _wrap(self.vars, self.den, {k: (r, -i) for k, (r, i) in self.nums.items()})
 
     # -- calculus -----------------------------------------------------
 
-    def diff(self, var: str) -> "MultiPoly":
-        """Formal partial derivative with respect to ``var``."""
+    def _slot(self, var: str) -> Tuple[int, int]:
+        """(shift, slot mask) of a variable of ``self``."""
         if var not in self.vars:
             raise VariableMismatchError(f"unknown variable {var!r}")
-        i = self.vars.index(var)
-        out: Dict[Exponent, GaussianRational] = {}
-        for exp, c in self.terms.items():
-            if exp[i] == 0:
-                continue
-            e = list(exp)
-            k = e[i]
-            e[i] = k - 1
-            e = tuple(e)
-            out[e] = out.get(e, GR_ZERO) + c * GaussianRational.of(k)
-        return MultiPoly(self.vars, out)
+        shifts, _, mask = _layout(len(self.vars))
+        return shifts[self.vars.index(var)], mask
+
+    def diff(self, var: str) -> "MultiPoly":
+        """Formal partial derivative with respect to ``var``."""
+        s, mask = self._slot(var)
+        unit = 1 << s
+        out = {}
+        for k, (r, i) in self.nums.items():
+            e = (k >> s) & mask
+            if e:
+                out[k - unit] = (r * e, i * e)
+        return _canonical(self.vars, self.den, out)
+
+    def directional(self, form: "MultiPoly", m: int = 1) -> "MultiPoly":
+        """The derivative along the constant vector field of a linear form
+        l = Σ_i v_i x_i, divided by m: Σ_i v_i ∂_i f / m."""
+        self._check(form)
+        mask = (1 << SLOT_BITS) - 1
+        along = []
+        for unit, (vr, vi) in form.nums.items():
+            s = unit.bit_length() - 1
+            if unit & (unit - 1) or s % SLOT_BITS:
+                raise AlgebraError("directional derivative needs a linear form")
+            along.append((s, unit, vr, vi))
+        out: Dict[int, Tuple[int, int]] = {}
+        for k, (r, i) in self.nums.items():
+            for s, unit, vr, vi in along:
+                e = (k >> s) & mask
+                if e:
+                    d = k - unit
+                    nr, ni = (r * vr - i * vi) * e, (r * vi + i * vr) * e
+                    t = out.get(d)
+                    out[d] = (nr, ni) if t is None else (t[0] + nr, t[1] + ni)
+        return _canonical(self.vars, self.den * form.den * m, _nonzero(out))
+
+    def weighted_diff(self, var: str, weight_vars: Sequence[str], k: int) -> "MultiPoly":
+        """Σ_m c_m · m_var/(|m|_w + k) · x^{m - e_var}, where |m|_w is the
+        degree of x^m in ``weight_vars``: the derivative in ``var`` with
+        each monomial divided by its weighted degree plus k."""
+        s, mask = self._slot(var)
+        unit = 1 << s
+        ws = [self._slot(v)[0] for v in weight_vars]
+        rows = []
+        for key, (r, i) in self.nums.items():
+            e = (key >> s) & mask
+            if e:
+                w = k + sum((key >> t) & mask for t in ws)
+                if w <= 0:
+                    raise AlgebraError(f"weight {w} of a monomial is not positive")
+                rows.append((key - unit, r * e, i * e, w))
+        L = lcm(*(w for *_, w in rows))
+        return _canonical(self.vars, self.den * L,
+                          {d: (r * (L // w), i * (L // w)) for d, r, i, w in rows})
 
     def substitute(self, assignments: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Ring homomorphism sending each assigned variable to its image.
@@ -236,82 +461,103 @@ class MultiPoly:
                 powers[key] = power(i, k - 1) * images[i]
             return powers[key]
 
-        out: Dict[Exponent, GaussianRational] = {}
-        for exp, c in self.terms.items():
-            term = MultiPoly.const(target, 1).scale(c)
-            for i, k in enumerate(exp):
+        parts = []
+        for key, c in self.nums.items():
+            term = _canonical(target, self.den, {0: c})
+            for i, k in enumerate(_unpack(key, len(self.vars))):
                 if k:
                     term = term * power(i, k)
-            for e, v in term.terms.items():
-                out[e] = out[e] + v if e in out else v
-        return MultiPoly(target, out)
+            parts.append(term)
+        den = lcm(*(p.den for p in parts))
+        acc: Dict[int, Tuple[int, int]] = {}
+        for p in parts:
+            s = den // p.den
+            for k, (r, i) in p.nums.items():
+                t = acc.get(k)
+                acc[k] = (r * s, i * s) if t is None else (t[0] + r * s, t[1] + i * s)
+        return _canonical(target, den, _nonzero(acc))
+
+    def _moved(self, vars: Tuple[str, ...], targets: Dict[int, int]) -> Dict[int, Tuple[int, int]]:
+        """The entries whose monomials use only the variables in
+        ``targets``, re-keyed onto ``vars``: variable j of ``self`` becomes
+        variable targets[j]."""
+        old, _, mask = _layout(len(self.vars))
+        new = _layout(len(vars))[0]
+        moves = [(old[j], new[t]) for j, t in targets.items()]
+        dropped = 0
+        for j, s in enumerate(old):
+            if j not in targets:
+                dropped |= mask << s
+        out = {}
+        for k, v in self.nums.items():
+            if not k & dropped:
+                nk = 0
+                for so, sn in moves:
+                    nk |= ((k >> so) & mask) << sn
+                out[nk] = v
+        return out
 
     def zero_outside(self, vars: Sequence[str]) -> "MultiPoly":
         """Image under setting every variable not in ``vars`` to zero,
         re-expressed on ``vars`` (each of them a variable of ``self``)."""
         vs = tuple(vars)
-        keep = tuple(self.vars.index(v) for v in vs)
-        drop = tuple(i for i in range(len(self.vars)) if i not in keep)
-        return MultiPoly(vs, {tuple(e[i] for i in keep): c for e, c in self.terms.items()
-                              if not any(e[i] for i in drop)})
+        nums = self._moved(vs, {self.vars.index(v): t for t, v in enumerate(vs)})
+        return _canonical(vs, self.den, nums)
 
     def with_vars(self, vars: Sequence[str]) -> "MultiPoly":
         """Re-express over a different variable list (a superset or a list
         still containing every variable actually used)."""
         vs = tuple(vars)
-        idx = []
-        for j, v in enumerate(self.vars):
-            idx.append(vs.index(v) if v in vs else None)
-        out: Dict[Exponent, GaussianRational] = {}
-        for exp, c in self.terms.items():
-            e = [0] * len(vs)
-            for j, k in enumerate(exp):
-                if k == 0:
-                    continue
-                if idx[j] is None:
-                    raise VariableMismatchError(
-                        f"variable {self.vars[j]!r} used but absent from target list"
-                    )
-                e[idx[j]] = k
-            out[tuple(e)] = out.get(tuple(e), GR_ZERO) + c
-        return MultiPoly(vs, out)
+        if vs == self.vars:
+            return self
+        nums = self._moved(vs, {j: vs.index(v) for j, v in enumerate(self.vars) if v in vs})
+        if len(nums) < len(self.nums):
+            gone = next(v for v in self.vars if v not in vs and self.uses(v))
+            raise VariableMismatchError(f"variable {gone!r} used but absent from target list")
+        return _wrap(vs, self.den, nums)
 
     def uses(self, var: str) -> bool:
         if var not in self.vars:
             return False
-        i = self.vars.index(var)
-        return any(exp[i] for exp in self.terms)
+        s, mask = self._slot(var)
+        slot = mask << s
+        return any(k & slot for k in self.nums)
 
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiPoly)
             and self.vars == other.vars
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.nums.items())))
 
     # -- rendering ----------------------------------------------------
 
     def render(self) -> str:
-        """Canonical text form: graded-lexicographic monomial order."""
-        if not self.terms:
+        """Canonical text form: graded-lexicographic monomial order, each
+        coefficient as ``(a/b)+(c/d)i`` with both parts in lowest terms."""
+        if not self.nums:
             return "0"
-        keys = sorted(self.terms, key=lambda e: (-sum(e), tuple(-k for k in e)))
+        n, den = len(self.vars), self.den
+        rows = sorted(((_unpack(k, n), v) for k, v in self.nums.items()),
+                      key=lambda row: (-sum(row[0]), tuple(-k for k in row[0])))
         parts = []
-        for exp in keys:
+        for exp, (r, i) in rows:
             mono = "*".join(
                 f"{v}^{k}" if k > 1 else v
                 for v, k in zip(self.vars, exp)
                 if k
             )
-            c = self.terms[exp].render()
+            sign = "+" if i >= 0 else "-"
+            c = f"({_render_part(r, den)}){sign}({_render_part(abs(i), den)})i"
             parts.append(f"{c}*{mono}" if mono else c)
         return " + ".join(parts)
 

@@ -146,7 +146,6 @@ class GoodTube:
         self.translated = tuple(translated)
         self.constrained = tuple(f"p{a}" for a in self.translated)
         self.cvars = tuple(v for v in space.vars if v not in self.constrained)
-        self._vpos = tuple(space.vars.index(pa) for pa in self.constrained)
 
     def restrict(self, f: MultiPoly) -> MultiPoly:
         """Restriction to the constraint set: the monomials of vertical
@@ -157,16 +156,8 @@ class GoodTube:
                  directions: Sequence[int]) -> Dict[int, MultiPoly]:
         """Grade-k contracting homotopy along each listed constrained
         direction a (1-based): x^m goes to m_a/(|m_v|+k) · x^{m-e_a}."""
-        vpos = self._vpos
-        outs: Dict[int, dict] = {a: {} for a in directions}
-        for e, c in f.terms.items():
-            deg = sum(e[i] for i in vpos)
-            for a, out in outs.items():
-                i = vpos[a - 1]
-                m = e[i]
-                if m:
-                    out[e[:i] + (m - 1,) + e[i + 1:]] = c * gr(Fraction(m, deg + k))
-        return {a: MultiPoly(self.space.vars, out) for a, out in outs.items()}
+        return {a: f.weighted_diff(self.constrained[a - 1], self.constrained, k)
+                for a in directions}
 
 
 class ReductionContext:

@@ -100,26 +100,20 @@ def _pairing(C: Matrix, f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return out
 
 
-def _derivative(f: MultiPoly, v: Vector, m: int = 1) -> MultiPoly:
-    """The directional derivative Σ_i v_i ∂_i f, divided by m."""
-    out: Dict[Tuple[int, ...], GaussianRational] = {}
-    for e, c in f.terms.items():
-        for i, vi in v:
-            k = e[i]
-            if k:
-                d = e[:i] + (k - 1,) + e[i + 1:]
-                out[d] = out.get(d, GR_ZERO) + c * vi * GaussianRational.of(Fraction(k, m))
-    return MultiPoly(f.vars, out)
+def _linear_form(vars: Tuple[str, ...], v: Vector) -> MultiPoly:
+    """Σ_i v_i x_i, whose directional derivative is Σ_i v_i ∂_i."""
+    return MultiPoly(vars, {tuple(int(j == i) for j in range(len(vars))): c for i, c in v})
 
 
 def _exponential(terms, f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
     """μ ∘ exp(λ Σ_k D_{a_k} ⊗ D_{b_k}) on a polynomial pair, truncated at
-    λ^order.  The exponential is a product of commuting factors, so it
-    expands over multi-indices m as Σ_m λ^{|m|} Π_k 1/m_k! ·
-    (D_a^m f)(D_b^m g).  The walk fixes m_k one k at a time, carrying the
-    derivatives of both factors along (the left one takes the 1/m of the
-    step to multiplicity m), and drops a branch once either factor is
-    killed or λ^order is reached."""
+    λ^order, where ``terms`` holds the rank-one factors as pairs of linear
+    forms (a_k, b_k) and D_a is the derivative along a.  The exponential
+    is a product of commuting factors, so it expands over multi-indices m
+    as Σ_m λ^{|m|} Π_k 1/m_k! · (D_a^m f)(D_b^m g).  The walk fixes m_k
+    one k at a time, carrying the derivatives of both factors along (the
+    left one takes the 1/m of the step to multiplicity m), and drops a
+    branch once either factor is killed or λ^order is reached."""
     acc = [MultiPoly.zero(f.vars)] * (order + 1)
     stack = [(0, 0, f, g)]
     while stack:
@@ -129,8 +123,8 @@ def _exponential(terms, f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
             continue
         for m in range(order - r + 1):
             if m:
-                left = _derivative(left, terms[k][0], m)
-                right = _derivative(right, terms[k][1])
+                left = left.directional(terms[k][0], m)
+                right = right.directional(terms[k][1])
                 if left.is_zero() or right.is_zero():
                     break
             stack.append((k + 1, r + m, left, right))
@@ -173,7 +167,9 @@ class StarProduct:
             c = (C.get((i, j), GR_ZERO) - C.get((j, i), GR_ZERO)) * GR_MINUS_I
             if not c.is_zero():
                 bracket_matrix[i, j] = c
-        return StarProduct(space, partial(_exponential, _rank_one_terms(C)),
+        terms = [(_linear_form(space.vars, a), _linear_form(space.vars, b))
+                 for a, b in _rank_one_terms(C)]
+        return StarProduct(space, partial(_exponential, terms),
                            partial(_pairing, bracket_matrix), hermitian)
 
     @staticmethod

@@ -1,0 +1,259 @@
+"""Reference polynomial arithmetic for the tests: a sparse polynomial whose
+coefficients are ``GaussianRational`` values keyed by exponent tuples, and
+the directional derivative and tube homotopy written on it.
+
+This is the straightforward form the integer core of ``qkoszul.exact``
+replaced, kept as an independent oracle: every operation here works one
+coefficient at a time with ``Fraction`` arithmetic.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Dict, Mapping, Sequence, Tuple
+
+from qkoszul.exact import (
+    GR_ONE,
+    GR_ZERO,
+    AlgebraError,
+    GaussianRational,
+    MultiPoly,
+    VariableMismatchError,
+    gr,
+)
+
+Exponent = Tuple[int, ...]
+
+
+class RefPoly:
+    """Sparse multivariate polynomial over Gaussian rationals.
+
+    ``vars`` is an ordered tuple of variable names; ``terms`` maps exponent
+    tuples (one entry per variable) to nonzero coefficients.
+    """
+
+    __slots__ = ("vars", "terms")
+
+    def __init__(self, vars: Sequence[str], terms: Mapping[Exponent, GaussianRational]):
+        vs = tuple(vars)
+        clean: Dict[Exponent, GaussianRational] = {}
+        for exp, c in terms.items():
+            if len(exp) != len(vs):
+                raise VariableMismatchError(
+                    f"exponent {exp} has length {len(exp)}, expected {len(vs)}"
+                )
+            if any(e < 0 for e in exp):
+                raise AlgebraError(f"negative exponent in {exp}")
+            if not c.is_zero():
+                clean[tuple(exp)] = c
+        self.vars = vs
+        self.terms = clean
+
+    # -- conversion -----------------------------------------------------
+
+    @staticmethod
+    def of(p: MultiPoly) -> "RefPoly":
+        return RefPoly(p.vars, dict(p.terms.items()))
+
+    def to_multipoly(self) -> MultiPoly:
+        return MultiPoly(self.vars, self.terms)
+
+    # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def zero(vars: Sequence[str]) -> "RefPoly":
+        return RefPoly(vars, {})
+
+    @staticmethod
+    def const(vars: Sequence[str], c) -> "RefPoly":
+        if isinstance(c, (int, Fraction)):
+            c = GaussianRational.of(c)
+        return RefPoly(vars, {(0,) * len(tuple(vars)): c})
+
+    @staticmethod
+    def variable(vars: Sequence[str], name: str) -> "RefPoly":
+        vs = tuple(vars)
+        if name not in vs:
+            raise VariableMismatchError(f"unknown variable {name!r}")
+        exp = [0] * len(vs)
+        exp[vs.index(name)] = 1
+        return RefPoly(vs, {tuple(exp): GR_ONE})
+
+    # -- ring operations ----------------------------------------------
+
+    def _check(self, other: "RefPoly") -> None:
+        if self.vars != other.vars:
+            raise VariableMismatchError(f"{self.vars} vs {other.vars}")
+
+    def __add__(self, other: "RefPoly") -> "RefPoly":
+        self._check(other)
+        out = dict(self.terms)
+        for exp, c in other.terms.items():
+            out[exp] = out.get(exp, GR_ZERO) + c
+        return RefPoly(self.vars, out)
+
+    def __sub__(self, other: "RefPoly") -> "RefPoly":
+        return self + (-other)
+
+    def __neg__(self) -> "RefPoly":
+        return RefPoly(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other: "RefPoly") -> "RefPoly":
+        self._check(other)
+        out: Dict[Exponent, GaussianRational] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, GR_ZERO) + c1 * c2
+        return RefPoly(self.vars, out)
+
+    def scale(self, c) -> "RefPoly":
+        if isinstance(c, (int, Fraction)):
+            c = GaussianRational.of(c)
+        if c.is_zero():
+            return RefPoly.zero(self.vars)
+        return RefPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+
+    def conjugate(self) -> "RefPoly":
+        return RefPoly(self.vars, {e: c.conjugate() for e, c in self.terms.items()})
+
+    # -- calculus -----------------------------------------------------
+
+    def diff(self, var: str) -> "RefPoly":
+        if var not in self.vars:
+            raise VariableMismatchError(f"unknown variable {var!r}")
+        i = self.vars.index(var)
+        out: Dict[Exponent, GaussianRational] = {}
+        for exp, c in self.terms.items():
+            if exp[i] == 0:
+                continue
+            e = list(exp)
+            k = e[i]
+            e[i] = k - 1
+            e = tuple(e)
+            out[e] = out.get(e, GR_ZERO) + c * GaussianRational.of(k)
+        return RefPoly(self.vars, out)
+
+    def substitute(self, assignments: Mapping[str, "RefPoly"]) -> "RefPoly":
+        target = None
+        for img in assignments.values():
+            if target is None:
+                target = img.vars
+            elif img.vars != target:
+                raise VariableMismatchError("assignment images disagree on variables")
+        if target is None:
+            target = self.vars
+        images = []
+        for v in self.vars:
+            if v in assignments:
+                images.append(assignments[v])
+            else:
+                images.append(RefPoly.variable(target, v))
+        powers: Dict[Tuple[int, int], RefPoly] = {}
+
+        def power(i: int, k: int) -> RefPoly:
+            if k == 0:
+                return RefPoly.const(target, 1)
+            key = (i, k)
+            if key not in powers:
+                powers[key] = power(i, k - 1) * images[i]
+            return powers[key]
+
+        out: Dict[Exponent, GaussianRational] = {}
+        for exp, c in self.terms.items():
+            term = RefPoly.const(target, 1).scale(c)
+            for i, k in enumerate(exp):
+                if k:
+                    term = term * power(i, k)
+            for e, v in term.terms.items():
+                out[e] = out[e] + v if e in out else v
+        return RefPoly(target, out)
+
+    def zero_outside(self, vars: Sequence[str]) -> "RefPoly":
+        vs = tuple(vars)
+        keep = tuple(self.vars.index(v) for v in vs)
+        drop = tuple(i for i in range(len(self.vars)) if i not in keep)
+        return RefPoly(vs, {tuple(e[i] for i in keep): c for e, c in self.terms.items()
+                            if not any(e[i] for i in drop)})
+
+    def with_vars(self, vars: Sequence[str]) -> "RefPoly":
+        vs = tuple(vars)
+        idx = []
+        for j, v in enumerate(self.vars):
+            idx.append(vs.index(v) if v in vs else None)
+        out: Dict[Exponent, GaussianRational] = {}
+        for exp, c in self.terms.items():
+            e = [0] * len(vs)
+            for j, k in enumerate(exp):
+                if k == 0:
+                    continue
+                if idx[j] is None:
+                    raise VariableMismatchError(
+                        f"variable {self.vars[j]!r} used but absent from target list"
+                    )
+                e[idx[j]] = k
+            out[tuple(e)] = out.get(tuple(e), GR_ZERO) + c
+        return RefPoly(vs, out)
+
+    def uses(self, var: str) -> bool:
+        if var not in self.vars:
+            return False
+        i = self.vars.index(var)
+        return any(exp[i] for exp in self.terms)
+
+    # -- queries ------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, RefPoly)
+            and self.vars == other.vars
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.vars, frozenset(self.terms.items())))
+
+    def render(self) -> str:
+        if not self.terms:
+            return "0"
+        keys = sorted(self.terms, key=lambda e: (-sum(e), tuple(-k for k in e)))
+        parts = []
+        for exp in keys:
+            mono = "*".join(
+                f"{v}^{k}" if k > 1 else v
+                for v, k in zip(self.vars, exp)
+                if k
+            )
+            c = self.terms[exp].render()
+            parts.append(f"{c}*{mono}" if mono else c)
+        return " + ".join(parts)
+
+
+def derivative(f: RefPoly, v: Sequence[Tuple[int, GaussianRational]], m: int = 1) -> RefPoly:
+    """The directional derivative Σ_i v_i ∂_i f, divided by m."""
+    out: Dict[Tuple[int, ...], GaussianRational] = {}
+    for e, c in f.terms.items():
+        for i, vi in v:
+            k = e[i]
+            if k:
+                d = e[:i] + (k - 1,) + e[i + 1:]
+                out[d] = out.get(d, GR_ZERO) + c * vi * GaussianRational.of(Fraction(k, m))
+    return RefPoly(f.vars, out)
+
+
+def homotopy(f: RefPoly, vpos: Sequence[int], k: int,
+             directions: Sequence[int]) -> Dict[int, RefPoly]:
+    """Grade-k tube homotopy along each listed constrained direction a
+    (1-based, position ``vpos[a - 1]``): x^m goes to m_a/(|m_v|+k) · x^{m-e_a}."""
+    outs: Dict[int, dict] = {a: {} for a in directions}
+    for e, c in f.terms.items():
+        deg = sum(e[i] for i in vpos)
+        for a, out in outs.items():
+            i = vpos[a - 1]
+            m = e[i]
+            if m:
+                out[e[:i] + (m - 1,) + e[i + 1:]] = c * gr(Fraction(m, deg + k))
+    return {a: RefPoly(f.vars, out) for a, out in outs.items()}

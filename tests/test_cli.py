@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkoszul import cli, reduction
+from qkoszul import cli, exact, reduction
 from qkoszul.cli import builtin_config, main, run_scenario
 from qkoszul.exact import ContractViolationError, MultiPoly
 from qkoszul.koszul import GoodTube
@@ -347,6 +347,8 @@ class TestConfigFile:
         pytest.param({"n": 3, "translated": [1, 2], "stage_first": [1, 1],
                       "checks": ["momentum", "complex", "stages"]},
                      "a stage index is listed twice", id="repeated-stage-index"),
+        # a run that checks nothing must not report a pass
+        pytest.param({"checks": []}, "no check suite selected", id="no-suite"),
     ])
     def test_repeated_entry_rejected_before_any_suite(self, tmp_path, monkeypatch,
                                                       capsysbinary, fields, message):
@@ -372,6 +374,24 @@ class TestConfigFile:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"name": name, **raw}))
         assert builtin_config(name).echo() == cli.load_config(str(path)).echo()
+
+
+class TestSizeLimits:
+    """A polynomial too large for the exact core stops the run with exit 2
+    and one line naming the limit."""
+
+    @pytest.mark.parametrize("attr, value, message", [
+        pytest.param("MAX_TERMS", 12, "exceeds the limit of 12 terms", id="term-limit"),
+        pytest.param("SLOT_BITS", 3, "an exponent exceeds 3, the largest a 3-bit "
+                     "monomial slot holds", id="narrow-slot"),
+    ])
+    def test_limit_exits_2(self, monkeypatch, capsysbinary, attr, value, message):
+        monkeypatch.setattr(exact, attr, value)
+        assert main(["--scenario", "axioms-weyl"]) == 2
+        out, err = capsysbinary.readouterr()
+        assert out == b""
+        [line] = err.decode().splitlines()
+        assert line.startswith("config error: ") and line.endswith(message)
 
 
 # values of every JSON type, most of them ill-typed for any given field

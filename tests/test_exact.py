@@ -2,25 +2,38 @@
 series, unipotent inversion."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkoszul import exact
 from qkoszul.exact import (
     ContractViolationError,
+    ExponentOverflowError,
     GaussianRational,
     LambdaSeries,
     MultiPoly,
+    TermLimitError,
     VariableMismatchError,
     gr,
     invert_unipotent,
 )
+from qkoszul.koszul import GoodTube
+from qkoszul.phase_space import PhaseSpace
+from reference_poly import RefPoly, derivative, homotopy
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
-gaussians = st.builds(gr, fractions, fractions)
+# mixed signs and denominators up to 12, with pure real and pure imaginary
+# values drawn on purpose
+gaussians = st.one_of(st.builds(gr, fractions, fractions),
+                      st.builds(gr, fractions),
+                      st.builds(lambda f: gr(0, f), fractions))
+scalars = st.one_of(gaussians, fractions, st.integers(-12, 12))
 
 VARS = ("x", "y")
+WIDE = ("a", "x", "b", "y")
 
 
 @st.composite
@@ -31,6 +44,29 @@ def polys(draw, vars=VARS, max_degree=4, max_terms=5):
         e = tuple(draw(st.integers(0, max_degree)) for _ in vars)
         terms[e] = draw(gaussians)
     return MultiPoly(vars, {k: v for k, v in terms.items() if not v.is_zero()})
+
+
+def linear_forms(vars=VARS):
+    """Σ_i v_i x_i with Gaussian-rational v_i, some of them zero."""
+    return st.lists(gaussians, min_size=len(vars), max_size=len(vars)).map(
+        lambda v: MultiPoly(vars, {tuple(int(j == i) for j in range(len(vars))): c
+                                   for i, c in enumerate(v) if not c.is_zero()}))
+
+
+def canonical(p: MultiPoly) -> bool:
+    """Positive denominator, no zero entry, and no factor common to the
+    denominator and every numerator."""
+    parts = [x for v in p.nums.values() for x in v]
+    return (p.den > 0 and all(r or i for r, i in p.nums.values())
+            and gcd(p.den, *parts) == 1 and (p.nums or p.den == 1))
+
+
+def agrees(p: MultiPoly, ref: RefPoly) -> bool:
+    """The integer core and the reference hold the same polynomial, in the
+    same text form, and the result is canonical."""
+    return (canonical(p) and p.vars == ref.vars and RefPoly.of(p) == ref
+            and dict(p.terms.items()) == ref.terms and len(p.terms) == len(ref.terms)
+            and p.render() == ref.render())
 
 
 class TestGaussianRational:
@@ -121,6 +157,129 @@ class TestMultiPoly:
         y = MultiPoly.variable(VARS, "y")
         p = y + x * x
         assert p.render().index("x^2") < p.render().index("y")
+
+
+class TestAgainstReference:
+    """The integer core against the coefficient-by-coefficient reference in
+    ``reference_poly``."""
+
+    @given(polys(), polys())
+    @settings(max_examples=80)
+    def test_ring_operations(self, p, q):
+        rp, rq = RefPoly.of(p), RefPoly.of(q)
+        assert agrees(p, rp) and agrees(q, rq)
+        assert agrees(p + q, rp + rq)
+        assert agrees(p - q, rp - rq)
+        assert agrees(p - p, rp - rp)
+        assert agrees(-p, -rp)
+        assert agrees(p * q, rp * rq)
+        assert agrees(p.conjugate(), rp.conjugate())
+
+    @given(polys(), scalars)
+    @settings(max_examples=60)
+    def test_scale(self, p, c):
+        assert agrees(p.scale(c), RefPoly.of(p).scale(c))
+        assert agrees(MultiPoly.const(VARS, c), RefPoly.const(VARS, c))
+
+    @given(polys(max_degree=6))
+    @settings(max_examples=60)
+    def test_diff_and_uses(self, p):
+        rp = RefPoly.of(p)
+        for v in VARS:
+            assert agrees(p.diff(v), rp.diff(v))
+            assert p.uses(v) == rp.uses(v)
+        assert not p.uses("z")
+
+    @given(polys(max_degree=3, max_terms=4), polys(WIDE, max_degree=2, max_terms=3),
+           polys(WIDE, max_degree=2, max_terms=3), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_substitute(self, p, gx, gy, both):
+        # onto a wider variable list, with one or both variables assigned
+        assign = {"x": gx, "y": gy} if both else {"x": gx}
+        ref = RefPoly.of(p)
+        wide = p.with_vars(WIDE)
+        images = {v: RefPoly.of(g) for v, g in assign.items()}
+        assert agrees(wide.substitute(assign), RefPoly.of(wide).substitute(images))
+        if both:
+            assert agrees(p.substitute(assign), ref.substitute(images))
+        assert agrees(p.substitute({}), ref.substitute({}))
+
+    @given(polys(WIDE, max_degree=3))
+    @settings(max_examples=60)
+    def test_with_vars_and_zero_outside(self, p):
+        rp = RefPoly.of(p)
+        for vs in (WIDE, ("y", "b", "x", "a"), ("c",) + WIDE, ("y", "x"), ("b",), ()):
+            if set(vs) <= set(WIDE):
+                assert agrees(p.zero_outside(vs), rp.zero_outside(vs))
+            if all(v in vs for v in WIDE if p.uses(v)):
+                assert agrees(p.with_vars(vs), rp.with_vars(vs))
+            else:
+                with pytest.raises(VariableMismatchError):
+                    p.with_vars(vs)
+        assert p.with_vars(WIDE) is p
+
+    @given(polys(), polys())
+    @settings(max_examples=80)
+    def test_eq_and_hash(self, p, q):
+        assert (p == q) == (RefPoly.of(p) == RefPoly.of(q))
+        # the same polynomial reached by two routes has the same fields
+        same = (p + q) - q
+        assert same == p and hash(same) == hash(p)
+        assert (p * q).scale(gr(0, 1)) == p.scale(gr(0, 1)) * q
+        assert hash((p * q).scale(gr(0, 1))) == hash(p.scale(gr(0, 1)) * q)
+
+    @given(polys(max_degree=5), linear_forms(), st.integers(1, 6))
+    @settings(max_examples=60)
+    def test_directional(self, p, form, m):
+        v = [(i, form.terms[tuple(int(j == i) for j in range(2))]) for i in range(2)
+             if form.uses(VARS[i])]
+        assert agrees(p.directional(form, m), derivative(RefPoly.of(p), v, m))
+
+    @given(polys(("q1", "q2", "p1", "p2"), max_degree=3, max_terms=6), st.integers(0, 3))
+    @settings(max_examples=60)
+    def test_tube_homotopy(self, p, k):
+        tube = GoodTube(PhaseSpace.of_dim(2), (1, 2))
+        got = tube.homotopy(p, k, (1, 2))
+        want = homotopy(RefPoly.of(p), (2, 3), k, (1, 2))
+        assert got.keys() == want.keys()
+        assert all(agrees(got[a], want[a]) for a in want)
+
+
+class TestCalculusIdentities:
+    @given(polys(), polys(), linear_forms())
+    @settings(max_examples=40)
+    def test_directional_leibniz(self, p, q, form):
+        d = lambda f: f.directional(form)
+        assert d(p * q) == d(p) * q + p * d(q)
+
+    def test_directional_needs_a_linear_form(self):
+        x = MultiPoly.variable(VARS, "x")
+        for bad in (x * x, x + MultiPoly.const(VARS, 1)):
+            with pytest.raises(exact.AlgebraError):
+                x.directional(bad)
+
+
+class TestLimits:
+    def test_exponent_overflow_is_raised_not_wrapped(self, monkeypatch):
+        monkeypatch.setattr(exact, "SLOT_BITS", 3)   # exponents up to 3
+        x = MultiPoly.variable(VARS, "x")
+        y = MultiPoly.variable(VARS, "y")
+        cube = x * x * x
+        assert cube.terms == {(3, 0): gr(1)}
+        assert (cube * y * y * y).terms == {(3, 3): gr(1)}
+        with pytest.raises(ExponentOverflowError, match="exceeds 3"):
+            cube * x
+        with pytest.raises(ExponentOverflowError):
+            MultiPoly(VARS, {(0, 4): gr(1)})
+
+    def test_term_limit(self, monkeypatch):
+        monkeypatch.setattr(exact, "MAX_TERMS", 3)
+        x = MultiPoly.variable(VARS, "x")
+        one = MultiPoly.const(VARS, 1)
+        square = (x + one) * (x + one)   # 3 terms: at the limit
+        assert len(square.terms) == 3
+        with pytest.raises(TermLimitError, match="4 terms exceeds the limit of 3"):
+            square * (x + one)
 
 
 class TestLambdaSeries:
