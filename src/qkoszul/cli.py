@@ -415,14 +415,14 @@ def conventions() -> Dict[str, str]:
     std = StarProduct.std(sp)
     wick = StarProduct.wick(sp)
     out = {
-        "weyl_q_star_p_order1": weyl.eval_poly(q, p, 1).coeffs[1].render(),
+        "weyl_q_star_p_order1": weyl.eval_poly(q, p, 1).coeff(1).render(),
         "weyl_commutator_q_p_order1":
-            (weyl.eval_poly(q, p, 1) - weyl.eval_poly(p, q, 1)).coeffs[1].render(),
-        "std_p_star_q_order1": std.eval_poly(p, q, 1).coeffs[1].render(),
+            (weyl.eval_poly(q, p, 1) - weyl.eval_poly(p, q, 1)).coeff(1).render(),
+        "std_p_star_q_order1": std.eval_poly(p, q, 1).coeff(1).render(),
     }
     z = q + p.scale(gr(0, 1))
     zbar = q - p.scale(gr(0, 1))
-    out["wick_z_star_zbar_order1"] = wick.eval_poly(z, zbar, 1).coeffs[1].render()
+    out["wick_z_star_zbar_order1"] = wick.eval_poly(z, zbar, 1).coeff(1).render()
     return out
 
 

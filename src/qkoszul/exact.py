@@ -3,7 +3,9 @@ truncated formal series in the deformation parameter.
 
 All coefficients are Gaussian rationals (complex numbers with rational real
 and imaginary part), so every identity checked downstream is exact: no
-floating point appears anywhere in this package.
+floating point appears anywhere in this package.  There is one polynomial
+type, ``MultiPoly``; a truncated series is a ``MultiPoly`` whose leading
+variable is the parameter λ, held with its truncation order.
 """
 
 from __future__ import annotations
@@ -46,8 +48,10 @@ class TermLimitError(AlgebraError):
 # Bits per variable in a packed monomial key; the top bit of each slot is a
 # guard, so an exponent is at most 2**(SLOT_BITS - 1) - 1.
 SLOT_BITS = 16
-# The most terms any polynomial an operation builds may have.  The largest
-# product of the builtin scenarios and benchmark workloads has 462 terms.
+# The most terms any polynomial an operation builds may have; a series is one
+# polynomial, so its terms at every power of λ count together.  The largest
+# polynomial of the builtin scenarios and benchmark workloads is a series of
+# 553 terms.
 MAX_TERMS = 100_000
 
 
@@ -215,6 +219,28 @@ def _canonical(vars: Tuple[str, ...], den: int,
 
 def _nonzero(acc: Dict[int, Tuple[int, int]]) -> Dict[int, Tuple[int, int]]:
     return {k: v for k, v in acc.items() if v[0] or v[1]}
+
+
+def _sum(vars: Tuple[str, ...], parts, bound: int) -> "MultiPoly":
+    """Σ_j p_j over (lift_j, p_j) pairs, the key of every term of p_j raised
+    by lift_j and the keys from ``bound`` on dropped, in one pass over a
+    common denominator."""
+    den = lcm(*(p.den for _, p in parts))
+    acc: Dict[int, Tuple[int, int]] = {}
+    for lift, p in parts:
+        s = den // p.den
+        for k, (r, i) in p.nums.items():
+            k += lift
+            if k < bound:
+                r, i = r * s, i * s
+                t = acc.get(k)
+                if t is not None:
+                    r, i = t[0] + r, t[1] + i
+                if r or i:
+                    acc[k] = (r, i)
+                else:
+                    del acc[k]
+    return _canonical(vars, den, acc)
 
 
 class _Terms(Mapping):
@@ -388,27 +414,23 @@ class MultiPoly:
                 out[k - unit] = (r * e, i * e)
         return _canonical(self.vars, self.den, out)
 
-    def directional(self, form: "MultiPoly", m: int = 1) -> "MultiPoly":
-        """The derivative along the constant vector field of a linear form
-        l = Σ_i v_i x_i, divided by m: Σ_i v_i ∂_i f / m."""
-        self._check(form)
+    def directional(self, field: tuple, m: int = 1) -> "MultiPoly":
+        """The derivative along a constant vector field Σ_i v_i ∂_i, decoded
+        by ``vector_field``, divided by m: Σ_i v_i ∂_i f / m."""
+        vars, den, steps = field
+        if vars != self.vars:
+            raise VariableMismatchError(f"{self.vars} vs {vars}")
         mask = (1 << SLOT_BITS) - 1
-        along = []
-        for unit, (vr, vi) in form.nums.items():
-            s = unit.bit_length() - 1
-            if unit & (unit - 1) or s % SLOT_BITS:
-                raise AlgebraError("directional derivative needs a linear form")
-            along.append((s, unit, vr, vi))
         out: Dict[int, Tuple[int, int]] = {}
         for k, (r, i) in self.nums.items():
-            for s, unit, vr, vi in along:
+            for s, unit, vr, vi in steps:
                 e = (k >> s) & mask
                 if e:
                     d = k - unit
                     nr, ni = (r * vr - i * vi) * e, (r * vi + i * vr) * e
                     t = out.get(d)
                     out[d] = (nr, ni) if t is None else (t[0] + nr, t[1] + ni)
-        return _canonical(self.vars, self.den * form.den * m, _nonzero(out))
+        return _canonical(self.vars, self.den * den * m, _nonzero(out))
 
     def weighted_diff(self, var: str, weight_vars: Sequence[str], k: int) -> "MultiPoly":
         """Σ_m c_m · m_var/(|m|_w + k) · x^{m - e_var}, where |m|_w is the
@@ -467,15 +489,8 @@ class MultiPoly:
             for i, k in enumerate(_unpack(key, len(self.vars))):
                 if k:
                     term = term * power(i, k)
-            parts.append(term)
-        den = lcm(*(p.den for p in parts))
-        acc: Dict[int, Tuple[int, int]] = {}
-        for p in parts:
-            s = den // p.den
-            for k, (r, i) in p.nums.items():
-                t = acc.get(k)
-                acc[k] = (r * s, i * s) if t is None else (t[0] + r * s, t[1] + i * s)
-        return _canonical(target, den, _nonzero(acc))
+            parts.append((0, term))
+        return _sum(target, parts, 1 << SLOT_BITS * len(target))
 
     def _moved(self, vars: Tuple[str, ...], targets: Dict[int, int]) -> Dict[int, Tuple[int, int]]:
         """The entries whose monomials use only the variables in
@@ -565,116 +580,155 @@ class MultiPoly:
         return f"MultiPoly({self.render()})"
 
 
+def vector_field(form: MultiPoly) -> tuple:
+    """The vector field Σ_i v_i ∂_i of a linear form l = Σ_i v_i x_i, as
+    ``MultiPoly.directional`` reads it: (variables, den, steps) with one
+    step (slot shift, unit key, re, im) per v_i = (re + i·im)/den."""
+    steps = []
+    for unit, (vr, vi) in form.nums.items():
+        s = unit.bit_length() - 1
+        if unit & (unit - 1) or s % SLOT_BITS:
+            raise AlgebraError("directional derivative needs a linear form")
+        steps.append((s, unit, vr, vi))
+    return form.vars, form.den, tuple(steps)
+
+
+LAMBDA = "λ"
+
+
 class LambdaSeries:
-    """Formal power series in the deformation parameter, truncated at a
-    fixed order ``L``.  Coefficient ``r`` is the polynomial multiplying the
-    parameter to the r-th power."""
+    """Formal power series in the deformation parameter λ, truncated at a
+    fixed order ``L``.
 
-    __slots__ = ("order", "coeffs")
+    The series is one polynomial ``poly`` over (λ, *vars): λ is its first
+    and most significant slot, so the keys of λ^r lie in [r << s, (r + 1)
+    << s) for the slot shift s of λ, every key lies below (L + 1) << s, and
+    the smallest key carries the lowest power.  Coefficient r, the
+    polynomial multiplying λ^r, is ``coeff(r)``.  Every coefficientwise
+    operator is one operation on ``poly``.  Instances are immutable.
+    """
 
-    def __init__(self, coeffs: Sequence[MultiPoly]):
-        cs = tuple(coeffs)
-        if not cs:
-            raise AlgebraError("series needs at least the order-0 coefficient")
-        vs = cs[0].vars
-        for c in cs:
-            if c.vars != vs:
-                raise VariableMismatchError("series coefficients disagree on variables")
-        self.coeffs = cs
-        self.order = len(cs) - 1
+    __slots__ = ("order", "poly")
+
+    def __init__(self, poly: MultiPoly, order: int):
+        if poly.vars[:1] != (LAMBDA,):
+            raise VariableMismatchError(f"a series polynomial starts with {LAMBDA!r}")
+        if order >= 1 << (SLOT_BITS - 1):
+            raise _overflow()
+        self.poly = poly
+        self.order = order
 
     @property
     def vars(self) -> Tuple[str, ...]:
-        return self.coeffs[0].vars
+        return self.poly.vars[1:]
+
+    def _shift(self) -> int:
+        """The slot shift of λ."""
+        return SLOT_BITS * (len(self.poly.vars) - 1)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(vars: Sequence[str], order: int) -> "LambdaSeries":
-        z = MultiPoly.zero(vars)
-        return LambdaSeries([z] * (order + 1))
+        return LambdaSeries(MultiPoly.zero((LAMBDA, *vars)), order)
 
     @staticmethod
     def from_poly(p: MultiPoly, order: int, shift: int = 0) -> "LambdaSeries":
         """Embed a polynomial at the given power of the parameter."""
-        z = MultiPoly.zero(p.vars)
-        coeffs = [z] * (order + 1)
-        if shift <= order:
-            coeffs[shift] = p
-        return LambdaSeries(coeffs)
+        if shift > order:
+            return LambdaSeries.zero(p.vars, order)
+        lift = shift << SLOT_BITS * len(p.vars)
+        nums = {k + lift: v for k, v in p.nums.items()} if lift else p.nums
+        return LambdaSeries(_wrap((LAMBDA, *p.vars), p.den, nums), order)
+
+    @staticmethod
+    def join(vars: Sequence[str], parts: Mapping[int, MultiPoly],
+             order: int) -> "LambdaSeries":
+        """Σ_r λ^r · parts[r], truncated at λ^order, for polynomials over
+        (λ, *vars)."""
+        s = SLOT_BITS * len(vars)
+        return LambdaSeries(_sum((LAMBDA, *vars), [(r << s, p) for r, p in parts.items()],
+                                 (order + 1) << s), order)
 
     # -- ring operations ----------------------------------------------
 
     def _check(self, other: "LambdaSeries") -> None:
         if self.order != other.order:
             raise OrderMismatchError(f"order {self.order} vs {other.order}")
-        if self.vars != other.vars:
-            raise VariableMismatchError(f"{self.vars} vs {other.vars}")
 
     def __add__(self, other: "LambdaSeries") -> "LambdaSeries":
         self._check(other)
-        return LambdaSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return LambdaSeries(self.poly + other.poly, self.order)
 
     def __sub__(self, other: "LambdaSeries") -> "LambdaSeries":
         self._check(other)
-        return LambdaSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return LambdaSeries(self.poly - other.poly, self.order)
 
-    def __neg__(self) -> "LambdaSeries":
-        return LambdaSeries([-a for a in self.coeffs])
+    def __mul__(self, other: "LambdaSeries") -> "LambdaSeries":
+        """The pointwise product, truncated at the common order."""
+        self._check(other)
+        return LambdaSeries(self.poly * other.poly, self.order).truncate(self.order)
 
     def scale(self, c) -> "LambdaSeries":
-        return LambdaSeries([a.scale(c) for a in self.coeffs])
-
-    def lambda_shift(self, k: int = 1) -> "LambdaSeries":
-        """Multiply by the k-th power of the parameter.  Coefficients pushed
-        beyond the truncation order are discarded (truncation contract)."""
-        z = MultiPoly.zero(self.vars)
-        out = [z] * (self.order + 1)
-        for r, a in enumerate(self.coeffs):
-            if r + k <= self.order:
-                out[r + k] = a
-        return LambdaSeries(out)
+        return LambdaSeries(self.poly.scale(c), self.order)
 
     def conjugate(self) -> "LambdaSeries":
-        return LambdaSeries([a.conjugate() for a in self.coeffs])
-
-    def map_coeffs(self, fn: Callable[[MultiPoly], MultiPoly]) -> "LambdaSeries":
-        return LambdaSeries([fn(a) for a in self.coeffs])
+        return LambdaSeries(self.poly.conjugate(), self.order)
 
     def truncate(self, order: int) -> "LambdaSeries":
-        if order <= self.order:
-            return LambdaSeries(self.coeffs[: order + 1])
-        z = MultiPoly.zero(self.vars)
-        return LambdaSeries(list(self.coeffs) + [z] * (order - self.order))
+        """The series at another order: powers past it are dropped."""
+        bound = (order + 1) << self._shift()
+        p = self.poly
+        if p.nums and max(p.nums) >= bound:
+            p = _canonical(p.vars, p.den, {k: v for k, v in p.nums.items() if k < bound})
+        return LambdaSeries(p, order)
+
+    # -- the polynomial operations, on every coefficient at once ----------
+
+    def with_vars(self, vars: Sequence[str]) -> "LambdaSeries":
+        return LambdaSeries(self.poly.with_vars((LAMBDA, *vars)), self.order)
+
+    def zero_outside(self, vars: Sequence[str]) -> "LambdaSeries":
+        return LambdaSeries(self.poly.zero_outside((LAMBDA, *vars)), self.order)
+
+    def weighted_diff(self, var: str, weight_vars: Sequence[str], k: int) -> "LambdaSeries":
+        return LambdaSeries(self.poly.weighted_diff(var, weight_vars, k), self.order)
+
+    def uses(self, var: str) -> bool:
+        return self.poly.uses(var)
 
     # -- queries ------------------------------------------------------
 
+    def coeff(self, r: int) -> MultiPoly:
+        """The polynomial multiplying λ^r."""
+        s, p = self._shift(), self.poly
+        low = (1 << s) - 1
+        return _canonical(self.vars, p.den, {k & low: v for k, v in p.nums.items()
+                                             if k >> s == r})
+
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return self.poly.is_zero()
 
     def min_lambda_order(self):
         """Lowest power with a nonzero coefficient, or None for zero."""
-        for r, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return r
-        return None
+        nums = self.poly.nums
+        return min(nums) >> self._shift() if nums else None
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LambdaSeries)
             and self.order == other.order
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
+            and self.poly == other.poly
         )
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.poly))
 
     def render(self) -> str:
-        lines = []
-        for r, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                lines.append(f"λ^{r}: {c.render()}")
-        return "\n".join(lines) if lines else "0"
+        """One line ``λ^r: …`` per nonzero coefficient, lowest power first."""
+        s = self._shift()
+        powers = sorted({k >> s for k in self.poly.nums})
+        return "\n".join(f"λ^{r}: {self.coeff(r).render()}" for r in powers) or "0"
 
     def __repr__(self) -> str:
         return f"LambdaSeries({self.render()!r})"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from .exact import (
     AlgebraError,
@@ -38,6 +38,8 @@ from .phase_space import PhaseSpace, StarProduct
 from .report import check
 
 IndexKey = Tuple[int, ...]
+# the tube maps act alike on a polynomial and on a whole series
+P = TypeVar("P", MultiPoly, LambdaSeries)
 
 
 def insert_index(alpha: int, key: IndexKey) -> Optional[Tuple[int, IndexKey]]:
@@ -62,7 +64,8 @@ def remove_index(key: IndexKey, pos: int) -> Tuple[int, IndexKey]:
 
 class KoszulChain:
     """Graded element of (series) ⊗ Λ^k of the acting algebra, keyed by
-    strictly increasing index tuples."""
+    strictly increasing index tuples.  Each entry is one ``LambdaSeries``,
+    so every operator below acts on a whole series at once."""
 
     __slots__ = ("gdim", "grade", "order", "vars", "terms")
 
@@ -116,9 +119,7 @@ class KoszulChain:
         return not self.terms
 
     def min_lambda_order(self):
-        orders = [s.min_lambda_order() for s in self.terms.values()]
-        orders = [o for o in orders if o is not None]
-        return min(orders) if orders else None
+        return min((s.min_lambda_order() for s in self.terms.values()), default=None)
 
     def __eq__(self, other):
         return (isinstance(other, KoszulChain)
@@ -147,15 +148,15 @@ class GoodTube:
         self.constrained = tuple(f"p{a}" for a in self.translated)
         self.cvars = tuple(v for v in space.vars if v not in self.constrained)
 
-    def restrict(self, f: MultiPoly) -> MultiPoly:
-        """Restriction to the constraint set: the monomials of vertical
-        degree 0, re-expressed on ``cvars``."""
+    def restrict(self, f: P) -> P:
+        """Restriction to the constraint set of a polynomial or a series:
+        the monomials of vertical degree 0, re-expressed on ``cvars``."""
         return f.zero_outside(self.cvars)
 
-    def homotopy(self, f: MultiPoly, k: int,
-                 directions: Sequence[int]) -> Dict[int, MultiPoly]:
-        """Grade-k contracting homotopy along each listed constrained
-        direction a (1-based): x^m goes to m_a/(|m_v|+k) · x^{m-e_a}."""
+    def homotopy(self, f: P, k: int, directions: Sequence[int]) -> Dict[int, P]:
+        """Grade-k contracting homotopy of a polynomial or a series along
+        each listed constrained direction a (1-based): x^m goes to
+        m_a/(|m_v|+k) · x^{m-e_a}.  λ is not a weight variable."""
         return {a: f.weighted_diff(self.constrained[a - 1], self.constrained, k)
                 for a in directions}
 
@@ -232,7 +233,7 @@ def _boundary(x: KoszulChain, ctx: ReductionContext,
 def koszul_boundary(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
     """Classical boundary: pointwise multiplication by the momentum
     components."""
-    return _boundary(x, ctx, lambda F, a: F.map_coeffs(lambda c: c * ctx.J.components[a - 1]))
+    return _boundary(x, ctx, lambda F, a: F * ctx.series(ctx.J.components[a - 1]))
 
 
 def quantum_koszul_boundary(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
@@ -291,32 +292,30 @@ def ce_boundary(lie: LieAlgebraData, x: CEElement, grade: int) -> CEElement:
 # ---------------------------------------------------------------------------
 
 def restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """Classical restriction to the constraint set, coefficientwise."""
-    return f.map_coeffs(ctx.tube.restrict)
+    """Classical restriction to the constraint set."""
+    return ctx.tube.restrict(f)
 
 
-def prolongation(f, ctx: ReductionContext) -> LambdaSeries:
+def prolongation(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     """Extension of a constraint-algebra element by the tube retraction; on
     a total tube this is the variable inclusion."""
-    if isinstance(f, MultiPoly):
-        f = LambdaSeries.from_poly(f, ctx.order)
     if f.vars != ctx.cvars:
         raise AlgebraError("prolongation input must live on the constraint algebra")
-    return f.map_coeffs(lambda c: c.with_vars(ctx.space.vars))
+    return f.with_vars(ctx.space.vars)
 
 
 def classical_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
     """Contracting homotopy from the good tube at the chain's grade: each
-    coefficient goes through ``GoodTube.homotopy`` once, and the output
-    along direction a is wedged onto the basis key."""
+    entry goes through ``GoodTube.homotopy`` once, and the output along
+    direction a is wedged onto the basis key."""
     k = x.grade
     out: Dict[IndexKey, LambdaSeries] = {}
     for key, F in x.terms.items():
         free = [a for a in range(1, ctx.gdim + 1) if a not in key]
-        parts = [ctx.tube.homotopy(c, k, free) for c in F.coeffs]
+        parts = ctx.tube.homotopy(F, k, free)
         for alpha in free:
             sign, newkey = insert_index(alpha, key)
-            G = LambdaSeries([p[alpha] for p in parts]).scale(sign)
+            G = parts[alpha].scale(sign)
             out[newkey] = out[newkey] + G if newkey in out else G
     return KoszulChain(ctx.gdim, k + 1, ctx.space.vars, ctx.order, out)
 
@@ -431,7 +430,7 @@ def verify_complex_identities(ctx: ReductionContext,
         check("homotopy_identity_grade_zero", sample_failures(homotopy_identity_grade_zero)),
         check("homotopy_kills_prolongations", sample_failures(homotopy_kills_prolongations)),
         check("quantum_restriction_classical_limit", sample_failures(
-            lambda fs, qf: qf.coeffs[0] == restriction(fs, ctx).coeffs[0])),
+            lambda fs, qf: qf.coeff(0) == restriction(fs, ctx).coeff(0))),
         check("quantum_restriction_right_inverse", sample_failures(right_inverse)),
         check("projection_idempotent", sample_failures(projection_idempotent)),
         check("kernel_contains_ideal_generators", kernel_contains_ideal_generators()),

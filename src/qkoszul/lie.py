@@ -118,7 +118,7 @@ class QuantumMomentumMap:
         self.components = tuple(components)
 
     def classical_part(self) -> MomentumMap:
-        return MomentumMap(self.lie, [c.coeffs[0] for c in self.components])
+        return MomentumMap(self.lie, [c.coeff(0) for c in self.components])
 
     @staticmethod
     def from_classical(J: MomentumMap, order: int) -> "QuantumMomentumMap":
@@ -192,7 +192,8 @@ def check_quantum_momentum_map(star: StarProduct, Jq: QuantumMomentumMap,
                 rhs = LambdaSeries.zero(space.vars, L)
                 for g, coeff in Jq.lie.bracket_coeffs(a, b).items():
                     rhs = rhs + Jq.components[g - 1].truncate(L).scale(coeff)
-                rhs = rhs.scale(GR_I).lambda_shift(1)
+                rhs = rhs * LambdaSeries.from_poly(
+                    MultiPoly.const(space.vars, GR_I), L, shift=1)
                 if lhs != rhs:
                     yield {"pair": (a, b), "commutator": lhs.render(),
                            "expected": rhs.render()}

@@ -23,11 +23,13 @@ from .exact import (
     GR_I,
     GR_MINUS_I,
     GR_ZERO,
-    AlgebraError,
+    LAMBDA,
     GaussianRational,
     LambdaSeries,
     MultiPoly,
+    OrderMismatchError,
     gr,
+    vector_field,
 )
 from .report import check, expected_failure
 
@@ -100,55 +102,67 @@ def _pairing(C: Matrix, f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return out
 
 
-def _linear_form(vars: Tuple[str, ...], v: Vector) -> MultiPoly:
-    """Σ_i v_i x_i, whose directional derivative is Σ_i v_i ∂_i."""
-    return MultiPoly(vars, {tuple(int(j == i) for j in range(len(vars))): c for i, c in v})
+def _vector_field(space: PhaseSpace, v: Vector) -> tuple:
+    """Σ_i v_i ∂_i on the λ-extended variables of ``space``, decoded once."""
+    lvars = (LAMBDA, *space.vars)
+    return vector_field(MultiPoly(
+        lvars, {tuple(int(j == i + 1) for j in range(len(lvars))): c for i, c in v}))
 
 
-def _exponential(terms, f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
-    """μ ∘ exp(λ Σ_k D_{a_k} ⊗ D_{b_k}) on a polynomial pair, truncated at
-    λ^order, where ``terms`` holds the rank-one factors as pairs of linear
-    forms (a_k, b_k) and D_a is the derivative along a.  The exponential
-    is a product of commuting factors, so it expands over multi-indices m
-    as Σ_m λ^{|m|} Π_k 1/m_k! · (D_a^m f)(D_b^m g).  The walk fixes m_k
-    one k at a time, carrying the derivatives of both factors along (the
-    left one takes the 1/m of the step to multiplicity m), and drops a
-    branch once either factor is killed or λ^order is reached."""
-    acc = [MultiPoly.zero(f.vars)] * (order + 1)
-    stack = [(0, 0, f, g)]
+def _exponential(steps, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
+    """μ ∘ exp(λ Σ_k D_{a_k} ⊗ D_{b_k}) on a pair of series, truncated at
+    their order L, where ``steps`` holds the rank-one factors as pairs of
+    vector fields (a_k, b_k).  The exponential is a product of commuting
+    factors, so it expands over multi-indices m as
+    Σ_m λ^{|m|} Π_k 1/m_k! · (D_a^m f)(D_b^m g).  λ is never differentiated,
+    so the walk runs once over both whole series: it fixes m_k one k at a
+    time, carrying the derivatives of both factors along (the left one
+    takes the 1/m of the step to multiplicity m), and drops a branch once
+    either factor is killed or its λ-power passes L.  The products of the
+    branches at depth |m| = r are summed apart and joined once at the end."""
+    L = f.order
+    lo_f, lo_g = f.min_lambda_order(), g.min_lambda_order()
+    if lo_f is None or lo_g is None:
+        return LambdaSeries.zero(f.vars, L)
+    top = L - lo_f - lo_g
+    parts: Dict[int, MultiPoly] = {}
+    stack = [(0, 0, f.truncate(L - lo_g).poly, g.truncate(L - lo_f).poly)]
     while stack:
         k, r, left, right = stack.pop()
-        if k == len(terms):
-            acc[r] = acc[r] + left * right
+        if k == len(steps):
+            prod = left * right
+            parts[r] = parts[r] + prod if r in parts else prod
             continue
-        for m in range(order - r + 1):
+        a, b = steps[k]
+        for m in range(top - r + 1):
             if m:
-                left = left.directional(terms[k][0], m)
-                right = right.directional(terms[k][1])
+                left = left.directional(a, m)
+                right = right.directional(b)
                 if left.is_zero() or right.is_zero():
                     break
             stack.append((k + 1, r + m, left, right))
-    return LambdaSeries(acc)
+    return LambdaSeries.join(f.vars, parts, L)
 
 
 class StarProduct:
     """An exact formal star product on a flat phase space.
 
-    ``eval_poly(f, g, order)`` is the product truncated at λ^order,
-    ``bracket_poly(f, g)`` the classical bracket it deforms, and
-    ``hermitian`` says whether conj(f ⋆ g) = conj(g) ⋆ conj(f).  Products on
-    a phase space come from ``constant``; reduced products are built from
-    their evaluation and their reduced bracket.
+    ``eval(f, g)`` is the product of two series truncated at their common
+    order, ``eval_poly(f, g, order)`` the product of two polynomials
+    truncated at λ^order, ``bracket_poly(f, g)`` the classical bracket it
+    deforms, and ``hermitian`` says whether conj(f ⋆ g) = conj(g) ⋆ conj(f).
+    Products on a phase space come from ``constant``; reduced products are
+    built from their series evaluation and their reduced bracket.
     Evaluation is bilinear over Gaussian rationals and pure: the same inputs
     always give the same series.
     """
 
     def __init__(self, space: PhaseSpace,
-                 eval_poly: Callable[[MultiPoly, MultiPoly, int], LambdaSeries],
+                 eval: Callable[[LambdaSeries, LambdaSeries], LambdaSeries],
                  bracket: Callable[[MultiPoly, MultiPoly], MultiPoly],
                  hermitian: bool):
         self.space = space
-        self._eval_poly = eval_poly
+        self._eval = eval
         self._bracket = bracket
         self.hermitian = hermitian
 
@@ -157,8 +171,8 @@ class StarProduct:
     @staticmethod
     def constant(space: PhaseSpace, C: Matrix) -> "StarProduct":
         """μ ∘ exp(λ Σ C^{ij} ∂_i ⊗ ∂_j), with C factored once into rank-one
-        terms; the bracket matrix -i (C - Cᵀ) and the Hermitian property are
-        read off C once."""
+        terms, each decoded once as a pair of vector fields; the bracket
+        matrix -i (C - Cᵀ) and the Hermitian property are read off C once."""
         C = {ij: c for ij, c in C.items() if not c.is_zero()}
         hermitian = all(C.get((j, i), GR_ZERO) == c.conjugate()
                         for (i, j), c in C.items())
@@ -167,9 +181,9 @@ class StarProduct:
             c = (C.get((i, j), GR_ZERO) - C.get((j, i), GR_ZERO)) * GR_MINUS_I
             if not c.is_zero():
                 bracket_matrix[i, j] = c
-        terms = [(_linear_form(space.vars, a), _linear_form(space.vars, b))
+        steps = [(_vector_field(space, a), _vector_field(space, b))
                  for a, b in _rank_one_terms(C)]
-        return StarProduct(space, partial(_exponential, terms),
+        return StarProduct(space, partial(_exponential, steps),
                            partial(_pairing, bracket_matrix), hermitian)
 
     @staticmethod
@@ -204,25 +218,15 @@ class StarProduct:
     # -- evaluation -------------------------------------------------------
 
     def eval_poly(self, f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
-        return self._eval_poly(f, g, order)
+        return self.eval(LambdaSeries.from_poly(f, order), LambdaSeries.from_poly(g, order))
 
     def bracket_poly(self, f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return self._bracket(f, g)
 
     def eval(self, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
-        """The product of two series: coefficient t of a_r ⋆ b_s lands at
-        λ^{r+s+t}."""
         if f.order != g.order:
-            raise AlgebraError("order mismatch")
-        L = f.order
-        acc = [MultiPoly.zero(f.vars)] * (L + 1)
-        for r, a in enumerate(f.coeffs):
-            for s, b in enumerate(g.coeffs[:L - r + 1]):
-                if a.is_zero() or b.is_zero():
-                    continue
-                for t, c in enumerate(self.eval_poly(a, b, L - r - s).coeffs, r + s):
-                    acc[t] = acc[t] + c
-        return LambdaSeries(acc)
+            raise OrderMismatchError(f"order {f.order} vs {g.order}")
+        return self._eval(f, g)
 
 
 def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],
@@ -258,16 +262,16 @@ def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],
     def order0_pointwise():
         for f, g, fv, gv in pairs():
             prod = product(fv, gv)
-            if prod.coeffs[0] != fv * gv:
-                yield {"f": f.render(), "g": g.render(), "order0": prod.coeffs[0].render()}
+            if prod.coeff(0) != fv * gv:
+                yield {"f": f.render(), "g": g.render(), "order0": prod.coeff(0).render()}
 
     def order1_commutator_bracket():
         for f, g, fv, gv in pairs():
             comm = product(fv, gv) - product(gv, fv)
             expected = star.bracket_poly(fv, gv).scale(GR_I)
-            if comm.coeffs[1] != expected:
+            if comm.coeff(1) != expected:
                 yield {"f": f.render(), "g": g.render(),
-                       "commutator_order1": comm.coeffs[1].render(),
+                       "commutator_order1": comm.coeff(1).render(),
                        "i_bracket": expected.render()}
 
     # reported, not required by the axioms

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Tuple
 
 from .exact import AlgebraError, LambdaSeries, MultiPoly, invert_unipotent
-from .koszul import ReductionContext, prolongation, quantum_restriction, restriction
+from .koszul import P, ReductionContext, prolongation, quantum_restriction, restriction
 from .phase_space import PhaseSpace, StarProduct
 
 
@@ -45,23 +45,22 @@ class ReducedAlgebra:
         self.space = PhaseSpace(residual)
         self.translated_q = tuple(f"q{a}" for a in ctx.action.translated)
 
-    def lift(self, f: MultiPoly) -> MultiPoly:
-        """The injection of reduced polynomials into the constraint algebra."""
+    def lift(self, f: P) -> P:
+        """The injection of reduced polynomials or series into the
+        constraint algebra."""
         if f.vars != self.space.vars:
             raise AlgebraError("input does not live on the reduced algebra")
         return f.with_vars(self.ctx.cvars)
 
-    def push_down(self, f: MultiPoly) -> MultiPoly:
-        """Inverse of the injection on invariant constraint polynomials."""
+    def push_down(self, f: P) -> P:
+        """Inverse of the injection on invariant constraint polynomials or
+        series."""
         g = f.with_vars(self.ctx.cvars) if f.vars != self.ctx.cvars else f
         for qv in self.translated_q:
             if g.uses(qv):
                 raise AlgebraError(
                     f"element is not translation invariant: depends on {qv}")
         return g.with_vars(self.space.vars)
-
-    def push_down_series(self, f: LambdaSeries) -> LambdaSeries:
-        return f.map_coeffs(self.push_down)
 
 
 def reduced_poisson_bracket(f: MultiPoly, g: MultiPoly,
@@ -77,11 +76,11 @@ def reduced_poisson_bracket(f: MultiPoly, g: MultiPoly,
 def _reduced_product(red: ReducedAlgebra, restrict) -> StarProduct:
     """Lift both factors horizontally, star-multiply, ``restrict``, push down."""
 
-    def ev(f: MultiPoly, g: MultiPoly, order: int) -> LambdaSeries:
-        ctx = elevate_context(red.ctx, order)
+    def ev(f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
+        ctx = elevate_context(red.ctx, f.order)
         lf = prolongation(red.lift(f), ctx)
         lg = prolongation(red.lift(g), ctx)
-        return red.push_down_series(restrict(ctx.star.eval(lf, lg), ctx))
+        return red.push_down(restrict(ctx.star.eval(lf, lg), ctx))
 
     return StarProduct(red.space, ev,
                        lambda f, g: reduced_poisson_bracket(f, g, red),
@@ -104,9 +103,10 @@ class CotangentSplit:
     def __init__(self, ctx: ReductionContext):
         self.ctx = ctx
 
-    def r(self, i: int, F: MultiPoly) -> MultiPoly:
+    def r(self, i: int, F: P) -> P:
         """The i-th division operator (1-based over the vertical
-        directions): the grade-0 homotopy along direction i."""
+        directions) on a polynomial or a series: the grade-0 homotopy along
+        direction i."""
         return self.ctx.tube.homotopy(F, 0, (i,))[i]
 
 
@@ -117,10 +117,10 @@ def _vertical_difference(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries
     split = CotangentSplit(ctx)
     out = LambdaSeries.zero(ctx.space.vars, ctx.order)
     for i, (Ji, Jqi) in enumerate(zip(ctx.J.components, ctx.Jq.components), start=1):
-        rF = F.map_coeffs(lambda c, i=i: split.r(i, c))
+        rF = split.r(i, F)
         if rF.is_zero():
             continue
-        out = out + rF.map_coeffs(lambda c, Ji=Ji: c * Ji) - ctx.star.eval(rF, Jqi)
+        out = out + rF * ctx.series(Ji) - ctx.star.eval(rF, Jqi)
     return out
 
 

@@ -94,7 +94,7 @@ def induced_second_momentum_map(pipe: StagePipeline) -> QuantumMomentumMap:
     comps = []
     for i in cfg.second:
         down = quantum_restriction(ctx.Jq.components[i - 1], pipe.ctx1)
-        comps.append(pipe.red1.push_down_series(down))
+        comps.append(pipe.red1.push_down(down))
     return QuantumMomentumMap(lie2, comps)
 
 
@@ -111,13 +111,13 @@ def build_compatible_prolongations(pipe: StagePipeline,
     red, red1, red2 = pipe.red, pipe.red1, pipe.red2
 
     def on_cvars1(s):
-        return s.map_coeffs(lambda c: c.with_vars(ctx1.cvars))
+        return s.with_vars(ctx1.cvars)
 
     # each sample as a reduced probe phi, with its stagewise prolongation
     # prol1 pi1* prol2 pi2* phi
     reduced = {f: red2.space.series(f.zero_outside(red.space.vars), ctx.order)
                for f in samples}
-    stagewise = {f: prolongation(on_cvars1(prolongation(phi.map_coeffs(red2.lift), ctx2)), ctx1)
+    stagewise = {f: prolongation(on_cvars1(prolongation(red2.lift(phi), ctx2)), ctx1)
                  for f, phi in reduced.items()}
 
     def failures(holds):
@@ -134,7 +134,7 @@ def build_compatible_prolongations(pipe: StagePipeline,
     def second_prolongation_compatible(f):
         c2 = ctx2.constraint_series(f.zero_outside(ctx2.cvars))
         return on_cvars1(prolongation(c2, ctx2)) == restriction(
-            prolongation(c2.map_coeffs(lambda c: c.with_vars(ctx.cvars)), ctx), ctx1)
+            prolongation(c2.with_vars(ctx.cvars), ctx), ctx1)
 
     # j** := i** prol1 satisfies j** i1** = i**
     def composite_quantum_restriction_factors(f):
@@ -154,7 +154,7 @@ def build_compatible_prolongations(pipe: StagePipeline,
         check("second_prolongation_compatible", failures(second_prolongation_compatible)),
         # (ii) prol1 pi1* prol2 pi2* = prol pi* on reduced probes
         check("stagewise_prolongation_equals_one_step", failures(
-            lambda f: stagewise[f] == prolongation(reduced[f].map_coeffs(red.lift), ctx))),
+            lambda f: stagewise[f] == prolongation(red.lift(reduced[f]), ctx))),
         # (iii) the one-step homotopy kills stagewise prolongations
         check("homotopy_kills_stagewise_prolongations", failures(
             lambda f: classical_homotopy(

@@ -1,23 +1,29 @@
-"""Reference polynomial arithmetic for the tests: a sparse polynomial whose
-coefficients are ``GaussianRational`` values keyed by exponent tuples, and
-the directional derivative and tube homotopy written on it.
+"""Reference arithmetic for the tests: a sparse polynomial whose
+coefficients are ``GaussianRational`` values keyed by exponent tuples, the
+directional derivative and tube homotopy written on it, and a truncated
+λ-series held as a list of coefficient polynomials, with the star product
+of two series summed pair by pair.
 
-This is the straightforward form the integer core of ``qkoszul.exact``
-replaced, kept as an independent oracle: every operation here works one
-coefficient at a time with ``Fraction`` arithmetic.
+These are the straightforward forms that the integer core of
+``qkoszul.exact`` and its one-polynomial series replaced, kept as
+independent oracles: every polynomial operation here works one coefficient
+at a time with ``Fraction`` arithmetic, and every series operation one power
+of λ at a time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 from qkoszul.exact import (
     GR_ONE,
     GR_ZERO,
     AlgebraError,
     GaussianRational,
+    LambdaSeries,
     MultiPoly,
+    OrderMismatchError,
     VariableMismatchError,
     gr,
 )
@@ -257,3 +263,131 @@ def homotopy(f: RefPoly, vpos: Sequence[int], k: int,
             if m:
                 out[e[:i] + (m - 1,) + e[i + 1:]] = c * gr(Fraction(m, deg + k))
     return {a: RefPoly(f.vars, out) for a, out in outs.items()}
+
+
+class RefSeries:
+    """Formal power series in the deformation parameter, truncated at a
+    fixed order ``L``: coefficient ``r`` is the polynomial multiplying the
+    parameter to the r-th power, and every power up to L has one."""
+
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, coeffs: Sequence[MultiPoly]):
+        cs = tuple(coeffs)
+        if not cs:
+            raise AlgebraError("series needs at least the order-0 coefficient")
+        vs = cs[0].vars
+        for c in cs:
+            if c.vars != vs:
+                raise VariableMismatchError("series coefficients disagree on variables")
+        self.coeffs = cs
+        self.order = len(cs) - 1
+
+    @property
+    def vars(self) -> Tuple[str, ...]:
+        return self.coeffs[0].vars
+
+    # -- conversion -----------------------------------------------------
+
+    @staticmethod
+    def of(s: LambdaSeries) -> "RefSeries":
+        return RefSeries([s.coeff(r) for r in range(s.order + 1)])
+
+    def to_series(self) -> LambdaSeries:
+        out = LambdaSeries.zero(self.vars, self.order)
+        for r, c in enumerate(self.coeffs):
+            out = out + LambdaSeries.from_poly(c, self.order, shift=r)
+        return out
+
+    # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def from_poly(p: MultiPoly, order: int, shift: int = 0) -> "RefSeries":
+        z = MultiPoly.zero(p.vars)
+        coeffs = [z] * (order + 1)
+        if shift <= order:
+            coeffs[shift] = p
+        return RefSeries(coeffs)
+
+    # -- ring operations ----------------------------------------------
+
+    def _check(self, other: "RefSeries") -> None:
+        if self.order != other.order:
+            raise OrderMismatchError(f"order {self.order} vs {other.order}")
+        if self.vars != other.vars:
+            raise VariableMismatchError(f"{self.vars} vs {other.vars}")
+
+    def __add__(self, other: "RefSeries") -> "RefSeries":
+        self._check(other)
+        return RefSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other: "RefSeries") -> "RefSeries":
+        self._check(other)
+        return RefSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def scale(self, c) -> "RefSeries":
+        return RefSeries([a.scale(c) for a in self.coeffs])
+
+    def lambda_shift(self, k: int = 1) -> "RefSeries":
+        """Multiply by the k-th power of the parameter; coefficients pushed
+        beyond the truncation order are discarded."""
+        z = MultiPoly.zero(self.vars)
+        out = [z] * (self.order + 1)
+        for r, a in enumerate(self.coeffs):
+            if r + k <= self.order:
+                out[r + k] = a
+        return RefSeries(out)
+
+    def conjugate(self) -> "RefSeries":
+        return RefSeries([a.conjugate() for a in self.coeffs])
+
+    def map_coeffs(self, fn: Callable[[MultiPoly], MultiPoly]) -> "RefSeries":
+        return RefSeries([fn(a) for a in self.coeffs])
+
+    def truncate(self, order: int) -> "RefSeries":
+        if order <= self.order:
+            return RefSeries(self.coeffs[: order + 1])
+        z = MultiPoly.zero(self.vars)
+        return RefSeries(list(self.coeffs) + [z] * (order - self.order))
+
+    # -- queries ------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coeffs)
+
+    def min_lambda_order(self):
+        for r, c in enumerate(self.coeffs):
+            if not c.is_zero():
+                return r
+        return None
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, RefSeries)
+            and self.order == other.order
+            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    def render(self) -> str:
+        lines = []
+        for r, c in enumerate(self.coeffs):
+            if not c.is_zero():
+                lines.append(f"λ^{r}: {c.render()}")
+        return "\n".join(lines) if lines else "0"
+
+
+def series_product(star, f: RefSeries, g: RefSeries) -> RefSeries:
+    """The star product of two series summed pair by pair: coefficient t of
+    ``star.eval_poly(a_r, b_s, L - r - s)`` lands at λ^{r+s+t}."""
+    if f.order != g.order:
+        raise OrderMismatchError("order mismatch")
+    L = f.order
+    acc = [MultiPoly.zero(f.vars)] * (L + 1)
+    for r, a in enumerate(f.coeffs):
+        for s, b in enumerate(g.coeffs[:L - r + 1]):
+            if a.is_zero() or b.is_zero():
+                continue
+            product = star.eval_poly(a, b, L - r - s)
+            for t in range(L - r - s + 1):
+                acc[r + s + t] = acc[r + s + t] + product.coeff(t)
+    return RefSeries(acc)

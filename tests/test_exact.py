@@ -15,14 +15,16 @@ from qkoszul.exact import (
     GaussianRational,
     LambdaSeries,
     MultiPoly,
+    OrderMismatchError,
     TermLimitError,
     VariableMismatchError,
     gr,
     invert_unipotent,
+    vector_field,
 )
 from qkoszul.koszul import GoodTube
 from qkoszul.phase_space import PhaseSpace
-from reference_poly import RefPoly, derivative, homotopy
+from reference_poly import RefPoly, RefSeries, derivative, homotopy
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 # mixed signs and denominators up to 12, with pure real and pure imaginary
@@ -233,7 +235,7 @@ class TestAgainstReference:
     def test_directional(self, p, form, m):
         v = [(i, form.terms[tuple(int(j == i) for j in range(2))]) for i in range(2)
              if form.uses(VARS[i])]
-        assert agrees(p.directional(form, m), derivative(RefPoly.of(p), v, m))
+        assert agrees(p.directional(vector_field(form), m), derivative(RefPoly.of(p), v, m))
 
     @given(polys(("q1", "q2", "p1", "p2"), max_degree=3, max_terms=6), st.integers(0, 3))
     @settings(max_examples=60)
@@ -249,14 +251,16 @@ class TestCalculusIdentities:
     @given(polys(), polys(), linear_forms())
     @settings(max_examples=40)
     def test_directional_leibniz(self, p, q, form):
-        d = lambda f: f.directional(form)
+        d = lambda f: f.directional(vector_field(form))
         assert d(p * q) == d(p) * q + p * d(q)
 
     def test_directional_needs_a_linear_form(self):
         x = MultiPoly.variable(VARS, "x")
         for bad in (x * x, x + MultiPoly.const(VARS, 1)):
             with pytest.raises(exact.AlgebraError):
-                x.directional(bad)
+                vector_field(bad)
+        with pytest.raises(VariableMismatchError):
+            x.directional(vector_field(MultiPoly.variable(("y", "x"), "x")))
 
 
 class TestLimits:
@@ -285,29 +289,117 @@ class TestLimits:
 class TestLambdaSeries:
     def test_shift_drops_top(self):
         one = MultiPoly.const(("x",), 1)
-        s = LambdaSeries([one, one])
-        assert s.lambda_shift(1).coeffs[0].is_zero()
-        assert s.lambda_shift(1).coeffs[1] == one
-        assert s.lambda_shift(3).is_zero()
+        s = LambdaSeries.from_poly(one, 1) + LambdaSeries.from_poly(one, 1, shift=1)
+        lam = LambdaSeries.from_poly(one, 1, shift=1)
+        assert (s * lam).coeff(0).is_zero()
+        assert (s * lam).coeff(1) == one
+        assert (s * lam * lam * lam).is_zero()
 
     def test_min_order(self):
-        z = MultiPoly.zero(("x",))
         one = MultiPoly.const(("x",), 1)
-        assert LambdaSeries([z, one, z]).min_lambda_order() == 1
-        assert LambdaSeries([z, z]).min_lambda_order() is None
+        assert LambdaSeries.from_poly(one, 2, shift=1).min_lambda_order() == 1
+        assert LambdaSeries.zero(("x",), 1).min_lambda_order() is None
+
+    def test_order_mismatch(self):
+        one = MultiPoly.const(("x",), 1)
+        a, b = LambdaSeries.from_poly(one, 2), LambdaSeries.from_poly(one, 3)
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+            with pytest.raises(OrderMismatchError):
+                op()
+
+    def test_polynomial_starts_with_lambda(self):
+        with pytest.raises(VariableMismatchError):
+            LambdaSeries(MultiPoly.variable(("x",), "x"), 1)
+
+    def test_order_must_fit_a_slot(self, monkeypatch):
+        monkeypatch.setattr(exact, "SLOT_BITS", 3)   # λ-powers up to 3
+        one = MultiPoly.const(("x",), 1)
+        assert LambdaSeries.from_poly(one, 3, shift=3).coeff(3) == one
+        with pytest.raises(ExponentOverflowError):
+            LambdaSeries.from_poly(one, 4)
+
+
+@st.composite
+def series(draw, vars=VARS, max_order=4):
+    """A series as a list of coefficients: every power is drawn, some of
+    them zero."""
+    L = draw(st.integers(0, max_order))
+    return RefSeries([draw(polys(vars, max_degree=3, max_terms=3)) for _ in range(L + 1)])
+
+
+def same(s: LambdaSeries, ref: RefSeries) -> bool:
+    """The one-polynomial series and the coefficient list hold the same
+    series, in the same text form, and the polynomial is canonical."""
+    return (canonical(s.poly) and s.order == ref.order and s.vars == ref.vars
+            and RefSeries.of(s) == ref and s.render() == ref.render()
+            and s.min_lambda_order() == ref.min_lambda_order()
+            and s.is_zero() == ref.is_zero())
+
+
+class TestSeriesAgainstReference:
+    """The one-polynomial series against the coefficient list of
+    ``reference_poly``."""
+
+    @given(series(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_ring_operations(self, a, data):
+        b = data.draw(series().map(lambda s: s.truncate(a.order)))
+        sa, sb = a.to_series(), b.to_series()
+        assert same(sa, a) and same(sb, b)
+        assert same(sa + sb, a + b)
+        assert same(sa - sb, a - b)
+        assert same(sa - sa, a - a)
+        assert same(sa.conjugate(), a.conjugate())
+        assert all(sa.coeff(r) == c for r, c in enumerate(a.coeffs))
+        assert sa.coeff(a.order + 1).is_zero()
+
+    @given(series(), scalars)
+    @settings(max_examples=60, deadline=None)
+    def test_scale(self, a, c):
+        assert same(a.to_series().scale(c), a.scale(c))
+
+    @given(series(), series())
+    @settings(max_examples=60, deadline=None)
+    def test_eq_and_hash(self, a, b):
+        sa, sb = a.to_series(), b.to_series()
+        assert (sa == sb) == (a == b)
+        assert (sa == sb) == (sa.render() == sb.render() and sa.order == sb.order)
+        same_series = (sa + sb.truncate(a.order)) - sb.truncate(a.order)
+        assert same_series == sa and hash(same_series) == hash(sa)
+
+    @given(series(), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_truncate(self, a, order):
+        # to a lower, the same and a higher order
+        assert same(a.to_series().truncate(order), a.truncate(order))
+
+    @given(polys(), st.integers(0, 4), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_from_poly(self, p, order, shift):
+        # a shift past the order gives the zero series
+        assert same(LambdaSeries.from_poly(p, order, shift),
+                    RefSeries.from_poly(p, order, shift))
+
+    @given(series(), st.integers(0, 3), polys(max_degree=2, max_terms=3))
+    @settings(max_examples=60, deadline=None)
+    def test_product_with_a_shifted_polynomial(self, a, k, p):
+        lam_p = RefSeries.from_poly(p, a.order, k)
+        want = RefSeries([x * p for x in a.coeffs]).lambda_shift(k)
+        assert same(a.to_series() * lam_p.to_series(), want)
 
 
 class TestInvertUnipotent:
     def test_geometric_series(self):
         one = MultiPoly.const(("x",), 1)
         L = 5
+        lam = LambdaSeries.from_poly(one, L, shift=1)
         # A = multiplication by the parameter
-        inv = invert_unipotent(lambda s: s.lambda_shift(1), L)
+        inv = invert_unipotent(lambda s: s * lam, L)
         res = inv(LambdaSeries.from_poly(one, L))
         # (1 - t)^{-1} = sum of all powers
-        assert all(c == one for c in res.coeffs)
+        assert RefSeries.of(res) == RefSeries([one] * (L + 1))
         # inverse property: (id - A)(res) = 1
-        back = res - res.lambda_shift(1)
+        back = res - res * lam
         assert back == LambdaSeries.from_poly(one, L)
 
     def test_contract_violation(self):

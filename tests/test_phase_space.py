@@ -17,10 +17,12 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qkoszul.exact import AlgebraError, LambdaSeries, MultiPoly, gr
+from qkoszul.exact import AlgebraError, LambdaSeries, MultiPoly, OrderMismatchError, gr
 from qkoszul.phase_space import PhaseSpace, StarProduct, check_star_axioms
 from qkoszul.sampling import sample_pairs, sample_polys
+from reference_poly import RefSeries, series_product
 
 KINDS = ("weyl", "wick", "std")
 ORACLE = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
@@ -128,9 +130,9 @@ class TestWeyl:
         sp = PhaseSpace.of_dim(1)
         star = StarProduct.weyl(sp)
         res = star.eval_poly(sp.q(1), sp.p(1), 2)
-        assert res.coeffs[0] == sp.q(1) * sp.p(1)
-        assert res.coeffs[1] == MultiPoly.const(sp.vars, 1).scale(gr(0, Fraction(1, 2)))
-        assert res.coeffs[2].is_zero()
+        assert res.coeff(0) == sp.q(1) * sp.p(1)
+        assert res.coeff(1) == MultiPoly.const(sp.vars, 1).scale(gr(0, Fraction(1, 2)))
+        assert res.coeff(2).is_zero()
 
     def test_canonical_commutator(self):
         sp = PhaseSpace.of_dim(2)
@@ -167,11 +169,11 @@ class TestWick:
         z = sp.q(1) + sp.p(1).scale(gr(0, 1))
         zbar = sp.q(1) - sp.p(1).scale(gr(0, 1))
         res = star.eval_poly(z, zbar, 2)
-        assert res.coeffs[0] == z * zbar
-        assert res.coeffs[1] == MultiPoly.const(sp.vars, 2)
-        assert res.coeffs[2].is_zero()
+        assert res.coeff(0) == z * zbar
+        assert res.coeff(1) == MultiPoly.const(sp.vars, 2)
+        assert res.coeff(2).is_zero()
         # opposite order has no correction
-        assert star.eval_poly(zbar, z, 2).coeffs[1].is_zero()
+        assert star.eval_poly(zbar, z, 2).coeff(1).is_zero()
 
     def test_axiom_suite_passes(self):
         sp = PhaseSpace.of_dim(2)
@@ -185,8 +187,8 @@ class TestStdOrdered:
         sp = PhaseSpace.of_dim(1)
         star = StarProduct.std(sp)
         res = star.eval_poly(sp.p(1), sp.q(1), 2)
-        assert res.coeffs[1] == MultiPoly.const(sp.vars, 1).scale(gr(0, -1))
-        assert star.eval_poly(sp.q(1), sp.p(1), 2).coeffs[1].is_zero()
+        assert res.coeff(1) == MultiPoly.const(sp.vars, 1).scale(gr(0, -1))
+        assert star.eval_poly(sp.q(1), sp.p(1), 2).coeff(1).is_zero()
 
     def test_not_hermitian_with_witness(self):
         sp = PhaseSpace.of_dim(1)
@@ -203,6 +205,14 @@ class TestStdOrdered:
             assert by_name[name]["status"] == "pass"
 
 
+def substitute(f, subst):
+    """A polynomial or a series under the substitution, which fixes λ."""
+    if not subst or isinstance(f, MultiPoly):
+        return f.substitute(subst) if subst else f
+    images = {v: LambdaSeries.from_poly(img, f.order).poly for v, img in subst.items()}
+    return LambdaSeries(f.poly.substitute(images), f.order)
+
+
 class Pullback(StarProduct):
     """``base`` transported along a polynomial automorphism by substituting
     the inverse into both factors, multiplying, and substituting forward.
@@ -216,9 +226,8 @@ class Pullback(StarProduct):
             if self.forward(self.back(x)) != x or self.back(self.forward(x)) != x:
                 raise AlgebraError(f"substitutions are not mutually inverse on {v!r}")
 
-        def ev(f, g, order):
-            res = base.eval_poly(self.back(f), self.back(g), order)
-            return res.map_coeffs(self.forward)
+        def ev(f, g):
+            return self.forward(base.eval(self.back(f), self.back(g)))
 
         def bracket(f, g):
             return self.forward(base.bracket_poly(self.back(f), self.back(g)))
@@ -226,10 +235,10 @@ class Pullback(StarProduct):
         super().__init__(base.space, ev, bracket, base.hermitian)
 
     def forward(self, f):
-        return f.substitute(self.subst) if self.subst else f
+        return substitute(f, self.subst)
 
     def back(self, f):
-        return f.substitute(self.subst_inv) if self.subst_inv else f
+        return substitute(f, self.subst_inv)
 
 
 class TestPullback:
@@ -302,21 +311,62 @@ class TestAgainstReference:
                     (n, order)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+# a product that is not Hermitian and that none of the three kinds is: a
+# complex entry on the diagonal and unequal off-diagonal pairs on R^4
+SKEW = {(0, 0): gr(Fraction(1, 3), 1), (0, 2): gr(0, Fraction(1, 2)),
+        (2, 0): gr(-1, Fraction(-1, 2)), (1, 3): gr(2), (3, 1): gr(0, -1),
+        (2, 3): gr(Fraction(-2, 5))}
+
+
+def product_of(kind, sp):
+    return StarProduct.constant(sp, SKEW) if kind == "skew" else \
+        getattr(StarProduct, kind)(sp)
+
+
+def test_skew_product_is_not_hermitian():
+    assert not product_of("skew", PhaseSpace.of_dim(2)).hermitian
+
+
+@pytest.mark.parametrize("kind", KINDS + ("skew",))
 def test_series_product_sums_the_polynomial_products(kind):
-    # both factors carry λ^0, λ^1 and λ^2, so every shift r + s is exercised
+    # both factors carry λ^0 to λ^3 at L = 4, so every shift r + s is
+    # exercised, past L too
     sp = PhaseSpace.of_dim(2)
-    star = getattr(StarProduct, kind)(sp)
+    star = product_of(kind, sp)
     L = 4
-    a = sample_polys(31, sp.vars, 3, 3)
-    b = sample_polys(37, sp.vars, 2, 3)
-    zero = MultiPoly.zero(sp.vars)
-    F = LambdaSeries(a + [zero] * (L - 2))
-    G = LambdaSeries(b + [zero] * (L - 2))
-    want = LambdaSeries.zero(sp.vars, L)
-    for r in range(3):
-        for s in range(3):
-            if r + s <= L:
-                want = want + star.eval_poly(a[r], b[s], L - r - s).truncate(L) \
-                    .lambda_shift(r + s)
-    assert star.eval(F, G) == want
+    F = RefSeries(sample_polys(31, sp.vars, 3, 4) + [MultiPoly.zero(sp.vars)])
+    G = RefSeries(sample_polys(37, sp.vars, 2, 4) + [MultiPoly.zero(sp.vars)])
+    got = star.eval(F.to_series(), G.to_series())
+    assert RefSeries.of(got) == series_product(star, F, G)
+    # both factors raised by λ: the walk starts past λ^0 and stops earlier
+    F, G = F.lambda_shift(1), G.lambda_shift(1)
+    assert RefSeries.of(star.eval(F.to_series(), G.to_series())) == series_product(star, F, G)
+
+
+@st.composite
+def filled_series(draw, vars, L):
+    """A series with a nonzero sample at every power of λ up to L."""
+    seed = draw(st.integers(0, 10_000))
+    return RefSeries(sample_polys(seed, vars, draw(st.integers(1, 3)), L + 1))
+
+
+@pytest.mark.parametrize("L", (0, 1, 4))
+@pytest.mark.parametrize("kind", KINDS + ("skew",))
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_eval_equals_the_pairwise_sum(kind, L, data):
+    sp = PhaseSpace.of_dim(2)
+    star = product_of(kind, sp)
+    F = data.draw(filled_series(sp.vars, L))
+    G = data.draw(filled_series(sp.vars, L))
+    got = star.eval(F.to_series(), G.to_series())
+    want = series_product(star, F, G)
+    assert RefSeries.of(got) == want and got.render() == want.render()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_eval_rejects_an_order_mismatch(kind):
+    sp = PhaseSpace.of_dim(1)
+    star = getattr(StarProduct, kind)(sp)
+    with pytest.raises(OrderMismatchError):
+        star.eval(sp.series(sp.q(1), 2), sp.series(sp.p(1), 3))

@@ -9,6 +9,7 @@ from qkoszul.exact import (
     AlgebraError,
     LambdaSeries,
     MultiPoly,
+    OrderMismatchError,
     gr,
 )
 from qkoszul.koszul import (
@@ -36,6 +37,7 @@ from qkoszul.reduction import (
     reduced_star,
 )
 from qkoszul.sampling import sample_pairs, sample_polys
+from reference_poly import RefSeries, series_product
 
 L = 4
 
@@ -152,9 +154,36 @@ class TestResidualProduct:
             assert [r.eval_poly(f, g, L) for r in routes] == [want, want]
 
 
+@pytest.mark.parametrize("route", (reduced_star, knp_reduced_star))
+@pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+class TestReducedSeriesProduct:
+    """A reduced product evaluates whole series, which is the path of the
+    second stage's boundary through ``star_red1`` and a corrected Jq2."""
+
+    def test_equals_the_pairwise_sum(self, route, kind):
+        # both factors carry λ^0 to λ^3 at L = 4, so pairs with r + s > L
+        # meet and must drop out
+        sp = PhaseSpace.of_dim(3)
+        red = ReducedAlgebra(ReductionContext.canonical(
+            sp, (1,), getattr(StarProduct, kind)(sp), L))
+        star = route(red)
+        F = RefSeries(sample_polys(139, red.space.vars, 2, 4) + [MultiPoly.zero(red.space.vars)])
+        G = RefSeries(sample_polys(149, red.space.vars, 2, 4) + [MultiPoly.zero(red.space.vars)])
+        assert RefSeries.of(star.eval(F.to_series(), G.to_series())) == \
+            series_product(star, F, G)
+
+    def test_rejects_an_order_mismatch(self, route, kind):
+        sp = PhaseSpace.of_dim(2)
+        red = ReducedAlgebra(ReductionContext.canonical(
+            sp, (1,), getattr(StarProduct, kind)(sp), L))
+        rs = red.space
+        with pytest.raises(OrderMismatchError):
+            route(red).eval(rs.series(rs.q(2), L), rs.series(rs.p(2), L - 1))
+
+
 def horizontal(F: MultiPoly, ctx: ReductionContext) -> MultiPoly:
     """The horizontal part prolongation(restriction(F)) of a polynomial."""
-    return prolongation(restriction(ctx.series(F), ctx), ctx).coeffs[0]
+    return prolongation(restriction(ctx.series(F), ctx), ctx).coeff(0)
 
 
 class TestHvSplit:
@@ -213,9 +242,9 @@ def delta_star(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     """The vertical difference operator of the closed-form route divided
     exactly by i times the parameter (its order-0 remainder vanishes)."""
     up = elevate_context(ctx, F.order + 1)
-    D = _vertical_difference(F.truncate(F.order + 1), up)
+    D = RefSeries.of(_vertical_difference(F.truncate(F.order + 1), up))
     assert D.coeffs[0].is_zero()
-    return LambdaSeries(D.coeffs[1:]).scale(gr(0, -1))
+    return RefSeries(D.coeffs[1:]).to_series().scale(gr(0, -1))
 
 
 class TestDeltaStar:
@@ -243,10 +272,10 @@ class TestDeltaStar:
             via_op = delta_star(Fs, ctx)
             h = classical_homotopy(
                 KoszulChain.of_series(up.gdim, up.series(F)), up)
-            D = koszul_boundary(h, up).series() - \
-                quantum_koszul_boundary(h, up).series()
+            D = RefSeries.of(koszul_boundary(h, up).series() -
+                             quantum_koszul_boundary(h, up).series())
             assert D.coeffs[0].is_zero()
-            via_boundaries = LambdaSeries(D.coeffs[1:]).scale(gr(0, -1))
+            via_boundaries = RefSeries(D.coeffs[1:]).to_series().scale(gr(0, -1))
             assert via_op == via_boundaries
 
 
