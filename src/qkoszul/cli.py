@@ -74,7 +74,7 @@ class ScenarioConfig:
     checks: Tuple[str, ...] = ("axioms",)
 
     def validate(self) -> None:
-        if any(sep in self.name for sep in ("/", "\\", "..")) or \
+        if not self.name or any(sep in self.name for sep in ("/", "\\", "..")) or \
                 not self.name.isprintable():
             raise ConfigError(f"name {self.name!r} is not a plain file name")
         for key, low, cap in (("n", 1, MAX_N), ("lambda_order", 1, MAX_LAMBDA_ORDER),

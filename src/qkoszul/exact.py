@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd, lcm
+from functools import cache, reduce
+from math import factorial, gcd, lcm
 from operator import or_
 from typing import Callable, Dict, Sequence, Tuple
 
@@ -221,26 +221,69 @@ def _nonzero(acc: Dict[int, Tuple[int, int]]) -> Dict[int, Tuple[int, int]]:
     return {k: v for k, v in acc.items() if v[0] or v[1]}
 
 
-def _sum(vars: Tuple[str, ...], parts, bound: int) -> "MultiPoly":
-    """Σ_j p_j over (lift_j, p_j) pairs, the key of every term of p_j raised
-    by lift_j and the keys from ``bound`` on dropped, in one pass over a
-    common denominator."""
-    den = lcm(*(p.den for _, p in parts))
+def _mul_into(acc: Dict[int, Tuple[int, int]], left: Dict[int, Tuple[int, int]],
+              right: Dict[int, Tuple[int, int]]) -> None:
+    """Add the product of two numerator maps into ``acc``, one term pair at
+    a time; entries may cancel to (0, 0) and are left in place."""
+    rows = list(right.items())
+    for k1, (a, b) in left.items():
+        for k2, (c, d) in rows:
+            k = k1 + k2
+            t = acc.get(k)
+            if t is None:
+                acc[k] = (a * c - b * d, a * d + b * c)
+            else:
+                acc[k] = (t[0] + a * c - b * d, t[1] + a * d + b * c)
+
+
+def _check_guard(nums: Dict[int, Tuple[int, int]], n: int) -> None:
+    """Raise ExponentOverflowError if a key of an n-variable product sets a
+    guard bit."""
+    if nums and reduce(or_, nums) & _layout(n)[1]:
+        raise _overflow()
+
+
+def _sum(vars: Tuple[str, ...], parts) -> "MultiPoly":
+    """Σ_j p_j in one pass over a common denominator."""
+    den = lcm(*(p.den for p in parts))
     acc: Dict[int, Tuple[int, int]] = {}
-    for lift, p in parts:
+    for p in parts:
         s = den // p.den
         for k, (r, i) in p.nums.items():
-            k += lift
-            if k < bound:
-                r, i = r * s, i * s
-                t = acc.get(k)
-                if t is not None:
-                    r, i = t[0] + r, t[1] + i
-                if r or i:
-                    acc[k] = (r, i)
-                else:
-                    del acc[k]
+            r, i = r * s, i * s
+            t = acc.get(k)
+            if t is not None:
+                r, i = t[0] + r, t[1] + i
+            if r or i:
+                acc[k] = (r, i)
+            else:
+                del acc[k]
     return _canonical(vars, den, acc)
+
+
+@cache
+def _move_plan(S: int, src: Tuple[str, ...], dst: Tuple[str, ...]
+               ) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
+    """How keys over ``src`` move onto ``dst`` at slot width S, the current
+    ``SLOT_BITS``: the bits of the variables missing from ``dst``, and the
+    runs of kept slots, each a (mask, shift up, shift down) triple of the
+    slots that move by the same shift, one of the two shifts zero.
+
+    A run moves with one mask and one shift.  A lift, a prolongation, a
+    restriction or a push-down has at most two runs, since λ leads the key
+    and only slots after it are inserted or dropped; ``MultiPoly._moved``
+    takes such a move in one comprehension, and any other move, a reorder
+    for one, in a loop over its runs."""
+    old, _, mask = _layout(len(src))
+    new = _layout(len(dst))[0]
+    dropped, runs = 0, {}
+    for j, v in enumerate(src):
+        if v in dst:
+            d = new[dst.index(v)] - old[j]
+            runs[d] = runs.get(d, 0) | mask << old[j]
+        else:
+            dropped |= mask << old[j]
+    return dropped, tuple((m, max(d, 0), max(-d, 0)) for d, m in runs.items())
 
 
 class _Terms(Mapping):
@@ -368,17 +411,8 @@ class MultiPoly:
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
         acc: Dict[int, Tuple[int, int]] = {}
-        right = list(other.nums.items())
-        for k1, (a, b) in self.nums.items():
-            for k2, (c, d) in right:
-                k = k1 + k2
-                if k in acc:
-                    t = acc[k]
-                    acc[k] = (t[0] + a * c - b * d, t[1] + a * d + b * c)
-                else:
-                    acc[k] = (a * c - b * d, a * d + b * c)
-        if acc and reduce(or_, acc) & _layout(len(self.vars))[1]:
-            raise _overflow()
+        _mul_into(acc, self.nums, other.nums)
+        _check_guard(acc, len(self.vars))
         return _canonical(self.vars, self.den * other.den, _nonzero(acc))
 
     def scale(self, c) -> "MultiPoly":
@@ -413,24 +447,6 @@ class MultiPoly:
             if e:
                 out[k - unit] = (r * e, i * e)
         return _canonical(self.vars, self.den, out)
-
-    def directional(self, field: tuple, m: int = 1) -> "MultiPoly":
-        """The derivative along a constant vector field Σ_i v_i ∂_i, decoded
-        by ``vector_field``, divided by m: Σ_i v_i ∂_i f / m."""
-        vars, den, steps = field
-        if vars != self.vars:
-            raise VariableMismatchError(f"{self.vars} vs {vars}")
-        mask = (1 << SLOT_BITS) - 1
-        out: Dict[int, Tuple[int, int]] = {}
-        for k, (r, i) in self.nums.items():
-            for s, unit, vr, vi in steps:
-                e = (k >> s) & mask
-                if e:
-                    d = k - unit
-                    nr, ni = (r * vr - i * vi) * e, (r * vi + i * vr) * e
-                    t = out.get(d)
-                    out[d] = (nr, ni) if t is None else (t[0] + nr, t[1] + ni)
-        return _canonical(self.vars, self.den * den * m, _nonzero(out))
 
     def weighted_diff(self, var: str, weight_vars: Sequence[str], k: int) -> "MultiPoly":
         """Σ_m c_m · m_var/(|m|_w + k) · x^{m - e_var}, where |m|_w is the
@@ -489,35 +505,31 @@ class MultiPoly:
             for i, k in enumerate(_unpack(key, len(self.vars))):
                 if k:
                     term = term * power(i, k)
-            parts.append((0, term))
-        return _sum(target, parts, 1 << SLOT_BITS * len(target))
+            parts.append(term)
+        return _sum(target, parts)
 
-    def _moved(self, vars: Tuple[str, ...], targets: Dict[int, int]) -> Dict[int, Tuple[int, int]]:
-        """The entries whose monomials use only the variables in
-        ``targets``, re-keyed onto ``vars``: variable j of ``self`` becomes
-        variable targets[j]."""
-        old, _, mask = _layout(len(self.vars))
-        new = _layout(len(vars))[0]
-        moves = [(old[j], new[t]) for j, t in targets.items()]
-        dropped = 0
-        for j, s in enumerate(old):
-            if j not in targets:
-                dropped |= mask << s
+    def _moved(self, vars: Tuple[str, ...]) -> Dict[int, Tuple[int, int]]:
+        """The entries whose monomials use only variables in ``vars``,
+        re-keyed onto ``vars``, in one pass by the runs of ``_move_plan``."""
+        dropped, runs = _move_plan(SLOT_BITS, self.vars, vars)
+        if len(runs) <= 2:
+            (m1, u1, d1), (m2, u2, d2) = (*runs, (0, 0, 0), (0, 0, 0))[:2]
+            return {(k & m1) << u1 >> d1 | (k & m2) << u2 >> d2: v
+                    for k, v in self.nums.items() if not k & dropped}
         out = {}
         for k, v in self.nums.items():
             if not k & dropped:
                 nk = 0
-                for so, sn in moves:
-                    nk |= ((k >> so) & mask) << sn
+                for m, u, d in runs:
+                    nk |= (k & m) << u >> d
                 out[nk] = v
         return out
 
     def zero_outside(self, vars: Sequence[str]) -> "MultiPoly":
         """Image under setting every variable not in ``vars`` to zero,
-        re-expressed on ``vars`` (each of them a variable of ``self``)."""
+        re-expressed on ``vars``."""
         vs = tuple(vars)
-        nums = self._moved(vs, {self.vars.index(v): t for t, v in enumerate(vs)})
-        return _canonical(vs, self.den, nums)
+        return _canonical(vs, self.den, self._moved(vs))
 
     def with_vars(self, vars: Sequence[str]) -> "MultiPoly":
         """Re-express over a different variable list (a superset or a list
@@ -525,7 +537,7 @@ class MultiPoly:
         vs = tuple(vars)
         if vs == self.vars:
             return self
-        nums = self._moved(vs, {j: vs.index(v) for j, v in enumerate(self.vars) if v in vs})
+        nums = self._moved(vs)
         if len(nums) < len(self.nums):
             gone = next(v for v in self.vars if v not in vs and self.uses(v))
             raise VariableMismatchError(f"variable {gone!r} used but absent from target list")
@@ -535,8 +547,7 @@ class MultiPoly:
         if var not in self.vars:
             return False
         s, mask = self._slot(var)
-        slot = mask << s
-        return any(k & slot for k in self.nums)
+        return bool(reduce(or_, self.nums, 0) & mask << s)
 
     # -- queries ------------------------------------------------------
 
@@ -582,15 +593,34 @@ class MultiPoly:
 
 def vector_field(form: MultiPoly) -> tuple:
     """The vector field Σ_i v_i ∂_i of a linear form l = Σ_i v_i x_i, as
-    ``MultiPoly.directional`` reads it: (variables, den, steps) with one
-    step (slot shift, unit key, re, im) per v_i = (re + i·im)/den."""
-    steps = []
+    ``star_exponential`` reads it: (variables, den, slots, steps), with one
+    step (slot shift, unit key, re, im) per v_i = (re + i·im)/den and
+    ``slots`` the key bits of every variable the field differentiates."""
+    mask, slots, steps = (1 << SLOT_BITS) - 1, 0, []
     for unit, (vr, vi) in form.nums.items():
         s = unit.bit_length() - 1
         if unit & (unit - 1) or s % SLOT_BITS:
             raise AlgebraError("directional derivative needs a linear form")
+        slots |= mask << s
         steps.append((s, unit, vr, vi))
-    return form.vars, form.den, tuple(steps)
+    return form.vars, form.den, slots, tuple(steps)
+
+
+def _derive(nums: Dict[int, Tuple[int, int]], steps) -> Dict[int, Tuple[int, int]]:
+    """Σ_i (re_i + i·im_i) ∂_i on raw numerators, for the steps of a
+    ``vector_field``: the numerators of the directional derivative over
+    the polynomial's denominator times the field's, zero entries dropped."""
+    mask = (1 << SLOT_BITS) - 1
+    out: Dict[int, Tuple[int, int]] = {}
+    for k, (r, i) in nums.items():
+        for s, unit, vr, vi in steps:
+            e = (k >> s) & mask
+            if e:
+                d = k - unit
+                nr, ni = (r * vr - i * vi) * e, (r * vi + i * vr) * e
+                t = out.get(d)
+                out[d] = (nr, ni) if t is None else (t[0] + nr, t[1] + ni)
+    return _nonzero(out)
 
 
 LAMBDA = "λ"
@@ -640,15 +670,6 @@ class LambdaSeries:
         lift = shift << SLOT_BITS * len(p.vars)
         nums = {k + lift: v for k, v in p.nums.items()} if lift else p.nums
         return LambdaSeries(_wrap((LAMBDA, *p.vars), p.den, nums), order)
-
-    @staticmethod
-    def join(vars: Sequence[str], parts: Mapping[int, MultiPoly],
-             order: int) -> "LambdaSeries":
-        """Σ_r λ^r · parts[r], truncated at λ^order, for polynomials over
-        (λ, *vars)."""
-        s = SLOT_BITS * len(vars)
-        return LambdaSeries(_sum((LAMBDA, *vars), [(r << s, p) for r, p in parts.items()],
-                                 (order + 1) << s), order)
 
     # -- ring operations ----------------------------------------------
 
@@ -732,6 +753,68 @@ class LambdaSeries:
 
     def __repr__(self) -> str:
         return f"LambdaSeries({self.render()!r})"
+
+
+def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
+    """μ ∘ exp(λ Σ_k D_{a_k} ⊗ D_{b_k})(f ⊗ g), truncated at the order L of
+    both series, for rank-one factors given as pairs (a_k, b_k) of
+    ``vector_field``s over (λ, *vars).
+
+    The exponential expands over multi-indices m as
+    Σ_m λ^{|m|} Π_k 1/m_k! · (D_a^m f)(D_b^m g), and λ is never
+    differentiated, so one walk covers both whole series.  A step whose
+    left field misses every variable of f, or whose right field every one
+    of g, contributes only m_k = 0 and is dropped: derivatives add no
+    variable.  Derivatives stay raw numerators, the right one taken first,
+    and a branch stops once either is zero or its λ-power would pass L.
+    Each leaf product goes into one accumulator over the denominator
+    D = den_f·den_g·top!·(lcm den_a · lcm den_b)^top, where top is L less
+    the lowest powers of f and g; one pass at the end drops the powers past
+    L and the zero entries."""
+    L, vars = f.order, f.poly.vars
+    if g.poly.vars != vars or any(a[0] != vars for a, _ in fields):
+        raise VariableMismatchError(f"a series or field is not over {vars}")
+    s = SLOT_BITS * (len(vars) - 1)
+    fn, gn = f.poly.nums, g.poly.nums
+    if not fn or not gn:
+        return LambdaSeries.zero(f.vars, L)
+    lo_f, lo_g = min(fn) >> s, min(gn) >> s
+    top = L - lo_f - lo_g
+    if top < 0:
+        return LambdaSeries.zero(f.vars, L)
+    left = {k: v for k, v in fn.items() if k >> s <= L - lo_g}
+    right = {k: v for k, v in gn.items() if k >> s <= L - lo_f}
+    used_f, used_g = reduce(or_, left), reduce(or_, right)
+    kept = [(a, b) for a, b in fields if a[2] & used_f and b[2] & used_g]
+    steps = [(a[3], b[3], a[1] * b[1]) for a, b in kept]
+    base = factorial(top) * (lcm(*(a[1] for a, _ in kept)) *
+                             lcm(*(b[1] for _, b in kept))) ** top
+    acc: Dict[int, Tuple[int, int]] = {}
+    # a branch: next step k, λ-depth r, both derivatives, and the part
+    # d = Π_k (den_a·den_b)^{m_k}·m_k! of its denominator that divides base
+    stack = [(0, 0, left, right, 1)]
+    while stack:
+        k, r, left, right, d = stack.pop()
+        if k == len(steps):
+            c, lift = base // d, r << s
+            _mul_into(acc, {kl + lift: (a * c, b * c) for kl, (a, b) in left.items()},
+                      right)
+            continue
+        a, b, den = steps[k]
+        stack.append((k + 1, r, left, right, d))
+        for m in range(1, top - r + 1):
+            right = _derive(right, b)
+            if not right:
+                break
+            left = _derive(left, a)
+            if not left:
+                break
+            d *= den * m
+            stack.append((k + 1, r + m, left, right, d))
+    bound = (L + 1) << s
+    nums = {k: v for k, v in acc.items() if k < bound and (v[0] or v[1])}
+    _check_guard(nums, len(vars))
+    return LambdaSeries(_canonical(vars, f.poly.den * g.poly.den * base, nums), L)
 
 
 def invert_unipotent(raiser: Callable, order: int) -> Callable:

@@ -29,6 +29,7 @@ from .exact import (
     MultiPoly,
     OrderMismatchError,
     gr,
+    star_exponential,
     vector_field,
 )
 from .report import check, expected_failure
@@ -109,41 +110,6 @@ def _vector_field(space: PhaseSpace, v: Vector) -> tuple:
         lvars, {tuple(int(j == i + 1) for j in range(len(lvars))): c for i, c in v}))
 
 
-def _exponential(steps, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
-    """μ ∘ exp(λ Σ_k D_{a_k} ⊗ D_{b_k}) on a pair of series, truncated at
-    their order L, where ``steps`` holds the rank-one factors as pairs of
-    vector fields (a_k, b_k).  The exponential is a product of commuting
-    factors, so it expands over multi-indices m as
-    Σ_m λ^{|m|} Π_k 1/m_k! · (D_a^m f)(D_b^m g).  λ is never differentiated,
-    so the walk runs once over both whole series: it fixes m_k one k at a
-    time, carrying the derivatives of both factors along (the left one
-    takes the 1/m of the step to multiplicity m), and drops a branch once
-    either factor is killed or its λ-power passes L.  The products of the
-    branches at depth |m| = r are summed apart and joined once at the end."""
-    L = f.order
-    lo_f, lo_g = f.min_lambda_order(), g.min_lambda_order()
-    if lo_f is None or lo_g is None:
-        return LambdaSeries.zero(f.vars, L)
-    top = L - lo_f - lo_g
-    parts: Dict[int, MultiPoly] = {}
-    stack = [(0, 0, f.truncate(L - lo_g).poly, g.truncate(L - lo_f).poly)]
-    while stack:
-        k, r, left, right = stack.pop()
-        if k == len(steps):
-            prod = left * right
-            parts[r] = parts[r] + prod if r in parts else prod
-            continue
-        a, b = steps[k]
-        for m in range(top - r + 1):
-            if m:
-                left = left.directional(a, m)
-                right = right.directional(b)
-                if left.is_zero() or right.is_zero():
-                    break
-            stack.append((k + 1, r + m, left, right))
-    return LambdaSeries.join(f.vars, parts, L)
-
-
 class StarProduct:
     """An exact formal star product on a flat phase space.
 
@@ -183,7 +149,7 @@ class StarProduct:
                 bracket_matrix[i, j] = c
         steps = [(_vector_field(space, a), _vector_field(space, b))
                  for a, b in _rank_one_terms(C)]
-        return StarProduct(space, partial(_exponential, steps),
+        return StarProduct(space, partial(star_exponential, steps),
                            partial(_pairing, bracket_matrix), hermitian)
 
     @staticmethod

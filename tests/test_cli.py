@@ -279,6 +279,8 @@ class TestConfigFile:
         pytest.param({"n": True}, "'n' must be of type int", id="n-bool"),
         pytest.param({"checks": "axioms"}, "'checks' must be of type list",
                      id="checks-string"),
+        # an empty name would write the hidden report file ".json"
+        pytest.param({"name": ""}, "name '' is not a plain file name", id="empty-name"),
         pytest.param({"mu": {"1": "1/0"}}, "bad 'mu' entry", id="mu-zero-denominator"),
         pytest.param({"n": 1, "translated": [1], "checks": ["reduction"]},
                      "reduced space is a point", id="reduce-to-point"),

@@ -63,6 +63,46 @@ def canonical(p: MultiPoly) -> bool:
             and gcd(p.den, *parts) == 1 and (p.nums or p.den == 1))
 
 
+SERIES_VARS = (exact.LAMBDA, "a", "x", "b", "y")
+
+
+@st.composite
+def series_var_lists(draw):
+    """A variable list led by λ for a polynomial over ``SERIES_VARS``: an
+    order-preserving superset, an order-preserving subset, both at once, or
+    a reorder."""
+    rest = list(SERIES_VARS[1:])
+    kind = draw(st.sampled_from(("superset", "subset", "both", "reorder")))
+    if kind in ("subset", "both"):
+        rest = [v for v in rest if draw(st.booleans())]
+    if kind in ("superset", "both"):
+        for new in ("c", "d")[:draw(st.integers(1, 2))]:
+            rest.insert(draw(st.integers(0, len(rest))), new)
+    if kind == "reorder":
+        rest = draw(st.permutations(rest))
+    return (exact.LAMBDA, *rest)
+
+
+@st.composite
+def series_polys(draw):
+    """A polynomial over ``SERIES_VARS`` whose monomials each use about half
+    of the variables, so that restrictions onto a subset keep some."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        e = tuple(draw(st.one_of(st.just(0), st.integers(1, 3))) for _ in SERIES_VARS)
+        terms[e] = draw(gaussians)
+    return MultiPoly(SERIES_VARS, {k: v for k, v in terms.items() if not v.is_zero()})
+
+
+def directional(p: MultiPoly, form: MultiPoly, m: int = 1) -> MultiPoly:
+    """The derivative along the vector field of ``form``, divided by m, as
+    the star-product walk takes it: the raw numerators of ``exact._derive``
+    over the denominator of p times the field's times m."""
+    vars, den, _, steps = vector_field(form)
+    assert vars == p.vars
+    return exact._canonical(vars, p.den * den * m, exact._derive(p.nums, steps))
+
+
 def agrees(p: MultiPoly, ref: RefPoly) -> bool:
     """The integer core and the reference hold the same polynomial, in the
     same text form, and the result is canonical."""
@@ -220,6 +260,24 @@ class TestAgainstReference:
                     p.with_vars(vs)
         assert p.with_vars(WIDE) is p
 
+    @given(series_polys(), st.data())
+    @settings(max_examples=80)
+    def test_rekeying_of_series(self, p, data):
+        # λ-led targets as lifts, prolongations, restrictions, push-downs
+        # and reorders make them, read by a series and by its polynomial
+        vs = data.draw(series_var_lists())
+        rp, s = RefPoly.of(p), LambdaSeries(p, 3)
+        kept = tuple(v for v in vs if v in p.vars)
+        want = rp.zero_outside(kept).with_vars(vs)
+        assert agrees(p.zero_outside(vs), want)
+        assert s.zero_outside(vs[1:]).poly == p.zero_outside(vs)
+        if all(v in vs for v in p.vars if p.uses(v)):
+            assert agrees(p.with_vars(vs), rp.with_vars(vs))
+            assert s.with_vars(vs[1:]).poly == p.with_vars(vs)
+        else:
+            with pytest.raises(VariableMismatchError):
+                p.with_vars(vs)
+
     @given(polys(), polys())
     @settings(max_examples=80)
     def test_eq_and_hash(self, p, q):
@@ -235,7 +293,7 @@ class TestAgainstReference:
     def test_directional(self, p, form, m):
         v = [(i, form.terms[tuple(int(j == i) for j in range(2))]) for i in range(2)
              if form.uses(VARS[i])]
-        assert agrees(p.directional(vector_field(form), m), derivative(RefPoly.of(p), v, m))
+        assert agrees(directional(p, form, m), derivative(RefPoly.of(p), v, m))
 
     @given(polys(("q1", "q2", "p1", "p2"), max_degree=3, max_terms=6), st.integers(0, 3))
     @settings(max_examples=60)
@@ -251,7 +309,7 @@ class TestCalculusIdentities:
     @given(polys(), polys(), linear_forms())
     @settings(max_examples=40)
     def test_directional_leibniz(self, p, q, form):
-        d = lambda f: f.directional(vector_field(form))
+        d = lambda f: directional(f, form)
         assert d(p * q) == d(p) * q + p * d(q)
 
     def test_directional_needs_a_linear_form(self):
@@ -259,8 +317,11 @@ class TestCalculusIdentities:
         for bad in (x * x, x + MultiPoly.const(VARS, 1)):
             with pytest.raises(exact.AlgebraError):
                 vector_field(bad)
+        # the walk takes fields over the variables of its series only
+        s = LambdaSeries.from_poly(x, 1)
+        field = vector_field(MultiPoly.variable((exact.LAMBDA, "y", "x"), "x"))
         with pytest.raises(VariableMismatchError):
-            x.directional(vector_field(MultiPoly.variable(("y", "x"), "x")))
+            exact.star_exponential([(field, field)], s, s)
 
 
 class TestLimits:

@@ -19,7 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkoszul.exact import AlgebraError, LambdaSeries, MultiPoly, OrderMismatchError, gr
+from qkoszul import exact
+from qkoszul.exact import (
+    AlgebraError,
+    ExponentOverflowError,
+    LambdaSeries,
+    MultiPoly,
+    OrderMismatchError,
+    TermLimitError,
+    gr,
+)
 from qkoszul.phase_space import PhaseSpace, StarProduct, check_star_axioms
 from qkoszul.sampling import sample_pairs, sample_polys
 from reference_poly import RefSeries, series_product
@@ -370,3 +379,121 @@ def test_eval_rejects_an_order_mismatch(kind):
     star = getattr(StarProduct, kind)(sp)
     with pytest.raises(OrderMismatchError):
         star.eval(sp.series(sp.q(1), 2), sp.series(sp.p(1), 3))
+
+
+# -- the fused evaluator on arbitrary constant matrices ----------------------
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+gauss = st.builds(gr, small, small)
+# vector entries, zero often enough that a field misses some variables
+entries = st.one_of(st.just(gr()), gauss)
+
+
+@st.composite
+def constant_matrices(draw, nvars):
+    """Σ_k u_k v_kᵀ over up to ``nvars`` pairs of sparse complex vectors:
+    entries anywhere, so no block structure, and of rank below ``nvars``
+    whenever fewer pairs are drawn or they are dependent."""
+    C = {}
+    for _ in range(draw(st.integers(1, nvars))):
+        u = draw(st.lists(entries, min_size=nvars, max_size=nvars))
+        v = draw(st.lists(entries, min_size=nvars, max_size=nvars))
+        for i in range(nvars):
+            for j in range(nvars):
+                C[i, j] = C.get((i, j), gr()) + u[i] * v[j]
+    return {ij: c for ij, c in C.items() if not c.is_zero()}
+
+
+@st.composite
+def polys_on(draw, vars, support, max_degree=2, max_terms=4):
+    """A polynomial over ``vars`` that uses only the variables in ``support``."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e = tuple(draw(st.integers(0, max_degree)) if v in support else 0 for v in vars)
+        terms[e] = draw(gauss)
+    return MultiPoly(vars, terms)
+
+
+def canonical_series(s: LambdaSeries) -> bool:
+    """The series polynomial is canonical and has no power past the order."""
+    p = s.poly
+    parts = [x for v in p.nums.values() for x in v]
+    return (p.den > 0 and all(r or i for r, i in p.nums.values())
+            and math.gcd(p.den, *parts) == 1 and (p.nums or p.den == 1)
+            and all(k >> s._shift() <= s.order for k in p.nums))
+
+
+def oracle_form(p: MultiPoly):
+    return {e: (c.re, c.im) for e, c in p.terms.items()}
+
+
+SP2 = PhaseSpace.of_dim(2)
+# the inputs draw from all variables, or from two disjoint halves, so that
+# the steps of fields that miss an input's variables are pruned
+SUPPORTS = (SP2.vars, ("q1", "p1"), ("q2", "p2"))
+
+
+@given(data=st.data(), L=st.integers(0, 3))
+@settings(max_examples=30, deadline=None)
+def test_eval_poly_on_a_constant_matrix_equals_the_reference(data, L):
+    C = data.draw(constant_matrices(4))
+    star = StarProduct.constant(SP2, C)
+    f = data.draw(polys_on(SP2.vars, data.draw(st.sampled_from(SUPPORTS))))
+    g = data.draw(polys_on(SP2.vars, data.draw(st.sampled_from(SUPPORTS))))
+    got = star.eval_poly(f, g, L)
+    reference = oracle.ConstantStar({ij: (c.re, c.im) for ij, c in C.items()}, 4)
+    assert canonical_series(got)
+    assert got.render() == oracle.render_series(
+        reference(oracle_form(f), oracle_form(g), L), SP2.vars)
+
+
+@st.composite
+def raised_series(draw, vars, L):
+    """A series whose lowest power of λ is drawn from 0 to L, with a
+    coefficient at each power from it on, some of them zero."""
+    low = draw(st.integers(0, L))
+    support = draw(st.sampled_from(SUPPORTS))
+    return RefSeries([MultiPoly.zero(vars)] * low +
+                     [draw(polys_on(vars, support, max_terms=3)) for _ in range(L + 1 - low)])
+
+
+@given(data=st.data(), L=st.integers(1, 4))
+@settings(max_examples=30, deadline=None)
+def test_eval_on_a_constant_matrix_equals_the_pairwise_sum(data, L):
+    star = StarProduct.constant(SP2, data.draw(constant_matrices(4)))
+    F = data.draw(raised_series(SP2.vars, L))
+    G = data.draw(raised_series(SP2.vars, L))
+    got = star.eval(F.to_series(), G.to_series())
+    want = series_product(star, F, G)
+    assert canonical_series(got)
+    assert RefSeries.of(got) == want and got.render() == want.render()
+
+
+@pytest.mark.parametrize("kind", KINDS + ("skew",))
+def test_eval_of_a_zero_series_is_zero(kind):
+    star = product_of(kind, SP2)
+    zero = LambdaSeries.zero(SP2.vars, 3)
+    f = SP2.series(SP2.q(1) * SP2.p(2), 3)
+    for got in (star.eval(zero, f), star.eval(f, zero), star.eval(zero, zero)):
+        assert got == zero and got.poly.den == 1
+
+
+def test_eval_raises_exponent_overflow(monkeypatch):
+    monkeypatch.setattr(exact, "SLOT_BITS", 3)   # exponents up to 3
+    star = StarProduct.weyl(PhaseSpace.of_dim(1))
+    q, p = MultiPoly.variable(star.space.vars, "q1"), MultiPoly.variable(star.space.vars, "p1")
+    cube = q * q * q
+    assert star.eval_poly(cube, p, 2).coeff(1) == (q * q).scale(gr(0, Fraction(3, 2)))
+    with pytest.raises(ExponentOverflowError, match="exceeds 3"):
+        star.eval_poly(cube, q, 2)
+
+
+def test_eval_raises_the_term_limit(monkeypatch):
+    star = StarProduct.weyl(PhaseSpace.of_dim(1))
+    vars = star.space.vars
+    f = MultiPoly.variable(vars, "q1") + MultiPoly.variable(vars, "p1")
+    g = f + MultiPoly.const(vars, 1)
+    monkeypatch.setattr(exact, "MAX_TERMS", 3)
+    assert len(star.eval_poly(f, f, 2).poly.terms) == 3   # (q1 + p1)²: at the limit
+    with pytest.raises(TermLimitError, match="5 terms exceeds the limit of 3"):
+        star.eval_poly(f, g, 2)
