@@ -114,8 +114,6 @@ class GaussianRational:
         return self.render()
 
 
-GR_ZERO = GaussianRational(Fraction(0), Fraction(0))
-GR_ONE = GaussianRational(Fraction(1), Fraction(0))
 GR_I = GaussianRational(Fraction(0), Fraction(1))
 GR_MINUS_I = GaussianRational(Fraction(0), Fraction(-1))
 
@@ -234,6 +232,12 @@ def _mul_into(acc: Dict[int, Tuple[int, int]], left: Dict[int, Tuple[int, int]],
                 acc[k] = (a * c - b * d, a * d + b * c)
             else:
                 acc[k] = (t[0] + a * c - b * d, t[1] + a * d + b * c)
+
+
+def _partial(nums: Dict[int, Tuple[int, int]], s: int, mask: int) -> Dict[int, Tuple[int, int]]:
+    """Numerators of the derivative in the variable at slot shift s."""
+    unit = 1 << s
+    return {k - unit: (r * e, i * e) for k, (r, i) in nums.items() if (e := k >> s & mask)}
 
 
 def _check_guard(nums: Dict[int, Tuple[int, int]], n: int) -> None:
@@ -439,22 +443,18 @@ class MultiPoly:
 
     def diff(self, var: str) -> "MultiPoly":
         """Formal partial derivative with respect to ``var``."""
-        s, mask = self._slot(var)
-        unit = 1 << s
-        out = {}
-        for k, (r, i) in self.nums.items():
-            e = (k >> s) & mask
-            if e:
-                out[k - unit] = (r * e, i * e)
-        return _canonical(self.vars, self.den, out)
+        return _canonical(self.vars, self.den, _partial(self.nums, *self._slot(var)))
 
     def weighted_diff(self, var: str, weight_vars: Sequence[str], k: int) -> "MultiPoly":
         """Σ_m c_m · m_var/(|m|_w + k) · x^{m - e_var}, where |m|_w is the
         degree of x^m in ``weight_vars``: the derivative in ``var`` with
-        each monomial divided by its weighted degree plus k."""
+        each monomial divided by its weighted degree plus k.  A polynomial
+        that does not use ``var`` gives zero after one OR over its keys."""
         s, mask = self._slot(var)
         unit = 1 << s
         ws = [self._slot(v)[0] for v in weight_vars]
+        if not reduce(or_, self.nums, 0) & mask << s:
+            return MultiPoly.zero(self.vars)
         rows = []
         for key, (r, i) in self.nums.items():
             e = (key >> s) & mask

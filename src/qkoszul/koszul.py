@@ -17,8 +17,9 @@ p_a -> p_a - alpha_a, which maps samples in once (``straighten``).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from .exact import (
     AlgebraError,
@@ -62,6 +63,13 @@ def remove_index(key: IndexKey, pos: int) -> Tuple[int, IndexKey]:
     return sign, key[:pos] + key[pos + 1:]
 
 
+@cache
+def _chain_keys(gdim: int, grade: int) -> FrozenSet[IndexKey]:
+    """Every valid key of a chain: the strictly increasing ``grade``-tuples
+    of indices in 1..gdim."""
+    return frozenset(combinations(range(1, gdim + 1), grade) if grade >= 0 else ())
+
+
 class KoszulChain:
     """Graded element of (series) ⊗ Λ^k of the acting algebra, keyed by
     strictly increasing index tuples.  Each entry is one ``LambdaSeries``,
@@ -76,10 +84,11 @@ class KoszulChain:
         self.vars = tuple(vars)
         self.order = order
         clean: Dict[IndexKey, LambdaSeries] = {}
+        valid = _chain_keys(gdim, grade)
         for key, s in terms.items():
-            if len(key) != grade or list(key) != sorted(set(key)):
-                raise AlgebraError(f"bad key {key} for grade {grade}")
-            if any(i < 1 or i > gdim for i in key):
+            if key not in valid:
+                if len(key) != grade or list(key) != sorted(set(key)):
+                    raise AlgebraError(f"bad key {key} for grade {grade}")
                 raise AlgebraError(f"index out of range in {key}")
             if s.order != order or s.vars != self.vars:
                 raise AlgebraError("series in chain disagree on order or variables")

@@ -3,7 +3,9 @@ cotangent bundles, and classical/quantum momentum maps with their checkers.
 
 Only lifted translation actions are realized as phase-space actions; general
 (possibly nonabelian) algebras appear as abstract data for the boundary
-operator tests.  The sign of the fundamental vector field is the one forced
+operator tests.  Structure constants are validated on their support, the
+indices that occur in them, which is exact and makes an abelian algebra
+free to build.  The sign of the fundamental vector field is the one forced
 by requiring the Hamiltonian generation identity for the canonical momentum
 map: with J(e_a) = p_a the vector field of e_a acts on observables as
 {f, p_a} = df/dq_a.
@@ -12,6 +14,7 @@ map: with J(e_a) = p_a the vector field of e_a acts on observables as
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
 from .exact import GR_I, AlgebraError, LambdaSeries, MultiPoly
@@ -21,12 +24,19 @@ from .report import check
 
 class LieAlgebraData:
     """Structure constants of a finite-dimensional Lie algebra in a fixed
-    basis.  Antisymmetry and the Jacobi identity are validated exactly at
-    construction."""
+    basis, indices 1..dim.  Index range, antisymmetry and the Jacobi
+    identity are validated exactly at construction."""
 
     def __init__(self, dim: int, structure: Dict[Tuple[int, int, int], Fraction]):
         self.dim = dim
         self.structure = {k: Fraction(v) for k, v in structure.items() if v != 0}
+        for key in self.structure:
+            if len(key) != 3 or not all(1 <= i <= dim for i in key):
+                raise AlgebraError(f"structure constant index {key} outside 1..{dim}")
+        # [e_alpha, e_beta] as a map gamma -> nonzero coefficient
+        self._brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+        for (a, b, g), v in sorted(self.structure.items()):
+            self._brackets.setdefault((a, b), {})[g] = v
         self._validate()
 
     def c(self, alpha: int, beta: int, gamma: int) -> Fraction:
@@ -35,32 +45,28 @@ class LieAlgebraData:
         return self.structure.get((alpha, beta, gamma), Fraction(0))
 
     def _validate(self) -> None:
-        d = self.dim
-        for a in range(1, d + 1):
-            for b in range(1, d + 1):
-                for g in range(1, d + 1):
-                    if self.c(a, b, g) != -self.c(b, a, g):
-                        raise AlgebraError(f"structure constants not antisymmetric at {(a, b, g)}")
-        for a in range(1, d + 1):
-            for b in range(1, d + 1):
-                for cc in range(1, d + 1):
-                    for e in range(1, d + 1):
-                        s = Fraction(0)
-                        for dd in range(1, d + 1):
-                            s += self.c(a, b, dd) * self.c(dd, cc, e)
-                            s += self.c(b, cc, dd) * self.c(dd, a, e)
-                            s += self.c(cc, a, dd) * self.c(dd, b, e)
-                        if s != 0:
-                            raise AlgebraError(f"Jacobi identity fails at {(a, b, cc, e)}")
+        """Antisymmetry and the Jacobi identity on the support, the indices
+        that occur in a structure constant: every term with another index
+        is zero, so the dense check over 1..dim gives the same verdict and
+        the same first failing index tuple."""
+        c, keys = self.structure.get, self.structure.keys()
+        for a, b, g in sorted(keys | {(b, a, g) for a, b, g in keys}):
+            if c((a, b, g), 0) != -c((b, a, g), 0):
+                raise AlgebraError(f"structure constants not antisymmetric at {(a, b, g)}")
+        support = sorted({i for key in keys for i in key})
+        for a, b, cc in product(support, repeat=3):
+            s: Dict[int, Fraction] = {}
+            for x, y, z in ((a, b, cc), (b, cc, a), (cc, a, b)):
+                for dd, u in self.bracket_coeffs(x, y).items():
+                    for e, w in self.bracket_coeffs(dd, z).items():
+                        s[e] = s.get(e, 0) + u * w
+            if any(s.values()):
+                e = min(e for e, v in s.items() if v)
+                raise AlgebraError(f"Jacobi identity fails at {(a, b, cc, e)}")
 
     def bracket_coeffs(self, alpha: int, beta: int) -> Dict[int, Fraction]:
         """[e_alpha, e_beta] as a map gamma -> coefficient."""
-        out = {}
-        for g in range(1, self.dim + 1):
-            v = self.c(alpha, beta, g)
-            if v != 0:
-                out[g] = v
-        return out
+        return dict(self._brackets.get((alpha, beta), {}))
 
     @staticmethod
     def abelian(dim: int) -> "LieAlgebraData":

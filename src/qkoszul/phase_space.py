@@ -11,34 +11,49 @@ for a constant matrix C of Gaussian rationals over the variables (q..., p...).
 The series terminates because inputs are polynomial.  The bracket the
 product deforms is -i (C - Cᵀ), and the product is Hermitian exactly when
 conj(C) = Cᵀ.
+
+``StarProduct.constant`` reads C once into integer triples (re, im, den)
+and does its rank-one factorisation, its Hermitian test and its bracket
+matrix on them; ``GaussianRational`` is only the type of C's entries.  The
+bracket is one pass over raw numerators that skips every matrix entry on a
+variable an input does not use; it shares no code with the star walk, so
+the order-1 commutator check compares two independent computations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
+from math import gcd, lcm
+from operator import or_
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .exact import (
     GR_I,
     GR_MINUS_I,
-    GR_ZERO,
     LAMBDA,
+    AlgebraError,
     GaussianRational,
     LambdaSeries,
     MultiPoly,
     OrderMismatchError,
+    VariableMismatchError,
     gr,
     star_exponential,
     vector_field,
 )
+from .exact import _canonical, _check_guard, _gauss, _layout, _mul_into, _nonzero, _partial
 from .report import check, expected_failure
 
 # Nonzero entries of a matrix over the variables of a phase space, keyed by
 # (row position, column position) in the variable list.
 Matrix = Dict[Tuple[int, int], GaussianRational]
+# A Gaussian rational as an integer triple (re, im, den): (re + i·im)/den
+# with den positive and no factor common to all three.
+Gauss = Tuple[int, int, int]
+ZERO: Gauss = (0, 0, 1)
 # A sparse vector over the variables: (position, coefficient) pairs.
-Vector = List[Tuple[int, GaussianRational]]
+Vector = List[Tuple[int, Gauss]]
 
 
 class PhaseSpace:
@@ -69,13 +84,30 @@ class PhaseSpace:
         return LambdaSeries.from_poly(poly.with_vars(self.vars), order)
 
 
-def _rank_one_terms(C: Matrix) -> List[Tuple[Vector, Vector]]:
-    """Exact factorisation C = Σ_k a_k b_kᵀ by rank-one elimination.
+def _triple(re: int, im: int, den: int) -> Gauss:
+    """(re + i·im)/den in lowest terms; den must be positive."""
+    g = gcd(re, im, den)
+    return re // g, im // g, den // g
 
-    Each step takes the first nonzero entry C^{ij} as pivot and removes
-    a b = C[:, j] C[i, :] / C^{ij}, which clears row i and column j, so there
-    are rank(C) terms.  a is the pivot column and b the pivot row scaled to 1
-    at the pivot.
+
+def _sub_mul(x: Gauss, y: Gauss, z: Gauss = (1, 0, 1)) -> Gauss:
+    """x - y·z."""
+    (a, b, d), (c, e, f), (g, h, k) = x, y, z
+    return _triple(a * f * k - (c * g - e * h) * d, b * f * k - (c * h + e * g) * d, d * f * k)
+
+
+def _div(x: Gauss, y: Gauss) -> Gauss:
+    (a, b, d), (c, e, f) = x, y
+    return _triple((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
+
+
+def _rank_one_terms(C: Dict[Tuple[int, int], Gauss]) -> List[Tuple[Vector, Vector]]:
+    """Exact factorisation C = Σ_k a_k b_kᵀ by rank-one elimination, on
+    integer triples.
+
+    Each step takes the first nonzero entry C^{ij} as pivot, with a the
+    pivot column and b the pivot row divided by the pivot, and removes a bᵀ,
+    which clears row i and column j, so there are rank(C) terms.
     """
     C = dict(C)
     terms = []
@@ -83,31 +115,47 @@ def _rank_one_terms(C: Matrix) -> List[Tuple[Vector, Vector]]:
         i, j = min(C)
         pivot = C[i, j]
         col = sorted((k, c) for (k, l), c in C.items() if l == j)
-        row = sorted((l, c) for (k, l), c in C.items() if k == i)
+        row = sorted((l, _div(c, pivot)) for (k, l), c in C.items() if k == i)
         for k, ck in col:
-            for l, cl in row:
-                v = C.get((k, l), GR_ZERO) - ck * cl / pivot
-                if v.is_zero():
-                    C.pop((k, l), None)
-                else:
+            for l, bl in row:
+                v = _sub_mul(C.get((k, l), ZERO), ck, bl)
+                if v[0] or v[1]:
                     C[k, l] = v
-        terms.append((col, [(l, c / pivot) for l, c in row]))
+                else:
+                    C.pop((k, l), None)
+        terms.append((col, row))
     return terms
 
 
-def _pairing(C: Matrix, f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Σ C^{ij} ∂_i f ∂_j g."""
-    out = MultiPoly.zero(f.vars)
-    for (i, j), c in C.items():
-        out = out + (f.diff(f.vars[i]) * g.diff(g.vars[j])).scale(c)
-    return out
+def _pairing(matrix: tuple, f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """Σ B^{ij} ∂_i f ∂_j g for the matrix ``constant`` decodes: (variables,
+    den, slot mask, entries (shift of i, shift of j, re, im)) with
+    B^{ij} = (re + i·im)/den.  An entry on a variable f or g does not use is
+    skipped, each derivative is taken once, and every term pair goes into
+    one accumulator, put in canonical form once."""
+    vars, den, mask, entries = matrix
+    if f.vars != vars or g.vars != vars:
+        raise VariableMismatchError(f"a bracket operand is not over {vars}")
+    used_f, used_g = reduce(or_, f.nums, 0), reduce(or_, g.nums, 0)
+    df, dg, acc = {}, {}, {}   # derivatives by slot shift, and the sum
+    for si, sj, cr, ci in entries:
+        if used_f >> si & mask and used_g >> sj & mask:
+            if si not in df:
+                df[si] = _partial(f.nums, si, mask)
+            if sj not in dg:
+                dg[sj] = _partial(g.nums, sj, mask)
+            _mul_into(acc, {k: (r * cr - i * ci, r * ci + i * cr)
+                            for k, (r, i) in df[si].items()}, dg[sj])
+    _check_guard(acc, len(vars))
+    return _canonical(vars, f.den * g.den * den, _nonzero(acc))
 
 
-def _vector_field(space: PhaseSpace, v: Vector) -> tuple:
-    """Σ_i v_i ∂_i on the λ-extended variables of ``space``, decoded once."""
-    lvars = (LAMBDA, *space.vars)
-    return vector_field(MultiPoly(
-        lvars, {tuple(int(j == i + 1) for j in range(len(lvars))): c for i, c in v}))
+def _vector_field(lvars: Tuple[str, ...], shifts: Tuple[int, ...], v: Vector) -> tuple:
+    """Σ_i v_i ∂_i on the λ-extended variables, decoded once; λ leads the
+    key, so variable i keeps its slot shift ``shifts[i]``."""
+    den = lcm(*(d for _, (_, _, d) in v))
+    return vector_field(_canonical(lvars, den, {
+        1 << shifts[i]: (r * (den // d), m * (den // d)) for i, (r, m, d) in v}))
 
 
 class StarProduct:
@@ -136,30 +184,45 @@ class StarProduct:
 
     @staticmethod
     def constant(space: PhaseSpace, C: Matrix) -> "StarProduct":
-        """μ ∘ exp(λ Σ C^{ij} ∂_i ⊗ ∂_j), with C factored once into rank-one
-        terms, each decoded once as a pair of vector fields; the bracket
-        matrix -i (C - Cᵀ) and the Hermitian property are read off C once."""
-        C = {ij: c for ij, c in C.items() if not c.is_zero()}
-        hermitian = all(C.get((j, i), GR_ZERO) == c.conjugate()
-                        for (i, j), c in C.items())
-        bracket_matrix: Matrix = {}
-        for i, j in sorted(set(C) | {(j, i) for i, j in C}):
-            c = (C.get((i, j), GR_ZERO) - C.get((j, i), GR_ZERO)) * GR_MINUS_I
-            if not c.is_zero():
-                bracket_matrix[i, j] = c
-        steps = [(_vector_field(space, a), _vector_field(space, b))
-                 for a, b in _rank_one_terms(C)]
-        return StarProduct(space, partial(star_exponential, steps),
-                           partial(_pairing, bracket_matrix), hermitian)
+        """μ ∘ exp(λ Σ C^{ij} ∂_i ⊗ ∂_j).  C is read once into integer
+        triples; on them it is factored into rank-one terms, each decoded
+        once as a pair of vector fields, and the bracket matrix -i (C - Cᵀ)
+        and the Hermitian property are read off."""
+        N = len(space.vars)
+        bad = [ij for ij in C if not (0 <= ij[0] < N and 0 <= ij[1] < N)]
+        if bad:
+            raise AlgebraError(f"matrix entry {bad[0]} lies outside the {N} "
+                               f"variables of the phase space")
+        T: Dict[Tuple[int, int], Gauss] = {}
+        for ij, c in C.items():
+            d, r, m = _gauss(c)
+            if r or m:
+                T[ij] = (r, m, d)
+        hermitian = all(T.get((j, i)) == (r, -m, d) for (i, j), (r, m, d) in T.items())
+        B = {}
+        for i, j in sorted(T.keys() | {(j, i) for i, j in T}):
+            r, m, d = _sub_mul(T.get((i, j), ZERO), T.get((j, i), ZERO))
+            if r or m:
+                B[i, j] = (m, -r, d)
+        shifts, _, mask = _layout(N)
+        den = lcm(*(d for _, _, d in B.values()))
+        bracket = (space.vars, den, mask, tuple(
+            (shifts[i], shifts[j], r * (den // d), m * (den // d))
+            for (i, j), (r, m, d) in B.items()))
+        lvars = (LAMBDA, *space.vars)
+        fields = [(_vector_field(lvars, shifts, a), _vector_field(lvars, shifts, b))
+                  for a, b in _rank_one_terms(T)]
+        return StarProduct(space, partial(star_exponential, fields),
+                           partial(_pairing, bracket), hermitian)
 
     @staticmethod
     def weyl(space: PhaseSpace) -> "StarProduct":
         """Symmetric ordering: C^{q_i p_i} = i/2, C^{p_i q_i} = -i/2."""
-        n, half_i = space.n, gr(0, Fraction(1, 2))
+        n, half_i, minus_half_i = space.n, gr(0, Fraction(1, 2)), gr(0, Fraction(-1, 2))
         C: Matrix = {}
         for i in range(n):
             C[i, n + i] = half_i
-            C[n + i, i] = -half_i
+            C[n + i, i] = minus_half_i
         return StarProduct.constant(space, C)
 
     @staticmethod
@@ -173,12 +236,13 @@ class StarProduct:
         """Normal ordering in z_k = q_k + i p_k, the exponential of
         2 ∂_z ⊗ ∂_zbar: C^{q_i q_i} = C^{p_i p_i} = 1/2, C^{q_i p_i} = i/2,
         C^{p_i q_i} = -i/2."""
-        n, half, half_i = space.n, gr(Fraction(1, 2)), gr(0, Fraction(1, 2))
+        n, half = space.n, gr(Fraction(1, 2))
+        half_i, minus_half_i = gr(0, Fraction(1, 2)), gr(0, Fraction(-1, 2))
         C: Matrix = {}
         for i in range(n):
             C[i, i] = C[n + i, n + i] = half
             C[i, n + i] = half_i
-            C[n + i, i] = -half_i
+            C[n + i, i] = minus_half_i
         return StarProduct.constant(space, C)
 
     # -- evaluation -------------------------------------------------------

@@ -16,25 +16,26 @@ Coefficients are real so the samples are their own conjugates.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .exact import GR_ZERO, MultiPoly, gr
+from .exact import MultiPoly, _canonical, _pack
 
 
 def random_poly(rng: random.Random, vars: Sequence[str], max_degree: int) -> MultiPoly:
+    """One sample, from the draws above, built as integer numerators over
+    12, the common denominator of every coefficient."""
     vs = tuple(vars)
-    terms = {}
+    nums = {}
     for _ in range(rng.randint(2, 4)):
         deg = rng.randint(0, max_degree)
         e = [0] * len(vs)
         for _ in range(deg):
             e[rng.randrange(len(vs))] += 1
-        c = gr(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-        key = tuple(e)
-        terms[key] = terms.get(key, GR_ZERO) + c
-    p = MultiPoly(vs, {k: v for k, v in terms.items() if not v.is_zero()})
-    return p if not p.is_zero() else MultiPoly.const(vs, 1)
+        num = rng.randint(-6, 6)
+        key = _pack(e)
+        nums[key] = nums.get(key, 0) + num * (12 // rng.randint(1, 4))
+    nums = {k: (r, 0) for k, r in nums.items() if r}
+    return _canonical(vs, 12, nums) if nums else MultiPoly.const(vs, 1)
 
 
 def sample_polys(seed: int, vars: Sequence[str], max_degree: int,

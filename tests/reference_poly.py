@@ -9,16 +9,21 @@ These are the straightforward forms that the integer core of
 independent oracles: every polynomial operation here works one coefficient
 at a time with ``Fraction`` arithmetic, and every series operation one power
 of λ at a time.
+
+The last four are the ``GaussianRational`` and ``Fraction`` forms of code
+that now runs on integers or on a smaller index set: the rank-one
+factorisation of a star product's matrix, the Poisson bracket of a matrix
+built from one temporary polynomial per entry, the sample generator, and the
+dense check of a Lie algebra's structure constants over every index.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from typing import Callable, Dict, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from qkoszul.exact import (
-    GR_ONE,
-    GR_ZERO,
     AlgebraError,
     GaussianRational,
     LambdaSeries,
@@ -29,6 +34,8 @@ from qkoszul.exact import (
 )
 
 Exponent = Tuple[int, ...]
+GR_ZERO = gr(0)
+GR_ONE = gr(1)
 
 
 class RefPoly:
@@ -391,3 +398,89 @@ def series_product(star, f: RefSeries, g: RefSeries) -> RefSeries:
             for t in range(L - r - s + 1):
                 acc[r + s + t] = acc[r + s + t] + product.coeff(t)
     return RefSeries(acc)
+
+
+# -- the forms replaced by integer set-up and support-based checks -----------
+
+def rank_one_terms(C: Mapping[Tuple[int, int], GaussianRational]):
+    """C = Σ_k a_k b_kᵀ by rank-one elimination in GaussianRational
+    arithmetic: each step takes the first nonzero entry C^{ij} as pivot and
+    removes C[:, j] C[i, :] / C^{ij}; a is the pivot column and b the pivot
+    row scaled to 1 at the pivot."""
+    C = dict(C)
+    terms = []
+    while C:
+        i, j = min(C)
+        pivot = C[i, j]
+        col = sorted((k, c) for (k, l), c in C.items() if l == j)
+        row = sorted((l, c) for (k, l), c in C.items() if k == i)
+        for k, ck in col:
+            for l, cl in row:
+                v = C.get((k, l), GR_ZERO) - ck * cl / pivot
+                if v.is_zero():
+                    C.pop((k, l), None)
+                else:
+                    C[k, l] = v
+        terms.append((col, [(l, c / pivot) for l, c in row]))
+    return terms
+
+
+def pairing(C: Mapping[Tuple[int, int], GaussianRational], f: MultiPoly,
+            g: MultiPoly) -> MultiPoly:
+    """Σ C^{ij} ∂_i f ∂_j g, one product of derivatives per entry."""
+    out = MultiPoly.zero(f.vars)
+    for (i, j), c in C.items():
+        out = out + (f.diff(f.vars[i]) * g.diff(g.vars[j])).scale(c)
+    return out
+
+
+def random_poly(rng: random.Random, vars: Sequence[str], max_degree: int) -> MultiPoly:
+    """A sample drawn as ``qkoszul.sampling`` documents it, summed in
+    GaussianRational arithmetic."""
+    vs = tuple(vars)
+    terms: Dict[Exponent, GaussianRational] = {}
+    for _ in range(rng.randint(2, 4)):
+        deg = rng.randint(0, max_degree)
+        e = [0] * len(vs)
+        for _ in range(deg):
+            e[rng.randrange(len(vs))] += 1
+        c = gr(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        key = tuple(e)
+        terms[key] = terms.get(key, GR_ZERO) + c
+    p = MultiPoly(vs, {k: v for k, v in terms.items() if not v.is_zero()})
+    return p if not p.is_zero() else MultiPoly.const(vs, 1)
+
+
+def sample_polys(seed: int, vars: Sequence[str], max_degree: int,
+                 count: int) -> List[MultiPoly]:
+    rng = random.Random(seed)
+    return [random_poly(rng, vars, max_degree) for _ in range(count)]
+
+
+def lie_table_failure(dim: int, structure: Mapping[Tuple[int, int, int], Fraction]
+                      ) -> Optional[str]:
+    """The first failure of antisymmetry or of the Jacobi identity, as the
+    message of the dense check over every index in 1..dim, or None if both
+    hold.  It never reads an index outside that range."""
+
+    def c(a, b, g):
+        return Fraction(structure.get((a, b, g), 0))
+
+    idx = range(1, dim + 1)
+    for a in idx:
+        for b in idx:
+            for g in idx:
+                if c(a, b, g) != -c(b, a, g):
+                    return f"structure constants not antisymmetric at {(a, b, g)}"
+    for a in idx:
+        for b in idx:
+            for cc in idx:
+                for e in idx:
+                    s = Fraction(0)
+                    for dd in idx:
+                        s += c(a, b, dd) * c(dd, cc, e)
+                        s += c(b, cc, dd) * c(dd, a, e)
+                        s += c(cc, a, dd) * c(dd, b, e)
+                    if s != 0:
+                        return f"Jacobi identity fails at {(a, b, cc, e)}"
+    return None

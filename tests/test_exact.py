@@ -304,6 +304,23 @@ class TestAgainstReference:
         assert got.keys() == want.keys()
         assert all(agrees(got[a], want[a]) for a in want)
 
+    @given(polys(("q1", "q2", "p2"), max_degree=3, max_terms=6), st.integers(0, 3))
+    @settings(max_examples=40)
+    def test_tube_homotopy_along_an_unused_direction(self, p, k):
+        # p does not use p1, so direction 1 takes the zero exit
+        p = p.with_vars(("q1", "q2", "p1", "p2"))
+        got = GoodTube(PhaseSpace.of_dim(2), (1, 2)).homotopy(p, k, (1, 2))
+        want = homotopy(RefPoly.of(p), (2, 3), k, (1, 2))
+        assert got[1] == MultiPoly.zero(p.vars) and got[1].den == 1
+        assert all(agrees(got[a], want[a]) for a in want)
+
+    def test_weighted_diff_checks_its_variables_before_the_zero_exit(self):
+        p = MultiPoly.variable(VARS, "x")
+        with pytest.raises(VariableMismatchError):
+            p.weighted_diff("z", ("x",), 1)
+        with pytest.raises(VariableMismatchError):
+            p.weighted_diff("y", ("z",), 1)
+
 
 class TestCalculusIdentities:
     @given(polys(), polys(), linear_forms())

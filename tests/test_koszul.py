@@ -104,6 +104,31 @@ class TestKoszulChain:
         assert zero != KoszulChain(ctx.gdim + 1, 1, vs, L, {})
         assert zero != KoszulChain(ctx.gdim, 1, ctx.cvars, L, {})
 
+    @pytest.mark.parametrize("grade, key, message", [
+        (2, (2, 1), "bad key (2, 1) for grade 2"),
+        (2, (1, 1), "bad key (1, 1) for grade 2"),
+        (2, (1,), "bad key (1,) for grade 2"),
+        (1, (1, 2), "bad key (1, 2) for grade 1"),
+        (1, (0,), "index out of range in (0,)"),
+        (2, (1, 3), "index out of range in (1, 3)"),
+        (-1, (), "bad key () for grade -1"),
+    ])
+    def test_bad_keys_rejected(self, grade, key, message):
+        # s1 acts by a 2-dimensional algebra
+        ctx = s1_context()
+        f = ctx.series(ctx.space.q(3))
+        with pytest.raises(AlgebraError) as err:
+            KoszulChain(ctx.gdim, grade, ctx.space.vars, L, {key: f})
+        assert str(err.value) == message
+
+    def test_every_key_of_a_grade_accepted(self):
+        ctx = s1_context()
+        f = ctx.series(ctx.space.q(3))
+        for k in range(3):
+            keys = list(combinations(range(1, 3), k))
+            x = KoszulChain(ctx.gdim, k, ctx.space.vars, L, dict.fromkeys(keys, f))
+            assert sorted(x.terms) == keys
+
 
 class TestKoszulBoundary:
     def test_grade1_is_momentum_multiplication(self):

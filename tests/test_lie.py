@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkoszul.exact import AlgebraError, LambdaSeries, MultiPoly, gr
 from qkoszul.lie import (
@@ -18,6 +20,40 @@ from qkoszul.koszul import ReductionContext
 from qkoszul.phase_space import PhaseSpace, StarProduct
 from qkoszul.reduction import build_shifted_context
 from qkoszul.sampling import sample_polys
+from reference_poly import lie_table_failure
+
+HEISENBERG = {(1, 2, 3): 1, (2, 1, 3): -1}
+SO3 = {(1, 2, 3): 1, (2, 1, 3): -1, (2, 3, 1): 1, (3, 2, 1): -1,
+       (3, 1, 2): 1, (1, 3, 2): -1}
+# [e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e1 is antisymmetric but violates Jacobi
+JACOBI_BREAKING = {(1, 2, 3): 1, (2, 1, 3): -1, (2, 3, 1): 1, (3, 2, 1): -1,
+                   (3, 1, 1): 1, (1, 3, 1): -1}
+TABLES = {"abelian": {}, "heisenberg": HEISENBERG, "so3": SO3,
+          "jacobi-breaking": JACOBI_BREAKING}
+
+
+def verdict(dim, structure):
+    """None if the table is accepted, else the message it is rejected with."""
+    try:
+        LieAlgebraData(dim, structure)
+    except AlgebraError as e:
+        return str(e)
+    return None
+
+
+@st.composite
+def structure_tables(draw):
+    """One of ``TABLES`` on 3 or 4 indices, with up to two entries set at
+    random, some of them with their antisymmetric partner."""
+    dim = draw(st.integers(3, 4))
+    table = dict(TABLES[draw(st.sampled_from(sorted(TABLES)))])
+    for _ in range(draw(st.integers(0, 2))):
+        a, b, g = (draw(st.integers(1, dim)) for _ in range(3))
+        v = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+        table[a, b, g] = v
+        if draw(st.booleans()):
+            table[b, a, g] = -v
+    return dim, table
 
 
 class TestLieAlgebraData:
@@ -46,6 +82,27 @@ class TestLieAlgebraData:
         }
         with pytest.raises(AlgebraError):
             LieAlgebraData(3, bad)
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_builtin_tables(self, name):
+        want = "Jacobi identity fails at (1, 2, 3, 3)" if name == "jacobi-breaking" else None
+        assert verdict(3, TABLES[name]) == want == lie_table_failure(3, TABLES[name])
+
+    @given(structure_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_validation_on_the_support_agrees_with_the_dense_check(self, dim_table):
+        # same verdict and same first failing index tuple
+        dim, table = dim_table
+        assert verdict(dim, table) == lie_table_failure(dim, table)
+
+    @pytest.mark.parametrize("structure", [
+        {(1, 2, 3): 1, (2, 1, 3): -1},   # antisymmetric, but e3 is not in a 2-dim algebra
+        {(1, 2, 0): 1},                  # index 0
+        {(1, 2): 1},                     # not a triple
+    ], ids=["past-dim", "zero", "pair"])
+    def test_index_outside_the_algebra_rejected(self, structure):
+        with pytest.raises(AlgebraError, match=r"outside 1\.\.2"):
+            LieAlgebraData(2, structure)
 
 
 class TestTranslationAction:

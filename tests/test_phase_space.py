@@ -19,19 +19,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkoszul import exact
+from qkoszul import exact, phase_space
 from qkoszul.exact import (
     AlgebraError,
     ExponentOverflowError,
+    GaussianRational,
     LambdaSeries,
     MultiPoly,
     OrderMismatchError,
     TermLimitError,
+    VariableMismatchError,
     gr,
 )
 from qkoszul.phase_space import PhaseSpace, StarProduct, check_star_axioms
 from qkoszul.sampling import sample_pairs, sample_polys
-from reference_poly import RefSeries, series_product
+from reference_poly import RefSeries, pairing, rank_one_terms, series_product
 
 KINDS = ("weyl", "wick", "std")
 ORACLE = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
@@ -497,3 +499,127 @@ def test_eval_raises_the_term_limit(monkeypatch):
     assert len(star.eval_poly(f, f, 2).poly.terms) == 3   # (q1 + p1)²: at the limit
     with pytest.raises(TermLimitError, match="5 terms exceeds the limit of 3"):
         star.eval_poly(f, g, 2)
+
+
+# -- the set-up on integer triples and the one-pass bracket -----------------
+
+def triple(c: GaussianRational):
+    d, r, i = exact._gauss(c)
+    return r, i, d
+
+
+def of_triple(t) -> GaussianRational:
+    r, i, d = t
+    return gr(Fraction(r, d), Fraction(i, d))
+
+
+@given(C=constant_matrices(4))
+@settings(max_examples=40, deadline=None)
+def test_rank_one_terms_reproduce_the_matrix(C):
+    terms = phase_space._rank_one_terms({ij: triple(c) for ij, c in C.items()})
+    # every coefficient is a triple in lowest terms over a positive denominator
+    assert all(d > 0 and math.gcd(r, i, d) == 1 and (r or i)
+               for a, b in terms for _, (r, i, d) in a + b)
+    as_gauss = [([(k, of_triple(x)) for k, x in a], [(k, of_triple(x)) for k, x in b])
+                for a, b in terms]
+    assert as_gauss == rank_one_terms(C)
+    total = {}
+    for a, b in as_gauss:
+        for i, x in a:
+            for j, y in b:
+                total[i, j] = total.get((i, j), gr()) + x * y
+    assert {ij: c for ij, c in total.items() if not c.is_zero()} == C
+
+
+def bracket_matrix(C):
+    """-i (C - Cᵀ), in GaussianRational arithmetic."""
+    B = {}
+    for i, j in set(C) | {(j, i) for i, j in C}:
+        c = (C.get((i, j), gr()) - C.get((j, i), gr())) * gr(0, -1)
+        if not c.is_zero():
+            B[i, j] = c
+    return B
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_bracket_equals_the_reference_pairing(data):
+    # inputs on disjoint halves of the variables make the mask skip entries
+    C = data.draw(constant_matrices(4))
+    star = StarProduct.constant(SP2, C)
+    f = data.draw(polys_on(SP2.vars, data.draw(st.sampled_from(SUPPORTS)), max_degree=3))
+    g = data.draw(polys_on(SP2.vars, data.draw(st.sampled_from(SUPPORTS)), max_degree=3))
+    got = star.bracket_poly(f, g)
+    assert canonical_series(LambdaSeries.from_poly(got, 0))
+    assert got == pairing(bracket_matrix(C), f, g)
+
+
+def test_bracket_prunes_entries_and_takes_each_derivative_once(monkeypatch):
+    taken = []
+    partial_of = phase_space._partial
+
+    def counted(nums, s, mask):
+        taken.append((id(nums), s))
+        return partial_of(nums, s, mask)
+    monkeypatch.setattr(phase_space, "_partial", counted)
+    # f and g on disjoint pairs: every entry of the Weyl matrix is skipped
+    f, g = SP2.q(1) * SP2.p(1), SP2.q(2) * SP2.p(2)
+    assert StarProduct.weyl(SP2).bracket_poly(f, g).is_zero() and taken == []
+    # SKEW's bracket matrix has entries (q1,p1), (p1,q1), (q2,p2), (p2,q2),
+    # (p1,p2) and (p2,p1); h uses every variable and f only q1 and p1, so
+    # (q1,p1), (p1,q1) and (p2,p1) are kept and ∂_{p1} f serves two of them:
+    # three derivatives of h and two of f, each taken once
+    h = f * g + SP2.q(1) + SP2.p(2)
+    star = product_of("skew", SP2)
+    assert star.bracket_poly(h, f) == pairing(bracket_matrix(SKEW), h, f)
+    assert len(taken) == len(set(taken)) == 5
+    # with both inputs on every variable, rows p1, p2 and columns p1, p2 repeat
+    taken.clear()
+    assert star.bracket_poly(h, h.scale(2)) == pairing(bracket_matrix(SKEW), h, h.scale(2))
+    assert len(taken) == len(set(taken)) == 8
+
+
+def test_bracket_rejects_operands_over_other_variables():
+    star = StarProduct.weyl(SP2)
+    f = SP2.q(1)
+    with pytest.raises(VariableMismatchError):
+        star.bracket_poly(f.with_vars(SP2.vars + ("x",)), f.with_vars(SP2.vars + ("x",)))
+    with pytest.raises(VariableMismatchError):
+        star.bracket_poly(f, f.with_vars(SP2.vars + ("x",)))
+
+
+def test_bracket_raises_exponent_overflow(monkeypatch):
+    monkeypatch.setattr(exact, "SLOT_BITS", 3)   # exponents up to 3
+    star = StarProduct.weyl(PhaseSpace.of_dim(1))
+    q, p = MultiPoly.variable(star.space.vars, "q1"), MultiPoly.variable(star.space.vars, "p1")
+    assert star.bracket_poly(q * q * q, p * p) == (q * q * p).scale(6)
+    with pytest.raises(ExponentOverflowError, match="exceeds 3"):
+        star.bracket_poly(q * q * q * p, q * q * p)
+
+
+@pytest.mark.parametrize("ij", [(-1, 0), (0, -1), (2, 0), (1, 7)])
+def test_constant_rejects_an_index_outside_the_variables(ij):
+    # T*R has the 2 variables q1, p1
+    with pytest.raises(AlgebraError, match=r"matrix entry .* lies outside the 2 variables"):
+        StarProduct.constant(PhaseSpace.of_dim(1), {(0, 1): gr(0, 1), ij: gr(1)})
+
+
+def test_set_up_products_and_samples_use_no_gaussian_rational_arithmetic(monkeypatch):
+    """The three products are built, evaluated and checked, and their
+    brackets and the samples computed, with the arithmetic of
+    GaussianRational switched off: it stays at the API and in rendering."""
+    def refuse(*args):
+        raise AssertionError("GaussianRational arithmetic was called")
+    for op in ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__"):
+        monkeypatch.setattr(GaussianRational, op, refuse)
+    with pytest.raises(AssertionError):
+        gr(1) + gr(1)
+    sp = PhaseSpace.of_dim(2)
+    samples = sample_polys(41, sp.vars, 3, 5)
+    pairs = sample_pairs(43, sp.vars, 3, 3)
+    for kind in KINDS:
+        star = getattr(StarProduct, kind)(sp)
+        for f, g in pairs:
+            star.eval_poly(f, g, 3)
+            star.bracket_poly(f, g)
+        assert all(c["status"] == "pass" for c in check_star_axioms(star, samples, 3))
