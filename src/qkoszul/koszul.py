@@ -12,14 +12,22 @@ at grade k sends x^m to m_a/(|m_v|+k) · x^{m-e_a}, one output per
 constrained direction a.  A shifted or magnetic scenario is this canonical
 scenario in straightened coordinates: its context records the straightening
 p_a -> p_a - alpha_a, which maps samples in once (``straighten``).
+
+The quantum restriction is the classical one after a correction series.
+Where the product has a constant matrix and the quantum momentum map is
+p_a + λc_a with constant c_a, an operator T conjugates the quantum complex
+to the classical one, and the quantum restriction is i* ∘ T in closed form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from math import factorial, lcm
+from operator import or_
+from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from .exact import (
     AlgebraError,
@@ -29,6 +37,7 @@ from .exact import (
     gr,
     invert_unipotent,
 )
+from .exact import _canonical, _layout, _nonzero
 from .lie import (
     LieAlgebraData,
     QuantumMomentumMap,
@@ -170,12 +179,68 @@ class GoodTube:
                 for a in directions}
 
 
+class Conjugation(NamedTuple):
+    """The data of the operator T = τ_{-λc} ∘ exp(λX) of a context, on the
+    keys of its series, where λ leads (see ``_conjugation``).
+
+    X = Σ (re + i·im)/den ∂_i∂_j over the entries (shift of i, shift of j,
+    re, im) of ``x``, with ∂_i² where the two shifts agree; ``pmask`` holds
+    the key bits of every translated p_a; c_a = (re + i·im)/cden over the
+    entries (shift of p_a, re, im) of ``c``, the zero constants left out."""
+    den: int
+    x: Tuple[Tuple[int, int, int, int], ...]
+    pmask: int
+    cden: int
+    c: Tuple[Tuple[int, int, int], ...]
+
+
+def _conjugation(space: PhaseSpace, translated: Sequence[int], star: StarProduct,
+                 Jq: QuantumMomentumMap) -> Optional[Conjugation]:
+    """T's data for a product with a constant matrix C and Jq_a = p_a + λc_a,
+    c_a constant, on the positions P of the translated p_a:
+
+        X = -Σ_a Σ_{i∉P} C^{i p_a} ∂_i∂_{p_a} - ½ Σ_{a,b} C^{p_a p_b} ∂_{p_a}∂_{p_b}.
+
+    Then T(f ⋆ Jq_a) = p_a·T(f).  None where that does not hold: a product
+    without a matrix, some Jq_a - p_a that is not λ times a constant, or C
+    not symmetric on P × P."""
+    C = star.matrix
+    if C is None or star.space.vars != space.vars:
+        return None
+    shifts, _, mask = _layout(len(space.vars) + 1)
+    lam = 1 << shifts[0]
+    P = [space.vars.index(f"p{a}") for a in translated]
+    if any(C.get((a, b)) != C.get((b, a)) for a in P for b in P):
+        return None
+    c = []
+    for a, Ja in zip(P, Jq.components):
+        p, nums = Ja.poly, Ja.poly.nums
+        pa = 1 << shifts[a + 1]
+        if Ja.vars != space.vars or nums.get(pa) != (p.den, 0) or nums.keys() - {pa, lam}:
+            return None
+        if lam in nums:
+            c.append((a, *nums[lam], p.den))
+    # each pair {i, j} once: the two halves of -½ C^{p_a p_b} ∂_{p_a}∂_{p_b}
+    # for a ≠ b add up, as C is symmetric there
+    x = [(i, j, -r, -m, 2 * d if i == j else d) for (i, j), (r, m, d) in C.items()
+         if j in P and (i not in P or i <= j)]
+    den = lcm(*(d for *_, d in x))
+    cden = lcm(*(d for *_, d in c))
+    return Conjugation(
+        den, tuple((shifts[i + 1], shifts[j + 1], r * (den // d), m * (den // d))
+                   for i, j, r, m, d in sorted(x)),
+        sum(mask << shifts[a + 1] for a in P),
+        cden, tuple((shifts[a + 1], r * (cden // d), m * (cden // d)) for a, r, m, d in c))
+
+
 class ReductionContext:
     """Everything needed to run one reduction scenario: the star product,
     the classical and quantum momentum maps, the good tube and the
     prolongation.  The classical momentum map is the canonical one of the
     action, and the quantum one is held truncated to the context's order; a
     shifted scenario adds the substitution that straightens its samples.
+    ``conjugation`` is the data of the operator T through which the quantum
+    restriction is computed in closed form, or None where T does not apply.
     Immutable after construction."""
 
     def __init__(self, space: PhaseSpace, action: TranslationAction,
@@ -192,6 +257,7 @@ class ReductionContext:
         self.straightening = dict(straighten) if straighten else {}
         self.tube = GoodTube(space, action.translated)
         self.gdim = action.dim
+        self.conjugation = _conjugation(space, action.translated, star, self.Jq)
 
     @staticmethod
     def canonical(space: PhaseSpace, translated: Sequence[int], star: StarProduct,
@@ -337,15 +403,102 @@ def _corrected(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
 
     def raiser(y: KoszulChain) -> KoszulChain:
         hy = classical_homotopy(y, ctx)
+        if hy.is_zero():
+            # A y = (∂ - ∂_q) 0
+            return KoszulChain(ctx.gdim, y.grade, ctx.space.vars, ctx.order, {})
         return koszul_boundary(hy, ctx) - quantum_koszul_boundary(hy, ctx)
 
     return invert_unipotent(raiser, ctx.order)(x)
 
 
-def quantum_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """Deformed restriction i** = i* (id - A)^{-1}: the classical restriction
-    of the corrected grade-0 chain of f."""
+def series_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
+    """The paper's deformed restriction i** = i* (id - A)^{-1}: the
+    classical restriction of the corrected grade-0 chain of f."""
     return restriction(_corrected(KoszulChain.of_series(ctx.gdim, f), ctx).series(), ctx)
+
+
+def conjugated_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
+    """i*(T f) = (exp(λX) f)|_{p_a = -λc_a}, truncated at the order of f, on a
+    context whose ``conjugation`` is not None: one second-derivative pass
+    per power of λ and one evaluation pass, on raw numerators."""
+    if (f.vars, f.order) != (ctx.space.vars, ctx.order):
+        raise AlgebraError("series does not match the context's variables and order")
+    T, poly, L = ctx.conjugation, f.poly, f.order
+    nums = poly.nums
+    # X and τ differentiate in some p_a, so T is the identity on f
+    if not reduce(or_, nums, 0) & T.pmask:
+        return restriction(f, ctx)
+    shifts, _, mask = _layout(len(poly.vars))
+    lam, bound = 1 << shifts[0], (L + 1) << shifts[0]
+    # the k-th term λ^k X^k f / k! of exp(λX) f, over den·T.den^k·k!
+    terms, cur = [nums], nums
+    while len(terms) <= L:
+        nxt: Dict[int, Tuple[int, int]] = {}
+        for key, (r, i) in cur.items():
+            for si, sj, xr, xi in T.x:
+                e = key >> si & mask
+                if not e:
+                    continue
+                if si == sj:
+                    e *= e - 1
+                    d = key - (2 << si) + lam
+                else:
+                    e *= key >> sj & mask
+                    d = key - (1 << si) - (1 << sj) + lam
+                if not e or d >= bound:
+                    continue
+                nr, ni = (r * xr - i * xi) * e, (r * xi + i * xr) * e
+                t = nxt.get(d)
+                nxt[d] = (nr, ni) if t is None else (t[0] + nr, t[1] + ni)
+        cur = _nonzero(nxt)
+        if not cur:
+            break
+        terms.append(cur)
+    # (-c_a)^e over cden^e, for e up to L
+    powers = []
+    for s, cr, ci in T.c:
+        row = [(1, 0)]
+        for _ in range(L):
+            pr, pi = row[-1]
+            row.append((-(pr * cr - pi * ci), -(pr * ci + pi * cr)))
+        powers.append((s, row))
+    cmask = sum(mask << s for s, _ in powers)
+    # every term over den·T.den^K·K!·cden^L, with K the last k
+    K = len(terms) - 1
+    out: Dict[int, Tuple[int, int]] = {}
+    for k, part in enumerate(terms):
+        scale = T.den ** (K - k) * (factorial(K) // factorial(k))
+        for key, (r, i) in part.items():
+            p = key & T.pmask
+            if p & ~cmask:
+                continue
+            r, i, deg = r * scale, i * scale, 0
+            for s, row in powers:
+                e = key >> s & mask
+                if e:
+                    deg += e
+                    if deg > L:   # past λ^L, dropped below
+                        break
+                    pr, pi = row[e]
+                    r, i = r * pr - i * pi, r * pi + i * pr
+            d = key - p + deg * lam
+            if d >= bound:
+                continue
+            w = T.cden ** (L - deg)
+            t = out.get(d)
+            out[d] = (r * w, i * w) if t is None else (t[0] + r * w, t[1] + i * w)
+    den = poly.den * T.den ** K * factorial(K) * T.cden ** L
+    return restriction(LambdaSeries(_canonical(poly.vars, den, _nonzero(out)), L), ctx)
+
+
+def quantum_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
+    """Deformed restriction i** = i* (id - A)^{-1}.  Where the context has
+    T's data, T conjugates ∂_q to ∂ and i** = i* ∘ T, so this is
+    ``conjugated_restriction``, in closed form; elsewhere it is
+    ``series_restriction``, the series itself."""
+    if ctx.conjugation is None:
+        return series_restriction(f, ctx)
+    return conjugated_restriction(f, ctx)
 
 
 def quantum_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
@@ -365,8 +518,9 @@ def verify_complex_identities(ctx: ReductionContext,
     the samples.  Returns one pass/fail entry per identity."""
     gdim = ctx.gdim
     # several checks read each sample's quantum restriction, computed once
+    # through the paper's series, whatever route ``quantum_restriction`` takes
     series = [ctx.series(f) for f in samples]
-    qres = [quantum_restriction(fs, ctx) for fs in series]
+    qres = [series_restriction(fs, ctx) for fs in series]
 
     def chains_of_grade(k: int):
         keys = list(combinations(range(1, gdim + 1), k))
@@ -440,6 +594,10 @@ def verify_complex_identities(ctx: ReductionContext,
         check("homotopy_kills_prolongations", sample_failures(homotopy_kills_prolongations)),
         check("quantum_restriction_classical_limit", sample_failures(
             lambda fs, qf: qf.coeff(0) == restriction(fs, ctx).coeff(0))),
+        # i** = i* ∘ T, where the context has T
+        *([check("quantum_restriction_after_T", sample_failures(
+            lambda fs, qf: quantum_restriction(fs, ctx) == qf))]
+          if ctx.conjugation is not None else []),
         check("quantum_restriction_right_inverse", sample_failures(right_inverse)),
         check("projection_idempotent", sample_failures(projection_idempotent)),
         check("kernel_contains_ideal_generators", kernel_contains_ideal_generators()),

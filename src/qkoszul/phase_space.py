@@ -26,13 +26,15 @@ from fractions import Fraction
 from functools import partial, reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Callable, Dict, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exact import (
     GR_I,
     GR_MINUS_I,
     LAMBDA,
     AlgebraError,
+    ContractViolationError,
     GaussianRational,
     LambdaSeries,
     MultiPoly,
@@ -107,11 +109,18 @@ def _rank_one_terms(C: Dict[Tuple[int, int], Gauss]) -> List[Tuple[Vector, Vecto
 
     Each step takes the first nonzero entry C^{ij} as pivot, with a the
     pivot column and b the pivot row divided by the pivot, and removes a bᵀ,
-    which clears row i and column j, so there are rank(C) terms.
+    which clears row i and column j, so there are rank(C) terms.  A step
+    adds no row, so there is at most one step per nonzero row of C, at most
+    one per variable; an elimination that needs more is wrong and raises
+    ``ContractViolationError`` instead of running on.
     """
     C = dict(C)
     terms = []
+    bound = len({i for i, _ in C})
     while C:
+        if len(terms) == bound:
+            raise ContractViolationError(
+                f"rank-one elimination left {len(C)} entries after {bound} steps")
         i, j = min(C)
         pivot = C[i, j]
         col = sorted((k, c) for (k, l), c in C.items() if l == j)
@@ -165,20 +174,23 @@ class StarProduct:
     order, ``eval_poly(f, g, order)`` the product of two polynomials
     truncated at λ^order, ``bracket_poly(f, g)`` the classical bracket it
     deforms, and ``hermitian`` says whether conj(f ⋆ g) = conj(g) ⋆ conj(f).
-    Products on a phase space come from ``constant``; reduced products are
-    built from their series evaluation and their reduced bracket.
-    Evaluation is bilinear over Gaussian rationals and pure: the same inputs
-    always give the same series.
+    Products on a phase space come from ``constant`` and keep their matrix
+    as ``matrix``: C as integer triples (re, im, den) keyed by variable
+    positions, zero entries left out, read-only.  Reduced products are
+    built from their series evaluation and their reduced bracket, and their
+    ``matrix`` is None.  Evaluation is bilinear over Gaussian rationals and
+    pure: the same inputs always give the same series.
     """
 
     def __init__(self, space: PhaseSpace,
                  eval: Callable[[LambdaSeries, LambdaSeries], LambdaSeries],
                  bracket: Callable[[MultiPoly, MultiPoly], MultiPoly],
-                 hermitian: bool):
+                 hermitian: bool, matrix: Optional[Mapping[Tuple[int, int], Gauss]] = None):
         self.space = space
         self._eval = eval
         self._bracket = bracket
         self.hermitian = hermitian
+        self.matrix = matrix
 
     # -- constructors ---------------------------------------------------
 
@@ -213,7 +225,7 @@ class StarProduct:
         fields = [(_vector_field(lvars, shifts, a), _vector_field(lvars, shifts, b))
                   for a, b in _rank_one_terms(T)]
         return StarProduct(space, partial(star_exponential, fields),
-                           partial(_pairing, bracket), hermitian)
+                           partial(_pairing, bracket), hermitian, MappingProxyType(T))
 
     @staticmethod
     def weyl(space: PhaseSpace) -> "StarProduct":

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkoszul import cli, exact, reduction
+from qkoszul import cli, exact, koszul, reduction
 from qkoszul.cli import builtin_config, main, run_scenario
 from qkoszul.exact import ContractViolationError, MultiPoly
 from qkoszul.koszul import GoodTube
@@ -166,8 +166,10 @@ class TestReports:
 
     def test_wrong_tube_weight_fails_the_knp_suite(self, monkeypatch, tmp_path,
                                                    capsysbinary):
-        # without the complex suite, only the division identity reads the
-        # tube homotopy on inputs that carry p_a
+        # without the complex suite, the knp suite reads the tube homotopy on
+        # inputs that carry p_a twice: in the division identity, and in the
+        # deformed restriction, which the quantum restriction through T,
+        # blind to the tube, no longer matches
         off_by_one_weight(monkeypatch)
         path = tmp_path / "knp-only.json"
         path.write_text(json.dumps({"name": "knp-only", "n": 2, "translated": [1],
@@ -175,8 +177,25 @@ class TestReports:
         assert main(["--config", str(path)]) == 1
         report = json.loads(capsysbinary.readouterr().out)
         failing = [c for c in report["checks"] if c["status"] == "fail"]
-        assert [c["name"] for c in failing] == ["knp.division_identity"]
-        assert failing[0]["witness"]["f"]
+        assert [c["name"] for c in failing] == [
+            "knp.deformed_restriction_equals_quantum_restriction", "knp.division_identity"]
+        assert all(c["witness"]["f"] for c in failing)
+
+    def test_flipped_sign_of_X_fails_s1p_single(self, monkeypatch, capsysbinary):
+        # the quantum restriction goes through T; the series that the complex
+        # suite computes and the knp restriction both see a wrong X
+        conjugation = koszul._conjugation
+
+        def flipped(*args):
+            T = conjugation(*args)
+            return T._replace(x=tuple((si, sj, -r, -i) for si, sj, r, i in T.x))
+
+        monkeypatch.setattr(koszul, "_conjugation", flipped)
+        assert main(["--scenario", "s1p-single"]) == 1
+        report = json.loads(capsysbinary.readouterr().out)
+        failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
+        assert "complex.quantum_restriction_after_T" in failing
+        assert "knp.deformed_restriction_equals_quantum_restriction" in failing
 
     def test_text_format(self):
         res = run("--scenario", "ce-heisenberg", "--format", "text")

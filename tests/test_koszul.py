@@ -42,6 +42,7 @@ from qkoszul.koszul import (
     quantum_restriction,
     remove_index,
     restriction,
+    series_restriction,
     verify_complex_identities,
 )
 from qkoszul.lie import LieAlgebraData, QuantumMomentumMap
@@ -54,6 +55,7 @@ from qkoszul.reduction import (
     reduced_star,
 )
 from qkoszul.sampling import sample_polys
+from qkoszul.stages import StageConfig, StagePipeline
 from reference_poly import RefSeries
 
 L = 4
@@ -646,7 +648,8 @@ def conjugating_operator(F: LambdaSeries, C, P, c) -> LambdaSeries:
 
 
 # the constants c_a of Jq_a = p_a + λc_a, by translated label
-CORRECTIONS = (gr(0, Fraction(1, 3)), gr(0, Fraction(-2, 7)), gr(Fraction(1, 5)))
+CORRECTIONS = (gr(0, Fraction(1, 3)), gr(0, Fraction(-2, 7)), gr(Fraction(1, 5)),
+               gr(Fraction(-3, 4), Fraction(1, 6)))
 
 
 @pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
@@ -672,7 +675,158 @@ def test_quantum_restriction_is_the_restriction_after_T(kind):
                     F = ctx.series(f)
                     got = quantum_restriction(F, ctx)
                     assert got == restriction(conjugating_operator(F, C, P, c), ctx)
+                    assert got == series_restriction(F, ctx)
                     differ += got != restriction(F, ctx)
     # the correction is not zero on every input
     assert differ > 0
+
+
+def corrected_Jq(sp: PhaseSpace, translated, order: int, corrected: bool) -> QuantumMomentumMap:
+    """Jq_a = p_a + λc_a, with c_a = 0 unless ``corrected``."""
+    return QuantumMomentumMap(LieAlgebraData.abelian(len(translated)), [
+        LambdaSeries.from_poly(sp.p(a), order) + LambdaSeries.from_poly(
+            MultiPoly.const(sp.vars, 1).scale(CORRECTIONS[a - 1] if corrected else gr(0)),
+            order, shift=1)
+        for a in translated])
+
+
+def entrywise(T, x: KoszulChain) -> KoszulChain:
+    return KoszulChain(x.gdim, x.grade, x.vars, x.order,
+                       {key: T(F) for key, F in x.terms.items()})
+
+
+@pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+@pytest.mark.parametrize("corrected", (False, True))
+def test_T_conjugates_the_quantum_boundary_to_the_classical_one(kind, corrected):
+    # T ∂_q = ∂ T on chains of every grade from 1 to gdim
+    n, translated, order = 3, (1, 3), 3
+    sp = PhaseSpace.of_dim(n)
+    C = {ij: gr(re, im) for ij, (re, im) in bench_oracle.kind_matrix(kind, n).items()}
+    P = [sp.vars.index(f"p{a}") for a in translated]
+    c = [CORRECTIONS[a - 1] if corrected else gr(0) for a in translated]
+    ctx = ReductionContext.canonical(sp, translated, getattr(StarProduct, kind)(sp), order,
+                                     Jq=corrected_Jq(sp, translated, order, corrected))
+
+    def T(F):
+        return conjugating_operator(F, C, P, c)
+
+    polys = sample_polys(181, sp.vars, 3, 4)
+    series = [ctx.series(f) + LambdaSeries.from_poly(g, order, shift=1)
+              for f, g in zip(polys, polys[1:])]
+    for k in range(1, ctx.gdim + 1):
+        keys = list(combinations(range(1, ctx.gdim + 1), k))
+        for i in range(len(series)):
+            x = KoszulChain(ctx.gdim, k, sp.vars, order,
+                            {key: series[(i + j) % len(series)] for j, key in enumerate(keys)})
+            lhs = entrywise(T, quantum_koszul_boundary(x, ctx))
+            assert lhs == koszul_boundary(entrywise(T, x), ctx)
+            assert not lhs.is_zero()
+
+
+def T_contexts(kind: str, corrected: bool):
+    """Contexts whose quantum restriction goes through T: canonical ones on
+    T*R^3 and T*R^4, the first stage of two splits, and a magnetic one."""
+    order = 4
+    for n, translated, first in ((3, (1, 2), (1,)), (4, (1, 2, 4), (1, 3))):
+        sp = PhaseSpace.of_dim(n)
+        ctx = ReductionContext.canonical(sp, translated, getattr(StarProduct, kind)(sp), order,
+                                         Jq=corrected_Jq(sp, translated, order, corrected))
+        yield ctx
+        yield StagePipeline(ctx, StageConfig(ctx.action.lie, first)).ctx1
+    yield build_shifted_context(ctx, {1: (3, Fraction(1, 2))}, {2: Fraction(-2)})
+
+
+@pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+@pytest.mark.parametrize("corrected", (False, True))
+def test_quantum_restriction_through_T_equals_the_series(kind, corrected):
+    differ = 0
+    for ctx in T_contexts(kind, corrected):
+        assert ctx.conjugation is not None
+        polys = [ctx.straighten(f) for f in sample_polys(191, ctx.space.vars, 4, 5)]
+        # a factor J_1² keeps p_a in every coefficient of λ
+        J1 = ctx.J.components[0]
+        for f, g in zip(polys, polys[1:]):
+            F = ctx.series(f * J1 * J1 + g) + LambdaSeries.from_poly(
+                g * J1 + f, ctx.order, shift=1)
+            got = quantum_restriction(F, ctx)
+            assert got == series_restriction(F, ctx)
+            differ += got != restriction(F, ctx)
+    # std has no C^{i p_a}, so without corrections T is the identity
+    assert (differ > 0) == (kind != "std" or corrected)
+
+
+def test_contexts_without_T_take_the_series(monkeypatch):
+    routes = {"T": [], "series": []}
+    for name, attr in (("T", "conjugated_restriction"), ("series", "series_restriction")):
+        monkeypatch.setattr(koszul, attr, lambda f, ctx, route=getattr(koszul, attr),
+                            seen=routes[name]: seen.append(ctx) or route(f, ctx))
+    sp = PhaseSpace.of_dim(3)
+    base = ReductionContext.canonical(sp, (1, 2), StarProduct.weyl(sp), L)
+    # the second stage's product is a reduced product, without a matrix
+    pipe = StagePipeline(base, StageConfig(base.action.lie, (1,)))
+    # Jq_1 - p_1 = λ·q_2 is not a constant
+    Jq = QuantumMomentumMap(LieAlgebraData.abelian(1), [
+        LambdaSeries.from_poly(sp.p(1), L) + LambdaSeries.from_poly(sp.q(2), L, shift=1)])
+    lifted = ReductionContext.canonical(sp, (1,), StarProduct.weyl(sp), L, Jq=Jq)
+    # Weyl's matrix with C^{p_1 p_2} = 1 ≠ C^{p_2 p_1}
+    C = {ij: gr(re, im) for ij, (re, im) in bench_oracle.kind_matrix("weyl", 3).items()}
+    skew = StarProduct.constant(sp, {**C, (3, 4): gr(1)})
+    unsymmetric = ReductionContext.canonical(sp, (1, 2), skew, L)
+    assert pipe.ctx2.star.matrix is None
+    assert base.conjugation is not None and pipe.ctx1.conjugation is not None
+    for ctx in (pipe.ctx2, lifted, unsymmetric):
+        assert ctx.conjugation is None
+        a = ctx.action.translated[0]
+        qp = ctx.space.q(a) * ctx.space.p(a)
+        F = ctx.series(qp * (qp + sample_polys(197, ctx.space.vars, 3, 1)[0]))
+        got = quantum_restriction(F, ctx)
+        assert ctx in routes["series"] and ctx not in routes["T"]
+        assert got == series_restriction(F, ctx)
+        assert got != restriction(F, ctx)
+    # the second stage's product restricts through the first stage's T
+    assert pipe.ctx1 in routes["T"]
+
+
+def test_both_routes_reject_a_series_of_another_order():
+    sp = PhaseSpace.of_dim(3)
+    base = ReductionContext.canonical(sp, (1, 2), StarProduct.weyl(sp), L)
+    ctx2 = StagePipeline(base, StageConfig(base.action.lie, (1,))).ctx2
+    for ctx in (base, ctx2):
+        for f in (ctx.space.q(2), ctx.space.q(2) * ctx.space.p(2)):
+            with pytest.raises(AlgebraError):
+                quantum_restriction(ctx.space.series(f, L - 1), ctx)
+
+
+def test_series_skips_the_boundaries_on_inputs_without_p(monkeypatch):
+    # h y = 0 gives A y = 0 with no boundary taken; the second stage keeps
+    # the series, and a reduced product's inputs carry no p_a
+    sp = PhaseSpace.of_dim(3)
+    base = ReductionContext.canonical(sp, (1, 2), StarProduct.weyl(sp), L)
+    ctx2 = StagePipeline(base, StageConfig(base.action.lie, (1,))).ctx2
+    calls = []
+    boundary = koszul.quantum_koszul_boundary
+    monkeypatch.setattr(koszul, "quantum_koszul_boundary",
+                        lambda x, ctx: calls.append(x) or boundary(x, ctx))
+    f, g = sample_polys(199, ctx2.space.vars, 3, 2)
+    q2, q3, p3 = (MultiPoly.variable(ctx2.space.vars, v) for v in ("q2", "q3", "p3"))
+    F = ctx2.series(f.zero_outside(ctx2.cvars).with_vars(ctx2.space.vars) + q2 * q3 * p3)
+    assert F.uses("q2") and not F.uses("p2")
+    assert quantum_restriction(F, ctx2) == restriction(F, ctx2)
+    assert calls == []
+    # an input with p_2 takes the boundaries
+    qp = ctx2.space.q(2) * ctx2.space.p(2)
+    G = ctx2.series(qp * (qp + g))
+    assert quantum_restriction(G, ctx2) != restriction(G, ctx2)
+    assert calls
+
+
+def test_a_flipped_sign_of_tau_is_seen_against_the_series(monkeypatch):
+    # every builtin has c = 0, so no report reads τ; this test does
+    conjugation = koszul._conjugation
+    monkeypatch.setattr(koszul, "_conjugation", lambda *args: conjugation(*args)._replace(
+        c=tuple((s, -r, -i) for s, r, i in conjugation(*args).c)))
+    ctx = next(T_contexts("weyl", True))
+    assert ctx.conjugation.c
+    F = ctx.series(sample_polys(211, ctx.space.vars, 3, 1)[0] * ctx.J.components[0])
+    assert quantum_restriction(F, ctx) != series_restriction(F, ctx)
 

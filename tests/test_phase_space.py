@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from qkoszul import exact, phase_space
 from qkoszul.exact import (
     AlgebraError,
+    ContractViolationError,
     ExponentOverflowError,
     GaussianRational,
     LambdaSeries,
@@ -529,6 +530,23 @@ def test_rank_one_terms_reproduce_the_matrix(C):
             for j, y in b:
                 total[i, j] = total.get((i, j), gr()) + x * y
     assert {ij: c for ij, c in total.items() if not c.is_zero()} == C
+
+
+def test_products_keep_their_matrix_as_triples():
+    star = StarProduct.constant(PhaseSpace.of_dim(1), {
+        (0, 0): gr(Fraction(2, 4)), (0, 1): gr(0, Fraction(-1, 3)), (1, 0): gr(0)})
+    assert dict(star.matrix) == {(0, 0): (1, 0, 2), (0, 1): (0, -1, 3)}
+    with pytest.raises(TypeError):
+        star.matrix[1, 1] = (1, 0, 1)
+
+
+def test_a_wrong_elimination_step_raises_instead_of_running_on(monkeypatch):
+    # x + y·z in place of x - y·z never clears the pivot, so C never empties
+    sub_mul = phase_space._sub_mul
+    monkeypatch.setattr(phase_space, "_sub_mul",
+                        lambda x, y, z=(1, 0, 1): sub_mul(x, (-y[0], -y[1], y[2]), z))
+    with pytest.raises(ContractViolationError, match="after 4 steps"):
+        StarProduct.weyl(PhaseSpace.of_dim(2))
 
 
 def bracket_matrix(C):
