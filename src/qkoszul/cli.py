@@ -17,7 +17,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -181,7 +181,7 @@ def _entries(key: str, raw: dict, parse) -> dict:
     """A JSON object keyed by coordinate label, each value parsed."""
     try:
         return {int(a): parse(v) for a, v in _typed(key, raw[key], dict).items()}
-    except (ValueError, TypeError, IndexError, OverflowError, ZeroDivisionError) as e:
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError) as e:
         raise ConfigError(f"bad {key!r} entry: {e}")
 
 
@@ -189,6 +189,12 @@ def _number(v) -> Fraction:
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise TypeError(f"{v!r} is not a number")
     return Fraction(v)
+
+
+def _magnetic_pair(cv) -> Tuple[int, Fraction]:
+    if len(_typed("b", cv, list)) != 2:
+        raise ValueError(f"{cv!r} is not a [label, value] pair")
+    return _typed("b", cv[0], int), _number(cv[1])
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -204,6 +210,9 @@ def parse_config(raw) -> ScenarioConfig:
     """The config a JSON value declares, every field type-checked."""
     if not isinstance(raw, dict) or "name" not in raw:
         raise ConfigError("config must be a JSON object with a 'name' field")
+    unknown = sorted(raw.keys() - {f.name for f in fields(ScenarioConfig)})
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
     cfg = ScenarioConfig(name=_typed("name", raw["name"], str))
     for key in ("n", "lambda_order", "degree", "samples", "seed"):
         if key in raw:
@@ -217,8 +226,7 @@ def parse_config(raw) -> ScenarioConfig:
     if raw.get("stage_first") is not None:
         cfg.stage_first = _typed_list("stage_first", raw["stage_first"], int)
     if "b" in raw:
-        cfg.b = _entries("b", raw, lambda cv: (_typed("b", _typed("b", cv, list)[0], int),
-                                               _number(cv[1])))
+        cfg.b = _entries("b", raw, _magnetic_pair)
     if "mu" in raw:
         cfg.mu = _entries("mu", raw, _number)
     return cfg

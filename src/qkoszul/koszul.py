@@ -16,7 +16,8 @@ p_a -> p_a - alpha_a, which maps samples in once (``straighten``).
 The quantum restriction is the classical one after a correction series.
 Where the product has a constant matrix and the quantum momentum map is
 p_a + λc_a with constant c_a, an operator T conjugates the quantum complex
-to the classical one, and the quantum restriction is i* ∘ T in closed form.
+to the classical one, and the quantum restriction is i* ∘ T in closed form:
+exp(λX), then τ_{-λc} as the substitution p_a -> p_a - Jq_a.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .exact import (
     gr,
     invert_unipotent,
 )
-from .exact import _canonical, _layout, _nonzero
+from .exact import _layout, _nonzero, _partial, _sum, _wrap
 from .lie import (
     LieAlgebraData,
     QuantumMomentumMap,
@@ -184,14 +185,13 @@ class Conjugation(NamedTuple):
     keys of its series, where λ leads (see ``_conjugation``).
 
     X = Σ (re + i·im)/den ∂_i∂_j over the entries (shift of i, shift of j,
-    re, im) of ``x``, with ∂_i² where the two shifts agree; ``pmask`` holds
-    the key bits of every translated p_a; c_a = (re + i·im)/cden over the
-    entries (shift of p_a, re, im) of ``c``, the zero constants left out."""
+    re, im) of ``x``; ``pmask`` holds the key bits of every translated p_a;
+    τ_{-λc} is the substitution ``tau``, p_a ↦ p_a - Jq_a = -λc_a for each
+    a with c_a ≠ 0, empty where every c_a is zero."""
     den: int
     x: Tuple[Tuple[int, int, int, int], ...]
     pmask: int
-    cden: int
-    c: Tuple[Tuple[int, int, int], ...]
+    tau: Dict[str, MultiPoly]
 
 
 def _conjugation(space: PhaseSpace, translated: Sequence[int], star: StarProduct,
@@ -212,25 +212,23 @@ def _conjugation(space: PhaseSpace, translated: Sequence[int], star: StarProduct
     P = [space.vars.index(f"p{a}") for a in translated]
     if any(C.get((a, b)) != C.get((b, a)) for a in P for b in P):
         return None
-    c = []
+    tau = {}
     for a, Ja in zip(P, Jq.components):
         p, nums = Ja.poly, Ja.poly.nums
         pa = 1 << shifts[a + 1]
         if Ja.vars != space.vars or nums.get(pa) != (p.den, 0) or nums.keys() - {pa, lam}:
             return None
         if lam in nums:
-            c.append((a, *nums[lam], p.den))
+            tau[space.vars[a]] = MultiPoly.variable(p.vars, space.vars[a]) - p
     # each pair {i, j} once: the two halves of -½ C^{p_a p_b} ∂_{p_a}∂_{p_b}
     # for a ≠ b add up, as C is symmetric there
     x = [(i, j, -r, -m, 2 * d if i == j else d) for (i, j), (r, m, d) in C.items()
          if j in P and (i not in P or i <= j)]
     den = lcm(*(d for *_, d in x))
-    cden = lcm(*(d for *_, d in c))
     return Conjugation(
         den, tuple((shifts[i + 1], shifts[j + 1], r * (den // d), m * (den // d))
                    for i, j, r, m, d in sorted(x)),
-        sum(mask << shifts[a + 1] for a in P),
-        cden, tuple((shifts[a + 1], r * (cden // d), m * (cden // d)) for a, r, m, d in c))
+        sum(mask << shifts[a + 1] for a in P), tau)
 
 
 class ReductionContext:
@@ -419,76 +417,34 @@ def series_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
 
 def conjugated_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     """i*(T f) = (exp(λX) f)|_{p_a = -λc_a}, truncated at the order of f, on a
-    context whose ``conjugation`` is not None: one second-derivative pass
-    per power of λ and one evaluation pass, on raw numerators."""
+    context whose ``conjugation`` is not None: X once per power of λ on raw
+    numerators, then τ, a substitution, where some c_a is not zero."""
     if (f.vars, f.order) != (ctx.space.vars, ctx.order):
         raise AlgebraError("series does not match the context's variables and order")
     T, poly, L = ctx.conjugation, f.poly, f.order
-    nums = poly.nums
-    # X and τ differentiate in some p_a, so T is the identity on f
-    if not reduce(or_, nums, 0) & T.pmask:
+    # X and τ act on f through the p_a alone, so T is the identity on it
+    if not reduce(or_, poly.nums, 0) & T.pmask:
         return restriction(f, ctx)
     shifts, _, mask = _layout(len(poly.vars))
     lam, bound = 1 << shifts[0], (L + 1) << shifts[0]
     # the k-th term λ^k X^k f / k! of exp(λX) f, over den·T.den^k·k!
-    terms, cur = [nums], nums
-    while len(terms) <= L:
+    terms, cur = [poly], poly.nums
+    for k in range(1, L + 1):
         nxt: Dict[int, Tuple[int, int]] = {}
-        for key, (r, i) in cur.items():
-            for si, sj, xr, xi in T.x:
-                e = key >> si & mask
-                if not e:
-                    continue
-                if si == sj:
-                    e *= e - 1
-                    d = key - (2 << si) + lam
-                else:
-                    e *= key >> sj & mask
-                    d = key - (1 << si) - (1 << sj) + lam
-                if not e or d >= bound:
-                    continue
-                nr, ni = (r * xr - i * xi) * e, (r * xi + i * xr) * e
-                t = nxt.get(d)
-                nxt[d] = (nr, ni) if t is None else (t[0] + nr, t[1] + ni)
+        for si, sj, xr, xi in T.x:
+            for key, (r, i) in _partial(_partial(cur, sj, mask), si, mask).items():
+                d = key + lam
+                if d < bound:
+                    t = nxt.get(d, (0, 0))
+                    nxt[d] = (t[0] + r * xr - i * xi, t[1] + r * xi + i * xr)
         cur = _nonzero(nxt)
         if not cur:
             break
-        terms.append(cur)
-    # (-c_a)^e over cden^e, for e up to L
-    powers = []
-    for s, cr, ci in T.c:
-        row = [(1, 0)]
-        for _ in range(L):
-            pr, pi = row[-1]
-            row.append((-(pr * cr - pi * ci), -(pr * ci + pi * cr)))
-        powers.append((s, row))
-    cmask = sum(mask << s for s, _ in powers)
-    # every term over den·T.den^K·K!·cden^L, with K the last k
-    K = len(terms) - 1
-    out: Dict[int, Tuple[int, int]] = {}
-    for k, part in enumerate(terms):
-        scale = T.den ** (K - k) * (factorial(K) // factorial(k))
-        for key, (r, i) in part.items():
-            p = key & T.pmask
-            if p & ~cmask:
-                continue
-            r, i, deg = r * scale, i * scale, 0
-            for s, row in powers:
-                e = key >> s & mask
-                if e:
-                    deg += e
-                    if deg > L:   # past λ^L, dropped below
-                        break
-                    pr, pi = row[e]
-                    r, i = r * pr - i * pi, r * pi + i * pr
-            d = key - p + deg * lam
-            if d >= bound:
-                continue
-            w = T.cden ** (L - deg)
-            t = out.get(d)
-            out[d] = (r * w, i * w) if t is None else (t[0] + r * w, t[1] + i * w)
-    den = poly.den * T.den ** K * factorial(K) * T.cden ** L
-    return restriction(LambdaSeries(_canonical(poly.vars, den, _nonzero(out)), L), ctx)
+        terms.append(_wrap(poly.vars, poly.den * T.den ** k * factorial(k), cur))
+    F = LambdaSeries(_sum(poly.vars, terms), L)
+    if T.tau:
+        F = LambdaSeries(F.poly.substitute(T.tau), L).truncate(L)
+    return restriction(F, ctx)
 
 
 def quantum_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:

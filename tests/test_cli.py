@@ -315,6 +315,13 @@ class TestConfigFile:
                      "both stages nonempty", id="empty-second-stage"),
         pytest.param({"samples": 2, "checks": ["axioms"]},
                      "samples must be between 3 and 100", id="two-samples"),
+        # a misspelt field would otherwise run at its default
+        pytest.param({"n": 2, "lambda_ordr": 7, "checks": ["axioms"]},
+                     "unknown config key 'lambda_ordr'", id="unknown-key"),
+        pytest.param({"b": {"1": [2, "1/2", "junk"]}, "checks": ["momentum"]},
+                     "is not a [label, value] pair", id="b-three-items"),
+        pytest.param({"b": {"1": [2]}, "checks": ["momentum"]},
+                     "is not a [label, value] pair", id="b-one-item"),
     ])
     def test_rejected(self, tmp_path, fields, message):
         path = tmp_path / "cfg.json"

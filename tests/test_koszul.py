@@ -755,6 +755,46 @@ def test_quantum_restriction_through_T_equals_the_series(kind, corrected):
     assert (differ > 0) == (kind != "std" or corrected)
 
 
+@pytest.mark.parametrize("corrected", (False, True))
+def test_T_reads_a_matrix_of_no_kind(corrected):
+    # C is symmetric on P × P but is none of the three kinds: Weyl's q/p
+    # entries, C^{p_1 p_2} = C^{p_2 p_1}, a complex C^{p_1 p_1}, C^{i p_a}
+    # from a q and from an untranslated p, and C^{p_1 q_3}, which X ignores
+    sp, translated = PhaseSpace.of_dim(3), (1, 2)
+    q3, p1, p2, p3 = (sp.vars.index(v) for v in ("q3", "p1", "p2", "p3"))
+    C = {ij: gr(re, im) for ij, (re, im) in bench_oracle.kind_matrix("weyl", 3).items()}
+    C.update({(p1, p2): gr(Fraction(2, 3)), (p2, p1): gr(Fraction(2, 3)),
+              (p1, p1): gr(Fraction(1, 5), Fraction(1, 7)), (q3, p1): gr(Fraction(-3, 4)),
+              (p3, p2): gr(0, Fraction(1, 3)), (p1, q3): gr(Fraction(5, 6))})
+    ctx = ReductionContext.canonical(sp, translated, StarProduct.constant(sp, C), L,
+                                     Jq=corrected_Jq(sp, translated, L, corrected))
+    assert ctx.conjugation is not None
+    c = [CORRECTIONS[a - 1] if corrected else gr(0) for a in translated]
+    J1, J2 = ctx.J.components
+    polys = sample_polys(223, sp.vars, 3, 4)
+    for f, g in zip(polys, polys[1:]):
+        # p_1 p_2 and p_1² in every coefficient of λ
+        F = ctx.series(f * J1 * J2 + g * J1 * J1) + LambdaSeries.from_poly(
+            g * J1 * J2 + f, L, shift=1)
+        got = quantum_restriction(F, ctx)
+        assert got == series_restriction(F, ctx)
+        assert got == restriction(conjugating_operator(F, C, [p1, p2], c), ctx)
+        assert got != restriction(F, ctx)
+
+
+def test_T_drops_the_terms_past_the_order():
+    # X lowers the degree by 2 and raises the power of λ by 1, so on a λ^r
+    # term of degree 2(L - r) + 2 the last power of X lands past λ^L
+    sp = PhaseSpace.of_dim(2)
+    qp = sp.q(1) * sp.p(1)
+    for kind in ("weyl", "wick"):
+        for order in (1, 2, 3):
+            ctx = ReductionContext.canonical(sp, (1,), getattr(StarProduct, kind)(sp), order)
+            F = LambdaSeries.from_poly(qp * qp, order, shift=order - 1) + \
+                LambdaSeries.from_poly(qp, order, shift=order)
+            assert quantum_restriction(F, ctx) == series_restriction(F, ctx)
+
+
 def test_contexts_without_T_take_the_series(monkeypatch):
     routes = {"T": [], "series": []}
     for name, attr in (("T", "conjugated_restriction"), ("series", "series_restriction")):
@@ -823,10 +863,33 @@ def test_series_skips_the_boundaries_on_inputs_without_p(monkeypatch):
 def test_a_flipped_sign_of_tau_is_seen_against_the_series(monkeypatch):
     # every builtin has c = 0, so no report reads τ; this test does
     conjugation = koszul._conjugation
-    monkeypatch.setattr(koszul, "_conjugation", lambda *args: conjugation(*args)._replace(
-        c=tuple((s, -r, -i) for s, r, i in conjugation(*args).c)))
+
+    def flipped(*args):
+        T = conjugation(*args)
+        return T._replace(tau={v: -image for v, image in T.tau.items()})
+
+    monkeypatch.setattr(koszul, "_conjugation", flipped)
     ctx = next(T_contexts("weyl", True))
-    assert ctx.conjugation.c
+    assert ctx.conjugation.tau
     F = ctx.series(sample_polys(211, ctx.space.vars, 3, 1)[0] * ctx.J.components[0])
     assert quantum_restriction(F, ctx) != series_restriction(F, ctx)
 
+
+@pytest.mark.parametrize("corrected", (False, True))
+def test_T_substitutes_only_for_some_c_a_not_zero_and_an_input_with_p(monkeypatch,
+                                                                        corrected):
+    calls = []
+    substitute = MultiPoly.substitute
+    monkeypatch.setattr(MultiPoly, "substitute",
+                        lambda p, images: calls.append(images) or substitute(p, images))
+    for ctx in T_contexts("wick", corrected):
+        assert bool(ctx.conjugation.tau) == corrected
+        f = sample_polys(227, ctx.space.vars, 3, 1)[0]
+        calls.clear()
+        # without p_a, T is the identity
+        free = ctx.series(f.zero_outside(ctx.cvars).with_vars(ctx.space.vars))
+        assert quantum_restriction(free, ctx) == restriction(free, ctx)
+        assert calls == []
+        F = ctx.series(f * ctx.J.components[0])
+        assert quantum_restriction(F, ctx) == series_restriction(F, ctx)
+        assert calls == ([ctx.conjugation.tau] if corrected else [])
