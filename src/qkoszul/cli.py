@@ -178,9 +178,14 @@ def _typed_list(key: str, value, kind: type) -> tuple:
 
 
 def _entries(key: str, raw: dict, parse) -> dict:
-    """A JSON object keyed by coordinate label, each value parsed."""
+    """A JSON object keyed by coordinate label, a string of ASCII digits,
+    each value parsed."""
+    entries = _typed(key, raw[key], dict)
+    for a in entries:
+        if not (a.isascii() and a.isdigit()):
+            raise ConfigError(f"bad {key!r} label {a!r}: not a string of digits")
     try:
-        return {int(a): parse(v) for a, v in _typed(key, raw[key], dict).items()}
+        return {int(a): parse(v) for a, v in entries.items()}
     except (ValueError, TypeError, OverflowError, ZeroDivisionError) as e:
         raise ConfigError(f"bad {key!r} entry: {e}")
 

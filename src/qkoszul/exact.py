@@ -219,19 +219,42 @@ def _nonzero(acc: Dict[int, Tuple[int, int]]) -> Dict[int, Tuple[int, int]]:
     return {k: v for k, v in acc.items() if v[0] or v[1]}
 
 
-def _mul_into(acc: Dict[int, Tuple[int, int]], left: Dict[int, Tuple[int, int]],
-              right: Dict[int, Tuple[int, int]]) -> None:
-    """Add the product of two numerator maps into ``acc``, one term pair at
-    a time; entries may cancel to (0, 0) and are left in place."""
-    rows = list(right.items())
-    for k1, (a, b) in left.items():
-        for k2, (c, d) in rows:
-            k = k1 + k2
-            t = acc.get(k)
-            if t is None:
-                acc[k] = (a * c - b * d, a * d + b * c)
+def _norm(nums: Dict[int, Tuple[int, int]]) -> int:
+    """The ℓ1 norm Σ |re| + |im| of a numerator map."""
+    return sum(abs(r) + abs(i) for r, i in nums.values())
+
+
+def _mul_packed(products) -> Dict[int, Tuple[int, int]]:
+    """The numerators of Σ c·left·right over ``products``, each a pair of
+    numerator maps with the right keys raised by ``lift``, as (left, right,
+    lift, c), zero entries dropped.  One accumulator holds re + i·im as
+    re + im·2**W: a right term (u, v) is the row u + v·2**W and its
+    i-multiple -v + u·2**W, so a left term (x, y) adds x·row + y·irow, one
+    packed multiply-add per term pair.  As |x·u - y·v| <=
+    (|x| + |y|)(|u| + |v|), Σ c·‖left‖₁·‖right‖₁ bounds every real part;
+    W is the least with 2**(W - 1) above it, so that the real part is the
+    residue mod 2**W centred on zero."""
+    W = sum(c * _norm(left) * _norm(right) for left, right, _, c in products).bit_length() + 1
+    acc: Dict[int, int] = {}
+    get = acc.get
+    for left, right, lift, c in products:
+        rows = [(k + lift, c * (u + (v << W)), c * ((u << W) - v))
+                for k, (u, v) in right.items()]
+        for k1, (x, y) in left.items():
+            if x and y:
+                for k2, row, irow in rows:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + x * row + y * irow
+            elif x:
+                for k2, row, _ in rows:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + x * row
             else:
-                acc[k] = (t[0] + a * c - b * d, t[1] + a * d + b * c)
+                for k2, _, irow in rows:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + y * irow
+    half = 1 << (W - 1)
+    return {k: (t - ((t + half) >> W << W), (t + half) >> W) for k, t in acc.items() if t}
 
 
 def _partial(nums: Dict[int, Tuple[int, int]], s: int, mask: int) -> Dict[int, Tuple[int, int]]:
@@ -267,17 +290,15 @@ def _sum(vars: Tuple[str, ...], parts) -> "MultiPoly":
 
 @cache
 def _move_plan(S: int, src: Tuple[str, ...], dst: Tuple[str, ...]
-               ) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
+               ) -> Tuple[int, int, Tuple[Tuple[int, int, int], ...]]:
     """How keys over ``src`` move onto ``dst`` at slot width S, the current
-    ``SLOT_BITS``: the bits of the variables missing from ``dst``, and the
-    runs of kept slots, each a (mask, shift up, shift down) triple of the
-    slots that move by the same shift, one of the two shifts zero.
-
-    A run moves with one mask and one shift.  A lift, a prolongation, a
-    restriction or a push-down has at most two runs, since λ leads the key
-    and only slots after it are inserted or dropped; ``MultiPoly._moved``
-    takes such a move in one comprehension, and any other move, a reorder
-    for one, in a loop over its runs."""
+    ``SLOT_BITS``: the bits of the variables missing from ``dst``, the mask
+    of the kept slots that stay, and the runs of those that move, each a
+    (mask, shift up, shift down) triple of the slots that move by the same
+    shift.  λ leads the key, so a lift or a restriction has at most two
+    runs, and a move between a reduced phase space and the whole one three:
+    λ, the kept q's and the kept p's, which often stay.  ``MultiPoly._moved``
+    takes up to two moving runs in one comprehension, more in a loop."""
     old, _, mask = _layout(len(src))
     new = _layout(len(dst))[0]
     dropped, runs = 0, {}
@@ -287,7 +308,8 @@ def _move_plan(S: int, src: Tuple[str, ...], dst: Tuple[str, ...]
             runs[d] = runs.get(d, 0) | mask << old[j]
         else:
             dropped |= mask << old[j]
-    return dropped, tuple((m, max(d, 0), max(-d, 0)) for d, m in runs.items())
+    stay = runs.pop(0, 0)
+    return dropped, stay, tuple((m, max(d, 0), max(-d, 0)) for d, m in runs.items())
 
 
 class _Terms(Mapping):
@@ -414,10 +436,9 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        acc: Dict[int, Tuple[int, int]] = {}
-        _mul_into(acc, self.nums, other.nums)
-        _check_guard(acc, len(self.vars))
-        return _canonical(self.vars, self.den * other.den, _nonzero(acc))
+        nums = _mul_packed([(self.nums, other.nums, 0, 1)])
+        _check_guard(nums, len(self.vars))
+        return _canonical(self.vars, self.den * other.den, nums)
 
     def scale(self, c) -> "MultiPoly":
         d, cr, ci = _gauss(c)
@@ -511,15 +532,15 @@ class MultiPoly:
     def _moved(self, vars: Tuple[str, ...]) -> Dict[int, Tuple[int, int]]:
         """The entries whose monomials use only variables in ``vars``,
         re-keyed onto ``vars``, in one pass by the runs of ``_move_plan``."""
-        dropped, runs = _move_plan(SLOT_BITS, self.vars, vars)
+        dropped, stay, runs = _move_plan(SLOT_BITS, self.vars, vars)
         if len(runs) <= 2:
             (m1, u1, d1), (m2, u2, d2) = (*runs, (0, 0, 0), (0, 0, 0))[:2]
-            return {(k & m1) << u1 >> d1 | (k & m2) << u2 >> d2: v
+            return {k & stay | (k & m1) << u1 >> d1 | (k & m2) << u2 >> d2: v
                     for k, v in self.nums.items() if not k & dropped}
         out = {}
         for k, v in self.nums.items():
             if not k & dropped:
-                nk = 0
+                nk = k & stay
                 for m, u, d in runs:
                     nk |= (k & m) << u >> d
                 out[nk] = v
@@ -767,7 +788,7 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
     of g, contributes only m_k = 0 and is dropped: derivatives add no
     variable.  Derivatives stay raw numerators, the right one taken first,
     and a branch stops once either is zero or its λ-power would pass L.
-    Each leaf product goes into one accumulator over the denominator
+    The leaf products go into one ``_mul_packed`` sum over the denominator
     D = den_f·den_g·top!·(lcm den_a · lcm den_b)^top, where top is L less
     the lowest powers of f and g; one pass at the end drops the powers past
     L and the zero entries."""
@@ -789,16 +810,13 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
     steps = [(a[3], b[3], a[1] * b[1]) for a, b in kept]
     base = factorial(top) * (lcm(*(a[1] for a, _ in kept)) *
                              lcm(*(b[1] for _, b in kept))) ** top
-    acc: Dict[int, Tuple[int, int]] = {}
     # a branch: next step k, λ-depth r, both derivatives, and the part
     # d = Π_k (den_a·den_b)^{m_k}·m_k! of its denominator that divides base
-    stack = [(0, 0, left, right, 1)]
+    stack, leaves = [(0, 0, left, right, 1)], []
     while stack:
         k, r, left, right, d = stack.pop()
         if k == len(steps):
-            c, lift = base // d, r << s
-            _mul_into(acc, {kl + lift: (a * c, b * c) for kl, (a, b) in left.items()},
-                      right)
+            leaves.append((left, right, r << s, base // d))
             continue
         a, b, den = steps[k]
         stack.append((k + 1, r, left, right, d))
@@ -812,7 +830,7 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
             d *= den * m
             stack.append((k + 1, r + m, left, right, d))
     bound = (L + 1) << s
-    nums = {k: v for k, v in acc.items() if k < bound and (v[0] or v[1])}
+    nums = {k: v for k, v in _mul_packed(leaves).items() if k < bound}
     _check_guard(nums, len(vars))
     return LambdaSeries(_canonical(vars, f.poly.den * g.poly.den * base, nums), L)
 

@@ -13,11 +13,11 @@ constrained direction a.  A shifted or magnetic scenario is this canonical
 scenario in straightened coordinates: its context records the straightening
 p_a -> p_a - alpha_a, which maps samples in once (``straighten``).
 
-The quantum restriction is the classical one after a correction series.
-Where the product has a constant matrix and the quantum momentum map is
-p_a + λc_a with constant c_a, an operator T conjugates the quantum complex
-to the classical one, and the quantum restriction is i* ∘ T in closed form:
-exp(λX), then τ_{-λc} as the substitution p_a -> p_a - Jq_a.
+The quantum restriction is the classical one after a correction series,
+``quantum_correction``.  Where the product has a constant matrix and the
+quantum momentum map is p_a + λc_a with constant c_a, an operator T
+conjugates the quantum complex to the classical one, and the correction is
+T in closed form: exp(λX), then τ_{-λc}, the substitution p_a -> p_a - λc_a.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .exact import (
     gr,
     invert_unipotent,
 )
-from .exact import _layout, _nonzero, _partial, _sum, _wrap
+from .exact import _layout, _nonzero, _sum, _wrap
 from .lie import (
     LieAlgebraData,
     QuantumMomentumMap,
@@ -186,8 +186,8 @@ class Conjugation(NamedTuple):
 
     X = Σ (re + i·im)/den ∂_i∂_j over the entries (shift of i, shift of j,
     re, im) of ``x``; ``pmask`` holds the key bits of every translated p_a;
-    τ_{-λc} is the substitution ``tau``, p_a ↦ p_a - Jq_a = -λc_a for each
-    a with c_a ≠ 0, empty where every c_a is zero."""
+    τ_{-λc} is the substitution ``tau``, p_a ↦ 2p_a - Jq_a = p_a - λc_a for
+    each a with c_a ≠ 0, empty where every c_a is zero."""
     den: int
     x: Tuple[Tuple[int, int, int, int], ...]
     pmask: int
@@ -219,7 +219,7 @@ def _conjugation(space: PhaseSpace, translated: Sequence[int], star: StarProduct
         if Ja.vars != space.vars or nums.get(pa) != (p.den, 0) or nums.keys() - {pa, lam}:
             return None
         if lam in nums:
-            tau[space.vars[a]] = MultiPoly.variable(p.vars, space.vars[a]) - p
+            tau[space.vars[a]] = MultiPoly.variable(p.vars, space.vars[a]).scale(2) - p
     # each pair {i, j} once: the two halves of -½ C^{p_a p_b} ∂_{p_a}∂_{p_b}
     # for a ≠ b add up, as C is symmetric there
     x = [(i, j, -r, -m, 2 * d if i == j else d) for (i, j), (r, m, d) in C.items()
@@ -409,52 +409,63 @@ def _corrected(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
     return invert_unipotent(raiser, ctx.order)(x)
 
 
+def series_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
+    """(id - A)^{-1} f on the grade-0 chain of a series."""
+    return _corrected(KoszulChain.of_series(ctx.gdim, f), ctx).series()
+
+
 def series_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     """The paper's deformed restriction i** = i* (id - A)^{-1}: the
     classical restriction of the corrected grade-0 chain of f."""
-    return restriction(_corrected(KoszulChain.of_series(ctx.gdim, f), ctx).series(), ctx)
+    return restriction(series_correction(f, ctx), ctx)
 
 
-def conjugated_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """i*(T f) = (exp(λX) f)|_{p_a = -λc_a}, truncated at the order of f, on a
-    context whose ``conjugation`` is not None: X once per power of λ on raw
+def conjugate(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
+    """T f = τ_{-λc}(exp(λX) f), truncated at the order of f, on a context
+    whose ``conjugation`` is not None: X once per power of λ on raw
     numerators, then τ, a substitution, where some c_a is not zero."""
     if (f.vars, f.order) != (ctx.space.vars, ctx.order):
         raise AlgebraError("series does not match the context's variables and order")
     T, poly, L = ctx.conjugation, f.poly, f.order
     # X and τ act on f through the p_a alone, so T is the identity on it
     if not reduce(or_, poly.nums, 0) & T.pmask:
-        return restriction(f, ctx)
+        return f
     shifts, _, mask = _layout(len(poly.vars))
     lam, bound = 1 << shifts[0], (L + 1) << shifts[0]
-    # the k-th term λ^k X^k f / k! of exp(λX) f, over den·T.den^k·k!
+    # the k-th term λ^k X^k f / k! of exp(λX) f, over den·T.den^k·k!: each
+    # key of the (k-1)-th steps ∂_j, then ∂_i and λ, for every entry of X
+    x = [(si, sj, 1 << sj, (1 << si) - lam, xr, xi) for si, sj, xr, xi in T.x]
     terms, cur = [poly], poly.nums
     for k in range(1, L + 1):
         nxt: Dict[int, Tuple[int, int]] = {}
-        for si, sj, xr, xi in T.x:
-            for key, (r, i) in _partial(_partial(cur, sj, mask), si, mask).items():
-                d = key + lam
-                if d < bound:
-                    t = nxt.get(d, (0, 0))
-                    nxt[d] = (t[0] + r * xr - i * xi, t[1] + r * xi + i * xr)
+        for key, (r, i) in cur.items():
+            for si, sj, uj, ui, xr, xi in x:
+                ej = key >> sj & mask
+                if ej:
+                    dj = key - uj
+                    e = ej * (dj >> si & mask)
+                    d = dj - ui
+                    if e and d < bound:
+                        t = nxt.get(d, (0, 0))
+                        nxt[d] = (t[0] + (r * xr - i * xi) * e, t[1] + (r * xi + i * xr) * e)
         cur = _nonzero(nxt)
         if not cur:
             break
         terms.append(_wrap(poly.vars, poly.den * T.den ** k * factorial(k), cur))
     F = LambdaSeries(_sum(poly.vars, terms), L)
-    if T.tau:
-        F = LambdaSeries(F.poly.substitute(T.tau), L).truncate(L)
-    return restriction(F, ctx)
+    return LambdaSeries(F.poly.substitute(T.tau), L).truncate(L) if T.tau else F
+
+
+def quantum_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
+    """The correction whose classical restriction is the quantum one: T f
+    where the context has T's data, (id - A)^{-1} f elsewhere."""
+    return series_correction(f, ctx) if ctx.conjugation is None else conjugate(f, ctx)
 
 
 def quantum_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """Deformed restriction i** = i* (id - A)^{-1}.  Where the context has
-    T's data, T conjugates ∂_q to ∂ and i** = i* ∘ T, so this is
-    ``conjugated_restriction``, in closed form; elsewhere it is
-    ``series_restriction``, the series itself."""
-    if ctx.conjugation is None:
-        return series_restriction(f, ctx)
-    return conjugated_restriction(f, ctx)
+    """Deformed restriction i** = i* (id - A)^{-1}, which is i* ∘ T where
+    the context has T's data, as T conjugates ∂_q to ∂."""
+    return restriction(quantum_correction(f, ctx), ctx)
 
 
 def quantum_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:

@@ -44,7 +44,7 @@ from .exact import (
     star_exponential,
     vector_field,
 )
-from .exact import _canonical, _check_guard, _gauss, _layout, _mul_into, _nonzero, _partial
+from .exact import _canonical, _check_guard, _gauss, _layout, _mul_packed, _partial
 from .report import check, expected_failure
 
 # Nonzero entries of a matrix over the variables of a phase space, keyed by
@@ -141,22 +141,23 @@ def _pairing(matrix: tuple, f: MultiPoly, g: MultiPoly) -> MultiPoly:
     den, slot mask, entries (shift of i, shift of j, re, im)) with
     B^{ij} = (re + i·im)/den.  An entry on a variable f or g does not use is
     skipped, each derivative is taken once, and every term pair goes into
-    one accumulator, put in canonical form once."""
+    one packed sum (``_mul_packed``), put in canonical form once."""
     vars, den, mask, entries = matrix
     if f.vars != vars or g.vars != vars:
         raise VariableMismatchError(f"a bracket operand is not over {vars}")
     used_f, used_g = reduce(or_, f.nums, 0), reduce(or_, g.nums, 0)
-    df, dg, acc = {}, {}, {}   # derivatives by slot shift, and the sum
+    df, dg, pairs = {}, {}, []   # derivatives by slot shift, and the products
     for si, sj, cr, ci in entries:
         if used_f >> si & mask and used_g >> sj & mask:
             if si not in df:
                 df[si] = _partial(f.nums, si, mask)
             if sj not in dg:
                 dg[sj] = _partial(g.nums, sj, mask)
-            _mul_into(acc, {k: (r * cr - i * ci, r * ci + i * cr)
-                            for k, (r, i) in df[si].items()}, dg[sj])
-    _check_guard(acc, len(vars))
-    return _canonical(vars, f.den * g.den * den, _nonzero(acc))
+            pairs.append(({k: (r * cr - i * ci, r * ci + i * cr)
+                           for k, (r, i) in df[si].items()}, dg[sj], 0, 1))
+    nums = _mul_packed(pairs)
+    _check_guard(nums, len(vars))
+    return _canonical(vars, f.den * g.den * den, nums)
 
 
 def _vector_field(lvars: Tuple[str, ...], shifts: Tuple[int, ...], v: Vector) -> tuple:

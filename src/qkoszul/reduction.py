@@ -7,8 +7,9 @@ the quantum restriction, and the closed-form one through the vertical
 difference operator; they must agree exactly and the test suite holds them
 to that.
 
-Both routes end in the tube's restriction, and the closed form divides by
-the momentum components with the grade-0 homotopy of the tube.  A shifted or
+Both routes correct the product upstairs and then take the tube's
+restriction, and the closed form divides by the momentum components with
+the grade-0 homotopy of the tube.  A shifted or
 magnetic scenario is the pullback of the canonical one along a fiber
 translation, so it runs as the canonical scenario in straightened
 coordinates: its samples are mapped in once, and the reduced products, which
@@ -20,8 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Mapping, Tuple
 
-from .exact import AlgebraError, LambdaSeries, MultiPoly, invert_unipotent
-from .koszul import P, ReductionContext, prolongation, quantum_restriction, restriction
+from .exact import AlgebraError, LambdaSeries, MultiPoly, _layout, invert_unipotent
+from .koszul import P, ReductionContext, quantum_correction, restriction
 from .phase_space import PhaseSpace, StarProduct
 
 
@@ -43,44 +44,44 @@ class ReducedAlgebra:
         self.ctx = ctx
         residual = tuple(c for c in ctx.space.coords if c not in ctx.action.translated)
         self.space = PhaseSpace(residual)
-        self.translated_q = tuple(f"q{a}" for a in ctx.action.translated)
+        # the key bits of the translated q_a, and of the translated p_a
+        shifts, _, mask = _layout(len(ctx.space.vars))
+        self._q, self._p = (sum(mask << shifts[ctx.space.vars.index(f"{x}{a}")]
+                                for a in ctx.action.translated) for x in "qp")
 
-    def lift(self, f: P) -> P:
-        """The injection of reduced polynomials or series into the
-        constraint algebra."""
+    def up(self, f: P) -> P:
+        """A reduced polynomial or series on the whole phase space."""
         if f.vars != self.space.vars:
             raise AlgebraError("input does not live on the reduced algebra")
-        return f.with_vars(self.ctx.cvars)
+        return f.with_vars(self.ctx.space.vars)
 
-    def push_down(self, f: P) -> P:
-        """Inverse of the injection on invariant constraint polynomials or
-        series."""
-        g = f.with_vars(self.ctx.cvars) if f.vars != self.ctx.cvars else f
-        for qv in self.translated_q:
-            if g.uses(qv):
-                raise AlgebraError(
-                    f"element is not translation invariant: depends on {qv}")
-        return g.with_vars(self.space.vars)
+    def down(self, F: P) -> P:
+        """The restriction of a polynomial or series on the whole phase
+        space, on the reduced one, in one re-keying: a term with a
+        translated p_a drops out, and one with a translated q_a but no p_a
+        is not invariant."""
+        keys = (F.poly if isinstance(F, LambdaSeries) else F).nums
+        if any(k & self._q and not k & self._p for k in keys):
+            G = F.zero_outside(self.ctx.cvars)
+            qv = next(f"q{a}" for a in self.ctx.action.translated if G.uses(f"q{a}"))
+            raise AlgebraError(f"element is not translation invariant: depends on {qv}")
+        return F.zero_outside(self.space.vars)
 
 
 def reduced_poisson_bracket(f: MultiPoly, g: MultiPoly,
                             red: ReducedAlgebra) -> MultiPoly:
     """Bracket of the reduced symplectic structure, computed upstairs:
-    prolong both, take the bracket the scenario's product deforms, restrict
-    through the tube, push down."""
-    ctx = red.ctx
-    F, G = (red.lift(h).with_vars(ctx.space.vars) for h in (f, g))
-    return red.push_down(ctx.tube.restrict(ctx.star.bracket_poly(F, G)))
+    move both up, take the bracket the scenario's product deforms, move the
+    result down."""
+    return red.down(red.ctx.star.bracket_poly(red.up(f), red.up(g)))
 
 
-def _reduced_product(red: ReducedAlgebra, restrict) -> StarProduct:
-    """Lift both factors horizontally, star-multiply, ``restrict``, push down."""
+def _reduced_product(red: ReducedAlgebra, correct) -> StarProduct:
+    """Move both factors up, star-multiply, ``correct``, move down."""
 
     def ev(f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
         ctx = elevate_context(red.ctx, f.order)
-        lf = prolongation(red.lift(f), ctx)
-        lg = prolongation(red.lift(g), ctx)
-        return red.push_down(restrict(ctx.star.eval(lf, lg), ctx))
+        return red.down(correct(ctx.star.eval(red.up(f), red.up(g)), ctx))
 
     return StarProduct(red.space, ev,
                        lambda f, g: reduced_poisson_bracket(f, g, red),
@@ -89,7 +90,7 @@ def _reduced_product(red: ReducedAlgebra, restrict) -> StarProduct:
 
 def reduced_star(red: ReducedAlgebra) -> StarProduct:
     """The reduced star product through the quantum restriction."""
-    return _reduced_product(red, quantum_restriction)
+    return _reduced_product(red, quantum_correction)
 
 
 # ---------------------------------------------------------------------------
@@ -124,17 +125,21 @@ def _vertical_difference(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries
     return out
 
 
+def knp_correction(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
+    """(id - V)^{-1} F for the vertical correction V, ``_vertical_difference``."""
+    return invert_unipotent(lambda H: _vertical_difference(H, ctx), ctx.order)(F)
+
+
 def knp_restriction(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """The classical restriction taken after inverting the unipotent
-    vertical correction; equals the quantum restriction on every series."""
-    G = invert_unipotent(lambda H: _vertical_difference(H, ctx), ctx.order)(F)
-    return restriction(G, ctx)
+    """The classical restriction taken after ``knp_correction``; equals the
+    quantum restriction on every series."""
+    return restriction(knp_correction(F, ctx), ctx)
 
 
 def knp_reduced_star(red: ReducedAlgebra) -> StarProduct:
-    """Closed-form reduced star product through ``knp_restriction``.  Agrees
+    """Closed-form reduced star product through ``knp_correction``.  Agrees
     exactly with the homological reduced star product."""
-    return _reduced_product(red, knp_restriction)
+    return _reduced_product(red, knp_correction)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .koszul import (
     ReductionContext,
     classical_homotopy,
     prolongation,
+    quantum_correction,
     quantum_restriction,
     restriction,
 )
@@ -93,8 +94,7 @@ def induced_second_momentum_map(pipe: StagePipeline) -> QuantumMomentumMap:
     lie2 = LieAlgebraData.abelian(len(cfg.second))
     comps = []
     for i in cfg.second:
-        down = quantum_restriction(ctx.Jq.components[i - 1], pipe.ctx1)
-        comps.append(pipe.red1.push_down(down))
+        comps.append(pipe.red1.down(quantum_correction(ctx.Jq.components[i - 1], pipe.ctx1)))
     return QuantumMomentumMap(lie2, comps)
 
 
@@ -117,7 +117,7 @@ def build_compatible_prolongations(pipe: StagePipeline,
     # prol1 pi1* prol2 pi2* phi
     reduced = {f: red2.space.series(f.zero_outside(red.space.vars), ctx.order)
                for f in samples}
-    stagewise = {f: prolongation(on_cvars1(prolongation(red2.lift(phi), ctx2)), ctx1)
+    stagewise = {f: prolongation(on_cvars1(red2.up(phi)), ctx1)
                  for f, phi in reduced.items()}
 
     def failures(holds):
@@ -154,7 +154,7 @@ def build_compatible_prolongations(pipe: StagePipeline,
         check("second_prolongation_compatible", failures(second_prolongation_compatible)),
         # (ii) prol1 pi1* prol2 pi2* = prol pi* on reduced probes
         check("stagewise_prolongation_equals_one_step", failures(
-            lambda f: stagewise[f] == prolongation(red.lift(reduced[f]), ctx))),
+            lambda f: stagewise[f] == red.up(reduced[f]))),
         # (iii) the one-step homotopy kills stagewise prolongations
         check("homotopy_kills_stagewise_prolongations", failures(
             lambda f: classical_homotopy(

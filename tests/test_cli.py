@@ -322,6 +322,14 @@ class TestConfigFile:
                      "is not a [label, value] pair", id="b-three-items"),
         pytest.param({"b": {"1": [2]}, "checks": ["momentum"]},
                      "is not a [label, value] pair", id="b-one-item"),
+        # labels are read as digit strings, not by int()
+        pytest.param({"n": 2, "translated": [1], "mu": {" 1 ": "3"}, "checks": ["momentum"]},
+                     "bad 'mu' label ' 1 '", id="mu-label-spaces"),
+        pytest.param({"n": 2, "translated": [1], "mu": {"1_0": "3"}, "checks": ["momentum"]},
+                     "bad 'mu' label '1_0'", id="mu-label-underscore"),
+        pytest.param({"n": 2, "translated": [1], "b": {"+1": [2, "1/2"]},
+                      "checks": ["momentum"]},
+                     "bad 'b' label '+1'", id="b-label-sign"),
     ])
     def test_rejected(self, tmp_path, fields, message):
         path = tmp_path / "cfg.json"

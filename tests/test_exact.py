@@ -2,7 +2,7 @@
 series, unipotent inversion."""
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,7 @@ from qkoszul.exact import (
     vector_field,
 )
 from qkoszul.koszul import GoodTube
-from qkoszul.phase_space import PhaseSpace
+from qkoszul.phase_space import PhaseSpace, StarProduct
 from reference_poly import RefPoly, RefSeries, derivative, homotopy
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -38,13 +38,22 @@ VARS = ("x", "y")
 WIDE = ("a", "x", "b", "y")
 
 
+# numerators of up to 2**200 in size, over denominators of one, a few and
+# 101 bits
+huge = st.integers(-(1 << 200), 1 << 200)
+huge_fractions = st.builds(Fraction, huge, st.sampled_from((1, 6, (1 << 100) + 1)))
+huge_gaussians = st.one_of(st.builds(gr, huge_fractions, huge_fractions),
+                           st.builds(gr, huge_fractions),
+                           st.builds(lambda f: gr(0, f), huge_fractions))
+
+
 @st.composite
-def polys(draw, vars=VARS, max_degree=4, max_terms=5):
+def polys(draw, vars=VARS, max_degree=4, max_terms=5, coeffs=gaussians):
     n = draw(st.integers(0, max_terms))
     terms = {}
     for _ in range(n):
         e = tuple(draw(st.integers(0, max_degree)) for _ in vars)
-        terms[e] = draw(gaussians)
+        terms[e] = draw(coeffs)
     return MultiPoly(vars, {k: v for k, v in terms.items() if not v.is_zero()})
 
 
@@ -320,6 +329,112 @@ class TestAgainstReference:
             p.weighted_diff("z", ("x",), 1)
         with pytest.raises(VariableMismatchError):
             p.weighted_diff("y", ("z",), 1)
+
+
+SP2 = PhaseSpace.of_dim(2)
+
+
+def matrix_of(star: StarProduct) -> dict:
+    """The product's matrix C as GaussianRational entries."""
+    return {ij: gr(Fraction(r, d), Fraction(m, d)) for ij, (r, m, d) in star.matrix.items()}
+
+
+def reference_bracket(C: dict, f: RefPoly, g: RefPoly) -> RefPoly:
+    """Σ B^{ij} ∂_i f ∂_j g with B = -i (C - Cᵀ), one entry at a time."""
+    out, vs = RefPoly.zero(f.vars), f.vars
+    for i, j in set(C) | {(j, i) for i, j in C}:
+        b = (C.get((i, j), gr()) - C.get((j, i), gr())) * gr(0, -1)
+        out = out + (f.diff(vs[i]) * g.diff(vs[j])).scale(b)
+    return out
+
+
+def reference_star(C: dict, f: RefPoly, g: RefPoly, L: int) -> list:
+    """The coefficients of λ^0..λ^L of μ ∘ exp(λ Σ C^{ij} ∂_i ⊗ ∂_j)(f ⊗ g):
+    the r-th power of the bidifferential operator, one pair of derivatives
+    per entry and step, divided by r!."""
+    vs, pairs, out = f.vars, [(f, g)], []
+    for r in range(L + 1):
+        acc = RefPoly.zero(vs)
+        for a, b in pairs:
+            acc = acc + a * b
+        out.append(acc.scale(Fraction(1, factorial(r))))
+        pairs = [(a.diff(vs[i]).scale(c), b.diff(vs[j])) for a, b in pairs
+                 for (i, j), c in C.items()]
+        pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
+    return out
+
+
+class TestPackedKernel:
+    """Products in the packed accumulator of ``exact._mul_packed``, whose
+    width comes from the ℓ1 norms of its inputs, against the reference on
+    coefficients of up to 2**200, where products cancel, and at the
+    bound itself."""
+
+    @given(polys(coeffs=huge_gaussians), polys(coeffs=huge_gaussians))
+    @settings(max_examples=40, deadline=None)
+    def test_multiplication(self, f, g):
+        F, G = RefPoly.of(f), RefPoly.of(g)
+        assert agrees(f * g, F * G)
+        # the cross terms of (f + g)(f - g) cancel inside one product
+        assert agrees((f + g) * (f - g), (F + G) * (F - G))
+        assert (f * g - g * f).is_zero()
+
+    @pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_bracket(self, kind, data):
+        star = getattr(StarProduct, kind)(SP2)
+        f, g = (data.draw(polys(SP2.vars, 3, 4, huge_gaussians)) for _ in range(2))
+        C, F, G = matrix_of(star), RefPoly.of(f), RefPoly.of(g)
+        assert agrees(star.bracket_poly(f, g), reference_bracket(C, F, G))
+        # every term pair of {f, f} cancels against another
+        assert star.bracket_poly(f, f).is_zero()
+        assert agrees(star.bracket_poly(f + g, f - g), reference_bracket(C, F + G, F - G))
+
+    @pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+    @given(data=st.data(), L=st.integers(0, 3))
+    @settings(max_examples=10, deadline=None)
+    def test_star_exponential(self, kind, data, L):
+        star = getattr(StarProduct, kind)(SP2)
+        f, g = (data.draw(polys(SP2.vars, 2, 3, huge_gaussians)) for _ in range(2))
+        C = matrix_of(star)
+        for a, b in ((f, g), (f + g, f - g)):
+            got = RefSeries.of(star.eval_poly(a, b, L))
+            assert [RefPoly.of(c) for c in got.coeffs] == \
+                reference_star(C, RefPoly.of(a), RefPoly.of(b), L)
+        if kind == "weyl":
+            # C is antisymmetric, so the odd powers of f ⋆ f cancel
+            square = star.eval_poly(f, f, L)
+            assert all(square.coeff(r).is_zero() for r in range(1, L + 1, 2))
+
+    def test_a_sum_at_the_bound_needs_every_bit(self):
+        # every term of one sign, so that the real part of one key is the
+        # whole bound Σ c·‖left‖₁·‖right‖₁, or more than its largest part
+        a, b = (1 << 200) - 1, (1 << 150) + 3
+        x, y = MultiPoly.variable(VARS, "x"), MultiPoly.variable(VARS, "y")
+        f, g = x.scale(a), y.scale(b)
+        assert (f * g).terms == {(1, 1): gr(a * b)}
+        assert (f.scale(-1) * g).terms == {(1, 1): gr(-a * b)}
+        # the real part a·b is the whole bound, so a width one bit short of
+        # the least W with 2**(W - 1) > a·b would decode it as a·b - 2**(W - 1)
+        W = (a * b).bit_length() + 1
+        assert 1 << (W - 2) <= a * b < 1 << (W - 1)
+        assert exact._mul_packed([(f.nums, g.nums, 0, 1)]) == {(1 << 16) + 1: (a * b, 0)}
+        # (x + y)²: the xy entry is 2ab, half the bound and twice any ℓ∞ one
+        assert ((x + y).scale(a) * (x + y).scale(b)).terms == \
+            {(2, 0): gr(a * b), (1, 1): gr(2 * a * b), (0, 2): gr(a * b)}
+        # two products into one accumulator: Weyl's bracket matrix has
+        # B^{q_i p_i} = 1, so {a(q1 + q2), b(p1 + p2)} = 2ab
+        q, p = SP2.q(1) + SP2.q(2), SP2.p(1) + SP2.p(2)
+        weyl = StarProduct.weyl(SP2)
+        assert weyl.bracket_poly(q.scale(a), p.scale(b)) == MultiPoly.const(SP2.vars, 2 * a * b)
+        # two leaves of the walk on one key: C^{q_i q_i} = 4 gives one field
+        # 4∂_{q_i} ⊗ ∂_{q_i} per i, each leaf of λ^1 adds 4ab to the constant,
+        # and the leaf of λ^0 has norms 2a and 2b
+        star = StarProduct.constant(SP2, {(0, 0): gr(4), (1, 1): gr(4)})
+        got = star.eval_poly(q.scale(a), q.scale(b), 1)
+        assert got.coeff(1) == MultiPoly.const(SP2.vars, 8 * a * b)
+        assert got.coeff(0) == (q * q).scale(a * b)
 
 
 class TestCalculusIdentities:

@@ -34,6 +34,7 @@ from qkoszul.koszul import (
     ReductionContext,
     ce_boundary,
     classical_homotopy,
+    conjugate,
     insert_index,
     koszul_boundary,
     prolongation,
@@ -755,6 +756,30 @@ def test_quantum_restriction_through_T_equals_the_series(kind, corrected):
     assert (differ > 0) == (kind != "std" or corrected)
 
 
+@pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+@pytest.mark.parametrize("corrected", (False, True))
+def test_T_on_unrestricted_series_equals_the_oracle(kind, corrected):
+    # T f itself, before any restriction: the corrections of reduced
+    # products keep their p_a terms until the result moves down
+    differ = 0
+    for ctx in T_contexts(kind, corrected):
+        vs = ctx.space.vars
+        C = {ij: gr(Fraction(r, d), Fraction(m, d)) for ij, (r, m, d) in ctx.star.matrix.items()}
+        P = [vs.index(f"p{a}") for a in ctx.action.translated]
+        # c_a is the λ^1 constant of Jq_a
+        c = [Ja.coeff(1).terms.get((0,) * len(vs), gr(0)) for Ja in ctx.Jq.components]
+        assert any(not ca.is_zero() for ca in c) == corrected
+        polys = [ctx.straighten(f) for f in sample_polys(229, vs, 3, 4)]
+        J1 = ctx.J.components[0]
+        for f, g in zip(polys, polys[1:]):
+            F = ctx.series(f * J1 * J1 + g) + LambdaSeries.from_poly(g * J1, ctx.order, shift=1)
+            got = conjugate(F, ctx)
+            assert got == conjugating_operator(F, C, P, c)
+            differ += got != F
+    # std has no C^{i p_a}, so without corrections T is the identity
+    assert (differ > 0) == (kind != "std" or corrected)
+
+
 @pytest.mark.parametrize("corrected", (False, True))
 def test_T_reads_a_matrix_of_no_kind(corrected):
     # C is symmetric on P × P but is none of the three kinds: Weyl's q/p
@@ -778,6 +803,7 @@ def test_T_reads_a_matrix_of_no_kind(corrected):
             g * J1 * J2 + f, L, shift=1)
         got = quantum_restriction(F, ctx)
         assert got == series_restriction(F, ctx)
+        assert conjugate(F, ctx) == conjugating_operator(F, C, [p1, p2], c)
         assert got == restriction(conjugating_operator(F, C, [p1, p2], c), ctx)
         assert got != restriction(F, ctx)
 
@@ -797,7 +823,7 @@ def test_T_drops_the_terms_past_the_order():
 
 def test_contexts_without_T_take_the_series(monkeypatch):
     routes = {"T": [], "series": []}
-    for name, attr in (("T", "conjugated_restriction"), ("series", "series_restriction")):
+    for name, attr in (("T", "conjugate"), ("series", "series_correction")):
         monkeypatch.setattr(koszul, attr, lambda f, ctx, route=getattr(koszul, attr),
                             seen=routes[name]: seen.append(ctx) or route(f, ctx))
     sp = PhaseSpace.of_dim(3)

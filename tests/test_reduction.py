@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qkoszul import exact
 from qkoszul.exact import (
     AlgebraError,
     LambdaSeries,
@@ -83,6 +84,66 @@ class TestNoHiddenState:
                 star.eval_poly(f, g, order)
         assert attributes(red.ctx) == ctx_before
         assert attributes(red) == red_before
+
+
+class TestUpAndDown:
+    """A reduced product moves each factor up to the whole phase space and
+    its result down again, one re-keying each way."""
+
+    CONTEXTS = {
+        "canonical": lambda: s1_red().ctx,
+        # n = 4 reduced by 1 and 2 with magnetic couplings: the moves have
+        # three runs, λ, the kept q's and the kept p's
+        "magnetic": lambda: build_shifted_context(
+            ReductionContext.canonical(PhaseSpace.of_dim(4), (1, 2),
+                                       StarProduct.wick(PhaseSpace.of_dim(4)), L),
+            {1: (3, Fraction(1, 2)), 2: (4, Fraction(-2, 3))}, {1: Fraction(3)}),
+    }
+
+    @pytest.mark.parametrize("name", CONTEXTS)
+    def test_a_reduced_product_rekeys_three_times(self, name, monkeypatch):
+        red = ReducedAlgebra(self.CONTEXTS[name]())
+        moves = []
+        moved = MultiPoly._moved
+        monkeypatch.setattr(MultiPoly, "_moved",
+                            lambda p, vars: moves.append(vars) or moved(p, vars))
+        (f, g), = sample_pairs(61, red.space.vars, 3, 1)
+        for star in (reduced_star(red), knp_reduced_star(red)):
+            moves.clear()
+            got = star.eval_poly(f, g, L)
+            assert not got.is_zero()
+            up = (exact.LAMBDA, *red.ctx.space.vars)
+            assert moves == [up, up, (exact.LAMBDA, *red.space.vars)]
+
+    @pytest.mark.parametrize("name", CONTEXTS)
+    def test_down_is_the_restriction_on_the_reduced_variables(self, name):
+        red = ReducedAlgebra(self.CONTEXTS[name]())
+        ctx = red.ctx
+        for f in sample_polys(67, red.space.vars, 3, 4):
+            F = red.up(red.space.series(f, L))
+            # terms with a translated p_a, alone or with a translated q_a,
+            # are dropped
+            for a in ctx.action.translated:
+                F = F + ctx.series(ctx.space.p(a) * (ctx.space.q(a) + f.with_vars(ctx.space.vars)))
+            assert red.down(F) == restriction(F, ctx).with_vars(red.space.vars)
+            assert red.down(F.poly) == ctx.tube.restrict(F.poly).with_vars(red.space.vars)
+
+    @pytest.mark.parametrize("name", CONTEXTS)
+    def test_down_rejects_a_translated_q(self, name):
+        red = ReducedAlgebra(self.CONTEXTS[name]())
+        ctx = red.ctx
+        f = sample_polys(71, red.space.vars, 2, 1)[0].with_vars(ctx.space.vars)
+        for a in ctx.action.translated:
+            for F in (ctx.series(f + ctx.space.q(a)), ctx.series(f * ctx.space.q(a))):
+                with pytest.raises(AlgebraError, match=f"depends on q{a}"):
+                    red.down(F)
+                with pytest.raises(AlgebraError, match=f"depends on q{a}"):
+                    red.down(F.poly)
+
+    def test_up_rejects_an_input_off_the_reduced_algebra(self):
+        red = s1_red()
+        with pytest.raises(AlgebraError, match="reduced algebra"):
+            red.up(red.ctx.series(red.ctx.space.q(3)))
 
 
 class TestReducedBracket:
