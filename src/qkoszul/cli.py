@@ -178,8 +178,7 @@ def _typed_list(key: str, value, kind: type) -> tuple:
 
 
 def _entries(key: str, raw: dict, parse) -> dict:
-    """A JSON object keyed by coordinate label, a string of ASCII digits,
-    each value parsed."""
+    """A JSON object keyed by ASCII-digit coordinate labels, values parsed."""
     entries = _typed(key, raw[key], dict)
     for a in entries:
         if not (a.isascii() and a.isdigit()):

@@ -219,22 +219,22 @@ def _nonzero(acc: Dict[int, Tuple[int, int]]) -> Dict[int, Tuple[int, int]]:
     return {k: v for k, v in acc.items() if v[0] or v[1]}
 
 
-def _norm(nums: Dict[int, Tuple[int, int]]) -> int:
-    """The ℓ1 norm Σ |re| + |im| of a numerator map."""
-    return sum(abs(r) + abs(i) for r, i in nums.values())
-
-
 def _mul_packed(products) -> Dict[int, Tuple[int, int]]:
-    """The numerators of Σ c·left·right over ``products``, each a pair of
-    numerator maps with the right keys raised by ``lift``, as (left, right,
-    lift, c), zero entries dropped.  One accumulator holds re + i·im as
-    re + im·2**W: a right term (u, v) is the row u + v·2**W and its
-    i-multiple -v + u·2**W, so a left term (x, y) adds x·row + y·irow, one
-    packed multiply-add per term pair.  As |x·u - y·v| <=
-    (|x| + |y|)(|u| + |v|), Σ c·‖left‖₁·‖right‖₁ bounds every real part;
-    W is the least with 2**(W - 1) above it, so that the real part is the
-    residue mod 2**W centred on zero."""
-    W = sum(c * _norm(left) * _norm(right) for left, right, _, c in products).bit_length() + 1
+    """The nonzero numerators of Σ c·left·right over ``products``, each
+    (left, right, lift, c) with right's keys raised by lift, in one
+    accumulator of re + im·2**W: a right term (u, v) is the row u + v·2**W,
+    its i-multiple -v + u·2**W, and a left term (x, y) adds x·row + y·irow.
+    As |x·u - y·v| <= (|x| + |y|)(|u| + |v|), W with 2**(W - 1) above the
+    bound Σ c·‖left‖₁·‖right‖₁ makes each real part the centred residue."""
+    bound = 0
+    for left, right, _, c in products:
+        nl = nr = 0
+        for x, y in left.values():
+            nl += abs(x) + abs(y)
+        for u, v in right.values():
+            nr += abs(u) + abs(v)
+        bound += c * nl * nr
+    W = bound.bit_length() + 1
     acc: Dict[int, int] = {}
     get = acc.get
     for left, right, lift, c in products:
@@ -253,8 +253,12 @@ def _mul_packed(products) -> Dict[int, Tuple[int, int]]:
                 for k2, _, irow in rows:
                     k = k1 + k2
                     acc[k] = get(k, 0) + y * irow
-    half = 1 << (W - 1)
-    return {k: (t - ((t + half) >> W << W), (t + half) >> W) for k, t in acc.items() if t}
+    half, out = 1 << (W - 1), {}
+    for k, t in acc.items():
+        if t:
+            im = (t + half) >> W
+            out[k] = (t - (im << W), im)
+    return out
 
 
 def _partial(nums: Dict[int, Tuple[int, int]], s: int, mask: int) -> Dict[int, Tuple[int, int]]:
@@ -293,12 +297,10 @@ def _move_plan(S: int, src: Tuple[str, ...], dst: Tuple[str, ...]
                ) -> Tuple[int, int, Tuple[Tuple[int, int, int], ...]]:
     """How keys over ``src`` move onto ``dst`` at slot width S, the current
     ``SLOT_BITS``: the bits of the variables missing from ``dst``, the mask
-    of the kept slots that stay, and the runs of those that move, each a
-    (mask, shift up, shift down) triple of the slots that move by the same
-    shift.  λ leads the key, so a lift or a restriction has at most two
-    runs, and a move between a reduced phase space and the whole one three:
-    λ, the kept q's and the kept p's, which often stay.  ``MultiPoly._moved``
-    takes up to two moving runs in one comprehension, more in a loop."""
+    of the kept slots that stay, and a (mask, shift up, shift down) triple
+    for each shift the others move by.  λ leads the key, so a lift or a
+    restriction moves at most two runs, and a reduced product's moves three
+    at most: λ, the kept q's and the kept p's, which often stay."""
     old, _, mask = _layout(len(src))
     new = _layout(len(dst))[0]
     dropped, runs = 0, {}
@@ -632,6 +634,10 @@ def _derive(nums: Dict[int, Tuple[int, int]], steps) -> Dict[int, Tuple[int, int
     ``vector_field``: the numerators of the directional derivative over
     the polynomial's denominator times the field's, zero entries dropped."""
     mask = (1 << SLOT_BITS) - 1
+    if len(steps) == 1:   # distinct keys stay distinct, and nothing cancels
+        (s, unit, vr, vi), = steps
+        return {k - unit: ((r * vr - i * vi) * e, (r * vi + i * vr) * e)
+                for k, (r, i) in nums.items() if (e := k >> s & mask)}
     out: Dict[int, Tuple[int, int]] = {}
     for k, (r, i) in nums.items():
         for s, unit, vr, vi in steps:

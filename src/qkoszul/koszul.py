@@ -432,8 +432,7 @@ def conjugate(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
         return f
     shifts, _, mask = _layout(len(poly.vars))
     lam, bound = 1 << shifts[0], (L + 1) << shifts[0]
-    # the k-th term λ^k X^k f / k! of exp(λX) f, over den·T.den^k·k!: each
-    # key of the (k-1)-th steps ∂_j, then ∂_i and λ, for every entry of X
+    # λ^k X^k f / k! over den·T.den^k·k!, each key stepping ∂_j, ∂_i and λ
     x = [(si, sj, 1 << sj, (1 << si) - lam, xr, xi) for si, sj, xr, xi in T.x]
     terms, cur = [poly], poly.nums
     for k in range(1, L + 1):
@@ -457,8 +456,7 @@ def conjugate(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
 
 
 def quantum_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """The correction whose classical restriction is the quantum one: T f
-    where the context has T's data, (id - A)^{-1} f elsewhere."""
+    """The correction before i* in i**: T f where the context has T, else (id - A)^{-1} f."""
     return series_correction(f, ctx) if ctx.conjugation is None else conjugate(f, ctx)
 
 

@@ -44,8 +44,7 @@ class ReducedAlgebra:
         self.ctx = ctx
         residual = tuple(c for c in ctx.space.coords if c not in ctx.action.translated)
         self.space = PhaseSpace(residual)
-        # the key bits of the translated q_a, and of the translated p_a
-        shifts, _, mask = _layout(len(ctx.space.vars))
+        shifts, _, mask = _layout(len(ctx.space.vars))   # translated q_a and p_a bits
         self._q, self._p = (sum(mask << shifts[ctx.space.vars.index(f"{x}{a}")]
                                 for a in ctx.action.translated) for x in "qp")
 
@@ -56,10 +55,8 @@ class ReducedAlgebra:
         return f.with_vars(self.ctx.space.vars)
 
     def down(self, F: P) -> P:
-        """The restriction of a polynomial or series on the whole phase
-        space, on the reduced one, in one re-keying: a term with a
-        translated p_a drops out, and one with a translated q_a but no p_a
-        is not invariant."""
+        """The restriction of an invariant polynomial or series on the whole
+        phase space, re-keyed once onto the reduced one."""
         keys = (F.poly if isinstance(F, LambdaSeries) else F).nums
         if any(k & self._q and not k & self._p for k in keys):
             G = F.zero_outside(self.ctx.cvars)
