@@ -238,8 +238,9 @@ def _mul_packed(products) -> Dict[int, Tuple[int, int]]:
     acc: Dict[int, int] = {}
     get = acc.get
     for left, right, lift, c in products:
-        rows = [(k + lift, c * (u + (v << W)), c * ((u << W) - v))
-                for k, (u, v) in right.items()]
+        rows = []   # a plain loop: a comprehension's frame costs more on one or two terms
+        for k, (u, v) in right.items():
+            rows.append((k + lift, c * (u + (v << W)), c * ((u << W) - v)))
         for k1, (x, y) in left.items():
             if x and y:
                 for k2, row, irow in rows:
@@ -295,12 +296,11 @@ def _sum(vars: Tuple[str, ...], parts) -> "MultiPoly":
 @cache
 def _move_plan(S: int, src: Tuple[str, ...], dst: Tuple[str, ...]
                ) -> Tuple[int, int, Tuple[Tuple[int, int, int], ...]]:
-    """How keys over ``src`` move onto ``dst`` at slot width S, the current
-    ``SLOT_BITS``: the bits of the variables missing from ``dst``, the mask
-    of the kept slots that stay, and a (mask, shift up, shift down) triple
-    for each shift the others move by.  λ leads the key, so a lift or a
-    restriction moves at most two runs, and a reduced product's moves three
-    at most: λ, the kept q's and the kept p's, which often stay."""
+    """How keys over ``src`` move onto ``dst`` at slot width S (``SLOT_BITS``):
+    the bits of the variables missing from ``dst``, the mask of the kept
+    slots that stay, and a (mask, shift up, shift down) run per shift the
+    others move by: two at most for a lift or a restriction, as λ leads the
+    key, and λ, the kept q's and the kept p's for a reduced product's moves."""
     old, _, mask = _layout(len(src))
     new = _layout(len(dst))[0]
     dropped, runs = 0, {}
