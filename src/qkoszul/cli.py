@@ -178,11 +178,11 @@ def _typed_list(key: str, value, kind: type) -> tuple:
 
 
 def _entries(key: str, raw: dict, parse) -> dict:
-    """A JSON object keyed by ASCII-digit coordinate labels, values parsed."""
+    """A JSON object keyed by labels in plain decimal (one spelling each), values parsed."""
     entries = _typed(key, raw[key], dict)
     for a in entries:
-        if not (a.isascii() and a.isdigit()):
-            raise ConfigError(f"bad {key!r} label {a!r}: not a string of digits")
+        if not (a.isascii() and a.isdigit() and (a[0] != "0" or a == "0")):
+            raise ConfigError(f"bad {key!r} label {a!r}: not a decimal without a leading zero")
     try:
         return {int(a): parse(v) for a, v in entries.items()}
     except (ValueError, TypeError, OverflowError, ZeroDivisionError) as e:

@@ -330,6 +330,12 @@ class TestConfigFile:
         pytest.param({"n": 2, "translated": [1], "b": {"+1": [2, "1/2"]},
                       "checks": ["momentum"]},
                      "bad 'b' label '+1'", id="b-label-sign"),
+        # int() would read "01" as 1, and next to "1" one value would be lost
+        pytest.param({"n": 2, "translated": [1], "mu": {"01": "5"}, "checks": ["momentum"]},
+                     "bad 'mu' label '01'", id="mu-label-leading-zero"),
+        pytest.param({"n": 2, "translated": [1], "mu": {"1": "3", "01": "5"},
+                      "checks": ["momentum"]},
+                     "bad 'mu' label '01'", id="mu-label-two-spellings"),
     ])
     def test_rejected(self, tmp_path, fields, message):
         path = tmp_path / "cfg.json"
