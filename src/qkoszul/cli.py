@@ -91,6 +91,8 @@ class ScenarioConfig:
             if a not in self.translated:
                 raise ConfigError(f"b/mu index {a} is not a translated coordinate")
         for a, (c, _) in self.b.items():
+            if not 1 <= c <= self.n:
+                raise ConfigError(f"magnetic pair ({a}, {c}): {c} is out of range 1..{self.n}")
             if c in self.translated:
                 raise ConfigError(f"magnetic pair ({a}, {c}) couples two translated "
                                   "coordinates")
@@ -201,10 +203,18 @@ def _magnetic_pair(cv) -> Tuple[int, Fraction]:
     return _typed("b", cv[0], int), _number(cv[1])
 
 
+def _distinct_keys(pairs: List[Tuple[str, object]]) -> dict:
+    """A JSON object of a config file; json.load alone keeps a repeated key's last value."""
+    for i, (key, _) in enumerate(pairs):
+        if any(key == k for k, _ in pairs[:i]):
+            raise ConfigError(f"config key {key!r} is repeated")
+    return dict(pairs)
+
+
 def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_distinct_keys)
     except (OSError, ValueError) as e:
         raise ConfigError(f"cannot read config {path!r}: {e}")
     return parse_config(raw)
@@ -295,7 +305,7 @@ def shift_checks(cfg: ScenarioConfig, ctx: ReductionContext,
 
     def restriction_solves_constraint():
         for f in raw:
-            if ctx.tube.restrict(ctx.straighten(f)) != f.substitute(solved):
+            if ctx.straighten(f).zero_outside(ctx.cvars) != f.substitute(solved):
                 yield {"f": f.render()}
 
     return [check("straighten_sends_J_to_p", straighten_sends_J_to_p()),
@@ -362,7 +372,7 @@ def suite_knp(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
         # F = prol(res F) + Σ_a r_a(F)·J_a: the tube homotopy divides by J
         split = CotangentSplit(ctx)
         for f in upstairs:
-            recon = ctx.tube.restrict(f).with_vars(ctx.space.vars)
+            recon = f.zero_outside(ctx.cvars).with_vars(ctx.space.vars)
             for a, Ja in enumerate(ctx.J.components, start=1):
                 recon = recon + split.r(a, f) * Ja
             if recon != f:

@@ -262,12 +262,6 @@ def _mul_packed(products) -> Dict[int, Tuple[int, int]]:
     return out
 
 
-def _partial(nums: Dict[int, Tuple[int, int]], s: int, mask: int) -> Dict[int, Tuple[int, int]]:
-    """Numerators of the derivative in the variable at slot shift s."""
-    unit = 1 << s
-    return {k - unit: (r * e, i * e) for k, (r, i) in nums.items() if (e := k >> s & mask)}
-
-
 def _check_guard(nums: Dict[int, Tuple[int, int]], n: int) -> None:
     """Raise ExponentOverflowError if a key of an n-variable product sets a
     guard bit."""
@@ -466,7 +460,8 @@ class MultiPoly:
 
     def diff(self, var: str) -> "MultiPoly":
         """Formal partial derivative with respect to ``var``."""
-        return _canonical(self.vars, self.den, _partial(self.nums, *self._slot(var)))
+        s = self._slot(var)[0]
+        return _canonical(self.vars, self.den, _derive(self.nums, ((s, 1 << s, 1, 0),)))
 
     def weighted_diff(self, var: str, weight_vars: Sequence[str], k: int) -> "MultiPoly":
         """Σ_m c_m · m_var/(|m|_w + k) · x^{m - e_var}, where |m|_w is the
@@ -505,12 +500,8 @@ class MultiPoly:
                 raise VariableMismatchError("assignment images disagree on variables")
         if target is None:
             target = self.vars
-        images = []
-        for v in self.vars:
-            if v in assignments:
-                images.append(assignments[v])
-            else:
-                images.append(MultiPoly.variable(target, v))
+        images = [assignments[v] if v in assignments else MultiPoly.variable(target, v)
+                  for v in self.vars]
         # cache powers per variable index
         powers: Dict[Tuple[int, int], MultiPoly] = {}
 
@@ -614,24 +605,9 @@ class MultiPoly:
         return f"MultiPoly({self.render()})"
 
 
-def vector_field(form: MultiPoly) -> tuple:
-    """The vector field Σ_i v_i ∂_i of a linear form l = Σ_i v_i x_i, as
-    ``star_exponential`` reads it: (variables, den, slots, steps), with one
-    step (slot shift, unit key, re, im) per v_i = (re + i·im)/den and
-    ``slots`` the key bits of every variable the field differentiates."""
-    mask, slots, steps = (1 << SLOT_BITS) - 1, 0, []
-    for unit, (vr, vi) in form.nums.items():
-        s = unit.bit_length() - 1
-        if unit & (unit - 1) or s % SLOT_BITS:
-            raise AlgebraError("directional derivative needs a linear form")
-        slots |= mask << s
-        steps.append((s, unit, vr, vi))
-    return form.vars, form.den, slots, tuple(steps)
-
-
 def _derive(nums: Dict[int, Tuple[int, int]], steps) -> Dict[int, Tuple[int, int]]:
-    """Σ_i (re_i + i·im_i) ∂_i on raw numerators, for the steps of a
-    ``vector_field``: the numerators of the directional derivative over
+    """Σ_i (re_i + i·im_i) ∂_i on raw numerators, one step (slot shift, unit
+    key, re_i, im_i) per i: the numerators of the directional derivative over
     the polynomial's denominator times the field's, zero entries dropped."""
     mask = (1 << SLOT_BITS) - 1
     if len(steps) == 1:   # distinct keys stay distinct, and nothing cancels
@@ -784,8 +760,8 @@ class LambdaSeries:
 
 def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
     """μ ∘ exp(λ Σ_k D_{a_k} ⊗ D_{b_k})(f ⊗ g), truncated at the order L of
-    both series, for rank-one factors given as pairs (a_k, b_k) of
-    ``vector_field``s over (λ, *vars).
+    both series, for rank-one factors given as pairs (a_k, b_k) of vector
+    fields (variables, den, slot bits, ``_derive`` steps) over (λ, *vars).
 
     The exponential expands over multi-indices m as
     Σ_m λ^{|m|} Π_k 1/m_k! · (D_a^m f)(D_b^m g), and λ is never

@@ -28,7 +28,7 @@ from itertools import combinations
 from math import factorial, lcm
 from operator import or_
 from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence,
-                    Tuple, TypeVar)
+                    Tuple)
 
 from .exact import (
     AlgebraError,
@@ -49,8 +49,6 @@ from .phase_space import PhaseSpace, StarProduct
 from .report import check
 
 IndexKey = Tuple[int, ...]
-# the tube maps act alike on a polynomial and on a whole series
-P = TypeVar("P", MultiPoly, LambdaSeries)
 
 
 def insert_index(alpha: int, key: IndexKey) -> Optional[Tuple[int, IndexKey]]:
@@ -153,33 +151,6 @@ class KoszulChain:
                           for key in sorted(self.terms))
 
 
-class GoodTube:
-    """Global good tube of a canonical translation scenario.
-
-    The momentum components are the fiber coordinates of the translated
-    directions, so restriction and homotopy are closed-form maps on the
-    monomials.
-    """
-
-    def __init__(self, space: PhaseSpace, translated: Sequence[int]):
-        self.space = space
-        self.translated = tuple(translated)
-        self.constrained = tuple(f"p{a}" for a in self.translated)
-        self.cvars = tuple(v for v in space.vars if v not in self.constrained)
-
-    def restrict(self, f: P) -> P:
-        """Restriction to the constraint set of a polynomial or a series:
-        the monomials of vertical degree 0, re-expressed on ``cvars``."""
-        return f.zero_outside(self.cvars)
-
-    def homotopy(self, f: P, k: int, directions: Sequence[int]) -> Dict[int, P]:
-        """Grade-k contracting homotopy of a polynomial or a series along
-        each listed constrained direction a (1-based): x^m goes to
-        m_a/(|m_v|+k) · x^{m-e_a}.  λ is not a weight variable."""
-        return {a: f.weighted_diff(self.constrained[a - 1], self.constrained, k)
-                for a in directions}
-
-
 class Conjugation(NamedTuple):
     """The data of the operator T = τ_{-λc} ∘ exp(λX) of a context, on the
     keys of its series, where λ leads (see ``_conjugation``).
@@ -233,8 +204,9 @@ def _conjugation(space: PhaseSpace, translated: Sequence[int], star: StarProduct
 
 class ReductionContext:
     """Everything needed to run one reduction scenario: the star product,
-    the classical and quantum momentum maps, the good tube and the
-    prolongation.  The classical momentum map is the canonical one of the
+    the classical and quantum momentum maps, and the total good tube: the
+    ``constrained`` p_a of the translated directions, all other variables
+    ``cvars``.  The classical momentum map is the canonical one of the
     action, and the quantum one is held truncated to the context's order; a
     shifted scenario adds the substitution that straightens its samples.
     ``conjugation`` is the data of the operator T through which the quantum
@@ -253,7 +225,8 @@ class ReductionContext:
         if self.Jq.classical_part() != self.J:
             raise AlgebraError("quantum momentum map does not deform the classical one")
         self.straightening = dict(straighten) if straighten else {}
-        self.tube = GoodTube(space, action.translated)
+        self.constrained = tuple(f"p{a}" for a in action.translated)
+        self.cvars = tuple(v for v in space.vars if v not in self.constrained)
         self.gdim = action.dim
         self.conjugation = _conjugation(space, action.translated, star, self.Jq)
 
@@ -272,15 +245,8 @@ class ReductionContext:
         computes in; the identity for a canonical scenario."""
         return f.substitute(self.straightening) if self.straightening else f
 
-    @property
-    def cvars(self) -> Tuple[str, ...]:
-        return self.tube.cvars
-
     def series(self, poly: MultiPoly) -> LambdaSeries:
         return LambdaSeries.from_poly(poly.with_vars(self.space.vars), self.order)
-
-    def constraint_series(self, poly: MultiPoly) -> LambdaSeries:
-        return LambdaSeries.from_poly(poly.with_vars(self.cvars), self.order)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +331,8 @@ def ce_boundary(lie: LieAlgebraData, x: CEElement, grade: int) -> CEElement:
 # ---------------------------------------------------------------------------
 
 def restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """Classical restriction to the constraint set."""
-    return ctx.tube.restrict(f)
+    """Classical restriction to the constraint set: zero outside ``cvars``."""
+    return f.zero_outside(ctx.cvars)
 
 
 def prolongation(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
@@ -378,18 +344,17 @@ def prolongation(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
 
 
 def classical_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
-    """Contracting homotopy from the good tube at the chain's grade: each
-    entry goes through ``GoodTube.homotopy`` once, and the output along
-    direction a is wedged onto the basis key."""
-    k = x.grade
+    """Contracting homotopy from the good tube at the chain's grade k: x^m
+    goes to m_a/(|m_v|+k) · x^{m-e_a} along each direction a not in a basis
+    key, wedged onto it; |m_v| is the degree in the ``constrained`` p's."""
+    k, pv = x.grade, ctx.constrained
     out: Dict[IndexKey, LambdaSeries] = {}
     for key, F in x.terms.items():
-        free = [a for a in range(1, ctx.gdim + 1) if a not in key]
-        parts = ctx.tube.homotopy(F, k, free)
-        for alpha in free:
-            sign, newkey = insert_index(alpha, key)
-            G = parts[alpha].scale(sign)
-            out[newkey] = out[newkey] + G if newkey in out else G
+        for a in range(1, ctx.gdim + 1):
+            if a not in key:
+                sign, newkey = insert_index(a, key)
+                G = F.weighted_diff(pv[a - 1], pv, k).scale(sign)
+                out[newkey] = out[newkey] + G if newkey in out else G
     return KoszulChain(ctx.gdim, k + 1, ctx.space.vars, ctx.order, out)
 
 

@@ -42,9 +42,8 @@ from .exact import (
     VariableMismatchError,
     gr,
     star_exponential,
-    vector_field,
 )
-from .exact import _canonical, _check_guard, _gauss, _layout, _mul_packed, _partial
+from .exact import _canonical, _check_guard, _derive, _gauss, _layout, _mul_packed
 from .report import check, expected_failure
 
 # Nonzero entries of a matrix over the variables of a phase space, keyed by
@@ -150,9 +149,9 @@ def _pairing(matrix: tuple, f: MultiPoly, g: MultiPoly) -> MultiPoly:
     for si, sj, cr, ci in entries:
         if used_f >> si & mask and used_g >> sj & mask:
             if si not in df:
-                df[si] = _partial(f.nums, si, mask)
+                df[si] = _derive(f.nums, ((si, 1 << si, 1, 0),))
             if sj not in dg:
-                dg[sj] = _partial(g.nums, sj, mask)
+                dg[sj] = _derive(g.nums, ((sj, 1 << sj, 1, 0),))
             pairs.append(({k: (r * cr - i * ci, r * ci + i * cr)
                            for k, (r, i) in df[si].items()}, dg[sj], 0, 1))
     nums = _mul_packed(pairs)
@@ -160,12 +159,14 @@ def _pairing(matrix: tuple, f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return _canonical(vars, f.den * g.den * den, nums)
 
 
-def _vector_field(lvars: Tuple[str, ...], shifts: Tuple[int, ...], v: Vector) -> tuple:
-    """Σ_i v_i ∂_i on the λ-extended variables, decoded once; λ leads the
+def _vector_field(lvars: Tuple[str, ...], shifts: Tuple[int, ...], mask: int, v: Vector) -> tuple:
+    """Σ_i v_i ∂_i on the λ-extended variables, as ``star_exponential`` reads
+    it: (variables, den, slot bits, a ``_derive`` step per v_i).  λ leads the
     key, so variable i keeps its slot shift ``shifts[i]``."""
     den = lcm(*(d for _, (_, _, d) in v))
-    return vector_field(_canonical(lvars, den, {
-        1 << shifts[i]: (r * (den // d), m * (den // d)) for i, (r, m, d) in v}))
+    steps = tuple((shifts[i], 1 << shifts[i], r * (den // d), m * (den // d))
+                  for i, (r, m, d) in v)
+    return lvars, den, sum(mask << s for s, *_ in steps), steps
 
 
 class StarProduct:
@@ -223,7 +224,7 @@ class StarProduct:
             (shifts[i], shifts[j], r * (den // d), m * (den // d))
             for (i, j), (r, m, d) in B.items()))
         lvars = (LAMBDA, *space.vars)
-        fields = [(_vector_field(lvars, shifts, a), _vector_field(lvars, shifts, b))
+        fields = [(_vector_field(lvars, shifts, mask, a), _vector_field(lvars, shifts, mask, b))
                   for a, b in _rank_one_terms(T)]
         return StarProduct(space, partial(star_exponential, fields),
                            partial(_pairing, bracket), hermitian, MappingProxyType(T))

@@ -19,11 +19,14 @@ never involve the translated fiber coordinates, are the canonical ones.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Tuple, TypeVar
 
 from .exact import AlgebraError, LambdaSeries, MultiPoly, _layout, invert_unipotent
-from .koszul import P, ReductionContext, quantum_correction, restriction
+from .koszul import ReductionContext, quantum_correction, restriction
 from .phase_space import PhaseSpace, StarProduct
+
+# the maps below act alike on a polynomial and on a whole series
+P = TypeVar("P", MultiPoly, LambdaSeries)
 
 
 def elevate_context(ctx: ReductionContext, order: int) -> ReductionContext:
@@ -105,7 +108,7 @@ class CotangentSplit:
         """The i-th division operator (1-based over the vertical
         directions) on a polynomial or a series: the grade-0 homotopy along
         direction i."""
-        return self.ctx.tube.homotopy(F, 0, (i,))[i]
+        return F.weighted_diff(self.ctx.constrained[i - 1], self.ctx.constrained, 0)
 
 
 def _vertical_difference(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
@@ -150,9 +153,8 @@ def fiber_translate_subst(space: PhaseSpace, alpha: Mapping[int, MultiPoly]
     subst: Dict[str, MultiPoly] = {}
     for a, al in alpha.items():
         al = al.with_vars(space.vars)
-        for pv in space.pvars:
-            if al.uses(pv):
-                raise AlgebraError("translation coefficients must depend on q only")
+        if any(al.uses(pv) for pv in space.pvars):
+            raise AlgebraError("translation coefficients must depend on q only")
         subst[f"p{a}"] = MultiPoly.variable(space.vars, f"p{a}") - al
     return subst
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .exact import AlgebraError, MultiPoly
+from .exact import AlgebraError, LambdaSeries, MultiPoly
 from .koszul import (
     KoszulChain,
     ReductionContext,
@@ -92,9 +92,8 @@ def induced_second_momentum_map(pipe: StagePipeline) -> QuantumMomentumMap:
     of the complement components, read on the first reduced algebra."""
     cfg, ctx = pipe.cfg, pipe.ctx
     lie2 = LieAlgebraData.abelian(len(cfg.second))
-    comps = []
-    for i in cfg.second:
-        comps.append(pipe.red1.down(quantum_correction(ctx.Jq.components[i - 1], pipe.ctx1)))
+    comps = [pipe.red1.down(quantum_correction(ctx.Jq.components[i - 1], pipe.ctx1))
+             for i in cfg.second]
     return QuantumMomentumMap(lie2, comps)
 
 
@@ -132,7 +131,7 @@ def build_compatible_prolongations(pipe: StagePipeline,
 
     # (i) pi1* prol2 = i1* prol on second-stage constraint probes
     def second_prolongation_compatible(f):
-        c2 = ctx2.constraint_series(f.zero_outside(ctx2.cvars))
+        c2 = LambdaSeries.from_poly(f.zero_outside(ctx2.cvars), ctx.order)
         return on_cvars1(prolongation(c2, ctx2)) == restriction(
             prolongation(c2.with_vars(ctx.cvars), ctx), ctx1)
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from qkoszul import cli, exact, koszul, reduction
 from qkoszul.cli import builtin_config, main, run_scenario
 from qkoszul.exact import ContractViolationError, MultiPoly
-from qkoszul.koszul import GoodTube
 from qkoszul.lie import LieAlgebraData
 
 CLI = [sys.executable, "-m", "qkoszul.cli"]
@@ -29,10 +28,12 @@ def run(*args, env=None):
 
 
 def off_by_one_weight(monkeypatch):
-    """Give the tube homotopy the weight m_a/(|m_v|+k+1)."""
-    homotopy = GoodTube.homotopy
-    monkeypatch.setattr(GoodTube, "homotopy",
-                        lambda tube, f, k, directions: homotopy(tube, f, k + 1, directions))
+    """Give the tube homotopy the weight m_a/(|m_v|+k+1): every homotopy and
+    division operator, on a polynomial or a series, goes through
+    ``MultiPoly.weighted_diff``."""
+    weighted_diff = MultiPoly.weighted_diff
+    monkeypatch.setattr(MultiPoly, "weighted_diff",
+                        lambda p, var, weight_vars, k: weighted_diff(p, var, weight_vars, k + 1))
 
 
 class TestBasics:
@@ -336,10 +337,27 @@ class TestConfigFile:
         pytest.param({"n": 2, "translated": [1], "mu": {"1": "3", "01": "5"},
                       "checks": ["momentum"]},
                      "bad 'mu' label '01'", id="mu-label-two-spellings"),
+        # json.load alone would run these with the last value of the key
+        pytest.param('{"name": "t", "n": 2, "lambda_order": 2, "lambda_order": 7, '
+                     '"checks": ["axioms"]}',
+                     "config key 'lambda_order' is repeated", id="repeated-key"),
+        pytest.param('{"name": "t", "n": 3, "translated": [1], '
+                     '"b": {"1": [2, "1/2"], "1": [3, "1/2"]}, "checks": ["momentum"]}',
+                     "config key '1' is repeated", id="b-repeated-label"),
+        pytest.param('{"name": "t", "n": 2, "translated": [1], "mu": {"1": "3", "1": "5"}, '
+                     '"checks": ["momentum"]}',
+                     "config key '1' is repeated", id="mu-repeated-label"),
+        pytest.param({"n": 2, "translated": [1], "b": {"1": [7, "1/2"]}, "checks": ["momentum"]},
+                     "magnetic pair (1, 7): 7 is out of range 1..2", id="b-coupling-past-n"),
+        pytest.param({"n": 2, "translated": [1], "b": {"1": [0, "1/2"]}, "checks": ["momentum"]},
+                     "magnetic pair (1, 0): 0 is out of range 1..2", id="b-coupling-zero"),
     ])
     def test_rejected(self, tmp_path, fields, message):
+        # a str is the whole config text, which a dict cannot hold when it
+        # repeats a key
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"name": "bad", **fields}))
+        path.write_text(fields if isinstance(fields, str) else
+                        json.dumps({"name": "bad", **fields}))
         res = run("--config", str(path))
         assert res.returncode == 2
         assert message.encode() in res.stderr

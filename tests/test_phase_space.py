@@ -574,12 +574,13 @@ def test_bracket_equals_the_reference_pairing(data):
 
 def test_bracket_prunes_entries_and_takes_each_derivative_once(monkeypatch):
     taken = []
-    partial_of = phase_space._partial
+    derive = phase_space._derive
 
-    def counted(nums, s, mask):
+    def counted(nums, steps):
+        (s, *_), = steps   # the bracket derives along one variable at a time
         taken.append((id(nums), s))
-        return partial_of(nums, s, mask)
-    monkeypatch.setattr(phase_space, "_partial", counted)
+        return derive(nums, steps)
+    monkeypatch.setattr(phase_space, "_derive", counted)
     # f and g on disjoint pairs: every entry of the Weyl matrix is skipped
     f, g = SP2.q(1) * SP2.p(1), SP2.q(2) * SP2.p(2)
     assert StarProduct.weyl(SP2).bracket_poly(f, g).is_zero() and taken == []
