@@ -192,7 +192,12 @@ def _entries(key: str, raw: dict, parse) -> dict:
 
 
 def _number(v) -> Fraction:
-    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+    """An integer or a string such as "1/10" or "0.1", read exactly; a JSON
+    float holds a binary value, not the decimal it was written as."""
+    if isinstance(v, float):
+        raise TypeError(f"{v!r} is a JSON float, which is inexact: "
+                        'write an integer or a string such as "1/10"')
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise TypeError(f"{v!r} is not a number")
     return Fraction(v)
 

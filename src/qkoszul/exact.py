@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import or_
 from typing import Callable, Dict, Sequence, Tuple
 
@@ -541,9 +541,13 @@ class MultiPoly:
 
     def zero_outside(self, vars: Sequence[str]) -> "MultiPoly":
         """Image under setting every variable not in ``vars`` to zero,
-        re-expressed on ``vars``."""
+        re-expressed on ``vars``; kept in canonical form as it is when no
+        term is dropped."""
         vs = tuple(vars)
-        return _canonical(vs, self.den, self._moved(vs))
+        nums = self._moved(vs)
+        if len(nums) == len(self.nums):
+            return _wrap(vs, self.den, nums)
+        return _canonical(vs, self.den, nums)
 
     def with_vars(self, vars: Sequence[str]) -> "MultiPoly":
         """Re-express over a different variable list (a superset or a list
@@ -577,7 +581,9 @@ class MultiPoly:
         )
 
     def __hash__(self):
-        return hash((self.vars, self.den, frozenset(self.nums.items())))
+        # equal polynomials have equal fields; the keys' sum and count
+        # tell most unequal ones apart without a pass over the numerators
+        return hash((self.vars, self.den, len(self.nums), sum(self.nums)))
 
     # -- rendering ----------------------------------------------------
 
@@ -623,7 +629,7 @@ def _derive(nums: Dict[int, Tuple[int, int]], steps) -> Dict[int, Tuple[int, int
                 nr, ni = (r * vr - i * vi) * e, (r * vi + i * vr) * e
                 t = out.get(d)
                 out[d] = (nr, ni) if t is None else (t[0] + nr, t[1] + ni)
-    return _nonzero(out)
+    return _nonzero(out) if (0, 0) in out.values() else out
 
 
 LAMBDA = "λ"
@@ -770,10 +776,13 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
     of g, contributes only m_k = 0 and is dropped: derivatives add no
     variable.  Derivatives stay raw numerators, the right one taken first,
     and a branch stops once either is zero or its λ-power would pass L.
-    The leaf products go into one ``_mul_packed`` sum over the denominator
-    D = den_f·den_g·top!·(lcm den_a · lcm den_b)^top, where top is L less
-    the lowest powers of f and g; one pass at the end drops the powers past
-    L and the zero entries."""
+    The walk reads only the terms of f and g whose power can still meet
+    the other's lowest within L, and its depth is top, L less the lowest
+    powers of f and g.  Each leaf carries the weight
+    d = Π_k (den_a·den_b)^{m_k}·m_k! of its multi-index, and the leaf
+    products go into one ``_mul_packed`` sum over den_f·den_g·D, D the lcm
+    of the leaf weights; the powers past L are dropped at the end.  An
+    input or the sum is copied to drop terms only where it has some."""
     L, vars = f.order, f.poly.vars
     if g.poly.vars != vars or any(a[0] != vars for a, _ in fields):
         raise VariableMismatchError(f"a series or field is not over {vars}")
@@ -785,20 +794,18 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
     top = L - lo_f - lo_g
     if top < 0:
         return LambdaSeries.zero(f.vars, L)
-    left = {k: v for k, v in fn.items() if k >> s <= L - lo_g}
-    right = {k: v for k, v in gn.items() if k >> s <= L - lo_f}
+    cut_f, cut_g = (L - lo_g + 1) << s, (L - lo_f + 1) << s
+    left = fn if max(fn) < cut_f else {k: v for k, v in fn.items() if k < cut_f}
+    right = gn if max(gn) < cut_g else {k: v for k, v in gn.items() if k < cut_g}
     used_f, used_g = reduce(or_, left), reduce(or_, right)
-    kept = [(a, b) for a, b in fields if a[2] & used_f and b[2] & used_g]
-    steps = [(a[3], b[3], a[1] * b[1]) for a, b in kept]
-    base = factorial(top) * (lcm(*(a[1] for a, _ in kept)) *
-                             lcm(*(b[1] for _, b in kept))) ** top
-    # a branch: next step k, λ-depth r, both derivatives, and the part
-    # d = Π_k (den_a·den_b)^{m_k}·m_k! of its denominator that divides base
+    steps = [(a[3], b[3], a[1] * b[1]) for a, b in fields
+             if a[2] & used_f and b[2] & used_g]
+    # a branch: next step k, λ-depth r, both derivatives, and its weight d
     stack, leaves = [(0, 0, left, right, 1)], []
     while stack:
         k, r, left, right, d = stack.pop()
         if k == len(steps):
-            leaves.append((left, right, r << s, base // d))
+            leaves.append((left, right, r << s, d))
             continue
         a, b, den = steps[k]
         stack.append((k + 1, r, left, right, d))
@@ -811,10 +818,13 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
                 break
             d *= den * m
             stack.append((k + 1, r + m, left, right, d))
+    D = lcm(*(d for *_, d in leaves))
+    nums = _mul_packed([(left, right, lift, D // d) for left, right, lift, d in leaves])
     bound = (L + 1) << s
-    nums = {k: v for k, v in _mul_packed(leaves).items() if k < bound}
+    if nums and max(nums) >= bound:
+        nums = {k: v for k, v in nums.items() if k < bound}
     _check_guard(nums, len(vars))
-    return LambdaSeries(_canonical(vars, f.poly.den * g.poly.den * base, nums), L)
+    return LambdaSeries(_canonical(vars, f.poly.den * g.poly.den * D, nums), L)
 
 
 def invert_unipotent(raiser: Callable, order: int) -> Callable:

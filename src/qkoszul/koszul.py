@@ -18,6 +18,7 @@ The quantum restriction is the classical one after a correction series,
 quantum momentum map is p_a + λc_a with constant c_a, an operator T
 conjugates the quantum complex to the classical one, and the correction is
 T in closed form: exp(λX), then τ_{-λc}, the substitution p_a -> p_a - λc_a.
+There the quantum homotopy is T⁻¹hT in closed form too.
 """
 
 from __future__ import annotations
@@ -158,11 +159,13 @@ class Conjugation(NamedTuple):
     X = Σ (re + i·im)/den ∂_i∂_j over the entries (shift of i, shift of j,
     re, im) of ``x``; ``pmask`` holds the key bits of every translated p_a;
     τ_{-λc} is the substitution ``tau``, p_a ↦ 2p_a - Jq_a = p_a - λc_a for
-    each a with c_a ≠ 0, empty where every c_a is zero."""
+    each a with c_a ≠ 0, empty where every c_a is zero; its inverse τ_{+λc}
+    is ``untau``, p_a ↦ Jq_a, on the same p_a."""
     den: int
     x: Tuple[Tuple[int, int, int, int], ...]
     pmask: int
     tau: Dict[str, MultiPoly]
+    untau: Dict[str, MultiPoly]
 
 
 def _conjugation(space: PhaseSpace, translated: Sequence[int], star: StarProduct,
@@ -183,7 +186,7 @@ def _conjugation(space: PhaseSpace, translated: Sequence[int], star: StarProduct
     P = [space.vars.index(f"p{a}") for a in translated]
     if any(C.get((a, b)) != C.get((b, a)) for a in P for b in P):
         return None
-    tau = {}
+    tau, untau = {}, {}
     for a, Ja in zip(P, Jq.components):
         p, nums = Ja.poly, Ja.poly.nums
         pa = 1 << shifts[a + 1]
@@ -191,6 +194,7 @@ def _conjugation(space: PhaseSpace, translated: Sequence[int], star: StarProduct
             return None
         if lam in nums:
             tau[space.vars[a]] = MultiPoly.variable(p.vars, space.vars[a]).scale(2) - p
+            untau[space.vars[a]] = p
     # each pair {i, j} once: the two halves of -½ C^{p_a p_b} ∂_{p_a}∂_{p_b}
     # for a ≠ b add up, as C is symmetric there
     x = [(i, j, -r, -m, 2 * d if i == j else d) for (i, j), (r, m, d) in C.items()
@@ -199,7 +203,7 @@ def _conjugation(space: PhaseSpace, translated: Sequence[int], star: StarProduct
     return Conjugation(
         den, tuple((shifts[i + 1], shifts[j + 1], r * (den // d), m * (den // d))
                    for i, j, r, m, d in sorted(x)),
-        sum(mask << shifts[a + 1] for a in P), tau)
+        sum(mask << shifts[a + 1] for a in P), tau, untau)
 
 
 class ReductionContext:
@@ -360,9 +364,9 @@ def classical_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
 
 def _corrected(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
     """(id - A)^{-1} x with A = (∂ - ∂_q) h, on a chain of any grade: the
-    one geometric series that deforms both the restriction and the homotopy.
-    A raises the order in the parameter because the two boundaries agree at
-    order zero."""
+    paper's geometric series, which deforms the restriction and, on a
+    context without T, the homotopy.  A raises the order in the parameter
+    because the two boundaries agree at order zero."""
 
     def raiser(y: KoszulChain) -> KoszulChain:
         hy = classical_homotopy(y, ctx)
@@ -385,20 +389,21 @@ def series_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     return restriction(series_correction(f, ctx), ctx)
 
 
-def conjugate(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """T f = τ_{-λc}(exp(λX) f), truncated at the order of f, on a context
-    whose ``conjugation`` is not None: X once per power of λ on raw
-    numerators, then τ, a substitution, where some c_a is not zero."""
+def _conjugated(f: LambdaSeries, ctx: ReductionContext, sign: int,
+                tau: Mapping[str, MultiPoly]) -> LambdaSeries:
+    """τ(exp(sign·λX) f), truncated at the order of f, on a context whose
+    ``conjugation`` is not None: X once per power of λ on raw numerators,
+    then the substitution τ where it is not empty."""
     if (f.vars, f.order) != (ctx.space.vars, ctx.order):
         raise AlgebraError("series does not match the context's variables and order")
     T, poly, L = ctx.conjugation, f.poly, f.order
-    # X and τ act on f through the p_a alone, so T is the identity on it
+    # X and τ act on f through the p_a alone, so they leave it as it is
     if not reduce(or_, poly.nums, 0) & T.pmask:
         return f
     shifts, _, mask = _layout(len(poly.vars))
     lam, bound = 1 << shifts[0], (L + 1) << shifts[0]
     # λ^k X^k f / k! over den·T.den^k·k!, each key stepping ∂_j, ∂_i and λ
-    x = [(si, sj, 1 << sj, (1 << si) - lam, xr, xi) for si, sj, xr, xi in T.x]
+    x = [(si, sj, 1 << sj, (1 << si) - lam, sign * xr, sign * xi) for si, sj, xr, xi in T.x]
     terms, cur = [poly], poly.nums
     for k in range(1, L + 1):
         nxt: Dict[int, Tuple[int, int]] = {}
@@ -417,7 +422,20 @@ def conjugate(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
             break
         terms.append(_wrap(poly.vars, poly.den * T.den ** k * factorial(k), cur))
     F = LambdaSeries(_sum(poly.vars, terms), L)
-    return LambdaSeries(F.poly.substitute(T.tau), L).truncate(L) if T.tau else F
+    return LambdaSeries(F.poly.substitute(tau), L).truncate(L) if tau else F
+
+
+def conjugate(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
+    """T f = τ_{-λc}(exp(λX) f), truncated at the order of f."""
+    return _conjugated(f, ctx, 1, ctx.conjugation.tau)
+
+
+def unconjugate(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
+    """T⁻¹ f = exp(-λX)(τ_{+λc} f), truncated at the order of f: X negated,
+    and τ_{+λc}, p_a ↦ Jq_a, in place of τ_{-λc}.  X has constant
+    coefficients and τ translates p_a by constants, so the two commute and
+    τ_{+λc} is taken last, as τ_{-λc} is in T."""
+    return _conjugated(f, ctx, -1, ctx.conjugation.untau)
 
 
 def quantum_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
@@ -431,11 +449,22 @@ def quantum_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     return restriction(quantum_correction(f, ctx), ctx)
 
 
+def _entrywise(op: Callable[[LambdaSeries, ReductionContext], LambdaSeries],
+               x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
+    return KoszulChain(x.gdim, x.grade, x.vars, x.order,
+                       {key: op(F, ctx) for key, F in x.terms.items()})
+
+
 def quantum_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
-    """Quantum contracting homotopy h_q = h (id - A)^{-1}: the classical
-    homotopy of the corrected chain.  As h∘h = 0 and h∘prol = 0, it is the
-    classical homotopy composed with the inverse of h ∂_q + ∂_q h."""
-    return classical_homotopy(_corrected(x, ctx), ctx)
+    """Quantum contracting homotopy h_q = h (id - A)^{-1}.  Where the context
+    has T, it is T⁻¹hT, applied entrywise, in closed form.  Three facts give
+    T⁻¹hT (id - A) = h: T∂_q = ∂T; T∘prol = prol and h∘prol = 0; and
+    hTh = 0, since h = δN⁻¹ with δ = Σ_a e_a∧∂_{p_a}, δ commutes with T, and
+    N⁻¹ only scales each p_a-degree component, so δN⁻¹ is zero on δ-closed
+    chains.  Elsewhere h_q is the classical homotopy of the corrected chain."""
+    if ctx.conjugation is None:
+        return classical_homotopy(_corrected(x, ctx), ctx)
+    return _entrywise(unconjugate, classical_homotopy(_entrywise(conjugate, x, ctx), ctx), ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ never involve the translated fiber coordinates, are the canonical ones.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Dict, Mapping, Tuple, TypeVar
 
 from .exact import AlgebraError, LambdaSeries, MultiPoly, _layout, invert_unipotent
@@ -61,7 +63,8 @@ class ReducedAlgebra:
         """The restriction of an invariant polynomial or series on the whole
         phase space, re-keyed once onto the reduced one."""
         keys = (F.poly if isinstance(F, LambdaSeries) else F).nums
-        if any(k & self._q and not k & self._p for k in keys):
+        if reduce(or_, keys, 0) & self._q and any(k & self._q and not k & self._p
+                                                  for k in keys):
             G = F.zero_outside(self.ctx.cvars)
             qv = next(f"q{a}" for a in self.ctx.action.translated if G.uses(f"q{a}"))
             raise AlgebraError(f"element is not translation invariant: depends on {qv}")

@@ -256,6 +256,16 @@ class TestConfigFile:
         report = json.loads(res.stdout)
         assert report["config"]["b"] == {"1": [2, "1/2"]}
 
+    def test_decimal_strings_are_exact(self, tmp_path):
+        cfg = {"name": "decimal-mu", "n": 2, "translated": [1],
+               "b": {"1": [2, "0.5"]}, "mu": {"1": "0.1"}, "checks": ["momentum"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        res = run("--config", str(path))
+        assert res.returncode == 0, res.stderr
+        config = json.loads(res.stdout)["config"]
+        assert (config["b"], config["mu"]) == ({"1": [2, "1/2"]}, {"1": "1/10"})
+
     def test_invalid_stage_split(self, tmp_path):
         cfg = {"name": "bad", "n": 3, "translated": [1, 2],
                "stage_first": [7], "checks": ["stages"]}
@@ -351,6 +361,12 @@ class TestConfigFile:
                      "magnetic pair (1, 7): 7 is out of range 1..2", id="b-coupling-past-n"),
         pytest.param({"n": 2, "translated": [1], "b": {"1": [0, "1/2"]}, "checks": ["momentum"]},
                      "magnetic pair (1, 0): 0 is out of range 1..2", id="b-coupling-zero"),
+        # a JSON float would be read as its binary value, 0.1 as 3602879701896397/2**55
+        pytest.param({"n": 2, "translated": [1], "checks": ["momentum"], "mu": {"1": 0.1}},
+                     'bad \'mu\' entry: 0.1 is a JSON float, which is inexact: write an '
+                     'integer or a string such as "1/10"', id="mu-float"),
+        pytest.param({"n": 2, "translated": [1], "checks": ["momentum"], "b": {"1": [2, 0.5]}},
+                     "0.5 is a JSON float", id="b-float"),
     ])
     def test_rejected(self, tmp_path, fields, message):
         # a str is the whole config text, which a dict cannot hold when it

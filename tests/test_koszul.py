@@ -4,13 +4,15 @@ The closed-form restriction and homotopy are held to the substitution path
 they replace: substitute zero for the constrained fiber coordinates, or
 scale them by t and integrate t over [0, 1].  The quantum homotopy is held
 to the formula it replaces, the classical homotopy composed with the inverse
-of h ∂_q + ∂_q h.  The quantum restriction is held to the classical
+of h ∂_q + ∂_q h, and where a context has T, its closed form T⁻¹hT to the
+series h (id - A)⁻¹.  The quantum restriction is held to the classical
 restriction after the operator T that conjugates the quantum complex to the
 classical one, written from the product's matrix alone.  Shifted scenarios
 feed these their straightened samples.
 """
 
 import importlib.util
+import json
 from fractions import Fraction
 import random
 from itertools import combinations
@@ -20,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from qkoszul import koszul
-from qkoszul.cli import main
+from qkoszul.cli import SCENARIOS, builtin_config, main, run_scenario
 from qkoszul.exact import (
     AlgebraError,
     ContractViolationError,
@@ -44,6 +46,7 @@ from qkoszul.koszul import (
     remove_index,
     restriction,
     series_restriction,
+    unconjugate,
     verify_complex_identities,
 )
 from qkoszul.lie import LieAlgebraData, QuantumMomentumMap
@@ -381,30 +384,40 @@ class TestFullSuite:
 
     def test_order_zero_fault_breaks_the_correction_contract(self, monkeypatch,
                                                              capsys):
-        # the correction reads the classical boundary on h y, of grade >= 2
-        # for y of grade >= 1, so an order-0 term added there does not let
+        # the series of the grade-0 correction reads the classical boundary
+        # on h y, of grade 1, so an order-0 term added there does not let
         # (∂ - ∂_q) h raise the order: an internal error, not a failed check
         boundary = koszul.koszul_boundary
 
-        def broken_at(var):
+        def broken_at(var, grade):
             def broken(x, ctx):
                 out = boundary(x, ctx)
-                if x.grade == 2:
-                    out = out + KoszulChain(ctx.gdim, 1, ctx.space.vars, ctx.order,
-                                            {(1,): ctx.series(MultiPoly.variable(
+                if x.grade == grade:
+                    key = (1,) if grade == 2 else ()
+                    out = out + KoszulChain(ctx.gdim, grade - 1, ctx.space.vars, ctx.order,
+                                            {key: ctx.series(MultiPoly.variable(
                                                 ctx.space.vars, var))})
                 return out
             return broken
 
         sp = PhaseSpace.of_dim(4)
         ctx = ReductionContext.canonical(sp, [1, 2, 3], StarProduct.weyl(sp), 2)
-        monkeypatch.setattr(koszul, "koszul_boundary", broken_at("q4"))
+        monkeypatch.setattr(koszul, "koszul_boundary", broken_at("q4", 1))
         with pytest.raises(ContractViolationError):
             verify_complex_identities(ctx, sample_polys(5, sp.vars, 2, 3))
-        monkeypatch.setattr(koszul, "koszul_boundary", broken_at("q3"))
+        monkeypatch.setattr(koszul, "koszul_boundary", broken_at("q3", 1))
         assert main(["--scenario", "s1-translation"]) == 3
         assert "internal error: operator did not raise minimal order" in \
             capsys.readouterr().err
+        # a fault at grade 2 reached the series only inside the quantum
+        # homotopy, which is T⁻¹hT wherever the context has T: it fails the
+        # classical checks that read the grade-2 boundary
+        monkeypatch.setattr(koszul, "koszul_boundary", broken_at("q3", 2))
+        assert main(["--scenario", "s1-translation"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
+        assert failing == ["complex.homotopy_identity_positive_grades",
+                           "complex.koszul_d_squared_zero"]
 
 
 # ---------------------------------------------------------------------------
@@ -919,3 +932,73 @@ def test_T_substitutes_only_for_some_c_a_not_zero_and_an_input_with_p(monkeypatc
         F = ctx.series(f * ctx.J.components[0])
         assert quantum_restriction(F, ctx) == series_restriction(F, ctx)
         assert calls == ([ctx.conjugation.tau] if corrected else [])
+
+
+# ---------------------------------------------------------------------------
+# the quantum homotopy as T⁻¹hT against the series h (id - A)⁻¹
+# ---------------------------------------------------------------------------
+
+def T_chains(ctx: ReductionContext):
+    """Chains of every grade from 0 to gdim, each entry a straightened
+    sample times J_1² plus λ times the next, so that p_a occurs at λ^0."""
+    J1 = ctx.J.components[0]
+    polys = [ctx.straighten(f) for f in sample_polys(233, ctx.space.vars, 3, 4)]
+    series = [ctx.series(f * J1 * J1) + LambdaSeries.from_poly(g * J1 + f, ctx.order, shift=1)
+              for f, g in zip(polys, polys[1:])]
+    for k in range(ctx.gdim + 1):
+        keys = list(combinations(range(1, ctx.gdim + 1), k))
+        for i in range(len(series)):
+            yield KoszulChain(ctx.gdim, k, ctx.space.vars, ctx.order,
+                              {key: series[(i + j) % len(series)] for j, key in enumerate(keys)})
+
+
+def homotopy_against_the_series(kind: str, corrected: bool):
+    """Over ``T_contexts``: the chains on which h_q differs from the
+    classical homotopy of the corrected chain, and those on which h_q ≠ h."""
+    mismatched = differ = 0
+    for ctx in T_contexts(kind, corrected):
+        assert ctx.conjugation is not None
+        for x in T_chains(ctx):
+            got = quantum_homotopy(x, ctx)
+            mismatched += got != classical_homotopy(koszul._corrected(x, ctx), ctx)
+            differ += got != classical_homotopy(x, ctx)
+    return mismatched, differ
+
+
+@pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+@pytest.mark.parametrize("corrected", (False, True))
+def test_quantum_homotopy_through_T_equals_the_series(kind, corrected):
+    mismatched, differ = homotopy_against_the_series(kind, corrected)
+    assert mismatched == 0
+    # std has no C^{i p_a}, so without corrections X = 0 and T = id
+    assert (differ > 0) == (kind != "std" or corrected)
+
+
+@pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+@pytest.mark.parametrize("corrected", (False, True))
+def test_T_inverse_undoes_T_on_unrestricted_series(kind, corrected):
+    for ctx in T_contexts(kind, corrected):
+        for x in T_chains(ctx):
+            for F in x.terms.values():
+                assert unconjugate(conjugate(F, ctx), ctx) == F
+                assert conjugate(unconjugate(F, ctx), ctx) == F
+
+
+def test_unflipped_sign_of_X_in_T_inverse_fails_the_quantum_homotopy(monkeypatch):
+    monkeypatch.setattr(koszul, "unconjugate",
+                        lambda f, ctx: koszul._conjugated(f, ctx, 1, ctx.conjugation.untau))
+    assert homotopy_against_the_series("weyl", False)[0] > 0
+    for name in ("s1-translation", "s1p-single", "s2-magnetic"):
+        failing = [c["name"] for c in run_scenario(builtin_config(name))["checks"]
+                   if c["status"] == "fail"]
+        assert "complex.quantum_homotopy_identity_grade_1" in failing
+
+
+def test_tau_in_place_of_its_inverse_is_seen_only_with_corrections(monkeypatch):
+    monkeypatch.setattr(koszul, "unconjugate",
+                        lambda f, ctx: koszul._conjugated(f, ctx, -1, ctx.conjugation.tau))
+    assert homotopy_against_the_series("weyl", True)[0] > 0
+    assert homotopy_against_the_series("weyl", False)[0] == 0
+    # every builtin has c = 0, so no report reads τ⁻¹: the mutant survives them
+    for name in SCENARIOS:
+        assert run_scenario(builtin_config(name))["status"] == "pass"

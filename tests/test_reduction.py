@@ -203,6 +203,11 @@ class TestResidualProduct:
                      id="s2-magnetic"),
         pytest.param(4, (1, 2), {1: (3, Fraction(1, 2)), 2: (4, Fraction(-2, 3))},
                      {1: Fraction(3), 2: Fraction(-1, 4)}, id="reduce-magnetic"),
+        # translated labels that are not contiguous move in four runs, so
+        # the up and down maps take the per-key branch of MultiPoly._moved
+        pytest.param(4, (1, 3), {}, {}, id="4-translated02"),
+        pytest.param(4, (1, 3), {1: (2, Fraction(1, 2))}, {3: Fraction(-2)},
+                     id="4-translated02-magnetic"),
     ))
     def test_both_routes_equal_residual_product(self, kind, n, translated, b, mu):
         sp = PhaseSpace.of_dim(n)
