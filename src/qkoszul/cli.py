@@ -87,6 +87,8 @@ class ScenarioConfig:
         for a in self.translated:
             if not 1 <= a <= self.n:
                 raise ConfigError(f"translated coordinate {a} out of range 1..{self.n}")
+        if len(set(self.translated)) < len(self.translated):
+            raise ConfigError("a translated coordinate is listed twice")
         for a in list(self.b) + list(self.mu):
             if a not in self.translated:
                 raise ConfigError(f"b/mu index {a} is not a translated coordinate")
@@ -114,7 +116,7 @@ class ScenarioConfig:
         if "context" in needs and k == 0:
             raise ConfigError("suites on a reduction context need a translated "
                               "coordinate")
-        if "reduced" in needs and len(set(self.translated)) >= self.n:
+        if "reduced" in needs and k >= self.n:
             raise ConfigError("every coordinate is translated: the reduced space "
                               "is a point")
         if "stages" in self.checks and (self.stage_first is None or k < 2):

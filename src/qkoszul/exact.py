@@ -270,13 +270,20 @@ def _check_guard(nums: Dict[int, Tuple[int, int]], n: int) -> None:
 
 
 def _sum(vars: Tuple[str, ...], parts) -> "MultiPoly":
-    """Σ_j p_j in one pass over a common denominator."""
+    """Σ_j p_j in one pass over a common denominator.  Zero parts are
+    dropped, and a single nonzero part comes back unchanged."""
+    parts = [p for p in parts if p.nums]
+    if len(parts) < 2:
+        return parts[0] if parts else MultiPoly.zero(vars)
     den = lcm(*(p.den for p in parts))
-    acc: Dict[int, Tuple[int, int]] = {}
-    for p in parts:
+    s = den // parts[0].den
+    acc = dict(parts[0].nums) if s == 1 else \
+        {k: (r * s, i * s) for k, (r, i) in parts[0].nums.items()}
+    for p in parts[1:]:
         s = den // p.den
         for k, (r, i) in p.nums.items():
-            r, i = r * s, i * s
+            if s != 1:
+                r, i = r * s, i * s
             t = acc.get(k)
             if t is not None:
                 r, i = t[0] + r, t[1] + i
@@ -395,37 +402,13 @@ class MultiPoly:
         if self.vars != other.vars:
             raise VariableMismatchError(f"{self.vars} vs {other.vars}")
 
-    def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
-        """self + sign·other."""
-        self._check(other)
-        if not other.nums:
-            return self
-        if not self.nums:
-            return other if sign > 0 else -other
-        da, db = self.den, other.den
-        den = da if da == db else lcm(da, db)
-        sa, sb = den // da, sign * (den // db)
-        out = dict(self.nums) if sa == 1 else \
-            {k: (r * sa, i * sa) for k, (r, i) in self.nums.items()}
-        for k, (r, i) in other.nums.items():
-            if sb != 1:
-                r, i = r * sb, i * sb
-            t = out.get(k)
-            if t is None:
-                out[k] = (r, i)
-            else:
-                r, i = t[0] + r, t[1] + i
-                if r or i:
-                    out[k] = (r, i)
-                else:
-                    del out[k]
-        return _canonical(self.vars, den, out)
-
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        return self._combine(other, 1)
+        self._check(other)
+        return _sum(self.vars, (self, other))
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self._combine(other, -1)
+        self._check(other)
+        return _sum(self.vars, (self, -other))
 
     def __neg__(self) -> "MultiPoly":
         return _wrap(self.vars, self.den, {k: (-r, -i) for k, (r, i) in self.nums.items()})

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Dict, Mapping, Tuple, TypeVar
+from typing import Mapping, Tuple, TypeVar
 
 from .exact import AlgebraError, LambdaSeries, MultiPoly, _layout, invert_unipotent
 from .koszul import ReductionContext, quantum_correction, restriction
@@ -149,19 +149,6 @@ def knp_reduced_star(red: ReducedAlgebra) -> StarProduct:
 # fiber translations and shifted/magnetic scenarios
 # ---------------------------------------------------------------------------
 
-def fiber_translate_subst(space: PhaseSpace, alpha: Mapping[int, MultiPoly]
-                          ) -> Dict[str, MultiPoly]:
-    """The substitution p_a -> p_a - alpha_a(q) that straightens the fiber
-    translation p_a -> p_a + alpha_a(q)."""
-    subst: Dict[str, MultiPoly] = {}
-    for a, al in alpha.items():
-        al = al.with_vars(space.vars)
-        if any(al.uses(pv) for pv in space.pvars):
-            raise AlgebraError("translation coefficients must depend on q only")
-        subst[f"p{a}"] = MultiPoly.variable(space.vars, f"p{a}") - al
-    return subst
-
-
 def build_shifted_context(base: ReductionContext,
                           b: Mapping[int, Tuple[int, Fraction]],
                           mu: Mapping[int, Fraction]) -> ReductionContext:
@@ -178,26 +165,21 @@ def build_shifted_context(base: ReductionContext,
     """
     space = base.space
     translated = base.action.translated
-    alpha: Dict[int, MultiPoly] = {}
-    for a in translated:
-        term = MultiPoly.zero(space.vars)
+    # a shifted base composes: fiber translations add up
+    straighten = dict(base.straightening)
+    for a in set(b) | set(mu):
+        if a not in translated:
+            raise AlgebraError(f"coordinate {a} is not translated")
+        alpha = MultiPoly.const(space.vars, -Fraction(mu.get(a, 0)))
         if a in b:
             c_label, b_val = b[a]
             if c_label in translated:
                 raise AlgebraError(
                     f"magnetic coupling to translated coordinate {c_label} "
                     "breaks invariance")
-            term = term + space.q(c_label).scale(Fraction(b_val))
-        if a in mu:
-            term = term - MultiPoly.const(space.vars, Fraction(mu[a]))
-        alpha[a] = term
-    for a in set(b) | set(mu):
-        if a not in translated:
-            raise AlgebraError(f"coordinate {a} is not translated")
-
-    straighten = fiber_translate_subst(space, alpha)
-    if not any(not al.is_zero() for al in alpha.values()):
+            alpha = alpha + space.q(c_label).scale(Fraction(b_val))
+        if not alpha.is_zero():
+            straighten[f"p{a}"] = base.straighten(space.p(a)) - alpha
+    if straighten == base.straightening:
         return base
-    # a shifted base composes: fiber translations add up
-    return ReductionContext(space, base.action, base.star, base.Jq, base.order,
-                            {pa: base.straighten(img) for pa, img in straighten.items()})
+    return ReductionContext(space, base.action, base.star, base.Jq, base.order, straighten)

@@ -42,12 +42,6 @@ class StageConfig:
         self.second = tuple(i for i in all_idx if i not in self.first)
 
 
-def restrict_momentum_map(Jq: QuantumMomentumMap, cfg: StageConfig) -> QuantumMomentumMap:
-    """First-stage quantum momentum map: the components along the subalgebra."""
-    lie1 = LieAlgebraData.abelian(len(cfg.first))
-    return QuantumMomentumMap(lie1, [Jq.components[i - 1] for i in cfg.first])
-
-
 class StagePipeline:
     """Both reduction routes of a split scenario, sharing the one-step
     context.  Immutable after construction."""
@@ -61,19 +55,22 @@ class StagePipeline:
         space = ctx.space
         L = ctx.order
 
-        # stage 1: reduce by the subalgebra
+        # stage 1: reduce by the subalgebra, through the components of Jq along it
         translated1 = tuple(ctx.action.translated[i - 1] for i in cfg.first)
         action1 = TranslationAction(space, translated1)
-        self.ctx1 = ReductionContext(space, action1, ctx.star,
-                                     restrict_momentum_map(ctx.Jq, cfg), L)
+        Jq1 = QuantumMomentumMap(action1.lie, [ctx.Jq.components[i - 1] for i in cfg.first])
+        self.ctx1 = ReductionContext(space, action1, ctx.star, Jq1, L)
         self.red1 = ReducedAlgebra(self.ctx1)
         self.star_red1 = reduced_star(self.red1)
 
-        # stage 2: reduce the first quotient by the induced momentum map
+        # stage 2: reduce the first quotient by the induced momentum map, the
+        # first-stage quantum restriction of the complement's components
         translated2 = tuple(ctx.action.translated[i - 1] for i in cfg.second)
         space2 = self.red1.space
         action2 = TranslationAction(space2, translated2)
-        self.Jq2 = induced_second_momentum_map(self)
+        self.Jq2 = QuantumMomentumMap(action2.lie, [
+            self.red1.down(quantum_correction(ctx.Jq.components[i - 1], self.ctx1))
+            for i in cfg.second])
         self.ctx2 = ReductionContext(space2, action2, self.star_red1, self.Jq2, L)
         self.red2 = ReducedAlgebra(self.ctx2)
         self.star_red2 = reduced_star(self.red2)
@@ -85,16 +82,6 @@ class StagePipeline:
         # the residual variable names
         if self.red2.space.vars != self.red.space.vars:
             raise AlgebraError("residual variables disagree between routes")
-
-
-def induced_second_momentum_map(pipe: StagePipeline) -> QuantumMomentumMap:
-    """Second-stage quantum momentum map: the first-stage quantum restriction
-    of the complement components, read on the first reduced algebra."""
-    cfg, ctx = pipe.cfg, pipe.ctx
-    lie2 = LieAlgebraData.abelian(len(cfg.second))
-    comps = [pipe.red1.down(quantum_correction(ctx.Jq.components[i - 1], pipe.ctx1))
-             for i in cfg.second]
-    return QuantumMomentumMap(lie2, comps)
 
 
 def build_compatible_prolongations(pipe: StagePipeline,

@@ -143,11 +143,14 @@ class TestReports:
         # translating p_a forward by alpha_a instead of back keeps every
         # check on the straightened samples; only the two checks against the
         # declared shift see it
-        def forward(space, alpha):
-            return {f"p{a}": MultiPoly.variable(space.vars, f"p{a}") + al.with_vars(space.vars)
-                    for a, al in alpha.items()}
+        # p_a -> p_a + alpha_a is the straightening of the shift by -alpha_a
+        build = cli.build_shifted_context
 
-        monkeypatch.setattr(reduction, "fiber_translate_subst", forward)
+        def forward(base, b, mu):
+            return build(base, {a: (c, -v) for a, (c, v) in b.items()},
+                         {a: -v for a, v in mu.items()})
+
+        monkeypatch.setattr(cli, "build_shifted_context", forward)
         assert main(["--scenario", "s2-magnetic"]) == 1
         report = json.loads(capsysbinary.readouterr().out)
         failing = [c for c in report["checks"] if c["status"] == "fail"]
@@ -321,6 +324,9 @@ class TestConfigFile:
                      "reduced space is a point", id="stages-to-point"),
         pytest.param({"translated": [], "checks": ["complex"]},
                      "need a translated coordinate", id="nothing-translated"),
+        # no suite on a context runs here to meet the repeat
+        pytest.param({"n": 2, "translated": [1, 1], "checks": ["axioms"]},
+                     "a translated coordinate is listed twice", id="repeated-translated"),
         pytest.param({"n": 3, "translated": [1, 2], "stage_first": [1, 2],
                       "checks": ["stages"]},
                      "both stages nonempty", id="empty-second-stage"),

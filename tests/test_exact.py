@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkoszul import exact
@@ -33,6 +33,8 @@ gaussians = st.one_of(st.builds(gr, fractions, fractions),
 scalars = st.one_of(gaussians, fractions, st.integers(-12, 12))
 
 VARS = ("x", "y")
+HALF_X = MultiPoly.variable(VARS, "x").scale(Fraction(1, 2))
+THIRD_Y = MultiPoly.variable(VARS, "y").scale(Fraction(1, 3))
 WIDE = ("a", "x", "b", "y")
 
 
@@ -232,6 +234,30 @@ class TestAgainstReference:
         assert agrees(-p, -rp)
         assert agrees(p * q, rp * rq)
         assert agrees(p.conjugate(), rp.conjugate())
+
+    @given(polys())
+    @settings(max_examples=40)
+    def test_zero_operand(self, p):
+        zero, rp = MultiPoly.zero(VARS), RefPoly.of(p)
+        assert agrees(p + zero, rp) and agrees(zero + p, rp)
+        assert agrees(p - zero, rp) and agrees(zero - p, -rp)
+
+    # zero parts, a lone nonzero part, distinct denominators (the first
+    # part's scale is 3), and parts that cancel
+    @example([MultiPoly.zero(VARS), HALF_X, MultiPoly.zero(VARS)])
+    @example([HALF_X, THIRD_Y])
+    @example([HALF_X, THIRD_Y, -HALF_X, MultiPoly.zero(VARS), -THIRD_Y])
+    @given(st.lists(st.one_of(polys(), st.just(MultiPoly.zero(VARS))), max_size=5))
+    @settings(max_examples=80)
+    def test_sum(self, parts):
+        want = RefPoly.zero(VARS)
+        for p in parts:
+            want = want + RefPoly.of(p)
+        got = exact._sum(VARS, parts)
+        assert agrees(got, want)
+        nonzero = [p for p in parts if not p.is_zero()]
+        if len(nonzero) == 1:
+            assert got is nonzero[0]
 
     @given(polys(), scalars)
     @settings(max_examples=60)

@@ -32,7 +32,6 @@ from qkoszul.reduction import (
     _vertical_difference,
     build_shifted_context,
     elevate_context,
-    fiber_translate_subst,
     knp_reduced_star,
     reduced_poisson_bracket,
     reduced_star,
@@ -372,30 +371,27 @@ class TestKnpEquivalence:
 
 class TestFiberTranslation:
     def test_zero_is_identity(self):
-        sp = PhaseSpace.of_dim(2)
+        ctx = build_shifted_context(s1p_ctx(), {1: (2, Fraction(0))}, {1: Fraction(0)})
+        sp = ctx.space
         f = sp.p(1) * sp.q(2)
-        assert f.substitute(fiber_translate_subst(sp, {1: MultiPoly.zero(sp.vars)})) == f
+        assert ctx.straighten(f) == f
 
     def test_inverse(self):
-        sp = PhaseSpace.of_dim(2)
-        alpha = sp.q(2).scale(Fraction(5, 3))
-        inv = fiber_translate_subst(sp, {1: alpha})
-        subst = {"p1": sp.p(1) + alpha}
+        ctx = build_shifted_context(s1p_ctx(), {1: (2, Fraction(5, 3))}, {})
+        sp = ctx.space
+        subst = {"p1": sp.p(1) + sp.q(2).scale(Fraction(5, 3))}
         for f in sample_polys(97, sp.vars, 3, 6):
-            assert f.substitute(subst).substitute(inv) == f
-            assert f.substitute(inv).substitute(subst) == f
-
-    def test_momentum_dependence_rejected(self):
-        sp = PhaseSpace.of_dim(2)
-        with pytest.raises(AlgebraError):
-            fiber_translate_subst(sp, {1: sp.p(2)})
+            assert ctx.straighten(f.substitute(subst)) == f
+            assert ctx.straighten(f).substitute(subst) == f
 
     def test_straightens_magnetic_momentum(self):
-        # the straightening sends the shifted magnetic momentum component
-        # to the plain fiber coordinate
-        sp = PhaseSpace.of_dim(2)
-        al = sp.q(2).scale(Fraction(1, 2)) - MultiPoly.const(sp.vars, 3)
-        assert (sp.p(1) + al).substitute(fiber_translate_subst(sp, {1: al})) == sp.p(1)
+        # the straightening sends the magnetic momentum component to the
+        # plain fiber coordinate, and leaves an unshifted translated one alone
+        sp = PhaseSpace.of_dim(3)
+        base = ReductionContext.canonical(sp, [1, 2], StarProduct.weyl(sp), L)
+        ctx = build_shifted_context(base, {1: (3, Fraction(1, 2))}, {})
+        assert ctx.straighten(sp.p(1) + sp.q(3).scale(Fraction(1, 2))) == sp.p(1)
+        assert ctx.straighten(sp.p(2)) == sp.p(2)
 
 
 class TestShiftedContext:

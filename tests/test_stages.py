@@ -22,7 +22,6 @@ from qkoszul.stages import (
     StagePipeline,
     build_compatible_prolongations,
     check_stage_equality,
-    restrict_momentum_map,
 )
 
 L = 4
@@ -78,23 +77,21 @@ class TestStageConfig:
 
 class TestRestrictedMomentumMap:
     def test_component_selection(self):
-        ctx = s1_ctx()
-        cfg = StageConfig(ctx.action.lie, [1])
-        Jq1 = restrict_momentum_map(ctx.Jq, cfg)
-        assert Jq1.components == (ctx.Jq.components[0],)
+        ctx = three_translations()
+        pipe = StagePipeline(ctx, StageConfig(ctx.action.lie, [1, 3]))
+        assert pipe.ctx1.Jq.components == (ctx.Jq.components[0], ctx.Jq.components[2])
 
     def test_full_subalgebra_is_identity(self):
         ctx = s1_ctx()
-        cfg = StageConfig(ctx.action.lie, [1, 2])
-        assert restrict_momentum_map(ctx.Jq, cfg).components == ctx.Jq.components
+        pipe = StagePipeline(ctx, StageConfig(ctx.action.lie, [1, 2]))
+        assert pipe.ctx1.Jq.components == ctx.Jq.components
 
     def test_quantum_identities_hold(self):
         ctx = s1_ctx()
-        cfg = StageConfig(ctx.action.lie, [1])
-        Jq1 = restrict_momentum_map(ctx.Jq, cfg)
+        pipe = StagePipeline(ctx, StageConfig(ctx.action.lie, [1]))
         samples = sample_polys(107, ctx.space.vars, 3, 5)
         checks = {c["name"]: c
-                  for c in check_quantum_momentum_map(ctx.star, Jq1, samples, L)}
+                  for c in check_quantum_momentum_map(ctx.star, pipe.ctx1.Jq, samples, L)}
         assert checks["quantum_hamiltonian_identity"]["status"] == "pass"
 
 
