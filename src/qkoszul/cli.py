@@ -6,7 +6,8 @@ seed the report bytes are identical on every run.  Timing is printed to
 stderr only, never into the report.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 config error,
-3 internal error (an operator broke its contract).
+3 internal error (an operator broke its contract), 4 internal error (an
+unexpected exception, reported with its traceback).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -54,6 +56,9 @@ MAX_N = 6
 MAX_LAMBDA_ORDER = 8
 MAX_DEGREE = 6
 MAX_SAMPLES = 100
+# digits of the numerator and of the denominator of a b or mu value, in
+# lowest terms
+MAX_NUMBER_DIGITS = 100
 # checks over consecutive triples of samples need three to check anything
 MIN_SAMPLES = 3
 
@@ -193,15 +198,35 @@ def _entries(key: str, raw: dict, parse) -> dict:
         raise ConfigError(f"bad {key!r} entry: {e}")
 
 
+# a b or mu value written as a string: an optional '-', ASCII digits, and an
+# optional '/digits' or '.digits'
+NUMBER = re.compile(r"-?[0-9]+(?:[/.][0-9]+)?")
+
+
 def _number(v) -> Fraction:
-    """An integer or a string such as "1/10" or "0.1", read exactly; a JSON
-    float holds a binary value, not the decimal it was written as."""
+    """An integer or a string such as "1/10" or "0.1", read exactly, with at
+    most ``MAX_NUMBER_DIGITS`` digits in its numerator and in its
+    denominator, in lowest terms, so that its echo reads back; a JSON float
+    holds a binary value, not the decimal it was written as."""
     if isinstance(v, float):
         raise TypeError(f"{v!r} is a JSON float, which is inexact: "
                         'write an integer or a string such as "1/10"')
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise TypeError(f"{v!r} is not a number")
-    return Fraction(v)
+    shown = "an integer"
+    if isinstance(v, str):
+        # no value inside the cap needs more characters, and Fraction never
+        # sees a longer string
+        longest = 2 * MAX_NUMBER_DIGITS + 2
+        shown = repr(v if len(v) <= 40 else v[:37] + "...")
+        if len(v) > longest or not NUMBER.fullmatch(v):
+            raise ValueError(f"{shown} is not written as an optional '-', ASCII digits and an "
+                             f"optional '/digits' or '.digits', in at most {longest} characters")
+    x = Fraction(v)
+    if max(abs(x.numerator), x.denominator) >= 10 ** MAX_NUMBER_DIGITS:
+        raise ValueError(f"{shown} is above the cap of {MAX_NUMBER_DIGITS} digits for a "
+                         "numerator or a denominator in lowest terms")
+    return x
 
 
 def _magnetic_pair(cv) -> Tuple[int, Fraction]:
@@ -494,6 +519,20 @@ def emit_report(report: dict, format: str = "json") -> bytes:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run the command line and return its exit code.  An exception no
+    other handler expects is an internal error, exit 4, never exit 1,
+    which says only that a check failed."""
+    try:
+        return _main(argv)
+    except Exception as e:
+        # imported only here: the module adds about a millisecond to every start
+        import traceback
+        print(f"internal error: unexpected {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc()
+        return 4
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     parser = argparse.ArgumentParser(
         prog="qkoszul",
         description="Run exact star-product and phase-space reduction check "

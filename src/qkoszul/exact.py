@@ -14,6 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
+from itertools import repeat
 from math import gcd, lcm
 from operator import or_
 from typing import Callable, Dict, Sequence, Tuple
@@ -269,18 +270,23 @@ def _check_guard(nums: Dict[int, Tuple[int, int]], n: int) -> None:
         raise _overflow()
 
 
-def _sum(vars: Tuple[str, ...], parts) -> "MultiPoly":
-    """Σ_j p_j in one pass over a common denominator.  Zero parts are
-    dropped, and a single nonzero part comes back unchanged."""
-    parts = [p for p in parts if p.nums]
-    if len(parts) < 2:
-        return parts[0] if parts else MultiPoly.zero(vars)
-    den = lcm(*(p.den for p in parts))
-    s = den // parts[0].den
-    acc = dict(parts[0].nums) if s == 1 else \
-        {k: (r * s, i * s) for k, (r, i) in parts[0].nums.items()}
-    for p in parts[1:]:
-        s = den // p.den
+def _sum(vars: Tuple[str, ...], parts, signs=None) -> "MultiPoly":
+    """Σ_j s_j p_j in one pass over a common denominator, each sign s_j
+    ±1 (all +1 without ``signs``).  A part's sign goes into the factor that
+    lifts it to the common denominator, so no part is negated first.  Zero
+    parts are dropped, and a single nonzero part of sign +1 comes back
+    unchanged."""
+    parts = [(p, sign) for p, sign in zip(parts, signs or repeat(1)) if p.nums]
+    if not parts:
+        return MultiPoly.zero(vars)
+    if len(parts) == 1 and parts[0][1] == 1:
+        return parts[0][0]
+    den = lcm(*(p.den for p, _ in parts))
+    (p, sign), *rest = parts
+    s = sign * (den // p.den)
+    acc = dict(p.nums) if s == 1 else {k: (r * s, i * s) for k, (r, i) in p.nums.items()}
+    for p, sign in rest:
+        s = sign * (den // p.den)
         for k, (r, i) in p.nums.items():
             if s != 1:
                 r, i = r * s, i * s
@@ -408,7 +414,7 @@ class MultiPoly:
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        return _sum(self.vars, (self, -other))
+        return _sum(self.vars, (self, other), (1, -1))
 
     def __neg__(self) -> "MultiPoly":
         return _wrap(self.vars, self.den, {k: (-r, -i) for k, (r, i) in self.nums.items()})

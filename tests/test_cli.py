@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -269,6 +270,21 @@ class TestConfigFile:
         config = json.loads(res.stdout)["config"]
         assert (config["b"], config["mu"]) == ({"1": [2, "1/2"]}, {"1": "1/10"})
 
+    def test_values_at_the_digit_cap(self, tmp_path):
+        # in lowest terms, each at the cap: the echo reads back
+        big = "9" * cli.MAX_NUMBER_DIGITS
+        cfg = {"name": "digit-cap", "n": 3, "translated": [1],
+               "b": {"1": [2, f"-{big[:50]}.{big[:49]}"]}, "mu": {"1": f"{big}/{big[1:]}7"},
+               "checks": ["momentum"]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        res = run("--config", str(path))
+        assert res.returncode == 0, res.stderr
+        config = json.loads(res.stdout)["config"]
+        assert cli.parse_config(config).echo() == config
+        assert Fraction(config["b"]["1"][1]) == -Fraction(f"{big[:50]}.{big[:49]}")
+        assert config["mu"]["1"] == f"{big}/{big[1:]}7"
+
     def test_invalid_stage_split(self, tmp_path):
         cfg = {"name": "bad", "n": 3, "translated": [1, 2],
                "stage_first": [7], "checks": ["stages"]}
@@ -373,6 +389,32 @@ class TestConfigFile:
                      'integer or a string such as "1/10"', id="mu-float"),
         pytest.param({"n": 2, "translated": [1], "checks": ["momentum"], "b": {"1": [2, 0.5]}},
                      "0.5 is a JSON float", id="b-float"),
+        # values are read by one grammar, not by Fraction(): an exponent, an
+        # underscore, spaces and non-ASCII digits are off it, and a value has
+        # at most MAX_NUMBER_DIGITS digits in its numerator and its
+        # denominator, in lowest terms
+        *(pytest.param({"n": 2, "translated": [1], "mu": {"1": v}, "checks": ["momentum"]},
+                       f"bad 'mu' entry: {v!r} is not written as an optional '-'", id=name)
+          for name, v in (("mu-exponent", "1e4301"), ("mu-underscore", "1_0"),
+                          ("mu-spaces", " 2 "), ("mu-arabic-indic-digit", "\u0661"),
+                          ("mu-huge-exponent", "1e10000000"),
+                          ("mu-tiny-exponent", "1e-300000000"), ("mu-plus", "+2"),
+                          ("mu-bare-point", ".5"), ("mu-two-slashes", "1/2/3"))),
+        pytest.param({"n": 3, "translated": [1], "b": {"1": [2, "1/2 "]}, "checks": ["momentum"]},
+                     "bad 'b' entry: '1/2 ' is not written", id="b-trailing-space"),
+        pytest.param({"n": 2, "translated": [1], "mu": {"1": "1/" + "7" * 101},
+                      "checks": ["momentum"]},
+                     "is above the cap of 100 digits", id="mu-long-denominator"),
+        # 100 digits on each side of the point make a numerator of 200
+        pytest.param({"n": 3, "translated": [1], "b": {"1": [2, "1" * 100 + "." + "1" * 100]},
+                      "checks": ["momentum"]},
+                     "bad 'b' entry: '1111", id="b-long-decimal"),
+        pytest.param({"n": 2, "translated": [1], "mu": {"1": 10 ** 100}, "checks": ["momentum"]},
+                     "bad 'mu' entry: an integer is above the cap of 100 digits",
+                     id="mu-long-integer"),
+        pytest.param({"n": 2, "translated": [1], "mu": {"1": "0" * 200 + "1/1"},
+                      "checks": ["momentum"]},
+                     "in at most 202 characters", id="mu-too-many-characters"),
     ])
     def test_rejected(self, tmp_path, fields, message):
         # a str is the whole config text, which a dict cannot hold when it
@@ -499,6 +541,22 @@ def test_ill_typed_fields_exit_cleanly(values):
             code = main(["--config", path])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def test_unexpected_exception_exits_4(monkeypatch, capsysbinary):
+    # exit 1 says only that a check failed; any other exception is an
+    # internal error, with its traceback
+    def broken(cfg, ctx):
+        raise RuntimeError("broken suite")
+
+    monkeypatch.setattr(cli, "suite_ce", broken)
+    assert main(["--scenario", "ce-heisenberg"]) == 4
+    out, err = capsysbinary.readouterr()
+    assert out == b""
+    lines = err.decode().splitlines()
+    assert lines[0] == "internal error: unexpected RuntimeError: broken suite"
+    assert lines[1] == "Traceback (most recent call last):"
+    assert lines[-1] == "RuntimeError: broken suite"
 
 
 class TestReportDir:

@@ -259,6 +259,28 @@ class TestAgainstReference:
         if len(nonzero) == 1:
             assert got is nonzero[0]
 
+    # signed parts over distinct denominators, a lone part of each sign, and
+    # parts that cancel
+    @example([HALF_X, THIRD_Y], [1, -1])
+    @example([MultiPoly.zero(VARS), THIRD_Y], [1, -1])
+    @example([HALF_X, THIRD_Y, HALF_X], [-1, 1, 1])
+    @given(st.lists(st.one_of(polys(), st.just(MultiPoly.zero(VARS))), max_size=5),
+           st.lists(st.sampled_from((1, -1)), min_size=5, max_size=5))
+    @settings(max_examples=80)
+    def test_signed_sum(self, parts, signs):
+        want = RefPoly.zero(VARS)
+        for p, sign in zip(parts, signs):
+            want = want + RefPoly.of(p) if sign == 1 else want - RefPoly.of(p)
+        got = exact._sum(VARS, parts, signs)
+        assert agrees(got, want)
+        nonzero = [(p, sign) for p, sign in zip(parts, signs) if not p.is_zero()]
+        if len(nonzero) == 1 and nonzero[0][1] == 1:
+            assert got is nonzero[0][0]
+
+    def test_difference_over_distinct_denominators(self):
+        for p, q in ((HALF_X, THIRD_Y), (THIRD_Y, HALF_X), (HALF_X, HALF_X + THIRD_Y)):
+            assert agrees(p - q, RefPoly.of(p) - RefPoly.of(q))
+
     @given(polys(), scalars)
     @settings(max_examples=60)
     def test_scale(self, p, c):

@@ -642,3 +642,92 @@ def test_set_up_products_and_samples_use_no_gaussian_rational_arithmetic(monkeyp
             star.eval_poly(f, g, 3)
             star.bracket_poly(f, g)
         assert all(c["status"] == "pass" for c in check_star_axioms(star, samples, 3))
+
+
+# -- the last product, kept by each product ---------------------------------
+
+def counted_walks(monkeypatch) -> list:
+    """The star walks of every product built after this call, one entry
+    (f, g) each."""
+    walks = []
+    walk = phase_space.star_exponential
+
+    def counted(fields, f, g):
+        walks.append((f, g))
+        return walk(fields, f, g)
+    monkeypatch.setattr(phase_space, "star_exponential", counted)
+    return walks
+
+
+def rebuilt(s: LambdaSeries) -> LambdaSeries:
+    """An equal series that shares no object with ``s``."""
+    return LambdaSeries(MultiPoly(s.poly.vars, dict(s.poly.terms)), s.order)
+
+
+@pytest.mark.parametrize("kind", KINDS + ("skew",))
+def test_equal_inputs_walk_once(kind, monkeypatch):
+    walks = counted_walks(monkeypatch)
+    star = product_of(kind, SP2)
+    f, g = (SP2.series(x, 3) for x in sample_polys(53, SP2.vars, 3, 2))
+    f2, g2 = rebuilt(f), rebuilt(g)
+    assert (f2, g2) == (f, g) and f2.poly.nums is not f.poly.nums
+    first = star.eval(f, g)
+    assert star.eval(f2, g2) is first and len(walks) == 1
+    assert first == product_of(kind, SP2).eval(f2, g2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_other_inputs_walk_again(kind, monkeypatch):
+    walks = counted_walks(monkeypatch)
+    star = product_of(kind, SP2)
+    f, g, h = sample_polys(59, SP2.vars, 2, 3)
+    # another g, another order, and f/2: the numerators of f over twice its
+    # denominator
+    half = f.scale(Fraction(1, 2))
+    assert half.nums == f.nums
+    calls = [(f, g, 3), (f, h, 3), (f, h, 2), (half, h, 2), (f, g, 3), (g, f, 3), (g, f, 3)]
+    got = [star.eval_poly(a, b, L) for a, b, L in calls]
+    # one entry: the pair of the first call is walked again after others
+    assert [(a.poly, b.poly, a.order) for a, b in walks] == \
+        [(LambdaSeries.from_poly(a, L).poly, LambdaSeries.from_poly(b, L).poly, L)
+         for a, b, L in calls[:6]]
+    assert got[0] == got[4] and got[5] is got[6]
+
+
+def test_equal_numerators_over_other_variables_are_not_the_last_product():
+    # q3·p3 + p4 on T*R² labelled (3, 4) has the keys of q1·p1 + p2 on SP2
+    star = StarProduct.weyl(SP2)
+    other = PhaseSpace((3, 4))
+    f = SP2.series(SP2.q(1) * SP2.p(1) + SP2.p(2), 2)
+    g = other.series(other.q(3) * other.p(3) + other.p(4), 2)
+    assert f.poly.nums == g.poly.nums
+    star.eval(f, f)
+    with pytest.raises(VariableMismatchError):
+        star.eval(g, g)
+
+
+@st.composite
+def repeating_calls(draw):
+    """A product and a sequence of calls on a pool of series at two orders:
+    two samples, zero, half of the first sample (its numerators over
+    another denominator), and an equal copy of each that shares no object,
+    so inputs repeat both as the same objects and as equal ones."""
+    kind = draw(st.sampled_from(KINDS + ("skew",)))
+    pool = {}
+    for L in (2, 3):
+        polys = sample_polys(draw(st.integers(0, 10_000)), SP2.vars, 2, 2)
+        series = [SP2.series(p, L) for p in polys + [polys[0].scale(Fraction(1, 2))]] + \
+            [LambdaSeries.zero(SP2.vars, L)]
+        pool[L] = series + [rebuilt(s) for s in series]
+    calls = draw(st.lists(st.tuples(st.sampled_from((2, 3)), st.integers(0, 7),
+                                    st.integers(0, 7)), min_size=1, max_size=8))
+    return kind, [(pool[L][i], pool[L][j]) for L, i, j in calls]
+
+
+@given(repeating_calls())
+@settings(max_examples=25, deadline=None)
+def test_results_equal_those_of_a_fresh_product(case):
+    kind, calls = case
+    star = product_of(kind, SP2)
+    for f, g in calls:
+        assert star.eval(f, g) == product_of(kind, SP2).eval(f, g)

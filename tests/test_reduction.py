@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkoszul import exact
+from qkoszul import exact, phase_space
 from qkoszul.exact import (
     AlgebraError,
     LambdaSeries,
@@ -217,6 +217,33 @@ class TestResidualProduct:
         for f, g in sample_pairs(137, red.space.vars, 3, 6):
             want = direct.eval_poly(f, g, L)
             assert [r.eval_poly(f, g, L) for r in routes] == [want, want]
+
+
+class TestOneUpstairsProduct:
+    """Both routes start from prol f ⋆ prol g on the context's product and
+    differ only in the correction after it; the product keeps its last
+    evaluation, so the second route does not walk the pair again."""
+
+    @pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+    @pytest.mark.parametrize("b, mu", (
+        pytest.param({}, {}, id="canonical"),
+        pytest.param({1: (3, Fraction(1, 2)), 2: (4, Fraction(-2, 3))},
+                     {1: Fraction(3), 2: Fraction(-1, 4)}, id="reduce-magnetic"),
+    ))
+    def test_both_routes_walk_the_pair_once(self, kind, b, mu, monkeypatch):
+        walks = []
+        walk = phase_space.star_exponential
+        monkeypatch.setattr(phase_space, "star_exponential",
+                            lambda *args: walks.append(args) or walk(*args))
+        sp = PhaseSpace.of_dim(4)
+        red = ReducedAlgebra(build_shifted_context(ReductionContext.canonical(
+            sp, (1, 2), getattr(StarProduct, kind)(sp), L), b, mu))
+        (f, g), = sample_pairs(67, red.space.vars, 3, 1)
+        homological = reduced_star(red).eval_poly(f, g, L)
+        closed_form = knp_reduced_star(red).eval_poly(f, g, L)
+        assert len(walks) == 1
+        assert homological == closed_form == \
+            getattr(StarProduct, kind)(red.space).eval_poly(f, g, L)
 
 
 @pytest.mark.parametrize("route", (reduced_star, knp_reduced_star))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qkoszul import phase_space
 from qkoszul.exact import AlgebraError, LambdaSeries, MultiPoly, gr
 from qkoszul.koszul import ReductionContext
 from qkoszul.lie import (
@@ -173,6 +174,27 @@ class TestStageEquality:
         f = rs.q(3) * rs.p(3)
         assert pipe.star_red2.eval_poly(one, f, L) == LambdaSeries.from_poly(f, L)
         assert pipe.star_red.eval_poly(one, f, L) == LambdaSeries.from_poly(f, L)
+
+    @pytest.mark.parametrize("kind", ("weyl", "wick"))
+    def test_both_routes_walk_the_pair_once(self, kind, monkeypatch):
+        # star_red2 reaches the base product through star_red1, star_red
+        # directly, on equal inputs; Jq carries first-order corrections
+        walks = []
+        walk = phase_space.star_exponential
+        monkeypatch.setattr(phase_space, "star_exponential",
+                            lambda *args: walks.append(args) or walk(*args))
+        sp = PhaseSpace.of_dim(4)
+        J = canonical_momentum_map(TranslationAction(sp, (1, 2)))
+        one = MultiPoly.const(sp.vars, 1)
+        Jq = QuantumMomentumMap(J.lie, [
+            LambdaSeries.from_poly(c, L) + LambdaSeries.from_poly(one.scale(gr(0, a)), L, shift=1)
+            for c, a in zip(J.components, (Fraction(1, 3), Fraction(-2, 7)))])
+        ctx = ReductionContext.canonical(sp, (1, 2), getattr(StarProduct, kind)(sp), L, Jq=Jq)
+        pipe = StagePipeline(ctx, StageConfig(ctx.action.lie, [1]))
+        (f, g), = sample_pairs(71, pipe.red.space.vars, 3, 1)
+        walks.clear()
+        assert pipe.star_red2.eval_poly(f, g, L) == pipe.star_red.eval_poly(f, g, L)
+        assert len(walks) == 1
 
     def test_residual_variables_agree(self):
         ctx = s1_ctx()
