@@ -79,8 +79,9 @@ class ScenarioConfig:
     checks: Tuple[str, ...] = ("axioms",)
 
     def validate(self) -> None:
-        if not self.name or any(sep in self.name for sep in ("/", "\\", "..")) or \
-                not self.name.isprintable():
+        # a leading '.' would hide the report, as '' would name it '.json'
+        if not self.name or self.name[0] == "." or not self.name.isprintable() or \
+                any(sep in self.name for sep in ("/", "\\", "..")):
             raise ConfigError(f"name {self.name!r} is not a plain file name")
         for key, low, cap in (("n", 1, MAX_N), ("lambda_order", 1, MAX_LAMBDA_ORDER),
                               ("degree", 1, MAX_DEGREE),
@@ -194,7 +195,7 @@ def _entries(key: str, raw: dict, parse) -> dict:
             raise ConfigError(f"bad {key!r} label {a!r}: not a decimal without a leading zero")
     try:
         return {int(a): parse(v) for a, v in entries.items()}
-    except (ValueError, TypeError, OverflowError, ZeroDivisionError) as e:
+    except (ValueError, TypeError, OverflowError) as e:
         raise ConfigError(f"bad {key!r} entry: {e}")
 
 
@@ -222,6 +223,9 @@ def _number(v) -> Fraction:
         if len(v) > longest or not NUMBER.fullmatch(v):
             raise ValueError(f"{shown} is not written as an optional '-', ASCII digits and an "
                              f"optional '/digits' or '.digits', in at most {longest} characters")
+        _, slash, den = v.partition("/")
+        if slash and not den.strip("0"):
+            raise ValueError(f"{shown} has a zero denominator")
     x = Fraction(v)
     if max(abs(x.numerator), x.denominator) >= 10 ** MAX_NUMBER_DIGITS:
         raise ValueError(f"{shown} is above the cap of {MAX_NUMBER_DIGITS} digits for a "

@@ -17,7 +17,7 @@ from functools import cache, reduce
 from itertools import repeat
 from math import gcd, lcm
 from operator import or_
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -302,12 +302,12 @@ def _sum(vars: Tuple[str, ...], parts, signs=None) -> "MultiPoly":
 
 @cache
 def _move_plan(S: int, src: Tuple[str, ...], dst: Tuple[str, ...]
-               ) -> Tuple[int, int, Tuple[Tuple[int, int, int], ...]]:
+               ) -> Tuple[int, int, Tuple[Tuple[int, int, int], ...], Dict[int, Optional[int]]]:
     """How keys over ``src`` move onto ``dst`` at slot width S (``SLOT_BITS``):
     the bits of the variables missing from ``dst``, the mask of the kept
-    slots that stay, and a (mask, shift up, shift down) run per shift the
-    others move by: two at most for a lift or a restriction, as λ leads the
-    key, and λ, the kept q's and the kept p's for a reduced product's moves."""
+    slots that stay, a (mask, shift up, shift down) run per shift the
+    others move by, and the table of every key moved so far to its key over
+    ``dst``, or to None where it uses a variable missing from ``dst``."""
     old, _, mask = _layout(len(src))
     new = _layout(len(dst))[0]
     dropped, runs = 0, {}
@@ -318,7 +318,27 @@ def _move_plan(S: int, src: Tuple[str, ...], dst: Tuple[str, ...]
         else:
             dropped |= mask << old[j]
     stay = runs.pop(0, 0)
-    return dropped, stay, tuple((m, max(d, 0), max(-d, 0)) for d, m in runs.items())
+    return dropped, stay, tuple((m, max(d, 0), max(-d, 0)) for d, m in runs.items()), {}
+
+
+def _extend(plan, keys) -> None:
+    """Put the keys a move plan's table has not seen into it, each moved by
+    the plan's runs; a table that would pass ``MAX_TERMS`` keys is cleared
+    first, so it holds no more keys than a polynomial may have terms."""
+    dropped, stay, runs, table = plan
+    # not keys - table.keys(), which walks the whole table
+    new = [k for k in keys if k not in table]
+    if len(table) + len(new) > MAX_TERMS:
+        table.clear()
+        new = keys
+    for k in new:
+        if k & dropped:
+            table[k] = None
+        else:
+            nk = k & stay
+            for m, u, d in runs:
+                nk |= (k & m) << u >> d
+            table[k] = nk
 
 
 class _Terms(Mapping):
@@ -513,20 +533,15 @@ class MultiPoly:
 
     def _moved(self, vars: Tuple[str, ...]) -> Dict[int, Tuple[int, int]]:
         """The entries whose monomials use only variables in ``vars``,
-        re-keyed onto ``vars``, in one pass by the runs of ``_move_plan``."""
-        dropped, stay, runs = _move_plan(SLOT_BITS, self.vars, vars)
-        if len(runs) <= 2:
-            (m1, u1, d1), (m2, u2, d2) = (*runs, (0, 0, 0), (0, 0, 0))[:2]
-            return {k & stay | (k & m1) << u1 >> d1 | (k & m2) << u2 >> d2: v
-                    for k, v in self.nums.items() if not k & dropped}
-        out = {}
-        for k, v in self.nums.items():
-            if not k & dropped:
-                nk = k & stay
-                for m, u, d in runs:
-                    nk |= (k & m) << u >> d
-                out[nk] = v
-        return out
+        re-keyed onto ``vars`` through the table of ``_move_plan``, which
+        ``_extend`` fills with the keys it has not seen."""
+        plan = _move_plan(SLOT_BITS, self.vars, vars)
+        table = plan[3]
+        while True:
+            try:
+                return {nk: v for k, v in self.nums.items() if (nk := table[k]) is not None}
+            except KeyError:   # the second pass finds every key
+                _extend(plan, self.nums.keys())
 
     def zero_outside(self, vars: Sequence[str]) -> "MultiPoly":
         """Image under setting every variable not in ``vars`` to zero,

@@ -157,13 +157,12 @@ class Conjugation(NamedTuple):
     keys of its series, where λ leads (see ``_conjugation``).
 
     X = Σ (re + i·im)/den ∂_i∂_j over the entries (shift of i, shift of j,
-    re, im) of ``x``; ``pmask`` holds the key bits of every translated p_a;
-    τ_{-λc} is the substitution ``tau``, p_a ↦ 2p_a - Jq_a = p_a - λc_a for
-    each a with c_a ≠ 0, empty where every c_a is zero; its inverse τ_{+λc}
-    is ``untau``, p_a ↦ Jq_a, on the same p_a."""
+    re, im) of ``x``; τ_{-λc} is the substitution ``tau``,
+    p_a ↦ 2p_a - Jq_a = p_a - λc_a for each a with c_a ≠ 0, empty where
+    every c_a is zero; its inverse τ_{+λc} is ``untau``, p_a ↦ Jq_a, on the
+    same p_a."""
     den: int
     x: Tuple[Tuple[int, int, int, int], ...]
-    pmask: int
     tau: Dict[str, MultiPoly]
     untau: Dict[str, MultiPoly]
 
@@ -181,7 +180,7 @@ def _conjugation(space: PhaseSpace, translated: Sequence[int], star: StarProduct
     C = star.matrix
     if C is None or star.space.vars != space.vars:
         return None
-    shifts, _, mask = _layout(len(space.vars) + 1)
+    shifts = _layout(len(space.vars) + 1)[0]
     lam = 1 << shifts[0]
     P = [space.vars.index(f"p{a}") for a in translated]
     if any(C.get((a, b)) != C.get((b, a)) for a in P for b in P):
@@ -203,7 +202,7 @@ def _conjugation(space: PhaseSpace, translated: Sequence[int], star: StarProduct
     return Conjugation(
         den, tuple((shifts[i + 1], shifts[j + 1], r * (den // d), m * (den // d))
                    for i, j, r, m, d in sorted(x)),
-        sum(mask << shifts[a + 1] for a in P), tau, untau)
+        tau, untau)
 
 
 class ReductionContext:
@@ -214,8 +213,9 @@ class ReductionContext:
     action, and the quantum one is held truncated to the context's order; a
     shifted scenario adds the substitution that straightens its samples.
     ``conjugation`` is the data of the operator T through which the quantum
-    restriction is computed in closed form, or None where T does not apply.
-    Immutable after construction."""
+    restriction is computed in closed form, or None where T does not apply;
+    ``pmask`` holds the key bits of the constrained p_a in a series' keys,
+    where λ leads.  Immutable after construction."""
 
     def __init__(self, space: PhaseSpace, action: TranslationAction,
                  star: StarProduct, Jq: QuantumMomentumMap, order: int,
@@ -231,6 +231,8 @@ class ReductionContext:
         self.straightening = dict(straighten) if straighten else {}
         self.constrained = tuple(f"p{a}" for a in action.translated)
         self.cvars = tuple(v for v in space.vars if v not in self.constrained)
+        shifts, _, mask = _layout(len(space.vars) + 1)
+        self.pmask = sum(mask << shifts[space.vars.index(p) + 1] for p in self.constrained)
         self.gdim = action.dim
         self.conjugation = _conjugation(space, action.translated, star, self.Jq)
 
@@ -378,8 +380,20 @@ def _corrected(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
     return invert_unipotent(raiser, ctx.order)(x)
 
 
+def fixed_by_corrections(f: LambdaSeries, ctx: ReductionContext) -> bool:
+    """Whether f uses none of the constrained p_a, after checking that it
+    has the context's variables and order.  Every correction then returns
+    f: the homotopy, T's X and τ, and each r_a of the vertical correction
+    act through the constrained p_a alone."""
+    if (f.vars, f.order) != (ctx.space.vars, ctx.order):
+        raise AlgebraError("series does not match the context's variables and order")
+    return not reduce(or_, f.poly.nums, 0) & ctx.pmask
+
+
 def series_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     """(id - A)^{-1} f on the grade-0 chain of a series."""
+    if fixed_by_corrections(f, ctx):
+        return f
     return _corrected(KoszulChain.of_series(ctx.gdim, f), ctx).series()
 
 
@@ -394,12 +408,9 @@ def _conjugated(f: LambdaSeries, ctx: ReductionContext, sign: int,
     """τ(exp(sign·λX) f), truncated at the order of f, on a context whose
     ``conjugation`` is not None: X once per power of λ on raw numerators,
     then the substitution τ where it is not empty."""
-    if (f.vars, f.order) != (ctx.space.vars, ctx.order):
-        raise AlgebraError("series does not match the context's variables and order")
-    T, poly, L = ctx.conjugation, f.poly, f.order
-    # X and τ act on f through the p_a alone, so they leave it as it is
-    if not reduce(or_, poly.nums, 0) & T.pmask:
+    if fixed_by_corrections(f, ctx):
         return f
+    T, poly, L = ctx.conjugation, f.poly, f.order
     shifts, _, mask = _layout(len(poly.vars))
     lam, bound = 1 << shifts[0], (L + 1) << shifts[0]
     # λ^k X^k f / k! over den·T.den^k·k!, each key stepping ∂_j, ∂_i and λ

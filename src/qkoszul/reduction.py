@@ -24,7 +24,7 @@ from operator import or_
 from typing import Mapping, Tuple, TypeVar
 
 from .exact import AlgebraError, LambdaSeries, MultiPoly, _layout, invert_unipotent
-from .koszul import ReductionContext, quantum_correction, restriction
+from .koszul import ReductionContext, fixed_by_corrections, quantum_correction, restriction
 from .phase_space import PhaseSpace, StarProduct
 
 # the maps below act alike on a polynomial and on a whole series
@@ -130,6 +130,8 @@ def _vertical_difference(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries
 
 def knp_correction(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     """(id - V)^{-1} F for the vertical correction V, ``_vertical_difference``."""
+    if fixed_by_corrections(F, ctx):
+        return F
     return invert_unipotent(lambda H: _vertical_difference(H, ctx), ctx.order)(F)
 
 

@@ -330,7 +330,12 @@ class TestConfigFile:
                      id="checks-string"),
         # an empty name would write the hidden report file ".json"
         pytest.param({"name": ""}, "name '' is not a plain file name", id="empty-name"),
-        pytest.param({"mu": {"1": "1/0"}}, "bad 'mu' entry", id="mu-zero-denominator"),
+        pytest.param({"name": "."}, "name '.' is not a plain file name", id="dot-name"),
+        pytest.param({"name": ".x"}, "name '.x' is not a plain file name", id="hidden-name"),
+        pytest.param({"mu": {"1": "1/0"}}, "bad 'mu' entry: '1/0' has a zero denominator",
+                     id="mu-zero-denominator"),
+        pytest.param({"mu": {"1": "-3/000"}}, "bad 'mu' entry: '-3/000' has a zero denominator",
+                     id="mu-zero-denominator-zeros"),
         pytest.param({"n": 1, "translated": [1], "checks": ["reduction"]},
                      "reduced space is a point", id="reduce-to-point"),
         pytest.param({"n": 1, "translated": [1], "checks": ["knp"]},
@@ -465,6 +470,14 @@ class TestConfigFile:
         assert b"not a plain file name" in res.stderr
         assert not (tmp_path / "escaped.json").exists()
 
+    def test_name_cannot_hide_the_report(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"name": ".", "checks": ["ce"]}))
+        res = run("--config", str(path), env={"QK_REPORT_DIR": str(tmp_path / "reports")})
+        assert res.returncode == 2
+        assert b"not a plain file name" in res.stderr
+        assert not (tmp_path / "reports").exists()
+
     @pytest.mark.parametrize("fields, message", [
         pytest.param({"checks": ["axioms", "axioms"]}, "a check suite is listed twice",
                      id="repeated-suite"),
@@ -541,6 +554,71 @@ def test_ill_typed_fields_exit_cleanly(values):
             code = main(["--config", path])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def run_main(path: str):
+    """(exit code, stdout bytes, stderr text) of ``main`` on a config file."""
+    out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--config", path])
+    out.flush()
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+# b and mu values: the grammar (an optional '-', ASCII digits, an optional
+# '/digits' or '.digits'), JSON integers, and near misses to the grammar
+DIGITS = st.text("0123456789", min_size=1, max_size=6) | st.integers(98, 102).map(
+    lambda k: "7" * k)
+IN_GRAMMAR = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.builds(lambda sign, a, rest: f"{sign}{a}{rest}", st.sampled_from(("", "-")), DIGITS,
+              st.just("") | st.builds(lambda sep, b: sep + b, st.sampled_from("/."), DIGITS)))
+NEAR_MISSES = st.one_of(
+    st.builds(lambda v, miss: miss.format(v), IN_GRAMMAR.map(str), st.sampled_from(
+        ("{}e3", "1e{}", "{}E-2", "{}_0", "1_{}", " {}", "{} ", "{} 1", "+{}", "{}/", "/{}"))),
+    st.text(st.characters(whitelist_categories=("Nd",), blacklist_characters="0123456789"),
+            min_size=1, max_size=3),
+    st.sampled_from(("\u0661", "\u0663/\u0664", "\uff12", "1/0", "0/00", "1.", ".5")))
+VALUES = IN_GRAMMAR | NEAR_MISSES
+
+
+@st.composite
+def shifted_configs(draw):
+    """A config on n <= 3 at order <= 3 with valid b and mu labels, whose
+    values are drawn from the value grammar and from near misses to it."""
+    n = draw(st.integers(2, 3))
+    translated = draw(st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True))
+    free = [c for c in range(1, n + 1) if c not in translated]
+    b = draw(st.dictionaries(st.sampled_from(translated).map(str),
+                             st.tuples(st.sampled_from(free), VALUES).map(list), max_size=2))
+    mu = draw(st.dictionaries(st.sampled_from(translated).map(str), VALUES, max_size=2))
+    checks = draw(st.lists(st.sampled_from(("momentum", "complex", "reduction", "knp")),
+                           min_size=1, max_size=2, unique=True))
+    return {"name": "grammar", "n": n, "translated": translated,
+            "star": draw(st.sampled_from(("weyl", "wick", "std"))),
+            "lambda_order": draw(st.integers(1, 3)), "degree": 2, "samples": 3,
+            "b": b, "mu": mu, "checks": checks}
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=shifted_configs())
+def test_config_values_at_valid_labels(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        code, report, err = run_main(path)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert len(err.splitlines()) == 1
+            assert err.startswith("config error: ")
+            return
+        echo = json.loads(report)["config"]
+        assert cli.parse_config(echo) == cli.load_config(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(echo, fh)
+        assert run_main(path)[:2] == (code, report)
 
 
 def test_unexpected_exception_exits_4(monkeypatch, capsysbinary):

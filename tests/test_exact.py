@@ -507,6 +507,70 @@ class TestCalculusIdentities:
             exact.star_exponential([(field, field)], s, s)
 
 
+# targets of a polynomial over WIDE: itself, a reorder, a superset, subsets
+# that drop variables in use, the empty list, and a subset with a new name
+MOVE_TARGETS = (WIDE, ("y", "b", "x", "a"), ("c",) + WIDE, ("y", "x"), ("b",), (),
+                ("x", "c", "a"))
+
+
+class TestMoveTables:
+    """``MultiPoly._moved`` re-keys through the table of its move plan, which
+    the plan's runs fill with the keys it has not seen."""
+
+    @staticmethod
+    def moves(p: MultiPoly):
+        """``zero_outside`` and ``with_vars`` of p onto every target, held to
+        the reference, and the error where ``with_vars`` would drop a
+        variable that p uses."""
+        rp = RefPoly.of(p)
+        for vs in MOVE_TARGETS:
+            kept = tuple(v for v in vs if v in p.vars)
+            assert agrees(p.zero_outside(vs), rp.zero_outside(kept).with_vars(vs))
+            if all(v in vs for v in p.vars if p.uses(v)):
+                assert agrees(p.with_vars(vs), rp.with_vars(vs))
+            else:
+                with pytest.raises(VariableMismatchError, match="used but absent"):
+                    p.with_vars(vs)
+
+    @staticmethod
+    def table(vs):
+        return exact._move_plan(exact.SLOT_BITS, WIDE, vs)[3]
+
+    @given(st.lists(polys(WIDE, max_degree=3), min_size=1, max_size=4))
+    @settings(max_examples=60)
+    def test_cold_then_warm(self, ps):
+        exact._move_plan.cache_clear()
+        for _ in range(2):   # from empty tables, then through tables holding every key
+            for p in ps:
+                self.moves(p)
+        assert all(p.nums.keys() <= self.table(vs).keys()
+                   for p in ps for vs in MOVE_TARGETS[1:])
+
+    @given(polys(WIDE, max_degree=3))
+    @settings(max_examples=30)
+    def test_tables_of_each_slot_width_apart(self, p):
+        # y^e has the key e at every slot width, and each width moves it
+        # elsewhere on the reorder
+        p = p + MultiPoly.variable(WIDE, "y")
+        exponents, wide = dict(p.terms), self.table(MOVE_TARGETS[1])
+        self.moves(p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "SLOT_BITS", 3)   # exponents up to 3
+            self.moves(MultiPoly(WIDE, exponents))
+            assert self.table(MOVE_TARGETS[1]) is not wide
+        self.moves(p)
+
+    @given(st.lists(polys(WIDE, max_degree=3), min_size=1, max_size=6))
+    @settings(max_examples=60)
+    def test_a_table_never_passes_the_term_limit(self, ps):
+        exact._move_plan.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "MAX_TERMS", 6)   # polys() draws at most 5 terms
+            for p in ps:
+                self.moves(p)
+                assert all(len(self.table(vs)) <= 6 for vs in MOVE_TARGETS)
+
+
 class TestLimits:
     def test_exponent_overflow_is_raised_not_wrapped(self, monkeypatch):
         monkeypatch.setattr(exact, "SLOT_BITS", 3)   # exponents up to 3

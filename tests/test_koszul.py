@@ -55,7 +55,9 @@ from qkoszul.reduction import (
     CotangentSplit,
     ReducedAlgebra,
     build_shifted_context,
+    knp_correction,
     knp_reduced_star,
+    knp_restriction,
     reduced_star,
 )
 from qkoszul.sampling import sample_polys
@@ -872,8 +874,39 @@ def test_both_routes_reject_a_series_of_another_order():
     ctx2 = StagePipeline(base, StageConfig(base.action.lie, (1,))).ctx2
     for ctx in (base, ctx2):
         for f in (ctx.space.q(2), ctx.space.q(2) * ctx.space.p(2)):
-            with pytest.raises(AlgebraError):
-                quantum_restriction(ctx.space.series(f, L - 1), ctx)
+            for route in (quantum_restriction, knp_restriction):
+                with pytest.raises(AlgebraError):
+                    route(ctx.space.series(f, L - 1), ctx)
+
+
+@pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+def test_corrections_return_a_series_without_constrained_p(kind):
+    # h, T's X and τ, and every r_a act through the constrained p_a alone,
+    # so a series without them comes back as it is; one with p_a but no q_a
+    # is still corrected, and by τ alone where X needs a q_a
+    sp = PhaseSpace.of_dim(3)
+    base = ReductionContext.canonical(sp, (1, 2), getattr(StarProduct, kind)(sp), L,
+                                      Jq=corrected_Jq(sp, (1, 2), L, True))
+    contexts = [*T_contexts(kind, True),
+                StagePipeline(base, StageConfig(base.action.lie, (1,))).ctx2]
+    for ctx in contexts:
+        a = ctx.action.translated[0]
+        one, zero = (MultiPoly.const(ctx.space.vars, c) for c in (1, 0))
+        qa, pa = (MultiPoly.variable(ctx.space.vars, f"{x}{a}") for x in "qp")
+        f, g = (ctx.straighten(h).zero_outside(ctx.cvars).with_vars(ctx.space.vars) + one
+                for h in sample_polys(239, ctx.space.vars, 3, 2))
+        free = ctx.series(f * qa)
+        assert free.uses(f"q{a}")
+        assert koszul.series_correction(free, ctx) is free
+        assert knp_correction(free, ctx) is free
+        g = g.substitute({f"q{a}": zero})
+        F = ctx.series(g * pa + g * pa * pa)
+        assert not F.uses(f"q{a}")
+        got = restriction(koszul.series_correction(F, ctx), ctx)
+        assert got == knp_restriction(F, ctx) != restriction(F, ctx)
+        if ctx.conjugation is not None:
+            assert conjugate(free, ctx) is free and unconjugate(free, ctx) is free
+            assert got == restriction(conjugate(F, ctx), ctx)
 
 
 def test_series_skips_the_boundaries_on_inputs_without_p(monkeypatch):

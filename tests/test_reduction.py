@@ -202,8 +202,9 @@ class TestResidualProduct:
                      id="s2-magnetic"),
         pytest.param(4, (1, 2), {1: (3, Fraction(1, 2)), 2: (4, Fraction(-2, 3))},
                      {1: Fraction(3), 2: Fraction(-1, 4)}, id="reduce-magnetic"),
-        # translated labels that are not contiguous move in four runs, so
-        # the up and down maps take the per-key branch of MultiPoly._moved
+        # translated labels that are not contiguous move in four runs: the
+        # up and down maps fill the move tables from more runs than λ, the
+        # kept q's and the kept p's
         pytest.param(4, (1, 3), {}, {}, id="4-translated02"),
         pytest.param(4, (1, 3), {1: (2, Fraction(1, 2))}, {3: Fraction(-2)},
                      id="4-translated02-magnetic"),
