@@ -5,8 +5,9 @@ the requested check suites and emits a deterministic report: with a fixed
 seed the report bytes are identical on every run.  Timing is printed to
 stderr only, never into the report.
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 config error,
-3 internal error (an operator broke its contract), 4 internal error (an
+Exit codes: 0 all checks pass, 1 at least one check failed, 2 config error
+(a polynomial past a size limit included), 3 internal error (any other
+algebra error: an operator broke its contract), 4 internal error (an
 unexpected exception, reported with its traceback).
 """
 
@@ -24,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import AlgebraError, ContractViolationError, MultiPoly, gr
+from .exact import AlgebraError, ExponentOverflowError, MultiPoly, TermLimitError, gr
 from .koszul import ReductionContext, basis_label, ce_boundary, quantum_restriction, \
     verify_complex_identities
 from .lie import LieAlgebraData, check_classical_equivariance, \
@@ -251,7 +252,7 @@ def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_distinct_keys)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise ConfigError(f"cannot read config {path!r}: {e}")
     return parse_config(raw)
 
@@ -570,12 +571,12 @@ def _main(argv: Optional[Sequence[str]]) -> int:
         started = time.monotonic()
         report = run_scenario(cfg)
         elapsed = time.monotonic() - started
-    except ContractViolationError as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return 3
-    except (ConfigError, AlgebraError) as e:
+    except (ConfigError, TermLimitError, ExponentOverflowError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except AlgebraError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
     payload = emit_report(report, args.format)
     sys.stdout.buffer.write(payload)

@@ -17,8 +17,8 @@ The quantum restriction is the classical one after a correction series,
 ``quantum_correction``.  Where the product has a constant matrix and the
 quantum momentum map is p_a + λc_a with constant c_a, an operator T
 conjugates the quantum complex to the classical one, and the correction is
-T in closed form: exp(λX), then τ_{-λc}, the substitution p_a -> p_a - λc_a.
-There the quantum homotopy is T⁻¹hT in closed form too.
+T = exp(λY) in closed form, for one operator Y with constant coefficients.
+There the quantum homotopy is T⁻¹hT, with T⁻¹ = exp(-λY).
 """
 
 from __future__ import annotations
@@ -153,18 +153,13 @@ class KoszulChain:
 
 
 class Conjugation(NamedTuple):
-    """The data of the operator T = τ_{-λc} ∘ exp(λX) of a context, on the
-    keys of its series, where λ leads (see ``_conjugation``).
-
-    X = Σ (re + i·im)/den ∂_i∂_j over the entries (shift of i, shift of j,
-    re, im) of ``x``; τ_{-λc} is the substitution ``tau``,
-    p_a ↦ 2p_a - Jq_a = p_a - λc_a for each a with c_a ≠ 0, empty where
-    every c_a is zero; its inverse τ_{+λc} is ``untau``, p_a ↦ Jq_a, on the
-    same p_a."""
+    """The data of the operator T = exp(λY) of a context, on the keys of its
+    series, where λ leads (see ``_conjugation``): Y is the sum over the
+    entries of ``y`` of (re + i·im)/den times ∂_i∂_j for a second-order
+    entry (shift of i, shift of j, re, im), and ∂_j for a first-order entry
+    (None, shift of j, re, im)."""
     den: int
-    x: Tuple[Tuple[int, int, int, int], ...]
-    tau: Dict[str, MultiPoly]
-    untau: Dict[str, MultiPoly]
+    y: Tuple[Tuple[Optional[int], int, int, int], ...]
 
 
 def _conjugation(space: PhaseSpace, translated: Sequence[int], star: StarProduct,
@@ -172,7 +167,8 @@ def _conjugation(space: PhaseSpace, translated: Sequence[int], star: StarProduct
     """T's data for a product with a constant matrix C and Jq_a = p_a + λc_a,
     c_a constant, on the positions P of the translated p_a:
 
-        X = -Σ_a Σ_{i∉P} C^{i p_a} ∂_i∂_{p_a} - ½ Σ_{a,b} C^{p_a p_b} ∂_{p_a}∂_{p_b}.
+        Y = -Σ_a Σ_{i∉P} C^{i p_a} ∂_i∂_{p_a} - ½ Σ_{a,b} C^{p_a p_b} ∂_{p_a}∂_{p_b}
+            - Σ_a c_a ∂_{p_a}.
 
     Then T(f ⋆ Jq_a) = p_a·T(f).  None where that does not hold: a product
     without a matrix, some Jq_a - p_a that is not λ times a constant, or C
@@ -185,24 +181,22 @@ def _conjugation(space: PhaseSpace, translated: Sequence[int], star: StarProduct
     P = [space.vars.index(f"p{a}") for a in translated]
     if any(C.get((a, b)) != C.get((b, a)) for a in P for b in P):
         return None
-    tau, untau = {}, {}
+    # each pair {i, j} once: the two halves of -½ C^{p_a p_b} ∂_{p_a}∂_{p_b}
+    # for a ≠ b add up, as C is symmetric there
+    y = [(shifts[i + 1], shifts[j + 1], -r, -m, 2 * d if i == j else d)
+         for (i, j), (r, m, d) in sorted(C.items()) if j in P and (i not in P or i <= j)]
     for a, Ja in zip(P, Jq.components):
         p, nums = Ja.poly, Ja.poly.nums
         pa = 1 << shifts[a + 1]
         if Ja.vars != space.vars or nums.get(pa) != (p.den, 0) or nums.keys() - {pa, lam}:
             return None
         if lam in nums:
-            tau[space.vars[a]] = MultiPoly.variable(p.vars, space.vars[a]).scale(2) - p
-            untau[space.vars[a]] = p
-    # each pair {i, j} once: the two halves of -½ C^{p_a p_b} ∂_{p_a}∂_{p_b}
-    # for a ≠ b add up, as C is symmetric there
-    x = [(i, j, -r, -m, 2 * d if i == j else d) for (i, j), (r, m, d) in C.items()
-         if j in P and (i not in P or i <= j)]
-    den = lcm(*(d for *_, d in x))
-    return Conjugation(
-        den, tuple((shifts[i + 1], shifts[j + 1], r * (den // d), m * (den // d))
-                   for i, j, r, m, d in sorted(x)),
-        tau, untau)
+            # -c_a ∂_{p_a}, with c_a the λ term of Jq_a
+            r, m = nums[lam]
+            y.append((None, shifts[a + 1], -r, -m, p.den))
+    den = lcm(*(d for *_, d in y))
+    return Conjugation(den, tuple((si, sj, r * (den // d), m * (den // d))
+                                  for si, sj, r, m, d in y))
 
 
 class ReductionContext:
@@ -383,8 +377,8 @@ def _corrected(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
 def fixed_by_corrections(f: LambdaSeries, ctx: ReductionContext) -> bool:
     """Whether f uses none of the constrained p_a, after checking that it
     has the context's variables and order.  Every correction then returns
-    f: the homotopy, T's X and τ, and each r_a of the vertical correction
-    act through the constrained p_a alone."""
+    f: the homotopy, each entry of T's Y, and each r_a of the vertical
+    correction act through the constrained p_a alone."""
     if (f.vars, f.order) != (ctx.space.vars, ctx.order):
         raise AlgebraError("series does not match the context's variables and order")
     return not reduce(or_, f.poly.nums, 0) & ctx.pmask
@@ -403,50 +397,46 @@ def series_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     return restriction(series_correction(f, ctx), ctx)
 
 
-def _conjugated(f: LambdaSeries, ctx: ReductionContext, sign: int,
-                tau: Mapping[str, MultiPoly]) -> LambdaSeries:
-    """τ(exp(sign·λX) f), truncated at the order of f, on a context whose
-    ``conjugation`` is not None: X once per power of λ on raw numerators,
-    then the substitution τ where it is not empty."""
+def _conjugated(f: LambdaSeries, ctx: ReductionContext, sign: int) -> LambdaSeries:
+    """exp(sign·λY) f, truncated at the order of f, on a context whose
+    ``conjugation`` is not None: Y once per power of λ on raw numerators."""
     if fixed_by_corrections(f, ctx):
         return f
     T, poly, L = ctx.conjugation, f.poly, f.order
     shifts, _, mask = _layout(len(poly.vars))
     lam, bound = 1 << shifts[0], (L + 1) << shifts[0]
-    # λ^k X^k f / k! over den·T.den^k·k!, each key stepping ∂_j, ∂_i and λ
-    x = [(si, sj, 1 << sj, (1 << si) - lam, sign * xr, sign * xi) for si, sj, xr, xi in T.x]
+    # λ^k Y^k f / k! over den·T.den^k·k!, each key stepping ∂_j, then ∂_i
+    # for a second-order entry, and λ
+    y = [(si, sj, (1 << sj) - lam, sign * yr, sign * yi) for si, sj, yr, yi in T.y]
     terms, cur = [poly], poly.nums
     for k in range(1, L + 1):
         nxt: Dict[int, Tuple[int, int]] = {}
         for key, (r, i) in cur.items():
-            for si, sj, uj, ui, xr, xi in x:
-                ej = key >> sj & mask
-                if ej:
-                    dj = key - uj
-                    e = ej * (dj >> si & mask)
-                    d = dj - ui
+            for si, sj, uj, yr, yi in y:
+                e = key >> sj & mask
+                if e:
+                    d = key - uj
+                    if si is not None:
+                        e *= d >> si & mask
+                        d -= 1 << si
                     if e and d < bound:
                         t = nxt.get(d, (0, 0))
-                        nxt[d] = (t[0] + (r * xr - i * xi) * e, t[1] + (r * xi + i * xr) * e)
+                        nxt[d] = (t[0] + (r * yr - i * yi) * e, t[1] + (r * yi + i * yr) * e)
         cur = _nonzero(nxt)
         if not cur:
             break
         terms.append(_wrap(poly.vars, poly.den * T.den ** k * factorial(k), cur))
-    F = LambdaSeries(_sum(poly.vars, terms), L)
-    return LambdaSeries(F.poly.substitute(tau), L).truncate(L) if tau else F
+    return LambdaSeries(_sum(poly.vars, terms), L)
 
 
 def conjugate(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """T f = τ_{-λc}(exp(λX) f), truncated at the order of f."""
-    return _conjugated(f, ctx, 1, ctx.conjugation.tau)
+    """T f = exp(λY) f, truncated at the order of f."""
+    return _conjugated(f, ctx, 1)
 
 
 def unconjugate(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """T⁻¹ f = exp(-λX)(τ_{+λc} f), truncated at the order of f: X negated,
-    and τ_{+λc}, p_a ↦ Jq_a, in place of τ_{-λc}.  X has constant
-    coefficients and τ translates p_a by constants, so the two commute and
-    τ_{+λc} is taken last, as τ_{-λc} is in T."""
-    return _conjugated(f, ctx, -1, ctx.conjugation.untau)
+    """T⁻¹ f = exp(-λY) f, truncated at the order of f."""
+    return _conjugated(f, ctx, -1)
 
 
 def quantum_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:

@@ -49,9 +49,10 @@ class ReducedAlgebra:
         self.ctx = ctx
         residual = tuple(c for c in ctx.space.coords if c not in ctx.action.translated)
         self.space = PhaseSpace(residual)
-        shifts, _, mask = _layout(len(ctx.space.vars))   # translated q_a and p_a bits
-        self._q, self._p = (sum(mask << shifts[ctx.space.vars.index(f"{x}{a}")]
-                                for a in ctx.action.translated) for x in "qp")
+        # the translated q_a bits; ``ctx.pmask`` holds the p_a bits, at the same
+        # shifts with or without λ, since λ is a series' most significant slot
+        shifts, _, mask = _layout(len(ctx.space.vars))
+        self._q = sum(mask << shifts[ctx.space.vars.index(f"q{a}")] for a in ctx.action.translated)
 
     def up(self, f: P) -> P:
         """A reduced polynomial or series on the whole phase space."""
@@ -63,7 +64,7 @@ class ReducedAlgebra:
         """The restriction of an invariant polynomial or series on the whole
         phase space, re-keyed once onto the reduced one."""
         keys = (F.poly if isinstance(F, LambdaSeries) else F).nums
-        if reduce(or_, keys, 0) & self._q and any(k & self._q and not k & self._p
+        if reduce(or_, keys, 0) & self._q and any(k & self._q and not k & self.ctx.pmask
                                                   for k in keys):
             G = F.zero_outside(self.ctx.cvars)
             qv = next(f"q{a}" for a in self.ctx.action.translated if G.uses(f"q{a}"))

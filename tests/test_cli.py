@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qkoszul import cli, exact, koszul, reduction
 from qkoszul.cli import builtin_config, main, run_scenario
-from qkoszul.exact import ContractViolationError, MultiPoly
+from qkoszul.exact import ContractViolationError, MultiPoly, OrderMismatchError
 from qkoszul.lie import LieAlgebraData
 
 CLI = [sys.executable, "-m", "qkoszul.cli"]
@@ -62,6 +62,18 @@ class TestBasics:
         err = capsys.readouterr().err
         assert "internal error: operator did not raise minimal order" in err
         assert "config error" not in err and "Traceback" not in err
+
+    def test_algebra_error_after_validation_is_internal(self, monkeypatch, capsys):
+        # a valid config reaches no algebra error but a size limit's, so
+        # any other one is a broken contract, not bad input
+        def broken(red, F):
+            raise OrderMismatchError("order 4 vs 3")
+
+        monkeypatch.setattr(reduction.ReducedAlgebra, "down", broken)
+        assert main(["--scenario", "s1p-single"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["internal error: order 4 vs 3"]
 
 
 class TestReports:
@@ -188,12 +200,14 @@ class TestReports:
 
     def test_flipped_sign_of_X_fails_s1p_single(self, monkeypatch, capsysbinary):
         # the quantum restriction goes through T; the series that the complex
-        # suite computes and the knp restriction both see a wrong X
+        # suite computes and the knp restriction both see a wrong X, the
+        # second-order part of Y
         conjugation = koszul._conjugation
 
         def flipped(*args):
             T = conjugation(*args)
-            return T._replace(x=tuple((si, sj, -r, -i) for si, sj, r, i in T.x))
+            return T._replace(y=tuple((si, sj, r, m) if si is None else (si, sj, -r, -m)
+                                      for si, sj, r, m in T.y))
 
         monkeypatch.setattr(koszul, "_conjugation", flipped)
         assert main(["--scenario", "s1p-single"]) == 1
@@ -320,6 +334,15 @@ class TestConfigFile:
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
         assert run("--config", str(path)).returncode == 2
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        # deeper than the decoder's recursion allows
+        path = tmp_path / "cfg.json"
+        path.write_text('{"name":"x","b":' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["--config", str(path)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: cannot read config {str(path)!r}: ")
+        assert "recursion" in line
 
     @pytest.mark.parametrize("fields, message", [
         pytest.param({"n": "3"}, "'n' must be of type int", id="n-string"),

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from qkoszul import koszul
-from qkoszul.cli import SCENARIOS, builtin_config, main, run_scenario
+from qkoszul.cli import builtin_config, main, run_scenario
 from qkoszul.exact import (
     AlgebraError,
     ContractViolationError,
@@ -881,9 +881,10 @@ def test_both_routes_reject_a_series_of_another_order():
 
 @pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
 def test_corrections_return_a_series_without_constrained_p(kind):
-    # h, T's X and τ, and every r_a act through the constrained p_a alone,
-    # so a series without them comes back as it is; one with p_a but no q_a
-    # is still corrected, and by τ alone where X needs a q_a
+    # h, every entry of T's Y, and every r_a act through the constrained p_a
+    # alone, so a series without them comes back as it is; one with p_a but
+    # no q_a is still corrected, by Y's first-order entries alone where its
+    # second-order ones need a q_a
     sp = PhaseSpace.of_dim(3)
     base = ReductionContext.canonical(sp, (1, 2), getattr(StarProduct, kind)(sp), L,
                                       Jq=corrected_Jq(sp, (1, 2), L, True))
@@ -932,39 +933,41 @@ def test_series_skips_the_boundaries_on_inputs_without_p(monkeypatch):
     assert calls
 
 
-def test_a_flipped_sign_of_tau_is_seen_against_the_series(monkeypatch):
-    # every builtin has c = 0, so no report reads τ; this test does
+def test_a_flipped_sign_of_the_first_order_part_of_Y_is_seen_against_the_series(
+        monkeypatch):
+    # every builtin has c = 0, so no report reads Y's first-order entries;
+    # this test does
     conjugation = koszul._conjugation
 
     def flipped(*args):
         T = conjugation(*args)
-        return T._replace(tau={v: -image for v, image in T.tau.items()})
+        return T._replace(y=tuple((si, sj, -r, -m) if si is None else (si, sj, r, m)
+                                  for si, sj, r, m in T.y))
 
     monkeypatch.setattr(koszul, "_conjugation", flipped)
     ctx = next(T_contexts("weyl", True))
-    assert ctx.conjugation.tau
+    assert any(si is None for si, *_ in ctx.conjugation.y)
     F = ctx.series(sample_polys(211, ctx.space.vars, 3, 1)[0] * ctx.J.components[0])
     assert quantum_restriction(F, ctx) != series_restriction(F, ctx)
 
 
 @pytest.mark.parametrize("corrected", (False, True))
-def test_T_substitutes_only_for_some_c_a_not_zero_and_an_input_with_p(monkeypatch,
-                                                                        corrected):
+def test_T_never_substitutes_nor_truncates(monkeypatch, corrected):
+    # T and T⁻¹ are exp(±λY), one pass per power of λ, whatever the c_a
     calls = []
-    substitute = MultiPoly.substitute
-    monkeypatch.setattr(MultiPoly, "substitute",
-                        lambda p, images: calls.append(images) or substitute(p, images))
+    for cls, name in ((MultiPoly, "substitute"), (LambdaSeries, "truncate")):
+        method = getattr(cls, name)
+        monkeypatch.setattr(cls, name,
+                            lambda *args, method=method: calls.append(method) or method(*args))
     for ctx in T_contexts("wick", corrected):
-        assert bool(ctx.conjugation.tau) == corrected
-        f = sample_polys(227, ctx.space.vars, 3, 1)[0]
+        assert any(si is None for si, *_ in ctx.conjugation.y) == corrected
+        F = ctx.series(sample_polys(227, ctx.space.vars, 3, 1)[0] * ctx.J.components[0])
+        want = series_restriction(F, ctx)
         calls.clear()
-        # without p_a, T is the identity
-        free = ctx.series(f.zero_outside(ctx.cvars).with_vars(ctx.space.vars))
-        assert quantum_restriction(free, ctx) == restriction(free, ctx)
+        got = conjugate(F, ctx)
+        assert unconjugate(got, ctx) == F
         assert calls == []
-        F = ctx.series(f * ctx.J.components[0])
-        assert quantum_restriction(F, ctx) == series_restriction(F, ctx)
-        assert calls == ([ctx.conjugation.tau] if corrected else [])
+        assert restriction(got, ctx) == want != restriction(F, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,20 +1021,11 @@ def test_T_inverse_undoes_T_on_unrestricted_series(kind, corrected):
 
 
 def test_unflipped_sign_of_X_in_T_inverse_fails_the_quantum_homotopy(monkeypatch):
-    monkeypatch.setattr(koszul, "unconjugate",
-                        lambda f, ctx: koszul._conjugated(f, ctx, 1, ctx.conjugation.untau))
+    # T⁻¹ taken as T; with c = 0, as in every builtin, Y is X
+    monkeypatch.setattr(koszul, "unconjugate", lambda f, ctx: koszul._conjugated(f, ctx, 1))
     assert homotopy_against_the_series("weyl", False)[0] > 0
     for name in ("s1-translation", "s1p-single", "s2-magnetic"):
         failing = [c["name"] for c in run_scenario(builtin_config(name))["checks"]
                    if c["status"] == "fail"]
         assert "complex.quantum_homotopy_identity_grade_1" in failing
 
-
-def test_tau_in_place_of_its_inverse_is_seen_only_with_corrections(monkeypatch):
-    monkeypatch.setattr(koszul, "unconjugate",
-                        lambda f, ctx: koszul._conjugated(f, ctx, -1, ctx.conjugation.tau))
-    assert homotopy_against_the_series("weyl", True)[0] > 0
-    assert homotopy_against_the_series("weyl", False)[0] == 0
-    # every builtin has c = 0, so no report reads τ⁻¹: the mutant survives them
-    for name in SCENARIOS:
-        assert run_scenario(builtin_config(name))["status"] == "pass"
