@@ -27,12 +27,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import AlgebraError, ExponentOverflowError, MultiPoly, TermLimitError, gr
 from .koszul import ReductionContext, basis_label, ce_boundary, quantum_restriction, \
-    verify_complex_identities
+    series_restriction, verify_complex_identities
 from .lie import LieAlgebraData, check_classical_equivariance, \
     check_quantum_momentum_map
 from .phase_space import PhaseSpace, StarProduct, check_star_axioms
 from .reduction import CotangentSplit, ReducedAlgebra, build_shifted_context, \
-    knp_reduced_star, knp_restriction, reduced_poisson_bracket, reduced_star
+    knp_reduced_star, reduced_poisson_bracket, reduced_star
 from .report import check, prefixed
 from .sampling import sample_pairs, sample_polys
 from .stages import StageConfig, StagePipeline, build_compatible_prolongations, \
@@ -41,6 +41,13 @@ from .stages import StageConfig, StagePipeline, build_compatible_prolongations, 
 
 class ConfigError(Exception):
     pass
+
+
+def _shown(value) -> str:
+    """A user's value as an error message shows it: its repr, cut to 40
+    characters, so that the message stays one short line."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 # Each check suite, with what it needs: a reduction context, and a reduced
@@ -83,25 +90,26 @@ class ScenarioConfig:
         # a leading '.' would hide the report, as '' would name it '.json'
         if not self.name or self.name[0] == "." or not self.name.isprintable() or \
                 any(sep in self.name for sep in ("/", "\\", "..")):
-            raise ConfigError(f"name {self.name!r} is not a plain file name")
+            raise ConfigError(f"name {_shown(self.name)} is not a plain file name")
         for key, low, cap in (("n", 1, MAX_N), ("lambda_order", 1, MAX_LAMBDA_ORDER),
                               ("degree", 1, MAX_DEGREE),
                               ("samples", MIN_SAMPLES, MAX_SAMPLES)):
             if not low <= getattr(self, key) <= cap:
                 raise ConfigError(f"{key} must be between {low} and {cap}")
         if self.star not in ("weyl", "wick", "std"):
-            raise ConfigError(f"unknown star kind {self.star!r}")
+            raise ConfigError(f"unknown star kind {_shown(self.star)}")
         for a in self.translated:
             if not 1 <= a <= self.n:
-                raise ConfigError(f"translated coordinate {a} out of range 1..{self.n}")
+                raise ConfigError(f"translated coordinate {_shown(a)} out of range 1..{self.n}")
         if len(set(self.translated)) < len(self.translated):
             raise ConfigError("a translated coordinate is listed twice")
         for a in list(self.b) + list(self.mu):
             if a not in self.translated:
-                raise ConfigError(f"b/mu index {a} is not a translated coordinate")
+                raise ConfigError(f"b/mu index {_shown(a)} is not a translated coordinate")
         for a, (c, _) in self.b.items():
             if not 1 <= c <= self.n:
-                raise ConfigError(f"magnetic pair ({a}, {c}): {c} is out of range 1..{self.n}")
+                raise ConfigError(f"magnetic pair ({a}, {_shown(c)}): {_shown(c)} is out of "
+                                  f"range 1..{self.n}")
             if c in self.translated:
                 raise ConfigError(f"magnetic pair ({a}, {c}) couples two translated "
                                   "coordinates")
@@ -109,14 +117,14 @@ class ScenarioConfig:
         if self.stage_first is not None:
             for i in self.stage_first:
                 if not 1 <= i <= k:
-                    raise ConfigError(f"stage index {i} out of range 1..{k}")
+                    raise ConfigError(f"stage index {_shown(i)} out of range 1..{k}")
             if len(set(self.stage_first)) < len(self.stage_first):
                 raise ConfigError("a stage index is listed twice")
         if not self.checks:
             raise ConfigError("no check suite selected")
         for c in self.checks:
             if c not in SUITES:
-                raise ConfigError(f"unknown check suite {c!r}")
+                raise ConfigError(f"unknown check suite {_shown(c)}")
         if len(set(self.checks)) < len(self.checks):
             raise ConfigError("a check suite is listed twice")
         needs = {need for c in self.checks for need in SUITES[c]}
@@ -172,7 +180,7 @@ SCENARIOS: Dict[str, dict] = {
 
 def builtin_config(name: str) -> ScenarioConfig:
     if name not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {name!r}; use --list-scenarios")
+        raise ConfigError(f"unknown scenario {_shown(name)}; use --list-scenarios")
     return parse_config({"name": name, **SCENARIOS[name]})
 
 
@@ -181,7 +189,7 @@ def _typed(key: str, value, kind: type):
     integers."""
     if isinstance(value, kind) and not isinstance(value, bool):
         return value
-    raise ConfigError(f"{key!r} must be of type {kind.__name__}, got {value!r}")
+    raise ConfigError(f"{key!r} must be of type {kind.__name__}, got {_shown(value)}")
 
 
 def _typed_list(key: str, value, kind: type) -> tuple:
@@ -193,7 +201,11 @@ def _entries(key: str, raw: dict, parse) -> dict:
     entries = _typed(key, raw[key], dict)
     for a in entries:
         if not (a.isascii() and a.isdigit() and (a[0] != "0" or a == "0")):
-            raise ConfigError(f"bad {key!r} label {a!r}: not a decimal without a leading zero")
+            raise ConfigError(f"bad {key!r} label {_shown(a)}: not a decimal without a "
+                              "leading zero")
+        # a label names a coordinate, so int() never sees one longer than MAX_N
+        if len(a) > len(str(MAX_N)):
+            raise ConfigError(f"bad {key!r} label {_shown(a)}: above {MAX_N}, the cap on n")
     try:
         return {int(a): parse(v) for a, v in entries.items()}
     except (ValueError, TypeError, OverflowError) as e:
@@ -214,13 +226,13 @@ def _number(v) -> Fraction:
         raise TypeError(f"{v!r} is a JSON float, which is inexact: "
                         'write an integer or a string such as "1/10"')
     if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise TypeError(f"{v!r} is not a number")
+        raise TypeError(f"{_shown(v)} is not a number")
     shown = "an integer"
     if isinstance(v, str):
         # no value inside the cap needs more characters, and Fraction never
         # sees a longer string
         longest = 2 * MAX_NUMBER_DIGITS + 2
-        shown = repr(v if len(v) <= 40 else v[:37] + "...")
+        shown = _shown(v)
         if len(v) > longest or not NUMBER.fullmatch(v):
             raise ValueError(f"{shown} is not written as an optional '-', ASCII digits and an "
                              f"optional '/digits' or '.digits', in at most {longest} characters")
@@ -236,7 +248,7 @@ def _number(v) -> Fraction:
 
 def _magnetic_pair(cv) -> Tuple[int, Fraction]:
     if len(_typed("b", cv, list)) != 2:
-        raise ValueError(f"{cv!r} is not a [label, value] pair")
+        raise ValueError(f"{_shown(cv)} is not a [label, value] pair")
     return _typed("b", cv[0], int), _number(cv[1])
 
 
@@ -244,7 +256,7 @@ def _distinct_keys(pairs: List[Tuple[str, object]]) -> dict:
     """A JSON object of a config file; json.load alone keeps a repeated key's last value."""
     for i, (key, _) in enumerate(pairs):
         if any(key == k for k, _ in pairs[:i]):
-            raise ConfigError(f"config key {key!r} is repeated")
+            raise ConfigError(f"config key {_shown(key)} is repeated")
     return dict(pairs)
 
 
@@ -263,7 +275,7 @@ def parse_config(raw) -> ScenarioConfig:
         raise ConfigError("config must be a JSON object with a 'name' field")
     unknown = sorted(raw.keys() - {f.name for f in fields(ScenarioConfig)})
     if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r}")
+        raise ConfigError(f"unknown config key {_shown(unknown[0])}")
     cfg = ScenarioConfig(name=_typed("name", raw["name"], str))
     for key in ("n", "lambda_order", "degree", "samples", "seed"):
         if key in raw:
@@ -395,13 +407,15 @@ def suite_knp(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
                 yield {"f": f.render(), "g": g.render(),
                        "closed_form": a.render(), "homological": b.render()}
 
-    # upstairs samples carry p_a, so the vertical correction is not zero
+    # upstairs samples carry p_a, so the correction is not zero
     upstairs = upstairs_samples(cfg, ctx, cfg.seed + 2)
 
     def deformed_restriction_equals_quantum_restriction():
+        # the closed form's correction is the series, which the quantum
+        # restriction does not run where the context has T
         for f in upstairs:
             F = ctx.space.series(f, ctx.order)
-            a, b = knp_restriction(F, ctx), quantum_restriction(F, ctx)
+            a, b = series_restriction(F, ctx), quantum_restriction(F, ctx)
             if a != b:
                 yield {"f": f.render(), "knp": a.render(), "quantum": b.render()}
 

@@ -377,15 +377,22 @@ def _corrected(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
 def fixed_by_corrections(f: LambdaSeries, ctx: ReductionContext) -> bool:
     """Whether f uses none of the constrained p_a, after checking that it
     has the context's variables and order.  Every correction then returns
-    f: the homotopy, each entry of T's Y, and each r_a of the vertical
-    correction act through the constrained p_a alone."""
+    f: the homotopy and each entry of T's Y act through the constrained p_a
+    alone."""
     if (f.vars, f.order) != (ctx.space.vars, ctx.order):
         raise AlgebraError("series does not match the context's variables and order")
     return not reduce(or_, f.poly.nums, 0) & ctx.pmask
 
 
 def series_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """(id - A)^{-1} f on the grade-0 chain of a series."""
+    """(id - A)^{-1} f on the grade-0 chain of a series.  This is also the
+    closed-form correction (id - V)^{-1} of Kowalzig–Neumaier–Pflaum, with
+    V F = Σ_a r_a(F)·J_a - r_a(F) ⋆ Jq_a and r_a the grade-0 homotopy
+    along a, since A = V term for term on a grade-0 chain:
+    ``classical_homotopy`` puts r_a(F) at the key (a,) with the sign +1 of
+    e_a wedged onto (), and at grade 1 ``koszul_boundary`` and
+    ``quantum_koszul_boundary`` send the entry at (a,) to () with the sign
+    +1 of removing its only index, times J_a and star times Jq_a."""
     if fixed_by_corrections(f, ctx):
         return f
     return _corrected(KoszulChain.of_series(ctx.gdim, f), ctx).series()

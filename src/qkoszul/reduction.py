@@ -2,16 +2,19 @@
 
 The reduced phase space of a lifted translation action is again a flat
 cotangent bundle, over the untranslated configuration directions.  Two
-routes to the reduced star product are provided: the homological one through
-the quantum restriction, and the closed-form one through the vertical
-difference operator; they must agree exactly and the test suite holds them
-to that.
+routes to the reduced star product correct the product upstairs and then
+take the tube's restriction, and the tests hold them to exact agreement.
+The homological one corrects by ``quantum_correction``: T where the context
+has it, which never reads the homotopy.  The closed form of
+Kowalzig–Neumaier–Pflaum corrects by (id - V)^{-1}, with
+V F = Σ_a r_a(F)·J_a - r_a(F) ⋆ Jq_a for r_a, the grade-0 homotopy along a,
+which divides by the momentum components.  On the grade-0 chain of F, V is
+A = (∂ - ∂_q)h term for term: h puts r_a(F) at the key (a,) with sign +1,
+and at grade 1 both boundaries send it back to () with sign +1, times J_a
+and star times Jq_a.  So the closed form is ``series_correction``.
 
-Both routes correct the product upstairs and then take the tube's
-restriction, and the closed form divides by the momentum components with
-the grade-0 homotopy of the tube.  A shifted or
-magnetic scenario is the pullback of the canonical one along a fiber
-translation, so it runs as the canonical scenario in straightened
+A shifted or magnetic scenario is the pullback of the canonical one along a
+fiber translation, so it runs as the canonical scenario in straightened
 coordinates: its samples are mapped in once, and the reduced products, which
 never involve the translated fiber coordinates, are the canonical ones.
 """
@@ -23,8 +26,8 @@ from functools import reduce
 from operator import or_
 from typing import Mapping, Tuple, TypeVar
 
-from .exact import AlgebraError, LambdaSeries, MultiPoly, _layout, invert_unipotent
-from .koszul import ReductionContext, fixed_by_corrections, quantum_correction, restriction
+from .exact import AlgebraError, LambdaSeries, MultiPoly, _layout
+from .koszul import ReductionContext, quantum_correction, series_correction
 from .phase_space import PhaseSpace, StarProduct
 
 # the maps below act alike on a polynomial and on a whole series
@@ -97,9 +100,12 @@ def reduced_star(red: ReducedAlgebra) -> StarProduct:
     return _reduced_product(red, quantum_correction)
 
 
-# ---------------------------------------------------------------------------
-# the vertical difference operator and the closed-form reduced product
-# ---------------------------------------------------------------------------
+def knp_reduced_star(red: ReducedAlgebra) -> StarProduct:
+    """Closed-form reduced star product of Kowalzig–Neumaier–Pflaum, whose
+    correction (id - V)^{-1} is ``series_correction`` (see the module
+    docstring).  Agrees exactly with the homological reduced star product."""
+    return _reduced_product(red, series_correction)
+
 
 class CotangentSplit:
     """Division of fiberwise polynomials by the momentum components of the
@@ -113,39 +119,6 @@ class CotangentSplit:
         directions) on a polynomial or a series: the grade-0 homotopy along
         direction i."""
         return F.weighted_diff(self.ctx.constrained[i - 1], self.ctx.constrained, 0)
-
-
-def _vertical_difference(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """Sum over vertical directions of r_i(F)·J_i - r_i(F) ⋆ Jq_i; vanishes
-    at order zero in the parameter whenever the quantum momentum map deforms
-    the classical one."""
-    split = CotangentSplit(ctx)
-    out = LambdaSeries.zero(ctx.space.vars, ctx.order)
-    for i, (Ji, Jqi) in enumerate(zip(ctx.J.components, ctx.Jq.components), start=1):
-        rF = split.r(i, F)
-        if rF.is_zero():
-            continue
-        out = out + rF * ctx.series(Ji) - ctx.star.eval(rF, Jqi)
-    return out
-
-
-def knp_correction(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """(id - V)^{-1} F for the vertical correction V, ``_vertical_difference``."""
-    if fixed_by_corrections(F, ctx):
-        return F
-    return invert_unipotent(lambda H: _vertical_difference(H, ctx), ctx.order)(F)
-
-
-def knp_restriction(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """The classical restriction taken after ``knp_correction``; equals the
-    quantum restriction on every series."""
-    return restriction(knp_correction(F, ctx), ctx)
-
-
-def knp_reduced_star(red: ReducedAlgebra) -> StarProduct:
-    """Closed-form reduced star product through ``knp_correction``.  Agrees
-    exactly with the homological reduced star product."""
-    return _reduced_product(red, knp_correction)
 
 
 # ---------------------------------------------------------------------------

@@ -141,16 +141,22 @@ class TestReports:
         failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
         assert failing == ["ce.grade1_is_adjoint_action"]
 
-    def test_doubled_vertical_difference_fails_s1p_single(self, monkeypatch, capsysbinary):
-        # the reduced-product inputs carry no p_a, so their correction is
-        # zero; the upstairs samples of the knp suite carry p_a
-        vertical_difference = reduction._vertical_difference
-        monkeypatch.setattr(reduction, "_vertical_difference",
-                            lambda F, ctx: vertical_difference(F, ctx).scale(2))
+    def test_doubled_series_correction_fails_s1p_single(self, monkeypatch, capsysbinary):
+        # the series' correction Σ_{k≥1} A^k x doubled: the reduced
+        # products' inputs carry no p_a, so neither reduced product sees it;
+        # the checks that hold the series to T do, in the complex suite,
+        # whose quantum restrictions are the series, and in the knp suite,
+        # whose closed form is the series
+        corrected = koszul._corrected
+        monkeypatch.setattr(koszul, "_corrected",
+                            lambda x, ctx: x + (corrected(x, ctx) - x).scale(2))
         assert main(["--scenario", "s1p-single"]) == 1
         report = json.loads(capsysbinary.readouterr().out)
         failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
-        assert failing == ["knp.deformed_restriction_equals_quantum_restriction"]
+        assert failing == ["complex.direct_sum_complement_in_kernel",
+                           "complex.quantum_homotopy_identity_grade_0",
+                           "complex.quantum_restriction_after_T",
+                           "knp.deformed_restriction_equals_quantum_restriction"]
 
     def test_forward_straightening_fails_s2_magnetic(self, monkeypatch, capsysbinary):
         # translating p_a forward by alpha_a instead of back keeps every
@@ -199,9 +205,9 @@ class TestReports:
         assert all(c["witness"]["f"] for c in failing)
 
     def test_flipped_sign_of_X_fails_s1p_single(self, monkeypatch, capsysbinary):
-        # the quantum restriction goes through T; the series that the complex
-        # suite computes and the knp restriction both see a wrong X, the
-        # second-order part of Y
+        # the quantum restriction goes through T; the series, which the
+        # complex suite computes and the knp suite's closed form is, sees a
+        # wrong X, the second-order part of Y
         conjugation = koszul._conjugation
 
         def flipped(*args):
@@ -443,6 +449,28 @@ class TestConfigFile:
         pytest.param({"n": 2, "translated": [1], "mu": {"1": "0" * 200 + "1/1"},
                       "checks": ["momentum"]},
                      "in at most 202 characters", id="mu-too-many-characters"),
+        # a message shows each value it names cut to 40 characters, so a
+        # long value does not make a long line
+        pytest.param({"b": [1] * 100_000, "checks": ["momentum"]},
+                     "'b' must be of type dict, got [1, 1, 1,", id="b-long-list"),
+        pytest.param({"k" * 100_000: 1, "checks": ["axioms"]},
+                     "unknown config key 'kkk", id="long-unknown-key"),
+        pytest.param({"name": "/" * 100_000, "checks": ["axioms"]},
+                     "name '///", id="long-name"),
+        pytest.param({"star": "w" * 100_000, "checks": ["axioms"]},
+                     "unknown star kind 'www", id="long-star-kind"),
+        pytest.param({"checks": ["c" * 100_000]},
+                     "unknown check suite 'ccc", id="long-check-suite"),
+        # a label is never read by int(), which refuses more than 4300 digits
+        pytest.param({"n": 2, "translated": [1], "mu": {"1" * 100_000: "3"},
+                      "checks": ["momentum"]},
+                     "bad 'mu' label '111", id="mu-long-label"),
+        pytest.param({"n": 2, "translated": [1], "b": {"1": [2] * 100_000},
+                      "checks": ["momentum"]},
+                     "bad 'b' entry: [2, 2, 2,", id="b-long-pair"),
+        pytest.param({"n": 2, "translated": [1], "b": {"1": [10 ** 4000, "1/2"]},
+                      "checks": ["momentum"]},
+                     "magnetic pair (1, 1000", id="b-long-coupling"),
     ])
     def test_rejected(self, tmp_path, fields, message):
         # a str is the whole config text, which a dict cannot hold when it
@@ -454,6 +482,8 @@ class TestConfigFile:
         assert res.returncode == 2
         assert message.encode() in res.stderr
         assert b"Traceback" not in res.stderr
+        [line] = res.stderr.splitlines()
+        assert len(line.decode()) <= 200
 
     @pytest.mark.parametrize("key, cap", [("n", cli.MAX_N),
                                           ("lambda_order", cli.MAX_LAMBDA_ORDER),

@@ -53,12 +53,7 @@ from qkoszul.lie import LieAlgebraData, QuantumMomentumMap
 from qkoszul.phase_space import PhaseSpace, StarProduct
 from qkoszul.reduction import (
     CotangentSplit,
-    ReducedAlgebra,
     build_shifted_context,
-    knp_correction,
-    knp_reduced_star,
-    knp_restriction,
-    reduced_star,
 )
 from qkoszul.sampling import sample_polys
 from qkoszul.stages import StageConfig, StagePipeline
@@ -874,7 +869,7 @@ def test_both_routes_reject_a_series_of_another_order():
     ctx2 = StagePipeline(base, StageConfig(base.action.lie, (1,))).ctx2
     for ctx in (base, ctx2):
         for f in (ctx.space.q(2), ctx.space.q(2) * ctx.space.p(2)):
-            for route in (quantum_restriction, knp_restriction):
+            for route in (quantum_restriction, series_restriction):
                 with pytest.raises(AlgebraError):
                     route(ctx.space.series(f, L - 1), ctx)
 
@@ -899,12 +894,11 @@ def test_corrections_return_a_series_without_constrained_p(kind):
         free = ctx.series(f * qa)
         assert free.uses(f"q{a}")
         assert koszul.series_correction(free, ctx) is free
-        assert knp_correction(free, ctx) is free
         g = g.substitute({f"q{a}": zero})
         F = ctx.series(g * pa + g * pa * pa)
         assert not F.uses(f"q{a}")
-        got = restriction(koszul.series_correction(F, ctx), ctx)
-        assert got == knp_restriction(F, ctx) != restriction(F, ctx)
+        got = series_restriction(F, ctx)
+        assert got != restriction(F, ctx)
         if ctx.conjugation is not None:
             assert conjugate(free, ctx) is free and unconjugate(free, ctx) is free
             assert got == restriction(conjugate(F, ctx), ctx)

@@ -12,6 +12,7 @@ from qkoszul.exact import (
     MultiPoly,
     OrderMismatchError,
     gr,
+    invert_unipotent,
 )
 from qkoszul.koszul import (
     KoszulChain,
@@ -23,13 +24,14 @@ from qkoszul.koszul import (
     quantum_koszul_boundary,
     quantum_restriction,
     restriction,
+    series_correction,
     verify_complex_identities,
 )
+from qkoszul.lie import LieAlgebraData, QuantumMomentumMap
 from qkoszul.phase_space import PhaseSpace, StarProduct, check_star_axioms
 from qkoszul.reduction import (
     CotangentSplit,
     ReducedAlgebra,
-    _vertical_difference,
     build_shifted_context,
     elevate_context,
     knp_reduced_star,
@@ -37,6 +39,7 @@ from qkoszul.reduction import (
     reduced_star,
 )
 from qkoszul.sampling import sample_pairs, sample_polys
+from qkoszul.stages import StageConfig, StagePipeline
 from reference_poly import RefSeries, series_product
 
 L = 4
@@ -331,11 +334,24 @@ class TestHvSplit:
                                     {(1,): ctx.series(split.r(1, F))})
 
 
+def vertical_difference(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
+    """The vertical correction V F = Σ_a r_a(F)·J_a - r_a(F) ⋆ Jq_a of the
+    closed-form route (Kowalzig–Neumaier–Pflaum), over the division
+    operators; it vanishes at order zero in the parameter whenever the
+    quantum momentum map deforms the classical one."""
+    split = CotangentSplit(ctx)
+    out = LambdaSeries.zero(ctx.space.vars, ctx.order)
+    for a, (Ja, Jqa) in enumerate(zip(ctx.J.components, ctx.Jq.components), start=1):
+        rF = split.r(a, F)
+        out = out + rF * ctx.series(Ja) - ctx.star.eval(rF, Jqa)
+    return out
+
+
 def delta_star(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """The vertical difference operator of the closed-form route divided
+    """The vertical correction V of the closed-form route divided
     exactly by i times the parameter (its order-0 remainder vanishes)."""
     up = elevate_context(ctx, F.order + 1)
-    D = RefSeries.of(_vertical_difference(F.truncate(F.order + 1), up))
+    D = RefSeries.of(vertical_difference(F.truncate(F.order + 1), up))
     assert D.coeffs[0].is_zero()
     return RefSeries(D.coeffs[1:]).to_series().scale(gr(0, -1))
 
@@ -370,6 +386,52 @@ class TestDeltaStar:
             assert D.coeffs[0].is_zero()
             via_boundaries = RefSeries(D.coeffs[1:]).to_series().scale(gr(0, -1))
             assert via_op == via_boundaries
+
+
+# constant parts c_a of Jq_a = p_a + λc_a, for the first and second translation
+CONSTANT_C = (gr(0, Fraction(1, 3)), gr(Fraction(-3, 4), Fraction(1, 6)))
+
+
+def knp_contexts(kind: str, order: int):
+    """(kind of Jq, context) over three shapes of (n, translated): Jq_a = p_a
+    + λc_a with c_a zero, a constant, or a multiple of an untranslated q,
+    where the context has no T; and the second stage of each shape with two
+    translations, whose product is a reduced one."""
+    for n, translated in ((2, (1,)), (3, (1, 2)), (4, (1, 3))):
+        sp = PhaseSpace.of_dim(n)
+        q = sp.q(next(i for i in range(1, n + 1) if i not in translated))
+        for jq, c in (("canonical", [MultiPoly.zero(sp.vars)] * 2),
+                      ("constant", [MultiPoly.const(sp.vars, 1).scale(x) for x in CONSTANT_C]),
+                      ("polynomial", [q, q.scale(gr(0, 1))])):
+            Jq = QuantumMomentumMap(LieAlgebraData.abelian(len(translated)), [
+                LambdaSeries.from_poly(sp.p(a), order) + LambdaSeries.from_poly(ca, order, shift=1)
+                for a, ca in zip(translated, c)])
+            ctx = ReductionContext.canonical(sp, translated, getattr(StarProduct, kind)(sp),
+                                             order, Jq=Jq)
+            assert (ctx.conjugation is None) == (jq == "polynomial")
+            yield jq, ctx
+            if len(translated) > 1:
+                yield "stage 2", StagePipeline(ctx, StageConfig(ctx.action.lie, (1,))).ctx2
+
+
+@pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+def test_series_correction_is_the_closed_form(kind):
+    # (id - A)^{-1} with A = (∂ - ∂_q)h at grade 0 against (id - V)^{-1}
+    # with V written out over the division operators
+    corrected = {}
+    for order in (2, 4):
+        for jq, ctx in knp_contexts(kind, order):
+            J = ctx.J.components[-1]
+            for f, g in zip(*[iter(sample_polys(227, ctx.space.vars, 3, 6))] * 2):
+                for F in (ctx.series(f), ctx.series(f * J * J + g)
+                          + LambdaSeries.from_poly(g * J, order, shift=1)):
+                    got = series_correction(F, ctx)
+                    assert got == invert_unipotent(
+                        lambda H: vertical_difference(H, ctx), order)(F)
+                    corrected[jq] = corrected.get(jq, 0) + (got != F)
+    # std has no C^{i p_a}, so r ⋆ p_a = r·p_a, and V = 0 where every c_a is 0
+    assert {jq for jq, count in corrected.items() if count} == \
+        {"constant", "polynomial", "stage 2"} | ({"canonical"} if kind != "std" else set())
 
 
 class TestKnpEquivalence:
