@@ -67,6 +67,9 @@ MAX_SAMPLES = 100
 # digits of the numerator and of the denominator of a b or mu value, in
 # lowest terms
 MAX_NUMBER_DIGITS = 100
+# characters of a name: at 4 bytes each in UTF-8, the report's file name
+# with its extension stays inside the 255 bytes common file systems allow
+MAX_NAME_CHARS = 50
 # checks over consecutive triples of samples need three to check anything
 MIN_SAMPLES = 3
 
@@ -91,6 +94,9 @@ class ScenarioConfig:
         if not self.name or self.name[0] == "." or not self.name.isprintable() or \
                 any(sep in self.name for sep in ("/", "\\", "..")):
             raise ConfigError(f"name {_shown(self.name)} is not a plain file name")
+        if len(self.name) > MAX_NAME_CHARS:
+            raise ConfigError(f"name {_shown(self.name)} is longer than {MAX_NAME_CHARS} "
+                              "characters")
         for key, low, cap in (("n", 1, MAX_N), ("lambda_order", 1, MAX_LAMBDA_ORDER),
                               ("degree", 1, MAX_DEGREE),
                               ("samples", MIN_SAMPLES, MAX_SAMPLES)):
@@ -606,7 +612,8 @@ def _main(argv: Optional[Sequence[str]]) -> int:
             with open(path, "wb") as fh:
                 fh.write(payload)
         except OSError as e:
-            print(f"config error: cannot write report {path!r}: {e}", file=sys.stderr)
+            # the OSError's own text would name the path a second time
+            print(f"config error: cannot write report {path!r}: {e.strerror}", file=sys.stderr)
             return 2
 
     return 0 if report["status"] == "pass" else 1

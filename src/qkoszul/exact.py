@@ -220,46 +220,72 @@ def _nonzero(acc: Dict[int, Tuple[int, int]]) -> Dict[int, Tuple[int, int]]:
     return {k: v for k, v in acc.items() if v[0] or v[1]}
 
 
-def _mul_packed(products) -> Dict[int, Tuple[int, int]]:
+def _mul_sum(products) -> Dict[int, Tuple[int, int]]:
     """The nonzero numerators of Σ c·left·right over ``products``, each
-    (left, right, lift, c) with right's keys raised by lift, in one
-    accumulator of re + im·2**W: a right term (u, v) is the row u + v·2**W,
-    its i-multiple -v + u·2**W, and a left term (x, y) adds x·row + y·irow.
-    As |x·u - y·v| <= (|x| + |y|)(|u| + |v|), W with 2**(W - 1) above the
-    bound Σ c·‖left‖₁·‖right‖₁ makes each real part the centred residue."""
-    bound = 0
-    for left, right, _, c in products:
-        nl = nr = 0
-        for x, y in left.values():
-            nl += abs(x) + abs(y)
-        for u, v in right.values():
-            nr += abs(u) + abs(v)
-        bound += c * nl * nr
-    W = bound.bit_length() + 1
-    acc: Dict[int, int] = {}
-    get = acc.get
+    (left, right, lift, c) with right's keys raised by lift, in two
+    plain-integer accumulators, one of real and one of imaginary parts, by
+    (x + iy)(u + iv) = xu − yv + i(xv + yu).  Each right term goes into one
+    of three row lists by which of its parts are nonzero, and a left term
+    runs only the loops its nonzero parts need, so a pair of one-part terms
+    costs one small multiply-add.  An accumulator no pair reached takes no
+    merge pass."""
+    re: Dict[int, int] = {}
+    im: Dict[int, int] = {}
+    rget, iget = re.get, im.get
     for left, right, lift, c in products:
-        rows = []   # a plain loop: a comprehension's frame costs more on one or two terms
+        # plain loops: a comprehension's frame costs more on one or two terms
+        reals, imags, both = [], [], []
         for k, (u, v) in right.items():
-            rows.append((k + lift, c * (u + (v << W)), c * ((u << W) - v)))
-        for k1, (x, y) in left.items():
-            if x and y:
-                for k2, row, irow in rows:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + x * row + y * irow
-            elif x:
-                for k2, row, _ in rows:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + x * row
+            if not v:
+                reals.append((k + lift, c * u))
+            elif not u:
+                imags.append((k + lift, c * v))
             else:
-                for k2, _, irow in rows:
+                both.append((k + lift, c * u, c * v))
+        for k1, (x, y) in left.items():
+            if not y:
+                for k2, u in reals:
                     k = k1 + k2
-                    acc[k] = get(k, 0) + y * irow
-    half, out = 1 << (W - 1), {}
-    for k, t in acc.items():
-        if t:
-            im = (t + half) >> W
-            out[k] = (t - (im << W), im)
+                    re[k] = rget(k, 0) + x * u
+                for k2, v in imags:
+                    k = k1 + k2
+                    im[k] = iget(k, 0) + x * v
+                for k2, u, v in both:
+                    k = k1 + k2
+                    re[k] = rget(k, 0) + x * u
+                    im[k] = iget(k, 0) + x * v
+            elif not x:
+                for k2, u in reals:
+                    k = k1 + k2
+                    im[k] = iget(k, 0) + y * u
+                for k2, v in imags:
+                    k = k1 + k2
+                    re[k] = rget(k, 0) - y * v
+                for k2, u, v in both:
+                    k = k1 + k2
+                    re[k] = rget(k, 0) - y * v
+                    im[k] = iget(k, 0) + y * u
+            else:
+                for k2, u in reals:
+                    k = k1 + k2
+                    re[k] = rget(k, 0) + x * u
+                    im[k] = iget(k, 0) + y * u
+                for k2, v in imags:
+                    k = k1 + k2
+                    re[k] = rget(k, 0) - y * v
+                    im[k] = iget(k, 0) + x * v
+                for k2, u, v in both:
+                    k = k1 + k2
+                    re[k] = rget(k, 0) + x * u - y * v
+                    im[k] = iget(k, 0) + x * v + y * u
+    if not im:
+        return {k: (r, 0) for k, r in re.items() if r}
+    if not re:
+        return {k: (0, i) for k, i in im.items() if i}
+    out = {k: (r, i) for k, r in re.items() if (i := iget(k, 0)) or r}
+    for k, i in im.items():
+        if i and k not in re:
+            out[k] = (0, i)
     return out
 
 
@@ -441,7 +467,7 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        nums = _mul_packed([(self.nums, other.nums, 0, 1)])
+        nums = _mul_sum([(self.nums, other.nums, 0, 1)])
         _check_guard(nums, len(self.vars))
         return _canonical(self.vars, self.den * other.den, nums)
 
@@ -784,7 +810,7 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
     the other's lowest within L, and its depth is top, L less the lowest
     powers of f and g.  Each leaf carries the weight
     d = Π_k (den_a·den_b)^{m_k}·m_k! of its multi-index, and the leaf
-    products go into one ``_mul_packed`` sum over den_f·den_g·D, D the lcm
+    products go into one ``_mul_sum`` call over den_f·den_g·D, D the lcm
     of the leaf weights; the powers past L are dropped at the end.  An
     input or the sum is copied to drop terms only where it has some."""
     L, vars = f.order, f.poly.vars
@@ -823,7 +849,7 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
             d *= den * m
             stack.append((k + 1, r + m, left, right, d))
     D = lcm(*(d for *_, d in leaves))
-    nums = _mul_packed([(left, right, lift, D // d) for left, right, lift, d in leaves])
+    nums = _mul_sum([(left, right, lift, D // d) for left, right, lift, d in leaves])
     bound = (L + 1) << s
     if nums and max(nums) >= bound:
         nums = {k: v for k, v in nums.items() if k < bound}

@@ -43,7 +43,7 @@ from .exact import (
     gr,
     star_exponential,
 )
-from .exact import _canonical, _check_guard, _derive, _gauss, _layout, _mul_packed
+from .exact import _canonical, _check_guard, _derive, _gauss, _layout, _mul_sum
 from .report import check, expected_failure
 
 # Nonzero entries of a matrix over the variables of a phase space, keyed by
@@ -140,7 +140,7 @@ def _pairing(matrix: tuple, f: MultiPoly, g: MultiPoly) -> MultiPoly:
     den, slot mask, entries (shift of i, shift of j, re, im)) with
     B^{ij} = (re + i·im)/den.  An entry on a variable f or g does not use is
     skipped, each derivative is taken once, and every term pair goes into
-    one packed sum (``_mul_packed``), put in canonical form once."""
+    one kernel call (``_mul_sum``), put in canonical form once."""
     vars, den, mask, entries = matrix
     if f.vars != vars or g.vars != vars:
         raise VariableMismatchError(f"a bracket operand is not over {vars}")
@@ -154,7 +154,7 @@ def _pairing(matrix: tuple, f: MultiPoly, g: MultiPoly) -> MultiPoly:
                 dg[sj] = _derive(g.nums, ((sj, 1 << sj, 1, 0),))
             pairs.append(({k: (r * cr - i * ci, r * ci + i * cr)
                            for k, (r, i) in df[si].items()}, dg[sj], 0, 1))
-    nums = _mul_packed(pairs)
+    nums = _mul_sum(pairs)
     _check_guard(nums, len(vars))
     return _canonical(vars, f.den * g.den * den, nums)
 

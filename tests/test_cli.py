@@ -457,6 +457,10 @@ class TestConfigFile:
                      "unknown config key 'kkk", id="long-unknown-key"),
         pytest.param({"name": "/" * 100_000, "checks": ["axioms"]},
                      "name '///", id="long-name"),
+        # a name becomes the report's file name, which the file system caps
+        pytest.param({"name": "a" * 100_000, "checks": ["ce"]},
+                     "name 'aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa... is longer than 50 characters",
+                     id="long-plain-name"),
         pytest.param({"star": "w" * 100_000, "checks": ["axioms"]},
                      "unknown star kind 'www", id="long-star-kind"),
         pytest.param({"checks": ["c" * 100_000]},
@@ -539,6 +543,8 @@ class TestConfigFile:
                      "a stage index is listed twice", id="repeated-stage-index"),
         # a run that checks nothing must not report a pass
         pytest.param({"checks": []}, "no check suite selected", id="no-suite"),
+        pytest.param({"name": "n" * (cli.MAX_NAME_CHARS + 1)},
+                     f"is longer than {cli.MAX_NAME_CHARS} characters", id="name-past-cap"),
     ])
     def test_repeated_entry_rejected_before_any_suite(self, tmp_path, monkeypatch,
                                                       capsysbinary, fields, message):
@@ -706,3 +712,31 @@ class TestReportDir:
         assert res.returncode == 2
         assert b"config error: cannot write report" in res.stderr
         assert b"Traceback" not in res.stderr
+        self.assert_one_write_error(res, blocker / "sub" / "ce-heisenberg.json")
+
+    @staticmethod
+    def assert_one_write_error(res, path):
+        # the report went out, then one short line names the path once
+        assert res.stdout
+        *_, line = res.stderr.decode().splitlines()
+        assert line.startswith(f"config error: cannot write report {str(path)!r}: ")
+        assert line.count(str(path)) == 1
+        assert len(line) <= 200
+
+    def test_report_path_taken_by_a_directory(self, tmp_path):
+        (tmp_path / "ce-heisenberg.json").mkdir()
+        res = run("--scenario", "ce-heisenberg", env={"QK_REPORT_DIR": str(tmp_path)})
+        assert res.returncode == 2
+        assert b"Traceback" not in res.stderr
+        self.assert_one_write_error(res, tmp_path / "ce-heisenberg.json")
+        assert res.stderr.decode().endswith(": Is a directory\n")
+
+    def test_name_at_the_cap_is_written(self, tmp_path, monkeypatch, capsysbinary):
+        # the widest characters UTF-8 has, as many as the cap allows
+        name = "\U0001F600" * cli.MAX_NAME_CHARS
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"name": name, "checks": ["ce"]}))
+        monkeypatch.setenv("QK_REPORT_DIR", str(tmp_path / "reports"))
+        assert main(["--config", str(path)]) == 0
+        out, _ = capsysbinary.readouterr()
+        assert (tmp_path / "reports" / f"{name}.json").read_bytes() == out

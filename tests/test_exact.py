@@ -418,11 +418,18 @@ def reference_star(C: dict, f: RefPoly, g: RefPoly, L: int) -> list:
     return out
 
 
+# a term of each kind the kernel routes apart: only a real part, only an
+# imaginary part, or both; imaginary × imaginary is where -y·v turns the
+# sign, to -5i·-5i·4 = -100
+PARTS = {"real": (3, 0), "imag": (0, -5), "complex": (2, 7)}
+
+
 class TestPackedKernel:
-    """Products in the packed accumulator of ``exact._mul_packed``, whose
-    width comes from the ℓ1 norms of its inputs, against the reference on
-    coefficients of up to 2**200, where products cancel, and at the
-    bound itself."""
+    """Products of the kernel on packed monomial keys, ``exact._mul_sum``,
+    with one plain-integer accumulator of real and one of imaginary parts,
+    against the reference on coefficients of up to 2**200, where products
+    cancel, in each kind of term pair, and where one part of a key or both
+    cancel."""
 
     @given(polys(coeffs=huge_gaussians), polys(coeffs=huge_gaussians))
     @settings(max_examples=40, deadline=None)
@@ -461,19 +468,50 @@ class TestPackedKernel:
             square = star.eval_poly(f, f, L)
             assert all(square.coeff(r).is_zero() for r in range(1, L + 1, 2))
 
+    # ids read [left-right]: the decorator nearest the function comes first
+    @pytest.mark.parametrize("right", PARTS)
+    @pytest.mark.parametrize("left", PARTS)
+    def test_each_kind_of_term_pair(self, left, right):
+        # (2 + 7i)·3 and the like through every loop of the kernel, with
+        # right's key lifted and its term scaled, against GaussianRational
+        (x, y), (u, v) = PARTS[left], PARTS[right]
+        want = gr(x, y) * gr(u, v) * gr(4)
+        got = exact._mul_sum([({1: (x, y)}, {2: (u, v)}, 8, 4)])
+        assert got == {11: (int(want.re), int(want.im))}
+
+    @pytest.mark.parametrize("products, want", [
+        # only the real part of key 0 cancels: (1 + i)·1 - 1·1
+        pytest.param([({0: (1, 1)}, {0: (1, 0)}, 0, 1), ({0: (-1, 0)}, {0: (1, 0)}, 0, 1)],
+                     {0: (0, 1)}, id="real-part"),
+        # only the imaginary part cancels: (1 + i)·1 + (-i)·1
+        pytest.param([({0: (1, 1)}, {0: (1, 0)}, 0, 1), ({0: (0, -1)}, {0: (1, 0)}, 0, 1)],
+                     {0: (1, 0)}, id="imaginary-part"),
+        # both parts of key 0 cancel and key 1 stays: with both accumulators,
+        # with only the real one, and with only the imaginary one
+        pytest.param([({0: (2, 3), 1: (1, 0)}, {0: (1, 0)}, 0, 1),
+                      ({0: (-2, -3)}, {0: (1, 0)}, 0, 1)],
+                     {1: (1, 0)}, id="both-parts"),
+        pytest.param([({0: (2, 0), 1: (1, 0)}, {0: (1, 0)}, 0, 1),
+                      ({0: (0, 2)}, {0: (0, 1)}, 0, 1)],
+                     {1: (1, 0)}, id="both-parts-real-only"),
+        pytest.param([({0: (2, 0), 1: (1, 0)}, {0: (0, 1)}, 0, 1),
+                      ({0: (-2, 0)}, {0: (0, 1)}, 0, 1)],
+                     {1: (0, 1)}, id="both-parts-imaginary-only"),
+        pytest.param([({0: (5, 0)}, {0: (0, 1)}, 0, 2), ({0: (0, 5)}, {0: (2, 0)}, 0, -1)],
+                     {}, id="everything"),
+    ])
+    def test_a_key_whose_parts_cancel(self, products, want):
+        assert exact._mul_sum(products) == want
+
     def test_a_sum_at_the_bound_needs_every_bit(self):
         # every term of one sign, so that the real part of one key is the
-        # whole bound Σ c·‖left‖₁·‖right‖₁, or more than its largest part
+        # whole sum Σ c·‖left‖₁·‖right‖₁, or more than its largest part
         a, b = (1 << 200) - 1, (1 << 150) + 3
         x, y = MultiPoly.variable(VARS, "x"), MultiPoly.variable(VARS, "y")
         f, g = x.scale(a), y.scale(b)
         assert (f * g).terms == {(1, 1): gr(a * b)}
         assert (f.scale(-1) * g).terms == {(1, 1): gr(-a * b)}
-        # the real part a·b is the whole bound, so a width one bit short of
-        # the least W with 2**(W - 1) > a·b would decode it as a·b - 2**(W - 1)
-        W = (a * b).bit_length() + 1
-        assert 1 << (W - 2) <= a * b < 1 << (W - 1)
-        assert exact._mul_packed([(f.nums, g.nums, 0, 1)]) == {(1 << 16) + 1: (a * b, 0)}
+        assert exact._mul_sum([(f.nums, g.nums, 0, 1)]) == {(1 << 16) + 1: (a * b, 0)}
         # (x + y)²: the xy entry is 2ab, half the bound and twice any ℓ∞ one
         assert ((x + y).scale(a) * (x + y).scale(b)).terms == \
             {(2, 0): gr(a * b), (1, 1): gr(2 * a * b), (0, 2): gr(a * b)}
