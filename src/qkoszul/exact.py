@@ -13,9 +13,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import repeat
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import or_
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -126,13 +126,19 @@ def gr(re=0, im=0) -> GaussianRational:
 
 # -- packed exponent keys -------------------------------------------------
 #
+# The key format is private to this module: other modules name variables
+# by name or by position, and hand coefficients over as (re, im, den)
+# triples (``gauss``).
+#
 # A monomial is one int: the exponent of variable j sits in bits
 # [SLOT_BITS*(n-1-j), SLOT_BITS*(n-j)) of an n-variable key, so the first
 # variable is the most significant slot and the key of a product of two
 # monomials is the sum of their keys.  The
 # top bit of each slot is a guard that no stored exponent sets: the sum of
 # two stored keys never carries from one slot into the next, and a product
-# whose keys set a guard bit raises ExponentOverflowError instead.
+# whose keys set a guard bit raises ExponentOverflowError instead.  A
+# series leads with λ, so the keys of λ^r lie in [r << s, (r + 1) << s)
+# for the slot shift s of λ, and the smallest key carries the lowest power.
 
 _layouts: Dict[Tuple[int, int], Tuple[Tuple[int, ...], int, int]] = {}
 
@@ -147,6 +153,15 @@ def _layout(n: int) -> Tuple[Tuple[int, ...], int, int]:
         guard = sum(1 << (s + S - 1) for s in shifts)
         lay = _layouts[S, n] = (shifts, guard, (1 << S) - 1)
     return lay
+
+
+@cache
+def _mask(S: int, vars: Tuple[str, ...], names: Tuple[str, ...]) -> int:
+    """The key bits of the variables of ``names`` in an n-variable key over
+    ``vars`` at slot width S (``SLOT_BITS``); a name not in ``vars`` has
+    none."""
+    shifts, _, mask = _layout(len(vars))
+    return reduce(or_, (mask << shifts[vars.index(v)] for v in names if v in vars), 0)
 
 
 def _overflow() -> ExponentOverflowError:
@@ -170,16 +185,17 @@ def _unpack(key: int, n: int) -> Exponent:
     return tuple((key >> s) & mask for s in shifts)
 
 
-def _gauss(c) -> Tuple[int, int, int]:
-    """(den, re, im) with c = (re + i·im)/den in lowest terms, for an int,
-    a Fraction or a GaussianRational."""
+def gauss(c) -> Tuple[int, int, int]:
+    """The triple (re, im, den) with c = (re + i·im)/den in lowest terms and
+    den positive, for an int, a Fraction or a GaussianRational.  Triples are
+    how the other modules hand coefficients to this one."""
     if isinstance(c, int):
-        return 1, c, 0
+        return c, 0, 1
     if isinstance(c, Fraction):
-        return c.denominator, c.numerator, 0
+        return c.numerator, 0, c.denominator
     re, im = c.re, c.im
     d = lcm(re.denominator, im.denominator)
-    return d, re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
 
 
 def _render_part(num: int, den: int) -> str:
@@ -420,10 +436,10 @@ class MultiPoly:
             if any(e < 0 for e in exp):
                 raise AlgebraError(f"negative exponent in {exp}")
             if not c.is_zero():
-                coeffs.append((_pack(exp), _gauss(c)))
-        den = lcm(*(d for _, (d, _, _) in coeffs))
+                coeffs.append((_pack(exp), gauss(c)))
+        den = lcm(*(d for _, (_, _, d) in coeffs))
         p = _canonical(vs, den, {k: (r * (den // d), i * (den // d))
-                                 for k, (d, r, i) in coeffs})
+                                 for k, (r, i, d) in coeffs})
         self.vars, self.den, self.nums = p.vars, p.den, p.nums
 
     @property
@@ -438,7 +454,7 @@ class MultiPoly:
 
     @staticmethod
     def const(vars: Sequence[str], c) -> "MultiPoly":
-        d, r, i = _gauss(c)
+        r, i, d = gauss(c)
         return _wrap(tuple(vars), d, {0: (r, i)}) if r or i else MultiPoly.zero(vars)
 
     @staticmethod
@@ -472,10 +488,10 @@ class MultiPoly:
         return _canonical(self.vars, self.den * other.den, nums)
 
     def scale(self, c) -> "MultiPoly":
-        d, cr, ci = _gauss(c)
+        cr, ci, d = gauss(c)
         if not (cr or ci):
             return MultiPoly.zero(self.vars)
-        if (d, cr, ci) == (1, 1, 0):
+        if (cr, ci, d) == (1, 0, 1):
             return self
         return _canonical(self.vars, self.den * d, {
             k: (r * cr - i * ci, r * ci + i * cr) for k, (r, i) in self.nums.items()})
@@ -591,11 +607,11 @@ class MultiPoly:
             raise VariableMismatchError(f"variable {gone!r} used but absent from target list")
         return _wrap(vs, self.den, nums)
 
-    def uses(self, var: str) -> bool:
-        if var not in self.vars:
-            return False
-        s, mask = self._slot(var)
-        return bool(reduce(or_, self.nums, 0) & mask << s)
+    def uses(self, *vars: str) -> bool:
+        """Whether some term has a positive exponent in one of ``vars``; a
+        name that is not a variable of ``self`` is used by no term."""
+        mask = _mask(SLOT_BITS, self.vars, vars)
+        return bool(mask and reduce(or_, self.nums, 0) & mask)
 
     # -- queries ------------------------------------------------------
 
@@ -669,12 +685,10 @@ class LambdaSeries:
     """Formal power series in the deformation parameter λ, truncated at a
     fixed order ``L``.
 
-    The series is one polynomial ``poly`` over (λ, *vars): λ is its first
-    and most significant slot, so the keys of λ^r lie in [r << s, (r + 1)
-    << s) for the slot shift s of λ, every key lies below (L + 1) << s, and
-    the smallest key carries the lowest power.  Coefficient r, the
-    polynomial multiplying λ^r, is ``coeff(r)``.  Every coefficientwise
-    operator is one operation on ``poly``.  Instances are immutable.
+    The series is one polynomial ``poly`` over (λ, *vars), with no term
+    past λ^L.  Coefficient r, the polynomial multiplying λ^r, is
+    ``coeff(r)``.  Every coefficientwise operator is one operation on
+    ``poly``.  Instances are immutable.
     """
 
     __slots__ = ("order", "poly")
@@ -754,8 +768,8 @@ class LambdaSeries:
     def weighted_diff(self, var: str, weight_vars: Sequence[str], k: int) -> "LambdaSeries":
         return LambdaSeries(self.poly.weighted_diff(var, weight_vars, k), self.order)
 
-    def uses(self, var: str) -> bool:
-        return self.poly.uses(var)
+    def uses(self, *vars: str) -> bool:
+        return self.poly.uses(*vars)
 
     # -- queries ------------------------------------------------------
 
@@ -797,7 +811,8 @@ class LambdaSeries:
 def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
     """μ ∘ exp(λ Σ_k D_{a_k} ⊗ D_{b_k})(f ⊗ g), truncated at the order L of
     both series, for rank-one factors given as pairs (a_k, b_k) of vector
-    fields (variables, den, slot bits, ``_derive`` steps) over (λ, *vars).
+    fields from ``star_fields``: (variables, den, slot bits, one ``_derive``
+    step (slot shift, unit key, re, im) per coefficient) over (λ, *vars).
 
     The exponential expands over multi-indices m as
     Σ_m λ^{|m|} Π_k 1/m_k! · (D_a^m f)(D_b^m g), and λ is never
@@ -855,6 +870,106 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
         nums = {k: v for k, v in nums.items() if k < bound}
     _check_guard(nums, len(vars))
     return LambdaSeries(_canonical(vars, f.poly.den * g.poly.den * D, nums), L)
+
+
+def star_fields(vars: Tuple[str, ...], terms) -> list:
+    """The rank-one terms Σ_k a_k b_kᵀ of a constant matrix over ``vars`` as
+    the pairs of vector fields ``star_exponential`` walks along, on series
+    over (λ, *vars).  A vector is a list of (position in ``vars``, (re, im,
+    den)) pairs, for Σ_i v_i ∂_i, and its field has one common denominator."""
+    lvars = (LAMBDA, *vars)
+    shifts, _, mask = _layout(len(lvars))
+
+    def field(v):
+        den = lcm(*(d for _, (_, _, d) in v))
+        steps = tuple((shifts[i + 1], 1 << shifts[i + 1], r * (den // d), m * (den // d))
+                      for i, (r, m, d) in v)
+        return lvars, den, sum(mask << s for s, *_ in steps), steps
+    return [(field(a), field(b)) for a, b in terms]
+
+
+def _pairing(matrix: tuple, f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """Σ B^{ij} ∂_i f ∂_j g for the matrix ``pairing`` decodes: (variables,
+    den, slot mask, entries (shift of i, shift of j, re, im)) with
+    B^{ij} = (re + i·im)/den.  An entry on a variable f or g does not use is
+    skipped, each derivative is taken once, and every term pair goes into
+    one kernel call (``_mul_sum``), put in canonical form once."""
+    vars, den, mask, entries = matrix
+    if f.vars != vars or g.vars != vars:
+        raise VariableMismatchError(f"a bracket operand is not over {vars}")
+    used_f, used_g = reduce(or_, f.nums, 0), reduce(or_, g.nums, 0)
+    df, dg, pairs = {}, {}, []   # derivatives by slot shift, and the products
+    for si, sj, cr, ci in entries:
+        if used_f >> si & mask and used_g >> sj & mask:
+            if si not in df:
+                df[si] = _derive(f.nums, ((si, 1 << si, 1, 0),))
+            if sj not in dg:
+                dg[sj] = _derive(g.nums, ((sj, 1 << sj, 1, 0),))
+            pairs.append(({k: (r * cr - i * ci, r * ci + i * cr)
+                           for k, (r, i) in df[si].items()}, dg[sj], 0, 1))
+    nums = _mul_sum(pairs)
+    _check_guard(nums, len(vars))
+    return _canonical(vars, f.den * g.den * den, nums)
+
+
+def pairing(vars: Tuple[str, ...], B) -> Callable[[MultiPoly, MultiPoly], MultiPoly]:
+    """The bilinear map (f, g) ↦ Σ B^{ij} ∂_i f ∂_j g on polynomials over
+    ``vars``, for B as (re, im, den) triples keyed by positions (i, j) in
+    ``vars``.  B is decoded once, over one common denominator."""
+    shifts, _, mask = _layout(len(vars))
+    den = lcm(*(d for _, _, d in B.values()))
+    return partial(_pairing, (vars, den, mask, tuple(
+        (shifts[i], shifts[j], r * (den // d), m * (den // d))
+        for (i, j), (r, m, d) in B.items())))
+
+
+class ConstantOperator:
+    """A differential operator Y of order at most two with constant
+    coefficients, on series over (λ, *vars): the sum over ``entries`` of
+    c·∂_i∂_j for an entry (i, j, c) and of c·∂_j for an entry (None, j, c),
+    with i and j positions in ``vars`` and c a triple (re, im, den).  The
+    entries are decoded once, over one common denominator."""
+
+    __slots__ = ("vars", "entries", "_den", "_steps")
+
+    def __init__(self, vars: Sequence[str], entries):
+        self.vars, self.entries = tuple(vars), tuple(entries)
+        shifts = _layout(len(self.vars) + 1)[0]
+        self._den = den = lcm(*(d for *_, (_, _, d) in self.entries))
+        self._steps = tuple((None if i is None else shifts[i + 1], shifts[j + 1],
+                             r * (den // d), m * (den // d))
+                            for i, j, (r, m, d) in self.entries)
+
+    def exp(self, f: LambdaSeries, sign: int) -> LambdaSeries:
+        """exp(sign·λY) f, truncated at the order of f: Y once per power of λ
+        on raw numerators."""
+        if f.vars != self.vars:
+            raise VariableMismatchError(f"a series is not over {self.vars}")
+        poly, L = f.poly, f.order
+        shifts, _, mask = _layout(len(poly.vars))
+        lam, bound = 1 << shifts[0], (L + 1) << shifts[0]
+        # λ^k Y^k f / k! over den·Y.den^k·k!, each key stepping ∂_j, then ∂_i
+        # for a second-order entry, and λ
+        y = [(si, sj, (1 << sj) - lam, sign * yr, sign * yi) for si, sj, yr, yi in self._steps]
+        terms, cur = [poly], poly.nums
+        for k in range(1, L + 1):
+            nxt: Dict[int, Tuple[int, int]] = {}
+            for key, (r, i) in cur.items():
+                for si, sj, uj, yr, yi in y:
+                    e = key >> sj & mask
+                    if e:
+                        d = key - uj
+                        if si is not None:
+                            e *= d >> si & mask
+                            d -= 1 << si
+                        if e and d < bound:
+                            t = nxt.get(d, (0, 0))
+                            nxt[d] = (t[0] + (r * yr - i * yi) * e, t[1] + (r * yi + i * yr) * e)
+            cur = _nonzero(nxt)
+            if not cur:
+                break
+            terms.append(_wrap(poly.vars, poly.den * self._den ** k * factorial(k), cur))
+        return LambdaSeries(_sum(poly.vars, terms), L)
 
 
 def invert_unipotent(raiser: Callable, order: int) -> Callable:

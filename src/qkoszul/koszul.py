@@ -18,28 +18,28 @@ The quantum restriction is the classical one after a correction series,
 quantum momentum map is p_a + λc_a with constant c_a, an operator T
 conjugates the quantum complex to the classical one, and the correction is
 T = exp(λY) in closed form, for one operator Y with constant coefficients.
-There the quantum homotopy is T⁻¹hT, with T⁻¹ = exp(-λY).
+There the quantum homotopy is T⁻¹hT, with T⁻¹ = exp(-λY).  Y is built here
+from the product's matrix, by variable position, and
+``exact.ConstantOperator`` applies exp(±λY) to a series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from itertools import combinations
-from math import factorial, lcm
-from operator import or_
-from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .exact import (
     AlgebraError,
+    ConstantOperator,
     GaussianRational,
     LambdaSeries,
     MultiPoly,
+    gauss,
     gr,
     invert_unipotent,
 )
-from .exact import _layout, _nonzero, _sum, _wrap
 from .lie import (
     LieAlgebraData,
     QuantumMomentumMap,
@@ -152,51 +152,38 @@ class KoszulChain:
                           for key in sorted(self.terms))
 
 
-class Conjugation(NamedTuple):
-    """The data of the operator T = exp(λY) of a context, on the keys of its
-    series, where λ leads (see ``_conjugation``): Y is the sum over the
-    entries of ``y`` of (re + i·im)/den times ∂_i∂_j for a second-order
-    entry (shift of i, shift of j, re, im), and ∂_j for a first-order entry
-    (None, shift of j, re, im)."""
-    den: int
-    y: Tuple[Tuple[Optional[int], int, int, int], ...]
-
-
 def _conjugation(space: PhaseSpace, translated: Sequence[int], star: StarProduct,
-                 Jq: QuantumMomentumMap) -> Optional[Conjugation]:
-    """T's data for a product with a constant matrix C and Jq_a = p_a + λc_a,
-    c_a constant, on the positions P of the translated p_a:
+                 Jq: QuantumMomentumMap) -> Optional[ConstantOperator]:
+    """The operator Y over the variables of ``space``, for a product with a
+    constant matrix C and Jq_a = p_a + λc_a, c_a constant, on the positions
+    P of the translated p_a:
 
         Y = -Σ_a Σ_{i∉P} C^{i p_a} ∂_i∂_{p_a} - ½ Σ_{a,b} C^{p_a p_b} ∂_{p_a}∂_{p_b}
             - Σ_a c_a ∂_{p_a}.
 
-    Then T(f ⋆ Jq_a) = p_a·T(f).  None where that does not hold: a product
-    without a matrix, some Jq_a - p_a that is not λ times a constant, or C
-    not symmetric on P × P."""
+    Then T = exp(λY) has T(f ⋆ Jq_a) = p_a·T(f).  None where that does not
+    hold: a product without a matrix, some Jq_a - p_a that is not λ times
+    a constant, or C not symmetric on P × P."""
     C = star.matrix
     if C is None or star.space.vars != space.vars:
         return None
-    shifts = _layout(len(space.vars) + 1)[0]
-    lam = 1 << shifts[0]
     P = [space.vars.index(f"p{a}") for a in translated]
     if any(C.get((a, b)) != C.get((b, a)) for a in P for b in P):
         return None
     # each pair {i, j} once: the two halves of -½ C^{p_a p_b} ∂_{p_a}∂_{p_b}
     # for a ≠ b add up, as C is symmetric there
-    y = [(shifts[i + 1], shifts[j + 1], -r, -m, 2 * d if i == j else d)
+    y = [(i, j, (-r, -m, 2 * d if i == j else d))
          for (i, j), (r, m, d) in sorted(C.items()) if j in P and (i not in P or i <= j)]
-    for a, Ja in zip(P, Jq.components):
-        p, nums = Ja.poly, Ja.poly.nums
-        pa = 1 << shifts[a + 1]
-        if Ja.vars != space.vars or nums.get(pa) != (p.den, 0) or nums.keys() - {pa, lam}:
+    for a, Ja in zip(translated, Jq.components):
+        # Jq_a must be p_a + λc_a, with c_a = coeff(1) a constant
+        c = Ja.coeff(1)
+        if c.uses(*c.vars) or Ja - LambdaSeries.from_poly(c, Ja.order, shift=1) != \
+                LambdaSeries.from_poly(space.p(a), Ja.order):
             return None
-        if lam in nums:
-            # -c_a ∂_{p_a}, with c_a the λ term of Jq_a
-            r, m = nums[lam]
-            y.append((None, shifts[a + 1], -r, -m, p.den))
-    den = lcm(*(d for *_, d in y))
-    return Conjugation(den, tuple((si, sj, r * (den // d), m * (den // d))
-                                  for si, sj, r, m, d in y))
+        if not c.is_zero():
+            r, m, d = gauss(c.terms[(0,) * len(c.vars)])
+            y.append((None, space.vars.index(f"p{a}"), (-r, -m, d)))
+    return ConstantOperator(space.vars, y)
 
 
 class ReductionContext:
@@ -206,10 +193,9 @@ class ReductionContext:
     ``cvars``.  The classical momentum map is the canonical one of the
     action, and the quantum one is held truncated to the context's order; a
     shifted scenario adds the substitution that straightens its samples.
-    ``conjugation`` is the data of the operator T through which the quantum
-    restriction is computed in closed form, or None where T does not apply;
-    ``pmask`` holds the key bits of the constrained p_a in a series' keys,
-    where λ leads.  Immutable after construction."""
+    ``conjugation`` is the operator Y of T = exp(λY), through which the
+    quantum restriction is computed in closed form, or None where T does
+    not apply.  Immutable after construction."""
 
     def __init__(self, space: PhaseSpace, action: TranslationAction,
                  star: StarProduct, Jq: QuantumMomentumMap, order: int,
@@ -225,8 +211,6 @@ class ReductionContext:
         self.straightening = dict(straighten) if straighten else {}
         self.constrained = tuple(f"p{a}" for a in action.translated)
         self.cvars = tuple(v for v in space.vars if v not in self.constrained)
-        shifts, _, mask = _layout(len(space.vars) + 1)
-        self.pmask = sum(mask << shifts[space.vars.index(p) + 1] for p in self.constrained)
         self.gdim = action.dim
         self.conjugation = _conjugation(space, action.translated, star, self.Jq)
 
@@ -381,7 +365,7 @@ def fixed_by_corrections(f: LambdaSeries, ctx: ReductionContext) -> bool:
     alone."""
     if (f.vars, f.order) != (ctx.space.vars, ctx.order):
         raise AlgebraError("series does not match the context's variables and order")
-    return not reduce(or_, f.poly.nums, 0) & ctx.pmask
+    return not f.uses(*ctx.constrained)
 
 
 def series_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
@@ -404,46 +388,15 @@ def series_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     return restriction(series_correction(f, ctx), ctx)
 
 
-def _conjugated(f: LambdaSeries, ctx: ReductionContext, sign: int) -> LambdaSeries:
-    """exp(sign·λY) f, truncated at the order of f, on a context whose
-    ``conjugation`` is not None: Y once per power of λ on raw numerators."""
-    if fixed_by_corrections(f, ctx):
-        return f
-    T, poly, L = ctx.conjugation, f.poly, f.order
-    shifts, _, mask = _layout(len(poly.vars))
-    lam, bound = 1 << shifts[0], (L + 1) << shifts[0]
-    # λ^k Y^k f / k! over den·T.den^k·k!, each key stepping ∂_j, then ∂_i
-    # for a second-order entry, and λ
-    y = [(si, sj, (1 << sj) - lam, sign * yr, sign * yi) for si, sj, yr, yi in T.y]
-    terms, cur = [poly], poly.nums
-    for k in range(1, L + 1):
-        nxt: Dict[int, Tuple[int, int]] = {}
-        for key, (r, i) in cur.items():
-            for si, sj, uj, yr, yi in y:
-                e = key >> sj & mask
-                if e:
-                    d = key - uj
-                    if si is not None:
-                        e *= d >> si & mask
-                        d -= 1 << si
-                    if e and d < bound:
-                        t = nxt.get(d, (0, 0))
-                        nxt[d] = (t[0] + (r * yr - i * yi) * e, t[1] + (r * yi + i * yr) * e)
-        cur = _nonzero(nxt)
-        if not cur:
-            break
-        terms.append(_wrap(poly.vars, poly.den * T.den ** k * factorial(k), cur))
-    return LambdaSeries(_sum(poly.vars, terms), L)
-
-
 def conjugate(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """T f = exp(λY) f, truncated at the order of f."""
-    return _conjugated(f, ctx, 1)
+    """T f = exp(λY) f, truncated at the order of f, on a context whose
+    ``conjugation`` is not None."""
+    return f if fixed_by_corrections(f, ctx) else ctx.conjugation.exp(f, 1)
 
 
 def unconjugate(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     """T⁻¹ f = exp(-λY) f, truncated at the order of f."""
-    return _conjugated(f, ctx, -1)
+    return f if fixed_by_corrections(f, ctx) else ctx.conjugation.exp(f, -1)
 
 
 def quantum_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:

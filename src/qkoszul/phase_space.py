@@ -14,36 +14,38 @@ conj(C) = Cᵀ.
 
 ``StarProduct.constant`` reads C once into integer triples (re, im, den)
 and does its rank-one factorisation, its Hermitian test and its bracket
-matrix on them; ``GaussianRational`` is only the type of C's entries.  The
-bracket is one pass over raw numerators that skips every matrix entry on a
-variable an input does not use; it shares no code with the star walk, so
-the order-1 commutator check compares two independent computations.
+matrix on them; ``GaussianRational`` is only the type of C's entries.  It
+hands the rank-one terms and the bracket matrix to ``exact`` by variable
+position, as the vector fields of the star walk (``star_fields``) and as
+the bracket's pairing (``pairing``).  The bracket shares no code with the
+star walk, so the order-1 commutator check compares two independent
+computations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
-from math import gcd, lcm
-from operator import or_
+from functools import partial
+from itertools import chain
+from math import gcd
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exact import (
     GR_I,
     GR_MINUS_I,
-    LAMBDA,
     AlgebraError,
     ContractViolationError,
     GaussianRational,
     LambdaSeries,
     MultiPoly,
     OrderMismatchError,
-    VariableMismatchError,
+    gauss,
     gr,
+    pairing,
     star_exponential,
+    star_fields,
 )
-from .exact import _canonical, _check_guard, _derive, _gauss, _layout, _mul_sum
 from .report import check, expected_failure
 
 # Nonzero entries of a matrix over the variables of a phase space, keyed by
@@ -135,40 +137,6 @@ def _rank_one_terms(C: Dict[Tuple[int, int], Gauss]) -> List[Tuple[Vector, Vecto
     return terms
 
 
-def _pairing(matrix: tuple, f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Σ B^{ij} ∂_i f ∂_j g for the matrix ``constant`` decodes: (variables,
-    den, slot mask, entries (shift of i, shift of j, re, im)) with
-    B^{ij} = (re + i·im)/den.  An entry on a variable f or g does not use is
-    skipped, each derivative is taken once, and every term pair goes into
-    one kernel call (``_mul_sum``), put in canonical form once."""
-    vars, den, mask, entries = matrix
-    if f.vars != vars or g.vars != vars:
-        raise VariableMismatchError(f"a bracket operand is not over {vars}")
-    used_f, used_g = reduce(or_, f.nums, 0), reduce(or_, g.nums, 0)
-    df, dg, pairs = {}, {}, []   # derivatives by slot shift, and the products
-    for si, sj, cr, ci in entries:
-        if used_f >> si & mask and used_g >> sj & mask:
-            if si not in df:
-                df[si] = _derive(f.nums, ((si, 1 << si, 1, 0),))
-            if sj not in dg:
-                dg[sj] = _derive(g.nums, ((sj, 1 << sj, 1, 0),))
-            pairs.append(({k: (r * cr - i * ci, r * ci + i * cr)
-                           for k, (r, i) in df[si].items()}, dg[sj], 0, 1))
-    nums = _mul_sum(pairs)
-    _check_guard(nums, len(vars))
-    return _canonical(vars, f.den * g.den * den, nums)
-
-
-def _vector_field(lvars: Tuple[str, ...], shifts: Tuple[int, ...], mask: int, v: Vector) -> tuple:
-    """Σ_i v_i ∂_i on the λ-extended variables, as ``star_exponential`` reads
-    it: (variables, den, slot bits, a ``_derive`` step per v_i).  λ leads the
-    key, so variable i keeps its slot shift ``shifts[i]``."""
-    den = lcm(*(d for _, (_, _, d) in v))
-    steps = tuple((shifts[i], 1 << shifts[i], r * (den // d), m * (den // d))
-                  for i, (r, m, d) in v)
-    return lvars, den, sum(mask << s for s, *_ in steps), steps
-
-
 class StarProduct:
     """An exact formal star product on a flat phase space.
 
@@ -185,8 +153,8 @@ class StarProduct:
 
     So each product keeps its last evaluation, one entry: ``eval`` on
     inputs equal to the last ones returns the series it returned then, and
-    any other pair replaces the entry.  Series are immutable and equal
-    series have equal fields, so the entry is read by comparing fields.
+    any other pair replaces the entry.  Series are immutable, so the entry
+    is read by comparing the polynomials and the order with ``==``.
     Two routes that start from one upstairs product, such as the
     homological and closed-form reduced products, or a two-stage and a
     one-step product, walk it once between them.
@@ -210,9 +178,9 @@ class StarProduct:
     @staticmethod
     def constant(space: PhaseSpace, C: Matrix) -> "StarProduct":
         """μ ∘ exp(λ Σ C^{ij} ∂_i ⊗ ∂_j).  C is read once into integer
-        triples; on them it is factored into rank-one terms, each decoded
-        once as a pair of vector fields, and the bracket matrix -i (C - Cᵀ)
-        and the Hermitian property are read off."""
+        triples; on them it is factored into rank-one terms, which become
+        the vector fields of the star walk, and the bracket matrix
+        -i (C - Cᵀ) and the Hermitian property are read off."""
         N = len(space.vars)
         bad = [ij for ij in C if not (0 <= ij[0] < N and 0 <= ij[1] < N)]
         if bad:
@@ -220,25 +188,18 @@ class StarProduct:
                                f"variables of the phase space")
         T: Dict[Tuple[int, int], Gauss] = {}
         for ij, c in C.items():
-            d, r, m = _gauss(c)
-            if r or m:
-                T[ij] = (r, m, d)
+            t = gauss(c)
+            if t[0] or t[1]:
+                T[ij] = t
         hermitian = all(T.get((j, i)) == (r, -m, d) for (i, j), (r, m, d) in T.items())
         B = {}
         for i, j in sorted(T.keys() | {(j, i) for i, j in T}):
             r, m, d = _sub_mul(T.get((i, j), ZERO), T.get((j, i), ZERO))
             if r or m:
                 B[i, j] = (m, -r, d)
-        shifts, _, mask = _layout(N)
-        den = lcm(*(d for _, _, d in B.values()))
-        bracket = (space.vars, den, mask, tuple(
-            (shifts[i], shifts[j], r * (den // d), m * (den // d))
-            for (i, j), (r, m, d) in B.items()))
-        lvars = (LAMBDA, *space.vars)
-        fields = [(_vector_field(lvars, shifts, mask, a), _vector_field(lvars, shifts, mask, b))
-                  for a, b in _rank_one_terms(T)]
+        fields = star_fields(space.vars, _rank_one_terms(T))
         return StarProduct(space, partial(star_exponential, fields),
-                           partial(_pairing, bracket), hermitian, MappingProxyType(T))
+                           pairing(space.vars, B), hermitian, MappingProxyType(T))
 
     @staticmethod
     def weyl(space: PhaseSpace) -> "StarProduct":
@@ -281,13 +242,9 @@ class StarProduct:
     def eval(self, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
         if f.order != g.order:
             raise OrderMismatchError(f"order {f.order} vs {g.order}")
-        # numerators first: on a miss they almost always differ, and a
-        # dict compare stops at the first key
         fp, gp = f.poly, g.poly
         order, lf, lg, last = self._last
-        if (last is not None and fp.nums == lf.nums and gp.nums == lg.nums
-                and fp.den == lf.den and gp.den == lg.den and f.order == order
-                and fp.vars == lf.vars and gp.vars == lg.vars):
+        if fp == lf and gp == lg and f.order == order:
             return last
         out = self._eval(f, g)
         self._last = (f.order, fp, gp, out)
@@ -339,9 +296,12 @@ def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],
                        "commutator_order1": comm.coeff(1).render(),
                        "i_bracket": expected.render()}
 
-    # reported, not required by the axioms
+    # reported, not required by the axioms.  A product that is not Hermitian
+    # also tries every pair of coordinates, after the samples: one of them
+    # always witnesses, as conj(x_i ⋆ x_j) - x_j ⋆ x_i = λ(conj C^{ij} - C^{ji})
     def hermitian():
-        for f, g, fv, gv in pairs():
+        xs = [] if star.hermitian else [MultiPoly.variable(space.vars, v) for v in space.vars]
+        for f, g, fv, gv in chain(pairs(), ((x, y, x, y) for x in xs for y in xs)):
             lhs = product(fv, gv).conjugate()
             rhs = product(gv.conjugate(), fv.conjugate())
             if lhs != rhs:

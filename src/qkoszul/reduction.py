@@ -22,11 +22,9 @@ never involve the translated fiber coordinates, are the canonical ones.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 from typing import Mapping, Tuple, TypeVar
 
-from .exact import AlgebraError, LambdaSeries, MultiPoly, _layout
+from .exact import AlgebraError, LambdaSeries, MultiPoly
 from .koszul import ReductionContext, quantum_correction, series_correction
 from .phase_space import PhaseSpace, StarProduct
 
@@ -52,10 +50,6 @@ class ReducedAlgebra:
         self.ctx = ctx
         residual = tuple(c for c in ctx.space.coords if c not in ctx.action.translated)
         self.space = PhaseSpace(residual)
-        # the translated q_a bits; ``ctx.pmask`` holds the p_a bits, at the same
-        # shifts with or without λ, since λ is a series' most significant slot
-        shifts, _, mask = _layout(len(ctx.space.vars))
-        self._q = sum(mask << shifts[ctx.space.vars.index(f"q{a}")] for a in ctx.action.translated)
 
     def up(self, f: P) -> P:
         """A reduced polynomial or series on the whole phase space."""
@@ -65,12 +59,11 @@ class ReducedAlgebra:
 
     def down(self, F: P) -> P:
         """The restriction of an invariant polynomial or series on the whole
-        phase space, re-keyed once onto the reduced one."""
-        keys = (F.poly if isinstance(F, LambdaSeries) else F).nums
-        if reduce(or_, keys, 0) & self._q and any(k & self._q and not k & self.ctx.pmask
-                                                  for k in keys):
-            G = F.zero_outside(self.ctx.cvars)
-            qv = next(f"q{a}" for a in self.ctx.action.translated if G.uses(f"q{a}"))
+        phase space, re-keyed once onto the reduced one.  A term with a
+        translated q_a and no constrained p_a is not invariant."""
+        qs = tuple(f"q{a}" for a in self.ctx.action.translated)
+        if F.uses(*qs) and (G := F.zero_outside(self.ctx.cvars)).uses(*qs):
+            qv = next(q for q in qs if G.uses(q))
             raise AlgebraError(f"element is not translation invariant: depends on {qv}")
         return F.zero_outside(self.space.vars)
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qkoszul import cli, exact, koszul, reduction
 from qkoszul.cli import builtin_config, main, run_scenario
-from qkoszul.exact import ContractViolationError, MultiPoly, OrderMismatchError
+from qkoszul.exact import ConstantOperator, ContractViolationError, MultiPoly, OrderMismatchError
 from qkoszul.lie import LieAlgebraData
 
 CLI = [sys.executable, "-m", "qkoszul.cli"]
@@ -211,9 +211,9 @@ class TestReports:
         conjugation = koszul._conjugation
 
         def flipped(*args):
-            T = conjugation(*args)
-            return T._replace(y=tuple((si, sj, r, m) if si is None else (si, sj, -r, -m)
-                                      for si, sj, r, m in T.y))
+            Y = conjugation(*args)
+            return ConstantOperator(Y.vars, [
+                (i, j, c) if i is None else (i, j, (-c[0], -c[1], c[2])) for i, j, c in Y.entries])
 
         monkeypatch.setattr(koszul, "_conjugation", flipped)
         assert main(["--scenario", "s1p-single"]) == 1
@@ -325,6 +325,29 @@ class TestConfigFile:
         assert res.returncode == 0, res.stdout
         names = [c["name"] for c in json.loads(res.stdout)["checks"]]
         assert "reduction.hermitian_fails_as_expected" in names
+
+    def test_std_hermitian_fails_as_expected_where_no_sample_pair_witnesses(self, tmp_path):
+        # at degree 1, no consecutive pair of the samples of seed 11 tells
+        # the product from a Hermitian one; a pair of coordinates does
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"name": "x", "n": 2, "star": "std", "degree": 1,
+                                    "seed": 11, "checks": ["axioms"]}))
+        res = run("--config", str(path))
+        assert res.returncode == 0, res.stdout
+        entry = next(c for c in json.loads(res.stdout)["checks"]
+                     if c["name"] == "axioms.hermitian_fails_as_expected")
+        assert (entry["witness"]["f"], entry["witness"]["g"]) == \
+            ("(1/1)+(0/1)i*q1", "(1/1)+(0/1)i*p1")
+
+    @pytest.mark.parametrize("n, checks, translated", [
+        (2, ["axioms"], ()), (3, ["axioms"], ()), (3, ["reduction"], (1,))])
+    def test_std_hermitian_fails_as_expected_at_every_seed(self, n, checks, translated):
+        # degree 1 leaves the fewest sample pairs that witness
+        for seed in range(60):
+            report = run_scenario(cli.ScenarioConfig(
+                name="std", n=n, star="std", degree=1, seed=seed, checks=checks,
+                translated=translated))
+            assert report["status"] == "pass", seed
 
     @pytest.mark.parametrize("shift", ({"mu": {"2": "1/2"}},
                                        {"b": {"2": [3, "1/2"]}}))

@@ -296,6 +296,15 @@ class TestAgainstReference:
             assert p.uses(v) == rp.uses(v)
         assert not p.uses("z")
 
+    @given(polys(WIDE, max_degree=2, max_terms=4),
+           st.lists(st.sampled_from(WIDE + ("z",)), max_size=4), st.integers(0, 2))
+    @settings(max_examples=60)
+    def test_uses_several_names(self, p, names, r):
+        # names inside and outside the variables, repeated, or none at all
+        want = any(RefPoly.of(p).uses(v) for v in names)
+        assert p.uses(*names) == want
+        assert LambdaSeries.from_poly(p, 2, shift=r).uses(*names) == want
+
     @given(polys(max_degree=3, max_terms=4), polys(WIDE, max_degree=2, max_terms=3),
            polys(WIDE, max_degree=2, max_terms=3), st.booleans())
     @settings(max_examples=40, deadline=None)

@@ -25,6 +25,7 @@ from qkoszul import koszul
 from qkoszul.cli import builtin_config, main, run_scenario
 from qkoszul.exact import (
     AlgebraError,
+    ConstantOperator,
     ContractViolationError,
     LambdaSeries,
     MultiPoly,
@@ -934,13 +935,13 @@ def test_a_flipped_sign_of_the_first_order_part_of_Y_is_seen_against_the_series(
     conjugation = koszul._conjugation
 
     def flipped(*args):
-        T = conjugation(*args)
-        return T._replace(y=tuple((si, sj, -r, -m) if si is None else (si, sj, r, m)
-                                  for si, sj, r, m in T.y))
+        Y = conjugation(*args)
+        return ConstantOperator(Y.vars, [(i, j, (-c[0], -c[1], c[2])) if i is None else (i, j, c)
+                                         for i, j, c in Y.entries])
 
     monkeypatch.setattr(koszul, "_conjugation", flipped)
     ctx = next(T_contexts("weyl", True))
-    assert any(si is None for si, *_ in ctx.conjugation.y)
+    assert any(i is None for i, *_ in ctx.conjugation.entries)
     F = ctx.series(sample_polys(211, ctx.space.vars, 3, 1)[0] * ctx.J.components[0])
     assert quantum_restriction(F, ctx) != series_restriction(F, ctx)
 
@@ -954,7 +955,7 @@ def test_T_never_substitutes_nor_truncates(monkeypatch, corrected):
         monkeypatch.setattr(cls, name,
                             lambda *args, method=method: calls.append(method) or method(*args))
     for ctx in T_contexts("wick", corrected):
-        assert any(si is None for si, *_ in ctx.conjugation.y) == corrected
+        assert any(i is None for i, *_ in ctx.conjugation.entries) == corrected
         F = ctx.series(sample_polys(227, ctx.space.vars, 3, 1)[0] * ctx.J.components[0])
         want = series_restriction(F, ctx)
         calls.clear()
@@ -1016,7 +1017,8 @@ def test_T_inverse_undoes_T_on_unrestricted_series(kind, corrected):
 
 def test_unflipped_sign_of_X_in_T_inverse_fails_the_quantum_homotopy(monkeypatch):
     # T⁻¹ taken as T; with c = 0, as in every builtin, Y is X
-    monkeypatch.setattr(koszul, "unconjugate", lambda f, ctx: koszul._conjugated(f, ctx, 1))
+    exp = ConstantOperator.exp
+    monkeypatch.setattr(ConstantOperator, "exp", lambda Y, f, sign: exp(Y, f, 1))
     assert homotopy_against_the_series("weyl", False)[0] > 0
     for name in ("s1-translation", "s1p-single", "s2-magnetic"):
         failing = [c["name"] for c in run_scenario(builtin_config(name))["checks"]

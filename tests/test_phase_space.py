@@ -504,11 +504,6 @@ def test_eval_raises_the_term_limit(monkeypatch):
 
 # -- the set-up on integer triples and the one-pass bracket -----------------
 
-def triple(c: GaussianRational):
-    d, r, i = exact._gauss(c)
-    return r, i, d
-
-
 def of_triple(t) -> GaussianRational:
     r, i, d = t
     return gr(Fraction(r, d), Fraction(i, d))
@@ -517,7 +512,7 @@ def of_triple(t) -> GaussianRational:
 @given(C=constant_matrices(4))
 @settings(max_examples=40, deadline=None)
 def test_rank_one_terms_reproduce_the_matrix(C):
-    terms = phase_space._rank_one_terms({ij: triple(c) for ij, c in C.items()})
+    terms = phase_space._rank_one_terms({ij: exact.gauss(c) for ij, c in C.items()})
     # every coefficient is a triple in lowest terms over a positive denominator
     assert all(d > 0 and math.gcd(r, i, d) == 1 and (r or i)
                for a, b in terms for _, (r, i, d) in a + b)
@@ -573,28 +568,31 @@ def test_bracket_equals_the_reference_pairing(data):
 
 
 def test_bracket_prunes_entries_and_takes_each_derivative_once(monkeypatch):
+    f, g = SP2.q(1) * SP2.p(1), SP2.q(2) * SP2.p(2)
+    h = f * g + SP2.q(1) + SP2.p(2)
+    # the references first: their derivatives run through the same kernel
+    want_hf = pairing(bracket_matrix(SKEW), h, f)
+    want_hh = pairing(bracket_matrix(SKEW), h, h.scale(2))
     taken = []
-    derive = phase_space._derive
+    derive = exact._derive
 
     def counted(nums, steps):
         (s, *_), = steps   # the bracket derives along one variable at a time
         taken.append((id(nums), s))
         return derive(nums, steps)
-    monkeypatch.setattr(phase_space, "_derive", counted)
+    monkeypatch.setattr(exact, "_derive", counted)
     # f and g on disjoint pairs: every entry of the Weyl matrix is skipped
-    f, g = SP2.q(1) * SP2.p(1), SP2.q(2) * SP2.p(2)
     assert StarProduct.weyl(SP2).bracket_poly(f, g).is_zero() and taken == []
     # SKEW's bracket matrix has entries (q1,p1), (p1,q1), (q2,p2), (p2,q2),
     # (p1,p2) and (p2,p1); h uses every variable and f only q1 and p1, so
     # (q1,p1), (p1,q1) and (p2,p1) are kept and ∂_{p1} f serves two of them:
     # three derivatives of h and two of f, each taken once
-    h = f * g + SP2.q(1) + SP2.p(2)
     star = product_of("skew", SP2)
-    assert star.bracket_poly(h, f) == pairing(bracket_matrix(SKEW), h, f)
+    assert star.bracket_poly(h, f) == want_hf
     assert len(taken) == len(set(taken)) == 5
     # with both inputs on every variable, rows p1, p2 and columns p1, p2 repeat
     taken.clear()
-    assert star.bracket_poly(h, h.scale(2)) == pairing(bracket_matrix(SKEW), h, h.scale(2))
+    assert star.bracket_poly(h, h.scale(2)) == want_hh
     assert len(taken) == len(set(taken)) == 8
 
 
