@@ -158,7 +158,7 @@ class ScenarioConfig:
             "seed": self.seed,
             "b": {str(a): [c, str(v)] for a, (c, v) in sorted(self.b.items())},
             "mu": {str(a): str(v) for a, v in sorted(self.mu.items())},
-            "stage_first": list(self.stage_first) if self.stage_first else None,
+            "stage_first": None if self.stage_first is None else list(self.stage_first),
             "checks": list(self.checks),
         }
 
@@ -370,8 +370,7 @@ def shift_checks(cfg: ScenarioConfig, ctx: ReductionContext,
 def suite_momentum(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
     raw = raw_samples(cfg, ctx, cfg.seed)
     checks = check_classical_equivariance(ctx.J, ctx.star)
-    checks += check_quantum_momentum_map(ctx.star, ctx.Jq, [ctx.straighten(f) for f in raw],
-                                         cfg.lambda_order)
+    checks += check_quantum_momentum_map(ctx.star, ctx.Jq, [ctx.straighten(f) for f in raw])
     if cfg.b or cfg.mu:
         checks += shift_checks(cfg, ctx, raw)
     return checks
@@ -454,14 +453,16 @@ def suite_ce(cfg: ScenarioConfig, ctx: Optional[ReductionContext]) -> List[dict]
     rng = random.Random(cfg.seed)
 
     def vec():
-        return tuple(gr(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-                     for _ in range(lie.dim))
+        return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(lie.dim))
+
+    def rendered(v):
+        return [gr(c).render() for c in v]
 
     def boundary_squared_zero(grade: int):
         x = {key: vec() for key in combinations(range(1, lie.dim + 1), grade)}
         sq = ce_boundary(lie, ce_boundary(lie, x, grade), grade - 1)
         if sq:
-            yield {"grade": grade, "d_squared": {basis_label(key): [c.render() for c in v]
+            yield {"grade": grade, "d_squared": {basis_label(key): rendered(v)
                                                  for key, v in sorted(sq.items())}}
 
     def grade1_is_adjoint_action():
@@ -469,12 +470,12 @@ def suite_ce(cfg: ScenarioConfig, ctx: Optional[ReductionContext]) -> List[dict]
         basis = range(1, lie.dim + 1)
         for alpha in basis:
             for beta in basis:
-                e_beta = tuple(gr(int(g == beta)) for g in basis)
-                got = ce_boundary(lie, {(alpha,): e_beta}, 1).get((), (gr(0),) * lie.dim)
-                want = tuple(gr(lie.c(alpha, beta, g)) for g in basis)
+                e_beta = tuple(Fraction(int(g == beta)) for g in basis)
+                got = ce_boundary(lie, {(alpha,): e_beta}, 1).get((), (Fraction(0),) * lie.dim)
+                want = tuple(lie.c(alpha, beta, g) for g in basis)
                 if got != want:
-                    yield {"alpha": alpha, "beta": beta, "boundary": [c.render() for c in got],
-                           "bracket": [c.render() for c in want]}
+                    yield {"alpha": alpha, "beta": beta, "boundary": rendered(got),
+                           "bracket": rendered(want)}
 
     return [check(f"boundary_squared_zero_grade{grade}", boundary_squared_zero(grade))
             for grade in (2, 3)] + \

@@ -33,11 +33,9 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence,
 from .exact import (
     AlgebraError,
     ConstantOperator,
-    GaussianRational,
     LambdaSeries,
     MultiPoly,
     gauss,
-    gr,
     invert_unipotent,
 )
 from .lie import (
@@ -152,11 +150,11 @@ class KoszulChain:
                           for key in sorted(self.terms))
 
 
-def _conjugation(space: PhaseSpace, translated: Sequence[int], star: StarProduct,
+def _conjugation(action: TranslationAction, star: StarProduct,
                  Jq: QuantumMomentumMap) -> Optional[ConstantOperator]:
-    """The operator Y over the variables of ``space``, for a product with a
-    constant matrix C and Jq_a = p_a + λc_a, c_a constant, on the positions
-    P of the translated p_a:
+    """The operator Y over the variables of the action's space, for a
+    product with a constant matrix C and Jq_a = p_a + λc_a, c_a constant,
+    on the positions P of the translated p_a:
 
         Y = -Σ_a Σ_{i∉P} C^{i p_a} ∂_i∂_{p_a} - ½ Σ_{a,b} C^{p_a p_b} ∂_{p_a}∂_{p_b}
             - Σ_a c_a ∂_{p_a}.
@@ -164,7 +162,7 @@ def _conjugation(space: PhaseSpace, translated: Sequence[int], star: StarProduct
     Then T = exp(λY) has T(f ⋆ Jq_a) = p_a·T(f).  None where that does not
     hold: a product without a matrix, some Jq_a - p_a that is not λ times
     a constant, or C not symmetric on P × P."""
-    C = star.matrix
+    C, space, translated = star.matrix, action.space, action.translated
     if C is None or star.space.vars != space.vars:
         return None
     P = [space.vars.index(f"p{a}") for a in translated]
@@ -197,10 +195,10 @@ class ReductionContext:
     quantum restriction is computed in closed form, or None where T does
     not apply.  Immutable after construction."""
 
-    def __init__(self, space: PhaseSpace, action: TranslationAction,
-                 star: StarProduct, Jq: QuantumMomentumMap, order: int,
+    def __init__(self, action: TranslationAction, star: StarProduct,
+                 Jq: QuantumMomentumMap, order: int,
                  straighten: Optional[Mapping[str, MultiPoly]] = None):
-        self.space = space
+        self.space = space = action.space
         self.action = action
         self.star = star
         self.J = canonical_momentum_map(action)
@@ -212,7 +210,7 @@ class ReductionContext:
         self.constrained = tuple(f"p{a}" for a in action.translated)
         self.cvars = tuple(v for v in space.vars if v not in self.constrained)
         self.gdim = action.dim
-        self.conjugation = _conjugation(space, action.translated, star, self.Jq)
+        self.conjugation = _conjugation(action, star, self.Jq)
 
     @staticmethod
     def canonical(space: PhaseSpace, translated: Sequence[int], star: StarProduct,
@@ -220,7 +218,7 @@ class ReductionContext:
         action = TranslationAction(space, translated)
         if Jq is None:
             Jq = QuantumMomentumMap.from_classical(canonical_momentum_map(action), order)
-        return ReductionContext(space, action, star, Jq, order)
+        return ReductionContext(action, star, Jq, order)
 
     # -- convenience ----------------------------------------------------
 
@@ -270,7 +268,7 @@ def quantum_koszul_boundary(x: KoszulChain, ctx: ReductionContext) -> KoszulChai
 # Chevalley-Eilenberg boundary on the adjoint representation
 # ---------------------------------------------------------------------------
 
-Vector = Tuple[GaussianRational, ...]
+Vector = Tuple[Fraction, ...]
 CEElement = Dict[IndexKey, Vector]
 
 
@@ -290,10 +288,10 @@ def ce_boundary(lie: LieAlgebraData, x: CEElement, grade: int) -> CEElement:
         # representation term
         for pos, alpha in enumerate(key):
             sign, rest = remove_index(key, pos)
-            ad = [gr(0)] * lie.dim
+            ad = [Fraction(0)] * lie.dim
             for beta, vb in enumerate(v, 1):
                 for gamma, c in lie.bracket_coeffs(alpha, beta).items():
-                    ad[gamma - 1] = ad[gamma - 1] + vb * gr(sign * c)
+                    ad[gamma - 1] += vb * sign * c
             add(rest, tuple(ad))
         # structure-constant term, with the opposite sign of the quantum one
         for pos_b, beta in enumerate(key):
@@ -305,9 +303,9 @@ def ce_boundary(lie: LieAlgebraData, x: CEElement, grade: int) -> CEElement:
                     if ins is None:
                         continue
                     sign_g, newkey = ins
-                    w = gr(Fraction(-sign_b * sign_a * sign_g, 2) * c)
+                    w = Fraction(-sign_b * sign_a * sign_g, 2) * c
                     add(newkey, tuple(vi * w for vi in v))
-    return {k: v for k, v in out.items() if any(not c.is_zero() for c in v)}
+    return {k: v for k, v in out.items() if any(v)}
 
 
 # ---------------------------------------------------------------------------

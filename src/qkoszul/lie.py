@@ -147,15 +147,14 @@ def canonical_momentum_map(action: TranslationAction) -> MomentumMap:
 
 def check_classical_equivariance(J: MomentumMap, star: StarProduct) -> List[dict]:
     """Verify {J(e_a), J(e_b)} = J([e_a, e_b]) for all basis pairs, in the
-    bracket the product deforms."""
-    vars = star.space.vars
+    bracket the product deforms.  The components must lie on the product's
+    space."""
 
     def equivariance(a: int, b: int):
-        lhs = star.bracket_poly(J.components[a - 1].with_vars(vars),
-                                J.components[b - 1].with_vars(vars))
-        rhs = MultiPoly.zero(vars)
+        lhs = star.bracket_poly(J.components[a - 1], J.components[b - 1])
+        rhs = MultiPoly.zero(star.space.vars)
         for g, coeff in J.lie.bracket_coeffs(a, b).items():
-            rhs = rhs + J.components[g - 1].with_vars(vars).scale(coeff)
+            rhs = rhs + J.components[g - 1].scale(coeff)
         if lhs != rhs:
             yield {"bracket": lhs.render(), "image_of_bracket": rhs.render()}
 
@@ -165,24 +164,24 @@ def check_classical_equivariance(J: MomentumMap, star: StarProduct) -> List[dict
 
 
 def check_quantum_momentum_map(star: StarProduct, Jq: QuantumMomentumMap,
-                               samples: Sequence[MultiPoly], order: int) -> List[dict]:
+                               samples: Sequence[MultiPoly]) -> List[dict]:
     """Verify the two defining identities of a quantum momentum map at the
-    given truncation order, and report whether the classical map itself
-    qualifies (strong invariance)."""
-    space = star.space
-    L = order
+    order of its components, and report whether the classical map itself
+    qualifies (strong invariance).  The samples and the components must lie
+    on the product's space."""
+    vars = star.space.vars
+    L = Jq.components[0].order
     J0 = Jq.classical_part()
     basis = range(1, Jq.lie.dim + 1)
 
     # generation identity: commutator with Jq reproduces the scaled bracket
     def hamiltonian_identity():
         for a in basis:
-            Ja = Jq.components[a - 1].truncate(L)
+            Ja = Jq.components[a - 1]
             for f in samples:
-                fs = space.series(f, L)
+                fs = LambdaSeries.from_poly(f, L)
                 lhs = star.eval(Ja, fs) - star.eval(fs, Ja)
-                bracket = star.bracket_poly(
-                    J0.components[a - 1].with_vars(space.vars), f.with_vars(space.vars))
+                bracket = star.bracket_poly(J0.components[a - 1], f)
                 rhs = LambdaSeries.from_poly(bracket.scale(GR_I), L, shift=1)
                 if lhs != rhs:
                     yield {"generator": a, "f": f.render(),
@@ -192,21 +191,20 @@ def check_quantum_momentum_map(star: StarProduct, Jq: QuantumMomentumMap,
     def bracket_compatibility():
         for a in basis:
             for b in range(a + 1, Jq.lie.dim + 1):
-                Ja = Jq.components[a - 1].truncate(L)
-                Jb = Jq.components[b - 1].truncate(L)
+                Ja, Jb = Jq.components[a - 1], Jq.components[b - 1]
                 lhs = star.eval(Ja, Jb) - star.eval(Jb, Ja)
-                rhs = LambdaSeries.zero(space.vars, L)
+                rhs = LambdaSeries.zero(vars, L)
                 for g, coeff in Jq.lie.bracket_coeffs(a, b).items():
-                    rhs = rhs + Jq.components[g - 1].truncate(L).scale(coeff)
+                    rhs = rhs + Jq.components[g - 1].scale(coeff)
                 rhs = rhs * LambdaSeries.from_poly(
-                    MultiPoly.const(space.vars, GR_I), L, shift=1)
+                    MultiPoly.const(vars, GR_I), L, shift=1)
                 if lhs != rhs:
                     yield {"pair": (a, b), "commutator": lhs.render(),
                            "expected": rhs.render()}
 
     # reported property, not a requirement: the classical map may itself
     # already be a quantum momentum map
-    strongly = Jq == QuantumMomentumMap.from_classical(J0, Jq.components[0].order)
+    strongly = Jq == QuantumMomentumMap.from_classical(J0, L)
     return [check("quantum_hamiltonian_identity", hamiltonian_identity()),
             check("quantum_bracket_compatibility", bracket_compatibility()),
             {"name": "strong_invariance", "status": "pass",

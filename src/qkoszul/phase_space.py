@@ -255,8 +255,9 @@ def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],
                       order: int) -> List[dict]:
     """Exact order-by-order verification of the star product axioms on the
     sample set.  Failures are report entries carrying a witness, never
-    exceptions.  A product whose matrix is not Hermitian must fail ``hermitian``."""
-    space = star.space
+    exceptions.  A product whose matrix is not Hermitian must fail ``hermitian``.
+    The samples must lie on the product's space."""
+    vars = star.space.vars
     L = order
     # several checks read the same product; each pair is evaluated once
     products: Dict[Tuple[MultiPoly, MultiPoly], LambdaSeries] = {}
@@ -267,30 +268,26 @@ def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],
             products[key] = star.eval_poly(f, g, L)
         return products[key]
 
-    def pairs():
-        """Consecutive sample pairs, with both read on the product's space."""
-        for f, g in zip(samples, samples[1:]):
-            yield f, g, f.with_vars(space.vars), g.with_vars(space.vars)
+    pairs = list(zip(samples, samples[1:]))
 
     def associativity():
         for f, g, h in zip(samples, samples[1:], samples[2:]):
-            fv, gv, hv = (x.with_vars(space.vars) for x in (f, g, h))
-            lhs = star.eval(product(fv, gv), space.series(hv, L))
-            rhs = star.eval(space.series(fv, L), product(gv, hv))
+            lhs = star.eval(product(f, g), LambdaSeries.from_poly(h, L))
+            rhs = star.eval(LambdaSeries.from_poly(f, L), product(g, h))
             if lhs != rhs:
                 yield {"f": f.render(), "g": g.render(), "h": h.render(),
                        "lhs": lhs.render(), "rhs": rhs.render()}
 
     def order0_pointwise():
-        for f, g, fv, gv in pairs():
-            prod = product(fv, gv)
-            if prod.coeff(0) != fv * gv:
+        for f, g in pairs:
+            prod = product(f, g)
+            if prod.coeff(0) != f * g:
                 yield {"f": f.render(), "g": g.render(), "order0": prod.coeff(0).render()}
 
     def order1_commutator_bracket():
-        for f, g, fv, gv in pairs():
-            comm = product(fv, gv) - product(gv, fv)
-            expected = star.bracket_poly(fv, gv).scale(GR_I)
+        for f, g in pairs:
+            comm = product(f, g) - product(g, f)
+            expected = star.bracket_poly(f, g).scale(GR_I)
             if comm.coeff(1) != expected:
                 yield {"f": f.render(), "g": g.render(),
                        "commutator_order1": comm.coeff(1).render(),
@@ -300,20 +297,19 @@ def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],
     # also tries every pair of coordinates, after the samples: one of them
     # always witnesses, as conj(x_i ⋆ x_j) - x_j ⋆ x_i = λ(conj C^{ij} - C^{ji})
     def hermitian():
-        xs = [] if star.hermitian else [MultiPoly.variable(space.vars, v) for v in space.vars]
-        for f, g, fv, gv in chain(pairs(), ((x, y, x, y) for x in xs for y in xs)):
-            lhs = product(fv, gv).conjugate()
-            rhs = product(gv.conjugate(), fv.conjugate())
+        xs = [] if star.hermitian else [MultiPoly.variable(vars, v) for v in vars]
+        for f, g in chain(pairs, ((x, y) for x in xs for y in xs)):
+            lhs = product(f, g).conjugate()
+            rhs = product(g.conjugate(), f.conjugate())
             if lhs != rhs:
                 yield {"f": f.render(), "g": g.render(),
                        "conj_product": lhs.render(), "product_conj": rhs.render()}
 
     def unit():
-        one = MultiPoly.const(space.vars, 1)
+        one = MultiPoly.const(vars, 1)
         for f in samples:
-            fv = f.with_vars(space.vars)
-            want = LambdaSeries.from_poly(fv, L)
-            if product(one, fv) != want or product(fv, one) != want:
+            want = LambdaSeries.from_poly(f, L)
+            if product(one, f) != want or product(f, one) != want:
                 yield {"f": f.render()}
 
     return [check("associativity", associativity()),

@@ -37,8 +37,7 @@ def elevate_context(ctx: ReductionContext, order: int) -> ReductionContext:
     quantum momentum components are polynomial in the parameter."""
     if order == ctx.order:
         return ctx
-    return ReductionContext(ctx.space, ctx.action, ctx.star, ctx.Jq, order,
-                            ctx.straightening)
+    return ReductionContext(ctx.action, ctx.star, ctx.Jq, order, ctx.straightening)
 
 
 class ReducedAlgebra:
@@ -151,4 +150,4 @@ def build_shifted_context(base: ReductionContext,
             straighten[f"p{a}"] = base.straighten(space.p(a)) - alpha
     if straighten == base.straightening:
         return base
-    return ReductionContext(space, base.action, base.star, base.Jq, base.order, straighten)
+    return ReductionContext(base.action, base.star, base.Jq, base.order, straighten)

@@ -52,26 +52,24 @@ class StagePipeline:
             raise AlgebraError("stage split is not a split of the context's acting algebra")
         self.ctx = ctx
         self.cfg = cfg
-        space = ctx.space
         L = ctx.order
 
         # stage 1: reduce by the subalgebra, through the components of Jq along it
         translated1 = tuple(ctx.action.translated[i - 1] for i in cfg.first)
-        action1 = TranslationAction(space, translated1)
+        action1 = TranslationAction(ctx.space, translated1)
         Jq1 = QuantumMomentumMap(action1.lie, [ctx.Jq.components[i - 1] for i in cfg.first])
-        self.ctx1 = ReductionContext(space, action1, ctx.star, Jq1, L)
+        self.ctx1 = ReductionContext(action1, ctx.star, Jq1, L)
         self.red1 = ReducedAlgebra(self.ctx1)
         self.star_red1 = reduced_star(self.red1)
 
         # stage 2: reduce the first quotient by the induced momentum map, the
         # first-stage quantum restriction of the complement's components
         translated2 = tuple(ctx.action.translated[i - 1] for i in cfg.second)
-        space2 = self.red1.space
-        action2 = TranslationAction(space2, translated2)
+        action2 = TranslationAction(self.red1.space, translated2)
         self.Jq2 = QuantumMomentumMap(action2.lie, [
             self.red1.down(quantum_correction(ctx.Jq.components[i - 1], self.ctx1))
             for i in cfg.second])
-        self.ctx2 = ReductionContext(space2, action2, self.star_red1, self.Jq2, L)
+        self.ctx2 = ReductionContext(action2, self.star_red1, self.Jq2, L)
         self.red2 = ReducedAlgebra(self.ctx2)
         self.star_red2 = reduced_star(self.red2)
 

@@ -10,7 +10,7 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkoszul import cli, exact, koszul, reduction
@@ -666,24 +666,34 @@ VALUES = IN_GRAMMAR | NEAR_MISSES
 
 @st.composite
 def shifted_configs(draw):
-    """A config on n <= 3 at order <= 3 with valid b and mu labels, whose
-    values are drawn from the value grammar and from near misses to it."""
+    """A config on n <= 3 at order <= 3 with its translated coordinates,
+    stage split and check suites drawn, empty lists included, and b and mu
+    values at valid labels drawn from the value grammar and from near misses
+    to it."""
     n = draw(st.integers(2, 3))
-    translated = draw(st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True))
+    translated = draw(st.lists(st.integers(1, n), max_size=n - 1, unique=True))
     free = [c for c in range(1, n + 1) if c not in translated]
-    b = draw(st.dictionaries(st.sampled_from(translated).map(str),
-                             st.tuples(st.sampled_from(free), VALUES).map(list), max_size=2))
-    mu = draw(st.dictionaries(st.sampled_from(translated).map(str), VALUES, max_size=2))
-    checks = draw(st.lists(st.sampled_from(("momentum", "complex", "reduction", "knp")),
-                           min_size=1, max_size=2, unique=True))
+    b, mu = {}, {}
+    if translated:
+        b = draw(st.dictionaries(st.sampled_from(translated).map(str),
+                                 st.tuples(st.sampled_from(free), VALUES).map(list),
+                                 max_size=2))
+        mu = draw(st.dictionaries(st.sampled_from(translated).map(str), VALUES, max_size=2))
+    stage_first = draw(st.none() | st.lists(st.integers(1, max(len(translated), 1)),
+                                            max_size=len(translated), unique=True))
+    checks = draw(st.lists(st.sampled_from(tuple(cli.SUITES)), min_size=1, max_size=2,
+                           unique=True))
     return {"name": "grammar", "n": n, "translated": translated,
             "star": draw(st.sampled_from(("weyl", "wick", "std"))),
             "lambda_order": draw(st.integers(1, 3)), "degree": 2, "samples": 3,
-            "b": b, "mu": mu, "checks": checks}
+            "b": b, "mu": mu, "stage_first": stage_first, "checks": checks}
 
 
 @settings(max_examples=60, deadline=None)
 @given(raw=shifted_configs())
+# an empty stage split is accepted where no stages suite runs, and echoes
+# back as [], not null
+@example(raw={"name": "x", "stage_first": [], "checks": ["ce"]})
 def test_config_values_at_valid_labels(raw):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")

@@ -95,7 +95,7 @@ class TestReductionContext:
         bad = QuantumMomentumMap(
             ctx.Jq.lie, [LambdaSeries.from_poly(ctx.space.q(1), L)])
         with pytest.raises(AlgebraError):
-            ReductionContext(ctx.space, ctx.action, ctx.star, bad, L)
+            ReductionContext(ctx.action, ctx.star, bad, L)
 
 
 class TestKoszulChain:
@@ -194,7 +194,7 @@ def matrix_ce_boundary(lie: LieAlgebraData, x, grade: int):
         for pos, alpha in enumerate(key):
             sign, rest = remove_index(key, pos)
             m = rep[alpha - 1]
-            add(rest, tuple(sum((gr(m[i][j] * sign) * v[j] for j in range(len(v))), gr(0))
+            add(rest, tuple(sum(m[i][j] * sign * v[j] for j in range(len(v)))
                             for i in range(len(v))))
         for pos_b, beta in enumerate(key):
             sign_b, key_b = remove_index(key, pos_b)
@@ -205,9 +205,9 @@ def matrix_ce_boundary(lie: LieAlgebraData, x, grade: int):
                     c = lie.c(alpha, beta, gamma)
                     if ins is None or c == 0:
                         continue
-                    w = gr(Fraction(-sign_b * sign_a * ins[0], 2) * c)
+                    w = Fraction(-sign_b * sign_a * ins[0], 2) * c
                     add(ins[1], tuple(vi * w for vi in v))
-    return {k: v for k, v in out.items() if any(not c.is_zero() for c in v)}
+    return {k: v for k, v in out.items() if any(v)}
 
 
 # so(3): [e1, e2] = e3 and cyclic
@@ -218,7 +218,7 @@ SO3 = LieAlgebraData(3, {(1, 2, 3): 1, (2, 1, 3): -1, (2, 3, 1): 1, (3, 2, 1): -
 class TestChevalleyEilenberg:
     def test_heisenberg_adjoint_squares_to_zero(self):
         lie = LieAlgebraData.heisenberg()
-        v = tuple(gr(Fraction(k, 3)) for k in (1, -2, 5))
+        v = tuple(Fraction(k, 3) for k in (1, -2, 5))
         for grade in (2, 3):
             x = {key: v for key in combinations((1, 2, 3), grade)}
             once = ce_boundary(lie, x, grade)
@@ -231,8 +231,7 @@ class TestChevalleyEilenberg:
         rng = random.Random(61)
         for grade in (1, 2, 3):
             for _ in range(4):
-                x = {key: tuple(gr(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-                                   Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                x = {key: tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                                 for _ in range(lie.dim))
                      for key in combinations(range(1, lie.dim + 1), grade)
                      if rng.random() < 0.8}
@@ -241,7 +240,7 @@ class TestChevalleyEilenberg:
     def test_grade0_rejected(self):
         lie = LieAlgebraData.heisenberg()
         with pytest.raises(AlgebraError):
-            ce_boundary(lie, {(): (gr(1), gr(0), gr(0))}, 0)
+            ce_boundary(lie, {(): (Fraction(1), Fraction(0), Fraction(0))}, 0)
 
 
 class TestClassicalHomotopy:

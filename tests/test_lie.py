@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkoszul.exact import AlgebraError, LambdaSeries, MultiPoly, gr
+from qkoszul.exact import AlgebraError, LambdaSeries, MultiPoly, VariableMismatchError, gr
 from qkoszul.lie import (
     LieAlgebraData,
     MomentumMap,
@@ -155,6 +155,15 @@ class TestMomentumMaps:
         assert all(c["status"] == "pass"
                    for c in check_classical_equivariance(J, StarProduct.weyl(sp)))
 
+    def test_equivariance_rejects_components_over_other_variables(self):
+        # components over a subset of the product's variables are not
+        # re-keyed onto them: the bracket raises
+        sp = PhaseSpace.of_dim(3)
+        J = canonical_momentum_map(TranslationAction(sp, [1, 2]))
+        sub = MomentumMap(J.lie, [c.with_vars(("q1", "q2", "p1", "p2")) for c in J.components])
+        with pytest.raises(VariableMismatchError):
+            check_classical_equivariance(sub, StarProduct.weyl(sp))
+
 
 class TestQuantumMomentumMap:
     def test_weyl_strong_invariance(self):
@@ -164,7 +173,7 @@ class TestQuantumMomentumMap:
         Jq = QuantumMomentumMap.from_classical(J, 4)
         samples = sample_polys(13, sp.vars, 3, 6)
         checks = {c["name"]: c for c in
-                  check_quantum_momentum_map(star, Jq, samples, 4)}
+                  check_quantum_momentum_map(star, Jq, samples)}
         assert checks["quantum_hamiltonian_identity"]["status"] == "pass"
         assert checks["quantum_bracket_compatibility"]["status"] == "pass"
         assert checks["strong_invariance"]["info"] == "classical map is quantum"
@@ -179,7 +188,7 @@ class TestQuantumMomentumMap:
         Jq = QuantumMomentumMap(J.lie, [corrected])
         samples = sample_polys(17, sp.vars, 3, 6)
         checks = {c["name"]: c for c in
-                  check_quantum_momentum_map(star, Jq, samples, 4)}
+                  check_quantum_momentum_map(star, Jq, samples)}
         assert checks["quantum_hamiltonian_identity"]["status"] == "pass"
         assert checks["strong_invariance"]["info"] == "quantum map carries corrections"
 
@@ -193,9 +202,19 @@ class TestQuantumMomentumMap:
             LambdaSeries.from_poly(sp.q(1), 3, shift=1)])
         samples = sample_polys(19, sp.vars, 2, 4)
         checks = {c["name"]: c for c in
-                  check_quantum_momentum_map(star, Jq, samples, 3)}
+                  check_quantum_momentum_map(star, Jq, samples)}
         entry = checks["quantum_hamiltonian_identity"]
         assert entry["status"] == "fail" and "witness" in entry
+
+    def test_sample_over_other_variables_rejected(self):
+        # a sample over a subset of the product's variables is not re-keyed
+        # onto them: the product raises
+        sp = PhaseSpace.of_dim(2)
+        Jq = QuantumMomentumMap.from_classical(
+            canonical_momentum_map(TranslationAction(sp, [1])), 2)
+        with pytest.raises(VariableMismatchError):
+            check_quantum_momentum_map(StarProduct.weyl(sp), Jq,
+                                       [MultiPoly.variable(("q1", "p1"), "q1")])
 
     def test_bracket_witness_is_first_failing_pair(self):
         # [q1, p1] and [q1, p1] both fail on an abelian algebra; the scan
@@ -204,6 +223,6 @@ class TestQuantumMomentumMap:
         Jq = QuantumMomentumMap(LieAlgebraData.abelian(3), [
             LambdaSeries.from_poly(c, 2) for c in (sp.q(1), sp.p(1), sp.p(1))])
         checks = {c["name"]: c for c in check_quantum_momentum_map(
-            StarProduct.weyl(sp), Jq, [sp.q(1)], 2)}
+            StarProduct.weyl(sp), Jq, [sp.q(1)])}
         entry = checks["quantum_bracket_compatibility"]
         assert entry["status"] == "fail" and entry["witness"]["pair"] == (1, 2)

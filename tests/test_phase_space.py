@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkoszul import exact, phase_space
+from qkoszul import cli, exact, phase_space
 from qkoszul.exact import (
     AlgebraError,
     ContractViolationError,
@@ -38,6 +38,7 @@ from reference_poly import RefSeries, pairing, rank_one_terms, series_product
 
 KINDS = ("weyl", "wick", "std")
 ORACLE = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def load_oracle():
@@ -614,6 +615,15 @@ def test_bracket_raises_exponent_overflow(monkeypatch):
         star.bracket_poly(q * q * q * p, q * q * p)
 
 
+def test_axioms_reject_a_sample_over_other_variables():
+    # a sample over a subset of the product's variables is not re-keyed
+    # onto them: the product raises
+    samples = sample_polys(7, SP2.vars, 2, 4)
+    samples[2] = MultiPoly.variable(("q1", "p1"), "q1")
+    with pytest.raises(VariableMismatchError):
+        check_star_axioms(StarProduct.weyl(SP2), samples, 2)
+
+
 @pytest.mark.parametrize("ij", [(-1, 0), (0, -1), (2, 0), (1, 7)])
 def test_constant_rejects_an_index_outside_the_variables(ij):
     # T*R has the 2 variables q1, p1
@@ -622,12 +632,13 @@ def test_constant_rejects_an_index_outside_the_variables(ij):
 
 
 def test_set_up_products_and_samples_use_no_gaussian_rational_arithmetic(monkeypatch):
-    """The three products are built, evaluated and checked, and their
-    brackets and the samples computed, with the arithmetic of
-    GaussianRational switched off: it stays at the API and in rendering."""
+    """The three products are built, evaluated and checked, their brackets
+    and the samples computed, and every builtin report written in both
+    formats, with the arithmetic of GaussianRational switched off: it
+    stays at the API and in rendering."""
     def refuse(*args):
         raise AssertionError("GaussianRational arithmetic was called")
-    for op in ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__"):
+    for op in ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__", "conjugate"):
         monkeypatch.setattr(GaussianRational, op, refuse)
     with pytest.raises(AssertionError):
         gr(1) + gr(1)
@@ -640,6 +651,10 @@ def test_set_up_products_and_samples_use_no_gaussian_rational_arithmetic(monkeyp
             star.eval_poly(f, g, 3)
             star.bracket_poly(f, g)
         assert all(c["status"] == "pass" for c in check_star_axioms(star, samples, 3))
+    for name in cli.SCENARIOS:
+        report = cli.run_scenario(cli.builtin_config(name))
+        for fmt, ext in (("json", "json"), ("text", "txt")):
+            assert cli.emit_report(report, fmt) == (GOLDEN / f"{name}.{ext}").read_bytes()
 
 
 # -- the last product, kept by each product ---------------------------------

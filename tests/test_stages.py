@@ -92,7 +92,7 @@ class TestRestrictedMomentumMap:
         pipe = StagePipeline(ctx, StageConfig(ctx.action.lie, [1]))
         samples = sample_polys(107, ctx.space.vars, 3, 5)
         checks = {c["name"]: c
-                  for c in check_quantum_momentum_map(ctx.star, pipe.ctx1.Jq, samples, L)}
+                  for c in check_quantum_momentum_map(ctx.star, pipe.ctx1.Jq, samples)}
         assert checks["quantum_hamiltonian_identity"]["status"] == "pass"
 
 
@@ -124,7 +124,7 @@ class TestInducedSecondStage:
         pipe = StagePipeline(s1_ctx(), StageConfig(LieAlgebraData.abelian(2), [1]))
         samples = sample_polys(109, pipe.red1.space.vars, 3, 5)
         checks = {c["name"]: c for c in check_quantum_momentum_map(
-            pipe.star_red1, pipe.Jq2, samples, L)}
+            pipe.star_red1, pipe.Jq2, samples)}
         assert checks["quantum_hamiltonian_identity"]["status"] == "pass"
 
 
@@ -138,7 +138,7 @@ class TestInducedSecondStage:
         ctx = build_shifted_context(base, {2: (3, Fraction(1, 2))}, {})
         pipe = StagePipeline(ctx, StageConfig(ctx.action.lie, [1]))
         samples = sample_polys(5, pipe.red1.space.vars, 3, 6)
-        checks = check_quantum_momentum_map(pipe.star_red1, pipe.Jq2, samples, 3)
+        checks = check_quantum_momentum_map(pipe.star_red1, pipe.Jq2, samples)
         assert [c["status"] for c in checks] == ["pass"] * len(checks)
 
 
