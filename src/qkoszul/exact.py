@@ -210,14 +210,21 @@ def _wrap(vars: Tuple[str, ...], den: int, nums: Dict[int, Tuple[int, int]]) -> 
     return p
 
 
+def _limited(vars: Tuple[str, ...], den: int, nums: Dict[int, Tuple[int, int]]) -> "MultiPoly":
+    """A polynomial from data already in canonical form, once the term
+    limit is enforced."""
+    if len(nums) > MAX_TERMS:
+        raise TermLimitError(f"a polynomial of {len(nums)} terms exceeds the "
+                             f"limit of {MAX_TERMS} terms")
+    return _wrap(vars, den, nums)
+
+
 def _canonical(vars: Tuple[str, ...], den: int,
                nums: Dict[int, Tuple[int, int]]) -> "MultiPoly":
     """A polynomial from nonzero numerators over a positive denominator:
     the common factor of the denominator and every numerator is divided
-    out, and the term limit is enforced."""
-    if len(nums) > MAX_TERMS:
-        raise TermLimitError(f"a polynomial of {len(nums)} terms exceeds the "
-                             f"limit of {MAX_TERMS} terms")
+    out, and the term limit is enforced.  The products of ``_mul_sum`` do
+    this in their own tail."""
     if not nums:
         den = 1
     elif den != 1:
@@ -229,22 +236,29 @@ def _canonical(vars: Tuple[str, ...], den: int,
         if g != 1:
             den //= g
             nums = {k: (r // g, i // g) for k, (r, i) in nums.items()}
-    return _wrap(vars, den, nums)
+    return _limited(vars, den, nums)
 
 
 def _nonzero(acc: Dict[int, Tuple[int, int]]) -> Dict[int, Tuple[int, int]]:
     return {k: v for k, v in acc.items() if v[0] or v[1]}
 
 
-def _mul_sum(products) -> Dict[int, Tuple[int, int]]:
-    """The nonzero numerators of Σ c·left·right over ``products``, each
-    (left, right, lift, c) with right's keys raised by lift, in two
+def _mul_sum(vars: Tuple[str, ...], den: int, products, scan: int,
+             bound: Optional[int] = None) -> "MultiPoly":
+    """Σ c·left·right over ``den`` in canonical form, for ``products``
+    (left, right, lift, c) with right's keys raised by lift, summed in two
     plain-integer accumulators, one of real and one of imaginary parts, by
     (x + iy)(u + iv) = xu − yv + i(xv + yu).  Each right term goes into one
     of three row lists by which of its parts are nonzero, and a left term
     runs only the loops its nonzero parts need, so a pair of one-part terms
-    costs one small multiply-add.  An accumulator no pair reached takes no
-    merge pass."""
+    costs one small multiply-add.
+
+    The tail is one pass: the keys at or past ``bound`` are dropped, one
+    gcd of ``den`` and both accumulators is the common factor (1 at once
+    where ``den`` is 1), and each (re, im) entry is built once, already
+    divided by it.  With ``scan`` the
+    keys are checked for a guard bit; a caller asks for it only where its
+    inputs set some of the ``_carry_bits``."""
     re: Dict[int, int] = {}
     im: Dict[int, int] = {}
     rget, iget = re.get, im.get
@@ -294,22 +308,32 @@ def _mul_sum(products) -> Dict[int, Tuple[int, int]]:
                     k = k1 + k2
                     re[k] = rget(k, 0) + x * u - y * v
                     im[k] = iget(k, 0) + x * v + y * u
+    if bound is not None:
+        re = {k: r for k, r in re.items() if k < bound}
+        im = {k: i for k, i in im.items() if k < bound}
+    g = gcd(den, *re.values(), *im.values()) if den != 1 else 1
     if not im:
-        return {k: (r, 0) for k, r in re.items() if r}
-    if not re:
-        return {k: (0, i) for k, i in im.items() if i}
-    out = {k: (r, i) for k, r in re.items() if (i := iget(k, 0)) or r}
-    for k, i in im.items():
-        if i and k not in re:
-            out[k] = (0, i)
-    return out
-
-
-def _check_guard(nums: Dict[int, Tuple[int, int]], n: int) -> None:
-    """Raise ExponentOverflowError if a key of an n-variable product sets a
-    guard bit."""
-    if nums and reduce(or_, nums) & _layout(n)[1]:
+        nums = {k: (r // g, 0) for k, r in re.items() if r}
+    elif not re:
+        nums = {k: (0, i // g) for k, i in im.items() if i}
+    else:
+        iget = im.get
+        nums = {k: (r // g, i // g) for k, r in re.items() if (i := iget(k, 0)) or r}
+        for k, i in im.items():
+            if i and k not in re:
+                nums[k] = (0, i // g)
+    if scan and reduce(or_, nums, 0) & _layout(len(vars))[1]:
         raise _overflow()
+    return _limited(vars, den // g, nums)
+
+
+@cache
+def _carry_bits(S: int, n: int) -> int:
+    """The top two bits of every slot of an n-variable key at slot width S
+    (``SLOT_BITS``).  Two keys that set none of them sum to a key with no
+    guard bit, as two exponents below 2**(S - 2) sum below 2**(S - 1); the
+    slots of the last n variables of a longer key lie at the same bits."""
+    return sum(3 << (S * j + S - 2) for j in range(n))
 
 
 def _sum(vars: Tuple[str, ...], parts, signs=None) -> "MultiPoly":
@@ -483,9 +507,9 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        nums = _mul_sum([(self.nums, other.nums, 0, 1)])
-        _check_guard(nums, len(self.vars))
-        return _canonical(self.vars, self.den * other.den, nums)
+        used = reduce(or_, self.nums, 0) | reduce(or_, other.nums, 0)
+        return _mul_sum(self.vars, self.den * other.den, [(self.nums, other.nums, 0, 1)],
+                        used & _carry_bits(SLOT_BITS, len(self.vars)))
 
     def scale(self, c) -> "MultiPoly":
         cr, ci, d = gauss(c)
@@ -660,10 +684,19 @@ class MultiPoly:
 def _derive(nums: Dict[int, Tuple[int, int]], steps) -> Dict[int, Tuple[int, int]]:
     """Σ_i (re_i + i·im_i) ∂_i on raw numerators, one step (slot shift, unit
     key, re_i, im_i) per i: the numerators of the directional derivative over
-    the polynomial's denominator times the field's, zero entries dropped."""
+    the polynomial's denominator times the field's, zero entries dropped.
+    One step whose coefficient v is purely real or purely imaginary takes
+    an entry (re, im) of exponent e to (re·c, im·c) or (−im·c, re·c),
+    c = e·v: two multiplications of the numerators instead of six."""
     mask = (1 << SLOT_BITS) - 1
     if len(steps) == 1:   # distinct keys stay distinct, and nothing cancels
         (s, unit, vr, vi), = steps
+        if not vi:
+            return {k - unit: (r * c, i * c) for k, (r, i) in nums.items()
+                    if (c := (k >> s & mask) * vr)}
+        if not vr:
+            return {k - unit: (-i * c, r * c) for k, (r, i) in nums.items()
+                    if (c := (k >> s & mask) * vi)}
         return {k - unit: ((r * vr - i * vi) * e, (r * vi + i * vr) * e)
                 for k, (r, i) in nums.items() if (e := k >> s & mask)}
     out: Dict[int, Tuple[int, int]] = {}
@@ -819,15 +852,19 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
     differentiated, so one walk covers both whole series.  A step whose
     left field misses every variable of f, or whose right field every one
     of g, contributes only m_k = 0 and is dropped: derivatives add no
-    variable.  Derivatives stay raw numerators, the right one taken first,
-    and a branch stops once either is zero or its λ-power would pass L.
-    The walk reads only the terms of f and g whose power can still meet
-    the other's lowest within L, and its depth is top, L less the lowest
-    powers of f and g.  Each leaf carries the weight
-    d = Π_k (den_a·den_b)^{m_k}·m_k! of its multi-index, and the leaf
-    products go into one ``_mul_sum`` call over den_f·den_g·D, D the lcm
-    of the leaf weights; the powers past L are dropped at the end.  An
-    input or the sum is copied to drop terms only where it has some."""
+    variable.  The sum is symmetric in (f, a_k) and (g, b_k), so the walk
+    swaps them to take the factor of fewer terms as the right one.
+    Derivatives stay raw numerators, the right one taken first, and a
+    branch stops once either is zero or its λ-power would pass L.  The
+    walk reads only the terms of f and g whose power can still meet the
+    other's lowest within L, and its depth is top, L less the lowest powers
+    of f and g.  Each leaf carries the weight d = Π_k (den_a·den_b)^{m_k}·m_k!
+    of its multi-index, and the leaf products go into one ``_mul_sum`` call
+    over den_f·den_g·D, D the lcm of the leaf weights, which puts the sum in
+    canonical form.  It drops the powers past L only where the inputs' top
+    powers can reach them, and scans for a guard bit only where the
+    inputs' keys below λ can set one; an input is copied to drop terms
+    only where it has some."""
     L, vars = f.order, f.poly.vars
     if g.poly.vars != vars or any(a[0] != vars for a, _ in fields):
         raise VariableMismatchError(f"a series or field is not over {vars}")
@@ -840,9 +877,16 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
     if top < 0:
         return LambdaSeries.zero(f.vars, L)
     cut_f, cut_g = (L - lo_g + 1) << s, (L - lo_f + 1) << s
-    left = fn if max(fn) < cut_f else {k: v for k, v in fn.items() if k < cut_f}
-    right = gn if max(gn) < cut_g else {k: v for k, v in gn.items() if k < cut_g}
+    hi_f, hi_g = max(fn), max(gn)
+    left = fn if hi_f < cut_f else {k: v for k, v in fn.items() if k < cut_f}
+    right = gn if hi_g < cut_g else {k: v for k, v in gn.items() if k < cut_g}
+    # with f and g each at one power of λ, every leaf stays within λ^L
+    bound = (L + 1) << s if hi_f >> s > lo_f or hi_g >> s > lo_g else None
     used_f, used_g = reduce(or_, left), reduce(or_, right)
+    scan = (used_f | used_g) & _carry_bits(SLOT_BITS, len(vars) - 1)
+    if len(left) < len(right):
+        left, right, used_f, used_g = right, left, used_g, used_f
+        fields = [(b, a) for a, b in fields]
     steps = [(a[3], b[3], a[1] * b[1]) for a, b in fields
              if a[2] & used_f and b[2] & used_g]
     # a branch: next step k, λ-depth r, both derivatives, and its weight d
@@ -864,12 +908,9 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
             d *= den * m
             stack.append((k + 1, r + m, left, right, d))
     D = lcm(*(d for *_, d in leaves))
-    nums = _mul_sum([(left, right, lift, D // d) for left, right, lift, d in leaves])
-    bound = (L + 1) << s
-    if nums and max(nums) >= bound:
-        nums = {k: v for k, v in nums.items() if k < bound}
-    _check_guard(nums, len(vars))
-    return LambdaSeries(_canonical(vars, f.poly.den * g.poly.den * D, nums), L)
+    poly = _mul_sum(vars, f.poly.den * g.poly.den * D,
+                    [(left, right, lift, D // d) for left, right, lift, d in leaves], scan, bound)
+    return LambdaSeries(poly, L)
 
 
 def star_fields(vars: Tuple[str, ...], terms) -> list:
@@ -907,9 +948,8 @@ def _pairing(matrix: tuple, f: MultiPoly, g: MultiPoly) -> MultiPoly:
                 dg[sj] = _derive(g.nums, ((sj, 1 << sj, 1, 0),))
             pairs.append(({k: (r * cr - i * ci, r * ci + i * cr)
                            for k, (r, i) in df[si].items()}, dg[sj], 0, 1))
-    nums = _mul_sum(pairs)
-    _check_guard(nums, len(vars))
-    return _canonical(vars, f.den * g.den * den, nums)
+    return _mul_sum(vars, f.den * g.den * den, pairs,
+                    (used_f | used_g) & _carry_bits(SLOT_BITS, len(vars)))
 
 
 def pairing(vars: Tuple[str, ...], B) -> Callable[[MultiPoly, MultiPoly], MultiPoly]:

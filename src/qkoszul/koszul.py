@@ -228,7 +228,7 @@ class ReductionContext:
         return f.substitute(self.straightening) if self.straightening else f
 
     def series(self, poly: MultiPoly) -> LambdaSeries:
-        return LambdaSeries.from_poly(poly.with_vars(self.space.vars), self.order)
+        return self.space.series(poly, self.order)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .exact import (
     LambdaSeries,
     MultiPoly,
     OrderMismatchError,
+    VariableMismatchError,
     gauss,
     gr,
     pairing,
@@ -84,7 +85,11 @@ class PhaseSpace:
         return MultiPoly.variable(self.vars, f"p{i}")
 
     def series(self, poly: MultiPoly, order: int) -> LambdaSeries:
-        return LambdaSeries.from_poly(poly.with_vars(self.vars), order)
+        """``poly`` as a series truncated at ``order``; it must already be
+        over the variables of the space, as nothing re-keys it."""
+        if poly.vars != self.vars:
+            raise VariableMismatchError(f"a polynomial over {poly.vars} is not over {self.vars}")
+        return LambdaSeries.from_poly(poly, order)
 
 
 def _triple(re: int, im: int, den: int) -> Gauss:

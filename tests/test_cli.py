@@ -694,6 +694,12 @@ def shifted_configs(draw):
 # an empty stage split is accepted where no stages suite runs, and echoes
 # back as [], not null
 @example(raw={"name": "x", "stage_first": [], "checks": ["ce"]})
+# a valid config that runs the stages suite, which the draws above reach
+# only by chance: two translated coordinates of three, a one-index split,
+# and a coupling and a momentum value
+@example(raw={"name": "staged", "n": 3, "translated": [1, 2], "star": "wick",
+              "lambda_order": 3, "degree": 2, "samples": 3, "b": {"1": [3, "1/2"]},
+              "mu": {"2": "-3/4"}, "stage_first": [1], "checks": ["stages", "ce"]})
 def test_config_values_at_valid_labels(raw):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")

@@ -1,6 +1,7 @@
 """Exact arithmetic core: Gaussian rationals, sparse polynomials, truncated
 series, unipotent inversion."""
 
+import sys
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -485,8 +486,8 @@ class TestPackedKernel:
         # right's key lifted and its term scaled, against GaussianRational
         (x, y), (u, v) = PARTS[left], PARTS[right]
         want = gr(x, y) * gr(u, v) * gr(4)
-        got = exact._mul_sum([({1: (x, y)}, {2: (u, v)}, 8, 4)])
-        assert got == {11: (int(want.re), int(want.im))}
+        got = exact._mul_sum(("x",), 1, [({1: (x, y)}, {2: (u, v)}, 8, 4)], 0)
+        assert (got.den, got.nums) == (1, {11: (int(want.re), int(want.im))})
 
     @pytest.mark.parametrize("products, want", [
         # only the real part of key 0 cancels: (1 + i)·1 - 1·1
@@ -510,7 +511,8 @@ class TestPackedKernel:
                      {}, id="everything"),
     ])
     def test_a_key_whose_parts_cancel(self, products, want):
-        assert exact._mul_sum(products) == want
+        got = exact._mul_sum(("x",), 1, products, 0)
+        assert (got.den, got.nums) == (1, want)
 
     def test_a_sum_at_the_bound_needs_every_bit(self):
         # every term of one sign, so that the real part of one key is the
@@ -520,7 +522,8 @@ class TestPackedKernel:
         f, g = x.scale(a), y.scale(b)
         assert (f * g).terms == {(1, 1): gr(a * b)}
         assert (f.scale(-1) * g).terms == {(1, 1): gr(-a * b)}
-        assert exact._mul_sum([(f.nums, g.nums, 0, 1)]) == {(1 << 16) + 1: (a * b, 0)}
+        assert exact._mul_sum(VARS, 1, [(f.nums, g.nums, 0, 1)], 0).nums == \
+            {(1 << 16) + 1: (a * b, 0)}
         # (x + y)²: the xy entry is 2ab, half the bound and twice any ℓ∞ one
         assert ((x + y).scale(a) * (x + y).scale(b)).terms == \
             {(2, 0): gr(a * b), (1, 1): gr(2 * a * b), (0, 2): gr(a * b)}
@@ -639,6 +642,95 @@ class TestLimits:
         assert len(square.terms) == 3
         with pytest.raises(TermLimitError, match="4 terms exceeds the limit of 3"):
             square * (x + one)
+
+
+def weyl_products(op: str, f: MultiPoly, g: MultiPoly, L: int = 2):
+    """The program's product of f and g by ``op`` on T*R, and the reference's:
+    ``*``, the Weyl walk at order L (its λ-coefficients), or the Weyl
+    bracket.  The references share no code with ``_mul_sum``."""
+    star = StarProduct.weyl(PhaseSpace.of_dim(1))
+    C, F, G = matrix_of(star), RefPoly.of(f), RefPoly.of(g)
+    if op == "mul":
+        return f * g, F * G
+    if op == "walk":
+        return star.eval_poly(f, g, L), reference_star(C, F, G, L)
+    return star.bracket_poly(f, g), reference_bracket(C, F, G)
+
+
+def agrees_with(op: str, got, want) -> bool:
+    """``agrees``, on every λ-coefficient of a walk's series."""
+    if op == "walk":
+        return canonical(got.poly) and \
+            [RefPoly.of(got.coeff(r)) for r in range(got.order + 1)] == want
+    return agrees(got, want)
+
+
+def q_and_p():
+    return (MultiPoly.variable(("q1", "p1"), v) for v in ("q1", "p1"))
+
+
+class TestOnePassTail:
+    """The tail of ``_mul_sum`` that ``*``, the walk and the bracket share.
+    Its output is canonical: the factor common to the denominator and every
+    numerator is divided out.  Its keys are scanned for a guard bit exactly
+    where an input sets one of the top two bits of a slot, which at
+    SLOT_BITS = 3 is an exponent of 2 or 3."""
+
+    OPS = ("mul", "walk", "bracket")
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_a_common_factor_is_divided_out(self, op):
+        # den 2 against numerators that all carry 2: (q + p)/2 and 2(q - p)
+        q, p = q_and_p()
+        got, want = weyl_products(op, (q + p).scale(Fraction(1, 2)), (q - p).scale(2))
+        assert agrees_with(op, got, want)
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_inputs_that_may_carry_are_scanned(self, op, monkeypatch):
+        monkeypatch.setattr(exact, "SLOT_BITS", 3)   # exponents up to 3
+        q, p = q_and_p()
+        # (q² + p)(q + p²) reaches q³, q²p² and p³, and no higher
+        got, want = weyl_products(op, q * q + p, q + p * p)
+        assert agrees_with(op, got, want)
+        # (q² + p)·q² reaches q⁴, as does the bracket term ∂_q(q³p)·∂_p(q²p)
+        f, g = (q * q * q * p, q * q * p) if op == "bracket" else (q * q + p, q * q)
+        with pytest.raises(ExponentOverflowError, match="exceeds 3"):
+            weyl_products(op, f, g)
+
+    def test_the_walk_drops_powers_past_the_order_before_its_scan(self, monkeypatch):
+        # q² makes the walk scan, and λ²·λ² reaches λ⁴, whose key sets the
+        # guard bit of λ's slot: the power is dropped, and nothing raises
+        monkeypatch.setattr(exact, "SLOT_BITS", 3)   # λ-powers up to 3
+        star = StarProduct.weyl(PhaseSpace.of_dim(1))
+        q, p = q_and_p()
+        f = LambdaSeries.from_poly(q * q, 3) + LambdaSeries.from_poly(q, 3, shift=2)
+        g = LambdaSeries.from_poly(p, 3) + LambdaSeries.from_poly(p * p, 3, shift=2)
+        got = star.eval(f, g)
+        C = matrix_of(star)
+        want = [RefPoly.zero(f.vars)] * 4
+        for r, a in ((0, q * q), (2, q)):
+            for s, b in ((0, p), (2, p * p)):
+                if r + s <= 3:
+                    for t, c in enumerate(reference_star(C, RefPoly.of(a), RefPoly.of(b),
+                                                         3 - r - s)):
+                        want[r + s + t] = want[r + s + t] + c
+        assert agrees_with("walk", got, want)
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_a_skipped_common_factor_division_is_killed(self, op, monkeypatch):
+        # the mutant: the tail of _mul_sum leaves the common factor in
+        real = exact.gcd
+        monkeypatch.setattr(exact, "gcd", lambda *args: 1 if sys._getframe(1).f_code.co_name
+                            == "_mul_sum" else real(*args))
+        with pytest.raises(AssertionError):
+            self.test_a_common_factor_is_divided_out(op)
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_a_skipped_output_scan_is_killed(self, op, monkeypatch):
+        # the mutant: no input is taken to set a top bit, so no output is scanned
+        monkeypatch.setattr(exact, "_carry_bits", lambda S, n: 0)
+        with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+            self.test_inputs_that_may_carry_are_scanned(op, monkeypatch)
 
 
 class TestLambdaSeries:

@@ -29,6 +29,7 @@ from qkoszul.exact import (
     ContractViolationError,
     LambdaSeries,
     MultiPoly,
+    VariableMismatchError,
     gr,
     invert_unipotent,
 )
@@ -87,6 +88,15 @@ class TestWedgeBookkeeping:
 
 
 class TestReductionContext:
+    def test_series_takes_only_polynomials_over_the_space(self):
+        ctx = s1_context()
+        f = ctx.space.q(1) * ctx.space.p(3)
+        assert ctx.series(f) == LambdaSeries.from_poly(f, L)
+        with pytest.raises(VariableMismatchError):
+            ctx.series(f.with_vars(ctx.space.vars + ("x",)))
+        with pytest.raises(VariableMismatchError):
+            ctx.series(MultiPoly.variable(("q1", "p1"), "q1"))
+
     def test_order0_remainder_rejected(self):
         # a quantum momentum map whose λ⁰ differs from J is rejected at
         # context construction

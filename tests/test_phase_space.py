@@ -10,6 +10,7 @@ to the canonical one.
 """
 
 import importlib.util
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -113,6 +114,16 @@ class TestPhaseSpace:
     def test_labels_survive(self):
         sp = PhaseSpace([2, 5])
         assert sp.vars == ("q2", "q5", "p2", "p5")
+
+    @pytest.mark.parametrize("vars", [("q1", "p1"), ("q1", "q2", "p1", "p2", "x"),
+                                      ("q2", "q1", "p1", "p2")])
+    def test_series_takes_only_polynomials_over_the_space(self, vars):
+        # a subset, a superset and a reorder of the variables: none is
+        # re-keyed onto the space
+        sp = PhaseSpace.of_dim(2)
+        assert sp.series(sp.q(1), 2) == LambdaSeries.from_poly(sp.q(1), 2)
+        with pytest.raises(VariableMismatchError):
+            sp.series(MultiPoly.variable(vars, "q1"), 2)
 
 
 class TestPoissonBracket:
@@ -375,6 +386,63 @@ def test_eval_equals_the_pairwise_sum(kind, L, data):
     got = star.eval(F.to_series(), G.to_series())
     want = series_product(star, F, G)
     assert RefSeries.of(got) == want and got.render() == want.render()
+
+
+# -- the walk on raised series, each factor the smaller one in turn ----------
+
+# nonzero coefficients: real, imaginary and complex
+NONZERO = (gr(1), gr(0, -2), gr(Fraction(1, 2), 3), gr(-3, Fraction(1, 3)), gr(Fraction(-2, 3)))
+MONOMIALS = list(itertools.product(range(3), repeat=4))
+
+
+def walk_series(seed: int, low: int, powers: int, terms: int, L: int = 4) -> RefSeries:
+    """A series over SP2 at order L with ``terms`` terms at each of
+    ``powers`` powers of λ from λ^low on."""
+    rng = random.Random(seed)
+    coeffs = [MultiPoly.zero(SP2.vars)] * (L + 1)
+    for r in range(low, low + powers):
+        coeffs[r] = MultiPoly(SP2.vars, {e: rng.choice(NONZERO)
+                                         for e in rng.sample(MONOMIALS, terms)})
+    return RefSeries(coeffs)
+
+
+def oracle_series_product(star: StarProduct, F: RefSeries, G: RefSeries) -> str:
+    """F ⋆ G summed pair by pair through the benchmark's reference
+    evaluator, which shares no code with the walk: the product of F's λ^r
+    coefficient and G's λ^s one, truncated at λ^(L - r - s), lands at
+    λ^(r+s+t).  Rendered as ``LambdaSeries.render``."""
+    L = F.order
+    C = {ij: (Fraction(r, d), Fraction(m, d)) for ij, (r, m, d) in star.matrix.items()}
+    reference = oracle.ConstantStar(C, len(F.vars))
+    acc = [{} for _ in range(L + 1)]
+    for r, a in enumerate(F.coeffs):
+        for s, b in enumerate(G.coeffs[:L - r + 1]):
+            for t, layer in enumerate(reference(oracle_form(a), oracle_form(b), L - r - s)):
+                for e, (x, y) in layer.items():
+                    u, v = acc[r + s + t].get(e, (0, 0))
+                    acc[r + s + t][e] = (u + x, v + y)
+    return oracle.render_series([{e: c for e, c in layer.items() if any(c)} for layer in acc],
+                                F.vars)
+
+
+# term counts of f and g: the walk takes the smaller factor as its right one
+SHAPES = {"f<g": (2, 5), "f=g": (4, 4), "f>g": (5, 2)}
+
+
+# one power of λ each, where no leaf passes L, and two each, where some do
+@pytest.mark.parametrize("powers", (1, 2))
+@pytest.mark.parametrize("lows", ((1, 1), (2, 1)))
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("kind", KINDS + ("skew",))
+def test_walk_on_raised_series_equals_the_reference(kind, shape, lows, powers):
+    star = product_of(kind, SP2)
+    (nf, ng), (lf, lg) = SHAPES[shape], lows
+    F, G = walk_series(1, lf, powers, nf), walk_series(2, lg, powers, ng)
+    f, g = F.to_series(), G.to_series()
+    assert (len(f.poly.nums), len(g.poly.nums)) == (nf * powers, ng * powers)
+    got = star.eval(f, g)
+    assert canonical_series(got)
+    assert got.render() == oracle_series_product(star, F, G)
 
 
 @pytest.mark.parametrize("kind", KINDS)
