@@ -46,8 +46,8 @@ class TermLimitError(AlgebraError):
     """An operation built a polynomial with more than ``MAX_TERMS`` terms."""
 
 
-# Bits per variable in a packed monomial key; the top bit of each slot is a
-# guard, so an exponent is at most 2**(SLOT_BITS - 1) - 1.
+# Bits per variable in a packed monomial key, fixed: no cache keys by it.
+# The top bit of each slot is a guard, so an exponent is at most 32767.
 SLOT_BITS = 16
 # The most terms any polynomial an operation builds may have; a series is one
 # polynomial, so its terms at every power of λ count together.  The largest
@@ -140,26 +140,19 @@ def gr(re=0, im=0) -> GaussianRational:
 # series leads with λ, so the keys of λ^r lie in [r << s, (r + 1) << s)
 # for the slot shift s of λ, and the smallest key carries the lowest power.
 
-_layouts: Dict[Tuple[int, int], Tuple[Tuple[int, ...], int, int]] = {}
-
-
+@cache
 def _layout(n: int) -> Tuple[Tuple[int, ...], int, int]:
     """(slot shift of each variable, guard bits, slot mask) of an
-    n-variable key at the current ``SLOT_BITS``."""
+    n-variable key."""
     S = SLOT_BITS
-    lay = _layouts.get((S, n))
-    if lay is None:
-        shifts = tuple(S * (n - 1 - j) for j in range(n))
-        guard = sum(1 << (s + S - 1) for s in shifts)
-        lay = _layouts[S, n] = (shifts, guard, (1 << S) - 1)
-    return lay
+    shifts = tuple(S * (n - 1 - j) for j in range(n))
+    return shifts, sum(1 << (s + S - 1) for s in shifts), (1 << S) - 1
 
 
 @cache
-def _mask(S: int, vars: Tuple[str, ...], names: Tuple[str, ...]) -> int:
-    """The key bits of the variables of ``names`` in an n-variable key over
-    ``vars`` at slot width S (``SLOT_BITS``); a name not in ``vars`` has
-    none."""
+def _mask(vars: Tuple[str, ...], names: Tuple[str, ...]) -> int:
+    """The key bits of the variables of ``names`` in a key over ``vars``; a
+    name not in ``vars`` has none."""
     shifts, _, mask = _layout(len(vars))
     return reduce(or_, (mask << shifts[vars.index(v)] for v in names if v in vars), 0)
 
@@ -328,12 +321,12 @@ def _mul_sum(vars: Tuple[str, ...], den: int, products, scan: int,
 
 
 @cache
-def _carry_bits(S: int, n: int) -> int:
-    """The top two bits of every slot of an n-variable key at slot width S
-    (``SLOT_BITS``).  Two keys that set none of them sum to a key with no
-    guard bit, as two exponents below 2**(S - 2) sum below 2**(S - 1); the
-    slots of the last n variables of a longer key lie at the same bits."""
-    return sum(3 << (S * j + S - 2) for j in range(n))
+def _carry_bits(n: int) -> int:
+    """The top two bits of every slot of an n-variable key.  Two keys that
+    set none of them sum to a key with no guard bit, as two exponents below
+    2**(S - 2) sum below 2**(S - 1), S = ``SLOT_BITS``; the slots of the
+    last n variables of a longer key lie at the same bits."""
+    return sum(3 << (SLOT_BITS * (j + 1) - 2) for j in range(n))
 
 
 def _sum(vars: Tuple[str, ...], parts, signs=None) -> "MultiPoly":
@@ -367,13 +360,13 @@ def _sum(vars: Tuple[str, ...], parts, signs=None) -> "MultiPoly":
 
 
 @cache
-def _move_plan(S: int, src: Tuple[str, ...], dst: Tuple[str, ...]
+def _move_plan(src: Tuple[str, ...], dst: Tuple[str, ...]
                ) -> Tuple[int, int, Tuple[Tuple[int, int, int], ...], Dict[int, Optional[int]]]:
-    """How keys over ``src`` move onto ``dst`` at slot width S (``SLOT_BITS``):
-    the bits of the variables missing from ``dst``, the mask of the kept
-    slots that stay, a (mask, shift up, shift down) run per shift the
-    others move by, and the table of every key moved so far to its key over
-    ``dst``, or to None where it uses a variable missing from ``dst``."""
+    """How keys over ``src`` move onto ``dst``: the bits of the variables
+    missing from ``dst``, the mask of the kept slots that stay, a (mask,
+    shift up, shift down) run per shift the others move by, and the table
+    of every key moved so far to its key over ``dst``, or to None where it
+    uses a variable missing from ``dst``."""
     old, _, mask = _layout(len(src))
     new = _layout(len(dst))[0]
     dropped, runs = 0, {}
@@ -449,7 +442,7 @@ class MultiPoly:
 
     __slots__ = ("vars", "den", "nums")
 
-    def __init__(self, vars: Sequence[str], terms: Mapping[Exponent, GaussianRational]):
+    def __init__(self, vars: Sequence[str], terms: Mapping[Exponent, object]):
         vs = tuple(vars)
         coeffs = []
         for exp, c in terms.items():
@@ -459,8 +452,9 @@ class MultiPoly:
                 )
             if any(e < 0 for e in exp):
                 raise AlgebraError(f"negative exponent in {exp}")
-            if not c.is_zero():
-                coeffs.append((_pack(exp), gauss(c)))
+            r, i, d = gauss(c)
+            if r or i:
+                coeffs.append((_pack(exp), (r, i, d)))
         den = lcm(*(d for _, (_, _, d) in coeffs))
         p = _canonical(vs, den, {k: (r * (den // d), i * (den // d))
                                  for k, (r, i, d) in coeffs})
@@ -509,7 +503,7 @@ class MultiPoly:
         self._check(other)
         used = reduce(or_, self.nums, 0) | reduce(or_, other.nums, 0)
         return _mul_sum(self.vars, self.den * other.den, [(self.nums, other.nums, 0, 1)],
-                        used & _carry_bits(SLOT_BITS, len(self.vars)))
+                        used & _carry_bits(len(self.vars)))
 
     def scale(self, c) -> "MultiPoly":
         cr, ci, d = gauss(c)
@@ -601,7 +595,7 @@ class MultiPoly:
         """The entries whose monomials use only variables in ``vars``,
         re-keyed onto ``vars`` through the table of ``_move_plan``, which
         ``_extend`` fills with the keys it has not seen."""
-        plan = _move_plan(SLOT_BITS, self.vars, vars)
+        plan = _move_plan(self.vars, vars)
         table = plan[3]
         while True:
             try:
@@ -634,7 +628,7 @@ class MultiPoly:
     def uses(self, *vars: str) -> bool:
         """Whether some term has a positive exponent in one of ``vars``; a
         name that is not a variable of ``self`` is used by no term."""
-        mask = _mask(SLOT_BITS, self.vars, vars)
+        mask = _mask(self.vars, vars)
         return bool(mask and reduce(or_, self.nums, 0) & mask)
 
     # -- queries ------------------------------------------------------
@@ -697,8 +691,6 @@ def _derive(nums: Dict[int, Tuple[int, int]], steps) -> Dict[int, Tuple[int, int
         if not vr:
             return {k - unit: (-i * c, r * c) for k, (r, i) in nums.items()
                     if (c := (k >> s & mask) * vi)}
-        return {k - unit: ((r * vr - i * vi) * e, (r * vi + i * vr) * e)
-                for k, (r, i) in nums.items() if (e := k >> s & mask)}
     out: Dict[int, Tuple[int, int]] = {}
     for k, (r, i) in nums.items():
         for s, unit, vr, vi in steps:
@@ -729,8 +721,8 @@ class LambdaSeries:
     def __init__(self, poly: MultiPoly, order: int):
         if poly.vars[:1] != (LAMBDA,):
             raise VariableMismatchError(f"a series polynomial starts with {LAMBDA!r}")
-        if order >= 1 << (SLOT_BITS - 1):
-            raise _overflow()
+        if not 0 <= order < 1 << (SLOT_BITS - 1):
+            raise AlgebraError(f"negative series order {order}") if order < 0 else _overflow()
         self.poly = poly
         self.order = order
 
@@ -751,6 +743,8 @@ class LambdaSeries:
     @staticmethod
     def from_poly(p: MultiPoly, order: int, shift: int = 0) -> "LambdaSeries":
         """Embed a polynomial at the given power of the parameter."""
+        if shift < 0:
+            raise AlgebraError(f"negative λ-shift {shift}")
         if shift > order:
             return LambdaSeries.zero(p.vars, order)
         lift = shift << SLOT_BITS * len(p.vars)
@@ -883,7 +877,7 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
     # with f and g each at one power of λ, every leaf stays within λ^L
     bound = (L + 1) << s if hi_f >> s > lo_f or hi_g >> s > lo_g else None
     used_f, used_g = reduce(or_, left), reduce(or_, right)
-    scan = (used_f | used_g) & _carry_bits(SLOT_BITS, len(vars) - 1)
+    scan = (used_f | used_g) & _carry_bits(len(vars) - 1)
     if len(left) < len(right):
         left, right, used_f, used_g = right, left, used_g, used_f
         fields = [(b, a) for a, b in fields]
@@ -949,7 +943,7 @@ def _pairing(matrix: tuple, f: MultiPoly, g: MultiPoly) -> MultiPoly:
             pairs.append(({k: (r * cr - i * ci, r * ci + i * cr)
                            for k, (r, i) in df[si].items()}, dg[sj], 0, 1))
     return _mul_sum(vars, f.den * g.den * den, pairs,
-                    (used_f | used_g) & _carry_bits(SLOT_BITS, len(vars)))
+                    (used_f | used_g) & _carry_bits(len(vars)))
 
 
 def pairing(vars: Tuple[str, ...], B) -> Callable[[MultiPoly, MultiPoly], MultiPoly]:

@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .exact import GR_I, AlgebraError, LambdaSeries, MultiPoly
 from .phase_space import PhaseSpace, StarProduct
-from .report import check
+from .report import check, info
 
 
 class LieAlgebraData:
@@ -207,6 +207,5 @@ def check_quantum_momentum_map(star: StarProduct, Jq: QuantumMomentumMap,
     strongly = Jq == QuantumMomentumMap.from_classical(J0, L)
     return [check("quantum_hamiltonian_identity", hamiltonian_identity()),
             check("quantum_bracket_compatibility", bracket_compatibility()),
-            {"name": "strong_invariance", "status": "pass",
-             "info": "classical map is quantum" if strongly
-             else "quantum map carries corrections"}]
+            info("strong_invariance", "classical map is quantum" if strongly
+                 else "quantum map carries corrections")]

@@ -4,8 +4,8 @@ Every check of a report is one entry: its ``name``, its ``status`` and, when
 it fails, the ``witness`` of the first input it fails on.  A check is written
 as a generator of witness dicts, one for each input that violates the
 identity, and ``check`` reads no further than the first of them, so a check
-stops at its first failure.  A check that must fail is an ``expected_failure``.
-"""
+stops at its first failure.  A check that must fail is an ``expected_failure``,
+and a property reported but not required is an ``info``."""
 
 from __future__ import annotations
 
@@ -29,6 +29,11 @@ def expected_failure(name: str, witnesses: Iterable[dict]) -> dict:
     if witness is None:
         return {"name": name, "status": "fail"}
     return {"name": name, "status": "pass", "witness": witness}
+
+
+def info(name: str, text: str) -> dict:
+    """The entry of a property reported but not required: a pass with ``text``."""
+    return {"name": name, "status": "pass", "info": text}
 
 
 def prefixed(suite: str, checks: List[dict]) -> List[dict]:

@@ -4,14 +4,18 @@ No other module of the package calls ``_layout`` or reads a polynomial's
 ``nums`` or ``den``, and none imports a private name from ``exact``, except
 ``sampling``, whose sampler builds its keys through ``_pack`` and
 ``_canonical``.  Other modules name variables by name or by position, and
-hand coefficients over as (re, im, den) triples."""
+hand coefficients over as (re, im, den) triples.
+
+The slot width ``SLOT_BITS`` is a constant: the caches of ``exact`` do not
+key by it, so no test module may set it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qkoszul"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "qkoszul"
 PRIVATE_IMPORTS = {"sampling": {"_pack", "_canonical"}}
 FIELDS = {"nums", "den", "_layout"}
 
@@ -50,3 +54,51 @@ def test_the_check_sees_each_kind_of_crossing():
     # sampling may import its two encoder names, and only those
     assert sorted(crossings(source, "sampling")) == \
         sorted(["_layout", "_wrap", "_layout", "nums", "den", "_sum"])
+
+
+def slot_width_settings(source: str) -> list:
+    """The line of every place in ``source`` that may set ``SLOT_BITS``: an
+    assignment to an attribute or an item of that name, and a call that
+    names it in a string argument, such as ``setattr``, ``monkeypatch``'s
+    ``setattr`` and ``setitem``, or a ``pytest.param`` whose attribute name
+    a test then sets."""
+    def names_it(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "SLOT_BITS"
+                or isinstance(node, ast.Subscript) and names_it(node.slice)
+                or isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.split(".")[-1] == "SLOT_BITS")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = [t for target in node.targets for t in ast.walk(target)]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call):
+            targets = [a for a in node.args if isinstance(a, ast.Constant)]
+        else:
+            continue
+        if any(map(names_it, targets)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.stem)
+def test_no_test_sets_the_slot_width(path):
+    assert slot_width_settings(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_each_way_to_set_the_slot_width():
+    source = ("monkeypatch.setattr(exact, 'SLOT_BITS', 3)\n"
+              "setattr(qkoszul.exact, 'SLOT_BITS', 3)\n"
+              "monkeypatch.setattr('qkoszul.exact.SLOT_BITS', 3)\n"
+              "exact.SLOT_BITS = 3\n"
+              "exact.SLOT_BITS, n = 3, 2\n"
+              "exact.SLOT_BITS += 1\n"
+              "vars(exact)['SLOT_BITS'] = 3\n"
+              "monkeypatch.setitem(vars(exact), 'SLOT_BITS', 3)\n"
+              "pytest.param('SLOT_BITS', 3, id='narrow-slot')\n"
+              # reads, and settings of other names
+              "mask = (1 << exact.SLOT_BITS) - 1\n"
+              "monkeypatch.setattr(exact, 'MAX_TERMS', 3)\n")
+    assert slot_width_settings(source) == [1, 2, 3, 4, 5, 6, 7, 8, 9]

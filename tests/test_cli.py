@@ -595,17 +595,31 @@ class TestConfigFile:
         assert builtin_config(name).echo() == cli.load_config(str(path)).echo()
 
 
+def a_twelve_term_limit(monkeypatch):
+    monkeypatch.setattr(exact, "MAX_TERMS", 12)
+
+
+def samples_past_the_slot(monkeypatch):
+    """Samples that start with q1^32767 and q1, whose product needs q1^32768."""
+    real = cli.sample_polys
+
+    def samples(seed, vars, degree, count):
+        top = MultiPoly(vars, {(32767,) + (0,) * (len(vars) - 1): 1})
+        return [top, MultiPoly.variable(vars, vars[0])] + real(seed, vars, degree, count)[2:]
+    monkeypatch.setattr(cli, "sample_polys", samples)
+
+
 class TestSizeLimits:
     """A polynomial too large for the exact core stops the run with exit 2
     and one line naming the limit."""
 
-    @pytest.mark.parametrize("attr, value, message", [
-        pytest.param("MAX_TERMS", 12, "exceeds the limit of 12 terms", id="term-limit"),
-        pytest.param("SLOT_BITS", 3, "an exponent exceeds 3, the largest a 3-bit "
-                     "monomial slot holds", id="narrow-slot"),
+    @pytest.mark.parametrize("limit, message", [
+        pytest.param(a_twelve_term_limit, "exceeds the limit of 12 terms", id="term-limit"),
+        pytest.param(samples_past_the_slot, "an exponent exceeds 32767, the largest a 16-bit "
+                     "monomial slot holds", id="exponent-past-slot"),
     ])
-    def test_limit_exits_2(self, monkeypatch, capsysbinary, attr, value, message):
-        monkeypatch.setattr(exact, attr, value)
+    def test_limit_exits_2(self, monkeypatch, capsysbinary, limit, message):
+        limit(monkeypatch)
         assert main(["--scenario", "axioms-weyl"]) == 2
         out, err = capsysbinary.readouterr()
         assert out == b""

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qkoszul import exact
 from qkoszul.exact import (
+    AlgebraError,
     ContractViolationError,
     ExponentOverflowError,
     GaussianRational,
@@ -37,6 +38,9 @@ VARS = ("x", "y")
 HALF_X = MultiPoly.variable(VARS, "x").scale(Fraction(1, 2))
 THIRD_Y = MultiPoly.variable(VARS, "y").scale(Fraction(1, 3))
 WIDE = ("a", "x", "b", "y")
+# the largest exponent a slot holds, and the smallest that sets the second
+# highest bit of a slot, where the sum of two exponents may reach the guard bit
+TOP, CARRY = 32767, 1 << 14
 
 
 # numerators of up to 2**200 in size, over denominators of one, a few and
@@ -166,6 +170,17 @@ class TestMultiPoly:
         y = MultiPoly.variable(VARS, "y")
         p = (x + y) * (x - y)
         assert p == x * x - y * y
+
+    def test_constructor_takes_numbers(self):
+        # 3 + x/2 + 0·y, one number type at a time
+        x = MultiPoly.variable(VARS, "x")
+        want = MultiPoly.const(VARS, 3) + x.scale(Fraction(1, 2))
+        for three, half, zero in ((3, Fraction(1, 2), 0),
+                                  (Fraction(3), Fraction(1, 2), Fraction(0)),
+                                  (gr(3), gr(Fraction(1, 2)), gr())):
+            p = MultiPoly(VARS, {(0, 0): three, (1, 0): half, (0, 1): zero})
+            assert p == want and len(p.terms) == 2 and not p.uses("y")
+        assert MultiPoly(VARS, {(0, 1): 0, (1, 1): gr()}) == MultiPoly.zero(VARS)
 
     def test_var_mismatch_rejected(self):
         x = MultiPoly.variable(("x",), "x")
@@ -584,7 +599,7 @@ class TestMoveTables:
 
     @staticmethod
     def table(vs):
-        return exact._move_plan(exact.SLOT_BITS, WIDE, vs)[3]
+        return exact._move_plan(WIDE, vs)[3]
 
     @given(st.lists(polys(WIDE, max_degree=3), min_size=1, max_size=4))
     @settings(max_examples=60)
@@ -595,20 +610,6 @@ class TestMoveTables:
                 self.moves(p)
         assert all(p.nums.keys() <= self.table(vs).keys()
                    for p in ps for vs in MOVE_TARGETS[1:])
-
-    @given(polys(WIDE, max_degree=3))
-    @settings(max_examples=30)
-    def test_tables_of_each_slot_width_apart(self, p):
-        # y^e has the key e at every slot width, and each width moves it
-        # elsewhere on the reorder
-        p = p + MultiPoly.variable(WIDE, "y")
-        exponents, wide = dict(p.terms), self.table(MOVE_TARGETS[1])
-        self.moves(p)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exact, "SLOT_BITS", 3)   # exponents up to 3
-            self.moves(MultiPoly(WIDE, exponents))
-            assert self.table(MOVE_TARGETS[1]) is not wide
-        self.moves(p)
 
     @given(st.lists(polys(WIDE, max_degree=3), min_size=1, max_size=6))
     @settings(max_examples=60)
@@ -622,17 +623,15 @@ class TestMoveTables:
 
 
 class TestLimits:
-    def test_exponent_overflow_is_raised_not_wrapped(self, monkeypatch):
-        monkeypatch.setattr(exact, "SLOT_BITS", 3)   # exponents up to 3
+    def test_exponent_overflow_is_raised_not_wrapped(self):
         x = MultiPoly.variable(VARS, "x")
-        y = MultiPoly.variable(VARS, "y")
-        cube = x * x * x
-        assert cube.terms == {(3, 0): gr(1)}
-        assert (cube * y * y * y).terms == {(3, 3): gr(1)}
-        with pytest.raises(ExponentOverflowError, match="exceeds 3"):
-            cube * x
-        with pytest.raises(ExponentOverflowError):
-            MultiPoly(VARS, {(0, 4): gr(1)})
+        top = MultiPoly(VARS, {(TOP - 1, 0): 1}) * x
+        assert top.terms == {(TOP, 0): gr(1)}
+        assert (top * MultiPoly(VARS, {(0, TOP): 1})).terms == {(TOP, TOP): gr(1)}
+        with pytest.raises(ExponentOverflowError, match="exceeds 32767"):
+            top * x
+        with pytest.raises(ExponentOverflowError, match="exceeds 32767"):
+            MultiPoly(VARS, {(0, TOP + 1): 1})
 
     def test_term_limit(self, monkeypatch):
         monkeypatch.setattr(exact, "MAX_TERMS", 3)
@@ -669,12 +668,17 @@ def q_and_p():
     return (MultiPoly.variable(("q1", "p1"), v) for v in ("q1", "p1"))
 
 
+def qp(a: int, b: int) -> MultiPoly:
+    """q^a p^b on T*R."""
+    return MultiPoly(("q1", "p1"), {(a, b): 1})
+
+
 class TestOnePassTail:
     """The tail of ``_mul_sum`` that ``*``, the walk and the bracket share.
     Its output is canonical: the factor common to the denominator and every
     numerator is divided out.  Its keys are scanned for a guard bit exactly
-    where an input sets one of the top two bits of a slot, which at
-    SLOT_BITS = 3 is an exponent of 2 or 3."""
+    where an input sets one of the top two bits of a slot, an exponent of
+    ``CARRY`` or more."""
 
     OPS = ("mul", "walk", "bracket")
 
@@ -686,33 +690,34 @@ class TestOnePassTail:
         assert agrees_with(op, got, want)
 
     @pytest.mark.parametrize("op", OPS)
-    def test_inputs_that_may_carry_are_scanned(self, op, monkeypatch):
-        monkeypatch.setattr(exact, "SLOT_BITS", 3)   # exponents up to 3
-        q, p = q_and_p()
-        # (q² + p)(q + p²) reaches q³, q²p² and p³, and no higher
-        got, want = weyl_products(op, q * q + p, q + p * p)
+    def test_inputs_that_may_carry_are_scanned(self, op):
+        a = CARRY
+        # (q^a + p)(q + p^a) reaches q^(a+1), q^a·p^a and p^(a+1), and no higher
+        got, want = weyl_products(op, qp(a, 0) + qp(0, 1), qp(1, 0) + qp(0, a))
         assert agrees_with(op, got, want)
-        # (q² + p)·q² reaches q⁴, as does the bracket term ∂_q(q³p)·∂_p(q²p)
-        f, g = (q * q * q * p, q * q * p) if op == "bracket" else (q * q + p, q * q)
-        with pytest.raises(ExponentOverflowError, match="exceeds 3"):
+        # (q^a + p)·q^a reaches q^2a, the guard bit of q's slot, as does the
+        # bracket of q^(a+1)·p and q^a·p
+        f, g = (qp(a + 1, 1), qp(a, 1)) if op == "bracket" else (qp(a, 0) + qp(0, 1), qp(a, 0))
+        with pytest.raises(ExponentOverflowError, match="exceeds 32767"):
             weyl_products(op, f, g)
 
-    def test_the_walk_drops_powers_past_the_order_before_its_scan(self, monkeypatch):
-        # q² makes the walk scan, and λ²·λ² reaches λ⁴, whose key sets the
-        # guard bit of λ's slot: the power is dropped, and nothing raises
-        monkeypatch.setattr(exact, "SLOT_BITS", 3)   # λ-powers up to 3
+    def test_the_walk_drops_powers_past_the_order_before_its_scan(self):
+        # q^a makes the walk scan, and λ^a·λ^a reaches λ^2a = λ^(L+1), whose
+        # key sets the guard bit of λ's slot: the power is dropped, and
+        # nothing raises
+        L, a = TOP, CARRY
         star = StarProduct.weyl(PhaseSpace.of_dim(1))
-        q, p = q_and_p()
-        f = LambdaSeries.from_poly(q * q, 3) + LambdaSeries.from_poly(q, 3, shift=2)
-        g = LambdaSeries.from_poly(p, 3) + LambdaSeries.from_poly(p * p, 3, shift=2)
+        fs, gs = ((a - 1, qp(a, 0)), (a, qp(1, 0))), ((a - 1, qp(0, 1)), (a, qp(0, a)))
+        f, g = (sum((LambdaSeries.from_poly(x, L, shift=r) for r, x in xs),
+                    LambdaSeries.zero(("q1", "p1"), L)) for xs in (fs, gs))
         got = star.eval(f, g)
         C = matrix_of(star)
-        want = [RefPoly.zero(f.vars)] * 4
-        for r, a in ((0, q * q), (2, q)):
-            for s, b in ((0, p), (2, p * p)):
-                if r + s <= 3:
-                    for t, c in enumerate(reference_star(C, RefPoly.of(a), RefPoly.of(b),
-                                                         3 - r - s)):
+        want = [RefPoly.zero(f.vars)] * (L + 1)
+        for r, x in fs:
+            for s, y in gs:
+                if r + s <= L:
+                    for t, c in enumerate(reference_star(C, RefPoly.of(x), RefPoly.of(y),
+                                                         L - r - s)):
                         want[r + s + t] = want[r + s + t] + c
         assert agrees_with("walk", got, want)
 
@@ -728,9 +733,9 @@ class TestOnePassTail:
     @pytest.mark.parametrize("op", OPS)
     def test_a_skipped_output_scan_is_killed(self, op, monkeypatch):
         # the mutant: no input is taken to set a top bit, so no output is scanned
-        monkeypatch.setattr(exact, "_carry_bits", lambda S, n: 0)
+        monkeypatch.setattr(exact, "_carry_bits", lambda n: 0)
         with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
-            self.test_inputs_that_may_carry_are_scanned(op, monkeypatch)
+            self.test_inputs_that_may_carry_are_scanned(op)
 
 
 class TestLambdaSeries:
@@ -758,12 +763,22 @@ class TestLambdaSeries:
         with pytest.raises(VariableMismatchError):
             LambdaSeries(MultiPoly.variable(("x",), "x"), 1)
 
-    def test_order_must_fit_a_slot(self, monkeypatch):
-        monkeypatch.setattr(exact, "SLOT_BITS", 3)   # λ-powers up to 3
+    def test_order_must_fit_a_slot(self):
         one = MultiPoly.const(("x",), 1)
-        assert LambdaSeries.from_poly(one, 3, shift=3).coeff(3) == one
-        with pytest.raises(ExponentOverflowError):
-            LambdaSeries.from_poly(one, 4)
+        assert LambdaSeries.from_poly(one, TOP, shift=TOP).coeff(TOP) == one
+        with pytest.raises(ExponentOverflowError, match="exceeds 32767"):
+            LambdaSeries.from_poly(one, TOP + 1)
+
+    def test_a_negative_shift_is_rejected(self):
+        with pytest.raises(AlgebraError, match="negative λ-shift -1"):
+            LambdaSeries.from_poly(MultiPoly.variable(("x",), "x"), 3, shift=-1)
+
+    def test_a_negative_order_is_rejected(self):
+        x = MultiPoly.variable(("x",), "x")
+        with pytest.raises(AlgebraError, match="negative series order -1"):
+            LambdaSeries.from_poly(x, -1)
+        with pytest.raises(AlgebraError, match="negative series order -3"):
+            LambdaSeries.from_poly(x, 2).truncate(-3)
 
 
 @st.composite

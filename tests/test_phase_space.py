@@ -550,14 +550,14 @@ def test_eval_of_a_zero_series_is_zero(kind):
         assert got == zero and got.poly.den == 1
 
 
-def test_eval_raises_exponent_overflow(monkeypatch):
-    monkeypatch.setattr(exact, "SLOT_BITS", 3)   # exponents up to 3
+def test_eval_raises_exponent_overflow():
     star = StarProduct.weyl(PhaseSpace.of_dim(1))
     q, p = MultiPoly.variable(star.space.vars, "q1"), MultiPoly.variable(star.space.vars, "p1")
-    cube = q * q * q
-    assert star.eval_poly(cube, p, 2).coeff(1) == (q * q).scale(gr(0, Fraction(3, 2)))
-    with pytest.raises(ExponentOverflowError, match="exceeds 3"):
-        star.eval_poly(cube, q, 2)
+    below = MultiPoly(star.space.vars, {(32766, 0): 1})
+    top = below * q   # q^32767, the largest exponent a slot holds
+    assert star.eval_poly(top, p, 2).coeff(1) == below.scale(gr(0, Fraction(32767, 2)))
+    with pytest.raises(ExponentOverflowError, match="exceeds 32767"):
+        star.eval_poly(top, q, 2)
 
 
 def test_eval_raises_the_term_limit(monkeypatch):
@@ -674,13 +674,14 @@ def test_bracket_rejects_operands_over_other_variables():
         star.bracket_poly(f, f.with_vars(SP2.vars + ("x",)))
 
 
-def test_bracket_raises_exponent_overflow(monkeypatch):
-    monkeypatch.setattr(exact, "SLOT_BITS", 3)   # exponents up to 3
+def test_bracket_raises_exponent_overflow():
     star = StarProduct.weyl(PhaseSpace.of_dim(1))
     q, p = MultiPoly.variable(star.space.vars, "q1"), MultiPoly.variable(star.space.vars, "p1")
-    assert star.bracket_poly(q * q * q, p * p) == (q * q * p).scale(6)
-    with pytest.raises(ExponentOverflowError, match="exceeds 3"):
-        star.bracket_poly(q * q * q * p, q * q * p)
+    below = MultiPoly(star.space.vars, {(32766, 0): 1})
+    top = below * q   # q^32767, the largest exponent a slot holds
+    assert star.bracket_poly(top, p * p) == (below * p).scale(2 * 32767)
+    with pytest.raises(ExponentOverflowError, match="exceeds 32767"):
+        star.bracket_poly(top * p, q * q * p)
 
 
 def test_axioms_reject_a_sample_over_other_variables():

@@ -1,7 +1,7 @@
 """Report entries: the first witness of a check, expected failures, and
 suite prefixes."""
 
-from qkoszul.report import check, expected_failure, prefixed
+from qkoszul.report import check, expected_failure, info, prefixed
 
 
 def test_pass_without_witnesses():
@@ -39,6 +39,11 @@ def test_expected_failure_passes_with_the_first_witness():
 def test_expected_failure_without_a_witness_fails():
     assert expected_failure("hermitian_fails_as_expected", iter(())) == \
         {"name": "hermitian_fails_as_expected", "status": "fail"}
+
+
+def test_info_passes_with_its_text():
+    assert info("strong_invariance", "classical map is quantum") == \
+        {"name": "strong_invariance", "status": "pass", "info": "classical map is quantum"}
 
 
 def test_prefixed_keeps_every_other_key():
