@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import AlgebraError, ExponentOverflowError, MultiPoly, TermLimitError, gr
+from .exact import AlgebraError, ExponentOverflowError, MultiPoly, TermLimitError, render_gauss
 from .koszul import ReductionContext, basis_label, ce_boundary, quantum_restriction, \
     series_restriction, verify_complex_identities
 from .lie import LieAlgebraData, check_classical_equivariance, \
@@ -456,11 +456,11 @@ def suite_ce(cfg: ScenarioConfig, ctx: Optional[ReductionContext]) -> List[dict]
         return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(lie.dim))
 
     def rendered(v):
-        return [gr(c).render() for c in v]
+        return [render_gauss(c) for c in v]
 
     def boundary_squared_zero(grade: int):
         x = {key: vec() for key in combinations(range(1, lie.dim + 1), grade)}
-        sq = ce_boundary(lie, ce_boundary(lie, x, grade), grade - 1)
+        sq = ce_boundary(lie, ce_boundary(lie, x))
         if sq:
             yield {"grade": grade, "d_squared": {basis_label(key): rendered(v)
                                                  for key, v in sorted(sq.items())}}
@@ -471,7 +471,7 @@ def suite_ce(cfg: ScenarioConfig, ctx: Optional[ReductionContext]) -> List[dict]
         for alpha in basis:
             for beta in basis:
                 e_beta = tuple(Fraction(int(g == beta)) for g in basis)
-                got = ce_boundary(lie, {(alpha,): e_beta}, 1).get((), (Fraction(0),) * lie.dim)
+                got = ce_boundary(lie, {(alpha,): e_beta}).get((), (Fraction(0),) * lie.dim)
                 want = tuple(lie.c(alpha, beta, g) for g in basis)
                 if got != want:
                     yield {"alpha": alpha, "beta": beta, "boundary": rendered(got),
@@ -500,8 +500,8 @@ def conventions() -> Dict[str, str]:
             (weyl.eval_poly(q, p, 1) - weyl.eval_poly(p, q, 1)).coeff(1).render(),
         "std_p_star_q_order1": std.eval_poly(p, q, 1).coeff(1).render(),
     }
-    z = q + p.scale(gr(0, 1))
-    zbar = q - p.scale(gr(0, 1))
+    z = q + p.scale((0, 1, 1))
+    zbar = q - p.scale((0, 1, 1))
     out["wick_z_star_zbar_order1"] = wick.eval_poly(z, zbar, 1).coeff(1).render()
     return out
 

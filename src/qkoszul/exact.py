@@ -106,17 +106,11 @@ class GaussianRational:
         return self.re == 0 and self.im == 0
 
     def render(self) -> str:
-        """Canonical text form ``(a/b)+(c/d)i`` (bit-exact across runs)."""
-        re, im = self.re, self.im
-        sign = "+" if im >= 0 else "-"
-        return f"({re.numerator}/{re.denominator}){sign}({abs(im).numerator}/{abs(im).denominator})i"
+        """Canonical text form ``(a/b)+(c/d)i`` (``render_gauss``)."""
+        return render_gauss(self)
 
     def __str__(self) -> str:
         return self.render()
-
-
-GR_I = GaussianRational(Fraction(0), Fraction(1))
-GR_MINUS_I = GaussianRational(Fraction(0), Fraction(-1))
 
 
 def gr(re=0, im=0) -> GaussianRational:
@@ -180,20 +174,32 @@ def _unpack(key: int, n: int) -> Exponent:
 
 def gauss(c) -> Tuple[int, int, int]:
     """The triple (re, im, den) with c = (re + i·im)/den in lowest terms and
-    den positive, for an int, a Fraction or a GaussianRational.  Triples are
-    how the other modules hand coefficients to this one."""
+    den positive, for an int, a Fraction, a triple (re, im, den) of ints
+    with den nonzero, or a GaussianRational.  Triples are how the other
+    modules hand coefficients to this one; any other type is a TypeError."""
     if isinstance(c, int):
         return c, 0, 1
     if isinstance(c, Fraction):
         return c.numerator, 0, c.denominator
+    if isinstance(c, tuple) and len(c) == 3:
+        re, im, den = c
+        if not den:
+            raise ZeroDivisionError(f"the triple {c} has denominator zero")
+        g = gcd(re, im, den) if den > 0 else -gcd(re, im, den)
+        return re // g, im // g, den // g
+    if not isinstance(c, GaussianRational):
+        raise TypeError(f"cannot read a {type(c).__name__} as a Gaussian rational")
     re, im = c.re, c.im
     d = lcm(re.denominator, im.denominator)
     return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
 
 
-def _render_part(num: int, den: int) -> str:
-    g = gcd(num, den)
-    return f"{num // g}/{den // g}"
+def render_gauss(c) -> str:
+    """The canonical text ``(a/b)+(c/d)i`` of anything ``gauss`` reads, both
+    parts in lowest terms (bit-exact across runs)."""
+    r, i, d = gauss(c)
+    g, h = gcd(r, d), gcd(i, d)
+    return f"({r // g}/{d // g}){'+' if i >= 0 else '-'}({abs(i) // h}/{d // h})i"
 
 
 def _wrap(vars: Tuple[str, ...], den: int, nums: Dict[int, Tuple[int, int]]) -> "MultiPoly":
@@ -633,6 +639,14 @@ class MultiPoly:
 
     # -- queries ------------------------------------------------------
 
+    def as_constant(self) -> Optional[Tuple[int, int, int]]:
+        """The triple (re, im, den) of a constant polynomial, (0, 0, 1) for
+        zero, and None where some term uses a variable."""
+        if self.nums.keys() - {0}:
+            return None
+        r, i = self.nums.get(0, (0, 0))
+        return r, i, self.den
+
     def is_zero(self) -> bool:
         return not self.nums
 
@@ -666,8 +680,7 @@ class MultiPoly:
                 for v, k in zip(self.vars, exp)
                 if k
             )
-            sign = "+" if i >= 0 else "-"
-            c = f"({_render_part(r, den)}){sign}({_render_part(abs(i), den)})i"
+            c = render_gauss((r, i, den))
             parts.append(f"{c}*{mono}" if mono else c)
         return " + ".join(parts)
 

@@ -35,7 +35,6 @@ from .exact import (
     ConstantOperator,
     LambdaSeries,
     MultiPoly,
-    gauss,
     invert_unipotent,
 )
 from .lie import (
@@ -175,11 +174,11 @@ def _conjugation(action: TranslationAction, star: StarProduct,
     for a, Ja in zip(translated, Jq.components):
         # Jq_a must be p_a + λc_a, with c_a = coeff(1) a constant
         c = Ja.coeff(1)
-        if c.uses(*c.vars) or Ja - LambdaSeries.from_poly(c, Ja.order, shift=1) != \
+        if (ca := c.as_constant()) is None or Ja - LambdaSeries.from_poly(c, Ja.order, shift=1) != \
                 LambdaSeries.from_poly(space.p(a), Ja.order):
             return None
-        if not c.is_zero():
-            r, m, d = gauss(c.terms[(0,) * len(c.vars)])
+        r, m, d = ca
+        if r or m:
             y.append((None, space.vars.index(f"p{a}"), (-r, -m, d)))
     return ConstantOperator(space.vars, y)
 
@@ -272,12 +271,20 @@ Vector = Tuple[Fraction, ...]
 CEElement = Dict[IndexKey, Vector]
 
 
-def ce_boundary(lie: LieAlgebraData, x: CEElement, grade: int) -> CEElement:
+def ce_boundary(lie: LieAlgebraData, x: CEElement) -> CEElement:
     """Lie algebra homology boundary with coefficients in the adjoint
     representation, written with the insertion derivations and read off the
-    structure constants: e_alpha acts on v by [e_alpha, v]."""
-    if grade < 1:
-        raise AlgebraError("boundary needs grade >= 1")
+    structure constants: e_alpha acts on v by [e_alpha, v].  The grade is
+    read off the keys of x, each an increasing tuple of indices in 1..dim,
+    all of one length k >= 1, and every vector has ``lie.dim`` entries."""
+    grades = {len(key) for key in x}
+    if 0 in grades or len(grades) > 1:
+        raise AlgebraError(f"boundary needs keys of one grade >= 1, got grades {sorted(grades)}")
+    for key, v in x.items():
+        if list(key) != sorted(set(key)) or not 1 <= key[0] <= key[-1] <= lie.dim:
+            raise AlgebraError(f"basis key {key} is not increasing in 1..{lie.dim}")
+        if len(v) != lie.dim:
+            raise AlgebraError(f"a vector of {len(v)} entries at {key}, not {lie.dim}")
     out: CEElement = {}
 
     def add(key: IndexKey, v: Vector):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
-from .exact import GR_I, AlgebraError, LambdaSeries, MultiPoly
+from .exact import AlgebraError, LambdaSeries, MultiPoly
 from .phase_space import PhaseSpace, StarProduct
 from .report import check, info
 
@@ -182,7 +182,7 @@ def check_quantum_momentum_map(star: StarProduct, Jq: QuantumMomentumMap,
                 fs = LambdaSeries.from_poly(f, L)
                 lhs = star.eval(Ja, fs) - star.eval(fs, Ja)
                 bracket = star.bracket_poly(J0.components[a - 1], f)
-                rhs = LambdaSeries.from_poly(bracket.scale(GR_I), L, shift=1)
+                rhs = LambdaSeries.from_poly(bracket.scale((0, 1, 1)), L, shift=1)
                 if lhs != rhs:
                     yield {"generator": a, "f": f.render(),
                            "commutator": lhs.render(), "expected": rhs.render()}
@@ -197,7 +197,7 @@ def check_quantum_momentum_map(star: StarProduct, Jq: QuantumMomentumMap,
                 for g, coeff in Jq.lie.bracket_coeffs(a, b).items():
                     rhs = rhs + Jq.components[g - 1].scale(coeff)
                 rhs = rhs * LambdaSeries.from_poly(
-                    MultiPoly.const(vars, GR_I), L, shift=1)
+                    MultiPoly.const(vars, (0, 1, 1)), L, shift=1)
                 if lhs != rhs:
                     yield {"pair": (a, b), "commutator": lhs.render(),
                            "expected": rhs.render()}

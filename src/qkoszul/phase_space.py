@@ -13,36 +13,29 @@ product deforms is -i (C - Cᵀ), and the product is Hermitian exactly when
 conj(C) = Cᵀ.
 
 ``StarProduct.constant`` reads C once into integer triples (re, im, den)
-and does its rank-one factorisation, its Hermitian test and its bracket
-matrix on them; ``GaussianRational`` is only the type of C's entries.  It
-hands the rank-one terms and the bracket matrix to ``exact`` by variable
-position, as the vector fields of the star walk (``star_fields``) and as
-the bracket's pairing (``pairing``).  The bracket shares no code with the
+through ``exact.gauss`` and does its rank-one factorisation, its Hermitian
+test and its bracket matrix on them.  It hands the rank-one terms and the
+bracket matrix to ``exact`` by variable position, as the vector fields of
+the star walk (``star_fields``) and as the bracket's pairing (``pairing``).  The bracket shares no code with the
 star walk, so the order-1 commutator check compares two independent
 computations.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 from itertools import chain
-from math import gcd
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exact import (
-    GR_I,
-    GR_MINUS_I,
     AlgebraError,
     ContractViolationError,
-    GaussianRational,
     LambdaSeries,
     MultiPoly,
     OrderMismatchError,
     VariableMismatchError,
     gauss,
-    gr,
     pairing,
     star_exponential,
     star_fields,
@@ -50,8 +43,9 @@ from .exact import (
 from .report import check, expected_failure
 
 # Nonzero entries of a matrix over the variables of a phase space, keyed by
-# (row position, column position) in the variable list.
-Matrix = Dict[Tuple[int, int], GaussianRational]
+# (row position, column position) in the variable list; an entry is anything
+# ``exact.gauss`` reads.
+Matrix = Dict[Tuple[int, int], object]
 # A Gaussian rational as an integer triple (re, im, den): (re + i·im)/den
 # with den positive and no factor common to all three.
 Gauss = Tuple[int, int, int]
@@ -92,21 +86,15 @@ class PhaseSpace:
         return LambdaSeries.from_poly(poly, order)
 
 
-def _triple(re: int, im: int, den: int) -> Gauss:
-    """(re + i·im)/den in lowest terms; den must be positive."""
-    g = gcd(re, im, den)
-    return re // g, im // g, den // g
-
-
 def _sub_mul(x: Gauss, y: Gauss, z: Gauss = (1, 0, 1)) -> Gauss:
     """x - y·z."""
     (a, b, d), (c, e, f), (g, h, k) = x, y, z
-    return _triple(a * f * k - (c * g - e * h) * d, b * f * k - (c * h + e * g) * d, d * f * k)
+    return gauss((a * f * k - (c * g - e * h) * d, b * f * k - (c * h + e * g) * d, d * f * k))
 
 
 def _div(x: Gauss, y: Gauss) -> Gauss:
     (a, b, d), (c, e, f) = x, y
-    return _triple((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
+    return gauss(((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e)))
 
 
 def _rank_one_terms(C: Dict[Tuple[int, int], Gauss]) -> List[Tuple[Vector, Vector]]:
@@ -209,31 +197,30 @@ class StarProduct:
     @staticmethod
     def weyl(space: PhaseSpace) -> "StarProduct":
         """Symmetric ordering: C^{q_i p_i} = i/2, C^{p_i q_i} = -i/2."""
-        n, half_i, minus_half_i = space.n, gr(0, Fraction(1, 2)), gr(0, Fraction(-1, 2))
+        n = space.n
         C: Matrix = {}
         for i in range(n):
-            C[i, n + i] = half_i
-            C[n + i, i] = minus_half_i
+            C[i, n + i] = (0, 1, 2)
+            C[n + i, i] = (0, -1, 2)
         return StarProduct.constant(space, C)
 
     @staticmethod
     def std(space: PhaseSpace) -> "StarProduct":
         """Standard ordering: C^{p_i q_i} = -i."""
         n = space.n
-        return StarProduct.constant(space, {(n + i, i): GR_MINUS_I for i in range(n)})
+        return StarProduct.constant(space, {(n + i, i): (0, -1, 1) for i in range(n)})
 
     @staticmethod
     def wick(space: PhaseSpace) -> "StarProduct":
         """Normal ordering in z_k = q_k + i p_k, the exponential of
         2 ∂_z ⊗ ∂_zbar: C^{q_i q_i} = C^{p_i p_i} = 1/2, C^{q_i p_i} = i/2,
         C^{p_i q_i} = -i/2."""
-        n, half = space.n, gr(Fraction(1, 2))
-        half_i, minus_half_i = gr(0, Fraction(1, 2)), gr(0, Fraction(-1, 2))
+        n = space.n
         C: Matrix = {}
         for i in range(n):
-            C[i, i] = C[n + i, n + i] = half
-            C[i, n + i] = half_i
-            C[n + i, i] = minus_half_i
+            C[i, i] = C[n + i, n + i] = (1, 0, 2)
+            C[i, n + i] = (0, 1, 2)
+            C[n + i, i] = (0, -1, 2)
         return StarProduct.constant(space, C)
 
     # -- evaluation -------------------------------------------------------
@@ -292,7 +279,7 @@ def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],
     def order1_commutator_bracket():
         for f, g in pairs:
             comm = product(f, g) - product(g, f)
-            expected = star.bracket_poly(f, g).scale(GR_I)
+            expected = star.bracket_poly(f, g).scale((0, 1, 1))   # i{f, g}
             if comm.coeff(1) != expected:
                 yield {"f": f.render(), "g": g.render(),
                        "commutator_order1": comm.coeff(1).render(),

@@ -1,18 +1,26 @@
-"""The monomial key format stays inside ``qkoszul.exact``.
+"""The monomial key format and the Gaussian-rational type stay inside
+``qkoszul.exact``.
 
 No other module of the package calls ``_layout`` or reads a polynomial's
 ``nums`` or ``den``, and none imports a private name from ``exact``, except
 ``sampling``, whose sampler builds its keys through ``_pack`` and
 ``_canonical``.  Other modules name variables by name or by position, and
-hand coefficients over as (re, im, den) triples.
+hand coefficients over as ints, Fractions and (re, im, den) triples, which
+``exact.gauss`` reads: no module but ``exact`` and the re-exporting
+``__init__`` imports or names ``GaussianRational``, ``gr``, ``GR_I`` or
+``GR_MINUS_I``.
 
 The slot width ``SLOT_BITS`` is a constant: the caches of ``exact`` do not
 key by it, so no test module may set it."""
 
 import ast
+import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
+
+from qkoszul import exact, koszul, phase_space
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "qkoszul"
@@ -54,6 +62,58 @@ def test_the_check_sees_each_kind_of_crossing():
     # sampling may import its two encoder names, and only those
     assert sorted(crossings(source, "sampling")) == \
         sorted(["_layout", "_wrap", "_layout", "nums", "den", "_sum"])
+
+
+GAUSSIAN = {"GaussianRational", "gr", "GR_I", "GR_MINUS_I"}
+
+
+def gaussian_names(source: str) -> list:
+    """Every place in ``source`` that imports or names a name of
+    ``GAUSSIAN``: an import of it, or of everything, from ``exact``; a name;
+    an attribute; and a string, as ``getattr`` takes it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in GAUSSIAN
+                      or a.name == "*" and node.module in ("exact", "qkoszul.exact")]
+        elif isinstance(node, ast.Name) and node.id in GAUSSIAN:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in GAUSSIAN:
+            found.append(node.attr)
+        elif isinstance(node, ast.Constant) and node.value in GAUSSIAN:
+            found.append(node.value)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.stem not in ("exact", "__init__")),
+                         ids=lambda p: p.stem)
+def test_no_module_but_exact_names_a_gaussian_rational(path):
+    assert gaussian_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_each_way_to_name_a_gaussian_rational():
+    source = ("from .exact import GR_I, gr as g\n"
+              "from qkoszul.exact import *\n"
+              "Matrix = Dict[int, GaussianRational]\n"
+              "c = exact.gr(1) * exact.GR_MINUS_I\n"
+              "make = getattr(exact, 'GaussianRational')\n"
+              # other names, and the words of a docstring, are not caught
+              "from .exact import gauss, render_gauss\n"
+              "from . import exact\n"
+              '"""GaussianRational is only the type of the entries."""\n'
+              "grade = gauss((0, 1, 1))\n")
+    assert sorted(gaussian_names(source)) == sorted(
+        ["GR_I", "gr", "*", "GaussianRational", "gr", "GR_MINUS_I", "GaussianRational"])
+
+
+def test_the_retired_readers_and_constants_are_gone():
+    # i is the triple (0, 1, 1) where a module scales by it, and
+    # _conjugation reads c_a through MultiPoly.as_constant, not the terms view
+    assert not {"GR_I", "GR_MINUS_I"} & vars(exact).keys()
+    assert not hasattr(phase_space, "_triple")
+    tree = ast.parse(textwrap.dedent(inspect.getsource(koszul._conjugation)))
+    assert [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "terms"] == []
 
 
 def slot_width_settings(source: str) -> list:

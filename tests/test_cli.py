@@ -115,7 +115,7 @@ class TestReports:
     def test_ce_failures_carry_witnesses(self, monkeypatch):
         # a "boundary" that drops the first index without a sign is not
         # nilpotent, so both ce checks fail and each names its grade
-        def shift(lie, x, grade):
+        def shift(lie, x):
             return {key[1:]: v for key, v in x.items()}
 
         monkeypatch.setattr(cli, "ce_boundary", shift)

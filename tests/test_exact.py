@@ -26,7 +26,16 @@ from qkoszul.exact import (
 from qkoszul.phase_space import PhaseSpace, StarProduct
 from reference_poly import RefPoly, RefSeries, derivative, homotopy
 
-fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+@st.composite
+def fraction_draws(draw):
+    """n/d with d in 1..12 and |n/d| <= 50, from two integer draws, which
+    shrink toward 0 as st.fractions does at a fraction of its cost."""
+    d = draw(st.integers(1, 12))
+    return Fraction(draw(st.integers(-50 * d, 50 * d)), d)
+
+
+fractions = fraction_draws()
 # mixed signs and denominators up to 12, with pure real and pure imaginary
 # values drawn on purpose
 gaussians = st.one_of(st.builds(gr, fractions, fractions),
@@ -164,6 +173,57 @@ class TestGaussianRational:
         assert gr(Fraction(1, 2), Fraction(-3, 4)).render() == "(1/2)-(3/4)i"
 
 
+class TestGauss:
+    """``gauss``, the one reader of a Gaussian number, and ``render_gauss``,
+    the one writer of its text."""
+
+    @pytest.mark.parametrize("c", [0.5, "1/2", None, 1j, (1, 2), [1, 0, 1]],
+                             ids=("float", "str", "None", "complex", "pair", "list"))
+    def test_other_types_raise_a_type_error_that_names_them(self, c):
+        with pytest.raises(TypeError, match=f"cannot read a {type(c).__name__} as"):
+            exact.gauss(c)
+
+    def test_a_float_coefficient_is_a_type_error(self):
+        x = MultiPoly.variable(("x",), "x")
+        for build in (lambda: MultiPoly(("x",), {(1,): 0.5}), lambda: x.scale(0.5),
+                      lambda: MultiPoly.const(("x",), 0.5)):
+            with pytest.raises(TypeError, match="cannot read a float"):
+                build()
+
+    @pytest.mark.parametrize("t, want", [
+        ((2, 0, 4), (1, 0, 2)), ((1, 1, -2), (-1, -1, 2)), ((0, 0, -5), (0, 0, 1)),
+        ((6, -9, 3), (2, -3, 1)), ((-4, 6, -8), (2, -3, 4)), ((3, 5, 7), (3, 5, 7))])
+    def test_a_triple_comes_back_in_lowest_terms(self, t, want):
+        assert exact.gauss(t) == want
+
+    def test_a_triple_over_zero_is_rejected(self):
+        for t in ((1, 0, 0), (0, 0, 0)):
+            with pytest.raises(ZeroDivisionError, match="denominator zero"):
+                exact.gauss(t)
+
+    @given(gaussians, st.integers(-5, 5).filter(bool))
+    def test_every_form_of_a_number_reads_alike(self, c, k):
+        r, i, d = t = exact.gauss(c)
+        assert d > 0 and gcd(r, i, d) == 1
+        assert gr(Fraction(r, d), Fraction(i, d)) == c
+        assert exact.gauss(t) == exact.gauss((k * r, k * i, k * d)) == t
+        if not i:
+            assert exact.gauss(Fraction(r, d)) == t
+
+    @given(gaussians, st.integers(1, 6))
+    def test_the_three_renderers_share_one_writer(self, c, k):
+        # the text of both parts in lowest terms, as Fraction writes them
+        re, im = c.re, abs(c.im)
+        want = (f"({re.numerator}/{re.denominator}){'+' if c.im >= 0 else '-'}"
+                f"({im.numerator}/{im.denominator})i")
+        r, i, d = exact.gauss(c)
+        assert c.render() == exact.render_gauss(c) == exact.render_gauss((k * r, k * i, k * d)) \
+            == want
+        if not c.is_zero():
+            assert MultiPoly.const(VARS, c).render() == want
+            assert MultiPoly.variable(VARS, "x").scale(c).render() == f"{want}*x"
+
+
 class TestMultiPoly:
     def test_add_mul_oracle(self):
         x = MultiPoly.variable(VARS, "x")
@@ -227,6 +287,13 @@ class TestMultiPoly:
         x = MultiPoly.variable(VARS, "x")
         p = x.scale(gr(0, 1))
         assert p.conjugate() == x.scale(gr(0, -1))
+
+    def test_as_constant(self):
+        x = MultiPoly.variable(VARS, "x")
+        c = MultiPoly.const(VARS, gr(Fraction(2, 4), Fraction(-1, 3)))
+        assert c.as_constant() == (3, -2, 6)
+        assert MultiPoly.zero(VARS).as_constant() == (0, 0, 1)
+        assert x.as_constant() is None and (x + c).as_constant() is None
 
     def test_render_graded_order(self):
         x = MultiPoly.variable(VARS, "x")

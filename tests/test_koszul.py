@@ -190,7 +190,7 @@ def adjoint_matrices(lie: LieAlgebraData):
             for a in range(1, d + 1)]
 
 
-def matrix_ce_boundary(lie: LieAlgebraData, x, grade: int):
+def matrix_ce_boundary(lie: LieAlgebraData, x):
     """The CE boundary through the adjoint matrices: the oracle for the
     boundary read off the structure constants."""
     rep = adjoint_matrices(lie)
@@ -220,6 +220,8 @@ def matrix_ce_boundary(lie: LieAlgebraData, x, grade: int):
     return {k: v for k, v in out.items() if any(v)}
 
 
+# a vector of the 3-dimensional algebras below
+V = (Fraction(1), Fraction(-2, 3), Fraction(5))
 # so(3): [e1, e2] = e3 and cyclic
 SO3 = LieAlgebraData(3, {(1, 2, 3): 1, (2, 1, 3): -1, (2, 3, 1): 1, (3, 2, 1): -1,
                          (3, 1, 2): 1, (1, 3, 2): -1})
@@ -231,8 +233,8 @@ class TestChevalleyEilenberg:
         v = tuple(Fraction(k, 3) for k in (1, -2, 5))
         for grade in (2, 3):
             x = {key: v for key in combinations((1, 2, 3), grade)}
-            once = ce_boundary(lie, x, grade)
-            assert ce_boundary(lie, once, grade - 1) == {}
+            once = ce_boundary(lie, x)
+            assert ce_boundary(lie, once) == {}
 
     @pytest.mark.parametrize("lie", (LieAlgebraData.heisenberg(), SO3,
                                      LieAlgebraData.abelian(3)),
@@ -245,12 +247,32 @@ class TestChevalleyEilenberg:
                                 for _ in range(lie.dim))
                      for key in combinations(range(1, lie.dim + 1), grade)
                      if rng.random() < 0.8}
-                assert ce_boundary(lie, x, grade) == matrix_ce_boundary(lie, x, grade)
+                assert ce_boundary(lie, x) == matrix_ce_boundary(lie, x)
 
     def test_grade0_rejected(self):
         lie = LieAlgebraData.heisenberg()
-        with pytest.raises(AlgebraError):
-            ce_boundary(lie, {(): (Fraction(1), Fraction(0), Fraction(0))}, 0)
+        with pytest.raises(AlgebraError, match="one grade >= 1"):
+            ce_boundary(lie, {(): (Fraction(1), Fraction(0), Fraction(0))})
+
+    @pytest.mark.parametrize("x, message", [
+        ({(1,): V, (1, 2): V}, "one grade >= 1"),
+        ({(4,): V}, r"\(4,\) is not increasing in 1..3"),
+        ({(0, 1): V}, r"\(0, 1\) is not increasing in 1..3"),
+        ({(2, 1): V}, r"\(2, 1\) is not increasing in 1..3"),
+        ({(1, 1): V}, r"\(1, 1\) is not increasing in 1..3"),
+        ({(1,): V[:2]}, "a vector of 2 entries at \\(1,\\), not 3"),
+        ({(1, 2): V + (Fraction(1),)}, "a vector of 4 entries"),
+    ], ids=("mixed-grades", "index-past-dim", "index-0", "unsorted-key",
+            "repeated-index", "short-vector", "long-vector"))
+    def test_rejects_a_malformed_chain(self, x, message):
+        # the grade is read off the keys, so mixed grades, an index that is
+        # no basis element and a vector of the wrong length all raise, where
+        # a grade argument once let {(4,): v} through as {}
+        with pytest.raises(AlgebraError, match=message):
+            ce_boundary(LieAlgebraData.heisenberg(), x)
+
+    def test_empty_chain_has_zero_boundary(self):
+        assert ce_boundary(LieAlgebraData.heisenberg(), {}) == {}
 
 
 class TestClassicalHomotopy:

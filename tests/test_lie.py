@@ -49,7 +49,8 @@ def structure_tables(draw):
     table = dict(TABLES[draw(st.sampled_from(sorted(TABLES)))])
     for _ in range(draw(st.integers(0, 2))):
         a, b, g = (draw(st.integers(1, dim)) for _ in range(3))
-        v = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+        d = draw(st.integers(1, 3))
+        v = Fraction(draw(st.integers(-2 * d, 2 * d)), d)
         table[a, b, g] = v
         if draw(st.booleans()):
             table[b, a, g] = -v
@@ -226,3 +227,24 @@ class TestQuantumMomentumMap:
             StarProduct.weyl(sp), Jq, [sp.q(1)])}
         entry = checks["quantum_bracket_compatibility"]
         assert entry["status"] == "fail" and entry["witness"]["pair"] == (1, 2)
+
+
+@pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+def test_heisenberg_momentum_map_sums_its_bracket(kind, monkeypatch):
+    # J = (q1, p1, 1) on T*R¹ for [e1, e2] = e3: {q1, p1} = 1 = J(e3), so
+    # both bracket sums add the coefficient of e3, which every abelian map
+    # leaves out; with bracket_coeffs emptied both checks see it missing
+    sp = PhaseSpace.of_dim(1)
+    star = getattr(StarProduct, kind)(sp)
+    J = MomentumMap(LieAlgebraData.heisenberg(),
+                    [sp.q(1), sp.p(1), MultiPoly.const(sp.vars, 1)])
+    Jq = QuantumMomentumMap.from_classical(J, 3)
+    samples = sample_polys(29, sp.vars, 3, 4)
+
+    def failing():
+        return [c["name"] for c in check_classical_equivariance(J, star) +
+                check_quantum_momentum_map(star, Jq, samples) if c["status"] != "pass"]
+
+    assert failing() == []
+    monkeypatch.setattr(LieAlgebraData, "bracket_coeffs", lambda self, a, b: {})
+    assert failing() == ["equivariance_e1_e2", "quantum_bracket_compatibility"]

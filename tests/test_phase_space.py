@@ -33,6 +33,8 @@ from qkoszul.exact import (
     VariableMismatchError,
     gr,
 )
+from qkoszul.koszul import ReductionContext, quantum_restriction, restriction, series_restriction
+from qkoszul.lie import LieAlgebraData, QuantumMomentumMap
 from qkoszul.phase_space import PhaseSpace, StarProduct, check_star_axioms
 from qkoszul.sampling import sample_pairs, sample_polys
 from reference_poly import RefSeries, pairing, rank_one_terms, series_product
@@ -455,7 +457,15 @@ def test_eval_rejects_an_order_mismatch(kind):
 
 # -- the fused evaluator on arbitrary constant matrices ----------------------
 
-small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+@st.composite
+def small_fractions(draw):
+    """n/d with d in 1..4 and |n/d| <= 3, from two integer draws, which
+    shrink toward 0 as st.fractions does at a fraction of its cost."""
+    d = draw(st.integers(1, 4))
+    return Fraction(draw(st.integers(-3 * d, 3 * d)), d)
+
+
+small = small_fractions()
 gauss = st.builds(gr, small, small)
 # vector entries, zero often enough that a field misses some variables
 entries = st.one_of(st.just(gr()), gauss)
@@ -700,17 +710,17 @@ def test_constant_rejects_an_index_outside_the_variables(ij):
         StarProduct.constant(PhaseSpace.of_dim(1), {(0, 1): gr(0, 1), ij: gr(1)})
 
 
-def test_set_up_products_and_samples_use_no_gaussian_rational_arithmetic(monkeypatch):
+def test_products_samples_contexts_and_reports_build_no_gaussian_rational(monkeypatch):
     """The three products are built, evaluated and checked, their brackets
-    and the samples computed, and every builtin report written in both
-    formats, with the arithmetic of GaussianRational switched off: it
-    stays at the API and in rendering."""
+    and the samples computed, a context with corrections c_a ≠ 0 read from
+    triples derives T, and every builtin report is written in both formats,
+    with the construction of GaussianRational switched off: only ``exact``
+    reads one, and nothing but the API's callers builds one."""
     def refuse(*args):
-        raise AssertionError("GaussianRational arithmetic was called")
-    for op in ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__", "conjugate"):
-        monkeypatch.setattr(GaussianRational, op, refuse)
+        raise AssertionError("a GaussianRational was built")
+    monkeypatch.setattr(GaussianRational, "__init__", refuse)
     with pytest.raises(AssertionError):
-        gr(1) + gr(1)
+        gr(1)
     sp = PhaseSpace.of_dim(2)
     samples = sample_polys(41, sp.vars, 3, 5)
     pairs = sample_pairs(43, sp.vars, 3, 3)
@@ -720,6 +730,20 @@ def test_set_up_products_and_samples_use_no_gaussian_rational_arithmetic(monkeyp
             star.eval_poly(f, g, 3)
             star.bracket_poly(f, g)
         assert all(c["status"] == "pass" for c in check_star_axioms(star, samples, 3))
+    # Jq_a = p_a + λc_a on T*R³, c = (i/3, 1/5) as triples
+    sp3, translated, L = PhaseSpace.of_dim(3), (1, 2), 3
+    Jq = QuantumMomentumMap(LieAlgebraData.abelian(2), [
+        sp3.series(sp3.p(a), L) + LambdaSeries.from_poly(MultiPoly.const(sp3.vars, c), L, shift=1)
+        for a, c in zip(translated, ((0, 1, 3), (1, 0, 5)))])
+    ctx = ReductionContext.canonical(sp3, translated, StarProduct.wick(sp3), L, Jq=Jq)
+    assert ctx.conjugation is not None
+    J1, J2 = ctx.J.components
+    polys = sample_polys(47, sp3.vars, 2, 4)
+    for f, g in zip(polys, polys[1:]):
+        # p_1 p_2 and p_1² in every coefficient of λ
+        F = ctx.series(f * J1 * J2 + g * J1 * J1) + LambdaSeries.from_poly(g * J2, L, shift=1)
+        got = quantum_restriction(F, ctx)
+        assert got == series_restriction(F, ctx) and got != restriction(F, ctx)
     for name in cli.SCENARIOS:
         report = cli.run_scenario(cli.builtin_config(name))
         for fmt, ext in (("json", "json"), ("text", "txt")):
