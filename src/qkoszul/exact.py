@@ -66,14 +66,13 @@ def _as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex number with rational real and imaginary part."""
+    """Exact complex number with rational real and imaginary part: the
+    coefficient type of ``MultiPoly.terms``.  Its three operators are the
+    coefficient arithmetic the benchmark's tracer counts; the package
+    computes on integer numerators instead."""
 
     re: Fraction
     im: Fraction
-
-    @staticmethod
-    def of(re=0, im=0) -> "GaussianRational":
-        return GaussianRational(_as_fraction(re), _as_fraction(im))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
@@ -81,41 +80,16 @@ class GaussianRational:
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re - other.re, self.im - other.im)
 
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def render(self) -> str:
-        """Canonical text form ``(a/b)+(c/d)i`` (``render_gauss``)."""
-        return render_gauss(self)
-
-    def __str__(self) -> str:
-        return self.render()
-
 
 def gr(re=0, im=0) -> GaussianRational:
-    """Shorthand constructor accepting ints and Fractions."""
-    return GaussianRational.of(re, im)
+    """The Gaussian rational re + i·im, for ints and Fractions."""
+    return GaussianRational(_as_fraction(re), _as_fraction(im))
 
 
 # -- packed exponent keys -------------------------------------------------
@@ -200,6 +174,15 @@ def render_gauss(c) -> str:
     r, i, d = gauss(c)
     g, h = gcd(r, d), gcd(i, d)
     return f"({r // g}/{d // g}){'+' if i >= 0 else '-'}({abs(i) // h}/{d // h})i"
+
+
+def _distinct(vars: Tuple[str, ...]) -> Tuple[str, ...]:
+    """``vars``, once no name in it repeats: a repeated name would give one
+    monomial two keys."""
+    if len(set(vars)) < len(vars):
+        name = next(v for v in vars if vars.count(v) > 1)
+        raise VariableMismatchError(f"variable {name!r} repeats in {vars}")
+    return vars
 
 
 def _wrap(vars: Tuple[str, ...], den: int, nums: Dict[int, Tuple[int, int]]) -> "MultiPoly":
@@ -372,9 +355,10 @@ def _move_plan(src: Tuple[str, ...], dst: Tuple[str, ...]
     missing from ``dst``, the mask of the kept slots that stay, a (mask,
     shift up, shift down) run per shift the others move by, and the table
     of every key moved so far to its key over ``dst``, or to None where it
-    uses a variable missing from ``dst``."""
+    uses a variable missing from ``dst``.  A name that repeats in ``dst`` is
+    a VariableMismatchError, checked once per pair of lists that passes."""
     old, _, mask = _layout(len(src))
-    new = _layout(len(dst))[0]
+    new = _layout(len(_distinct(dst)))[0]
     dropped, runs = 0, {}
     for j, v in enumerate(src):
         if v in dst:
@@ -406,33 +390,6 @@ def _extend(plan, keys) -> None:
             table[k] = nk
 
 
-class _Terms(Mapping):
-    """Read-only view of a polynomial's coefficients: exponent tuple to
-    GaussianRational, built on access."""
-
-    __slots__ = ("_p",)
-
-    def __init__(self, p: "MultiPoly"):
-        self._p = p
-
-    def __len__(self) -> int:
-        return len(self._p.nums)
-
-    def __iter__(self):
-        n = len(self._p.vars)
-        return (_unpack(k, n) for k in self._p.nums)
-
-    def __getitem__(self, exp) -> GaussianRational:
-        p = self._p
-        if len(exp) != len(p.vars) or any(e < 0 for e in exp):
-            raise KeyError(exp)
-        try:
-            r, i = p.nums[_pack(exp)]
-        except (KeyError, ExponentOverflowError):
-            raise KeyError(exp) from None
-        return GaussianRational(Fraction(r, p.den), Fraction(i, p.den))
-
-
 class MultiPoly:
     """Sparse multivariate polynomial over Gaussian rationals.
 
@@ -441,15 +398,14 @@ class MultiPoly:
     the packed key of each monomial to ``(re, im)``, and the coefficient is
     (re + i·im)/``den``.  The form is canonical: ``den`` is positive, no
     entry is (0, 0), and ``den`` and all numerators have no common factor,
-    so equal polynomials have equal fields.  ``terms`` is a read-only view
-    from exponent tuples to GaussianRational coefficients.  Instances are
-    immutable.
+    so equal polynomials have equal fields; no variable name repeats, so a
+    monomial has one key.  Instances are immutable.
     """
 
     __slots__ = ("vars", "den", "nums")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[Exponent, object]):
-        vs = tuple(vars)
+        vs = _distinct(tuple(vars))
         coeffs = []
         for exp, c in terms.items():
             if len(exp) != len(vs):
@@ -467,8 +423,12 @@ class MultiPoly:
         self.vars, self.den, self.nums = p.vars, p.den, p.nums
 
     @property
-    def terms(self) -> Mapping[Exponent, GaussianRational]:
-        return _Terms(self)
+    def terms(self) -> Dict[Exponent, GaussianRational]:
+        """A new dict from the exponent tuple of each term to its
+        coefficient, built on each access."""
+        n, den = len(self.vars), self.den
+        return {_unpack(k, n): GaussianRational(Fraction(r, den), Fraction(i, den))
+                for k, (r, i) in self.nums.items()}
 
     # -- constructors -------------------------------------------------
 
@@ -483,7 +443,7 @@ class MultiPoly:
 
     @staticmethod
     def variable(vars: Sequence[str], name: str) -> "MultiPoly":
-        vs = tuple(vars)
+        vs = _distinct(tuple(vars))
         if name not in vs:
             raise VariableMismatchError(f"unknown variable {name!r}")
         return _wrap(vs, 1, {1 << _layout(len(vs))[0][vs.index(name)]: (1, 0)})
@@ -565,8 +525,13 @@ class MultiPoly:
 
         Unassigned variables map to themselves; the target variable list is
         taken from the assignment images (they must all agree) and must
-        contain every unassigned variable of ``self``.
+        contain every unassigned variable of ``self``.  An assignment to a
+        name that is not a variable of ``self`` is a VariableMismatchError.
         """
+        for v in assignments:
+            if v not in self.vars:
+                raise VariableMismatchError(f"cannot substitute {v!r}: not a variable "
+                                            f"of {self.vars}")
         target = None
         for img in assignments.values():
             if target is None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Tuple, TypeVar
 
-from .exact import AlgebraError, LambdaSeries, MultiPoly
+from .exact import AlgebraError, LambdaSeries, MultiPoly, OrderMismatchError
 from .koszul import ReductionContext, quantum_correction, series_correction
 from .phase_space import PhaseSpace, StarProduct
 
@@ -33,10 +33,15 @@ P = TypeVar("P", MultiPoly, LambdaSeries)
 
 
 def elevate_context(ctx: ReductionContext, order: int) -> ReductionContext:
-    """The same scenario at a different truncation order.  Exact because the
-    quantum momentum components are polynomial in the parameter."""
+    """The same scenario at a truncation order at most the context's own:
+    the context holds Jq truncated at its order, and truncating it further
+    is exact.  Above that order the terms of Jq past the context's order
+    are lost, so a higher order is an OrderMismatchError."""
     if order == ctx.order:
         return ctx
+    if order > ctx.order:
+        raise OrderMismatchError(f"cannot raise a context of order {ctx.order} to {order}: "
+                                 f"its Jq is truncated at {ctx.order}")
     return ReductionContext(ctx.action, ctx.star, ctx.Jq, order, ctx.straightening)
 
 

@@ -10,6 +10,10 @@ independent oracles: every polynomial operation here works one coefficient
 at a time with ``Fraction`` arithmetic, and every series operation one power
 of λ at a time.
 
+The coefficient arithmetic that ``GaussianRational`` leaves out (negation,
+division, conjugation and the zero test) is written here on its ``Fraction``
+fields.
+
 The last four are the ``GaussianRational`` and ``Fraction`` forms of code
 that now runs on integers or on a smaller index set: the rank-one
 factorisation of a star product's matrix, the Poisson bracket of a matrix
@@ -31,11 +35,31 @@ from qkoszul.exact import (
     OrderMismatchError,
     VariableMismatchError,
     gr,
+    render_gauss,
 )
 
 Exponent = Tuple[int, ...]
 GR_ZERO = gr(0)
 GR_ONE = gr(1)
+
+
+def is_zero(c: GaussianRational) -> bool:
+    return c.re == 0 and c.im == 0
+
+
+def neg(c: GaussianRational) -> GaussianRational:
+    return GaussianRational(-c.re, -c.im)
+
+
+def conj(c: GaussianRational) -> GaussianRational:
+    return GaussianRational(c.re, -c.im)
+
+
+def div(a: GaussianRational, b: GaussianRational) -> GaussianRational:
+    n = b.re * b.re + b.im * b.im
+    if n == 0:
+        raise ZeroDivisionError("division by zero Gaussian rational")
+    return GaussianRational((a.re * b.re + a.im * b.im) / n, (a.im * b.re - a.re * b.im) / n)
 
 
 class RefPoly:
@@ -57,7 +81,7 @@ class RefPoly:
                 )
             if any(e < 0 for e in exp):
                 raise AlgebraError(f"negative exponent in {exp}")
-            if not c.is_zero():
+            if not is_zero(c):
                 clean[tuple(exp)] = c
         self.vars = vs
         self.terms = clean
@@ -80,7 +104,7 @@ class RefPoly:
     @staticmethod
     def const(vars: Sequence[str], c) -> "RefPoly":
         if isinstance(c, (int, Fraction)):
-            c = GaussianRational.of(c)
+            c = gr(c)
         return RefPoly(vars, {(0,) * len(tuple(vars)): c})
 
     @staticmethod
@@ -109,7 +133,7 @@ class RefPoly:
         return self + (-other)
 
     def __neg__(self) -> "RefPoly":
-        return RefPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return RefPoly(self.vars, {e: neg(c) for e, c in self.terms.items()})
 
     def __mul__(self, other: "RefPoly") -> "RefPoly":
         self._check(other)
@@ -122,13 +146,13 @@ class RefPoly:
 
     def scale(self, c) -> "RefPoly":
         if isinstance(c, (int, Fraction)):
-            c = GaussianRational.of(c)
-        if c.is_zero():
+            c = gr(c)
+        if is_zero(c):
             return RefPoly.zero(self.vars)
         return RefPoly(self.vars, {e: k * c for e, k in self.terms.items()})
 
     def conjugate(self) -> "RefPoly":
-        return RefPoly(self.vars, {e: c.conjugate() for e, c in self.terms.items()})
+        return RefPoly(self.vars, {e: conj(c) for e, c in self.terms.items()})
 
     # -- calculus -----------------------------------------------------
 
@@ -144,7 +168,7 @@ class RefPoly:
             k = e[i]
             e[i] = k - 1
             e = tuple(e)
-            out[e] = out.get(e, GR_ZERO) + c * GaussianRational.of(k)
+            out[e] = out.get(e, GR_ZERO) + c * gr(k)
         return RefPoly(self.vars, out)
 
     def substitute(self, assignments: Mapping[str, "RefPoly"]) -> "RefPoly":
@@ -240,7 +264,7 @@ class RefPoly:
                 for v, k in zip(self.vars, exp)
                 if k
             )
-            c = self.terms[exp].render()
+            c = render_gauss(self.terms[exp])
             parts.append(f"{c}*{mono}" if mono else c)
         return " + ".join(parts)
 
@@ -253,7 +277,7 @@ def derivative(f: RefPoly, v: Sequence[Tuple[int, GaussianRational]], m: int = 1
             k = e[i]
             if k:
                 d = e[:i] + (k - 1,) + e[i + 1:]
-                out[d] = out.get(d, GR_ZERO) + c * vi * GaussianRational.of(Fraction(k, m))
+                out[d] = out.get(d, GR_ZERO) + c * vi * gr(Fraction(k, m))
     return RefPoly(f.vars, out)
 
 
@@ -416,12 +440,12 @@ def rank_one_terms(C: Mapping[Tuple[int, int], GaussianRational]):
         row = sorted((l, c) for (k, l), c in C.items() if k == i)
         for k, ck in col:
             for l, cl in row:
-                v = C.get((k, l), GR_ZERO) - ck * cl / pivot
-                if v.is_zero():
+                v = C.get((k, l), GR_ZERO) - div(ck * cl, pivot)
+                if is_zero(v):
                     C.pop((k, l), None)
                 else:
                     C[k, l] = v
-        terms.append((col, [(l, c / pivot) for l, c in row]))
+        terms.append((col, [(l, div(c, pivot)) for l, c in row]))
     return terms
 
 
@@ -447,7 +471,7 @@ def random_poly(rng: random.Random, vars: Sequence[str], max_degree: int) -> Mul
         c = gr(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
         key = tuple(e)
         terms[key] = terms.get(key, GR_ZERO) + c
-    p = MultiPoly(vs, {k: v for k, v in terms.items() if not v.is_zero()})
+    p = MultiPoly(vs, {k: v for k, v in terms.items() if not is_zero(v)})
     return p if not p.is_zero() else MultiPoly.const(vs, 1)
 
 

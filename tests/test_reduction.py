@@ -51,9 +51,9 @@ def s1_red() -> ReducedAlgebra:
         ReductionContext.canonical(sp, [1, 2], StarProduct.weyl(sp), L))
 
 
-def s1p_ctx() -> ReductionContext:
+def s1p_ctx(order: int = L) -> ReductionContext:
     sp = PhaseSpace.of_dim(2)
-    return ReductionContext.canonical(sp, [1], StarProduct.weyl(sp), L)
+    return ReductionContext.canonical(sp, [1], StarProduct.weyl(sp), order)
 
 
 def s2_ctx() -> ReductionContext:
@@ -347,20 +347,53 @@ def vertical_difference(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     return out
 
 
-def delta_star(F: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
+def delta_star(F: LambdaSeries, up: ReductionContext) -> LambdaSeries:
     """The vertical correction V of the closed-form route divided
-    exactly by i times the parameter (its order-0 remainder vanishes)."""
-    up = elevate_context(ctx, F.order + 1)
-    D = RefSeries.of(vertical_difference(F.truncate(F.order + 1), up))
+    exactly by i times the parameter (its order-0 remainder vanishes), for
+    ``up`` a context one order above F."""
+    assert up.order == F.order + 1
+    D = RefSeries.of(vertical_difference(F.truncate(up.order), up))
     assert D.coeffs[0].is_zero()
     return RefSeries(D.coeffs[1:]).to_series().scale(gr(0, -1))
+
+
+def corrected_s1p_ctx(order: int) -> ReductionContext:
+    """T*R² under Weyl, reduced along the first translation with
+    Jq_1 = p1 + λ²/3, built at ``order``."""
+    sp = PhaseSpace.of_dim(2)
+    star = StarProduct.weyl(sp)
+    base = ReductionContext.canonical(sp, [1], star, L)
+    Jq = QuantumMomentumMap(base.Jq.lie, [base.Jq.components[0] + LambdaSeries.from_poly(
+        MultiPoly.const(sp.vars, Fraction(1, 3)), L, shift=2)])
+    return ReductionContext.canonical(sp, [1], star, order, Jq=Jq)
+
+
+class TestElevateContext:
+    """A context holds Jq truncated at its own order, so it can be rebuilt
+    exactly only at a lower order."""
+
+    def test_a_higher_order_is_rejected(self):
+        # built at order 1 the context holds Jq_1 = p1, so a rebuild at L
+        # would give i**(p1²) = 0 where the context built at L gives λ⁴/9
+        ctx = corrected_s1p_ctx(L)
+        p1 = ctx.space.p(1)
+        assert quantum_restriction(ctx.series(p1 * p1), ctx).render() == "λ^4: (1/9)+(0/1)i"
+        with pytest.raises(OrderMismatchError, match=f"cannot raise a context of order 1 to {L}"):
+            elevate_context(corrected_s1p_ctx(1), L)
+
+    def test_a_lower_order_equals_the_context_built_there(self):
+        low, built = elevate_context(corrected_s1p_ctx(L), 2), corrected_s1p_ctx(2)
+        assert low.order == 2 and low.Jq.components == built.Jq.components
+        for f in sample_polys(83, built.space.vars, 3, 6):
+            F = built.series(f)
+            assert quantum_restriction(F, low) == quantum_restriction(F, built)
 
 
 class TestDeltaStar:
     def test_zero_on_horizontal(self):
         ctx = s1p_ctx()
         F = ctx.series(ctx.space.q(1) * ctx.space.p(2))
-        assert delta_star(F, ctx).is_zero()
+        assert delta_star(F, s1p_ctx(L + 1)).is_zero()
 
     def test_hand_value(self):
         # q1 p1: the division operator gives q1, and
@@ -369,16 +402,15 @@ class TestDeltaStar:
         F = ctx.series(ctx.space.q(1) * ctx.space.p(1))
         expected = LambdaSeries.from_poly(
             MultiPoly.const(ctx.space.vars, Fraction(-1, 2)), L)
-        assert delta_star(F, ctx) == expected
+        assert delta_star(F, s1p_ctx(L + 1)) == expected
 
     def test_agrees_with_boundary_route(self):
         # Δ⋆ equals the homotopy sandwiched between the two boundaries,
         # with the parameter divided out
-        ctx = s1p_ctx()
-        up = ReductionContext.canonical(ctx.space, [1], ctx.star, L + 1)
+        ctx, up = s1p_ctx(), s1p_ctx(L + 1)
         for F in sample_polys(79, ctx.space.vars, 3, 6):
             Fs = ctx.series(F)
-            via_op = delta_star(Fs, ctx)
+            via_op = delta_star(Fs, up)
             h = classical_homotopy(
                 KoszulChain.of_series(up.gdim, up.series(F)), up)
             D = RefSeries.of(koszul_boundary(h, up).series() -
