@@ -13,13 +13,16 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, lru_cache, partial, reduce
 from itertools import repeat
 from math import factorial, gcd, lcm
 from operator import or_
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
+Vars = Tuple[str, ...]
+# the numerators (re, im) of a polynomial by monomial key
+Nums = Dict[int, Tuple[int, int]]
 
 
 class AlgebraError(Exception):
@@ -49,11 +52,14 @@ class TermLimitError(AlgebraError):
 # Bits per variable in a packed monomial key, fixed: no cache keys by it.
 # The top bit of each slot is a guard, so an exponent is at most 32767.
 SLOT_BITS = 16
+_TOP = (1 << (SLOT_BITS - 1)) - 1   # the largest exponent a slot holds
 # The most terms any polynomial an operation builds may have; a series is one
 # polynomial, so its terms at every power of λ count together.  The largest
 # polynomial of the builtin scenarios and benchmark workloads is a series of
 # 553 terms.
 MAX_TERMS = 100_000
+# The most key layouts the star walk keeps, per set of fields and in all.
+MAX_LAYOUTS = 256
 
 
 def _as_fraction(x) -> Fraction:
@@ -107,6 +113,7 @@ def gr(re=0, im=0) -> GaussianRational:
 # whose keys set a guard bit raises ExponentOverflowError instead.  A
 # series leads with λ, so the keys of λ^r lie in [r << s, (r + 1) << s)
 # for the slot shift s of λ, and the smallest key carries the lowest power.
+# The star walk computes on narrower keys (``_walk_layout``).
 
 @cache
 def _layout(n: int) -> Tuple[Tuple[int, ...], int, int]:
@@ -118,7 +125,7 @@ def _layout(n: int) -> Tuple[Tuple[int, ...], int, int]:
 
 
 @cache
-def _mask(vars: Tuple[str, ...], names: Tuple[str, ...]) -> int:
+def _mask(vars: Vars, names: Vars) -> int:
     """The key bits of the variables of ``names`` in a key over ``vars``; a
     name not in ``vars`` has none."""
     shifts, _, mask = _layout(len(vars))
@@ -126,8 +133,7 @@ def _mask(vars: Tuple[str, ...], names: Tuple[str, ...]) -> int:
 
 
 def _overflow() -> ExponentOverflowError:
-    top = (1 << (SLOT_BITS - 1)) - 1
-    return ExponentOverflowError(f"an exponent exceeds {top}, the largest a "
+    return ExponentOverflowError(f"an exponent exceeds {_TOP}, the largest a "
                                  f"{SLOT_BITS}-bit monomial slot holds")
 
 
@@ -176,7 +182,7 @@ def render_gauss(c) -> str:
     return f"({r // g}/{d // g}){'+' if i >= 0 else '-'}({abs(i) // h}/{d // h})i"
 
 
-def _distinct(vars: Tuple[str, ...]) -> Tuple[str, ...]:
+def _distinct(vars: Vars) -> Vars:
     """``vars``, once no name in it repeats: a repeated name would give one
     monomial two keys."""
     if len(set(vars)) < len(vars):
@@ -185,14 +191,14 @@ def _distinct(vars: Tuple[str, ...]) -> Tuple[str, ...]:
     return vars
 
 
-def _wrap(vars: Tuple[str, ...], den: int, nums: Dict[int, Tuple[int, int]]) -> "MultiPoly":
+def _wrap(vars: Vars, den: int, nums: Nums) -> "MultiPoly":
     """A polynomial from data already in canonical form."""
     p = object.__new__(MultiPoly)
     p.vars, p.den, p.nums = vars, den, nums
     return p
 
 
-def _limited(vars: Tuple[str, ...], den: int, nums: Dict[int, Tuple[int, int]]) -> "MultiPoly":
+def _limited(vars: Vars, den: int, nums: Nums) -> "MultiPoly":
     """A polynomial from data already in canonical form, once the term
     limit is enforced."""
     if len(nums) > MAX_TERMS:
@@ -201,8 +207,7 @@ def _limited(vars: Tuple[str, ...], den: int, nums: Dict[int, Tuple[int, int]]) 
     return _wrap(vars, den, nums)
 
 
-def _canonical(vars: Tuple[str, ...], den: int,
-               nums: Dict[int, Tuple[int, int]]) -> "MultiPoly":
+def _canonical(vars: Vars, den: int, nums: Nums) -> "MultiPoly":
     """A polynomial from nonzero numerators over a positive denominator:
     the common factor of the denominator and every numerator is divided
     out, and the term limit is enforced.  The products of ``_mul_sum`` do
@@ -221,12 +226,12 @@ def _canonical(vars: Tuple[str, ...], den: int,
     return _limited(vars, den, nums)
 
 
-def _nonzero(acc: Dict[int, Tuple[int, int]]) -> Dict[int, Tuple[int, int]]:
+def _nonzero(acc: Nums) -> Nums:
     return {k: v for k, v in acc.items() if v[0] or v[1]}
 
 
-def _mul_sum(vars: Tuple[str, ...], den: int, products, scan: int,
-             bound: Optional[int] = None) -> "MultiPoly":
+def _mul_sum(vars: Vars, den: int, products, scan: int,
+             bound: Optional[int] = None, out=None) -> "MultiPoly":
     """Σ c·left·right over ``den`` in canonical form, for ``products``
     (left, right, lift, c) with right's keys raised by lift, summed in two
     plain-integer accumulators, one of real and one of imaginary parts, by
@@ -238,9 +243,11 @@ def _mul_sum(vars: Tuple[str, ...], den: int, products, scan: int,
     The tail is one pass: the keys at or past ``bound`` are dropped, one
     gcd of ``den`` and both accumulators is the common factor (1 at once
     where ``den`` is 1), and each (re, im) entry is built once, already
-    divided by it.  With ``scan`` the
-    keys are checked for a guard bit; a caller asks for it only where its
-    inputs set some of the ``_carry_bits``."""
+    divided by it, under its key moved back through the table of ``out``
+    for the walk's keys, which sends a key with an exponent past 32767 to
+    None.  With ``scan`` the keys are checked for a guard bit; ``*`` and
+    the bracket ask for it only where their inputs set some of the
+    ``_carry_bits``."""
     re: Dict[int, int] = {}
     im: Dict[int, int] = {}
     rget, iget = re.get, im.get
@@ -294,17 +301,22 @@ def _mul_sum(vars: Tuple[str, ...], den: int, products, scan: int,
         re = {k: r for k, r in re.items() if k < bound}
         im = {k: i for k, i in im.items() if k < bound}
     g = gcd(den, *re.values(), *im.values()) if den != 1 else 1
-    if not im:
-        nums = {k: (r // g, 0) for k, r in re.items() if r}
-    elif not re:
-        nums = {k: (0, i // g) for k, i in im.items() if i}
-    else:
-        iget = im.get
-        nums = {k: (r // g, i // g) for k, r in re.items() if (i := iget(k, 0)) or r}
-        for k, i in im.items():
-            if i and k not in re:
-                nums[k] = (0, i // g)
-    if scan and reduce(or_, nums, 0) & _layout(len(vars))[1]:
+    t = out and out[3]
+    while True:
+        try:   # KeyError: a key the table has not seen
+            if not im:
+                nums = {t[k] if out else k: (r // g, 0) for k, r in re.items() if r}
+            else:
+                iget = im.get
+                nums = {t[k] if out else k: (r // g, i // g) for k, r in re.items()
+                        if (i := iget(k, 0)) or r}
+                for k, i in im.items():
+                    if i and k not in re:
+                        nums[t[k] if out else k] = (0, i // g)
+            break
+        except KeyError:
+            _extend(out, [*re, *im])
+    if None in nums or scan and reduce(or_, nums, 0) & _layout(len(vars))[1]:
         raise _overflow()
     return _limited(vars, den // g, nums)
 
@@ -313,12 +325,11 @@ def _mul_sum(vars: Tuple[str, ...], den: int, products, scan: int,
 def _carry_bits(n: int) -> int:
     """The top two bits of every slot of an n-variable key.  Two keys that
     set none of them sum to a key with no guard bit, as two exponents below
-    2**(S - 2) sum below 2**(S - 1), S = ``SLOT_BITS``; the slots of the
-    last n variables of a longer key lie at the same bits."""
+    2**(S - 2) sum below 2**(S - 1), S = ``SLOT_BITS``."""
     return sum(3 << (SLOT_BITS * (j + 1) - 2) for j in range(n))
 
 
-def _sum(vars: Tuple[str, ...], parts, signs=None) -> "MultiPoly":
+def _sum(vars: Vars, parts, signs=None) -> "MultiPoly":
     """Σ_j s_j p_j in one pass over a common denominator, each sign s_j
     ±1 (all +1 without ``signs``).  A part's sign goes into the factor that
     lifts it to the common denominator, so no part is negated first.  Zero
@@ -349,8 +360,7 @@ def _sum(vars: Tuple[str, ...], parts, signs=None) -> "MultiPoly":
 
 
 @cache
-def _move_plan(src: Tuple[str, ...], dst: Tuple[str, ...]
-               ) -> Tuple[int, int, Tuple[Tuple[int, int, int], ...], Dict[int, Optional[int]]]:
+def _move_plan(src: Vars, dst: Vars) -> tuple:
     """How keys over ``src`` move onto ``dst``: the bits of the variables
     missing from ``dst``, the mask of the kept slots that stay, a (mask,
     shift up, shift down) run per shift the others move by, and the table
@@ -495,8 +505,8 @@ class MultiPoly:
 
     def diff(self, var: str) -> "MultiPoly":
         """Formal partial derivative with respect to ``var``."""
-        s = self._slot(var)[0]
-        return _canonical(self.vars, self.den, _derive(self.nums, ((s, 1 << s, 1, 0),)))
+        s, mask = self._slot(var)
+        return _canonical(self.vars, self.den, _derive(self.nums, ((s, 1 << s, mask, 1, 0),)))
 
     def weighted_diff(self, var: str, weight_vars: Sequence[str], k: int) -> "MultiPoly":
         """Σ_m c_m · m_var/(|m|_w + k) · x^{m - e_var}, where |m|_w is the
@@ -562,7 +572,7 @@ class MultiPoly:
             parts.append(term)
         return _sum(target, parts)
 
-    def _moved(self, vars: Tuple[str, ...]) -> Dict[int, Tuple[int, int]]:
+    def _moved(self, vars: Vars) -> Nums:
         """The entries whose monomials use only variables in ``vars``,
         re-keyed onto ``vars`` through the table of ``_move_plan``, which
         ``_extend`` fills with the keys it has not seen."""
@@ -653,25 +663,25 @@ class MultiPoly:
         return f"MultiPoly({self.render()})"
 
 
-def _derive(nums: Dict[int, Tuple[int, int]], steps) -> Dict[int, Tuple[int, int]]:
+def _derive(nums: Nums, steps) -> Nums:
     """Σ_i (re_i + i·im_i) ∂_i on raw numerators, one step (slot shift, unit
-    key, re_i, im_i) per i: the numerators of the directional derivative over
-    the polynomial's denominator times the field's, zero entries dropped.
-    One step whose coefficient v is purely real or purely imaginary takes
-    an entry (re, im) of exponent e to (re·c, im·c) or (−im·c, re·c),
-    c = e·v: two multiplications of the numerators instead of six."""
-    mask = (1 << SLOT_BITS) - 1
+    key, slot mask, re_i, im_i) per i: the numerators of the directional
+    derivative over the polynomial's denominator times the field's, zero
+    entries dropped.  One step whose coefficient v is purely real or purely
+    imaginary takes an entry (re, im) of exponent e to (re·c, im·c) or
+    (−im·c, re·c), c = e·v: two multiplications of the numerators instead
+    of six."""
     if len(steps) == 1:   # distinct keys stay distinct, and nothing cancels
-        (s, unit, vr, vi), = steps
+        (s, unit, mask, vr, vi), = steps
         if not vi:
             return {k - unit: (r * c, i * c) for k, (r, i) in nums.items()
                     if (c := (k >> s & mask) * vr)}
         if not vr:
             return {k - unit: (-i * c, r * c) for k, (r, i) in nums.items()
                     if (c := (k >> s & mask) * vi)}
-    out: Dict[int, Tuple[int, int]] = {}
+    out: Nums = {}
     for k, (r, i) in nums.items():
-        for s, unit, vr, vi in steps:
+        for s, unit, mask, vr, vi in steps:
             e = (k >> s) & mask
             if e:
                 d = k - unit
@@ -697,15 +707,17 @@ class LambdaSeries:
     __slots__ = ("order", "poly")
 
     def __init__(self, poly: MultiPoly, order: int):
-        if poly.vars[:1] != (LAMBDA,):
+        # every series operation builds one: no slice, and no shift
+        vs = poly.vars
+        if not vs or vs[0] != LAMBDA:
             raise VariableMismatchError(f"a series polynomial starts with {LAMBDA!r}")
-        if not 0 <= order < 1 << (SLOT_BITS - 1):
+        if not 0 <= order <= _TOP:
             raise AlgebraError(f"negative series order {order}") if order < 0 else _overflow()
         self.poly = poly
         self.order = order
 
     @property
-    def vars(self) -> Tuple[str, ...]:
+    def vars(self) -> Vars:
         return self.poly.vars[1:]
 
     def _shift(self) -> int:
@@ -716,11 +728,16 @@ class LambdaSeries:
 
     @staticmethod
     def zero(vars: Sequence[str], order: int) -> "LambdaSeries":
+        if LAMBDA in vars:   # λ repeats: raises
+            _distinct((LAMBDA, *vars))
         return LambdaSeries(MultiPoly.zero((LAMBDA, *vars)), order)
 
     @staticmethod
     def from_poly(p: MultiPoly, order: int, shift: int = 0) -> "LambdaSeries":
-        """Embed a polynomial at the given power of the parameter."""
+        """Embed a polynomial, which may not use the name λ, at the given
+        power of the parameter."""
+        if LAMBDA in p.vars:   # λ repeats: raises
+            _distinct((LAMBDA, *p.vars))
         if shift < 0:
             raise AlgebraError(f"negative λ-shift {shift}")
         if shift > order:
@@ -815,30 +832,26 @@ class LambdaSeries:
 
 def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
     """μ ∘ exp(λ Σ_k D_{a_k} ⊗ D_{b_k})(f ⊗ g), truncated at the order L of
-    both series, for rank-one factors given as pairs (a_k, b_k) of vector
-    fields from ``star_fields``: (variables, den, slot bits, one ``_derive``
-    step (slot shift, unit key, re, im) per coefficient) over (λ, *vars).
+    both series, for the rank-one factors (a_k, b_k) of ``star_fields``.
 
     The exponential expands over multi-indices m as
     Σ_m λ^{|m|} Π_k 1/m_k! · (D_a^m f)(D_b^m g), and λ is never
     differentiated, so one walk covers both whole series.  A step whose
     left field misses every variable of f, or whose right field every one
-    of g, contributes only m_k = 0 and is dropped: derivatives add no
-    variable.  The sum is symmetric in (f, a_k) and (g, b_k), so the walk
-    swaps them to take the factor of fewer terms as the right one.
-    Derivatives stay raw numerators, the right one taken first, and a
-    branch stops once either is zero or its λ-power would pass L.  The
-    walk reads only the terms of f and g whose power can still meet the
-    other's lowest within L, and its depth is top, L less the lowest powers
-    of f and g.  Each leaf carries the weight d = Π_k (den_a·den_b)^{m_k}·m_k!
-    of its multi-index, and the leaf products go into one ``_mul_sum`` call
-    over den_f·den_g·D, D the lcm of the leaf weights, which puts the sum in
-    canonical form.  It drops the powers past L only where the inputs' top
-    powers can reach them, and scans for a guard bit only where the
-    inputs' keys below λ can set one; an input is copied to drop terms
-    only where it has some."""
-    L, vars = f.order, f.poly.vars
-    if g.poly.vars != vars or any(a[0] != vars for a, _ in fields):
+    of g, contributes only m_k = 0 and is dropped.  The factor of fewer
+    terms is taken as the right one.  The walk reads only the terms of f
+    and g whose power can still meet the other's lowest within L, moved
+    into its key layout (``_walk_layout``), and its depth is top, L less
+    the lowest powers of f and g.  Derivatives stay raw numerators, the
+    right one taken first, and a branch stops once either is zero or its
+    λ-power would pass L.  A leaf of weight d = Π_k (den_a·den_b)^{m_k}·m_k!
+    goes into one ``_mul_sum`` call over den_f·den_g·D, D the lcm of the
+    weights, which drops the powers past L where the inputs' top powers
+    reach them and moves the keys back, raising ExponentOverflowError
+    there for an exponent past 32767."""
+    vars, _, layouts = fields
+    L = f.order
+    if f.poly.vars != vars or g.poly.vars != vars:
         raise VariableMismatchError(f"a series or field is not over {vars}")
     s = SLOT_BITS * (len(vars) - 1)
     fn, gn = f.poly.nums, g.poly.nums
@@ -848,28 +861,34 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
     top = L - lo_f - lo_g
     if top < 0:
         return LambdaSeries.zero(f.vars, L)
-    cut_f, cut_g = (L - lo_g + 1) << s, (L - lo_f + 1) << s
-    hi_f, hi_g = max(fn), max(gn)
-    left = fn if hi_f < cut_f else {k: v for k, v in fn.items() if k < cut_f}
-    right = gn if hi_g < cut_g else {k: v for k, v in gn.items() if k < cut_g}
+    used_f, used_g = reduce(or_, fn), reduce(or_, gn)
+    u = (used_f + used_g) & (1 << s) - 1
+    lam, into, out, pairs = layouts.get(u) or _walk_layout(fields, u)
     # with f and g each at one power of λ, every leaf stays within λ^L
-    bound = (L + 1) << s if hi_f >> s > lo_f or hi_g >> s > lo_g else None
-    used_f, used_g = reduce(or_, left), reduce(or_, right)
-    scan = (used_f | used_g) & _carry_bits(len(vars) - 1)
+    bound = (L + 1) << lam if max(fn) >> s > lo_f or max(gn) >> s > lo_g else None
+    cut_f, cut_g, t = (L - lo_g + 1) << s, (L - lo_f + 1) << s, into[3]
+    while True:
+        try:
+            left = {t[k]: v for k, v in fn.items() if k < cut_f}
+            right = {t[k]: v for k, v in gn.items() if k < cut_g}
+            break
+        except KeyError:
+            _extend(into, [*fn, *gn])
     if len(left) < len(right):
-        left, right, used_f, used_g = right, left, used_g, used_f
-        fields = [(b, a) for a, b in fields]
-    steps = [(a[3], b[3], a[1] * b[1]) for a, b in fields
-             if a[2] & used_f and b[2] & used_g]
-    # a branch: next step k, λ-depth r, both derivatives, and its weight d
-    stack, leaves = [(0, 0, left, right, 1)], []
+        left, right = right, left
+        steps = [(b, a, d) for ma, mb, a, b, d in pairs if ma & used_f and mb & used_g]
+    else:
+        steps = [(a, b, d) for ma, mb, a, b, d in pairs if ma & used_f and mb & used_g]
+    # a branch: next step k, λ-depth r, both derivatives, and its weight d;
+    # those of the last step are the leaves
+    stack, leaves, last = [(0, 0, left, right, 1)], [], len(steps) - 1
+    if last < 0:
+        leaves, stack = stack, []
     while stack:
         k, r, left, right, d = stack.pop()
-        if k == len(steps):
-            leaves.append((left, right, r << s, d))
-            continue
         a, b, den = steps[k]
-        stack.append((k + 1, r, left, right, d))
+        dest = leaves if k == last else stack
+        dest.append((k + 1, r, left, right, d))
         for m in range(1, top - r + 1):
             right = _derive(right, b)
             if not right:
@@ -878,27 +897,73 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
             if not left:
                 break
             d *= den * m
-            stack.append((k + 1, r + m, left, right, d))
+            dest.append((k + 1, r + m, left, right, d))
     D = lcm(*(d for *_, d in leaves))
     poly = _mul_sum(vars, f.poly.den * g.poly.den * D,
-                    [(left, right, lift, D // d) for left, right, lift, d in leaves], scan, bound)
+                    [(left, right, r << lam, D // d) for _, r, left, right, d in leaves],
+                    0, bound, out)
     return LambdaSeries(poly, L)
 
 
-def star_fields(vars: Tuple[str, ...], terms) -> list:
+def _walk_layout(fields, u: int) -> tuple:
+    """The key layout of the walks over ``fields`` whose inputs' key ORs sum
+    to ``u`` below λ: the shift of λ, the move plans of ``_walk_plans``,
+    and the fields' pairs with steps on both sides narrowed onto it.  A
+    variable whose slot of u holds b > 0 gets b.bit_length() bits, at least
+    3, the last variable lowest, and λ leads: b bounds the sum of an
+    exponent of f and one of g, so no sum carries.  The fields' cache holds
+    it under u and under its slots."""
+    vars, pairs, layouts = fields
+    shifts, _, mask = _layout(len(vars))
+    slots, at = [], 0   # (position, shift, bits)
+    for j in range(len(vars) - 1, 0, -1):
+        if b := u >> shifts[j] & mask:
+            slots.append((j, at, max(b.bit_length(), 3)))
+            at += slots[-1][2]
+    slots = tuple(slots)
+    layout = layouts.get(slots)
+    if layout is None:
+        new = {j: (t, 1 << t, (1 << w) - 1) for j, t, w in slots}
+        layout = (at, *_walk_plans(len(vars), slots, at), [
+            (ma, mb, [new[j] + (r, i) for j, r, i in sa if j in new],
+             [new[j] + (r, i) for j, r, i in sb if j in new], da * db)
+            for (da, ma, sa), (db, mb, sb) in pairs if ma & u and mb & u])
+    if len(layouts) >= MAX_LAYOUTS - 1:
+        layouts.clear()
+    layouts[u] = layouts[slots] = layout
+    return layout
+
+
+@lru_cache(maxsize=MAX_LAYOUTS)
+def _walk_plans(n: int, slots: tuple, lam: int) -> tuple:
+    """The move plans of keys over n variables into the walk layout of
+    ``slots`` (position, shift, bits) with λ at ``lam``, and back, where a
+    key with an exponent past 32767 goes to None."""
+    shifts = _layout(n)[0]
+    runs = [(((1 << w) - 1) << t, shifts[j] - t) for j, t, w in slots] + \
+        [(-1 << lam, shifts[0] - lam)]
+    return ((0, 0, tuple((m << d, 0, d) for m, d in runs), {}),
+            (sum(_TOP + 1 << t for _, t, w in slots if w == SLOT_BITS), 0,
+             tuple((m, d, 0) for m, d in runs), {}))
+
+
+@lru_cache(maxsize=64)
+def star_fields(vars: Vars, terms) -> tuple:
     """The rank-one terms Σ_k a_k b_kᵀ of a constant matrix over ``vars`` as
-    the pairs of vector fields ``star_exponential`` walks along, on series
-    over (λ, *vars).  A vector is a list of (position in ``vars``, (re, im,
-    den)) pairs, for Σ_i v_i ∂_i, and its field has one common denominator."""
+    the fields ``star_exponential`` walks along, on series over (λ, *vars):
+    that list, one pair of fields (den, key bits, steps (position, re, im))
+    per term, and the walks' layouts.  A vector is a tuple of (position in
+    ``vars``, (re, im, den)) pairs, for Σ_i v_i ∂_i.  Equal arguments give
+    the same fields, so products built anew on one matrix share their
+    layouts."""
     lvars = (LAMBDA, *vars)
     shifts, _, mask = _layout(len(lvars))
 
     def field(v):
         den = lcm(*(d for _, (_, _, d) in v))
-        steps = tuple((shifts[i + 1], 1 << shifts[i + 1], r * (den // d), m * (den // d))
-                      for i, (r, m, d) in v)
-        return lvars, den, sum(mask << s for s, *_ in steps), steps
-    return [(field(a), field(b)) for a, b in terms]
+        return (den, sum(mask << shifts[i + 1] for i, _ in v),
+                [(i + 1, r * (den // d), m * (den // d)) for i, (r, m, d) in v])
+    return lvars, [(field(a), field(b)) for a, b in terms], {}
 
 
 def _pairing(matrix: tuple, f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -915,16 +980,16 @@ def _pairing(matrix: tuple, f: MultiPoly, g: MultiPoly) -> MultiPoly:
     for si, sj, cr, ci in entries:
         if used_f >> si & mask and used_g >> sj & mask:
             if si not in df:
-                df[si] = _derive(f.nums, ((si, 1 << si, 1, 0),))
+                df[si] = _derive(f.nums, ((si, 1 << si, mask, 1, 0),))
             if sj not in dg:
-                dg[sj] = _derive(g.nums, ((sj, 1 << sj, 1, 0),))
+                dg[sj] = _derive(g.nums, ((sj, 1 << sj, mask, 1, 0),))
             pairs.append(({k: (r * cr - i * ci, r * ci + i * cr)
                            for k, (r, i) in df[si].items()}, dg[sj], 0, 1))
     return _mul_sum(vars, f.den * g.den * den, pairs,
                     (used_f | used_g) & _carry_bits(len(vars)))
 
 
-def pairing(vars: Tuple[str, ...], B) -> Callable[[MultiPoly, MultiPoly], MultiPoly]:
+def pairing(vars: Vars, B) -> Callable[[MultiPoly, MultiPoly], MultiPoly]:
     """The bilinear map (f, g) ↦ Σ B^{ij} ∂_i f ∂_j g on polynomials over
     ``vars``, for B as (re, im, den) triples keyed by positions (i, j) in
     ``vars``.  B is decoded once, over one common denominator."""
@@ -965,7 +1030,7 @@ class ConstantOperator:
         y = [(si, sj, (1 << sj) - lam, sign * yr, sign * yi) for si, sj, yr, yi in self._steps]
         terms, cur = [poly], poly.nums
         for k in range(1, L + 1):
-            nxt: Dict[int, Tuple[int, int]] = {}
+            nxt: Nums = {}
             for key, (r, i) in cur.items():
                 for si, sj, uj, yr, yi in y:
                     e = key >> sj & mask

@@ -35,6 +35,7 @@ from .exact import (
     ConstantOperator,
     LambdaSeries,
     MultiPoly,
+    OrderMismatchError,
     invert_unipotent,
 )
 from .lie import (
@@ -188,8 +189,10 @@ class ReductionContext:
     the classical and quantum momentum maps, and the total good tube: the
     ``constrained`` p_a of the translated directions, all other variables
     ``cvars``.  The classical momentum map is the canonical one of the
-    action, and the quantum one is held truncated to the context's order; a
-    shifted scenario adds the substitution that straightens its samples.
+    action, and the quantum one is held truncated to the context's order:
+    a component held below that order is an OrderMismatchError, since its
+    missing powers are not zero but unknown.  A shifted scenario adds the
+    substitution that straightens its samples.
     ``conjugation`` is the operator Y of T = exp(λY), through which the
     quantum restriction is computed in closed form, or None where T does
     not apply.  Immutable after construction."""
@@ -201,6 +204,10 @@ class ReductionContext:
         self.action = action
         self.star = star
         self.J = canonical_momentum_map(action)
+        low = [c.order for c in Jq.components if c.order < order]
+        if low:   # truncate would take its missing powers as zero
+            raise OrderMismatchError(f"a Jq component held at order {low[0]} cannot "
+                                     f"serve a context of order {order}")
         self.Jq = QuantumMomentumMap(Jq.lie, [c.truncate(order) for c in Jq.components])
         self.order = order
         if self.Jq.classical_part() != self.J:

@@ -51,7 +51,7 @@ Matrix = Dict[Tuple[int, int], object]
 Gauss = Tuple[int, int, int]
 ZERO: Gauss = (0, 0, 1)
 # A sparse vector over the variables: (position, coefficient) pairs.
-Vector = List[Tuple[int, Gauss]]
+Vector = Tuple[Tuple[int, Gauss], ...]
 
 
 class PhaseSpace:
@@ -97,7 +97,7 @@ def _div(x: Gauss, y: Gauss) -> Gauss:
     return gauss(((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e)))
 
 
-def _rank_one_terms(C: Dict[Tuple[int, int], Gauss]) -> List[Tuple[Vector, Vector]]:
+def _rank_one_terms(C: Dict[Tuple[int, int], Gauss]) -> Tuple[Tuple[Vector, Vector], ...]:
     """Exact factorisation C = Σ_k a_k b_kᵀ by rank-one elimination, on
     integer triples.
 
@@ -126,8 +126,8 @@ def _rank_one_terms(C: Dict[Tuple[int, int], Gauss]) -> List[Tuple[Vector, Vecto
                     C[k, l] = v
                 else:
                     C.pop((k, l), None)
-        terms.append((col, row))
-    return terms
+        terms.append((tuple(col), tuple(row)))
+    return tuple(terms)
 
 
 class StarProduct:

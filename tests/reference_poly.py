@@ -37,10 +37,16 @@ from qkoszul.exact import (
     gr,
     render_gauss,
 )
+from qkoszul.phase_space import StarProduct
 
 Exponent = Tuple[int, ...]
 GR_ZERO = gr(0)
 GR_ONE = gr(1)
+# a product that is not Hermitian and that none of the three kinds is: a
+# complex entry on the diagonal and unequal off-diagonal pairs on R^4
+SKEW = {(0, 0): gr(Fraction(1, 3), 1), (0, 2): gr(0, Fraction(1, 2)),
+        (2, 0): gr(-1, Fraction(-1, 2)), (1, 3): gr(2), (3, 1): gr(0, -1),
+        (2, 3): gr(Fraction(-2, 5))}
 
 
 def is_zero(c: GaussianRational) -> bool:
@@ -508,3 +514,9 @@ def lie_table_failure(dim: int, structure: Mapping[Tuple[int, int, int], Fractio
                     if s != 0:
                         return f"Jacobi identity fails at {(a, b, cc, e)}"
     return None
+
+
+def product_of(kind: str, sp):
+    """The product of ``kind`` on ``sp``: Weyl, Wick, std, or ``SKEW``."""
+    return StarProduct.constant(sp, SKEW) if kind == "skew" else \
+        getattr(StarProduct, kind)(sp)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qkoszul import exact
+from qkoszul import exact, phase_space
 from qkoszul.exact import (
     AlgebraError,
     ContractViolationError,
@@ -24,7 +24,7 @@ from qkoszul.exact import (
     invert_unipotent,
 )
 from qkoszul.phase_space import PhaseSpace, StarProduct
-from reference_poly import RefPoly, RefSeries, derivative, homotopy, is_zero
+from reference_poly import RefPoly, RefSeries, derivative, homotopy, is_zero, product_of
 
 
 @st.composite
@@ -120,10 +120,11 @@ def series_polys(draw):
 def directional(p: MultiPoly, form: MultiPoly, m: int = 1) -> MultiPoly:
     """The derivative along the vector field of the linear form ``form``,
     divided by m, as the star-product walk takes it: the raw numerators of
-    ``exact._derive``, with one step (slot shift, unit key, re, im) per term
-    of the form, over the denominator of p times the form's times m."""
+    ``exact._derive``, with one step (slot shift, unit key, slot mask, re, im)
+    per term of the form, over the denominator of p times the form's times m."""
     assert form.vars == p.vars
-    steps = [(unit.bit_length() - 1, unit, r, i) for unit, (r, i) in form.nums.items()]
+    mask = (1 << exact.SLOT_BITS) - 1
+    steps = [(unit.bit_length() - 1, unit, mask, r, i) for unit, (r, i) in form.nums.items()]
     assert all(unit & (unit - 1) == 0 and s % exact.SLOT_BITS == 0 for s, unit, *_ in steps)
     return exact._canonical(p.vars, p.den * form.den * m, exact._derive(p.nums, steps))
 
@@ -645,10 +646,11 @@ class TestCalculusIdentities:
     def test_walk_needs_fields_over_the_variables_of_its_series(self):
         x = MultiPoly.variable(VARS, "x")
         s = LambdaSeries.from_poly(x, 1)
-        # ∂_x over (λ, y, x): the slot of x is the lowest one
-        field = ((exact.LAMBDA, "y", "x"), 1, (1 << exact.SLOT_BITS) - 1, ((0, 1, 1, 0),))
+        # ∂_x ⊗ ∂_x over (y, x), where the slot of x is the lowest one
+        dx = ((1, (1, 0, 1)),)
+        fields = exact.star_fields(("y", "x"), ((dx, dx),))
         with pytest.raises(VariableMismatchError):
-            exact.star_exponential([(field, field)], s, s)
+            exact.star_exponential(fields, s, s)
 
 
 # targets of a polynomial over WIDE: itself, a reorder, a superset, subsets
@@ -755,9 +757,10 @@ def qp(a: int, b: int) -> MultiPoly:
 class TestOnePassTail:
     """The tail of ``_mul_sum`` that ``*``, the walk and the bracket share.
     Its output is canonical: the factor common to the denominator and every
-    numerator is divided out.  Its keys are scanned for a guard bit exactly
-    where an input sets one of the top two bits of a slot, an exponent of
-    ``CARRY`` or more."""
+    numerator is divided out.  The keys of ``*`` and the bracket are scanned
+    for a guard bit exactly where an input sets one of the top two bits of a
+    slot, an exponent of ``CARRY`` or more; the walk's keys move back through
+    a table that sends a key with an exponent past ``TOP`` to None."""
 
     OPS = ("mul", "walk", "bracket")
 
@@ -781,9 +784,9 @@ class TestOnePassTail:
             weyl_products(op, f, g)
 
     def test_the_walk_drops_powers_past_the_order_before_its_scan(self):
-        # q^a makes the walk scan, and λ^a·λ^a reaches λ^2a = λ^(L+1), whose
-        # key sets the guard bit of λ's slot: the power is dropped, and
-        # nothing raises
+        # q^a gives q a 16-bit slot in the walk's layout, and λ^a·λ^a reaches
+        # λ^2a = λ^(L+1), past the order: the power is dropped before the
+        # keys move back, and nothing raises
         L, a = TOP, CARRY
         star = StarProduct.weyl(PhaseSpace.of_dim(1))
         fs, gs = ((a - 1, qp(a, 0)), (a, qp(1, 0))), ((a - 1, qp(0, 1)), (a, qp(0, a)))
@@ -811,10 +814,139 @@ class TestOnePassTail:
 
     @pytest.mark.parametrize("op", OPS)
     def test_a_skipped_output_scan_is_killed(self, op, monkeypatch):
-        # the mutant: no input is taken to set a top bit, so no output is scanned
-        monkeypatch.setattr(exact, "_carry_bits", lambda n: 0)
-        with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
-            self.test_inputs_that_may_carry_are_scanned(op)
+        if op == "walk":
+            # the mutant: the walk's move back sends no key to None, so an
+            # exponent past 32767 goes into its slot's guard bit; the walks
+            # of fresh fields, whose caches hold no layout, reach it
+            plans = exact._walk_plans.__wrapped__
+
+            def mutant(*layout):
+                into, out = plans(*layout)
+                return into, (0, *out[1:])
+            monkeypatch.setattr(exact, "_walk_plans", mutant)
+            exact.star_fields.cache_clear()
+        else:
+            # the mutant: no input is taken to set a top bit, so no output
+            # is scanned
+            monkeypatch.setattr(exact, "_carry_bits", lambda n: 0)
+        try:
+            with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+                self.test_inputs_that_may_carry_are_scanned(op)
+        finally:   # no later product may meet the mutant's layouts
+            exact.star_fields.cache_clear()
+
+
+# exponents at the edges of the walk's slot widths: a slot holds the sum of
+# the two inputs' bounds, so sums of these reach 2^w - 1 and 2^w for w up to 5
+EDGES = (1, 2, 3, 4, 7, 8, 15, 16)
+
+
+def tensor_star(C: dict, f: RefPoly, g: RefPoly, L: int) -> list:
+    """λ^0..λ^L of μ ∘ exp(λ Σ C^{ij} ∂_i ⊗ ∂_j)(f ⊗ g) on f ⊗ g held as a
+    map from pairs of exponent tuples to coefficients, one step of the
+    bidifferential operator per power: equal pairs of derivatives merge, so
+    inputs of high degree stay cheap where the pairs of ``reference_star``
+    multiply.  It stops at the first power with no pair left."""
+    vs, out = f.vars, []
+    cur = {(a, b): x * y for a, x in f.terms.items() for b, y in g.terms.items()}
+    for r in range(L + 1):
+        if not cur:
+            break
+        acc = {}
+        for (a, b), c in cur.items():
+            e = tuple(x + y for x, y in zip(a, b))
+            acc[e] = acc.get(e, gr()) + c
+        out.append(RefPoly(vs, acc).scale(Fraction(1, factorial(r))))
+        nxt = {}
+        for (a, b), c in cur.items():
+            for (i, j), cij in C.items():
+                if a[i] and b[j]:
+                    key = (a[:i] + (a[i] - 1,) + a[i + 1:], b[:j] + (b[j] - 1,) + b[j + 1:])
+                    nxt[key] = nxt.get(key, gr()) + c * cij * gr(a[i] * b[j])
+        cur = {k: c for k, c in nxt.items() if not is_zero(c)}
+    return out
+
+
+@st.composite
+def edge_series(draw, L: int, used, edges=EDGES, max_terms=2):
+    """The powers (r, polynomial) of a series at order L over ``SP2.vars``:
+    up to three powers of λ, each a polynomial of up to ``max_terms`` terms
+    on the variables of ``used``, whose exponents are 0 or one of
+    ``edges``."""
+    powers = {draw(st.sampled_from((0, 1, 2, L // 2, L - 1, L)))
+              for _ in range(draw(st.integers(1, 3)))}
+    out = []
+    for r in sorted(x for x in powers if 0 <= x <= L):
+        terms = {}
+        for _ in range(draw(st.integers(1, max_terms))):
+            e = tuple(draw(st.sampled_from((0,) + edges)) if v in used else 0
+                      for v in SP2.vars)
+            terms[e] = draw(gaussians)
+        p = MultiPoly(SP2.vars, {e: c for e, c in terms.items() if not is_zero(c)})
+        if not p.is_zero():
+            out.append((r, p))
+    return out
+
+
+class TestWalkLayout:
+    """The star walk runs on keys of its own layout, one slot per variable
+    the inputs use, just wide enough for the sum of their bounds."""
+
+    @pytest.mark.parametrize("kind", ("weyl", "wick", "std", "skew"))
+    @given(data=st.data(), L=st.sampled_from((0, 1, 2, 3, TOP)), overlap=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_against_the_tensor_oracle(self, kind, data, L, overlap):
+        star = product_of(kind, SP2)
+        # disjoint: f on (q1, p2) and g on (q2, p1), which every matrix but
+        # std's couples; overlapping: both on (q1, p1).  At order TOP the
+        # depth is bounded by the degrees alone, so the oracle is kept small
+        used = (("q1", "p1"),) * 2 if overlap else (("q1", "p2"), ("q2", "p1"))
+        small = {"edges": EDGES[:4], "max_terms": 1} if L == TOP else {}
+        fs, gs = (data.draw(edge_series(L, u, **small)) for u in used)
+        f, g = (sum((LambdaSeries.from_poly(x, L, shift=r) for r, x in xs),
+                    LambdaSeries.zero(SP2.vars, L)) for xs in (fs, gs))
+        got = star.eval(f, g)
+        C, want = matrix_of(star), {}
+        for r, x in fs:
+            for s, y in gs:
+                for t, c in enumerate(tensor_star(C, RefPoly.of(x), RefPoly.of(y), L - r - s)):
+                    want[r + s + t] = want.get(r + s + t, RefPoly.zero(SP2.vars)) + c
+        assert canonical(got.poly)
+        powers = {k >> exact.SLOT_BITS * len(SP2.vars) for k in got.poly.nums}
+        assert {r: RefPoly.of(got.coeff(r)) for r in powers} == \
+            {r: c for r, c in want.items() if not c.is_zero()}
+
+    def test_an_exponent_of_top_moves_back_and_one_past_it_raises(self):
+        # q^a·q^(a - 1) = q^TOP fills the 16-bit slot of the layout but for
+        # its top bit, and q^a·q^a reaches that bit
+        a = CARRY
+        got, want = weyl_products("walk", qp(a, 0) + qp(0, 1), qp(a - 1, 0))
+        assert agrees_with("walk", got, want) and (TOP, 0) in got.coeff(0).terms
+        with pytest.raises(ExponentOverflowError, match="exceeds 32767"):
+            weyl_products("walk", qp(a, 0), qp(a, 0))
+
+    def test_the_caches_stay_bounded(self, monkeypatch):
+        monkeypatch.setattr(exact, "MAX_LAYOUTS", 4)
+        monkeypatch.setattr(exact, "MAX_TERMS", 6)
+        exact.star_fields.cache_clear()
+        try:
+            sp = PhaseSpace.of_dim(1)
+            star = StarProduct.weyl(sp)
+            # the product's fields: star_fields gives one object per matrix
+            fields = exact.star_fields(sp.vars, phase_space._rank_one_terms(dict(star.matrix)))
+            for a in range(1, 10):
+                for b in range(1, 10):
+                    # a layout per pair of bounds, and more keys in all than
+                    # a table may hold
+                    assert star.eval_poly(qp(a, 0), qp(0, b), 1).coeff(0) == qp(a, b)
+                    assert len(fields[2]) <= 4
+            tables = [plan[3] for layout in fields[2].values() for plan in layout[1:3]]
+            assert tables and all(len(t) <= 6 for t in tables)
+        finally:
+            exact.star_fields.cache_clear()
+        for cached in (exact.star_fields, exact._walk_plans):
+            info = cached.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 class TestLambdaSeries:
@@ -841,6 +973,14 @@ class TestLambdaSeries:
     def test_polynomial_starts_with_lambda(self):
         with pytest.raises(VariableMismatchError):
             LambdaSeries(MultiPoly.variable(("x",), "x"), 1)
+
+    def test_a_polynomial_over_lambda_is_rejected(self):
+        # over ("λ", "λ", "x") the series would render λ^0: (1/1)+(0/1)i*λ
+        p = MultiPoly((exact.LAMBDA, "x"), {(1, 0): 1})
+        with pytest.raises(VariableMismatchError, match="'λ' repeats in \\('λ', 'λ', 'x'\\)"):
+            LambdaSeries.from_poly(p, 2)
+        with pytest.raises(VariableMismatchError, match="'λ' repeats"):
+            LambdaSeries.zero((exact.LAMBDA, "x"), 2)
 
     def test_order_must_fit_a_slot(self):
         one = MultiPoly.const(("x",), 1)

@@ -37,7 +37,8 @@ from qkoszul.koszul import ReductionContext, quantum_restriction, restriction, s
 from qkoszul.lie import LieAlgebraData, QuantumMomentumMap
 from qkoszul.phase_space import PhaseSpace, StarProduct, check_star_axioms
 from qkoszul.sampling import sample_pairs, sample_polys
-from reference_poly import RefSeries, is_zero, pairing, rank_one_terms, series_product
+from reference_poly import (SKEW, RefSeries, is_zero, pairing, product_of, rank_one_terms,
+                            series_product)
 
 KINDS = ("weyl", "wick", "std")
 ORACLE = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
@@ -335,18 +336,6 @@ class TestAgainstReference:
                 got = star.eval_poly(program_poly(f, vars), program_poly(g, vars), order)
                 assert got.render() == oracle.render_series(reference(f, g, order), vars), \
                     (n, order)
-
-
-# a product that is not Hermitian and that none of the three kinds is: a
-# complex entry on the diagonal and unequal off-diagonal pairs on R^4
-SKEW = {(0, 0): gr(Fraction(1, 3), 1), (0, 2): gr(0, Fraction(1, 2)),
-        (2, 0): gr(-1, Fraction(-1, 2)), (1, 3): gr(2), (3, 1): gr(0, -1),
-        (2, 3): gr(Fraction(-2, 5))}
-
-
-def product_of(kind, sp):
-    return StarProduct.constant(sp, SKEW) if kind == "skew" else \
-        getattr(StarProduct, kind)(sp)
 
 
 def test_skew_product_is_not_hermitian():

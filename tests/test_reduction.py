@@ -381,6 +381,16 @@ class TestElevateContext:
         with pytest.raises(OrderMismatchError, match=f"cannot raise a context of order 1 to {L}"):
             elevate_context(corrected_s1p_ctx(1), L)
 
+    def test_a_jq_held_below_the_order_is_rejected(self):
+        # Jq_1 = p1 held at order 1: its terms at λ² to λ⁴ are not known to
+        # be zero, so no context of order 4 may read them as zero
+        sp = PhaseSpace.of_dim(2)
+        star = StarProduct.weyl(sp)
+        Jq = ReductionContext.canonical(sp, [1], star, 1).Jq
+        with pytest.raises(OrderMismatchError, match="held at order 1 cannot serve a "
+                                                     "context of order 4"):
+            ReductionContext.canonical(sp, [1], star, 4, Jq=Jq)
+
     def test_a_lower_order_equals_the_context_built_there(self):
         low, built = elevate_context(corrected_s1p_ctx(L), 2), corrected_s1p_ctx(2)
         assert low.order == 2 and low.Jq.components == built.Jq.components
