@@ -8,13 +8,11 @@ from .exact import (
     AlgebraError,
     ContractViolationError,
     ExponentOverflowError,
-    GaussianRational,
     LambdaSeries,
     MultiPoly,
     OrderMismatchError,
     TermLimitError,
     VariableMismatchError,
-    gr,
     invert_unipotent,
 )
 from .phase_space import PhaseSpace, StarProduct, check_star_axioms
@@ -23,13 +21,11 @@ __all__ = [
     "AlgebraError",
     "ContractViolationError",
     "ExponentOverflowError",
-    "GaussianRational",
     "LambdaSeries",
     "MultiPoly",
     "OrderMismatchError",
     "TermLimitError",
     "VariableMismatchError",
-    "gr",
     "invert_unipotent",
     "PhaseSpace",
     "StarProduct",

@@ -62,7 +62,10 @@ MAX_TERMS = 100_000
 MAX_LAYOUTS = 256
 
 
-def _as_fraction(x) -> Fraction:
+def rational(x) -> Fraction:
+    """An int or a Fraction as a Fraction; any other type, such as a float,
+    whose binary value is not the decimal it was written as, is a
+    TypeError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -95,7 +98,7 @@ class GaussianRational:
 
 def gr(re=0, im=0) -> GaussianRational:
     """The Gaussian rational re + i·im, for ints and Fractions."""
-    return GaussianRational(_as_fraction(re), _as_fraction(im))
+    return GaussianRational(rational(re), rational(im))
 
 
 # -- packed exponent keys -------------------------------------------------
@@ -230,7 +233,7 @@ def _nonzero(acc: Nums) -> Nums:
     return {k: v for k, v in acc.items() if v[0] or v[1]}
 
 
-def _mul_sum(vars: Vars, den: int, products, scan: int,
+def _mul_sum(vars: Vars, den: int, products, reach: int = -1,
              bound: Optional[int] = None, out=None) -> "MultiPoly":
     """Σ c·left·right over ``den`` in canonical form, for ``products``
     (left, right, lift, c) with right's keys raised by lift, summed in two
@@ -244,10 +247,11 @@ def _mul_sum(vars: Vars, den: int, products, scan: int,
     gcd of ``den`` and both accumulators is the common factor (1 at once
     where ``den`` is 1), and each (re, im) entry is built once, already
     divided by it, under its key moved back through the table of ``out``
-    for the walk's keys, which sends a key with an exponent past 32767 to
-    None.  With ``scan`` the keys are checked for a guard bit; ``*`` and
-    the bracket ask for it only where their inputs set some of the
-    ``_carry_bits``."""
+    for the walk's keys.  This is where every product finds an exponent
+    past 32767: ``reach`` is the sum of the two inputs' key ORs, whose slot
+    bounds that variable's exponent in every output key, and the keys are
+    scanned for a guard bit unless ``reach`` sets none.  The default, -1,
+    sets every bit, so ``*`` always scans."""
     re: Dict[int, int] = {}
     im: Dict[int, int] = {}
     rget, iget = re.get, im.get
@@ -316,17 +320,10 @@ def _mul_sum(vars: Vars, den: int, products, scan: int,
             break
         except KeyError:
             _extend(out, [*re, *im])
-    if None in nums or scan and reduce(or_, nums, 0) & _layout(len(vars))[1]:
+    guard = _layout(len(vars))[1]
+    if reach & guard and reduce(or_, nums, 0) & guard:
         raise _overflow()
     return _limited(vars, den // g, nums)
-
-
-@cache
-def _carry_bits(n: int) -> int:
-    """The top two bits of every slot of an n-variable key.  Two keys that
-    set none of them sum to a key with no guard bit, as two exponents below
-    2**(S - 2) sum below 2**(S - 1), S = ``SLOT_BITS``."""
-    return sum(3 << (SLOT_BITS * (j + 1) - 2) for j in range(n))
 
 
 def _sum(vars: Vars, parts, signs=None) -> "MultiPoly":
@@ -477,9 +474,7 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        used = reduce(or_, self.nums, 0) | reduce(or_, other.nums, 0)
-        return _mul_sum(self.vars, self.den * other.den, [(self.nums, other.nums, 0, 1)],
-                        used & _carry_bits(len(self.vars)))
+        return _mul_sum(self.vars, self.den * other.den, [(self.nums, other.nums, 0, 1)])
 
     def scale(self, c) -> "MultiPoly":
         cr, ci, d = gauss(c)
@@ -598,8 +593,6 @@ class MultiPoly:
         """Re-express over a different variable list (a superset or a list
         still containing every variable actually used)."""
         vs = tuple(vars)
-        if vs == self.vars:
-            return self
         nums = self._moved(vs)
         if len(nums) < len(self.nums):
             gone = next(v for v in self.vars if v not in vs and self.uses(v))
@@ -839,16 +832,16 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
     differentiated, so one walk covers both whole series.  A step whose
     left field misses every variable of f, or whose right field every one
     of g, contributes only m_k = 0 and is dropped.  The factor of fewer
-    terms is taken as the right one.  The walk reads only the terms of f
-    and g whose power can still meet the other's lowest within L, moved
+    terms is taken as the right one.  The walk reads f and g whole, moved
     into its key layout (``_walk_layout``), and its depth is top, L less
     the lowest powers of f and g.  Derivatives stay raw numerators, the
     right one taken first, and a branch stops once either is zero or its
     λ-power would pass L.  A leaf of weight d = Π_k (den_a·den_b)^{m_k}·m_k!
     goes into one ``_mul_sum`` call over den_f·den_g·D, D the lcm of the
     weights, which drops the powers past L where the inputs' top powers
-    reach them and moves the keys back, raising ExponentOverflowError
-    there for an exponent past 32767."""
+    reach them, moves the keys back and, where u (the inputs' key ORs
+    summed below λ) sets a guard bit, scans them for an exponent past
+    32767."""
     vars, _, layouts = fields
     L = f.order
     if f.poly.vars != vars or g.poly.vars != vars:
@@ -866,11 +859,11 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
     lam, into, out, pairs = layouts.get(u) or _walk_layout(fields, u)
     # with f and g each at one power of λ, every leaf stays within λ^L
     bound = (L + 1) << lam if max(fn) >> s > lo_f or max(gn) >> s > lo_g else None
-    cut_f, cut_g, t = (L - lo_g + 1) << s, (L - lo_f + 1) << s, into[3]
+    t = into[3]
     while True:
         try:
-            left = {t[k]: v for k, v in fn.items() if k < cut_f}
-            right = {t[k]: v for k, v in gn.items() if k < cut_g}
+            left = {t[k]: v for k, v in fn.items()}
+            right = {t[k]: v for k, v in gn.items()}
             break
         except KeyError:
             _extend(into, [*fn, *gn])
@@ -901,7 +894,7 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
     D = lcm(*(d for *_, d in leaves))
     poly = _mul_sum(vars, f.poly.den * g.poly.den * D,
                     [(left, right, r << lam, D // d) for _, r, left, right, d in leaves],
-                    0, bound, out)
+                    u, bound, out)
     return LambdaSeries(poly, L)
 
 
@@ -937,14 +930,14 @@ def _walk_layout(fields, u: int) -> tuple:
 @lru_cache(maxsize=MAX_LAYOUTS)
 def _walk_plans(n: int, slots: tuple, lam: int) -> tuple:
     """The move plans of keys over n variables into the walk layout of
-    ``slots`` (position, shift, bits) with λ at ``lam``, and back, where a
-    key with an exponent past 32767 goes to None."""
+    ``slots`` (position, shift, bits) with λ at ``lam``, and back.  Every
+    key moves: a 16-bit slot of the layout lands whole on its slot of the
+    n-variable key, guard bit and all, for the scan of ``_mul_sum``."""
     shifts = _layout(n)[0]
     runs = [(((1 << w) - 1) << t, shifts[j] - t) for j, t, w in slots] + \
         [(-1 << lam, shifts[0] - lam)]
     return ((0, 0, tuple((m << d, 0, d) for m, d in runs), {}),
-            (sum(_TOP + 1 << t for _, t, w in slots if w == SLOT_BITS), 0,
-             tuple((m, d, 0) for m, d in runs), {}))
+            (0, 0, tuple((m, d, 0) for m, d in runs), {}))
 
 
 @lru_cache(maxsize=64)
@@ -985,8 +978,7 @@ def _pairing(matrix: tuple, f: MultiPoly, g: MultiPoly) -> MultiPoly:
                 dg[sj] = _derive(g.nums, ((sj, 1 << sj, mask, 1, 0),))
             pairs.append(({k: (r * cr - i * ci, r * ci + i * cr)
                            for k, (r, i) in df[si].items()}, dg[sj], 0, 1))
-    return _mul_sum(vars, f.den * g.den * den, pairs,
-                    (used_f | used_g) & _carry_bits(len(vars)))
+    return _mul_sum(vars, f.den * g.den * den, pairs, used_f + used_g)
 
 
 def pairing(vars: Vars, B) -> Callable[[MultiPoly, MultiPoly], MultiPoly]:

@@ -17,19 +17,20 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
-from .exact import AlgebraError, LambdaSeries, MultiPoly
+from .exact import AlgebraError, LambdaSeries, MultiPoly, rational
 from .phase_space import PhaseSpace, StarProduct
 from .report import check, info
 
 
 class LieAlgebraData:
     """Structure constants of a finite-dimensional Lie algebra in a fixed
-    basis, indices 1..dim.  Index range, antisymmetry and the Jacobi
-    identity are validated exactly at construction."""
+    basis, indices 1..dim, each an int or a Fraction (``exact.rational``).
+    Index range, antisymmetry and the Jacobi identity are validated exactly
+    at construction."""
 
     def __init__(self, dim: int, structure: Dict[Tuple[int, int, int], Fraction]):
         self.dim = dim
-        self.structure = {k: Fraction(v) for k, v in structure.items() if v != 0}
+        self.structure = {k: x for k, v in structure.items() if (x := rational(v))}
         for key in self.structure:
             if len(key) != 3 or not all(1 <= i <= dim for i in key):
                 raise AlgebraError(f"structure constant index {key} outside 1..{dim}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Tuple, TypeVar
 
-from .exact import AlgebraError, LambdaSeries, MultiPoly, OrderMismatchError
+from .exact import AlgebraError, LambdaSeries, MultiPoly, OrderMismatchError, rational
 from .koszul import ReductionContext, quantum_correction, series_correction
 from .phase_space import PhaseSpace, StarProduct
 
@@ -134,7 +134,8 @@ def build_shifted_context(base: ReductionContext,
 
     ``b`` maps a translated coordinate label to the pair (coupled label,
     coupling constant); the coupled coordinate must not itself be
-    translated, so the magnetic potential is invariant.
+    translated, so the magnetic potential is invariant.  The constants and
+    the values of ``mu`` are ints or Fractions (``exact.rational``).
     """
     space = base.space
     translated = base.action.translated
@@ -143,14 +144,14 @@ def build_shifted_context(base: ReductionContext,
     for a in set(b) | set(mu):
         if a not in translated:
             raise AlgebraError(f"coordinate {a} is not translated")
-        alpha = MultiPoly.const(space.vars, -Fraction(mu.get(a, 0)))
+        alpha = MultiPoly.const(space.vars, -rational(mu.get(a, 0)))
         if a in b:
             c_label, b_val = b[a]
             if c_label in translated:
                 raise AlgebraError(
                     f"magnetic coupling to translated coordinate {c_label} "
                     "breaks invariance")
-            alpha = alpha + space.q(c_label).scale(Fraction(b_val))
+            alpha = alpha + space.q(c_label).scale(rational(b_val))
         if not alpha.is_zero():
             straighten[f"p{a}"] = base.straighten(space.p(a)) - alpha
     if straighten == base.straightening:

@@ -6,8 +6,8 @@ No other module of the package calls ``_layout`` or reads a polynomial's
 ``sampling``, whose sampler builds its keys through ``_pack`` and
 ``_canonical``.  Other modules name variables by name or by position, and
 hand coefficients over as ints, Fractions and (re, im, den) triples, which
-``exact.gauss`` reads: no module but ``exact`` and the re-exporting
-``__init__`` imports or names ``GaussianRational``, ``gr``, ``GR_I`` or
+``exact.gauss`` reads: no module but ``exact``, not even the package's
+``__init__``, imports or names ``GaussianRational``, ``gr``, ``GR_I`` or
 ``GR_MINUS_I``.
 
 The slot width ``SLOT_BITS`` is a constant: the caches of ``exact`` do not
@@ -85,8 +85,7 @@ def gaussian_names(source: str) -> list:
     return found
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
-                                        if p.stem not in ("exact", "__init__")),
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem != "exact"),
                          ids=lambda p: p.stem)
 def test_no_module_but_exact_names_a_gaussian_rational(path):
     assert gaussian_names(path.read_text(encoding="utf-8")) == []

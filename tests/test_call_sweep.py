@@ -23,7 +23,6 @@ SRC = SWEEP.parent.parent / "src"
 ALLOWED = {
     # read by bench/, which builds inputs with them or wraps them by name
     "exact.gr": "bench/workloads.py and bench/selfcheck.py build coefficients with it",
-    "exact._as_fraction": "gr reads each part through it",
     "exact.GaussianRational.__add__": "bench/tracing.py counts it by name",
     "exact.GaussianRational.__sub__": "bench/tracing.py counts it by name",
     "exact.GaussianRational.__mul__": "bench/tracing.py counts it by name",

@@ -427,7 +427,8 @@ class TestAgainstReference:
             else:
                 with pytest.raises(VariableMismatchError):
                     p.with_vars(vs)
-        assert p.with_vars(WIDE) is p
+        # onto its own list, every key moves to itself
+        assert p.with_vars(WIDE) == p
 
     @given(series_polys(), st.data())
     @settings(max_examples=80)
@@ -725,16 +726,29 @@ class TestLimits:
 
 
 def weyl_products(op: str, f: MultiPoly, g: MultiPoly, L: int = 2):
-    """The program's product of f and g by ``op`` on T*R, and the reference's:
-    ``*``, the Weyl walk at order L (its λ-coefficients), or the Weyl
-    bracket.  The references share no code with ``_mul_sum``."""
+    """The program's product of f and g by ``op`` on T*R, and the reference's
+    (``weyl_reference``): ``*``, the Weyl walk at order L, or the Weyl
+    bracket.  The program's product is taken first."""
     star = StarProduct.weyl(PhaseSpace.of_dim(1))
-    C, F, G = matrix_of(star), RefPoly.of(f), RefPoly.of(g)
     if op == "mul":
-        return f * g, F * G
+        got = f * g
+    elif op == "walk":
+        got = star.eval_poly(f, g, L)
+    else:
+        got = star.bracket_poly(f, g)
+    return got, weyl_reference(op, f, g, L)
+
+
+def weyl_reference(op: str, f: MultiPoly, g: MultiPoly, L: int = 2):
+    """The reference's product of f and g by ``op`` on T*R, one polynomial,
+    or the walk's λ-coefficients as a list.  It shares no code with
+    ``_mul_sum``."""
+    C, F, G = matrix_of(StarProduct.weyl(PhaseSpace.of_dim(1))), RefPoly.of(f), RefPoly.of(g)
+    if op == "mul":
+        return F * G
     if op == "walk":
-        return star.eval_poly(f, g, L), reference_star(C, F, G, L)
-    return star.bracket_poly(f, g), reference_bracket(C, F, G)
+        return reference_star(C, F, G, L)
+    return reference_bracket(C, F, G)
 
 
 def agrees_with(op: str, got, want) -> bool:
@@ -754,13 +768,21 @@ def qp(a: int, b: int) -> MultiPoly:
     return MultiPoly(("q1", "p1"), {(a, b): 1})
 
 
+# exponents at the edges of a slot: their sums reach 2^15 - 1, the largest a
+# slot holds, and 2^15, its guard bit, in several ways
+SLOT_EDGES = (0, 1, CARRY - 1, CARRY, 2 * CARRY - 2, TOP)
+# polynomials on T*R of up to three terms with exponents of SLOT_EDGES
+edge_polys = st.dictionaries(st.tuples(*[st.sampled_from(SLOT_EDGES)] * 2), gaussians,
+                             max_size=3).map(lambda terms: MultiPoly(("q1", "p1"), terms))
+
+
 class TestOnePassTail:
     """The tail of ``_mul_sum`` that ``*``, the walk and the bracket share.
     Its output is canonical: the factor common to the denominator and every
-    numerator is divided out.  The keys of ``*`` and the bracket are scanned
-    for a guard bit exactly where an input sets one of the top two bits of a
-    slot, an exponent of ``CARRY`` or more; the walk's keys move back through
-    a table that sends a key with an exponent past ``TOP`` to None."""
+    numerator is divided out.  It is the one place where a product finds an
+    exponent past ``TOP``: its keys, the walk's once moved back from its
+    layout, are scanned for a guard bit unless the sum of the inputs' key
+    ORs sets none, and ``*`` always scans."""
 
     OPS = ("mul", "walk", "bracket")
 
@@ -814,26 +836,32 @@ class TestOnePassTail:
 
     @pytest.mark.parametrize("op", OPS)
     def test_a_skipped_output_scan_is_killed(self, op, monkeypatch):
-        if op == "walk":
-            # the mutant: the walk's move back sends no key to None, so an
-            # exponent past 32767 goes into its slot's guard bit; the walks
-            # of fresh fields, whose caches hold no layout, reach it
-            plans = exact._walk_plans.__wrapped__
+        # the mutant: every product passes a reach of 0, which sets no guard
+        # bit, so no output is scanned
+        real = exact._mul_sum
+        monkeypatch.setattr(exact, "_mul_sum", lambda vars, den, products, reach=-1, *rest:
+                            real(vars, den, products, 0, *rest))
+        with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+            self.test_inputs_that_may_carry_are_scanned(op)
 
-            def mutant(*layout):
-                into, out = plans(*layout)
-                return into, (0, *out[1:])
-            monkeypatch.setattr(exact, "_walk_plans", mutant)
-            exact.star_fields.cache_clear()
+    @pytest.mark.parametrize("op", OPS)
+    @given(f=edge_polys, g=edge_polys)
+    @example(f=qp(CARRY, 0), g=qp(CARRY, 0))
+    @example(f=qp(CARRY - 1, 0), g=qp(CARRY, 0))
+    # the inputs' key ORs sum to 2^15 in both slots, so every output is
+    # scanned: f·g, which is also the walk's λ^0, passes TOP, and the
+    # bracket stays at (TOP, TOP)
+    @example(f=qp(TOP, 1), g=qp(1, TOP))
+    @settings(max_examples=60, deadline=None)
+    def test_overflow_is_raised_exactly_where_the_reference_passes_top(self, op, f, g):
+        want = weyl_reference(op, f, g)
+        high = max((e for p in (want if op == "walk" else [want]) for exp in p.terms
+                    for e in exp), default=0)
+        if high > TOP:
+            with pytest.raises(ExponentOverflowError, match="exceeds 32767"):
+                weyl_products(op, f, g)
         else:
-            # the mutant: no input is taken to set a top bit, so no output
-            # is scanned
-            monkeypatch.setattr(exact, "_carry_bits", lambda n: 0)
-        try:
-            with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
-                self.test_inputs_that_may_carry_are_scanned(op)
-        finally:   # no later product may meet the mutant's layouts
-            exact.star_fields.cache_clear()
+            assert agrees_with(op, *weyl_products(op, f, g))
 
 
 # exponents at the edges of the walk's slot widths: a slot holds the sum of

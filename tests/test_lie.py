@@ -105,6 +105,14 @@ class TestLieAlgebraData:
         with pytest.raises(AlgebraError, match=r"outside 1\.\.2"):
             LieAlgebraData(2, structure)
 
+    def test_a_float_constant_is_a_type_error(self):
+        # 0.1 is 3602879701896397/2^55 in binary, not 1/10; a zero float too
+        for v in (0.1, 0.0):
+            with pytest.raises(TypeError, match="got float"):
+                LieAlgebraData(3, {(1, 2, 3): v, (2, 1, 3): -v})
+        lie = LieAlgebraData(3, {(1, 2, 3): 1, (2, 1, 3): Fraction(-1)})
+        assert lie.c(1, 2, 3) == 1 and lie.c(2, 1, 3) == -1
+
 
 class TestTranslationAction:
     def test_unknown_coordinate_rejected(self):

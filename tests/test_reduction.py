@@ -527,6 +527,18 @@ class TestFiberTranslation:
 
 
 class TestShiftedContext:
+    @pytest.mark.parametrize("b, mu", [({1: (2, 0.1)}, {}), ({}, {1: 0.3}),
+                                       ({1: (2, 1)}, {1: 0.0})],
+                             ids=["b", "mu", "zero-mu"])
+    def test_a_float_constant_is_a_type_error(self, b, mu):
+        with pytest.raises(TypeError, match="got float"):
+            build_shifted_context(s1p_ctx(), b, mu)
+
+    def test_int_constants_read_as_fractions(self):
+        got = build_shifted_context(s1p_ctx(), {1: (2, 1)}, {1: 3})
+        want = build_shifted_context(s1p_ctx(), {1: (2, Fraction(1))}, {1: Fraction(3)})
+        assert got.straightening == want.straightening != {}
+
     def test_trivial_shift_returns_base(self):
         base = s1p_ctx()
         assert build_shifted_context(base, {}, {}) is base
