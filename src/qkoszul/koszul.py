@@ -44,7 +44,7 @@ from .lie import (
     TranslationAction,
     canonical_momentum_map,
 )
-from .phase_space import PhaseSpace, StarProduct
+from .phase_space import PhaseSpace, StarProduct, positions
 from .report import check
 
 IndexKey = Tuple[int, ...]
@@ -372,12 +372,19 @@ def _corrected(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
 
 def fixed_by_corrections(f: LambdaSeries, ctx: ReductionContext) -> bool:
     """Whether f uses none of the constrained p_a, after checking that it
-    has the context's variables and order.  Every correction then returns
-    f: the homotopy and each entry of T's Y act through the constrained p_a
-    alone."""
-    if (f.vars, f.order) != (ctx.space.vars, ctx.order):
+    has the context's order and lies over an ordered sub-list of its
+    variables.  Every correction then returns f: the homotopy and each
+    entry of T's Y act through the constrained p_a alone.  A sub-list
+    without them is decided by its names, with no pass over the terms."""
+    if f.order != ctx.order or positions(ctx.space.vars, f.vars) is None:
         raise AlgebraError("series does not match the context's variables and order")
     return not f.uses(*ctx.constrained)
+
+
+def _lifted(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
+    """f over the context's variables, for a correction that is not the
+    identity on it."""
+    return f if f.vars == ctx.space.vars else f.with_vars(ctx.space.vars)
 
 
 def series_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
@@ -391,7 +398,7 @@ def series_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     +1 of removing its only index, times J_a and star times Jq_a."""
     if fixed_by_corrections(f, ctx):
         return f
-    return _corrected(KoszulChain.of_series(ctx.gdim, f), ctx).series()
+    return _corrected(KoszulChain.of_series(ctx.gdim, _lifted(f, ctx)), ctx).series()
 
 
 def series_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
@@ -403,12 +410,12 @@ def series_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
 def conjugate(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     """T f = exp(λY) f, truncated at the order of f, on a context whose
     ``conjugation`` is not None."""
-    return f if fixed_by_corrections(f, ctx) else ctx.conjugation.exp(f, 1)
+    return f if fixed_by_corrections(f, ctx) else ctx.conjugation.exp(_lifted(f, ctx), 1)
 
 
 def unconjugate(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     """T⁻¹ f = exp(-λY) f, truncated at the order of f."""
-    return f if fixed_by_corrections(f, ctx) else ctx.conjugation.exp(f, -1)
+    return f if fixed_by_corrections(f, ctx) else ctx.conjugation.exp(_lifted(f, ctx), -1)
 
 
 def quantum_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:

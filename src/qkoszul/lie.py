@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
-from .exact import AlgebraError, LambdaSeries, MultiPoly, rational
+from .exact import AlgebraError, LambdaSeries, MultiPoly, VariableMismatchError, rational
 from .phase_space import PhaseSpace, StarProduct
 from .report import check, info
 
@@ -149,7 +149,9 @@ def canonical_momentum_map(action: TranslationAction) -> MomentumMap:
 def check_classical_equivariance(J: MomentumMap, star: StarProduct) -> List[dict]:
     """Verify {J(e_a), J(e_b)} = J([e_a, e_b]) for all basis pairs, in the
     bracket the product deforms.  The components must lie on the product's
-    space."""
+    space: the bracket would take them over a sub-list of its variables."""
+    if any(c.vars != star.space.vars for c in J.components):
+        raise VariableMismatchError(f"a component is not over {star.space.vars}")
 
     def equivariance(a: int, b: int):
         lhs = star.bracket_poly(J.components[a - 1], J.components[b - 1])

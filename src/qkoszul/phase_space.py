@@ -19,6 +19,11 @@ bracket matrix to ``exact`` by variable position, as the vector fields of
 the star walk (``star_fields``) and as the bracket's pairing (``pairing``).  The bracket shares no code with the
 star walk, so the order-1 commutator check compares two independent
 computations.
+
+A product takes operands over any ordered sub-list V of its space's
+variables and returns its result over V.  A constant product walks and
+pairs there on C restricted to V × V, which is Σ_k (a_k|V)(b_k|V)ᵀ, since
+a derivative of a function of V sees only a field's V-components.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exact import (
+    MAX_LAYOUTS,
     AlgebraError,
     ContractViolationError,
     LambdaSeries,
@@ -86,6 +92,18 @@ class PhaseSpace:
         return LambdaSeries.from_poly(poly, order)
 
 
+def positions(vars: Sequence[str], sub: Sequence[str]) -> Optional[Tuple[int, ...]]:
+    """The positions in ``vars`` of the names of ``sub`` where ``sub`` is an
+    ordered sub-list of ``vars``, and None where it is not."""
+    at: List[int] = []
+    for v in sub:
+        try:
+            at.append(vars.index(v, at[-1] + 1 if at else 0))
+        except ValueError:
+            return None
+    return tuple(at)
+
+
 def _sub_mul(x: Gauss, y: Gauss, z: Gauss = (1, 0, 1)) -> Gauss:
     """x - y·z."""
     (a, b, d), (c, e, f), (g, h, k) = x, y, z
@@ -130,6 +148,23 @@ def _rank_one_terms(C: Dict[Tuple[int, int], Gauss]) -> Tuple[Tuple[Vector, Vect
     return tuple(terms)
 
 
+def _restricted(terms: Tuple[Tuple[Vector, Vector], ...], B: Dict[Tuple[int, int], Gauss],
+                at: Tuple[int, ...], vars: Tuple[str, ...]) -> tuple:
+    """The star walk and the bracket of a constant product with rank-one
+    terms ``terms`` and bracket matrix ``B`` on operands over ``vars``, the
+    variables at positions ``at`` of its space: each vector and B cut to
+    those positions and renumbered, and a term with a factor that is zero
+    there dropped."""
+    new = {i: k for k, i in enumerate(at)}
+
+    def cut(v: Vector) -> Vector:
+        return tuple((new[i], c) for i, c in v if i in new)
+    cuts = tuple((a, b) for a, b in ((cut(a), cut(b)) for a, b in terms) if a and b)
+    return (partial(star_exponential, star_fields(vars, cuts)),
+            pairing(vars, {(new[i], new[j]): c for (i, j), c in B.items()
+                           if i in new and j in new}))
+
+
 class StarProduct:
     """An exact formal star product on a flat phase space.
 
@@ -144,6 +179,14 @@ class StarProduct:
     ``matrix`` is None.  Evaluation is bilinear over Gaussian rationals and
     pure: the same inputs always give the same series.
 
+    f and g lie over one ordered sub-list V of the space's variables, and
+    the result lies over V; any other pair of lists is a
+    VariableMismatchError that names both.  ``restrict(at, V)``, for the
+    positions ``at`` of V, gives the evaluation and the bracket over V: a
+    constant product's walk and pairing on C cut to V (``_restricted``), a
+    reduced product's own two maps.  ``restricted`` holds them by V, and is
+    cleared when it reaches ``exact.MAX_LAYOUTS`` lists.
+
     So each product keeps its last evaluation, one entry: ``eval`` on
     inputs equal to the last ones returns the series it returned then, and
     any other pair replaces the entry.  Series are immutable, so the entry
@@ -154,14 +197,13 @@ class StarProduct:
     """
 
     def __init__(self, space: PhaseSpace,
-                 eval: Callable[[LambdaSeries, LambdaSeries], LambdaSeries],
-                 bracket: Callable[[MultiPoly, MultiPoly], MultiPoly],
+                 restrict: Callable[[Tuple[int, ...], Tuple[str, ...]], tuple],
                  hermitian: bool, matrix: Optional[Mapping[Tuple[int, int], Gauss]] = None):
         self.space = space
-        self._eval = eval
-        self._bracket = bracket
+        self._restrict = restrict
         self.hermitian = hermitian
         self.matrix = matrix
+        self.restricted: Dict[Tuple[str, ...], tuple] = {}
         # the last evaluation: the order, the polynomials of f and g, and
         # the series it gave
         self._last: tuple = (None, None, None, None)
@@ -190,9 +232,8 @@ class StarProduct:
             r, m, d = _sub_mul(T.get((i, j), ZERO), T.get((j, i), ZERO))
             if r or m:
                 B[i, j] = (m, -r, d)
-        fields = star_fields(space.vars, _rank_one_terms(T))
-        return StarProduct(space, partial(star_exponential, fields),
-                           pairing(space.vars, B), hermitian, MappingProxyType(T))
+        return StarProduct(space, partial(_restricted, _rank_one_terms(T), B), hermitian,
+                           MappingProxyType(T))
 
     @staticmethod
     def weyl(space: PhaseSpace) -> "StarProduct":
@@ -229,7 +270,7 @@ class StarProduct:
         return self.eval(LambdaSeries.from_poly(f, order), LambdaSeries.from_poly(g, order))
 
     def bracket_poly(self, f: MultiPoly, g: MultiPoly) -> MultiPoly:
-        return self._bracket(f, g)
+        return self._over(f.vars, g.vars)[1](f, g)
 
     def eval(self, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
         if f.order != g.order:
@@ -238,9 +279,22 @@ class StarProduct:
         order, lf, lg, last = self._last
         if fp == lf and gp == lg and f.order == order:
             return last
-        out = self._eval(f, g)
+        out = self._over(f.vars, g.vars)[0](f, g)
         self._last = (f.order, fp, gp, out)
         return out
+
+    def _over(self, fvars: Tuple[str, ...], gvars: Tuple[str, ...]) -> tuple:
+        """The evaluation and the bracket over the operands' variables."""
+        got = self.restricted.get(fvars)
+        if got is None or gvars != fvars:
+            at = positions(self.space.vars, fvars) if gvars == fvars else None
+            if at is None:
+                raise VariableMismatchError(f"operands over {fvars} and {gvars} do not lie "
+                                            f"over one ordered sub-list of {self.space.vars}")
+            if len(self.restricted) >= MAX_LAYOUTS:
+                self.restricted.clear()
+            got = self.restricted[fvars] = self._restrict(at, fvars)
+        return got
 
 
 def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],

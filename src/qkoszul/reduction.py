@@ -13,6 +13,12 @@ A = (∂ - ∂_q)h term for term: h puts r_a(F) at the key (a,) with sign +1,
 and at grade 1 both boundaries send it back to () with sign +1, times J_a
 and star times Jq_a.  So the closed form is ``series_correction``.
 
+Both routes multiply on the reduced variables: prol f is f with zero
+exponents in the other variables, and the context's product takes f and g
+over an ordered sub-list of its variables as they are.  Their product uses
+no constrained p_a, which every correction then fixes by name, nor any
+translated q_a, so it is its own restriction: nothing is moved up or down.
+
 A shifted or magnetic scenario is the pullback of the canonical one along a
 fiber translation, so it runs as the canonical scenario in straightened
 coordinates: its samples are mapped in once, and the reduced products, which
@@ -24,9 +30,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Tuple, TypeVar
 
-from .exact import AlgebraError, LambdaSeries, MultiPoly, OrderMismatchError, rational
+from .exact import (AlgebraError, LambdaSeries, MultiPoly, OrderMismatchError,
+                    VariableMismatchError, rational)
 from .koszul import ReductionContext, quantum_correction, series_correction
-from .phase_space import PhaseSpace, StarProduct
+from .phase_space import PhaseSpace, StarProduct, positions
 
 # the maps below act alike on a polynomial and on a whole series
 P = TypeVar("P", MultiPoly, LambdaSeries)
@@ -64,7 +71,11 @@ class ReducedAlgebra:
     def down(self, F: P) -> P:
         """The restriction of an invariant polynomial or series on the whole
         phase space, re-keyed once onto the reduced one.  A term with a
-        translated q_a and no constrained p_a is not invariant."""
+        translated q_a and no constrained p_a is not invariant.  An input
+        already over an ordered sub-list of the reduced variables, such as a
+        reduced product's, is returned as it is."""
+        if positions(self.space.vars, F.vars) is not None:
+            return F
         qs = tuple(f"q{a}" for a in self.ctx.action.translated)
         if F.uses(*qs) and (G := F.zero_outside(self.ctx.cvars)).uses(*qs):
             qv = next(q for q in qs if G.uses(q))
@@ -74,22 +85,31 @@ class ReducedAlgebra:
 
 def reduced_poisson_bracket(f: MultiPoly, g: MultiPoly,
                             red: ReducedAlgebra) -> MultiPoly:
-    """Bracket of the reduced symplectic structure, computed upstairs:
-    move both up, take the bracket the scenario's product deforms, move the
-    result down."""
-    return red.down(red.ctx.star.bracket_poly(red.up(f), red.up(g)))
+    """Bracket of the reduced symplectic structure: the bracket the
+    scenario's product deforms, taken on f and g over one ordered sub-list
+    of the reduced variables, where it equals the bracket of their
+    prolongations."""
+    if positions(red.space.vars, f.vars) is None:
+        raise VariableMismatchError(f"{f.vars} is not an ordered sub-list of the reduced "
+                                    f"variables {red.space.vars}")
+    return red.down(red.ctx.star.bracket_poly(f, g))
 
 
 def _reduced_product(red: ReducedAlgebra, correct) -> StarProduct:
-    """Move both factors up, star-multiply, ``correct``, move down."""
+    """i**(prol f ⋆ prol g) with ``correct`` before the restriction, on f
+    and g over an ordered sub-list V of the reduced variables.  The
+    context's product takes them over V as they are, and its result over V
+    uses no constrained p_a, which every correction fixes, nor any
+    translated q_a, so the restriction returns it as it is."""
 
     def ev(f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
         ctx = elevate_context(red.ctx, f.order)
-        return red.down(correct(ctx.star.eval(red.up(f), red.up(g)), ctx))
+        return red.down(correct(ctx.star.eval(f, g), ctx))
 
-    return StarProduct(red.space, ev,
-                       lambda f, g: reduced_poisson_bracket(f, g, red),
-                       red.ctx.star.hermitian)
+    def bracket(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+        return reduced_poisson_bracket(f, g, red)
+
+    return StarProduct(red.space, lambda at, vars: (ev, bracket), red.ctx.star.hermitian)
 
 
 def reduced_star(red: ReducedAlgebra) -> StarProduct:

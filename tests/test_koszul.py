@@ -936,6 +936,51 @@ def test_corrections_return_a_series_without_constrained_p(kind):
             assert got == restriction(conjugate(F, ctx), ctx)
 
 
+@pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+def test_corrections_on_a_sub_list_of_the_variables(kind):
+    # without a constrained p_a among its variables a series is fixed by its
+    # names; with one that it uses, it is moved up and corrected as there
+    sp = PhaseSpace.of_dim(3)
+    base = ReductionContext.canonical(sp, (1, 2), getattr(StarProduct, kind)(sp), L,
+                                      Jq=corrected_Jq(sp, (1, 2), L, True))
+    contexts = [*T_contexts(kind, True),
+                StagePipeline(base, StageConfig(base.action.lie, (1,))).ctx2]
+    for ctx in contexts:
+        pa = f"p{ctx.action.translated[0]}"
+        without = ctx.cvars[1:]
+        f, g = sample_polys(241, without, 3, 2)
+        F = LambdaSeries.from_poly(f, ctx.order) + LambdaSeries.from_poly(g, ctx.order, shift=1)
+        assert koszul.fixed_by_corrections(F, ctx)
+        corrections = [koszul.series_correction, koszul.quantum_correction]
+        if ctx.conjugation is not None:
+            corrections += [conjugate, unconjugate]
+        assert all(correct(F, ctx) is F for correct in corrections)
+        on_p = tuple(v for v in ctx.space.vars if v in without or v == pa)
+        P = MultiPoly.variable(on_p, pa)
+        G = F.with_vars(on_p) * LambdaSeries.from_poly(P * P + P, ctx.order)
+        assert not koszul.fixed_by_corrections(G, ctx)
+        up = G.with_vars(ctx.space.vars)
+        for correct in corrections:
+            got = correct(G, ctx)
+            assert got.vars == ctx.space.vars and got == correct(up, ctx) and got != up
+
+
+@pytest.mark.parametrize("vars, order", (
+    pytest.param(("q2", "q1"), L, id="reordered"),
+    pytest.param(("q1", "x"), L, id="foreign-name"),
+    pytest.param(("q1", "q2", "q3", "p1", "p2", "p3", "x"), L, id="superset"),
+    pytest.param(("q1", "p3"), L - 1, id="sub-list-at-another-order"),
+    pytest.param(("q1", "q2", "q3", "p1", "p2", "p3"), L + 1, id="another-order"),
+))
+def test_corrections_reject_other_lists_and_orders(vars, order):
+    ctx = s1_context()
+    F = LambdaSeries.from_poly(MultiPoly.variable(vars, "q1"), order)
+    for correct in (koszul.fixed_by_corrections, koszul.series_correction,
+                    koszul.quantum_correction):
+        with pytest.raises(AlgebraError, match="does not match the context's variables"):
+            correct(F, ctx)
+
+
 def test_series_skips_the_boundaries_on_inputs_without_p(monkeypatch):
     # h y = 0 gives A y = 0 with no boundary taken; the second stage keeps
     # the series, and a reduced product's inputs carry no p_a

@@ -166,7 +166,7 @@ class TestMomentumMaps:
 
     def test_equivariance_rejects_components_over_other_variables(self):
         # components over a subset of the product's variables are not
-        # re-keyed onto them: the bracket raises
+        # re-keyed onto them: the check raises
         sp = PhaseSpace.of_dim(3)
         J = canonical_momentum_map(TranslationAction(sp, [1, 2]))
         sub = MomentumMap(J.lie, [c.with_vars(("q1", "q2", "p1", "p2")) for c in J.components])

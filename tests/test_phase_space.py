@@ -13,6 +13,7 @@ import importlib.util
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -259,7 +260,7 @@ class Pullback(StarProduct):
         def bracket(f, g):
             return self.forward(base.bracket_poly(self.back(f), self.back(g)))
 
-        super().__init__(base.space, ev, bracket, base.hermitian)
+        super().__init__(base.space, lambda at, vars: (ev, bracket), base.hermitian)
 
     def forward(self, f):
         return substitute(f, self.subst)
@@ -826,3 +827,73 @@ def test_results_equal_those_of_a_fresh_product(case):
     star = product_of(kind, SP2)
     for f, g in calls:
         assert star.eval(f, g) == product_of(kind, SP2).eval(f, g)
+
+
+# -- operands over an ordered sub-list of the variables ---------------------
+
+@st.composite
+def sub_lists(draw, vars):
+    """An ordered sub-list of ``vars``, possibly empty or all of it."""
+    keep = draw(st.lists(st.booleans(), min_size=len(vars), max_size=len(vars)))
+    return tuple(v for v, k in zip(vars, keep) if k)
+
+
+@given(data=st.data(), L=st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_a_sub_list_product_equals_the_lifted_one_moved_back(data, L):
+    # a matrix off the Weyl, Wick and std pattern: the elimination fills in
+    # entries, and some rank-one terms vanish on V on one side only
+    C = data.draw(constant_matrices(4))
+    star = StarProduct.constant(SP2, C)
+    V = data.draw(sub_lists(SP2.vars))
+    f = data.draw(polys_on(V, V, max_degree=3))
+    g = data.draw(polys_on(V, V, max_degree=3))
+    up_f, up_g = f.with_vars(SP2.vars), g.with_vars(SP2.vars)
+    got = star.eval_poly(f, g, L)
+    assert got.vars == V and canonical_series(got)
+    assert got == StarProduct.constant(SP2, C).eval_poly(up_f, up_g, L).with_vars(V)
+    bracket = star.bracket_poly(f, g)
+    assert bracket.vars == V
+    assert bracket == star.bracket_poly(up_f, up_g).with_vars(V)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_operands_off_one_sub_list_raise_naming_both_lists(kind):
+    star = getattr(StarProduct, kind)(SP2)
+    f = MultiPoly.variable(("q1", "p1"), "q1")
+    # f's list is kept once used, and a pair that starts with it still raises
+    assert star.eval_poly(f, f, 2).vars == f.vars and star.bracket_poly(f, f).is_zero()
+    # reordered, a foreign name, a superset: no pair with one of them passes
+    off = [MultiPoly.variable(vs, "q1") for vs in
+           (("p1", "q1"), ("q1", "x"), ("q1", "q2", "p1", "p2", "x"))]
+    # f and g over two different sub-lists
+    other = MultiPoly.variable(("q1", "p2"), "q1")
+    pairs = [(g, g) for g in off] + [(f, g) for g in off + [other]] + \
+        [(g, f) for g in off + [other]]
+    for a, b in pairs:
+        match = f"{re.escape(str(a.vars))} and {re.escape(str(b.vars))} .* " \
+                f"{re.escape(str(SP2.vars))}"
+        with pytest.raises(VariableMismatchError, match=match):
+            star.eval_poly(a, b, 2)
+        with pytest.raises(VariableMismatchError, match=match):
+            star.bracket_poly(a, b)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_clearing_the_restricted_maps_changes_no_result(kind, monkeypatch):
+    lists = (("q1", "p1"), ("q2", "p2"), SP2.vars, ("q1", "q2", "p2"))
+    pairs = [(V, sample_polys(61 + k, V, 2, 2)) for k in range(3) for V in lists]
+    # the lifted products moved back, before any map is cleared
+    lift = getattr(StarProduct, kind)(SP2)
+    want = [(lift.eval_poly(f.with_vars(SP2.vars), g.with_vars(SP2.vars), 3).with_vars(V),
+             lift.bracket_poly(f.with_vars(SP2.vars), g.with_vars(SP2.vars)).with_vars(V))
+            for V, (f, g) in pairs]
+    # with room for two lists, a third clears the map
+    monkeypatch.setattr(phase_space, "MAX_LAYOUTS", 2)
+    star = getattr(StarProduct, kind)(SP2)
+    for k, (V, (f, g)) in enumerate(pairs):
+        assert (star.eval_poly(f, g, 3), star.bracket_poly(f, g)) == want[k]
+        assert V in star.restricted and len(star.restricted) <= 2
+        if k % 4 == 3:
+            star.restricted.clear()
+            exact.star_fields.cache_clear()

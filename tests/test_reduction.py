@@ -1,16 +1,18 @@
 """Reduced brackets and star products; the closed-form reduction; shifted
 and magnetic scenarios."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from qkoszul import exact, phase_space
+from qkoszul import phase_space
 from qkoszul.exact import (
     AlgebraError,
     LambdaSeries,
     MultiPoly,
     OrderMismatchError,
+    VariableMismatchError,
     gr,
     invert_unipotent,
 )
@@ -20,6 +22,7 @@ from qkoszul.koszul import (
     classical_homotopy,
     koszul_boundary,
     prolongation,
+    quantum_correction,
     quantum_homotopy,
     quantum_koszul_boundary,
     quantum_restriction,
@@ -88,9 +91,24 @@ class TestNoHiddenState:
         assert attributes(red) == red_before
 
 
+def lifted(red: ReducedAlgebra, correct, F: LambdaSeries, G: LambdaSeries) -> LambdaSeries:
+    """A reduced product as it was once computed: both factors moved up to
+    the whole phase space, the context's product and ``correct`` there,
+    and the result moved down."""
+    ctx = red.ctx
+    return red.down(correct(ctx.star.eval(red.up(F), red.up(G)), ctx))
+
+
+def lifted_two_stage(pipe: StagePipeline, F: LambdaSeries, G: LambdaSeries) -> LambdaSeries:
+    """``pipe.star_red2`` as it was once computed: the lift at the second
+    stage around the lift at the first."""
+    up1 = lifted(pipe.red1, quantum_correction, pipe.red2.up(F), pipe.red2.up(G))
+    return pipe.red2.down(quantum_correction(up1, pipe.ctx2))
+
+
 class TestUpAndDown:
-    """A reduced product moves each factor up to the whole phase space and
-    its result down again, one re-keying each way."""
+    """A reduced product multiplies its factors over the reduced variables,
+    as they are, and neither moves them up nor its result down."""
 
     CONTEXTS = {
         "canonical": lambda: s1_red().ctx,
@@ -103,19 +121,24 @@ class TestUpAndDown:
     }
 
     @pytest.mark.parametrize("name", CONTEXTS)
-    def test_a_reduced_product_rekeys_three_times(self, name, monkeypatch):
-        red = ReducedAlgebra(self.CONTEXTS[name]())
+    def test_a_reduced_product_rekeys_nothing(self, name, monkeypatch):
+        ctx = self.CONTEXTS[name]()
+        red = ReducedAlgebra(ctx)
+        pipe = StagePipeline(ctx, StageConfig(ctx.action.lie, [1]))
+        assert pipe.red2.space.vars == red.space.vars
         moves = []
         moved = MultiPoly._moved
         monkeypatch.setattr(MultiPoly, "_moved",
                             lambda p, vars: moves.append(vars) or moved(p, vars))
         (f, g), = sample_pairs(61, red.space.vars, 3, 1)
-        for star in (reduced_star(red), knp_reduced_star(red)):
-            moves.clear()
+        F, G = (red.space.series(x, L) for x in (f, g))
+        for star in (reduced_star(red), knp_reduced_star(red), pipe.star_red2):
             got = star.eval_poly(f, g, L)
-            assert not got.is_zero()
-            up = (exact.LAMBDA, *red.ctx.space.vars)
-            assert moves == [up, up, (exact.LAMBDA, *red.space.vars)]
+            assert not got.is_zero() and got.vars == red.space.vars
+            assert moves == []
+            # the old route moves both factors up and the result down
+            assert got == lifted(red, quantum_correction, F, G) and moves
+            moves.clear()
 
     @pytest.mark.parametrize("name", CONTEXTS)
     def test_down_is_the_restriction_on_the_reduced_variables(self, name):
@@ -155,6 +178,20 @@ class TestReducedBracket:
         one = MultiPoly.const(rs.vars, 1)
         assert reduced_poisson_bracket(rs.q(3), rs.p(3), red) == one
         assert reduced_poisson_bracket(rs.q(3), rs.q(3), red).is_zero()
+
+    def test_inputs_off_the_reduced_variables_raise(self):
+        # upstairs operands, and the reduced ones reordered
+        red = s1_red()
+        up = red.ctx.space.q(3) * red.ctx.space.p(1)
+        back = MultiPoly.variable(tuple(reversed(red.space.vars)), "q3")
+        for F in (up, back):
+            with pytest.raises(VariableMismatchError, match="ordered sub-list of the reduced"):
+                reduced_poisson_bracket(F, F, red)
+            for star in (reduced_star(red), knp_reduced_star(red)):
+                with pytest.raises(VariableMismatchError, match=re.escape(str(red.space.vars))):
+                    star.eval_poly(F, F, L)
+                with pytest.raises(VariableMismatchError, match=re.escape(str(red.space.vars))):
+                    star.bracket_poly(F, F)
 
     def test_jacobi(self):
         red = s1_red()
@@ -197,21 +234,23 @@ class TestResidualProduct:
     # a translation scenario, shifted or not, reduces to the same kind of
     # product on the untranslated directions, by either route; the shifted
     # data are those of s2-magnetic and of the magnetic reduction benchmark
-    @pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
-    @pytest.mark.parametrize("n, translated, b, mu", (
+    CASES = (
         pytest.param(3, (1, 2), {}, {}, id="3-translated0"),
         pytest.param(3, (2,), {}, {}, id="3-translated1"),
         pytest.param(2, (1,), {1: (2, Fraction(1, 2))}, {1: Fraction(3)},
                      id="s2-magnetic"),
         pytest.param(4, (1, 2), {1: (3, Fraction(1, 2)), 2: (4, Fraction(-2, 3))},
                      {1: Fraction(3), 2: Fraction(-1, 4)}, id="reduce-magnetic"),
-        # translated labels that are not contiguous move in four runs: the
-        # up and down maps fill the move tables from more runs than λ, the
-        # kept q's and the kept p's
+        # translated labels that are not contiguous: the reduced variables
+        # are no contiguous block of the upstairs ones, and the lift moves
+        # keys in more runs than λ, the kept q's and the kept p's
         pytest.param(4, (1, 3), {}, {}, id="4-translated02"),
         pytest.param(4, (1, 3), {1: (2, Fraction(1, 2))}, {3: Fraction(-2)},
                      id="4-translated02-magnetic"),
-    ))
+    )
+
+    @pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+    @pytest.mark.parametrize("n, translated, b, mu", CASES)
     def test_both_routes_equal_residual_product(self, kind, n, translated, b, mu):
         sp = PhaseSpace.of_dim(n)
         red = ReducedAlgebra(build_shifted_context(ReductionContext.canonical(
@@ -221,6 +260,30 @@ class TestResidualProduct:
         for f, g in sample_pairs(137, red.space.vars, 3, 6):
             want = direct.eval_poly(f, g, L)
             assert [r.eval_poly(f, g, L) for r in routes] == [want, want]
+
+    @pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+    @pytest.mark.parametrize("n, translated, b, mu", CASES)
+    def test_routes_and_the_two_stage_product_equal_the_lift(self, kind, n, translated, b, mu):
+        sp = PhaseSpace.of_dim(n)
+        ctx = build_shifted_context(ReductionContext.canonical(
+            sp, translated, getattr(StarProduct, kind)(sp), L), b, mu)
+        red = ReducedAlgebra(ctx)
+        routes = [(reduced_star(red), quantum_correction),
+                  (knp_reduced_star(red), series_correction)]
+        # a two-stage split needs two translated directions
+        pipe = StagePipeline(ctx, StageConfig(ctx.action.lie, [1])) if len(translated) > 1 \
+            else None
+        # factors at λ^0 to λ^2, so that some of their products pass λ^L
+        polys = sample_polys(151, red.space.vars, 2, 12)
+        zeros = [MultiPoly.zero(red.space.vars)] * (L - 2)
+        for i in range(0, len(polys), 6):
+            F = RefSeries(polys[i:i + 3] + zeros).to_series()
+            G = RefSeries(polys[i + 3:i + 6] + zeros).to_series()
+            for star, correct in routes:
+                assert star.eval(F, G) == lifted(red, correct, F, G)
+            if pipe is not None:
+                want = lifted_two_stage(pipe, F, G)
+                assert pipe.star_red2.eval(F, G) == want == lifted(red, quantum_correction, F, G)
 
 
 class TestOneUpstairsProduct:
