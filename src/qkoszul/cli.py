@@ -455,14 +455,11 @@ def suite_ce(cfg: ScenarioConfig, ctx: Optional[ReductionContext]) -> List[dict]
     def vec():
         return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(lie.dim))
 
-    def rendered(v):
-        return [render_gauss(c) for c in v]
-
     def boundary_squared_zero(grade: int):
         x = {key: vec() for key in combinations(range(1, lie.dim + 1), grade)}
         sq = ce_boundary(lie, ce_boundary(lie, x))
         if sq:
-            yield {"grade": grade, "d_squared": {basis_label(key): rendered(v)
+            yield {"grade": grade, "d_squared": {basis_label(key): [render_gauss(c) for c in v]
                                                  for key, v in sorted(sq.items())}}
 
     def grade1_is_adjoint_action():
@@ -474,8 +471,9 @@ def suite_ce(cfg: ScenarioConfig, ctx: Optional[ReductionContext]) -> List[dict]
                 got = ce_boundary(lie, {(alpha,): e_beta}).get((), (Fraction(0),) * lie.dim)
                 want = tuple(lie.c(alpha, beta, g) for g in basis)
                 if got != want:
-                    yield {"alpha": alpha, "beta": beta, "boundary": rendered(got),
-                           "bracket": rendered(want)}
+                    yield {"alpha": alpha, "beta": beta,
+                           "boundary": [render_gauss(c) for c in got],
+                           "bracket": [render_gauss(c) for c in want]}
 
     return [check(f"boundary_squared_zero_grade{grade}", boundary_squared_zero(grade))
             for grade in (2, 3)] + \

@@ -537,14 +537,10 @@ class MultiPoly:
             if v not in self.vars:
                 raise VariableMismatchError(f"cannot substitute {v!r}: not a variable "
                                             f"of {self.vars}")
-        target = None
-        for img in assignments.values():
-            if target is None:
-                target = img.vars
-            elif img.vars != target:
-                raise VariableMismatchError("assignment images disagree on variables")
-        if target is None:
-            target = self.vars
+        targets = {img.vars for img in assignments.values()} or {self.vars}
+        if len(targets) > 1:
+            raise VariableMismatchError("assignment images disagree on variables")
+        target, = targets
         images = [assignments[v] if v in assignments else MultiPoly.variable(target, v)
                   for v in self.vars]
         # cache powers per variable index
@@ -636,8 +632,6 @@ class MultiPoly:
     def render(self) -> str:
         """Canonical text form: graded-lexicographic monomial order, each
         coefficient as ``(a/b)+(c/d)i`` with both parts in lowest terms."""
-        if not self.nums:
-            return "0"
         n, den = len(self.vars), self.den
         rows = sorted(((_unpack(k, n), v) for k, v in self.nums.items()),
                       key=lambda row: (-sum(row[0]), tuple(-k for k in row[0])))
@@ -650,7 +644,7 @@ class MultiPoly:
             )
             c = render_gauss((r, i, den))
             parts.append(f"{c}*{mono}" if mono else c)
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.render()})"
@@ -721,16 +715,16 @@ class LambdaSeries:
 
     @staticmethod
     def zero(vars: Sequence[str], order: int) -> "LambdaSeries":
-        if LAMBDA in vars:   # λ repeats: raises
-            _distinct((LAMBDA, *vars))
+        if LAMBDA in vars:
+            raise VariableMismatchError(f"variable {LAMBDA!r} repeats in {(LAMBDA, *vars)}")
         return LambdaSeries(MultiPoly.zero((LAMBDA, *vars)), order)
 
     @staticmethod
     def from_poly(p: MultiPoly, order: int, shift: int = 0) -> "LambdaSeries":
         """Embed a polynomial, which may not use the name λ, at the given
         power of the parameter."""
-        if LAMBDA in p.vars:   # λ repeats: raises
-            _distinct((LAMBDA, *p.vars))
+        if LAMBDA in p.vars:
+            raise VariableMismatchError(f"variable {LAMBDA!r} repeats in {(LAMBDA, *p.vars)}")
         if shift < 0:
             raise AlgebraError(f"negative λ-shift {shift}")
         if shift > order:

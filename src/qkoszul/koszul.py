@@ -36,6 +36,7 @@ from .exact import (
     LambdaSeries,
     MultiPoly,
     OrderMismatchError,
+    VariableMismatchError,
     invert_unipotent,
 )
 from .lie import (
@@ -144,10 +145,8 @@ class KoszulChain:
                 and self.terms == other.terms)
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
         return " ; ".join(f"[{basis_label(key)}] {self.terms[key].render()}"
-                          for key in sorted(self.terms))
+                          for key in sorted(self.terms)) or "0"
 
 
 def _conjugation(action: TranslationAction, star: StarProduct,
@@ -335,7 +334,7 @@ def prolongation(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     """Extension of a constraint-algebra element by the tube retraction; on
     a total tube this is the variable inclusion."""
     if f.vars != ctx.cvars:
-        raise AlgebraError("prolongation input must live on the constraint algebra")
+        raise VariableMismatchError(f"{f.vars} is not the constraint variables {ctx.cvars}")
     return f.with_vars(ctx.space.vars)
 
 
@@ -371,20 +370,21 @@ def _corrected(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
 
 
 def fixed_by_corrections(f: LambdaSeries, ctx: ReductionContext) -> bool:
-    """Whether f uses none of the constrained p_a, after checking that it
-    has the context's order and lies over an ordered sub-list of its
-    variables.  Every correction then returns f: the homotopy and each
-    entry of T's Y act through the constrained p_a alone.  A sub-list
-    without them is decided by its names, with no pass over the terms."""
-    if f.order != ctx.order or positions(ctx.space.vars, f.vars) is None:
-        raise AlgebraError("series does not match the context's variables and order")
-    return not f.uses(*ctx.constrained)
-
-
-def _lifted(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """f over the context's variables, for a correction that is not the
-    identity on it."""
-    return f if f.vars == ctx.space.vars else f.with_vars(ctx.space.vars)
+    """Whether every correction returns f: the homotopy and each entry of
+    T's Y act through the constrained p_a alone, so f is fixed where it
+    uses none of them.  f has the context's order and lies over its
+    variables, or over an ordered sub-list of them on which it uses no
+    p_a; a sub-list without them is decided by its names, with no pass
+    over the terms."""
+    if f.order != ctx.order:
+        raise OrderMismatchError(f"a series of order {f.order} does not match the "
+                                 f"context's order {ctx.order}")
+    uses = f.uses(*ctx.constrained)
+    if f.vars != ctx.space.vars and (uses or positions(ctx.space.vars, f.vars) is None):
+        raise VariableMismatchError(f"a series over {f.vars} does not match the context's "
+                                    f"variables {ctx.space.vars}, nor an ordered sub-list "
+                                    f"of them on which it uses no constrained p_a")
+    return not uses
 
 
 def series_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
@@ -398,7 +398,7 @@ def series_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     +1 of removing its only index, times J_a and star times Jq_a."""
     if fixed_by_corrections(f, ctx):
         return f
-    return _corrected(KoszulChain.of_series(ctx.gdim, _lifted(f, ctx)), ctx).series()
+    return _corrected(KoszulChain.of_series(ctx.gdim, f), ctx).series()
 
 
 def series_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
@@ -410,12 +410,12 @@ def series_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
 def conjugate(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     """T f = exp(λY) f, truncated at the order of f, on a context whose
     ``conjugation`` is not None."""
-    return f if fixed_by_corrections(f, ctx) else ctx.conjugation.exp(_lifted(f, ctx), 1)
+    return f if fixed_by_corrections(f, ctx) else ctx.conjugation.exp(f, 1)
 
 
 def unconjugate(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     """T⁻¹ f = exp(-λY) f, truncated at the order of f."""
-    return f if fixed_by_corrections(f, ctx) else ctx.conjugation.exp(_lifted(f, ctx), -1)
+    return f if fixed_by_corrections(f, ctx) else ctx.conjugation.exp(f, -1)
 
 
 def quantum_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:

@@ -190,10 +190,12 @@ class StarProduct:
     So each product keeps its last evaluation, one entry: ``eval`` on
     inputs equal to the last ones returns the series it returned then, and
     any other pair replaces the entry.  Series are immutable, so the entry
-    is read by comparing the polynomials and the order with ``==``.
-    Two routes that start from one upstairs product, such as the
-    homological and closed-form reduced products, or a two-stage and a
-    one-step product, walk it once between them.
+    is read by comparing the polynomials and the order with ``==``.  The
+    entry that hits is the constant product's: the homological and the
+    closed-form reduced product, or a two-stage and a one-step one, each
+    call their context's constant product on the same factors over the
+    reduced variables, and walk it once between them.  A reduced product's
+    own entry sees no pair twice in a run.
     """
 
     def __init__(self, space: PhaseSpace,

@@ -40,16 +40,15 @@ P = TypeVar("P", MultiPoly, LambdaSeries)
 
 
 def elevate_context(ctx: ReductionContext, order: int) -> ReductionContext:
-    """The same scenario at a truncation order at most the context's own:
-    the context holds Jq truncated at its order, and truncating it further
-    is exact.  Above that order the terms of Jq past the context's order
-    are lost, so a higher order is an OrderMismatchError."""
-    if order == ctx.order:
-        return ctx
-    if order > ctx.order:
-        raise OrderMismatchError(f"cannot raise a context of order {ctx.order} to {order}: "
-                                 f"its Jq is truncated at {ctx.order}")
-    return ReductionContext(ctx.action, ctx.star, ctx.Jq, order, ctx.straightening)
+    """The context a reduced product of series at ``order`` runs on: the
+    context itself, at its own order.  The context holds Jq truncated at
+    that order and a reduced product runs at it, so any other order is an
+    OrderMismatchError."""
+    if order != ctx.order:
+        raise OrderMismatchError(f"cannot {'raise' if order > ctx.order else 'lower'} a "
+                                 f"context of order {ctx.order} to {order}: a reduced "
+                                 f"product runs at its context's order")
+    return ctx
 
 
 class ReducedAlgebra:
@@ -65,7 +64,8 @@ class ReducedAlgebra:
     def up(self, f: P) -> P:
         """A reduced polynomial or series on the whole phase space."""
         if f.vars != self.space.vars:
-            raise AlgebraError("input does not live on the reduced algebra")
+            raise VariableMismatchError(f"{f.vars} are not the variables {self.space.vars} "
+                                        "of the reduced algebra")
         return f.with_vars(self.ctx.space.vars)
 
     def down(self, F: P) -> P:
@@ -174,6 +174,4 @@ def build_shifted_context(base: ReductionContext,
             alpha = alpha + space.q(c_label).scale(rational(b_val))
         if not alpha.is_zero():
             straighten[f"p{a}"] = base.straighten(space.p(a)) - alpha
-    if straighten == base.straightening:
-        return base
     return ReductionContext(base.action, base.star, base.Jq, base.order, straighten)

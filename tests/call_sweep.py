@@ -1,17 +1,34 @@
-"""Which functions of the package no run of the program reaches.
+"""Which statements of the package no run of the program reaches.
 
-``uncalled`` lists every module-level function and every method of a
-module-level class, found in the modules' syntax trees, whose code object
-no call reached while ``run`` ran under ``sys.setprofile``.  A function is
-known by its file, its first line (that of its first decorator, if any) and
-its name, so nested functions, lambdas and comprehensions count for nothing.
+``unreached`` lists every statement of the given modules, found in their
+syntax trees, on none of whose lines ``run`` executed code under
+``sys.settrace``.  A statement is named by its function, qualified by module
+and class (the module alone at module level), and by the text of its first
+line, so a name stays put when lines move.  An unreached compound statement
+is listed once, without the statements inside it.
+
+Some statements are exempt by their syntax, as no passing run takes them:
+
+- a ``raise`` statement, with the statements before it in its block, which
+  build its error;
+- the body of an ``except`` handler;
+- the ``if __name__ == "__main__":`` guard;
+- a ``yield`` of a dict, the failure witness of a check.
+
+A docstring, ``pass`` and a ``global`` or ``nonlocal`` declaration are not
+counted, and neither is the ``def`` or ``class`` statement itself: its body
+is.
 
 Run as a script, it runs every builtin scenario through ``cli.main`` in
-json and in text, and one of them through ``--config``, and prints the
-uncalled functions of ``src/qkoszul`` as a JSON list of names such as
-``exact.MultiPoly.diff``.  It needs a fresh interpreter: the body of a
-``functools.cache`` function runs only on a cache miss, so an earlier call
-in the same process would hide whether the program reaches it.
+json and in text, one of them through ``--config``, one with the override
+flags and one with ``QK_REPORT_DIR`` set, and ``--list-scenarios``; then the
+first units of the dense workloads of ``bench/workloads.py``, through their
+``build``, ``warm_up_units`` and ``run``.  It prints the unreached
+statements of ``src/qkoszul`` as a JSON list of [function, statement]
+pairs.  It needs a fresh interpreter: the package must be imported under
+the trace, and the body of a ``functools.cache`` function runs only on a
+cache miss, so an earlier call in the same process would hide whether the
+program reaches it.
 
     PYTHONPATH=src python tests/call_sweep.py
 """
@@ -26,75 +43,134 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Set, Tuple
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qkoszul"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qkoszul"
 # the builtin that also runs from a config file: it sets b and mu, so it
 # reads the most config fields
 CONFIGURED = "s2-magnetic"
+# the workloads whose units are products, and how many of each one's first
+# round the sweep runs after its warm-up units.  The first 10 of star-dense,
+# its Weyl and Wick units, reach every row of exact._mul_sum.  The results
+# are not checked here; bench/run.py checks them
+DENSE = {"star-dense": 10, "reduce-magnetic": 3, "stages-dense": 3}
 
-Key = Tuple[str, int, str]
-
-
-def definitions(paths: Iterable[Path]) -> Dict[Key, str]:
-    """(file, first line, name) of each module-level function and method
-    of a module-level class, to its name qualified by module and class."""
-    out: Dict[Key, str] = {}
-    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
-    for path in paths:
-        path = os.path.realpath(path)
-        module = Path(path).stem
-        scopes = [(module, ast.parse(Path(path).read_text(encoding="utf-8")).body)]
-        for node in scopes[0][1]:
-            if isinstance(node, ast.ClassDef):
-                scopes.append((f"{module}.{node.name}", node.body))
-        for prefix, body in scopes:
-            for node in body:
-                if isinstance(node, funcs):
-                    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                    out[path, first, node.name] = f"{prefix}.{node.name}"
-    return out
+Statement = Tuple[str, str]
 
 
-def uncalled(paths: Iterable[Path], run: Callable[[], object]) -> List[str]:
-    """The sorted names of the functions of ``paths`` that ``run`` never
-    calls."""
-    defined = definitions(paths)
-    seen = set()
+def _exempt(node: ast.stmt) -> bool:
+    if isinstance(node, (ast.Raise, ast.Pass, ast.Global, ast.Nonlocal)):
+        return True
+    if isinstance(node, ast.Expr):
+        value = node.value
+        return (isinstance(value, ast.Constant) and isinstance(value.value, str)
+                or isinstance(value, ast.Yield) and isinstance(value.value, ast.Dict))
+    return isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
 
-    def hook(frame, event, arg):
-        if event == "call":
-            seen.add(frame.f_code)
 
-    sys.setprofile(hook)
+def _walk(body: List[ast.stmt], scope: str, lines: Set[int],
+          text: List[str]) -> Iterator[Statement]:
+    """The statements of ``body`` and of the blocks inside it on none of
+    whose ``lines`` code ran, each named by ``scope`` and its first line of
+    ``text``; an unreached statement's inner blocks are not walked."""
+    if body and isinstance(body[-1], ast.Raise):
+        return   # the statements before a raise build its error
+    for node in body:
+        if _exempt(node):
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _walk(node.body, f"{scope}.{node.name}", lines, text)
+            continue
+        if not lines.intersection(range(node.lineno, node.end_lineno + 1)):
+            yield scope, text[node.lineno - 1].strip()
+            continue
+        # an except body is exempt; its handler line is part of the try
+        for field in ("body", "orelse", "finalbody"):
+            yield from _walk(getattr(node, field, []), scope, lines, text)
+        for case in getattr(node, "cases", []):
+            yield from _walk(case.body, scope, lines, text)
+
+
+def statements(path: Path, lines: Set[int]) -> List[Statement]:
+    """The statements of the module at ``path`` on none of whose ``lines``
+    code ran, in source order."""
+    text = path.read_text(encoding="utf-8")
+    return list(_walk(ast.parse(text).body, path.stem, lines, text.splitlines()))
+
+
+def unreached(paths: Iterable[Path], run: Callable[[], object]) -> List[Statement]:
+    """The unreached statements of the modules at ``paths`` while ``run``
+    runs, each name once, sorted."""
+    paths = [Path(os.path.realpath(p)) for p in paths]
+    hits: Dict[str, Set[int]] = {str(p): set() for p in paths}
+    local_of: Dict[str, Callable] = {}
+
+    def local_for(lines: Set[int]) -> Callable:
+        add = lines.add
+
+        def local(frame, event, arg):
+            add(frame.f_lineno)
+            return local
+
+        return local
+
+    def tracer(frame, event, arg):
+        # only frames of the swept files trace their lines
+        name = frame.f_code.co_filename
+        if name not in local_of:
+            lines = hits.get(os.path.realpath(name))
+            local_of[name] = None if lines is None else local_for(lines)
+        return local_of[name]
+
+    sys.settrace(tracer)
     try:
         run()
     finally:
-        sys.setprofile(None)
-    called = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in seen}
-    return sorted(name for key, name in defined.items() if key not in called)
+        sys.settrace(None)
+    return sorted({s for p in paths for s in statements(p, hits[str(p)])})
 
 
-def run_builtins() -> None:
-    """Every builtin through ``cli.main`` in both formats, and one through
-    ``--config``; the import runs inside, so import-time calls count.  A
-    run that does not exit 0 stops the sweep."""
+def _cli(cli, argv: List[str]) -> None:
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"qkoszul {' '.join(argv)} exited {code}")
+
+
+def run_program() -> None:
+    """The runs the module docstring lists; the imports run inside, so
+    import-time statements count.  A run that does not exit 0 stops the
+    sweep."""
     from qkoszul import cli
 
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp, f"{CONFIGURED}.json")
         config.write_text(json.dumps({"name": CONFIGURED, **cli.SCENARIOS[CONFIGURED]}),
                           encoding="utf-8")
-        runs = [["--scenario", name, "--format", fmt]
-                for name in sorted(cli.SCENARIOS) for fmt in ("json", "text")]
-        runs.append(["--config", str(config)])
-        for argv in runs:
-            out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(argv)
-            if code != 0:
-                raise SystemExit(f"qkoszul {' '.join(argv)} exited {code}")
+        for name in sorted(cli.SCENARIOS):
+            for fmt in ("json", "text"):
+                _cli(cli, ["--scenario", name, "--format", fmt])
+        _cli(cli, ["--config", str(config)])
+        _cli(cli, ["--list-scenarios"])
+        _cli(cli, ["--scenario", "s1p-single", "--lambda-order", "3", "--degree", "2",
+                   "--samples", "4", "--seed", "7"])
+        os.environ["QK_REPORT_DIR"] = str(Path(tmp, "reports"))
+        try:
+            _cli(cli, ["--scenario", "ce-heisenberg", "--format", "text"])
+        finally:
+            del os.environ["QK_REPORT_DIR"]
+
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    for name, count in DENSE.items():
+        workload = workloads.WORKLOADS[name]()
+        fixed = workload.build()
+        for unit in workload.warm_up_units() + workload.units(1, 1)[:count]:
+            workload.run(fixed, unit)
 
 
 if __name__ == "__main__":
-    print(json.dumps(uncalled(sorted(PACKAGE.glob("*.py")), run_builtins), indent=1))
+    print(json.dumps(unreached(sorted(PACKAGE.glob("*.py")), run_program), indent=1))

@@ -415,7 +415,9 @@ class RefSeries:
 
 def series_product(star, f: RefSeries, g: RefSeries) -> RefSeries:
     """The star product of two series summed pair by pair: coefficient t of
-    ``star.eval_poly(a_r, b_s, L - r - s)`` lands at λ^{r+s+t}."""
+    ``star.eval_poly(a_r, b_s, L)`` lands at λ^{r+s+t} for t up to L - r - s.
+    Each pair runs at the series' order, the only one a reduced product
+    takes."""
     if f.order != g.order:
         raise OrderMismatchError("order mismatch")
     L = f.order
@@ -424,7 +426,7 @@ def series_product(star, f: RefSeries, g: RefSeries) -> RefSeries:
         for s, b in enumerate(g.coeffs[:L - r + 1]):
             if a.is_zero() or b.is_zero():
                 continue
-            product = star.eval_poly(a, b, L - r - s)
+            product = star.eval_poly(a, b, L)
             for t in range(L - r - s + 1):
                 acc[r + s + t] = acc[r + s + t] + product.coeff(t)
     return RefSeries(acc)

@@ -1,10 +1,11 @@
-"""Every function the package defines is one the program calls.
+"""Every statement the package holds is one the program reaches.
 
-``call_sweep.py`` runs every builtin scenario through the CLI in a fresh
-interpreter and lists the module-level functions and class methods of
-``src/qkoszul`` that no call reached.  Each one must be on ``ALLOWED``, with
-the reason it stays; anything else is code only the tests reach, which is
-either wired into a suite or deleted.
+``call_sweep.py`` runs every builtin scenario through the CLI, and the first
+units of the dense benchmark workloads, in a fresh interpreter, and lists the
+statements of ``src/qkoszul`` that no run reached.  Each one must be on
+``ALLOWED``, keyed by its function and the text of its first line, with the
+reason it stays; anything else is code only the tests reach, which is either
+wired into a run or deleted.
 """
 
 import importlib.util
@@ -21,47 +22,125 @@ SWEEP = Path(call_sweep.__file__).resolve()
 SRC = SWEEP.parent.parent / "src"
 
 ALLOWED = {
-    # read by bench/, which builds inputs with them or wraps them by name
-    "exact.gr": "bench/workloads.py and bench/selfcheck.py build coefficients with it",
-    "exact.GaussianRational.__add__": "bench/tracing.py counts it by name",
-    "exact.GaussianRational.__sub__": "bench/tracing.py counts it by name",
-    "exact.GaussianRational.__mul__": "bench/tracing.py counts it by name",
-    "exact.MultiPoly.__init__": "bench/workloads.py and bench/selfcheck.py build inputs "
-                                "from exponent tuples",
-    "exact.MultiPoly.terms": "bench/tracing.py counts terms by len(p.terms)",
-    "exact.MultiPoly.diff": "bench/tracing.py wraps it by name",
-    "exact.LambdaSeries.__hash__": "defined beside __eq__; bench/tracing.py keys "
-                                   "restrictions by series",
-    # failure and error paths, which a passing builtin never takes
-    "exact._overflow": "the error of an exponent past its slot",
-    "koszul.basis_label": "labels the basis elements of a failing chain's witness",
-    "koszul.KoszulChain.render": "writes a failing chain's witness",
+    # read by bench/, which wraps or counts them by name
+    ("exact.GaussianRational.__add__",
+     "return GaussianRational(self.re + other.re, self.im + other.im)"):
+        "bench/tracing.py counts it by name",
+    ("exact.GaussianRational.__sub__",
+     "return GaussianRational(self.re - other.re, self.im - other.im)"):
+        "bench/tracing.py counts it by name",
+    ("exact.GaussianRational.__mul__", "return GaussianRational("):
+        "bench/tracing.py counts it by name",
+    ("exact.MultiPoly.terms", "n, den = len(self.vars), self.den"):
+        "bench/tracing.py counts terms by len(p.terms)",
+    ("exact.MultiPoly.terms",
+     "return {_unpack(k, n): GaussianRational(Fraction(r, den), Fraction(i, den))"):
+        "bench/tracing.py counts terms by len(p.terms)",
+    ("exact.MultiPoly.diff", "s, mask = self._slot(var)"):
+        "bench/tracing.py wraps it by name",
+    ("exact.MultiPoly.diff",
+     "return _canonical(self.vars, self.den, _derive(self.nums, ((s, 1 << s, mask, 1, 0),)))"):
+        "bench/tracing.py wraps it by name",
+    ("exact.LambdaSeries.__hash__", "return hash((self.order, self.poly))"):
+        "defined beside __eq__; bench/tracing.py keys restrictions by series",
+    # failure and error paths, which a passing run never takes
+    ("exact._overflow",
+     'return ExponentOverflowError(f"an exponent exceeds {_TOP}, the largest a "'):
+        "builds the error of an exponent past its slot, which every caller raises",
+    ("report.check", 'return {"name": name, "status": "fail", "witness": witness}'):
+        "the entry of a failing check",
+    ("report.expected_failure", 'return {"name": name, "status": "fail"}'):
+        "the entry of a check that passes where it must fail",
+    ("koszul.basis_label",
+     'return "e_" + "^e_".join(str(i) for i in key) if key else "()"'):
+        "labels the basis elements of a failing chain's witness",
+    ("koszul.KoszulChain.render",
+     'return " ; ".join(f"[{basis_label(key)}] {self.terms[key].render()}"'):
+        "writes a failing chain's witness",
+    # the paper's general case, which the translation scenarios never meet
+    ("koszul.quantum_homotopy", "return classical_homotopy(_corrected(x, ctx), ctx)"):
+        "h (id - A)^{-1} on a context without T; only a stage-2 context lacks T, "
+        "and no complex suite runs on one",
+    ("koszul._conjugation", "return None"):
+        "no T for a matrix not symmetric on the p_a, or a Jq_a other than p_a + λc_a "
+        "with c_a constant; the Weyl, Wick and std matrices and every Jq of a run "
+        "have T",
+    ("exact.MultiPoly.as_constant", "return None"):
+        "a polynomial that uses a variable: _conjugation's test of Jq's first-order "
+        "term, which every run's Jq passes",
+    ("phase_space._rank_one_terms", "C[k, l] = v"):
+        "the fill-in of a general matrix; the Weyl, Wick and std matrices leave "
+        "no nonzero residual entry",
+    ("lie.LieAlgebraData._validate", "s[e] = s.get(e, 0) + u * w"):
+        "the Jacobi sum of a double bracket; the algebras of the runs, abelian and "
+        "Heisenberg, have none",
+    ("lie.check_classical_equivariance.equivariance",
+     "rhs = rhs + J.components[g - 1].scale(coeff)"):
+        "the image of a nonzero bracket; every momentum map of a run is of an "
+        "abelian translation algebra",
+    ("lie.check_quantum_momentum_map.bracket_compatibility",
+     "rhs = rhs + Jq.components[g - 1].scale(coeff)"):
+        "the image of a nonzero bracket; every momentum map of a run is of an "
+        "abelian translation algebra",
+    # edge values of the exact layer, whose results the runs never need
+    ("exact.MultiPoly.scale", "return MultiPoly.zero(self.vars)"):
+        "scaling by zero, which no run does",
+    ("exact.LambdaSeries.from_poly", "return LambdaSeries.zero(p.vars, order)"):
+        "a λ-shift past the order; every run embeds at λ^0 or λ^1 of an order of "
+        "at least 1",
+    ("exact.LambdaSeries.truncate",
+     "p = _canonical(p.vars, p.den, {k: v for k, v in p.nums.items() if k < bound})"):
+        "a power past the new order; every run holds Jq at its context's order, and "
+        "its pointwise products multiply by the λ-free J",
+    ("exact.star_exponential", "return LambdaSeries.zero(f.vars, L)"):
+        "a zero factor, or factors whose lowest powers of λ sum past the order; "
+        "no run multiplies such a pair",
+    # cache bounds, which no run reaches by design
+    ("exact._extend", "table.clear()"): "a move table past MAX_TERMS keys",
+    ("exact._extend", "new = keys"): "a move table past MAX_TERMS keys",
+    ("exact._walk_layout", "layouts.clear()"): "the walk layouts past MAX_LAYOUTS",
+    ("phase_space.StarProduct._over", "self.restricted.clear()"):
+        "a product's restrictions past MAX_LAYOUTS variable lists",
     # reprs
-    "exact.MultiPoly.__repr__": "the repr, for debugging and test output",
-    "exact.LambdaSeries.__repr__": "the repr, for debugging and test output",
+    ("exact.MultiPoly.__repr__", 'return f"MultiPoly({self.render()})"'):
+        "the repr, for debugging and test output",
+    ("exact.LambdaSeries.__repr__", 'return f"LambdaSeries({self.render()!r})"'):
+        "the repr, for debugging and test output",
 }
 
 
-def test_every_function_is_called_by_a_builtin_or_allowed():
+def test_every_statement_is_reached_by_a_run_or_allowed():
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     run = subprocess.run([sys.executable, str(SWEEP)], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, timeout=300, check=False)
     assert run.returncode == 0, run.stderr
-    uncalled = set(json.loads(run.stdout))
-    assert sorted(uncalled - ALLOWED.keys()) == [], \
-        "no builtin calls these: wire each into a suite or delete it"
-    assert sorted(ALLOWED.keys() - uncalled) == [], \
-        "these are called or gone: take them off ALLOWED"
+    unreached = {tuple(s) for s in json.loads(run.stdout)}
+    assert sorted(unreached - ALLOWED.keys()) == [], \
+        "no run reaches these: wire each into a run or delete it"
+    assert sorted(ALLOWED.keys() - unreached) == [], \
+        "these are reached or gone: take them off ALLOWED"
 
 
-def test_the_sweep_reports_a_function_defined_but_never_called(tmp_path):
+def test_the_sweep_reports_the_one_statement_no_run_reaches(tmp_path):
     path = tmp_path / "demo.py"
     path.write_text(textwrap.dedent("""\
         import functools
 
 
-        def used():
-            return helper()
+        def used(x):
+            \"\"\"Every statement of it runs, or is exempt.\"\"\"
+            if x is None:
+                message = "no x"
+                raise ValueError(message)
+            try:
+                y = helper() + x
+            except TypeError:
+                y = 0
+            if y < 0:
+                yield {"witness": y}
+            elif y > 100:
+                pass
+            return y
 
 
         @functools.cache
@@ -69,19 +148,24 @@ def test_the_sweep_reports_a_function_defined_but_never_called(tmp_path):
             return 1
 
 
-        def unused():
-            return 2
-
-
         class K:
             @staticmethod
             def called():
-                return used()
+                out = list(used(1))
+                if not out:
+                    return "empty"
+                return "planted"
 
-            def never(self):
-                return 3
+
+        if __name__ == "__main__":
+            K.called()
         """), encoding="utf-8")
-    spec = importlib.util.spec_from_file_location("demo", path)
-    demo = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(demo)
-    assert call_sweep.uncalled([path], demo.K.called) == ["demo.K.never", "demo.unused"]
+
+    def run():
+        # the import runs under the trace, so the module's own statements count
+        spec = importlib.util.spec_from_file_location("demo", path)
+        demo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(demo)
+        demo.K.called()
+
+    assert call_sweep.unreached([path], run) == [("demo.K.called", 'return "planted"')]

@@ -653,6 +653,15 @@ class TestCalculusIdentities:
         with pytest.raises(VariableMismatchError):
             exact.star_exponential(fields, s, s)
 
+    def test_pairing_needs_operands_over_its_variables(self):
+        x = MultiPoly.variable(VARS, "x")
+        # B^{xx} = 1 over (y, x): the operands are over VARS, another list
+        bracket = exact.pairing(("y", "x"), {(1, 1): (1, 0, 1)})
+        with pytest.raises(VariableMismatchError, match="bracket operand is not over"):
+            bracket(x, x)
+        on_yx = x.with_vars(("y", "x"))
+        assert bracket(on_yx, on_yx) == MultiPoly.const(("y", "x"), 1)
+
 
 # targets of a polynomial over WIDE: itself, a reorder, a superset, subsets
 # that drop variables in use, the empty list, and a subset with a new name
