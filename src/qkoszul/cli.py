@@ -556,33 +556,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 4
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # a config error: one line at exit 2, no usage block
+        raise ConfigError(message)
+
+
 def _main(argv: Optional[Sequence[str]]) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qkoszul",
         description="Run exact star-product and phase-space reduction check "
                     "suites on builtin or user-provided scenarios.")
-    parser.add_argument("--config", help="path to a JSON scenario config")
-    parser.add_argument("--scenario", help="builtin scenario name")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="path to a JSON scenario config")
+    source.add_argument("--scenario", help="builtin scenario name")
+    source.add_argument("--list-scenarios", action="store_true")
     parser.add_argument("--lambda-order", type=int, help="truncation order override")
     parser.add_argument("--degree", type=int, help="sample degree override")
     parser.add_argument("--samples", type=int, help="sample count override")
     parser.add_argument("--seed", type=int, help="PRNG seed override")
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--list-scenarios", action="store_true")
-    args = parser.parse_args(argv)
-
-    if args.list_scenarios:
-        for name in sorted(SCENARIOS):
-            print(name)
-        return 0
 
     try:
-        if args.config:
+        args = parser.parse_args(argv)
+        if args.list_scenarios:
+            print("\n".join(sorted(SCENARIOS)))
+            return 0
+        if args.config is not None:
             cfg = load_config(args.config)
-        elif args.scenario:
-            cfg = builtin_config(args.scenario)
         else:
-            raise ConfigError("one of --config or --scenario is required")
+            cfg = builtin_config(args.scenario)
         for key in ("lambda_order", "degree", "samples", "seed"):
             v = getattr(args, key)
             if v is not None:

@@ -305,7 +305,7 @@ def _mul_sum(vars: Vars, den: int, products, reach: int = -1,
         re = {k: r for k, r in re.items() if k < bound}
         im = {k: i for k, i in im.items() if k < bound}
     g = gcd(den, *re.values(), *im.values()) if den != 1 else 1
-    t = out and out[3]
+    t = out and out[1]
     while True:
         try:   # KeyError: a key the table has not seen
             if not im:
@@ -359,11 +359,10 @@ def _sum(vars: Vars, parts, signs=None) -> "MultiPoly":
 @cache
 def _move_plan(src: Vars, dst: Vars) -> tuple:
     """How keys over ``src`` move onto ``dst``: the bits of the variables
-    missing from ``dst``, the mask of the kept slots that stay, a (mask,
-    shift up, shift down) run per shift the others move by, and the table
-    of every key moved so far to its key over ``dst``, or to None where it
-    uses a variable missing from ``dst``.  A name that repeats in ``dst`` is
-    a VariableMismatchError, checked once per pair of lists that passes."""
+    missing from ``dst``, the mask of the kept slots that stay, and a (mask,
+    shift up, shift down) run per shift the others move by.  A name that
+    repeats in ``dst`` is a VariableMismatchError, checked once per pair of
+    lists that passes."""
     old, _, mask = _layout(len(src))
     new = _layout(len(_distinct(dst)))[0]
     dropped, runs = 0, {}
@@ -374,27 +373,29 @@ def _move_plan(src: Vars, dst: Vars) -> tuple:
         else:
             dropped |= mask << old[j]
     stay = runs.pop(0, 0)
-    return dropped, stay, tuple((m, max(d, 0), max(-d, 0)) for d, m in runs.items()), {}
+    return dropped, stay, tuple((m, max(d, 0), max(-d, 0)) for d, m in runs.items())
+
+
+def _move_key(k: int, stay: int, runs) -> int:
+    """Key ``k`` moved by a plan's runs, its slots in the mask ``stay`` in place."""
+    nk = k & stay
+    for m, u, d in runs:
+        nk |= (k & m) << u >> d
+    return nk
 
 
 def _extend(plan, keys) -> None:
-    """Put the keys a move plan's table has not seen into it, each moved by
+    """Put the keys a walk plan's table has not seen into it, each moved by
     the plan's runs; a table that would pass ``MAX_TERMS`` keys is cleared
     first, so it holds no more keys than a polynomial may have terms."""
-    dropped, stay, runs, table = plan
+    runs, table = plan
     # not keys - table.keys(), which walks the whole table
     new = [k for k in keys if k not in table]
     if len(table) + len(new) > MAX_TERMS:
         table.clear()
         new = keys
     for k in new:
-        if k & dropped:
-            table[k] = None
-        else:
-            nk = k & stay
-            for m, u, d in runs:
-                nk |= (k & m) << u >> d
-            table[k] = nk
+        table[k] = _move_key(k, 0, runs)
 
 
 class MultiPoly:
@@ -565,15 +566,9 @@ class MultiPoly:
 
     def _moved(self, vars: Vars) -> Nums:
         """The entries whose monomials use only variables in ``vars``,
-        re-keyed onto ``vars`` through the table of ``_move_plan``, which
-        ``_extend`` fills with the keys it has not seen."""
-        plan = _move_plan(self.vars, vars)
-        table = plan[3]
-        while True:
-            try:
-                return {nk: v for k, v in self.nums.items() if (nk := table[k]) is not None}
-            except KeyError:   # the second pass finds every key
-                _extend(plan, self.nums.keys())
+        each key moved onto ``vars`` by the runs of ``_move_plan``."""
+        dropped, stay, runs = _move_plan(self.vars, vars)
+        return {_move_key(k, stay, runs): v for k, v in self.nums.items() if not k & dropped}
 
     def zero_outside(self, vars: Sequence[str]) -> "MultiPoly":
         """Image under setting every variable not in ``vars`` to zero,
@@ -853,7 +848,7 @@ def star_exponential(fields, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
     lam, into, out, pairs = layouts.get(u) or _walk_layout(fields, u)
     # with f and g each at one power of λ, every leaf stays within λ^L
     bound = (L + 1) << lam if max(fn) >> s > lo_f or max(gn) >> s > lo_g else None
-    t = into[3]
+    t = into[1]
     while True:
         try:
             left = {t[k]: v for k, v in fn.items()}
@@ -924,14 +919,15 @@ def _walk_layout(fields, u: int) -> tuple:
 @lru_cache(maxsize=MAX_LAYOUTS)
 def _walk_plans(n: int, slots: tuple, lam: int) -> tuple:
     """The move plans of keys over n variables into the walk layout of
-    ``slots`` (position, shift, bits) with λ at ``lam``, and back.  Every
-    key moves: a 16-bit slot of the layout lands whole on its slot of the
-    n-variable key, guard bit and all, for the scan of ``_mul_sum``."""
+    ``slots`` (position, shift, bits) with λ at ``lam``, and back, each its
+    runs and the table ``_extend`` fills.  Every key moves: a 16-bit slot
+    of the layout lands whole on its slot of the n-variable key, guard bit
+    and all, for the scan of ``_mul_sum``."""
     shifts = _layout(n)[0]
     runs = [(((1 << w) - 1) << t, shifts[j] - t) for j, t, w in slots] + \
         [(-1 << lam, shifts[0] - lam)]
-    return ((0, 0, tuple((m << d, 0, d) for m, d in runs), {}),
-            (0, 0, tuple((m, d, 0) for m, d in runs), {}))
+    return ((tuple((m << d, 0, d) for m, d in runs), {}),
+            (tuple((m, d, 0) for m, d in runs), {}))
 
 
 @lru_cache(maxsize=64)

@@ -96,8 +96,8 @@ ALLOWED = {
         "a zero factor, or factors whose lowest powers of λ sum past the order; "
         "no run multiplies such a pair",
     # cache bounds, which no run reaches by design
-    ("exact._extend", "table.clear()"): "a move table past MAX_TERMS keys",
-    ("exact._extend", "new = keys"): "a move table past MAX_TERMS keys",
+    ("exact._extend", "table.clear()"): "a walk table past MAX_TERMS keys",
+    ("exact._extend", "new = keys"): "a walk table past MAX_TERMS keys",
     ("exact._walk_layout", "layouts.clear()"): "the walk layouts past MAX_LAYOUTS",
     ("phase_space.StarProduct._over", "self.restricted.clear()"):
         "a product's restrictions past MAX_LAYOUTS variable lists",

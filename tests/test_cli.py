@@ -45,12 +45,33 @@ class TestBasics:
         assert "s1-translation" in names and "axioms-std" in names
 
     def test_missing_arguments(self):
-        assert run().returncode == 2
+        res = run()
+        assert res.returncode == 2
+        assert res.stderr.decode().startswith("config error: one of the arguments")
 
     def test_unknown_scenario(self):
         res = run("--scenario", "no-such-thing")
         assert res.returncode == 2
         assert b"config error" in res.stderr
+
+    @pytest.mark.parametrize("args", (
+        ("--scenario", "axioms-weyl", "--config", "ce.json"),
+        ("--scenario", "s1p-single", "--seed", "abc"),
+        ("--scenario", "s1p-single", "--format", "xml"),
+        ("--scenario", "s1p-single", "--bogus"),
+        ("--scenario", "s1p-single", "--list-scenarios")))
+    def test_a_bad_command_line_is_one_config_error(self, args, tmp_path, capsys):
+        # a valid config does not let --scenario through beside it
+        config = tmp_path / "ce.json"
+        config.write_text(json.dumps({"name": "ce-heisenberg", **cli.SCENARIOS["ce-heisenberg"]}))
+        assert main([str(config) if a == "ce.json" else a for a in args]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+    def test_help_prints_usage_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0 and capsys.readouterr().out.startswith("usage: qkoszul")
 
 
     def test_internal_error_is_not_a_config_error(self, monkeypatch, capsys):

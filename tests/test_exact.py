@@ -47,6 +47,10 @@ VARS = ("x", "y")
 HALF_X = MultiPoly.variable(VARS, "x").scale(Fraction(1, 2))
 THIRD_Y = MultiPoly.variable(VARS, "y").scale(Fraction(1, 3))
 WIDE = ("a", "x", "b", "y")
+# targets of a polynomial over WIDE: itself, a reorder, a superset, subsets
+# that drop variables in use, the empty list, and a subset with a new name
+MOVE_TARGETS = (WIDE, ("y", "b", "x", "a"), ("c",) + WIDE, ("y", "x"), ("b",), (),
+                ("x", "c", "a"))
 # the largest exponent a slot holds, and the smallest that sets the second
 # highest bit of a slot, where the sum of two exponents may reach the guard bit
 TOP, CARRY = 32767, 1 << 14
@@ -419,13 +423,13 @@ class TestAgainstReference:
     @settings(max_examples=60)
     def test_with_vars_and_zero_outside(self, p):
         rp = RefPoly.of(p)
-        for vs in (WIDE, ("y", "b", "x", "a"), ("c",) + WIDE, ("y", "x"), ("b",), ()):
-            if set(vs) <= set(WIDE):
-                assert agrees(p.zero_outside(vs), rp.zero_outside(vs))
+        for vs in MOVE_TARGETS:
+            kept = tuple(v for v in vs if v in WIDE)
+            assert agrees(p.zero_outside(vs), rp.zero_outside(kept).with_vars(vs))
             if all(v in vs for v in WIDE if p.uses(v)):
                 assert agrees(p.with_vars(vs), rp.with_vars(vs))
             else:
-                with pytest.raises(VariableMismatchError):
+                with pytest.raises(VariableMismatchError, match="used but absent"):
                     p.with_vars(vs)
         # onto its own list, every key moves to itself
         assert p.with_vars(WIDE) == p
@@ -661,56 +665,6 @@ class TestCalculusIdentities:
             bracket(x, x)
         on_yx = x.with_vars(("y", "x"))
         assert bracket(on_yx, on_yx) == MultiPoly.const(("y", "x"), 1)
-
-
-# targets of a polynomial over WIDE: itself, a reorder, a superset, subsets
-# that drop variables in use, the empty list, and a subset with a new name
-MOVE_TARGETS = (WIDE, ("y", "b", "x", "a"), ("c",) + WIDE, ("y", "x"), ("b",), (),
-                ("x", "c", "a"))
-
-
-class TestMoveTables:
-    """``MultiPoly._moved`` re-keys through the table of its move plan, which
-    the plan's runs fill with the keys it has not seen."""
-
-    @staticmethod
-    def moves(p: MultiPoly):
-        """``zero_outside`` and ``with_vars`` of p onto every target, held to
-        the reference, and the error where ``with_vars`` would drop a
-        variable that p uses."""
-        rp = RefPoly.of(p)
-        for vs in MOVE_TARGETS:
-            kept = tuple(v for v in vs if v in p.vars)
-            assert agrees(p.zero_outside(vs), rp.zero_outside(kept).with_vars(vs))
-            if all(v in vs for v in p.vars if p.uses(v)):
-                assert agrees(p.with_vars(vs), rp.with_vars(vs))
-            else:
-                with pytest.raises(VariableMismatchError, match="used but absent"):
-                    p.with_vars(vs)
-
-    @staticmethod
-    def table(vs):
-        return exact._move_plan(WIDE, vs)[3]
-
-    @given(st.lists(polys(WIDE, max_degree=3), min_size=1, max_size=4))
-    @settings(max_examples=60)
-    def test_cold_then_warm(self, ps):
-        exact._move_plan.cache_clear()
-        for _ in range(2):   # from empty tables, then through tables holding every key
-            for p in ps:
-                self.moves(p)
-        assert all(p.nums.keys() <= self.table(vs).keys()
-                   for p in ps for vs in MOVE_TARGETS[1:])
-
-    @given(st.lists(polys(WIDE, max_degree=3), min_size=1, max_size=6))
-    @settings(max_examples=60)
-    def test_a_table_never_passes_the_term_limit(self, ps):
-        exact._move_plan.cache_clear()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exact, "MAX_TERMS", 6)   # polys() draws at most 5 terms
-            for p in ps:
-                self.moves(p)
-                assert all(len(self.table(vs)) <= 6 for vs in MOVE_TARGETS)
 
 
 class TestLimits:
@@ -962,6 +916,25 @@ class TestWalkLayout:
         with pytest.raises(ExponentOverflowError, match="exceeds 32767"):
             weyl_products("walk", qp(a, 0), qp(a, 0))
 
+    def test_only_the_walk_fills_key_tables(self, monkeypatch):
+        # a move between variable lists re-keys by its plan's runs alone;
+        # the walk, whose keys repeat, keeps a table per plan
+        plans = []
+        extend = exact._extend
+        monkeypatch.setattr(exact, "_extend",
+                            lambda plan, keys: plans.append(plan) or extend(plan, keys))
+        f = LambdaSeries.from_poly(qp(2, 1) + qp(0, 3), 2) + \
+            LambdaSeries.from_poly(qp(1, 0), 2, shift=1)
+        for vs in (("p1", "q1"), ("q2", "q1", "p1"), ("q1",)):   # f uses q1 and p1
+            f.zero_outside(vs)
+            if "p1" in vs:
+                f.with_vars(vs)
+        assert plans == []
+        for cached in (exact.star_fields, exact._walk_plans):   # no earlier walk's tables
+            cached.cache_clear()
+        StarProduct.weyl(PhaseSpace.of_dim(1)).eval(f, f)
+        assert plans and all(plan[1] for plan in plans)
+
     def test_the_caches_stay_bounded(self, monkeypatch):
         monkeypatch.setattr(exact, "MAX_LAYOUTS", 4)
         monkeypatch.setattr(exact, "MAX_TERMS", 6)
@@ -977,7 +950,7 @@ class TestWalkLayout:
                     # a table may hold
                     assert star.eval_poly(qp(a, 0), qp(0, b), 1).coeff(0) == qp(a, b)
                     assert len(fields[2]) <= 4
-            tables = [plan[3] for layout in fields[2].values() for plan in layout[1:3]]
+            tables = [plan[1] for layout in fields[2].values() for plan in layout[1:3]]
             assert tables and all(len(t) <= 6 for t in tables)
         finally:
             exact.star_fields.cache_clear()
