@@ -64,6 +64,9 @@ MAX_N = 6
 MAX_LAMBDA_ORDER = 8
 MAX_DEGREE = 6
 MAX_SAMPLES = 100
+# the checks on the whole phase space read the first this many samples, and
+# the others all of them; changing it changes every report with such a check
+MAX_UPSTAIRS_SAMPLES = 6
 # digits of the numerator and of the denominator of a b or mu value, in
 # lowest terms
 MAX_NUMBER_DIGITS = 100
@@ -328,7 +331,7 @@ def suite_axioms(cfg: ScenarioConfig, ctx: Optional[ReductionContext]) -> List[d
 
 def raw_samples(cfg: ScenarioConfig, ctx: ReductionContext, seed: int) -> List[MultiPoly]:
     """Samples on the scenario's phase space, in its own coordinates."""
-    return sample_polys(seed, ctx.space.vars, cfg.degree, min(cfg.samples, 6))
+    return sample_polys(seed, ctx.space.vars, cfg.degree, min(cfg.samples, MAX_UPSTAIRS_SAMPLES))
 
 
 def upstairs_samples(cfg: ScenarioConfig, ctx: ReductionContext,

@@ -70,12 +70,9 @@ class ReducedAlgebra:
 
     def down(self, F: P) -> P:
         """The restriction of an invariant polynomial or series on the whole
-        phase space, re-keyed once onto the reduced one.  A term with a
-        translated q_a and no constrained p_a is not invariant.  An input
-        already over an ordered sub-list of the reduced variables, such as a
-        reduced product's, is returned as it is."""
-        if positions(self.space.vars, F.vars) is not None:
-            return F
+        phase space, re-keyed once onto the reduced variables; an input over
+        a sub-list of them comes back over all of them.  A term with a
+        translated q_a and no constrained p_a is not invariant."""
         qs = tuple(f"q{a}" for a in self.ctx.action.translated)
         if F.uses(*qs) and (G := F.zero_outside(self.ctx.cvars)).uses(*qs):
             qv = next(q for q in qs if G.uses(q))
@@ -92,24 +89,23 @@ def reduced_poisson_bracket(f: MultiPoly, g: MultiPoly,
     if positions(red.space.vars, f.vars) is None:
         raise VariableMismatchError(f"{f.vars} is not an ordered sub-list of the reduced "
                                     f"variables {red.space.vars}")
-    return red.down(red.ctx.star.bracket_poly(f, g))
+    return red.ctx.star.bracket_poly(f, g)
 
 
 def _reduced_product(red: ReducedAlgebra, correct) -> StarProduct:
     """i**(prol f ⋆ prol g) with ``correct`` before the restriction, on f
-    and g over an ordered sub-list V of the reduced variables.  The
-    context's product takes them over V as they are, and its result over V
-    uses no constrained p_a, which every correction fixes, nor any
-    translated q_a, so the restriction returns it as it is."""
+    and g over an ordered sub-list V of the reduced variables.  On V, prol
+    is the inclusion, and the context's product takes f and g as they are.
+    Its result over V uses no constrained p_a, which every correction
+    fixes, nor any translated q_a, so i* is the identity on it: the product
+    is the corrected context product, and its bracket the context's."""
 
     def ev(f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
         ctx = elevate_context(red.ctx, f.order)
-        return red.down(correct(ctx.star.eval(f, g), ctx))
+        return correct(ctx.star.eval(f, g), ctx)
 
-    def bracket(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-        return reduced_poisson_bracket(f, g, red)
-
-    return StarProduct(red.space, lambda at, vars: (ev, bracket), red.ctx.star.hermitian)
+    return StarProduct(red.space, lambda at, vars: (ev, red.ctx.star.bracket_poly),
+                       red.ctx.star.hermitian)
 
 
 def reduced_star(red: ReducedAlgebra) -> StarProduct:

@@ -51,7 +51,6 @@ class StagePipeline:
         if (cfg.lie.dim, cfg.lie.structure) != (lie.dim, lie.structure):
             raise AlgebraError("stage split is not a split of the context's acting algebra")
         self.ctx = ctx
-        self.cfg = cfg
         L = ctx.order
 
         # stage 1: reduce by the subalgebra, through the components of Jq along it

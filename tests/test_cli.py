@@ -1,6 +1,7 @@
 """Scenario runner: exit codes, report schema, determinism, config handling."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -8,17 +9,19 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qkoszul import cli, exact, koszul, reduction
+from qkoszul import cli, exact, koszul
 from qkoszul.cli import builtin_config, main, run_scenario
 from qkoszul.exact import ConstantOperator, ContractViolationError, MultiPoly, OrderMismatchError
 from qkoszul.lie import LieAlgebraData
 
 CLI = [sys.executable, "-m", "qkoszul.cli"]
+SUMS = Path(__file__).parent / "report_sums.sha256"
 
 
 def run(*args, env=None):
@@ -87,10 +90,10 @@ class TestBasics:
     def test_algebra_error_after_validation_is_internal(self, monkeypatch, capsys):
         # a valid config reaches no algebra error but a size limit's, so
         # any other one is a broken contract, not bad input
-        def broken(red, F):
+        def broken(f, g, red):
             raise OrderMismatchError("order 4 vs 3")
 
-        monkeypatch.setattr(reduction.ReducedAlgebra, "down", broken)
+        monkeypatch.setattr(cli, "reduced_poisson_bracket", broken)
         assert main(["--scenario", "s1p-single"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
@@ -263,6 +266,19 @@ class TestDeterminism:
         assert json.loads(a.stdout)["config"]["seed"] == 1
         assert json.loads(b.stdout)["config"]["seed"] == 2
 
+    def test_reports_at_three_more_seeds_match_their_checksums(self):
+        # the goldens pin seed 2024; these pin the builtins' reports at
+        # seeds 1, 7 and 99, in both formats, by sha256sum lines
+        expected = dict(line.split()[::-1] for line in SUMS.read_text().splitlines())
+        assert len(expected) == 2 * 3 * len(cli.SCENARIOS)
+        for file_name, digest in expected.items():
+            stem, ext = file_name.rsplit(".", 1)
+            name, seed = stem.rsplit("-seed", 1)
+            cfg = builtin_config(name)
+            cfg.seed = int(seed)
+            report = cli.emit_report(run_scenario(cfg), {"json": "json", "txt": "text"}[ext])
+            assert hashlib.sha256(report).hexdigest() == digest, file_name
+
 
 class TestConfigFile:
     def test_load_and_run(self, tmp_path):
@@ -283,6 +299,27 @@ class TestConfigFile:
         report = json.loads(res.stdout)
         assert report["scenario"] == "custom"
         assert report["config"]["lambda_order"] == 3
+
+    def test_upstairs_checks_read_at_most_six_samples(self, monkeypatch):
+        # the checks on the whole phase space draw the first
+        # MAX_UPSTAIRS_SAMPLES samples; the axioms and the checks on the
+        # reduced space draw all of them
+        drawn = []
+        for name in ("sample_polys", "sample_pairs"):
+            def wrapped(*args, name=name, draw=getattr(cli, name)):
+                drawn.append((name, sys._getframe(1).f_code.co_name, args[3]))
+                return draw(*args)
+            monkeypatch.setattr(cli, name, wrapped)
+        cfg = cli.parse_config({"name": "upstairs", **cli.SCENARIOS["s1-translation"],
+                                "samples": 12, "checks": ["axioms", "momentum", "complex",
+                                                          "reduction", "knp", "stages"]})
+        assert run_scenario(cfg)["status"] == "pass"
+        assert cli.MAX_UPSTAIRS_SAMPLES == 6
+        assert sorted(drawn) == [("sample_pairs", "suite_knp", 12),
+                                 ("sample_pairs", "suite_stages", 12),
+                                 *[("sample_polys", "raw_samples", 6)] * 4,
+                                 ("sample_polys", "suite_axioms", 12),
+                                 ("sample_polys", "suite_reduction", 12)]
 
     def test_magnetic_config_roundtrip(self, tmp_path):
         cfg = {

@@ -14,7 +14,6 @@ from qkoszul.exact import (
     AlgebraError,
     ContractViolationError,
     ExponentOverflowError,
-    GaussianRational,
     LambdaSeries,
     MultiPoly,
     OrderMismatchError,

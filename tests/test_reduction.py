@@ -144,6 +144,30 @@ class TestUpAndDown:
             moves.clear()
 
     @pytest.mark.parametrize("name", CONTEXTS)
+    def test_a_reduced_product_calls_no_down(self, name, monkeypatch):
+        ctx = self.CONTEXTS[name]()
+        red = ReducedAlgebra(ctx)
+        pipe = StagePipeline(ctx, StageConfig(ctx.action.lie, [1]))
+        calls = []
+        down = ReducedAlgebra.down
+        monkeypatch.setattr(ReducedAlgebra, "down",
+                            lambda r, F: calls.append(F) or down(r, F))
+        (f, g), = sample_pairs(73, red.space.vars, 3, 1)
+        for star in (reduced_star(red), knp_reduced_star(red), pipe.star_red2):
+            assert not star.eval_poly(f, g, L).is_zero()
+            assert star.bracket_poly(f, g) == reduced_poisson_bracket(f, g, red)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", CONTEXTS)
+    def test_down_of_a_series_over_a_sub_list_is_over_the_reduced_variables(self, name):
+        red = ReducedAlgebra(self.CONTEXTS[name]())
+        for f in sample_polys(79, red.space.vars[1:], 3, 4):
+            F = LambdaSeries.from_poly(f, L)
+            assert red.down(F) == F.with_vars(red.space.vars)
+            assert red.down(F).vars == red.space.vars
+            assert red.down(f) == f.with_vars(red.space.vars)
+
+    @pytest.mark.parametrize("name", CONTEXTS)
     def test_down_is_the_restriction_on_the_reduced_variables(self, name):
         red = ReducedAlgebra(self.CONTEXTS[name]())
         ctx = red.ctx
