@@ -32,7 +32,7 @@ from .lie import LieAlgebraData, check_classical_equivariance, \
     check_quantum_momentum_map
 from .phase_space import PhaseSpace, StarProduct, check_star_axioms
 from .reduction import CotangentSplit, ReducedAlgebra, build_shifted_context, \
-    knp_reduced_star, reduced_poisson_bracket, reduced_star
+    knp_reduced_star, reduced_star
 from .report import check, prefixed
 from .sampling import sample_pairs, sample_polys
 from .stages import StageConfig, StagePipeline, build_compatible_prolongations, \
@@ -387,12 +387,11 @@ def suite_reduction(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
     red = ReducedAlgebra(ctx)
     star_red = reduced_star(red)
     samples = sample_polys(cfg.seed + 1, red.space.vars, cfg.degree, cfg.samples)
+    bracket = star_red.bracket_poly
 
     def jacobi():
         for f, g, h in zip(samples, samples[1:], samples[2:]):
-            jac = reduced_poisson_bracket(f, reduced_poisson_bracket(g, h, red), red) \
-                + reduced_poisson_bracket(g, reduced_poisson_bracket(h, f, red), red) \
-                + reduced_poisson_bracket(h, reduced_poisson_bracket(f, g, red), red)
+            jac = bracket(f, bracket(g, h)) + bracket(g, bracket(h, f)) + bracket(h, bracket(f, g))
             if not jac.is_zero():
                 yield {"f": f.render(), "g": g.render(), "h": h.render(),
                        "jacobiator": jac.render()}

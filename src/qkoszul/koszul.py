@@ -264,8 +264,9 @@ def koszul_boundary(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
 
 def quantum_koszul_boundary(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
     """Quantum boundary: right star multiplication by the quantum momentum
-    components.  Every context acts by an abelian algebra, so there is no
-    structure-constant correction."""
+    components.  A momentum map takes only an abelian algebra, and rejects
+    one with structure constants, so there is no structure-constant
+    correction."""
     return _boundary(x, ctx, lambda F, a: ctx.star.eval(F, ctx.Jq.components[a - 1]))
 
 

@@ -33,7 +33,7 @@ from typing import Mapping, Tuple, TypeVar
 from .exact import (AlgebraError, LambdaSeries, MultiPoly, OrderMismatchError,
                     VariableMismatchError, rational)
 from .koszul import ReductionContext, quantum_correction, series_correction
-from .phase_space import PhaseSpace, StarProduct, positions
+from .phase_space import PhaseSpace, StarProduct
 
 # the maps below act alike on a polynomial and on a whole series
 P = TypeVar("P", MultiPoly, LambdaSeries)
@@ -78,18 +78,6 @@ class ReducedAlgebra:
             qv = next(q for q in qs if G.uses(q))
             raise AlgebraError(f"element is not translation invariant: depends on {qv}")
         return F.zero_outside(self.space.vars)
-
-
-def reduced_poisson_bracket(f: MultiPoly, g: MultiPoly,
-                            red: ReducedAlgebra) -> MultiPoly:
-    """Bracket of the reduced symplectic structure: the bracket the
-    scenario's product deforms, taken on f and g over one ordered sub-list
-    of the reduced variables, where it equals the bracket of their
-    prolongations."""
-    if positions(red.space.vars, f.vars) is None:
-        raise VariableMismatchError(f"{f.vars} is not an ordered sub-list of the reduced "
-                                    f"variables {red.space.vars}")
-    return red.ctx.star.bracket_poly(f, g)
 
 
 def _reduced_product(red: ReducedAlgebra, correct) -> StarProduct:

@@ -18,7 +18,9 @@ The last four are the ``GaussianRational`` and ``Fraction`` forms of code
 that now runs on integers or on a smaller index set: the rank-one
 factorisation of a star product's matrix, the Poisson bracket of a matrix
 built from one temporary polynomial per entry, the sample generator, and the
-dense check of a Lie algebra's structure constants over every index.
+dense check of a Lie algebra's structure constants over every index.  The
+package checks only the antisymmetry half of the last; its Jacobi half holds
+the built-in tables here.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ GR_ONE = gr(1)
 SKEW = {(0, 0): gr(Fraction(1, 3), 1), (0, 2): gr(0, Fraction(1, 2)),
         (2, 0): gr(-1, Fraction(-1, 2)), (1, 3): gr(2), (3, 1): gr(0, -1),
         (2, 3): gr(Fraction(-2, 5))}
+
+# [e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e1 is antisymmetric but violates Jacobi
+JACOBI_BREAKING = {(1, 2, 3): 1, (2, 1, 3): -1, (2, 3, 1): 1, (3, 2, 1): -1,
+                   (3, 1, 1): 1, (1, 3, 1): -1}
 
 
 def is_zero(c: GaussianRational) -> bool:

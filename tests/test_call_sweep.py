@@ -5,12 +5,16 @@ units of the dense benchmark workloads, in a fresh interpreter, and lists the
 statements of ``src/qkoszul`` that no run reached.  Each one must be on
 ``ALLOWED``, keyed by its function and the text of its first line, with the
 reason it stays; anything else is code only the tests reach, which is either
-wired into a run or deleted.
+wired into a run or deleted.  The paper's general case stays for the tests
+that build its inputs on purpose, and each of its reasons names them as
+``tests/<file>.py::<name>``, which must be defined there.
 """
 
+import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -20,6 +24,32 @@ import call_sweep
 
 SWEEP = Path(call_sweep.__file__).resolve()
 SRC = SWEEP.parent.parent / "src"
+
+# the paper's general case, which no run meets: each entry stays for the
+# tests its reason names, which build such inputs on purpose
+GENERAL_CASE = {
+    ("koszul.quantum_homotopy", "return classical_homotopy(_corrected(x, ctx), ctx)"):
+        "h (id - A)^{-1} on a context without T; only a stage-2 context lacks T, "
+        "and no complex suite runs on one. "
+        "tests/test_koszul.py::test_the_series_quantum_homotopy_equals_the_oracle "
+        "holds it to the oracle",
+    ("koszul._conjugation", "return None"):
+        "no T for a matrix not symmetric on the p_a, or a Jq_a other than p_a + λc_a "
+        "with c_a constant; every run's product and Jq have T. "
+        "tests/test_koszul.py::test_contexts_without_T_take_the_series and "
+        "tests/test_reduction.py::knp_contexts build such contexts to hold the "
+        "series to T",
+    ("exact.MultiPoly.as_constant", "return None"):
+        "a polynomial that uses a variable: _conjugation's test of Jq's first-order "
+        "term, which every run's Jq passes. "
+        "tests/test_koszul.py::test_contexts_without_T_take_the_series and "
+        "tests/test_reduction.py::knp_contexts build a Jq that fails it",
+    ("phase_space._rank_one_terms", "C[k, l] = v"):
+        "the fill-in of a general matrix; the Weyl, Wick and std matrices leave "
+        "no nonzero residual entry. "
+        "tests/test_phase_space.py::test_rank_one_terms_reproduce_the_matrix "
+        "holds it to the lifted product on random matrices",
+}
 
 ALLOWED = {
     # read by bench/, which wraps or counts them by name
@@ -57,31 +87,7 @@ ALLOWED = {
     ("koszul.KoszulChain.render",
      'return " ; ".join(f"[{basis_label(key)}] {self.terms[key].render()}"'):
         "writes a failing chain's witness",
-    # the paper's general case, which the translation scenarios never meet
-    ("koszul.quantum_homotopy", "return classical_homotopy(_corrected(x, ctx), ctx)"):
-        "h (id - A)^{-1} on a context without T; only a stage-2 context lacks T, "
-        "and no complex suite runs on one",
-    ("koszul._conjugation", "return None"):
-        "no T for a matrix not symmetric on the p_a, or a Jq_a other than p_a + λc_a "
-        "with c_a constant; the Weyl, Wick and std matrices and every Jq of a run "
-        "have T",
-    ("exact.MultiPoly.as_constant", "return None"):
-        "a polynomial that uses a variable: _conjugation's test of Jq's first-order "
-        "term, which every run's Jq passes",
-    ("phase_space._rank_one_terms", "C[k, l] = v"):
-        "the fill-in of a general matrix; the Weyl, Wick and std matrices leave "
-        "no nonzero residual entry",
-    ("lie.LieAlgebraData._validate", "s[e] = s.get(e, 0) + u * w"):
-        "the Jacobi sum of a double bracket; the algebras of the runs, abelian and "
-        "Heisenberg, have none",
-    ("lie.check_classical_equivariance.equivariance",
-     "rhs = rhs + J.components[g - 1].scale(coeff)"):
-        "the image of a nonzero bracket; every momentum map of a run is of an "
-        "abelian translation algebra",
-    ("lie.check_quantum_momentum_map.bracket_compatibility",
-     "rhs = rhs + Jq.components[g - 1].scale(coeff)"):
-        "the image of a nonzero bracket; every momentum map of a run is of an "
-        "abelian translation algebra",
+    **GENERAL_CASE,
     # edge values of the exact layer, whose results the runs never need
     ("exact.MultiPoly.scale", "return MultiPoly.zero(self.vars)"):
         "scaling by zero, which no run does",
@@ -119,6 +125,24 @@ def test_every_statement_is_reached_by_a_run_or_allowed():
         "no run reaches these: wire each into a run or delete it"
     assert sorted(ALLOWED.keys() - unreached) == [], \
         "these are reached or gone: take them off ALLOWED"
+
+
+CITED = re.compile(r"tests/(\w+\.py)::(\w+)")
+
+
+def test_each_general_case_entry_cites_a_test():
+    assert all(CITED.search(reason) for reason in GENERAL_CASE.values())
+
+
+def test_each_cited_test_is_defined_in_its_file():
+    # read with ast, so that the check imports nothing
+    tests = SWEEP.parent
+    for reason in ALLOWED.values():
+        for file, name in CITED.findall(reason):
+            tree = ast.parse((tests / file).read_text(encoding="utf-8"))
+            defined = {node.name for node in ast.walk(tree) if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+            assert name in defined, f"tests/{file}::{name} is cited but not defined"
 
 
 def test_the_sweep_reports_the_one_statement_no_run_reaches(tmp_path):

@@ -19,6 +19,7 @@ from qkoszul import cli, exact, koszul
 from qkoszul.cli import builtin_config, main, run_scenario
 from qkoszul.exact import ConstantOperator, ContractViolationError, MultiPoly, OrderMismatchError
 from qkoszul.lie import LieAlgebraData
+from reference_poly import JACOBI_BREAKING
 
 CLI = [sys.executable, "-m", "qkoszul.cli"]
 SUMS = Path(__file__).parent / "report_sums.sha256"
@@ -90,10 +91,10 @@ class TestBasics:
     def test_algebra_error_after_validation_is_internal(self, monkeypatch, capsys):
         # a valid config reaches no algebra error but a size limit's, so
         # any other one is a broken contract, not bad input
-        def broken(f, g, red):
+        def broken(red):
             raise OrderMismatchError("order 4 vs 3")
 
-        monkeypatch.setattr(cli, "reduced_poisson_bracket", broken)
+        monkeypatch.setattr(cli, "knp_reduced_star", broken)
         assert main(["--scenario", "s1p-single"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
@@ -164,6 +165,16 @@ class TestReports:
         report = json.loads(capsysbinary.readouterr().out)
         failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
         assert failing == ["ce.grade1_is_adjoint_action"]
+
+    def test_a_table_that_breaks_jacobi_fails_ce_heisenberg(self, monkeypatch, capsysbinary):
+        # LieAlgebraData checks antisymmetry only; d∘d = 0 on the adjoint
+        # representation is the Jacobi identity, which the ce suite checks
+        monkeypatch.setattr(LieAlgebraData, "heisenberg",
+                            staticmethod(lambda: LieAlgebraData(3, JACOBI_BREAKING)))
+        assert main(["--scenario", "ce-heisenberg"]) == 1
+        report = json.loads(capsysbinary.readouterr().out)
+        failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
+        assert failing == ["ce.boundary_squared_zero_grade2", "ce.boundary_squared_zero_grade3"]
 
     def test_doubled_series_correction_fails_s1p_single(self, monkeypatch, capsysbinary):
         # the series' correction Σ_{k≥1} A^k x doubled: the reduced

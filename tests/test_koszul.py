@@ -896,6 +896,36 @@ def test_contexts_without_T_take_the_series(monkeypatch):
     assert pipe.ctx1 in routes["T"]
 
 
+def series_homotopy_contexts(kind: str):
+    """Two contexts without T, whose quantum homotopy takes the series: the
+    second stage of T*R^3 split (1) | (2), whose product is a reduced one,
+    and Jq_1 = p_1 + λq_2, whose λ-term is not a constant."""
+    sp = PhaseSpace.of_dim(3)
+    star = getattr(StarProduct, kind)(sp)
+    base = ReductionContext.canonical(sp, (1, 2), star, L)
+    yield StagePipeline(base, StageConfig(base.action.lie, (1,))).ctx2
+    Jq = QuantumMomentumMap(LieAlgebraData.abelian(1), [
+        LambdaSeries.from_poly(sp.p(1), L) + LambdaSeries.from_poly(sp.q(2), L, shift=1)])
+    yield ReductionContext.canonical(sp, (1,), star, L, Jq=Jq)
+
+
+@pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+def test_the_series_quantum_homotopy_equals_the_oracle(kind):
+    # no run reaches this branch: only a stage-2 context lacks T, and no
+    # complex suite runs on one
+    differ = 0
+    for ctx in series_homotopy_contexts(kind):
+        assert ctx.conjugation is None
+        chains = list(T_chains(ctx))
+        assert {x.grade for x in chains} == set(range(ctx.gdim + 1))
+        for x in chains:
+            got = quantum_homotopy(x, ctx)
+            assert got == oracle_quantum_homotopy(x, ctx)
+            differ += got != classical_homotopy(x, ctx)
+    # the correction is not zero on every chain
+    assert differ > 0
+
+
 def test_both_routes_reject_a_series_of_another_order():
     sp = PhaseSpace.of_dim(3)
     base = ReductionContext.canonical(sp, (1, 2), StarProduct.weyl(sp), L)

@@ -20,20 +20,18 @@ from qkoszul.koszul import ReductionContext
 from qkoszul.phase_space import PhaseSpace, StarProduct
 from qkoszul.reduction import build_shifted_context
 from qkoszul.sampling import sample_polys
-from reference_poly import lie_table_failure
+from reference_poly import JACOBI_BREAKING, lie_table_failure
 
 HEISENBERG = {(1, 2, 3): 1, (2, 1, 3): -1}
 SO3 = {(1, 2, 3): 1, (2, 1, 3): -1, (2, 3, 1): 1, (3, 2, 1): -1,
        (3, 1, 2): 1, (1, 3, 2): -1}
-# [e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e1 is antisymmetric but violates Jacobi
-JACOBI_BREAKING = {(1, 2, 3): 1, (2, 1, 3): -1, (2, 3, 1): 1, (3, 2, 1): -1,
-                   (3, 1, 1): 1, (1, 3, 1): -1}
 TABLES = {"abelian": {}, "heisenberg": HEISENBERG, "so3": SO3,
           "jacobi-breaking": JACOBI_BREAKING}
 
 
 def verdict(dim, structure):
-    """None if the table is accepted, else the message it is rejected with."""
+    """None if the table is accepted, else the message it is rejected with.
+    Construction checks antisymmetry, not the Jacobi identity."""
     try:
         LieAlgebraData(dim, structure)
     except AlgebraError as e:
@@ -74,27 +72,31 @@ class TestLieAlgebraData:
         with pytest.raises(AlgebraError):
             LieAlgebraData(2, {(1, 1, 2): Fraction(1)})
 
-    def test_jacobi_enforced(self):
-        # [e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e1 violates the Jacobi identity
-        bad = {
-            (1, 2, 3): Fraction(1), (2, 1, 3): Fraction(-1),
-            (2, 3, 1): Fraction(1), (3, 2, 1): Fraction(-1),
-            (3, 1, 1): Fraction(1), (1, 3, 1): Fraction(-1),
-        }
-        with pytest.raises(AlgebraError):
-            LieAlgebraData(3, bad)
-
     @pytest.mark.parametrize("name", sorted(TABLES))
     def test_builtin_tables(self, name):
+        # every table is antisymmetric, so each is accepted; only the dense
+        # check of the tests sees the Jacobi failure
         want = "Jacobi identity fails at (1, 2, 3, 3)" if name == "jacobi-breaking" else None
-        assert verdict(3, TABLES[name]) == want == lie_table_failure(3, TABLES[name])
+        assert verdict(3, TABLES[name]) is None
+        assert lie_table_failure(3, TABLES[name]) == want
+
+    @pytest.mark.parametrize("lie", [
+        *(LieAlgebraData.abelian(k) for k in range(1, 5)),
+        LieAlgebraData.heisenberg(), LieAlgebraData(3, SO3)],
+        ids=["abelian1", "abelian2", "abelian3", "abelian4", "heisenberg", "so3"])
+    def test_the_tables_of_the_package_satisfy_jacobi(self, lie):
+        assert lie_table_failure(lie.dim, lie.structure) is None
 
     @given(structure_tables())
     @settings(max_examples=150, deadline=None)
     def test_validation_on_the_support_agrees_with_the_dense_check(self, dim_table):
-        # same verdict and same first failing index tuple
+        # same verdict and same first failing index tuple on antisymmetry;
+        # a table that only breaks the Jacobi identity is accepted
         dim, table = dim_table
-        assert verdict(dim, table) == lie_table_failure(dim, table)
+        want = lie_table_failure(dim, table)
+        if want is not None and want.startswith("Jacobi"):
+            want = None
+        assert verdict(dim, table) == want
 
     @pytest.mark.parametrize("structure", [
         {(1, 2, 3): 1, (2, 1, 3): -1},   # antisymmetric, but e3 is not in a 2-dim algebra
@@ -126,6 +128,25 @@ class TestMomentumMaps:
         sp = PhaseSpace.of_dim(3)
         J = canonical_momentum_map(TranslationAction(sp, [1, 3]))
         assert J.components == (sp.p(1), sp.p(3))
+
+    @pytest.mark.parametrize("build", (
+        lambda sp, lie: MomentumMap(lie, [sp.q(1), sp.p(1), sp.q(1) * sp.p(1)]),
+        lambda sp, lie: QuantumMomentumMap(lie, [sp.series(c, 2) for c in (
+            sp.q(1), sp.p(1), sp.q(1) * sp.p(1))]),
+    ), ids=("classical", "quantum"))
+    def test_a_nonabelian_algebra_is_rejected(self, build):
+        # every action is a lifted translation, whose algebra is abelian
+        sp = PhaseSpace.of_dim(1)
+        with pytest.raises(AlgebraError, match="abelian"):
+            build(sp, LieAlgebraData.heisenberg())
+        build(sp, LieAlgebraData.abelian(3))
+
+    def test_from_classical_rejects_a_nonabelian_algebra(self):
+        sp = PhaseSpace.of_dim(1)
+        J = MomentumMap(LieAlgebraData.abelian(3), [sp.q(1), sp.p(1), sp.q(1) * sp.p(1)])
+        J.lie = LieAlgebraData.heisenberg()
+        with pytest.raises(AlgebraError, match="abelian"):
+            QuantumMomentumMap.from_classical(J, 2)
 
     def test_real_components_enforced(self):
         sp = PhaseSpace.of_dim(1)
@@ -163,6 +184,16 @@ class TestMomentumMaps:
         J = canonical_momentum_map(TranslationAction(sp, [1, 2]))
         assert all(c["status"] == "pass"
                    for c in check_classical_equivariance(J, StarProduct.weyl(sp)))
+
+    @pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+    def test_equivariance_fails_on_a_pair_that_does_not_commute(self, kind):
+        # J = (q1, p1): {q1, p1} = 1 in every kind, and the image of the
+        # bracket of an abelian algebra is zero
+        sp = PhaseSpace.of_dim(1)
+        J = MomentumMap(LieAlgebraData.abelian(2), [sp.q(1), sp.p(1)])
+        entry, = check_classical_equivariance(J, getattr(StarProduct, kind)(sp))
+        assert entry == {"name": "equivariance_e1_e2", "status": "fail",
+                         "witness": {"bracket": "(1/1)+(0/1)i", "image_of_bracket": "0"}}
 
     def test_equivariance_rejects_components_over_other_variables(self):
         # components over a subset of the product's variables are not
@@ -235,24 +266,4 @@ class TestQuantumMomentumMap:
             StarProduct.weyl(sp), Jq, [sp.q(1)])}
         entry = checks["quantum_bracket_compatibility"]
         assert entry["status"] == "fail" and entry["witness"]["pair"] == (1, 2)
-
-
-@pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
-def test_heisenberg_momentum_map_sums_its_bracket(kind, monkeypatch):
-    # J = (q1, p1, 1) on T*R¹ for [e1, e2] = e3: {q1, p1} = 1 = J(e3), so
-    # both bracket sums add the coefficient of e3, which every abelian map
-    # leaves out; with bracket_coeffs emptied both checks see it missing
-    sp = PhaseSpace.of_dim(1)
-    star = getattr(StarProduct, kind)(sp)
-    J = MomentumMap(LieAlgebraData.heisenberg(),
-                    [sp.q(1), sp.p(1), MultiPoly.const(sp.vars, 1)])
-    Jq = QuantumMomentumMap.from_classical(J, 3)
-    samples = sample_polys(29, sp.vars, 3, 4)
-
-    def failing():
-        return [c["name"] for c in check_classical_equivariance(J, star) +
-                check_quantum_momentum_map(star, Jq, samples) if c["status"] != "pass"]
-
-    assert failing() == []
-    monkeypatch.setattr(LieAlgebraData, "bracket_coeffs", lambda self, a, b: {})
-    assert failing() == ["equivariance_e1_e2", "quantum_bracket_compatibility"]
+        assert entry["witness"]["expected"] == "0"
