@@ -307,7 +307,7 @@ def ce_boundary(lie: LieAlgebraData, x: CEElement) -> CEElement:
                 for gamma, c in lie.bracket_coeffs(alpha, beta).items():
                     ad[gamma - 1] += vb * sign * c
             add(rest, tuple(ad))
-        # structure-constant term, with the opposite sign of the quantum one
+        # bracket part of the Lie algebra homology boundary
         for pos_b, beta in enumerate(key):
             sign_b, key_b = remove_index(key, pos_b)
             for pos_a, alpha in enumerate(key_b):
@@ -362,9 +362,6 @@ def _corrected(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
 
     def raiser(y: KoszulChain) -> KoszulChain:
         hy = classical_homotopy(y, ctx)
-        if hy.is_zero():
-            # A y = (∂ - ∂_q) 0
-            return KoszulChain(ctx.gdim, y.grade, ctx.space.vars, ctx.order, {})
         return koszul_boundary(hy, ctx) - quantum_koszul_boundary(hy, ctx)
 
     return invert_unipotent(raiser, ctx.order)(x)

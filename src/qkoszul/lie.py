@@ -35,10 +35,6 @@ class LieAlgebraData:
         for key in self.structure:
             if len(key) != 3 or not all(1 <= i <= dim for i in key):
                 raise AlgebraError(f"structure constant index {key} outside 1..{dim}")
-        # [e_alpha, e_beta] as a map gamma -> nonzero coefficient
-        self._brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-        for (a, b, g), v in sorted(self.structure.items()):
-            self._brackets.setdefault((a, b), {})[g] = v
         self._validate()
 
     def c(self, alpha: int, beta: int, gamma: int) -> Fraction:
@@ -57,8 +53,8 @@ class LieAlgebraData:
                 raise AlgebraError(f"structure constants not antisymmetric at {(a, b, g)}")
 
     def bracket_coeffs(self, alpha: int, beta: int) -> Dict[int, Fraction]:
-        """[e_alpha, e_beta] as a map gamma -> coefficient."""
-        return dict(self._brackets.get((alpha, beta), {}))
+        """[e_alpha, e_beta] as a map gamma -> coefficient, in increasing gamma."""
+        return {g: v for (a, b, g), v in sorted(self.structure.items()) if (a, b) == (alpha, beta)}
 
     @staticmethod
     def abelian(dim: int) -> "LieAlgebraData":

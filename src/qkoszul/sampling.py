@@ -10,6 +10,9 @@ between releases: with ``random.Random(seed)``,
 3. draw the coefficient as Fraction(randint(-6, 6), randint(1, 4)),
 4. sum coincident terms; if everything cancelled, fall back to the constant 1.
 
+A pair is two consecutive draws: ``sample_pairs(seed, vars, d, k)`` pairs
+up the 2k samples of ``sample_polys(seed, vars, d, 2 * k)`` in order.
+
 Coefficients are real so the samples are their own conjugates.
 """
 
@@ -46,6 +49,5 @@ def sample_polys(seed: int, vars: Sequence[str], max_degree: int,
 
 def sample_pairs(seed: int, vars: Sequence[str], max_degree: int,
                  count: int) -> List[Tuple[MultiPoly, MultiPoly]]:
-    rng = random.Random(seed)
-    return [(random_poly(rng, vars, max_degree), random_poly(rng, vars, max_degree))
-            for _ in range(count)]
+    s = sample_polys(seed, vars, max_degree, 2 * count)
+    return list(zip(s[::2], s[1::2]))

@@ -104,9 +104,6 @@ class RefPoly:
     def of(p: MultiPoly) -> "RefPoly":
         return RefPoly(p.vars, dict(p.terms.items()))
 
-    def to_multipoly(self) -> MultiPoly:
-        return MultiPoly(self.vars, self.terms)
-
     # -- constructors -------------------------------------------------
 
     @staticmethod

@@ -257,6 +257,41 @@ class TestReports:
         assert "complex.quantum_restriction_after_T" in failing
         assert "knp.deformed_restriction_equals_quantum_restriction" in failing
 
+    @staticmethod
+    def run_s1p_wick(tmp_path, capsysbinary):
+        """The Wick twin of ``s1p-single``, run as a config: its exit code
+        and its report."""
+        path = tmp_path / "s1p-wick.json"
+        path.write_text(json.dumps({"name": "s1p-wick", "n": 2, "translated": [1], "star": "wick",
+                                    "checks": ["momentum", "complex", "reduction", "knp"]}))
+        code = main(["--config", str(path)])
+        return code, json.loads(capsysbinary.readouterr().out)
+
+    def test_s1p_wick_passes(self, tmp_path, capsysbinary):
+        code, report = self.run_s1p_wick(tmp_path, capsysbinary)
+        assert code == 0 and report["status"] == "pass"
+
+    def test_unhalved_diagonal_of_Y_fails_s1p_wick(self, monkeypatch, tmp_path, capsysbinary):
+        # -½ C^{p_a p_a} ∂_{p_a}² taken as -C^{p_a p_a} ∂_{p_a}²: Weyl has no
+        # P × P block, so only a product with one, such as Wick, sees it
+        conjugation = koszul._conjugation
+
+        def unhalved(*args):
+            Y = conjugation(*args)
+            return ConstantOperator(Y.vars, [
+                (i, j, (r, m, d // 2 if i == j else d)) for i, j, (r, m, d) in Y.entries])
+
+        monkeypatch.setattr(koszul, "_conjugation", unhalved)
+        code, report = self.run_s1p_wick(tmp_path, capsysbinary)
+        assert code == 1
+        failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
+        assert failing == ["complex.direct_sum_complement_in_kernel",
+                           "complex.kernel_contains_ideal_generators",
+                           "complex.quantum_homotopy_identity_grade_1",
+                           "complex.quantum_restriction_after_T",
+                           "complex.quantum_restriction_of_quantum_boundary_zero",
+                           "knp.deformed_restriction_equals_quantum_restriction"]
+
     def test_text_format(self):
         res = run("--scenario", "ce-heisenberg", "--format", "text")
         assert res.returncode == 0

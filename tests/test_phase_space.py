@@ -3,10 +3,9 @@
 The Weyl product is cross-checked against an independently coded one
 dimensional Moyal expansion; the product constants come out of the matrix
 conventions fixed in the phase_space module and are asserted as frozen
-oracles here.  A product pulled back by substitution along a fiber
-translation keeps the axioms.  Every kind is also held to the benchmark's
-reference evaluator, written apart from qkoszul, and every product's bracket
-to the canonical one.
+oracles here.  Every kind is also held to the benchmark's reference
+evaluator, written apart from qkoszul, and every product's bracket to the
+canonical one.
 """
 
 import importlib.util
@@ -231,66 +230,6 @@ class TestStdOrdered:
         for name in ("associativity", "order0_pointwise",
                      "order1_commutator_bracket", "unit"):
             assert by_name[name]["status"] == "pass"
-
-
-def substitute(f, subst):
-    """A polynomial or a series under the substitution, which fixes λ."""
-    if not subst or isinstance(f, MultiPoly):
-        return f.substitute(subst) if subst else f
-    images = {v: LambdaSeries.from_poly(img, f.order).poly for v, img in subst.items()}
-    return LambdaSeries(f.poly.substitute(images), f.order)
-
-
-class Pullback(StarProduct):
-    """``base`` transported along a polynomial automorphism by substituting
-    the inverse into both factors, multiplying, and substituting forward.
-    Its bracket is the transported one."""
-
-    def __init__(self, base, subst, subst_inv):
-        self.base, self.subst, self.subst_inv = base, subst, subst_inv
-        # generator round trip pins mutual invertibility
-        for v in base.space.vars:
-            x = MultiPoly.variable(base.space.vars, v)
-            if self.forward(self.back(x)) != x or self.back(self.forward(x)) != x:
-                raise AlgebraError(f"substitutions are not mutually inverse on {v!r}")
-
-        def ev(f, g):
-            return self.forward(base.eval(self.back(f), self.back(g)))
-
-        def bracket(f, g):
-            return self.forward(base.bracket_poly(self.back(f), self.back(g)))
-
-        super().__init__(base.space, lambda at, vars: (ev, bracket), base.hermitian)
-
-    def forward(self, f):
-        return substitute(f, self.subst)
-
-    def back(self, f):
-        return substitute(f, self.subst_inv)
-
-
-class TestPullback:
-    def test_translation_preserves_axioms(self):
-        sp = PhaseSpace.of_dim(1)
-        shift = sp.q(1).scale(Fraction(2, 3))
-        subst = {"p1": sp.p(1) + shift}
-        inv = {"p1": sp.p(1) - shift}
-        star = Pullback(StarProduct.weyl(sp), subst, inv)
-        checks = check_star_axioms(star, sample_polys(9, sp.vars, 3, 8), 4)
-        assert all(c["status"] == "pass" for c in checks)
-
-    def test_non_inverse_rejected(self):
-        sp = PhaseSpace.of_dim(1)
-        subst = {"p1": sp.p(1) + sp.q(1)}
-        with pytest.raises(AlgebraError):
-            Pullback(StarProduct.weyl(sp), subst, subst)
-
-    def test_unit_map_is_identity(self):
-        sp = PhaseSpace.of_dim(1)
-        base = StarProduct.weyl(sp)
-        star = Pullback(base, {}, {})
-        f, g = sp.q(1) * sp.p(1), sp.p(1)
-        assert star.eval_poly(f, g, 3) == base.eval_poly(f, g, 3)
 
 
 class TestMatrix:

@@ -4,6 +4,7 @@ determinism contract of ``qkoszul.sampling``."""
 
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,14 @@ def test_pairs_draw_from_one_stream():
     vars = ("q1", "p1")
     flat = reference_poly.sample_polys(5, vars, 3, 6)
     assert [x for pair in sample_pairs(5, vars, 3, 3) for x in pair] == flat
+
+
+@pytest.mark.parametrize("vars", [("x0",), ("q1", "p1"), ("q1", "q2", "p1", "p2", "lam")])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_a_pair_is_two_consecutive_draws(seed, vars):
+    for count in (1, 4):
+        s = sample_polys(seed, vars, 3, 2 * count)
+        assert sample_pairs(seed, vars, 3, count) == list(zip(s[::2], s[1::2]))
 
 
 class Scripted:
