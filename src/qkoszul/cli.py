@@ -33,7 +33,7 @@ from .lie import LieAlgebraData, check_classical_equivariance, \
 from .phase_space import PhaseSpace, StarProduct, check_star_axioms
 from .reduction import CotangentSplit, ReducedAlgebra, build_shifted_context, \
     knp_reduced_star, reduced_star
-from .report import check, prefixed
+from .report import check, failures, prefixed
 from .sampling import sample_pairs, sample_polys
 from .stages import StageConfig, StagePipeline, build_compatible_prolongations, \
     check_stage_equality
@@ -150,20 +150,18 @@ class ScenarioConfig:
             raise ConfigError("stage split must leave both stages nonempty")
 
     def echo(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "translated": list(self.translated),
-            "star": self.star,
-            "lambda_order": self.lambda_order,
-            "degree": self.degree,
-            "samples": self.samples,
-            "seed": self.seed,
-            "b": {str(a): [c, str(v)] for a, (c, v) in sorted(self.b.items())},
-            "mu": {str(a): str(v) for a, v in sorted(self.mu.items())},
-            "stage_first": None if self.stage_first is None else list(self.stage_first),
-            "checks": list(self.checks),
-        }
+        """Every field as the JSON value ``parse_config`` reads back."""
+        return {f.name: _as_json(getattr(self, f.name)) for f in fields(self)}
+
+
+def _as_json(value):
+    """A field value as JSON: a tuple or list as a list, a dict with text
+    keys in key order, a Fraction as its text, and each item likewise."""
+    if isinstance(value, (tuple, list)):
+        return [_as_json(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _as_json(v) for k, v in sorted(value.items())}
+    return str(value) if isinstance(value, Fraction) else value
 
 
 # The builtin scenarios, each a JSON config without its name.
@@ -308,15 +306,10 @@ def parse_config(raw) -> ScenarioConfig:
 # suites
 # ---------------------------------------------------------------------------
 
-def make_star(kind: str, space: PhaseSpace) -> StarProduct:
-    return getattr(StarProduct, kind)(space)
-
-
 def build_context(cfg: ScenarioConfig) -> ReductionContext:
     space = PhaseSpace.of_dim(cfg.n)
-    star = make_star(cfg.star, space)
-    ctx = ReductionContext.canonical(space, cfg.translated, star,
-                                     cfg.lambda_order)
+    star = getattr(StarProduct, cfg.star)(space)
+    ctx = ReductionContext.canonical(space, cfg.translated, star, cfg.lambda_order)
     if cfg.b or cfg.mu:
         ctx = build_shifted_context(ctx, cfg.b, cfg.mu)
     return ctx
@@ -324,9 +317,8 @@ def build_context(cfg: ScenarioConfig) -> ReductionContext:
 
 def suite_axioms(cfg: ScenarioConfig, ctx: Optional[ReductionContext]) -> List[dict]:
     space = PhaseSpace.of_dim(cfg.n)
-    star = make_star(cfg.star, space)
     samples = sample_polys(cfg.seed, space.vars, cfg.degree, cfg.samples)
-    return check_star_axioms(star, samples, cfg.lambda_order)
+    return check_star_axioms(getattr(StarProduct, cfg.star)(space), samples, cfg.lambda_order)
 
 
 def raw_samples(cfg: ScenarioConfig, ctx: ReductionContext, seed: int) -> List[MultiPoly]:
@@ -361,13 +353,9 @@ def shift_checks(cfg: ScenarioConfig, ctx: ReductionContext,
             if ctx.straighten(J) != space.p(a):
                 yield {"a": a, "J": J.render()}
 
-    def restriction_solves_constraint():
-        for f in raw:
-            if ctx.straighten(f).zero_outside(ctx.cvars) != f.substitute(solved):
-                yield {"f": f.render()}
-
     return [check("straighten_sends_J_to_p", straighten_sends_J_to_p()),
-            check("restriction_solves_constraint", restriction_solves_constraint())]
+            check("restriction_solves_constraint", failures(raw, lambda f:
+                  ctx.straighten(f).zero_outside(ctx.cvars) == f.substitute(solved)))]
 
 
 def suite_momentum(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
@@ -416,30 +404,28 @@ def suite_knp(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
 
     # upstairs samples carry p_a, so the correction is not zero
     upstairs = upstairs_samples(cfg, ctx, cfg.seed + 2)
+    split = CotangentSplit(ctx)
 
     def deformed_restriction_equals_quantum_restriction():
         # the closed form's correction is the series, which the quantum
         # restriction does not run where the context has T
         for f in upstairs:
-            F = ctx.space.series(f, ctx.order)
+            F = ctx.series(f)
             a, b = series_restriction(F, ctx), quantum_restriction(F, ctx)
             if a != b:
                 yield {"f": f.render(), "knp": a.render(), "quantum": b.render()}
 
-    def division_identity():
+    def division_identity(f):
         # F = prol(res F) + Σ_a r_a(F)·J_a: the tube homotopy divides by J
-        split = CotangentSplit(ctx)
-        for f in upstairs:
-            recon = f.zero_outside(ctx.cvars).with_vars(ctx.space.vars)
-            for a, Ja in enumerate(ctx.J.components, start=1):
-                recon = recon + split.r(a, f) * Ja
-            if recon != f:
-                yield {"f": f.render()}
+        recon = f.zero_outside(ctx.cvars).with_vars(ctx.space.vars)
+        for a, Ja in enumerate(ctx.J.components, start=1):
+            recon = recon + split.r(a, f) * Ja
+        return recon == f
 
     return [check("closed_form_equals_homological", closed_form_equals_homological()),
             check("deformed_restriction_equals_quantum_restriction",
                   deformed_restriction_equals_quantum_restriction()),
-            check("division_identity", division_identity())]
+            check("division_identity", failures(upstairs, division_identity))]
 
 
 def suite_stages(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:

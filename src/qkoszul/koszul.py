@@ -26,9 +26,8 @@ from the product's matrix, by variable position, and
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exact import (
     AlgebraError,
@@ -46,7 +45,7 @@ from .lie import (
     canonical_momentum_map,
 )
 from .phase_space import PhaseSpace, StarProduct, positions
-from .report import check
+from .report import check, failures
 
 IndexKey = Tuple[int, ...]
 
@@ -71,17 +70,12 @@ def remove_index(key: IndexKey, pos: int) -> Tuple[int, IndexKey]:
     return sign, key[:pos] + key[pos + 1:]
 
 
-@cache
-def _chain_keys(gdim: int, grade: int) -> FrozenSet[IndexKey]:
-    """Every valid key of a chain: the strictly increasing ``grade``-tuples
-    of indices in 1..gdim."""
-    return frozenset(combinations(range(1, gdim + 1), grade) if grade >= 0 else ())
-
-
 class KoszulChain:
     """Graded element of (series) ⊗ Λ^k of the acting algebra, keyed by
-    strictly increasing index tuples.  Each entry is one ``LambdaSeries``,
-    so every operator below acts on a whole series at once."""
+    strictly increasing index tuples: each key is checked to have the
+    chain's grade as its length, to increase, and to hold indices in
+    1..gdim.  Each entry is one ``LambdaSeries``, so every operator below
+    acts on a whole series at once."""
 
     __slots__ = ("gdim", "grade", "order", "vars", "terms")
 
@@ -92,11 +86,10 @@ class KoszulChain:
         self.vars = tuple(vars)
         self.order = order
         clean: Dict[IndexKey, LambdaSeries] = {}
-        valid = _chain_keys(gdim, grade)
         for key, s in terms.items():
-            if key not in valid:
-                if len(key) != grade or list(key) != sorted(set(key)):
-                    raise AlgebraError(f"bad key {key} for grade {grade}")
+            if len(key) != grade or list(key) != sorted(set(key)):
+                raise AlgebraError(f"bad key {key} for grade {grade}")
+            if key and not 1 <= key[0] <= key[-1] <= gdim:
                 raise AlgebraError(f"index out of range in {key}")
             if s.order != order or s.vars != self.vars:
                 raise AlgebraError("series in chain disagree on order or variables")
@@ -452,7 +445,9 @@ def quantum_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
 def verify_complex_identities(ctx: ReductionContext,
                               samples: Sequence[MultiPoly]) -> List[dict]:
     """Run every classical and quantum complex identity on chains built from
-    the samples.  Returns one pass/fail entry per identity."""
+    the samples.  Returns one pass/fail entry per identity.  An identity on
+    one sample is a predicate of the sample, its series and its quantum
+    restriction, and its witness is the sample."""
     gdim = ctx.gdim
     # several checks read each sample's quantum restriction, computed once
     # through the paper's series, whatever route ``quantum_restriction`` takes
@@ -465,12 +460,6 @@ def verify_complex_identities(ctx: ReductionContext,
             yield KoszulChain(gdim, k, ctx.space.vars, ctx.order,
                               {key: series[(i + j) % len(samples)]
                                for j, key in enumerate(keys)})
-
-    def sample_failures(holds):
-        """The witness of each sample on which ``holds`` fails; it is given
-        the sample's series and its quantum restriction."""
-        return ({"f": f.render()} for f, fs, qf in zip(samples, series, qres)
-                if not holds(fs, qf))
 
     def d_squared_zero(d):
         for k in range(2, gdim + 1):
@@ -494,19 +483,19 @@ def verify_complex_identities(ctx: ReductionContext,
                 if hd + d(h(x, ctx), ctx) != x:
                     yield {"grade": k, "chain": x.render()}
 
-    def homotopy_identity_grade_zero(fs, qf):
+    def homotopy_identity_grade_zero(f, fs, qf):
         return prolongation(restriction(fs, ctx), ctx) + koszul_boundary(
             classical_homotopy(KoszulChain.of_series(gdim, fs), ctx), ctx).series() == fs
 
-    def homotopy_kills_prolongations(fs, qf):
+    def homotopy_kills_prolongations(f, fs, qf):
         g = prolongation(restriction(fs, ctx), ctx)
         return classical_homotopy(KoszulChain.of_series(gdim, g), ctx).is_zero()
 
-    def right_inverse(fs, qf):
+    def right_inverse(f, fs, qf):
         g = restriction(fs, ctx)
         return quantum_restriction(prolongation(g, ctx), ctx) == g
 
-    def projection_idempotent(fs, qf):
+    def projection_idempotent(f, fs, qf):
         proj = prolongation(qf, ctx)
         return prolongation(quantum_restriction(proj, ctx), ctx) == proj
 
@@ -527,20 +516,23 @@ def verify_complex_identities(ctx: ReductionContext,
               restriction_kills_boundaries(quantum_restriction, quantum_koszul_boundary)),
         check("homotopy_identity_positive_grades",
               homotopy_identity(range(1, gdim + 1), classical_homotopy, koszul_boundary)),
-        check("homotopy_identity_grade_zero", sample_failures(homotopy_identity_grade_zero)),
-        check("homotopy_kills_prolongations", sample_failures(homotopy_kills_prolongations)),
-        check("quantum_restriction_classical_limit", sample_failures(
-            lambda fs, qf: qf.coeff(0) == restriction(fs, ctx).coeff(0))),
+        check("homotopy_identity_grade_zero",
+              failures(samples, homotopy_identity_grade_zero, series, qres)),
+        check("homotopy_kills_prolongations",
+              failures(samples, homotopy_kills_prolongations, series, qres)),
+        check("quantum_restriction_classical_limit", failures(samples, lambda f, fs, qf:
+              qf.coeff(0) == restriction(fs, ctx).coeff(0), series, qres)),
         # i** = i* ∘ T, where the context has T
-        *([check("quantum_restriction_after_T", sample_failures(
-            lambda fs, qf: quantum_restriction(fs, ctx) == qf))]
+        *([check("quantum_restriction_after_T", failures(
+            samples, lambda f, fs, qf: quantum_restriction(fs, ctx) == qf, series, qres))]
           if ctx.conjugation is not None else []),
-        check("quantum_restriction_right_inverse", sample_failures(right_inverse)),
-        check("projection_idempotent", sample_failures(projection_idempotent)),
+        check("quantum_restriction_right_inverse",
+              failures(samples, right_inverse, series, qres)),
+        check("projection_idempotent", failures(samples, projection_idempotent, series, qres)),
         check("kernel_contains_ideal_generators", kernel_contains_ideal_generators()),
         # direct sum decomposition: the complement lands in the kernel
-        check("direct_sum_complement_in_kernel", sample_failures(
-            lambda fs, qf: quantum_restriction(fs - prolongation(qf, ctx), ctx).is_zero())),
+        check("direct_sum_complement_in_kernel", failures(samples, lambda f, fs, qf:
+              quantum_restriction(fs - prolongation(qf, ctx), ctx).is_zero(), series, qres)),
         *(check(f"quantum_homotopy_identity_grade_{k}",
                 homotopy_identity([k], quantum_homotopy, quantum_koszul_boundary))
           for k in range(min(gdim, 2) + 1)),

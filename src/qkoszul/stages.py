@@ -23,7 +23,7 @@ from .koszul import (
 )
 from .lie import LieAlgebraData, QuantumMomentumMap, TranslationAction
 from .reduction import ReducedAlgebra, reduced_star
-from .report import check
+from .report import check, failures
 
 
 class StageConfig:
@@ -98,14 +98,8 @@ def build_compatible_prolongations(pipe: StagePipeline,
 
     # each sample as a reduced probe phi, with its stagewise prolongation
     # prol1 pi1* prol2 pi2* phi
-    reduced = {f: red2.space.series(f.zero_outside(red.space.vars), ctx.order)
-               for f in samples}
-    stagewise = {f: prolongation(on_cvars1(red2.up(phi)), ctx1)
-                 for f, phi in reduced.items()}
-
-    def failures(holds):
-        """The witness of each sample on which ``holds`` fails."""
-        return ({"f": f.render()} for f in samples if not holds(f))
+    reduced = [red2.space.series(f.zero_outside(red.space.vars), ctx.order) for f in samples]
+    stagewise = [prolongation(on_cvars1(red2.up(phi)), ctx1) for phi in reduced]
 
     # prol = prol1 ∘ i1* ∘ prol on constraint-algebra probes
     def one_step_prolongation_factors(f):
@@ -133,21 +127,20 @@ def build_compatible_prolongations(pipe: StagePipeline,
             quantum_restriction(prolongation(on_cvars1(F), ctx1), ctx)
 
     return [
-        check("one_step_prolongation_factors", failures(one_step_prolongation_factors)),
-        check("second_prolongation_compatible", failures(second_prolongation_compatible)),
+        check("one_step_prolongation_factors", failures(samples, one_step_prolongation_factors)),
+        check("second_prolongation_compatible", failures(samples, second_prolongation_compatible)),
         # (ii) prol1 pi1* prol2 pi2* = prol pi* on reduced probes
         check("stagewise_prolongation_equals_one_step", failures(
-            lambda f: stagewise[f] == red.up(reduced[f]))),
+            samples, lambda f, phi, s: s == red.up(phi), reduced, stagewise)),
         # (iii) the one-step homotopy kills stagewise prolongations
-        check("homotopy_kills_stagewise_prolongations", failures(
-            lambda f: classical_homotopy(
-                KoszulChain.of_series(ctx.gdim, stagewise[f]), ctx).is_zero())),
+        check("homotopy_kills_stagewise_prolongations", failures(samples, lambda f, s:
+              classical_homotopy(KoszulChain.of_series(ctx.gdim, s), ctx).is_zero(), stagewise)),
         # (iv) classical and quantum restriction agree on stagewise prolongations
-        check("restrictions_agree_on_stagewise_prolongations", failures(
-            lambda f: restriction(stagewise[f], ctx) == quantum_restriction(stagewise[f], ctx))),
+        check("restrictions_agree_on_stagewise_prolongations", failures(samples, lambda f, s:
+              restriction(s, ctx) == quantum_restriction(s, ctx), stagewise)),
         check("composite_quantum_restriction_factors",
-              failures(composite_quantum_restriction_factors)),
-        check("descended_restriction_identity", failures(descended_restriction_identity)),
+              failures(samples, composite_quantum_restriction_factors)),
+        check("descended_restriction_identity", failures(samples, descended_restriction_identity)),
     ]
 
 

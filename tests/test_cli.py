@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -39,6 +40,24 @@ def off_by_one_weight(monkeypatch):
     weighted_diff = MultiPoly.weighted_diff
     monkeypatch.setattr(MultiPoly, "weighted_diff",
                         lambda p, var, weight_vars, k: weighted_diff(p, var, weight_vars, k + 1))
+
+
+def fail(name: str, **witness) -> dict:
+    """A failing report entry with its witness."""
+    return {"name": name, "status": "fail", "witness": witness}
+
+
+# the first and the fourth sample on T*R² at the builtins' seed 2024, and
+# the third at 2026, the knp suite's upstairs seed: the witnesses of the
+# checks that a wrong tube weight or a forward straightening fails
+SAMPLE_0 = "(-1/4)+(0/1)i*q2*p2 + (-1/12)+(0/1)i*p1"
+SAMPLE_3 = "(-3/4)+(0/1)i*q1*q2*p1 + (-1/4)+(0/1)i*q2^2 + (2/1)+(0/1)i*q2*p2"
+KNP_SAMPLE_2 = "(2/3)+(0/1)i*q1^2*p1 + (4/3)+(0/1)i*q2*p2 + (5/3)+(0/1)i"
+WRONG_WEIGHT_KNP = [
+    fail("knp.deformed_restriction_equals_quantum_restriction", f=KNP_SAMPLE_2,
+         knp="λ^0: (4/3)+(0/1)i*q2*p2 + (5/3)+(0/1)i\nλ^1: (0/1)-(1/3)i*q1",
+         quantum="λ^0: (4/3)+(0/1)i*q2*p2 + (5/3)+(0/1)i\nλ^1: (0/1)-(2/3)i*q1"),
+    fail("knp.division_identity", f=KNP_SAMPLE_2)]
 
 
 class TestBasics:
@@ -208,9 +227,10 @@ class TestReports:
         assert main(["--scenario", "s2-magnetic"]) == 1
         report = json.loads(capsysbinary.readouterr().out)
         failing = [c for c in report["checks"] if c["status"] == "fail"]
-        assert [c["name"] for c in failing] == ["momentum.restriction_solves_constraint",
-                                                "momentum.straighten_sends_J_to_p"]
-        assert failing[0]["witness"]["f"] and failing[1]["witness"]["a"] == 1
+        assert failing == [
+            fail("momentum.restriction_solves_constraint", f=SAMPLE_0),
+            fail("momentum.straighten_sends_J_to_p", a=1,
+                 J="(1/2)+(0/1)i*q2 + (1/1)+(0/1)i*p1 + (-3/1)+(0/1)i")]
 
     def test_wrong_tube_weight_fails_s1p_single(self, monkeypatch, capsysbinary):
         # m_a/(|m_v|+k+1) in place of m_a/(|m_v|+k) breaks h ∂ + ∂ h = id,
@@ -218,9 +238,18 @@ class TestReports:
         off_by_one_weight(monkeypatch)
         assert main(["--scenario", "s1p-single"]) == 1
         report = json.loads(capsysbinary.readouterr().out)
-        failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
-        assert "complex.homotopy_identity_grade_zero" in failing
-        assert "knp.division_identity" in failing
+        failing = [c for c in report["checks"] if c["status"] == "fail"]
+        assert failing == [
+            fail("complex.direct_sum_complement_in_kernel", f=SAMPLE_3),
+            fail("complex.homotopy_identity_grade_zero", f=SAMPLE_0),
+            fail("complex.homotopy_identity_positive_grades",
+                 chain=f"[e_1] λ^0: {SAMPLE_0}", grade=1),
+            fail("complex.quantum_homotopy_identity_grade_0",
+                 chain=f"[()] λ^0: {SAMPLE_0}", grade=0),
+            fail("complex.quantum_homotopy_identity_grade_1",
+                 chain=f"[e_1] λ^0: {SAMPLE_0}", grade=1),
+            fail("complex.quantum_restriction_after_T", f=SAMPLE_3),
+            *WRONG_WEIGHT_KNP]
 
     def test_wrong_tube_weight_fails_the_knp_suite(self, monkeypatch, tmp_path,
                                                    capsysbinary):
@@ -235,9 +264,7 @@ class TestReports:
         assert main(["--config", str(path)]) == 1
         report = json.loads(capsysbinary.readouterr().out)
         failing = [c for c in report["checks"] if c["status"] == "fail"]
-        assert [c["name"] for c in failing] == [
-            "knp.deformed_restriction_equals_quantum_restriction", "knp.division_identity"]
-        assert all(c["witness"]["f"] for c in failing)
+        assert failing == WRONG_WEIGHT_KNP
 
     def test_flipped_sign_of_X_fails_s1p_single(self, monkeypatch, capsysbinary):
         # the quantum restriction goes through T; the series, which the
@@ -697,6 +724,19 @@ class TestConfigFile:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"name": name, **raw}))
         assert builtin_config(name).echo() == cli.load_config(str(path)).echo()
+
+    def test_readme_configs_echo_and_pass(self):
+        # every json block of README.md is a config: its echo repeats each
+        # key the block sets, and it runs to a pass
+        text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```json\n(.*?)^```$", text, re.M | re.S)
+        assert blocks
+        for block in blocks:
+            raw = json.loads(block)
+            cfg = cli.parse_config(raw)
+            echo = cfg.echo()
+            assert {key: echo[key] for key in raw} == raw
+            assert run_scenario(cfg)["status"] == "pass"
 
 
 def a_twelve_term_limit(monkeypatch):

@@ -232,6 +232,20 @@ class TestStdOrdered:
             assert by_name[name]["status"] == "pass"
 
 
+def test_a_product_without_its_unit_fails_unit_at_the_first_sample(monkeypatch):
+    # a walk that adds λ·f·g has 1 ⋆ f = f + λf: the unit check fails on the
+    # first sample, and its witness is that sample alone
+    walk = phase_space.star_exponential
+    monkeypatch.setattr(phase_space, "star_exponential", lambda fields, f, g: walk(
+        fields, f, g) + LambdaSeries.from_poly((f * g).coeff(0), f.order, shift=1))
+    sp = PhaseSpace.of_dim(1)
+    by_name = {c["name"]: c for c in check_star_axioms(
+        StarProduct.weyl(sp), sample_polys(5, sp.vars, 3, 4), 2)}
+    assert by_name["unit"] == {"name": "unit", "status": "fail", "witness": {
+        "f": "(1/2)+(0/1)i*q1*p1 + (5/2)+(0/1)i*q1 + (-4/1)+(0/1)i"}}
+    assert by_name["order0_pointwise"]["status"] == "pass"
+
+
 class TestMatrix:
     def test_hermitian_read_off_the_matrix(self):
         sp = PhaseSpace.of_dim(2)

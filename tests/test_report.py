@@ -1,7 +1,17 @@
-"""Report entries: the first witness of a check, expected failures, and
-suite prefixes."""
+"""Report entries: the first witness of a check, the witnesses of a
+per-sample identity, expected failures, and suite prefixes."""
 
-from qkoszul.report import check, expected_failure, info, prefixed
+from qkoszul.report import check, expected_failure, failures, info, prefixed
+
+
+class Sample:
+    """A stand-in sample that renders as its label."""
+
+    def __init__(self, label: str):
+        self.label = label
+
+    def render(self) -> str:
+        return self.label
 
 
 def test_pass_without_witnesses():
@@ -20,6 +30,36 @@ def test_fail_keeps_the_first_witness_and_reads_no_further():
     assert entry == {"name": "d_squared_zero", "status": "fail",
                      "witness": {"grade": 2}}
     assert read == [2]
+
+
+def test_failures_witness_each_failing_sample_by_its_render():
+    samples = [Sample(x) for x in "abcd"]
+    assert list(failures(samples, lambda f: f.label in "bd")) == [{"f": "a"}, {"f": "c"}]
+    assert list(failures(samples, lambda f: True)) == []
+
+
+def test_failures_zip_the_columns_with_the_samples():
+    seen = []
+
+    def holds(f, x, y):
+        seen.append((f.label, x, y))
+        return x + y != 5
+
+    samples = [Sample(x) for x in "abc"]
+    assert list(failures(samples, holds, [1, 2, 3], [9, 3, 0])) == [{"f": "b"}]
+    assert seen == [("a", 1, 9), ("b", 2, 3), ("c", 3, 0)]
+
+
+def test_failures_read_no_sample_past_the_first_failure():
+    tested = []
+
+    def holds(f):
+        tested.append(f.label)
+        return f.label == "a"
+
+    entry = check("unit", failures([Sample(x) for x in "abcd"], holds))
+    assert entry == {"name": "unit", "status": "fail", "witness": {"f": "b"}}
+    assert tested == ["a", "b"]
 
 
 def test_expected_failure_passes_with_the_first_witness():

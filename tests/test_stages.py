@@ -151,6 +151,19 @@ class TestCompatibleProlongations:
         assert all(c["status"] == "pass" for c in checks)
         assert len(checks) == 7
 
+    def test_a_wrong_one_step_lift_fails_at_the_first_reduced_sample(self, monkeypatch):
+        # a one-step lift that doubles its input fails only the comparison
+        # with the stagewise prolongation, first on the third sample: the
+        # first two are zero on the residual variables q3, p3
+        ctx = s1_ctx()
+        pipe = StagePipeline(ctx, StageConfig(ctx.action.lie, [1]))
+        up = pipe.red.up
+        monkeypatch.setattr(pipe.red, "up", lambda phi: up(phi).scale(2))
+        checks = build_compatible_prolongations(pipe, sample_polys(113, ctx.space.vars, 3, 6))
+        assert [c for c in checks if c["status"] == "fail"] == [
+            {"name": "stagewise_prolongation_equals_one_step", "status": "fail",
+             "witness": {"f": "(1/1)+(0/1)i*p1*p3 + (3/1)+(0/1)i*p2 + (2/3)+(0/1)i"}}]
+
 
 class TestStageEquality:
     def test_thirty_pairs(self):
