@@ -480,10 +480,10 @@ def conventions() -> Dict[str, str]:
     weyl = StarProduct.weyl(sp)
     std = StarProduct.std(sp)
     wick = StarProduct.wick(sp)
+    qp = weyl.eval_poly(q, p, 1)
     out = {
-        "weyl_q_star_p_order1": weyl.eval_poly(q, p, 1).coeff(1).render(),
-        "weyl_commutator_q_p_order1":
-            (weyl.eval_poly(q, p, 1) - weyl.eval_poly(p, q, 1)).coeff(1).render(),
+        "weyl_q_star_p_order1": qp.coeff(1).render(),
+        "weyl_commutator_q_p_order1": (qp - weyl.eval_poly(p, q, 1)).coeff(1).render(),
         "std_p_star_q_order1": std.eval_poly(p, q, 1).coeff(1).render(),
     }
     z = q + p.scale((0, 1, 1))

@@ -686,7 +686,7 @@ class LambdaSeries:
     ``poly``.  Instances are immutable.
     """
 
-    __slots__ = ("order", "poly")
+    __slots__ = ("order", "poly", "__weakref__")
 
     def __init__(self, poly: MultiPoly, order: int):
         # every series operation builds one: no slice, and no shift

@@ -28,6 +28,7 @@ a derivative of a function of V sees only a field's V-components.
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
 from itertools import chain
 from types import MappingProxyType
@@ -187,15 +188,19 @@ class StarProduct:
     reduced product's own two maps.  ``restricted`` holds them by V, and is
     cleared when it reaches ``exact.MAX_LAYOUTS`` lists.
 
-    So each product keeps its last evaluation, one entry: ``eval`` on
-    inputs equal to the last ones returns the series it returned then, and
-    any other pair replaces the entry.  Series are immutable, so the entry
-    is read by comparing the polynomials and the order with ``==``.  The
-    entry that hits is the constant product's: the homological and the
-    closed-form reduced product, or a two-stage and a one-step one, each
-    call their context's constant product on the same factors over the
-    reduced variables, and walk it once between them.  A reduced product's
-    own entry sees no pair twice in a run.
+    So each product keeps its last evaluation, one entry: the order, the
+    polynomials of f and g, and a weak reference to the series it gave.
+    ``eval`` on inputs equal to the last ones returns that series while a
+    caller still holds it; once it is freed, or for any other pair, the
+    product walks again and replaces the entry, so it keeps no result
+    alive.  Series are immutable, so the entry is read by comparing the
+    polynomials and the order with ``==``.  The entry that hits is the
+    constant product's: the homological and the closed-form reduced
+    product, or a two-stage and a one-step one, each call their context's
+    constant product on the same factors over the reduced variables, and
+    a caller that holds the first result while it asks for the second
+    walks the pair once.  A reduced product's own entry sees no pair twice
+    in a run.
     """
 
     def __init__(self, space: PhaseSpace,
@@ -207,7 +212,7 @@ class StarProduct:
         self.matrix = matrix
         self.restricted: Dict[Tuple[str, ...], tuple] = {}
         # the last evaluation: the order, the polynomials of f and g, and
-        # the series it gave
+        # a weak reference to the series it gave
         self._last: tuple = (None, None, None, None)
 
     # -- constructors ---------------------------------------------------
@@ -279,10 +284,10 @@ class StarProduct:
             raise OrderMismatchError(f"order {f.order} vs {g.order}")
         fp, gp = f.poly, g.poly
         order, lf, lg, last = self._last
-        if fp == lf and gp == lg and f.order == order:
-            return last
+        if fp == lf and gp == lg and f.order == order and (out := last()) is not None:
+            return out
         out = self._over(f.vars, g.vars)[0](f, g)
-        self._last = (f.order, fp, gp, out)
+        self._last = (f.order, fp, gp, weakref.ref(out))
         return out
 
     def _over(self, fvars: Tuple[str, ...], gvars: Tuple[str, ...]) -> tuple:
@@ -311,10 +316,10 @@ def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],
     products: Dict[Tuple[MultiPoly, MultiPoly], LambdaSeries] = {}
 
     def product(f: MultiPoly, g: MultiPoly) -> LambdaSeries:
-        key = (f, g)
-        if key not in products:
-            products[key] = star.eval_poly(f, g, L)
-        return products[key]
+        got = products.get((f, g))
+        if got is None:
+            got = products[f, g] = star.eval_poly(f, g, L)
+        return got
 
     pairs = list(zip(samples, samples[1:]))
 

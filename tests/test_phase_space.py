@@ -8,11 +8,13 @@ evaluator, written apart from qkoszul, and every product's bracket to the
 canonical one.
 """
 
+import gc
 import importlib.util
 import itertools
 import math
 import random
 import re
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -741,6 +743,37 @@ def test_other_inputs_walk_again(kind, monkeypatch):
         [(LambdaSeries.from_poly(a, L).poly, LambdaSeries.from_poly(b, L).poly, L)
          for a, b, L in calls[:6]]
     assert got[0] == got[4] and got[5] is got[6]
+
+
+@pytest.mark.parametrize("kind", KINDS + ("skew",))
+def test_a_product_keeps_no_result_alive(kind, monkeypatch):
+    walks = counted_walks(monkeypatch)
+    star = product_of(kind, SP2)
+    f, g = (SP2.series(x, 3) for x in sample_polys(61, SP2.vars, 3, 2))
+    first = star.eval(f, g)
+    expected, dead = rebuilt(first), weakref.ref(first)
+    del first
+    gc.collect()
+    assert dead() is None
+    # the entry still holds the inputs, but no series to return for them
+    again = star.eval(f, g)
+    assert again == expected and len(walks) == 2
+    assert star.eval(f, g) is again and len(walks) == 2
+
+
+# the star walks of one run of each builtin at its default seed: the hits
+# of the one-entry memo are the pairs a caller evaluates again while it
+# still holds the first result
+BUILTIN_WALKS = {"axioms-std": 58, "axioms-weyl": 58, "axioms-wick": 58, "ce-heisenberg": 4,
+                 "s1-translation": 215, "s1p-single": 110, "s2-magnetic": 110}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_WALKS))
+def test_each_builtin_walks_as_often_as_pinned(name, monkeypatch):
+    assert sorted(BUILTIN_WALKS) == sorted(cli.SCENARIOS)
+    walks = counted_walks(monkeypatch)
+    cli.run_scenario(cli.builtin_config(name))
+    assert len(walks) == BUILTIN_WALKS[name]
 
 
 def test_equal_numerators_over_other_variables_are_not_the_last_product():
