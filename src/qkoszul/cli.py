@@ -394,6 +394,8 @@ def suite_knp(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
     knp = knp_reduced_star(red)
     pairs = sample_pairs(cfg.seed + 2, red.space.vars, cfg.degree, cfg.samples)
 
+    # on this model both sides are one product, the context's on the reduced
+    # variables; the quotient entries of ROADMAP item 15(a) will replace it
     def closed_form_equals_homological():
         for f, g in pairs:
             a = knp.eval_poly(f, g, cfg.lambda_order)

@@ -44,7 +44,7 @@ from .lie import (
     TranslationAction,
     canonical_momentum_map,
 )
-from .phase_space import PhaseSpace, StarProduct, positions
+from .phase_space import PhaseSpace, StarProduct
 from .report import check, failures
 
 IndexKey = Tuple[int, ...]
@@ -361,21 +361,17 @@ def _corrected(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
 
 
 def fixed_by_corrections(f: LambdaSeries, ctx: ReductionContext) -> bool:
-    """Whether every correction returns f: the homotopy and each entry of
-    T's Y act through the constrained p_a alone, so f is fixed where it
-    uses none of them.  f has the context's order and lies over its
-    variables, or over an ordered sub-list of them on which it uses no
-    p_a; a sub-list without them is decided by its names, with no pass
-    over the terms."""
+    """Whether every correction returns f, which has the context's order
+    and lies over its variables: the homotopy and each entry of T's Y act
+    through the constrained p_a alone, so f is fixed where it uses none of
+    them."""
     if f.order != ctx.order:
         raise OrderMismatchError(f"a series of order {f.order} does not match the "
                                  f"context's order {ctx.order}")
-    uses = f.uses(*ctx.constrained)
-    if f.vars != ctx.space.vars and (uses or positions(ctx.space.vars, f.vars) is None):
+    if f.vars != ctx.space.vars:
         raise VariableMismatchError(f"a series over {f.vars} does not match the context's "
-                                    f"variables {ctx.space.vars}, nor an ordered sub-list "
-                                    f"of them on which it uses no constrained p_a")
-    return not uses
+                                    f"variables {ctx.space.vars}")
+    return not f.uses(*ctx.constrained)
 
 
 def series_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:

@@ -150,12 +150,13 @@ def _rank_one_terms(C: Dict[Tuple[int, int], Gauss]) -> Tuple[Tuple[Vector, Vect
 
 
 def _restricted(terms: Tuple[Tuple[Vector, Vector], ...], B: Dict[Tuple[int, int], Gauss],
-                at: Tuple[int, ...], vars: Tuple[str, ...]) -> tuple:
-    """The star walk and the bracket of a constant product with rank-one
-    terms ``terms`` and bracket matrix ``B`` on operands over ``vars``, the
-    variables at positions ``at`` of its space: each vector and B cut to
-    those positions and renumbered, and a term with a factor that is zero
-    there dropped."""
+                T: Dict[Tuple[int, int], Gauss], at: Tuple[int, ...],
+                vars: Tuple[str, ...]) -> tuple:
+    """The star walk, the bracket and the Hermitian flag of a constant
+    product with rank-one terms ``terms``, bracket matrix ``B`` and matrix
+    ``T`` on operands over ``vars``, the variables at positions ``at`` of
+    its space: each vector, B and T cut to those positions, and a term with
+    a factor that is zero there dropped."""
     new = {i: k for k, i in enumerate(at)}
 
     def cut(v: Vector) -> Vector:
@@ -163,7 +164,9 @@ def _restricted(terms: Tuple[Tuple[Vector, Vector], ...], B: Dict[Tuple[int, int
     cuts = tuple((a, b) for a, b in ((cut(a), cut(b)) for a, b in terms) if a and b)
     return (partial(star_exponential, star_fields(vars, cuts)),
             pairing(vars, {(new[i], new[j]): c for (i, j), c in B.items()
-                           if i in new and j in new}))
+                           if i in new and j in new}),
+            all(T.get((j, i)) == (r, -m, d) for (i, j), (r, m, d) in T.items()
+                if i in new and j in new))
 
 
 class StarProduct:
@@ -175,20 +178,22 @@ class StarProduct:
     deforms, and ``hermitian`` says whether conj(f ⋆ g) = conj(g) ⋆ conj(f).
     Products on a phase space come from ``constant`` and keep their matrix
     as ``matrix``: C as integer triples (re, im, den) keyed by variable
-    positions, zero entries left out, read-only.  Reduced products are
-    built from their series evaluation and their reduced bracket, and their
-    ``matrix`` is None.  Evaluation is bilinear over Gaussian rationals and
-    pure: the same inputs always give the same series.
+    positions, zero entries left out, read-only.  A reduced product is its
+    context's product on the reduced variables, and its ``matrix`` is None.
+    Evaluation is bilinear over Gaussian rationals and pure: the same
+    inputs always give the same series.
 
     f and g lie over one ordered sub-list V of the space's variables, and
     the result lies over V; any other pair of lists is a
     VariableMismatchError that names both.  ``restrict(at, V)``, for the
-    positions ``at`` of V, gives the evaluation and the bracket over V: a
-    constant product's walk and pairing on C cut to V (``_restricted``), a
-    reduced product's own two maps.  ``restricted`` holds them by V, and is
-    cleared when it reaches ``exact.MAX_LAYOUTS`` lists.
+    positions ``at`` of V, gives the evaluation, the bracket and the
+    Hermitian flag over V: a constant product's on C cut to V
+    (``_restricted``), a reduced product's own evaluation with its context
+    product's bracket and flag.  ``over`` holds the three by V in
+    ``restricted``, cleared when it reaches ``exact.MAX_LAYOUTS`` lists, and
+    ``hermitian`` is the flag over the product's own variables.
 
-    So each product keeps its last evaluation, one entry: the order, the
+    Each product keeps its last evaluation, one entry: the order, the
     polynomials of f and g, and a weak reference to the series it gave.
     ``eval`` on inputs equal to the last ones returns that series while a
     caller still holds it; once it is freed, or for any other pair, the
@@ -205,10 +210,9 @@ class StarProduct:
 
     def __init__(self, space: PhaseSpace,
                  restrict: Callable[[Tuple[int, ...], Tuple[str, ...]], tuple],
-                 hermitian: bool, matrix: Optional[Mapping[Tuple[int, int], Gauss]] = None):
+                 matrix: Optional[Mapping[Tuple[int, int], Gauss]] = None):
         self.space = space
         self._restrict = restrict
-        self.hermitian = hermitian
         self.matrix = matrix
         self.restricted: Dict[Tuple[str, ...], tuple] = {}
         # the last evaluation: the order, the polynomials of f and g, and
@@ -222,7 +226,7 @@ class StarProduct:
         """μ ∘ exp(λ Σ C^{ij} ∂_i ⊗ ∂_j).  C is read once into integer
         triples; on them it is factored into rank-one terms, which become
         the vector fields of the star walk, and the bracket matrix
-        -i (C - Cᵀ) and the Hermitian property are read off."""
+        -i (C - Cᵀ) is read off."""
         N = len(space.vars)
         bad = [ij for ij in C if not (0 <= ij[0] < N and 0 <= ij[1] < N)]
         if bad:
@@ -233,13 +237,12 @@ class StarProduct:
             t = gauss(c)
             if t[0] or t[1]:
                 T[ij] = t
-        hermitian = all(T.get((j, i)) == (r, -m, d) for (i, j), (r, m, d) in T.items())
         B = {}
         for i, j in sorted(T.keys() | {(j, i) for i, j in T}):
             r, m, d = _sub_mul(T.get((i, j), ZERO), T.get((j, i), ZERO))
             if r or m:
                 B[i, j] = (m, -r, d)
-        return StarProduct(space, partial(_restricted, _rank_one_terms(T), B), hermitian,
+        return StarProduct(space, partial(_restricted, _rank_one_terms(T), B, T),
                            MappingProxyType(T))
 
     @staticmethod
@@ -277,7 +280,11 @@ class StarProduct:
         return self.eval(LambdaSeries.from_poly(f, order), LambdaSeries.from_poly(g, order))
 
     def bracket_poly(self, f: MultiPoly, g: MultiPoly) -> MultiPoly:
-        return self._over(f.vars, g.vars)[1](f, g)
+        return self.over(f.vars, g.vars)[1](f, g)
+
+    @property
+    def hermitian(self) -> bool:
+        return self.over(self.space.vars, self.space.vars)[2]
 
     def eval(self, f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
         if f.order != g.order:
@@ -286,12 +293,13 @@ class StarProduct:
         order, lf, lg, last = self._last
         if fp == lf and gp == lg and f.order == order and (out := last()) is not None:
             return out
-        out = self._over(f.vars, g.vars)[0](f, g)
+        out = self.over(f.vars, g.vars)[0](f, g)
         self._last = (f.order, fp, gp, weakref.ref(out))
         return out
 
-    def _over(self, fvars: Tuple[str, ...], gvars: Tuple[str, ...]) -> tuple:
-        """The evaluation and the bracket over the operands' variables."""
+    def over(self, fvars: Tuple[str, ...], gvars: Tuple[str, ...]) -> tuple:
+        """The evaluation, the bracket and the Hermitian flag over the
+        operands' variables."""
         got = self.restricted.get(fvars)
         if got is None or gvars != fvars:
             at = positions(self.space.vars, fvars) if gvars == fvars else None
@@ -308,8 +316,8 @@ def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],
                       order: int) -> List[dict]:
     """Exact order-by-order verification of the star product axioms on the
     sample set.  Failures are report entries carrying a witness, never
-    exceptions.  A product whose matrix is not Hermitian must fail ``hermitian``.
-    The samples must lie on the product's space."""
+    exceptions.  A product whose matrix, cut to its variables, is not
+    Hermitian must fail ``hermitian``.  The samples must lie on its space."""
     vars = star.space.vars
     L = order
     # several checks read the same product; each pair is evaluated once

@@ -1,23 +1,22 @@
 """Reduced algebras and reduced star products on flat cotangent scenarios.
 
 The reduced phase space of a lifted translation action is again a flat
-cotangent bundle, over the untranslated configuration directions.  Two
-routes to the reduced star product correct the product upstairs and then
-take the tube's restriction, and the tests hold them to exact agreement.
-The homological one corrects by ``quantum_correction``: T where the context
-has it, which never reads the homotopy.  The closed form of
-Kowalzig–Neumaier–Pflaum corrects by (id - V)^{-1}, with
-V F = Σ_a r_a(F)·J_a - r_a(F) ⋆ Jq_a for r_a, the grade-0 homotopy along a,
-which divides by the momentum components.  On the grade-0 chain of F, V is
-A = (∂ - ∂_q)h term for term: h puts r_a(F) at the key (a,) with sign +1,
-and at grade 1 both boundaries send it back to () with sign +1, times J_a
-and star times Jq_a.  So the closed form is ``series_correction``.
+cotangent bundle, over the untranslated configuration directions.  The
+paper's reduced product is i**(prol f ⋆ prol g), and it has two routes to
+the correction before i*: the homological one, ``quantum_correction``, and
+the closed form of Kowalzig–Neumaier–Pflaum, (id - V)^{-1} with
+V F = Σ_a r_a(F)·J_a - r_a(F) ⋆ Jq_a for r_a, the grade-0 homotopy along a.
+On the grade-0 chain of F, V is A = (∂ - ∂_q)h term for term, so the closed
+form is ``series_correction``.
 
-Both routes multiply on the reduced variables: prol f is f with zero
-exponents in the other variables, and the context's product takes f and g
-over an ordered sub-list of its variables as they are.  Their product uses
-no constrained p_a, which every correction then fixes by name, nor any
-translated q_a, so it is its own restriction: nothing is moved up or down.
+On this model prol f is f with zero exponents in the other variables, and
+the context's product takes f and g over an ordered sub-list of its
+variables as they are.  Their product uses no constrained p_a, which both
+routes' corrections fix, nor any translated q_a, which i* drops.  So a
+reduced product is its context's product on the reduced variables: no
+correction runs, and nothing is moved up or down.  The routes differ only
+upstairs, where ``knp.deformed_restriction_equals_quantum_restriction``
+compares them on inputs that carry p_a.
 
 A shifted or magnetic scenario is the pullback of the canonical one along a
 fiber translation, so it runs as the canonical scenario in straightened
@@ -32,7 +31,7 @@ from typing import Mapping, Tuple, TypeVar
 
 from .exact import (AlgebraError, LambdaSeries, MultiPoly, OrderMismatchError,
                     VariableMismatchError, rational)
-from .koszul import ReductionContext, quantum_correction, series_correction
+from .koszul import ReductionContext
 from .phase_space import PhaseSpace, StarProduct
 
 # the maps below act alike on a polynomial and on a whole series
@@ -43,7 +42,8 @@ def elevate_context(ctx: ReductionContext, order: int) -> ReductionContext:
     """The context a reduced product of series at ``order`` runs on: the
     context itself, at its own order.  The context holds Jq truncated at
     that order and a reduced product runs at it, so any other order is an
-    OrderMismatchError."""
+    OrderMismatchError.  The benchmark's tracer counts its calls by this
+    name, so it goes only with ROADMAP item 1b."""
     if order != ctx.order:
         raise OrderMismatchError(f"cannot {'raise' if order > ctx.order else 'lower'} a "
                                  f"context of order {ctx.order} to {order}: a reduced "
@@ -80,32 +80,22 @@ class ReducedAlgebra:
         return F.zero_outside(self.space.vars)
 
 
-def _reduced_product(red: ReducedAlgebra, correct) -> StarProduct:
-    """i**(prol f ⋆ prol g) with ``correct`` before the restriction, on f
-    and g over an ordered sub-list V of the reduced variables.  On V, prol
-    is the inclusion, and the context's product takes f and g as they are.
-    Its result over V uses no constrained p_a, which every correction
-    fixes, nor any translated q_a, so i* is the identity on it: the product
-    is the corrected context product, and its bracket the context's."""
+def reduced_star(red: ReducedAlgebra) -> StarProduct:
+    """i**(prol f ⋆ prol g) on f and g over an ordered sub-list V of the
+    reduced variables: the context's product at its order (see the module
+    docstring), with that product's bracket and Hermitian flag over V."""
 
     def ev(f: LambdaSeries, g: LambdaSeries) -> LambdaSeries:
-        ctx = elevate_context(red.ctx, f.order)
-        return correct(ctx.star.eval(f, g), ctx)
+        return elevate_context(red.ctx, f.order).star.eval(f, g)
 
-    return StarProduct(red.space, lambda at, vars: (ev, red.ctx.star.bracket_poly),
-                       red.ctx.star.hermitian)
-
-
-def reduced_star(red: ReducedAlgebra) -> StarProduct:
-    """The reduced star product through the quantum restriction."""
-    return _reduced_product(red, quantum_correction)
+    return StarProduct(red.space, lambda at, vars: (ev, *red.ctx.star.over(vars, vars)[1:]))
 
 
 def knp_reduced_star(red: ReducedAlgebra) -> StarProduct:
-    """Closed-form reduced star product of Kowalzig–Neumaier–Pflaum, whose
-    correction (id - V)^{-1} is ``series_correction`` (see the module
-    docstring).  Agrees exactly with the homological reduced star product."""
-    return _reduced_product(red, series_correction)
+    """The closed form of Kowalzig–Neumaier–Pflaum, which on this model is
+    ``reduced_star`` (see the module docstring).  The benchmark's tracer
+    tags its products by this name, so it goes only with ROADMAP item 1b."""
+    return reduced_star(red)
 
 
 class CotangentSplit:
@@ -118,7 +108,8 @@ class CotangentSplit:
     def r(self, i: int, F: P) -> P:
         """The i-th division operator (1-based over the vertical
         directions) on a polynomial or a series: the grade-0 homotopy along
-        direction i."""
+        direction i.  The benchmark's tracer wraps it by this name, so it
+        goes only with ROADMAP item 1b."""
         return F.weighted_diff(self.ctx.constrained[i - 1], self.ctx.constrained, 0)
 
 

@@ -29,7 +29,9 @@ from .report import check, failures
 class StageConfig:
     """Index split of the acting algebra into the first-stage directions and
     the rest.  ``StagePipeline`` takes only a split of its context's algebra,
-    which is abelian, so every split is an ideal with an invariant complement."""
+    which is abelian, so every split is an ideal with an invariant complement.
+    Its ``lie`` only repeats the context's; the benchmark builds it as
+    (lie, first), so that goes only with ROADMAP item 1b."""
 
     def __init__(self, lie: LieAlgebraData, first: Sequence[int]):
         self.lie = lie

@@ -105,7 +105,7 @@ ALLOWED = {
     ("exact._extend", "table.clear()"): "a walk table past MAX_TERMS keys",
     ("exact._extend", "new = keys"): "a walk table past MAX_TERMS keys",
     ("exact._walk_layout", "layouts.clear()"): "the walk layouts past MAX_LAYOUTS",
-    ("phase_space.StarProduct._over", "self.restricted.clear()"):
+    ("phase_space.StarProduct.over", "self.restricted.clear()"):
         "a product's restrictions past MAX_LAYOUTS variable lists",
     # reprs
     ("exact.MultiPoly.__repr__", 'return f"MultiPoly({self.render()})"'):

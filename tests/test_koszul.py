@@ -969,9 +969,10 @@ def test_corrections_return_a_series_without_constrained_p(kind):
 
 @pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
 def test_corrections_on_a_sub_list_of_the_variables(kind):
-    # without a constrained p_a among its variables a series is fixed by its
-    # names, and with one that it does not use by its terms; a series that
-    # uses a p_a is corrected only over all the context's variables
+    # a series is corrected only over all the context's variables: on a
+    # sub-list every correction raises, whether the series uses a p_a or
+    # not, and the same series over the context's variables is fixed by its
+    # terms alone
     sp = PhaseSpace.of_dim(3)
     base = ReductionContext.canonical(sp, (1, 2), getattr(StarProduct, kind)(sp), L,
                                       Jq=corrected_Jq(sp, (1, 2), L, True))
@@ -982,26 +983,27 @@ def test_corrections_on_a_sub_list_of_the_variables(kind):
         without = ctx.cvars[1:]
         f, g = sample_polys(241, without, 3, 2)
         F = LambdaSeries.from_poly(f, ctx.order) + LambdaSeries.from_poly(g, ctx.order, shift=1)
-        assert koszul.fixed_by_corrections(F, ctx)
-        corrections = [koszul.series_correction, koszul.quantum_correction]
+        corrections = [koszul.fixed_by_corrections, koszul.series_correction,
+                       koszul.quantum_correction]
         if ctx.conjugation is not None:
             corrections += [conjugate, unconjugate]
-        assert all(correct(F, ctx) is F for correct in corrections)
         on_p = tuple(v for v in ctx.space.vars if v in without or v == pa)
         P = MultiPoly.variable(on_p, pa)
-        unused = F.with_vars(on_p)
-        assert koszul.fixed_by_corrections(unused, ctx)
-        assert all(correct(unused, ctx) is unused for correct in corrections)
-        G = unused * LambdaSeries.from_poly(P * P + P, ctx.order)
-        for correct in [koszul.fixed_by_corrections, *corrections]:
-            with pytest.raises(VariableMismatchError, match="uses no constrained p_a"):
-                correct(G, ctx)
+        G = F.with_vars(on_p) * LambdaSeries.from_poly(P * P + P, ctx.order)
+        for sub in (F, F.with_vars(on_p), G):
+            for correct in corrections:
+                with pytest.raises(VariableMismatchError, match="does not match the context's"):
+                    correct(sub, ctx)
+        whole = F.with_vars(ctx.space.vars)
+        assert koszul.fixed_by_corrections(whole, ctx)
+        assert all(correct(whole, ctx) is whole for correct in corrections[1:])
         assert not koszul.fixed_by_corrections(G.with_vars(ctx.space.vars), ctx)
 
 
 @pytest.mark.parametrize("vars, order, error", (
     pytest.param(("q2", "q1"), L, VariableMismatchError, id="reordered"),
     pytest.param(("q1", "x"), L, VariableMismatchError, id="foreign-name"),
+    pytest.param(("q1", "q3"), L, VariableMismatchError, id="sub-list"),
     pytest.param(("q1", "q2", "q3", "p1", "p2", "p3", "x"), L, VariableMismatchError,
                  id="superset"),
     pytest.param(("q1", "p3"), L - 1, OrderMismatchError, id="sub-list-at-another-order"),

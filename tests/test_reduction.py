@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkoszul import phase_space
+from qkoszul import koszul, phase_space
 from qkoszul.exact import (
     AlgebraError,
     LambdaSeries,
@@ -144,19 +144,24 @@ class TestUpAndDown:
 
     @pytest.mark.parametrize("name", CONTEXTS)
     def test_a_reduced_product_calls_no_down(self, name, monkeypatch):
+        # nor a correction: the product of its factors uses no p_a, which
+        # every correction would fix
         ctx = self.CONTEXTS[name]()
         red = ReducedAlgebra(ctx)
         pipe = StagePipeline(ctx, StageConfig(ctx.action.lie, [1]))
-        calls = []
+        calls, fixed = [], []
         down = ReducedAlgebra.down
         monkeypatch.setattr(ReducedAlgebra, "down",
                             lambda r, F: calls.append(F) or down(r, F))
+        is_fixed = koszul.fixed_by_corrections
+        monkeypatch.setattr(koszul, "fixed_by_corrections",
+                            lambda F, c: fixed.append(F) or is_fixed(F, c))
         (f, g), = sample_pairs(73, red.space.vars, 3, 1)
         bracket = reduced_star(red).bracket_poly(f, g)
         for star in (reduced_star(red), knp_reduced_star(red), pipe.star_red2):
             assert not star.eval_poly(f, g, L).is_zero()
             assert star.bracket_poly(f, g) == bracket
-        assert calls == []
+        assert calls == [] and fixed == []
 
     @pytest.mark.parametrize("name", CONTEXTS)
     def test_down_of_a_series_over_a_sub_list_is_over_the_reduced_variables(self, name):
@@ -253,6 +258,31 @@ class TestReducedStar:
         samples = sample_polys(59, red.space.vars, 3, 8)
         checks = check_star_axioms(star_red, samples, L)
         assert all(c["status"] == "pass" for c in checks)
+
+    def test_hermitian_is_read_off_the_matrix_cut_to_the_reduced_variables(self):
+        # Weyl's matrix plus C^{pn pn} = i/3 is not Hermitian, but its only
+        # entry that breaks conj(C) = Cᵀ lies on the last translated direction
+        def weyl_plus_pp(n: int) -> StarProduct:
+            sp = PhaseSpace.of_dim(n)
+            return StarProduct.constant(sp, {**StarProduct.weyl(sp).matrix,
+                                             (2 * n - 1, 2 * n - 1): (0, 1, 3)})
+
+        star = weyl_plus_pp(2)
+        red = ReducedAlgebra(ReductionContext.canonical(star.space, [2], star, L))
+        assert not star.hermitian
+        samples = sample_polys(83, red.space.vars, 3, 6)
+        for star_red in (reduced_star(red), knp_reduced_star(red)):
+            assert star_red.hermitian
+            assert {"name": "hermitian", "status": "pass"} in \
+                check_star_axioms(star_red, samples, L)
+        # on T*R³ a first stage that keeps p3 is not Hermitian; the second
+        # stage and the one-step product are
+        star = weyl_plus_pp(3)
+        ctx = ReductionContext.canonical(star.space, (2, 3), star, L)
+        for first, hermitian1 in (((1,), False), ((2,), True)):
+            pipe = StagePipeline(ctx, StageConfig(ctx.action.lie, first))
+            assert (pipe.star_red1.hermitian, pipe.star_red2.hermitian,
+                    pipe.star_red.hermitian) == (hermitian1, True, True)
 
 
 class TestResidualProduct:
