@@ -13,17 +13,16 @@ product deforms is -i (C - Cᵀ), and the product is Hermitian exactly when
 conj(C) = Cᵀ.
 
 ``StarProduct.constant`` reads C once into integer triples (re, im, den)
-through ``exact.gauss`` and does its rank-one factorisation, its Hermitian
-test and its bracket matrix on them.  It hands the rank-one terms and the
-bracket matrix to ``exact`` by variable position, as the vector fields of
-the star walk (``star_fields``) and as the bracket's pairing (``pairing``).  The bracket shares no code with the
-star walk, so the order-1 commutator check compares two independent
-computations.
-
-A product takes operands over any ordered sub-list V of its space's
-variables and returns its result over V.  A constant product walks and
-pairs there on C restricted to V × V, which is Σ_k (a_k|V)(b_k|V)ᵀ, since
-a derivative of a function of V sees only a field's V-components.
+through ``exact.gauss`` and keeps only them.  A product takes operands over
+any ordered sub-list V of its space's variables and returns its result over
+V.  On the first operands over V it cuts C to V × V once, and reads all
+three of its structures off C|V: its rank-one factorisation, handed to
+``exact`` as the vector fields of the star walk (``star_fields``), its
+bracket matrix -i (C|V - C|Vᵀ), handed over as the bracket's pairing
+(``pairing``), and its Hermitian flag conj(C|V) = C|Vᵀ.  C|V is the right
+matrix because a derivative of a function of V sees only V's components.
+The bracket shares no code with the star walk, so the order-1 commutator
+check compares two independent computations.
 """
 
 from __future__ import annotations
@@ -149,24 +148,23 @@ def _rank_one_terms(C: Dict[Tuple[int, int], Gauss]) -> Tuple[Tuple[Vector, Vect
     return tuple(terms)
 
 
-def _restricted(terms: Tuple[Tuple[Vector, Vector], ...], B: Dict[Tuple[int, int], Gauss],
-                T: Dict[Tuple[int, int], Gauss], at: Tuple[int, ...],
+def _restricted(T: Dict[Tuple[int, int], Gauss], at: Tuple[int, ...],
                 vars: Tuple[str, ...]) -> tuple:
-    """The star walk, the bracket and the Hermitian flag of a constant
-    product with rank-one terms ``terms``, bracket matrix ``B`` and matrix
-    ``T`` on operands over ``vars``, the variables at positions ``at`` of
-    its space: each vector, B and T cut to those positions, and a term with
-    a factor that is zero there dropped."""
+    """The star walk, the bracket and the Hermitian flag of the constant
+    product with matrix ``T`` on operands over ``vars``, the variables at
+    positions ``at`` of its space, all three read off C cut to them once:
+    the walk's fields are its rank-one terms, the bracket's matrix is
+    -i (C - Cᵀ), and the flag tests conj(C) = Cᵀ."""
     new = {i: k for k, i in enumerate(at)}
-
-    def cut(v: Vector) -> Vector:
-        return tuple((new[i], c) for i, c in v if i in new)
-    cuts = tuple((a, b) for a, b in ((cut(a), cut(b)) for a, b in terms) if a and b)
-    return (partial(star_exponential, star_fields(vars, cuts)),
-            pairing(vars, {(new[i], new[j]): c for (i, j), c in B.items()
-                           if i in new and j in new}),
-            all(T.get((j, i)) == (r, -m, d) for (i, j), (r, m, d) in T.items()
-                if i in new and j in new))
+    C = {(new[i], new[j]): c for (i, j), c in T.items() if i in new and j in new}
+    B = {}
+    for i, j in sorted(C.keys() | {(j, i) for i, j in C}):
+        r, m, d = _sub_mul(C.get((i, j), ZERO), C.get((j, i), ZERO))
+        if r or m:
+            B[i, j] = (m, -r, d)
+    return (partial(star_exponential, star_fields(vars, _rank_one_terms(C))),
+            pairing(vars, B),
+            all(C.get((j, i)) == (r, -m, d) for (i, j), (r, m, d) in C.items()))
 
 
 class StarProduct:
@@ -176,10 +174,11 @@ class StarProduct:
     order, ``eval_poly(f, g, order)`` the product of two polynomials
     truncated at λ^order, ``bracket_poly(f, g)`` the classical bracket it
     deforms, and ``hermitian`` says whether conj(f ⋆ g) = conj(g) ⋆ conj(f).
-    Products on a phase space come from ``constant`` and keep their matrix
-    as ``matrix``: C as integer triples (re, im, den) keyed by variable
-    positions, zero entries left out, read-only.  A reduced product is its
-    context's product on the reduced variables, and its ``matrix`` is None.
+    Products on a phase space come from ``constant`` and keep their matrix,
+    and nothing derived from it, as ``matrix``: C as integer triples
+    (re, im, den) keyed by variable positions, zero entries left out,
+    read-only.  A reduced product is its context's product on the reduced
+    variables, and its ``matrix`` is None.
     Evaluation is bilinear over Gaussian rationals and pure: the same
     inputs always give the same series.
 
@@ -187,11 +186,11 @@ class StarProduct:
     the result lies over V; any other pair of lists is a
     VariableMismatchError that names both.  ``restrict(at, V)``, for the
     positions ``at`` of V, gives the evaluation, the bracket and the
-    Hermitian flag over V: a constant product's on C cut to V
-    (``_restricted``), a reduced product's own evaluation with its context
-    product's bracket and flag.  ``over`` holds the three by V in
-    ``restricted``, cleared when it reaches ``exact.MAX_LAYOUTS`` lists, and
-    ``hermitian`` is the flag over the product's own variables.
+    Hermitian flag over V: a constant product reads all three off C cut to
+    V (``_restricted``), a reduced product gives its own evaluation with
+    its context product's bracket and flag.  ``over`` holds the three by V
+    in ``restricted``, cleared when it reaches ``exact.MAX_LAYOUTS`` lists,
+    and ``hermitian`` is the flag over the product's own variables.
 
     Each product keeps its last evaluation, one entry: the order, the
     polynomials of f and g, and a weak reference to the series it gave.
@@ -224,9 +223,9 @@ class StarProduct:
     @staticmethod
     def constant(space: PhaseSpace, C: Matrix) -> "StarProduct":
         """μ ∘ exp(λ Σ C^{ij} ∂_i ⊗ ∂_j).  C is read once into integer
-        triples; on them it is factored into rank-one terms, which become
-        the vector fields of the star walk, and the bracket matrix
-        -i (C - Cᵀ) is read off."""
+        triples, and the product keeps them and nothing derived from them:
+        its walk, bracket and Hermitian flag are read off C cut to each
+        variable list at that list's first use (``_restricted``)."""
         N = len(space.vars)
         bad = [ij for ij in C if not (0 <= ij[0] < N and 0 <= ij[1] < N)]
         if bad:
@@ -237,13 +236,7 @@ class StarProduct:
             t = gauss(c)
             if t[0] or t[1]:
                 T[ij] = t
-        B = {}
-        for i, j in sorted(T.keys() | {(j, i) for i, j in T}):
-            r, m, d = _sub_mul(T.get((i, j), ZERO), T.get((j, i), ZERO))
-            if r or m:
-                B[i, j] = (m, -r, d)
-        return StarProduct(space, partial(_restricted, _rank_one_terms(T), B, T),
-                           MappingProxyType(T))
+        return StarProduct(space, partial(_restricted, T), MappingProxyType(T))
 
     @staticmethod
     def weyl(space: PhaseSpace) -> "StarProduct":

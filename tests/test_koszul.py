@@ -13,15 +13,17 @@ feed these their straightened samples.
 
 import importlib.util
 import json
+import operator
 from fractions import Fraction
+from functools import reduce
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 from pathlib import Path
 
 import pytest
 
-from qkoszul import koszul
+from qkoszul import cli, koszul
 from qkoszul.cli import builtin_config, main, run_scenario
 from qkoszul.exact import (
     AlgebraError,
@@ -448,6 +450,58 @@ class TestFullSuite:
         failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
         assert failing == ["complex.homotopy_identity_positive_grades",
                            "complex.koszul_d_squared_zero"]
+
+
+# the builtins whose complex suite runs, with their number of monomials of
+# degree ≤ 3 on 2n variables: C(2n + 3, 3)
+BASIS_SCENARIOS = (("s1-translation", 84), ("s1p-single", 35), ("s2-magnetic", 35))
+
+
+def monomial_basis(ctx: ReductionContext, degree: int) -> list:
+    """Every monomial of degree ≤ ``degree`` on the context's space,
+    straightened into the coordinates it computes in."""
+    xs = [MultiPoly.variable(ctx.space.vars, v) for v in ctx.space.vars]
+    return [ctx.straighten(reduce(operator.mul, m, MultiPoly.const(ctx.space.vars, 1)))
+            for d in range(degree + 1) for m in combinations_with_replacement(xs, d)]
+
+
+def weight_four_read_as_five(monkeypatch):
+    """Make ``MultiPoly.weighted_diff`` divide by 5 where |m|_w + k is 4:
+    D/4 - (D/4)/5 = D/5 on those monomials."""
+    weighted_diff = MultiPoly.weighted_diff
+
+    def wrong(p, var, weight_vars, k):
+        at = [p.vars.index(v) for v in weight_vars]
+        four = MultiPoly(p.vars, {e: c for e, c in p.terms.items()
+                                  if k + sum(e[i] for i in at) == 4})
+        return weighted_diff(p, var, weight_vars, k) - \
+            weighted_diff(four, var, weight_vars, k).scale(Fraction(1, 5))
+
+    monkeypatch.setattr(MultiPoly, "weighted_diff", wrong)
+
+
+@pytest.mark.parametrize("name, size", BASIS_SCENARIOS)
+def test_complex_identities_hold_on_the_monomial_basis(name, size):
+    # the identities are linear in the sample, so the basis decides them on
+    # every polynomial of degree ≤ 3 that the samples only reach a few of
+    ctx = cli.build_context(builtin_config(name))
+    basis = monomial_basis(ctx, 3)
+    assert len(set(basis)) == size
+    failing = [c for c in verify_complex_identities(ctx, basis) if c["status"] != "pass"]
+    assert failing == []
+
+
+@pytest.mark.parametrize("name", [name for name, _ in BASIS_SCENARIOS])
+def test_a_weight_of_four_read_as_five_fails_on_the_monomial_basis(name, monkeypatch):
+    # the reports of s1p-single and s2-magnetic pass with this fault
+    ctx = cli.build_context(builtin_config(name))
+    basis = monomial_basis(ctx, 3)
+    weight_four_read_as_five(monkeypatch)
+    failing = [c["name"] for c in verify_complex_identities(ctx, basis)
+               if c["status"] != "pass"]
+    # s1-translation translates two coordinates, so it has a grade 2 as well
+    assert failing == ["homotopy_identity_positive_grades", "quantum_homotopy_identity_grade_1"] \
+        + ["quantum_homotopy_identity_grade_2"] * (name == "s1-translation")
 
 
 # ---------------------------------------------------------------------------

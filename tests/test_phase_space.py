@@ -560,12 +560,14 @@ def test_products_keep_their_matrix_as_triples():
 
 
 def test_a_wrong_elimination_step_raises_instead_of_running_on(monkeypatch):
-    # x + y·z in place of x - y·z never clears the pivot, so C never empties
+    # x + y·z in place of x - y·z never clears the pivot, so C never empties;
+    # a product factors C on a list's first use, here its own variables
     sub_mul = phase_space._sub_mul
     monkeypatch.setattr(phase_space, "_sub_mul",
                         lambda x, y, z=(1, 0, 1): sub_mul(x, (-y[0], -y[1], y[2]), z))
+    star = StarProduct.weyl(PhaseSpace.of_dim(2))
     with pytest.raises(ContractViolationError, match="after 4 steps"):
-        StarProduct.weyl(PhaseSpace.of_dim(2))
+        star.hermitian
 
 
 def bracket_matrix(C):
@@ -841,6 +843,30 @@ def test_a_sub_list_product_equals_the_lifted_one_moved_back(data, L):
     bracket = star.bracket_poly(f, g)
     assert bracket.vars == V
     assert bracket == star.bracket_poly(up_f, up_g).with_vars(V)
+    # the flag against evaluation alone: conj(x ⋆ y) = y ⋆ x on V's
+    # coordinates at order 1 is conj(C^{xy}) = C^{yx} on C cut to V
+    xs = [MultiPoly.variable(V, v) for v in V]
+    assert star.over(V, V)[2] == all(
+        star.eval_poly(x, y, 1).conjugate() == star.eval_poly(y, x, 1) for x in xs for y in xs)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_walk_terms_on_lists_closed_under_q_p_are_the_cut_full_terms(kind):
+    # the lists a run uses, the whole space and the reduced variables, pair
+    # each q_i with its p_i: there C cut to V factors into the full terms cut
+    # to V, so the walk keeps its fields and its ``star_fields`` entry
+    sp = PhaseSpace.of_dim(3)
+    star = getattr(StarProduct, kind)(sp)
+    full = phase_space._rank_one_terms(dict(star.matrix))
+    for k in range(sp.n + 1):
+        for labels in itertools.combinations(range(sp.n), k):
+            at = labels + tuple(sp.n + i for i in labels)
+            V = tuple(sp.vars[i] for i in at)
+            new = {i: j for j, i in enumerate(at)}
+            cuts = ((tuple((new[i], c) for i, c in v if i in new) for v in term)
+                    for term in full)
+            want = tuple((a, b) for a, b in cuts if a and b)
+            assert star.over(V, V)[0].args[0] is exact.star_fields(V, want), V
 
 
 @pytest.mark.parametrize("kind", KINDS)
