@@ -18,9 +18,11 @@ The quantum restriction is the classical one after a correction series,
 quantum momentum map is p_a + λc_a with constant c_a, an operator T
 conjugates the quantum complex to the classical one, and the correction is
 T = exp(λY) in closed form, for one operator Y with constant coefficients.
-There the quantum homotopy is T⁻¹hT, with T⁻¹ = exp(-λY).  Y is built here
-from the product's matrix, by variable position, and
-``exact.ConstantOperator`` applies exp(±λY) to a series.
+There the quantum homotopy is T⁻¹hT, with T⁻¹ = exp(-λY).  A context's
+product lies on its action's space, so Y is read off the context: its
+product's matrix at the positions of its constrained p_a, and its J and Jq.
+``conjugate`` applies exp(±λY), by the sign it is given, to a series
+through ``exact.ConstantOperator``.
 """
 
 from __future__ import annotations
@@ -142,49 +144,50 @@ class KoszulChain:
                           for key in sorted(self.terms)) or "0"
 
 
-def _conjugation(action: TranslationAction, star: StarProduct,
-                 Jq: QuantumMomentumMap) -> Optional[ConstantOperator]:
-    """The operator Y over the variables of the action's space, for a
-    product with a constant matrix C and Jq_a = p_a + λc_a, c_a constant,
-    on the positions P of the translated p_a:
+def _conjugation(ctx: ReductionContext) -> Optional[ConstantOperator]:
+    """The operator Y over the context's variables, for a product with a
+    constant matrix C and Jq_a = J_a + λc_a, c_a constant, on the positions
+    P of the ``constrained`` p_a:
 
         Y = -Σ_a Σ_{i∉P} C^{i p_a} ∂_i∂_{p_a} - ½ Σ_{a,b} C^{p_a p_b} ∂_{p_a}∂_{p_b}
             - Σ_a c_a ∂_{p_a}.
 
     Then T = exp(λY) has T(f ⋆ Jq_a) = p_a·T(f).  None where that does not
-    hold: a product without a matrix, some Jq_a - p_a that is not λ times
+    hold: a product without a matrix, some Jq_a - J_a that is not λ times
     a constant, or C not symmetric on P × P."""
-    C, space, translated = star.matrix, action.space, action.translated
-    if C is None or star.space.vars != space.vars:
+    C, vars = ctx.star.matrix, ctx.space.vars
+    if C is None:
         return None
-    P = [space.vars.index(f"p{a}") for a in translated]
+    P = [vars.index(p) for p in ctx.constrained]
     if any(C.get((a, b)) != C.get((b, a)) for a in P for b in P):
         return None
     # each pair {i, j} once: the two halves of -½ C^{p_a p_b} ∂_{p_a}∂_{p_b}
     # for a ≠ b add up, as C is symmetric there
     y = [(i, j, (-r, -m, 2 * d if i == j else d))
          for (i, j), (r, m, d) in sorted(C.items()) if j in P and (i not in P or i <= j)]
-    for a, Ja in zip(translated, Jq.components):
-        # Jq_a must be p_a + λc_a, with c_a = coeff(1) a constant
-        c = Ja.coeff(1)
-        if (ca := c.as_constant()) is None or Ja - LambdaSeries.from_poly(c, Ja.order, shift=1) != \
-                LambdaSeries.from_poly(space.p(a), Ja.order):
+    for j, Ja, Jqa in zip(P, ctx.J.components, ctx.Jq.components):
+        # Jq_a must be J_a + λc_a, with c_a = coeff(1) a constant
+        c = Jqa.coeff(1)
+        if (ca := c.as_constant()) is None or Jqa - LambdaSeries.from_poly(c, Jqa.order, shift=1) \
+                != LambdaSeries.from_poly(Ja, Jqa.order):
             return None
         r, m, d = ca
         if r or m:
-            y.append((None, space.vars.index(f"p{a}"), (-r, -m, d)))
-    return ConstantOperator(space.vars, y)
+            y.append((None, j, (-r, -m, d)))
+    return ConstantOperator(vars, y)
 
 
 class ReductionContext:
     """Everything needed to run one reduction scenario: the star product,
     the classical and quantum momentum maps, and the total good tube: the
     ``constrained`` p_a of the translated directions, all other variables
-    ``cvars``.  The classical momentum map is the canonical one of the
-    action, and the quantum one is held truncated to the context's order:
-    a component held below that order is an OrderMismatchError, since its
-    missing powers are not zero but unknown.  A shifted scenario adds the
-    substitution that straightens its samples.
+    ``cvars``.  The product lies on the action's space: one over another
+    list of variables is a VariableMismatchError.  The classical momentum
+    map is the canonical one of the action, and the quantum one is held
+    truncated to the context's order: a component held below that order is
+    an OrderMismatchError, since its missing powers are not zero but
+    unknown.  A shifted scenario adds the substitution that straightens its
+    samples.
     ``conjugation`` is the operator Y of T = exp(λY), through which the
     quantum restriction is computed in closed form, or None where T does
     not apply.  Immutable after construction."""
@@ -193,6 +196,9 @@ class ReductionContext:
                  Jq: QuantumMomentumMap, order: int,
                  straighten: Optional[Mapping[str, MultiPoly]] = None):
         self.space = space = action.space
+        if star.space.vars != space.vars:
+            raise VariableMismatchError(f"a product over {star.space.vars} cannot reduce an "
+                                        f"action over {space.vars}")
         self.action = action
         self.star = star
         self.J = canonical_momentum_map(action)
@@ -207,8 +213,8 @@ class ReductionContext:
         self.straightening = dict(straighten) if straighten else {}
         self.constrained = tuple(f"p{a}" for a in action.translated)
         self.cvars = tuple(v for v in space.vars if v not in self.constrained)
-        self.gdim = action.dim
-        self.conjugation = _conjugation(action, star, self.Jq)
+        self.gdim = len(action.translated)
+        self.conjugation = _conjugation(self)
 
     @staticmethod
     def canonical(space: PhaseSpace, translated: Sequence[int], star: StarProduct,
@@ -394,15 +400,10 @@ def series_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     return restriction(series_correction(f, ctx), ctx)
 
 
-def conjugate(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """T f = exp(λY) f, truncated at the order of f, on a context whose
-    ``conjugation`` is not None."""
-    return f if fixed_by_corrections(f, ctx) else ctx.conjugation.exp(f, 1)
-
-
-def unconjugate(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
-    """T⁻¹ f = exp(-λY) f, truncated at the order of f."""
-    return f if fixed_by_corrections(f, ctx) else ctx.conjugation.exp(f, -1)
+def conjugate(f: LambdaSeries, ctx: ReductionContext, sign: int = 1) -> LambdaSeries:
+    """T f = exp(λY) f, or T⁻¹ f = exp(-λY) f for a sign of -1, truncated at
+    the order of f, on a context whose ``conjugation`` is not None."""
+    return f if fixed_by_corrections(f, ctx) else ctx.conjugation.exp(f, sign)
 
 
 def quantum_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
@@ -416,12 +417,6 @@ def quantum_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
     return restriction(quantum_correction(f, ctx), ctx)
 
 
-def _entrywise(op: Callable[[LambdaSeries, ReductionContext], LambdaSeries],
-               x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
-    return KoszulChain(x.gdim, x.grade, x.vars, x.order,
-                       {key: op(F, ctx) for key, F in x.terms.items()})
-
-
 def quantum_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
     """Quantum contracting homotopy h_q = h (id - A)^{-1}.  Where the context
     has T, it is T⁻¹hT, applied entrywise, in closed form.  Three facts give
@@ -431,7 +426,12 @@ def quantum_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
     chains.  Elsewhere h_q is the classical homotopy of the corrected chain."""
     if ctx.conjugation is None:
         return classical_homotopy(_corrected(x, ctx), ctx)
-    return _entrywise(unconjugate, classical_homotopy(_entrywise(conjugate, x, ctx), ctx), ctx)
+
+    def T(y: KoszulChain, sign: int) -> KoszulChain:
+        return KoszulChain(y.gdim, y.grade, y.vars, y.order,
+                           {key: conjugate(F, ctx, sign) for key, F in y.terms.items()})
+
+    return T(classical_homotopy(T(x, 1), ctx), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -84,10 +84,6 @@ class TranslationAction:
             raise AlgebraError("duplicate translated coordinate")
         self.lie = LieAlgebraData.abelian(len(self.translated))
 
-    @property
-    def dim(self) -> int:
-        return len(self.translated)
-
 
 def _check_algebra(lie: LieAlgebraData, components: Sequence) -> None:
     """A momentum map is of an abelian algebra, with one component per basis

@@ -4,8 +4,10 @@
 syntax trees, on none of whose lines ``run`` executed code under
 ``sys.settrace``.  A statement is named by its function, qualified by module
 and class (the module alone at module level), and by the text of its first
-line, so a name stays put when lines move.  An unreached compound statement
-is listed once, without the statements inside it.
+line, so a name stays put when lines move; where that text starts more than
+one statement of the function, the name adds the statement's occurrence, as
+``return None [2]`` for the second, counted in source order.  An unreached
+compound statement is listed once, without the statements inside it.
 
 Some statements are exempt by their syntax, as no passing run takes them:
 
@@ -23,18 +25,20 @@ Run as a script, it runs every builtin scenario through ``cli.main`` in
 json and in text, one of them through ``--config``, one with the override
 flags and one with ``QK_REPORT_DIR`` set, and ``--list-scenarios``; then the
 first units of the dense workloads of ``bench/workloads.py``, through their
-``build``, ``warm_up_units`` and ``run``.  It prints the unreached
-statements of ``src/qkoszul`` as a JSON list of [function, statement]
-pairs.  It needs a fresh interpreter: the package must be imported under
-the trace, and the body of a ``functools.cache`` function runs only on a
-cache miss, so an earlier call in the same process would hide whether the
-program reaches it.
+``build``, ``warm_up_units`` and ``run``; with ``--without-bench`` it skips
+those units, so the statements that only the benchmark reaches are the ones
+that list adds.  It prints the unreached statements of ``src/qkoszul`` as a
+JSON list of [function, statement] pairs.  It needs a fresh interpreter: the
+package must be imported under the trace, and the body of a
+``functools.cache`` function runs only on a cache miss, so an earlier call
+in the same process would hide whether the program reaches it.
 
-    PYTHONPATH=src python tests/call_sweep.py
+    PYTHONPATH=src python tests/call_sweep.py [--without-bench]
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import io
@@ -42,6 +46,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Set, Tuple
 
@@ -69,34 +74,57 @@ def _exempt(node: ast.stmt) -> bool:
     return isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
 
 
-def _walk(body: List[ast.stmt], scope: str, lines: Set[int],
-          text: List[str]) -> Iterator[Statement]:
+def _statements(body: List[ast.stmt], scope: str) -> Iterator[Tuple[str, ast.stmt]]:
+    """Every statement of ``body`` and of the blocks inside it, an except
+    body and a match case included, with the function it belongs to."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _statements(node.body, f"{scope}.{node.name}")
+            continue
+        yield scope, node
+        for block in (node, *getattr(node, "handlers", ()), *getattr(node, "cases", ())):
+            for field in ("body", "orelse", "finalbody"):
+                yield from _statements(getattr(block, field, []), scope)
+
+
+def _walk(body: List[ast.stmt], lines: Set[int],
+          names: Dict[ast.stmt, Statement]) -> Iterator[Statement]:
     """The statements of ``body`` and of the blocks inside it on none of
-    whose ``lines`` code ran, each named by ``scope`` and its first line of
-    ``text``; an unreached statement's inner blocks are not walked."""
+    whose ``lines`` code ran, each by its name in ``names``; an unreached
+    statement's inner blocks are not walked."""
     if body and isinstance(body[-1], ast.Raise):
         return   # the statements before a raise build its error
     for node in body:
         if _exempt(node):
             continue
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _walk(node.body, f"{scope}.{node.name}", lines, text)
+            yield from _walk(node.body, lines, names)
             continue
         if not lines.intersection(range(node.lineno, node.end_lineno + 1)):
-            yield scope, text[node.lineno - 1].strip()
+            yield names[node]
             continue
         # an except body is exempt; its handler line is part of the try
         for field in ("body", "orelse", "finalbody"):
-            yield from _walk(getattr(node, field, []), scope, lines, text)
+            yield from _walk(getattr(node, field, []), lines, names)
         for case in getattr(node, "cases", []):
-            yield from _walk(case.body, scope, lines, text)
+            yield from _walk(case.body, lines, names)
 
 
 def statements(path: Path, lines: Set[int]) -> List[Statement]:
     """The statements of the module at ``path`` on none of whose ``lines``
     code ran, in source order."""
-    text = path.read_text(encoding="utf-8")
-    return list(_walk(ast.parse(text).body, path.stem, lines, text.splitlines()))
+    source = path.read_text(encoding="utf-8")
+    tree, text = ast.parse(source), source.splitlines()
+    every = [(scope, text[node.lineno - 1].strip(), node) for scope, node in sorted(
+        _statements(tree.body, path.stem), key=lambda s: (s[1].lineno, s[1].col_offset))]
+    total = Counter((scope, first) for scope, first, _ in every)
+    seen: Counter = Counter()
+    names: Dict[ast.stmt, Statement] = {}
+    for scope, first, node in every:
+        seen[scope, first] += 1
+        names[node] = (scope, first if total[scope, first] == 1
+                       else f"{first} [{seen[scope, first]}]")
+    return list(_walk(tree.body, lines, names))
 
 
 def unreached(paths: Iterable[Path], run: Callable[[], object]) -> List[Statement]:
@@ -139,10 +167,10 @@ def _cli(cli, argv: List[str]) -> None:
         raise SystemExit(f"qkoszul {' '.join(argv)} exited {code}")
 
 
-def run_program() -> None:
-    """The runs the module docstring lists; the imports run inside, so
-    import-time statements count.  A run that does not exit 0 stops the
-    sweep."""
+def run_program(bench: bool = True) -> None:
+    """The runs the module docstring lists, the dense workloads' units only
+    with ``bench``; the imports run inside, so import-time statements count.
+    A run that does not exit 0 stops the sweep."""
     from qkoszul import cli
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -162,6 +190,8 @@ def run_program() -> None:
         finally:
             del os.environ["QK_REPORT_DIR"]
 
+    if not bench:
+        return
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
@@ -173,4 +203,9 @@ def run_program() -> None:
 
 
 if __name__ == "__main__":
-    print(json.dumps(unreached(sorted(PACKAGE.glob("*.py")), run_program), indent=1))
+    parser = argparse.ArgumentParser(description="List the statements no run reaches.")
+    parser.add_argument("--without-bench", action="store_true",
+                        help="skip the units of the dense benchmark workloads")
+    bench = not parser.parse_args().without_bench
+    print(json.dumps(unreached(sorted(PACKAGE.glob("*.py")), lambda: run_program(bench)),
+                     indent=1))

@@ -3,14 +3,16 @@
 ``call_sweep.py`` runs every builtin scenario through the CLI, and the first
 units of the dense benchmark workloads, in a fresh interpreter, and lists the
 statements of ``src/qkoszul`` that no run reached.  Each one must be on
-``ALLOWED``, keyed by its function and the text of its first line, with the
-reason it stays; anything else is code only the tests reach, which is either
+``ALLOWED``, keyed by its function and the text of its first line, with its
+occurrence where that text repeats in the function, and with the reason it
+stays; anything else is code only the tests reach, which is either
 wired into a run or deleted.  The paper's general case stays for the tests
 that build its inputs on purpose, and each of its reasons names them as
 ``tests/<file>.py::<name>``, which must be defined there.
 """
 
 import ast
+import functools
 import importlib.util
 import json
 import os
@@ -33,9 +35,16 @@ GENERAL_CASE = {
         "and no complex suite runs on one. "
         "tests/test_koszul.py::test_the_series_quantum_homotopy_equals_the_oracle "
         "holds it to the oracle",
-    ("koszul._conjugation", "return None"):
-        "no T for a matrix not symmetric on the p_a, or a Jq_a other than p_a + λc_a "
-        "with c_a constant; every run's product and Jq have T. "
+    # its first return None, for a product without a matrix, is reached by
+    # every stage-2 context
+    ("koszul._conjugation", "return None [2]"):
+        "no T for a matrix not symmetric on the p_a; the Weyl, Wick and std matrices "
+        "are symmetric there. "
+        "tests/test_koszul.py::test_contexts_without_T_take_the_series builds such a "
+        "context to hold the series to T",
+    ("koszul._conjugation", "return None [3]"):
+        "no T for a Jq_a other than J_a + λc_a with c_a constant; every run's Jq has "
+        "that form. "
         "tests/test_koszul.py::test_contexts_without_T_take_the_series and "
         "tests/test_reduction.py::knp_contexts build such contexts to hold the "
         "series to T",
@@ -98,9 +107,11 @@ ALLOWED = {
      "p = _canonical(p.vars, p.den, {k: v for k, v in p.nums.items() if k < bound})"):
         "a power past the new order; every run holds Jq at its context's order, and "
         "its pointwise products multiply by the λ-free J",
-    ("exact.star_exponential", "return LambdaSeries.zero(f.vars, L)"):
-        "a zero factor, or factors whose lowest powers of λ sum past the order; "
-        "no run multiplies such a pair",
+    ("exact.star_exponential", "return LambdaSeries.zero(f.vars, L) [1]"):
+        "a zero factor; no run multiplies one",
+    ("exact.star_exponential", "return LambdaSeries.zero(f.vars, L) [2]"):
+        "factors whose lowest powers of λ sum past the order; no run multiplies "
+        "such a pair",
     # cache bounds, which no run reaches by design
     ("exact._extend", "table.clear()"): "a walk table past MAX_TERMS keys",
     ("exact._extend", "new = keys"): "a walk table past MAX_TERMS keys",
@@ -115,16 +126,28 @@ ALLOWED = {
 }
 
 
-def test_every_statement_is_reached_by_a_run_or_allowed():
+@functools.cache
+def sweep(*flags: str) -> frozenset:
+    """The unreached statements that ``call_sweep.py`` lists with ``flags``."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    run = subprocess.run([sys.executable, str(SWEEP)], env={**os.environ, "PYTHONPATH": path},
+    run = subprocess.run([sys.executable, str(SWEEP), *flags],
+                         env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, timeout=300, check=False)
     assert run.returncode == 0, run.stderr
-    unreached = {tuple(s) for s in json.loads(run.stdout)}
+    return frozenset(tuple(s) for s in json.loads(run.stdout))
+
+
+def test_every_statement_is_reached_by_a_run_or_allowed():
+    unreached = sweep()
     assert sorted(unreached - ALLOWED.keys()) == [], \
         "no run reaches these: wire each into a run or delete it"
     assert sorted(ALLOWED.keys() - unreached) == [], \
         "these are reached or gone: take them off ALLOWED"
+
+
+def test_the_sweep_without_the_benchmark_reaches_no_more():
+    # what the flagged list adds is what only the benchmark reaches
+    assert sorted(sweep() - sweep("--without-bench")) == []
 
 
 CITED = re.compile(r"tests/(\w+\.py)::(\w+)")
@@ -193,3 +216,26 @@ def test_the_sweep_reports_the_one_statement_no_run_reaches(tmp_path):
         demo.K.called()
 
     assert call_sweep.unreached([path], run) == [("demo.K.called", 'return "planted"')]
+
+
+def test_a_repeated_statement_is_named_by_its_occurrence(tmp_path):
+    path = tmp_path / "demo.py"
+    path.write_text(textwrap.dedent("""\
+        def pick(x):
+            if x:
+                return None
+            y = -x
+            if y:
+                return None
+            return y
+        """), encoding="utf-8")
+
+    def run():
+        spec = importlib.util.spec_from_file_location("demo", path)
+        demo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(demo)
+        demo.pick(1)
+        demo.pick(0)
+
+    # the first return None runs; the second, with the same text, does not
+    assert call_sweep.unreached([path], run) == [("demo.pick", "return None [2]")]

@@ -51,10 +51,14 @@ from qkoszul.koszul import (
     remove_index,
     restriction,
     series_restriction,
-    unconjugate,
     verify_complex_identities,
 )
-from qkoszul.lie import LieAlgebraData, QuantumMomentumMap
+from qkoszul.lie import (
+    LieAlgebraData,
+    QuantumMomentumMap,
+    TranslationAction,
+    canonical_momentum_map,
+)
 from qkoszul.phase_space import PhaseSpace, StarProduct
 from qkoszul.reduction import (
     CotangentSplit,
@@ -109,6 +113,18 @@ class TestReductionContext:
             ctx.Jq.lie, [LambdaSeries.from_poly(ctx.space.q(1), L)])
         with pytest.raises(AlgebraError):
             ReductionContext(ctx.action, ctx.star, bad, L)
+
+    @pytest.mark.parametrize("action_n, star_n", ((2, 3), (3, 2)))
+    def test_a_product_on_another_space_is_rejected(self, action_n, star_n):
+        # the larger product would leave the context without T; the smaller
+        # one would fail at the first quantum restriction
+        action = TranslationAction(PhaseSpace.of_dim(action_n), [1])
+        star = StarProduct.weyl(PhaseSpace.of_dim(star_n))
+        Jq = QuantumMomentumMap.from_classical(canonical_momentum_map(action), L)
+        with pytest.raises(VariableMismatchError) as raised:
+            ReductionContext(action, star, Jq, L)
+        assert str(star.space.vars) in str(raised.value)
+        assert str(action.space.vars) in str(raised.value)
 
 
 class TestKoszulChain:
@@ -457,12 +473,17 @@ class TestFullSuite:
 BASIS_SCENARIOS = (("s1-translation", 84), ("s1p-single", 35), ("s2-magnetic", 35))
 
 
+def monomials(vars: tuple, degree: int) -> list:
+    """Every monomial of degree ≤ ``degree`` over ``vars``."""
+    xs = [MultiPoly.variable(vars, v) for v in vars]
+    return [reduce(operator.mul, m, MultiPoly.const(vars, 1))
+            for d in range(degree + 1) for m in combinations_with_replacement(xs, d)]
+
+
 def monomial_basis(ctx: ReductionContext, degree: int) -> list:
     """Every monomial of degree ≤ ``degree`` on the context's space,
     straightened into the coordinates it computes in."""
-    xs = [MultiPoly.variable(ctx.space.vars, v) for v in ctx.space.vars]
-    return [ctx.straighten(reduce(operator.mul, m, MultiPoly.const(ctx.space.vars, 1)))
-            for d in range(degree + 1) for m in combinations_with_replacement(xs, d)]
+    return [ctx.straighten(m) for m in monomials(ctx.space.vars, degree)]
 
 
 def weight_four_read_as_five(monkeypatch):
@@ -489,6 +510,23 @@ def test_complex_identities_hold_on_the_monomial_basis(name, size):
     assert len(set(basis)) == size
     failing = [c for c in verify_complex_identities(ctx, basis) if c["status"] != "pass"]
     assert failing == []
+
+
+@pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
+def test_stage_equality_and_reduced_associativity_hold_on_the_monomial_basis(kind):
+    # both identities are multilinear, so the 10 monomials of degree ≤ 3 in
+    # (q3, p3) decide them on every reduced input of degree ≤ 3
+    cfg = cli.parse_config({"name": "s1-translation", **cli.SCENARIOS["s1-translation"],
+                            "star": kind, "lambda_order": L})
+    ctx = cli.build_context(cfg)
+    pipe = StagePipeline(ctx, StageConfig(ctx.action.lie, cfg.stage_first))
+    rs = pipe.red.space
+    basis = [rs.series(m, L) for m in monomials(rs.vars, 3)]
+    assert len(set(basis)) == 10
+    one, two = pipe.star_red.eval, pipe.star_red2.eval
+    assert [(f, g) for f in basis for g in basis if two(f, g) != one(f, g)] == []
+    assert [(f, g, h) for f in basis for g in basis for h in basis
+            if one(one(f, g), h) != one(f, one(g, h))] == []
 
 
 @pytest.mark.parametrize("name", [name for name, _ in BASIS_SCENARIOS])
@@ -1017,7 +1055,7 @@ def test_corrections_return_a_series_without_constrained_p(kind):
         got = series_restriction(F, ctx)
         assert got != restriction(F, ctx)
         if ctx.conjugation is not None:
-            assert conjugate(free, ctx) is free and unconjugate(free, ctx) is free
+            assert conjugate(free, ctx) is free and conjugate(free, ctx, -1) is free
             assert got == restriction(conjugate(F, ctx), ctx)
 
 
@@ -1040,7 +1078,7 @@ def test_corrections_on_a_sub_list_of_the_variables(kind):
         corrections = [koszul.fixed_by_corrections, koszul.series_correction,
                        koszul.quantum_correction]
         if ctx.conjugation is not None:
-            corrections += [conjugate, unconjugate]
+            corrections += [conjugate, lambda F, ctx: conjugate(F, ctx, -1)]
         on_p = tuple(v for v in ctx.space.vars if v in without or v == pa)
         P = MultiPoly.variable(on_p, pa)
         G = F.with_vars(on_p) * LambdaSeries.from_poly(P * P + P, ctx.order)
@@ -1130,7 +1168,7 @@ def test_T_never_substitutes_nor_truncates(monkeypatch, corrected):
         want = series_restriction(F, ctx)
         calls.clear()
         got = conjugate(F, ctx)
-        assert unconjugate(got, ctx) == F
+        assert conjugate(got, ctx, -1) == F
         assert calls == []
         assert restriction(got, ctx) == want != restriction(F, ctx)
 
@@ -1181,8 +1219,8 @@ def test_T_inverse_undoes_T_on_unrestricted_series(kind, corrected):
     for ctx in T_contexts(kind, corrected):
         for x in T_chains(ctx):
             for F in x.terms.values():
-                assert unconjugate(conjugate(F, ctx), ctx) == F
-                assert conjugate(unconjugate(F, ctx), ctx) == F
+                assert conjugate(conjugate(F, ctx), ctx, -1) == F
+                assert conjugate(conjugate(F, ctx, -1), ctx) == F
 
 
 def test_unflipped_sign_of_X_in_T_inverse_fails_the_quantum_homotopy(monkeypatch):
