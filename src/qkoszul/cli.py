@@ -33,7 +33,7 @@ from .lie import LieAlgebraData, check_classical_equivariance, \
 from .phase_space import PhaseSpace, StarProduct, check_star_axioms
 from .reduction import CotangentSplit, ReducedAlgebra, build_shifted_context, \
     knp_reduced_star, reduced_star
-from .report import check, failures, prefixed
+from .report import check, differences, failures, prefixed
 from .sampling import sample_pairs, sample_polys
 from .stages import StageConfig, StagePipeline, build_compatible_prolongations, \
     check_stage_equality
@@ -394,28 +394,15 @@ def suite_knp(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
     knp = knp_reduced_star(red)
     pairs = sample_pairs(cfg.seed + 2, red.space.vars, cfg.degree, cfg.samples)
 
-    # on this model both sides are one product, the context's on the reduced
-    # variables; the quotient entries of ROADMAP item 15(a) will replace it
-    def closed_form_equals_homological():
-        for f, g in pairs:
-            a = knp.eval_poly(f, g, cfg.lambda_order)
-            b = star_red.eval_poly(f, g, cfg.lambda_order)
-            if a != b:
-                yield {"f": f.render(), "g": g.render(),
-                       "closed_form": a.render(), "homological": b.render()}
-
     # upstairs samples carry p_a, so the correction is not zero
     upstairs = upstairs_samples(cfg, ctx, cfg.seed + 2)
     split = CotangentSplit(ctx)
 
-    def deformed_restriction_equals_quantum_restriction():
+    def deformed_restriction_equals_quantum_restriction(f):
         # the closed form's correction is the series, which the quantum
         # restriction does not run where the context has T
-        for f in upstairs:
-            F = ctx.series(f)
-            a, b = series_restriction(F, ctx), quantum_restriction(F, ctx)
-            if a != b:
-                yield {"f": f.render(), "knp": a.render(), "quantum": b.render()}
+        F = ctx.series(f)
+        return series_restriction(F, ctx), quantum_restriction(F, ctx)
 
     def division_identity(f):
         # F = prol(res F) + Σ_a r_a(F)·J_a: the tube homotopy divides by J
@@ -424,9 +411,15 @@ def suite_knp(cfg: ScenarioConfig, ctx: ReductionContext) -> List[dict]:
             recon = recon + split.r(a, f) * Ja
         return recon == f
 
-    return [check("closed_form_equals_homological", closed_form_equals_homological()),
-            check("deformed_restriction_equals_quantum_restriction",
-                  deformed_restriction_equals_quantum_restriction()),
+    # on this model both sides of the first check are one product, the context's
+    # on the reduced variables; the quotient entries of ROADMAP item 15(a) will replace it
+    return [check("closed_form_equals_homological", differences(
+                pairs, lambda f, g: (knp.eval_poly(f, g, cfg.lambda_order),
+                                     star_red.eval_poly(f, g, cfg.lambda_order)),
+                "f", "g", "closed_form", "homological")),
+            check("deformed_restriction_equals_quantum_restriction", differences(
+                zip(upstairs), deformed_restriction_equals_quantum_restriction,
+                "f", "knp", "quantum")),
             check("division_identity", failures(upstairs, division_identity))]
 
 

@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .exact import AlgebraError, LambdaSeries, MultiPoly, VariableMismatchError, rational
 from .phase_space import PhaseSpace, StarProduct
-from .report import check, info
+from .report import check, differences, info
 
 
 class LieAlgebraData:
@@ -124,10 +124,6 @@ class QuantumMomentumMap:
             J.lie, [LambdaSeries.from_poly(c, order) for c in J.components]
         )
 
-    def __eq__(self, other):
-        return (isinstance(other, QuantumMomentumMap)
-                and self.components == other.components)
-
 
 def canonical_momentum_map(action: TranslationAction) -> MomentumMap:
     """Momentum map of the lifted translation action: the fiber pairing with
@@ -147,13 +143,11 @@ def check_classical_equivariance(J: MomentumMap, star: StarProduct) -> List[dict
     zero = MultiPoly.zero(star.space.vars)
 
     def equivariance(a: int, b: int):
-        lhs = star.bracket_poly(J.components[a - 1], J.components[b - 1])
-        if lhs != zero:
-            yield {"bracket": lhs.render(), "image_of_bracket": zero.render()}
+        bracket = star.bracket_poly(J.components[a - 1], J.components[b - 1])
+        return differences([()], lambda: (bracket, zero), "bracket", "image_of_bracket")
 
-    k = J.lie.dim
     return [check(f"equivariance_e{a}_e{b}", equivariance(a, b))
-            for a in range(1, k + 1) for b in range(a + 1, k + 1)]
+            for a in range(1, J.lie.dim + 1) for b in range(a + 1, J.lie.dim + 1)]
 
 
 def check_quantum_momentum_map(star: StarProduct, Jq: QuantumMomentumMap,
@@ -162,40 +156,30 @@ def check_quantum_momentum_map(star: StarProduct, Jq: QuantumMomentumMap,
     order of its components, and report whether the classical map itself
     qualifies (strong invariance).  The samples and the components must lie
     on the product's space."""
-    L = Jq.components[0].order
     J0 = Jq.classical_part()
     basis = range(1, Jq.lie.dim + 1)
 
     # generation identity: commutator with Jq reproduces the scaled bracket
-    def hamiltonian_identity():
-        for a in basis:
-            Ja = Jq.components[a - 1]
-            for f in samples:
-                fs = LambdaSeries.from_poly(f, L)
-                lhs = star.eval(Ja, fs) - star.eval(fs, Ja)
-                bracket = star.bracket_poly(J0.components[a - 1], f)
-                rhs = LambdaSeries.from_poly(bracket.scale((0, 1, 1)), L, shift=1)
-                if lhs != rhs:
-                    yield {"generator": a, "f": f.render(),
-                           "commutator": lhs.render(), "expected": rhs.render()}
+    def hamiltonian_identity(a: int, f: MultiPoly):
+        Ja = Jq.components[a - 1]
+        fs = LambdaSeries.from_poly(f, Ja.order)
+        lhs = star.eval(Ja, fs) - star.eval(fs, Ja)
+        bracket = star.bracket_poly(J0.components[a - 1], f)
+        return lhs, LambdaSeries.from_poly(bracket.scale((0, 1, 1)), Ja.order, shift=1)
 
-    # bracket compatibility on basis pairs: iλ Jq([e_a, e_b]) is zero, as
-    # the algebra is abelian
-    zero = LambdaSeries.zero(star.space.vars, L)
-
-    def bracket_compatibility():
-        for a in basis:
-            for b in range(a + 1, Jq.lie.dim + 1):
-                Ja, Jb = Jq.components[a - 1], Jq.components[b - 1]
-                lhs = star.eval(Ja, Jb) - star.eval(Jb, Ja)
-                if lhs != zero:
-                    yield {"pair": (a, b), "commutator": lhs.render(),
-                           "expected": zero.render()}
+    # bracket compatibility on basis pairs: iλ Jq([e_a, e_b]) is zero, as the algebra is abelian
+    def bracket_compatibility(pair: Tuple[int, int]):
+        Ja, Jb = (Jq.components[i - 1] for i in pair)
+        return star.eval(Ja, Jb) - star.eval(Jb, Ja), LambdaSeries.zero(star.space.vars, Ja.order)
 
     # reported property, not a requirement: the classical map may itself
     # already be a quantum momentum map
-    strongly = Jq == QuantumMomentumMap.from_classical(J0, L)
-    return [check("quantum_hamiltonian_identity", hamiltonian_identity()),
-            check("quantum_bracket_compatibility", bracket_compatibility()),
+    strongly = all(c == LambdaSeries.from_poly(c.coeff(0), c.order) for c in Jq.components)
+    return [check("quantum_hamiltonian_identity", differences(
+                ((a, f) for a in basis for f in samples), hamiltonian_identity,
+                "generator", "f", "commutator", "expected")),
+            check("quantum_bracket_compatibility", differences(
+                (((a, b),) for a in basis for b in range(a + 1, Jq.lie.dim + 1)),
+                bracket_compatibility, "pair", "commutator", "expected")),
             info("strong_invariance", "classical map is quantum" if strongly
                  else "quantum map carries corrections")]

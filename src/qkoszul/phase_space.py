@@ -46,7 +46,7 @@ from .exact import (
     star_exponential,
     star_fields,
 )
-from .report import check, expected_failure, failures
+from .report import check, differences, expected_failure, failures
 
 # Nonzero entries of a matrix over the variables of a phase space, keyed by
 # (row position, column position) in the variable list; an entry is anything
@@ -312,25 +312,20 @@ def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],
     exceptions.  A product whose matrix, cut to its variables, is not
     Hermitian must fail ``hermitian``.  The samples must lie on its space."""
     vars = star.space.vars
-    L = order
     # several checks read the same product; each pair is evaluated once
     products: Dict[Tuple[MultiPoly, MultiPoly], LambdaSeries] = {}
 
     def product(f: MultiPoly, g: MultiPoly) -> LambdaSeries:
         got = products.get((f, g))
         if got is None:
-            got = products[f, g] = star.eval_poly(f, g, L)
+            got = products[f, g] = star.eval_poly(f, g, order)
         return got
 
     pairs = list(zip(samples, samples[1:]))
 
-    def associativity():
-        for f, g, h in zip(samples, samples[1:], samples[2:]):
-            lhs = star.eval(product(f, g), LambdaSeries.from_poly(h, L))
-            rhs = star.eval(LambdaSeries.from_poly(f, L), product(g, h))
-            if lhs != rhs:
-                yield {"f": f.render(), "g": g.render(), "h": h.render(),
-                       "lhs": lhs.render(), "rhs": rhs.render()}
+    def associativity(f, g, h):
+        return (star.eval(product(f, g), LambdaSeries.from_poly(h, order)),
+                star.eval(LambdaSeries.from_poly(f, order), product(g, h)))
 
     def order0_pointwise():
         for f, g in pairs:
@@ -338,36 +333,27 @@ def check_star_axioms(star: StarProduct, samples: Sequence[MultiPoly],
             if prod.coeff(0) != f * g:
                 yield {"f": f.render(), "g": g.render(), "order0": prod.coeff(0).render()}
 
-    def order1_commutator_bracket():
-        for f, g in pairs:
-            comm = product(f, g) - product(g, f)
-            expected = star.bracket_poly(f, g).scale((0, 1, 1))   # i{f, g}
-            if comm.coeff(1) != expected:
-                yield {"f": f.render(), "g": g.render(),
-                       "commutator_order1": comm.coeff(1).render(),
-                       "i_bracket": expected.render()}
-
     # reported, not required by the axioms.  A product that is not Hermitian
     # also tries every pair of coordinates, after the samples: one of them
     # always witnesses, as conj(x_i ⋆ x_j) - x_j ⋆ x_i = λ(conj C^{ij} - C^{ji})
-    def hermitian():
-        xs = [] if star.hermitian else [MultiPoly.variable(vars, v) for v in vars]
-        for f, g in chain(pairs, ((x, y) for x in xs for y in xs)):
-            lhs = product(f, g).conjugate()
-            rhs = product(g.conjugate(), f.conjugate())
-            if lhs != rhs:
-                yield {"f": f.render(), "g": g.render(),
-                       "conj_product": lhs.render(), "product_conj": rhs.render()}
+    xs = [] if star.hermitian else [MultiPoly.variable(vars, v) for v in vars]
+    hermitian = differences(chain(pairs, ((x, y) for x in xs for y in xs)), lambda f, g: (
+        product(f, g).conjugate(), product(g.conjugate(), f.conjugate())),
+        "f", "g", "conj_product", "product_conj")
 
     one = MultiPoly.const(vars, 1)
 
     def unit(f):
-        want = LambdaSeries.from_poly(f, L)
+        want = LambdaSeries.from_poly(f, order)
         return product(one, f) == want and product(f, one) == want
 
-    return [check("associativity", associativity()),
+    return [check("associativity", differences(zip(samples, samples[1:], samples[2:]),
+                                               associativity, "f", "g", "h", "lhs", "rhs")),
             check("order0_pointwise", order0_pointwise()),
-            check("order1_commutator_bracket", order1_commutator_bracket()),
-            check("hermitian", hermitian()) if star.hermitian else
-            expected_failure("hermitian_fails_as_expected", hermitian()),
+            check("order1_commutator_bracket", differences(pairs, lambda f, g: (
+                (product(f, g) - product(g, f)).coeff(1),
+                star.bracket_poly(f, g).scale((0, 1, 1))),   # i{f, g}
+                "f", "g", "commutator_order1", "i_bracket")),
+            check("hermitian", hermitian) if star.hermitian else
+            expected_failure("hermitian_fails_as_expected", hermitian),
             check("unit", failures(samples, unit))]

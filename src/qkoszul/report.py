@@ -6,8 +6,14 @@ as a generator of witness dicts, one for each input that violates the
 identity, and ``check`` reads no further than the first of them, so a check
 stops at its first failure.  An identity on one sample at a time is a
 predicate, and ``failures`` makes its generator, whose witness is the sample
-alone.  A check that must fail is an ``expected_failure``, and a property
-reported but not required is an ``info``."""
+alone.  A two-sided identity is a ``sides`` function of a case of inputs,
+and ``differences`` makes its generator, whose witness is the case and both
+sides.  These checks show one side or build their witness another way, and
+stay hand-written: ``order0_pointwise``, the reduced Jacobi identity,
+``straighten_sends_J_to_p``, ``kernel_contains_ideal_generators``, the
+complex's chain identities and the Chevalley-Eilenberg checks.  A check
+that must fail is an ``expected_failure``, and a property reported but not
+required is an ``info``."""
 
 from __future__ import annotations
 
@@ -31,6 +37,17 @@ def failures(samples: Iterable, holds: Callable[..., bool], *columns: Iterable) 
     witness before it has been read."""
     return ({"f": f.render()} for f, *entries in zip(samples, *columns)
             if not holds(f, *entries))
+
+
+def differences(cases: Iterable[tuple], sides: Callable, *names: str) -> Iterator[dict]:
+    """The witness of each case whose sides ``a, b = sides(*case)`` differ: ``names``
+    of its entries and then of a and b, each rendered if it has a ``render``.  A
+    check without inputs has the one case ``()``."""
+    for case in cases:
+        a, b = sides(*case)
+        if a != b:
+            yield {name: x.render() if hasattr(x, "render") else x
+                   for name, x in zip(names, (*case, a, b))}
 
 
 def expected_failure(name: str, witnesses: Iterable[dict]) -> dict:

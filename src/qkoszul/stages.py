@@ -23,7 +23,7 @@ from .koszul import (
 )
 from .lie import LieAlgebraData, QuantumMomentumMap, TranslationAction
 from .reduction import ReducedAlgebra, reduced_star
-from .report import check, failures
+from .report import check, differences, failures
 
 
 class StageConfig:
@@ -150,13 +150,6 @@ def check_stage_equality(pipe: StagePipeline,
                          pairs: Sequence[Tuple[MultiPoly, MultiPoly]]) -> List[dict]:
     """Two-stage versus one-step reduction, literal equality of series."""
     L = pipe.ctx.order
-
-    def stage_equality():
-        for f, g in pairs:
-            two = pipe.star_red2.eval_poly(f, g, L)
-            one = pipe.star_red.eval_poly(f, g, L)
-            if two != one:
-                yield {"f": f.render(), "g": g.render(),
-                       "two_stage": two.render(), "one_step": one.render()}
-
-    return [check("stage_equality", stage_equality())]
+    return [check("stage_equality", differences(
+        pairs, lambda f, g: (pipe.star_red2.eval_poly(f, g, L), pipe.star_red.eval_poly(f, g, L)),
+        "f", "g", "two_stage", "one_step"))]

@@ -1,4 +1,5 @@
-"""Every statement the package holds is one the program reaches.
+"""Every statement the package holds is one the program reaches, and every
+name a module of it imports is one that module reads.
 
 ``call_sweep.py`` runs every builtin scenario through the CLI, and the first
 units of the dense benchmark workloads, in a fresh interpreter, and lists the
@@ -126,6 +127,24 @@ ALLOWED = {
 }
 
 
+def unread_imports(source: str) -> list:
+    """The names that the module ``source`` binds by an import and never
+    reads, sorted.  A name listed in its ``__all__`` counts as read, and
+    ``from __future__`` binds none."""
+    tree = ast.parse(source)
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names if alias.name != "*"}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return sorted(bound - read)
+
+
 @functools.cache
 def sweep(*flags: str) -> frozenset:
     """The unreached statements that ``call_sweep.py`` lists with ``flags``."""
@@ -148,6 +167,29 @@ def test_every_statement_is_reached_by_a_run_or_allowed():
 def test_the_sweep_without_the_benchmark_reaches_no_more():
     # what the flagged list adds is what only the benchmark reaches
     assert sorted(sweep() - sweep("--without-bench")) == []
+
+
+def test_every_name_a_module_imports_is_read_there():
+    unread = {path.name: names for path in sorted((SRC / "qkoszul").glob("*.py"))
+              if (names := unread_imports(path.read_text(encoding="utf-8")))}
+    assert unread == {}, "these imports are never read: drop them"
+
+
+def test_an_import_never_read_is_caught():
+    source = textwrap.dedent("""\
+        from __future__ import annotations
+
+        import os.path
+        from typing import List, Tuple
+        from .exact import MultiPoly as Poly, rational
+
+        __all__ = ["rational"]
+
+
+        def size(x: List[int]) -> int:
+            return len(x)
+        """)
+    assert unread_imports(source) == ["Poly", "Tuple", "os"]
 
 
 CITED = re.compile(r"tests/(\w+\.py)::(\w+)")

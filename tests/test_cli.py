@@ -16,10 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qkoszul import cli, exact, koszul
+from qkoszul import cli, exact, koszul, phase_space, stages
 from qkoszul.cli import builtin_config, main, run_scenario
-from qkoszul.exact import ConstantOperator, ContractViolationError, MultiPoly, OrderMismatchError
+from qkoszul.exact import (ConstantOperator, ContractViolationError, LambdaSeries, MultiPoly,
+                           OrderMismatchError)
 from qkoszul.lie import LieAlgebraData
+from qkoszul.phase_space import StarProduct
 from reference_poly import JACOBI_BREAKING
 
 CLI = [sys.executable, "-m", "qkoszul.cli"]
@@ -58,6 +60,159 @@ WRONG_WEIGHT_KNP = [
          knp="λ^0: (4/3)+(0/1)i*q2*p2 + (5/3)+(0/1)i\nλ^1: (0/1)-(1/3)i*q1",
          quantum="λ^0: (4/3)+(0/1)i*q2*p2 + (5/3)+(0/1)i\nλ^1: (0/1)-(2/3)i*q1"),
     fail("knp.division_identity", f=KNP_SAMPLE_2)]
+
+
+# faults that the two-sided checks see, each a setup on ``monkeypatch``, and
+# the whole failing entries each one gives
+def lambda_squared(product):
+    """``product`` plus λ²(f₀ - g₀), for the λ⁰ parts of its last two
+    operands f and g: a term that a commutator sees twice."""
+    def wrapped(*args):
+        f, g = args[-2:]
+        return product(*args) + LambdaSeries.from_poly(f.coeff(0) - g.coeff(0), f.order, shift=2)
+    return wrapped
+
+
+def plus_lambda(F):
+    """F + λ·1."""
+    return F + LambdaSeries.from_poly(MultiPoly.const(F.vars, 1), F.order, shift=1)
+
+
+def eval_plus_lambda_squared(monkeypatch):
+    monkeypatch.setattr(StarProduct, "eval", lambda_squared(StarProduct.eval))
+
+
+def star_walk_plus_lambda_squared(monkeypatch):
+    monkeypatch.setattr(phase_space, "star_exponential",
+                        lambda_squared(phase_space.star_exponential))
+
+
+def negated_bracket(monkeypatch):
+    bracket_poly = StarProduct.bracket_poly
+    monkeypatch.setattr(StarProduct, "bracket_poly", lambda star, f, g: -bracket_poly(star, f, g))
+
+
+def series_restriction_plus_lambda(monkeypatch):
+    series_restriction = cli.series_restriction
+    monkeypatch.setattr(cli, "series_restriction",
+                        lambda F, ctx: plus_lambda(series_restriction(F, ctx)))
+
+
+def knp_product_plus_lambda(monkeypatch):
+    knp_reduced_star = cli.knp_reduced_star
+
+    def shifted(red):
+        star = knp_reduced_star(red)
+        eval_poly = star.eval_poly
+        star.eval_poly = lambda f, g, order: plus_lambda(eval_poly(f, g, order))
+        return star
+
+    monkeypatch.setattr(cli, "knp_reduced_star", shifted)
+
+
+def two_stage_product_plus_lambda_f(monkeypatch):
+    init = stages.StagePipeline.__init__
+
+    def shifted(pipe, *args):
+        init(pipe, *args)
+        eval_poly = pipe.star_red2.eval_poly
+        pipe.star_red2.eval_poly = lambda f, g, order: \
+            eval_poly(f, g, order) + LambdaSeries.from_poly(f, order, shift=1)
+
+    monkeypatch.setattr(stages.StagePipeline, "__init__", shifted)
+
+
+# the first three samples of the axioms builtins, which share their seed
+AXIOMS_F = "(9/4)+(0/1)i*p3"
+AXIOMS_G = "(1/1)+(0/1)i*q2*p3^2 + (-1/1)+(0/1)i*p2^2*p3 + (5/2)+(0/1)i*q1*p2"
+AXIOMS_H = "(5/2)+(0/1)i*q1*p1*p3 + (-1/2)+(0/1)i*q3*p1 + (2/1)+(0/1)i"
+# the λ⁰ and λ¹ parts that both sides of the failing associator share
+ASSOCIATOR_LOW = (
+    "λ^0: (45/8)+(0/1)i*q1*q2*p1*p3^4 + (-45/8)+(0/1)i*q1*p1*p2^2*p3^3 + "
+    "(225/16)+(0/1)i*q1^2*p1*p2*p3^2 + (-9/8)+(0/1)i*q2*q3*p1*p3^3 + "
+    "(9/8)+(0/1)i*q3*p1*p2^2*p3^2 + (-45/16)+(0/1)i*q1*q3*p1*p2*p3 + "
+    "(9/2)+(0/1)i*q2*p3^3 + (-9/2)+(0/1)i*p2^2*p3^2 + (45/4)+(0/1)i*q1*p2*p3\n"
+    "λ^1: (0/1)+(225/32)i*q1*p2*p3^2 + (0/1)+(27/16)i*q2*p1*p3^2 + "
+    "(0/1)-(9/8)i*p1*p2^2*p3 + (0/1)+(45/32)i*q1*p1*p2 + (0/1)-(45/32)i*q3*p2*p3\n")
+PINNED_WITNESSES = {
+    "momentum-eval": (
+        eval_plus_lambda_squared,
+        {"name": "translated-pair", "n": 3, "translated": [1, 2], "checks": ["momentum"]},
+        [fail("momentum.quantum_bracket_compatibility",
+              pair=[1, 2], commutator="λ^2: (2/1)+(0/1)i*p1 + (-2/1)+(0/1)i*p2",
+              expected="0"),
+         fail("momentum.quantum_hamiltonian_identity",
+              generator=1, f="(9/4)+(0/1)i*p3",
+              commutator="λ^2: (2/1)+(0/1)i*p1 + (-9/2)+(0/1)i*p3", expected="0")]),
+    "axioms-star-walk": (
+        star_walk_plus_lambda_squared, "axioms-weyl",
+        [fail("axioms.associativity", f=AXIOMS_F, g=AXIOMS_G, h=AXIOMS_H,
+              lhs=ASSOCIATOR_LOW + (
+                  "λ^2: (-5/2)+(0/1)i*q1*q2*p1*p3^3 + (5/2)+(0/1)i*q1*p1*p2^2*p3^2 + "
+                  "(-25/4)+(0/1)i*q1^2*p1*p2*p3 + (1/2)+(0/1)i*q2*q3*p1*p3^2 + "
+                  "(-1/2)+(0/1)i*q3*p1*p2^2*p3 + (5/4)+(0/1)i*q1*q3*p1*p2 + "
+                  "(45/8)+(0/1)i*q1*p1*p3^2 + (9/4)+(0/1)i*q2*p3^3 + (-9/4)+(0/1)i*p2^2*p3^2 + "
+                  "(-5/2)+(0/1)i*q1*p1*p3 + (45/8)+(0/1)i*q1*p2*p3 + (-2/1)+(0/1)i*q2*p3^2 + "
+                  "(-9/8)+(0/1)i*q3*p1*p3 + (2/1)+(0/1)i*p2^2*p3 + (-5/1)+(0/1)i*q1*p2 + "
+                  "(1/2)+(0/1)i*q3*p1 + (-45/64)+(0/1)i*p2 + (9/2)+(0/1)i*p3 + (-2/1)+(0/1)i\n"
+                  "λ^3: (0/1)-(25/8)i*q1*p2*p3 + (0/1)-(1/2)i*q2*p1*p3 + "
+                  "(0/1)+(1/4)i*p1*p2^2 + (0/1)+(5/8)i*q3*p2 + (0/1)+(9/16)i*p1"),
+              rhs=ASSOCIATOR_LOW + (
+                  "λ^2: (-5/2)+(0/1)i*q1*q2*p1*p3^3 + (5/2)+(0/1)i*q1*p1*p2^2*p3^2 + "
+                  "(-25/4)+(0/1)i*q1^2*p1*p2*p3 + (1/2)+(0/1)i*q2*q3*p1*p3^2 + "
+                  "(-1/2)+(0/1)i*q3*p1*p2^2*p3 + (5/4)+(0/1)i*q1*q3*p1*p2 + "
+                  "(-45/8)+(0/1)i*q1*p1*p3^2 + (9/4)+(0/1)i*q2*p3^3 + "
+                  "(-9/4)+(0/1)i*p2^2*p3^2 + (45/8)+(0/1)i*q1*p2*p3 + "
+                  "(-2/1)+(0/1)i*q2*p3^2 + (9/8)+(0/1)i*q3*p1*p3 + (2/1)+(0/1)i*p2^2*p3 + "
+                  "(-5/1)+(0/1)i*q1*p2 + (-45/64)+(0/1)i*p2 + (-9/4)+(0/1)i*p3\n"
+                  "λ^3: (0/1)-(9/16)i*p1")),
+         fail("axioms.hermitian", f=AXIOMS_F, g=AXIOMS_G,
+              conj_product="λ^0: (9/4)+(0/1)i*q2*p3^3 + (-9/4)+(0/1)i*p2^2*p3^2 + "
+                           "(45/8)+(0/1)i*q1*p2*p3\nλ^2: (-1/1)+(0/1)i*q2*p3^2 + "
+                           "(1/1)+(0/1)i*p2^2*p3 + (-5/2)+(0/1)i*q1*p2 + (9/4)+(0/1)i*p3",
+              product_conj="λ^0: (9/4)+(0/1)i*q2*p3^3 + (-9/4)+(0/1)i*p2^2*p3^2 + "
+                           "(45/8)+(0/1)i*q1*p2*p3\nλ^2: (1/1)+(0/1)i*q2*p3^2 + "
+                           "(-1/1)+(0/1)i*p2^2*p3 + (5/2)+(0/1)i*q1*p2 + (-9/4)+(0/1)i*p3")]),
+    "axioms-bracket": (
+        negated_bracket, "axioms-std",
+        [fail("axioms.order1_commutator_bracket", f=AXIOMS_G, g=AXIOMS_H,
+              commutator_order1="(0/1)+(25/4)i*q1*p2*p3 + (0/1)+(1/1)i*q2*p1*p3 + "
+                                "(0/1)-(1/2)i*p1*p2^2 + (0/1)-(5/4)i*q3*p2",
+              i_bracket="(0/1)-(25/4)i*q1*p2*p3 + (0/1)-(1/1)i*q2*p1*p3 + "
+                        "(0/1)+(1/2)i*p1*p2^2 + (0/1)+(5/4)i*q3*p2")]),
+    "momentum-bracket": (
+        negated_bracket, "s1p-single",
+        [fail("momentum.quantum_hamiltonian_identity", generator=1,
+              f="(2/1)+(0/1)i*q1*q2*p2 + (-2/1)+(0/1)i*q2^2*p2 + (-1/4)+(0/1)i*q2*p1^2 + "
+                "(5/2)+(0/1)i",
+              commutator="λ^1: (0/1)-(2/1)i*q2*p2", expected="λ^1: (0/1)+(2/1)i*q2*p2")]),
+    "knp-series-restriction": (
+        series_restriction_plus_lambda, "s1p-single",
+        [fail("knp.deformed_restriction_equals_quantum_restriction",
+              f="(3/1)+(0/1)i*q1*q2*p2 + (3/4)+(0/1)i*q1*q2",
+              knp="λ^0: (3/1)+(0/1)i*q1*q2*p2 + (3/4)+(0/1)i*q1*q2\nλ^1: (1/1)+(0/1)i",
+              quantum="λ^0: (3/1)+(0/1)i*q1*q2*p2 + (3/4)+(0/1)i*q1*q2")]),
+    "knp-closed-form": (
+        knp_product_plus_lambda, "s1p-single",
+        [fail("knp.closed_form_equals_homological",
+              f="(3/1)+(0/1)i*q2^2*p2 + (3/4)+(0/1)i*q2^2", g="(-13/6)+(0/1)i*q2*p2",
+              closed_form="λ^0: (-13/2)+(0/1)i*q2^3*p2^2 + (-13/8)+(0/1)i*q2^3*p2\n"
+                          "λ^1: (0/1)-(13/4)i*q2^2*p2 + (0/1)-(13/8)i*q2^2 + (1/1)+(0/1)i\n"
+                          "λ^2: (-13/4)+(0/1)i*q2",
+              homological="λ^0: (-13/2)+(0/1)i*q2^3*p2^2 + (-13/8)+(0/1)i*q2^3*p2\n"
+                          "λ^1: (0/1)-(13/4)i*q2^2*p2 + (0/1)-(13/8)i*q2^2\n"
+                          "λ^2: (-13/4)+(0/1)i*q2")]),
+    "stages-two-stage": (
+        two_stage_product_plus_lambda_f, "s1-translation",
+        [fail("stages.stage_equality",
+              f="(1/2)+(0/1)i*q3^2 + (-1/3)+(0/1)i*q3", g="(2/1)+(0/1)i*p3 + (-1/2)+(0/1)i",
+              two_stage="λ^0: (1/1)+(0/1)i*q3^2*p3 + (-1/4)+(0/1)i*q3^2 + "
+                        "(-2/3)+(0/1)i*q3*p3 + (1/6)+(0/1)i*q3\n"
+                        "λ^1: (1/2)+(0/1)i*q3^2 + (-1/3)+(1/1)i*q3 + (0/1)-(1/3)i",
+              one_step="λ^0: (1/1)+(0/1)i*q3^2*p3 + (-1/4)+(0/1)i*q3^2 + "
+                       "(-2/3)+(0/1)i*q3*p3 + (1/6)+(0/1)i*q3\n"
+                       "λ^1: (0/1)+(1/1)i*q3 + (0/1)-(1/3)i")]),
+}
 
 
 class TestBasics:
@@ -318,6 +473,24 @@ class TestReports:
                            "complex.quantum_restriction_after_T",
                            "complex.quantum_restriction_of_quantum_boundary_zero",
                            "knp.deformed_restriction_equals_quantum_restriction"]
+
+    @pytest.mark.parametrize("fault, scenario, entries", PINNED_WITNESSES.values(),
+                             ids=PINNED_WITNESSES.keys())
+    def test_two_sided_checks_keep_their_whole_witness(self, fault, scenario, entries,
+                                                       monkeypatch, tmp_path, capsysbinary):
+        # each witness holds the check's inputs and both sides, as the report
+        # prints them
+        fault(monkeypatch)
+        if isinstance(scenario, dict):
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(scenario))
+            args = ["--config", str(path)]
+        else:
+            args = ["--scenario", scenario]
+        assert main(args) == 1
+        report = json.loads(capsysbinary.readouterr().out)
+        names = {entry["name"] for entry in entries}
+        assert [c for c in report["checks"] if c["name"] in names] == entries
 
     def test_text_format(self):
         res = run("--scenario", "ce-heisenberg", "--format", "text")

@@ -218,6 +218,16 @@ class TestQuantumMomentumMap:
         assert checks["quantum_bracket_compatibility"]["status"] == "pass"
         assert checks["strong_invariance"]["info"] == "classical map is quantum"
 
+    def test_a_map_without_components_passes_and_is_classical(self):
+        # a context that translates nothing has a Jq of no components: both
+        # identities hold, and the classical map is quantum
+        sp = PhaseSpace.of_dim(2)
+        ctx = ReductionContext.canonical(sp, (), StarProduct.weyl(sp), 3)
+        assert check_quantum_momentum_map(ctx.star, ctx.Jq, sample_polys(23, sp.vars, 2, 4)) == [
+            {"name": "quantum_hamiltonian_identity", "status": "pass"},
+            {"name": "quantum_bracket_compatibility", "status": "pass"},
+            {"name": "strong_invariance", "status": "pass", "info": "classical map is quantum"}]
+
     def test_constant_correction_still_quantum(self):
         sp = PhaseSpace.of_dim(2)
         star = StarProduct.weyl(sp)

@@ -1,7 +1,8 @@
 """Report entries: the first witness of a check, the witnesses of a
-per-sample identity, expected failures, and suite prefixes."""
+per-sample identity and of a two-sided one, expected failures, and suite
+prefixes."""
 
-from qkoszul.report import check, expected_failure, failures, info, prefixed
+from qkoszul.report import check, differences, expected_failure, failures, info, prefixed
 
 
 class Sample:
@@ -60,6 +61,46 @@ def test_failures_read_no_sample_past_the_first_failure():
     entry = check("unit", failures([Sample(x) for x in "abcd"], holds))
     assert entry == {"name": "unit", "status": "fail", "witness": {"f": "b"}}
     assert tested == ["a", "b"]
+
+
+def test_differences_label_the_case_and_then_both_sides():
+    cases = [(Sample("f"), Sample("g")), (Sample("h"), Sample("h"))]
+    # the sides are plain strings, so equal labels are equal sides
+    entries = differences(cases, lambda f, g: (f.label, g.label), "f", "g", "lhs", "rhs")
+    assert list(entries) == [{"f": "f", "g": "g", "lhs": "f", "rhs": "g"}]
+
+
+def test_differences_render_only_what_has_a_render():
+    # the int of a generator and the tuple of a pair go in as they are
+    entries = differences([(1, (1, 2), Sample("f"))], lambda a, pair, f: (Sample("lhs"), 0),
+                          "generator", "pair", "f", "commutator", "expected")
+    assert list(entries) == [{"generator": 1, "pair": (1, 2), "f": "f",
+                              "commutator": "lhs", "expected": 0}]
+
+
+def test_differences_of_a_check_without_inputs():
+    assert list(differences([()], lambda: (Sample("1"), Sample("0")),
+                            "bracket", "image_of_bracket")) == \
+        [{"bracket": "1", "image_of_bracket": "0"}]
+    assert list(differences([()], lambda: (0, 0), "bracket", "image_of_bracket")) == []
+
+
+def test_differences_read_no_case_past_the_first_failure():
+    read, computed = [], []
+
+    def cases():
+        for k in range(4):
+            read.append(k)
+            yield (k,)
+
+    def sides(k):
+        computed.append(k)
+        return k, min(k, 1)
+
+    entry = check("stage_equality", differences(cases(), sides, "k", "two_stage", "one_step"))
+    assert entry == {"name": "stage_equality", "status": "fail",
+                     "witness": {"k": 2, "two_stage": 2, "one_step": 1}}
+    assert read == computed == [0, 1, 2]
 
 
 def test_expected_failure_passes_with_the_first_witness():
