@@ -75,10 +75,10 @@ def rational(x) -> Fraction:
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex number with rational real and imaginary part: the
-    coefficient type of ``MultiPoly.terms``.  Its three operators are the
-    coefficient arithmetic the benchmark's tracer counts; the package
-    computes on integer numerators instead."""
+    """Exact complex number with rational real and imaginary part: the type
+    ``gr`` builds for the benchmark's inputs, and whose three operators the
+    benchmark's tracer counts.  The package computes on integer numerators
+    instead, and ``gauss`` reads one as a triple."""
 
     re: Fraction
     im: Fraction
@@ -431,12 +431,12 @@ class MultiPoly:
         self.vars, self.den, self.nums = p.vars, p.den, p.nums
 
     @property
-    def terms(self) -> Dict[Exponent, GaussianRational]:
-        """A new dict from the exponent tuple of each term to its
-        coefficient, built on each access."""
+    def terms(self) -> Dict[Exponent, Tuple[int, int, int]]:
+        """A new dict from the exponent tuple of each term to its coefficient
+        as ``gauss`` gives it, the triple (re, im, den) in lowest terms, built
+        on each access: ``MultiPoly(p.vars, p.terms) == p``."""
         n, den = len(self.vars), self.den
-        return {_unpack(k, n): GaussianRational(Fraction(r, den), Fraction(i, den))
-                for k, (r, i) in self.nums.items()}
+        return {_unpack(k, n): gauss((r, i, den)) for k, (r, i) in self.nums.items()}
 
     # -- constructors -------------------------------------------------
 

@@ -1,8 +1,12 @@
-"""Reference arithmetic for the tests: a sparse polynomial whose
-coefficients are ``GaussianRational`` values keyed by exponent tuples, the
-directional derivative and tube homotopy written on it, and a truncated
-λ-series held as a list of coefficient polynomials, with the star product
-of two series summed pair by pair.
+"""Reference arithmetic for the tests, on the conventions of
+``bench/oracle.py``: a Gaussian rational is an (re, im) pair of Fractions,
+and a sparse polynomial maps exponent tuples to such pairs.  Here are the
+one loader of that module, the one conversion between its pairs and the
+(re, im, den) triples that the package takes and ``MultiPoly.terms`` gives,
+the pair arithmetic, the polynomial written on it with its directional
+derivative, tube homotopy and bracket, and a truncated λ-series held as a
+list of coefficient polynomials, with the star product of two series summed
+pair by pair.
 
 These are the straightforward forms that the integer core of
 ``qkoszul.exact`` and its one-polynomial series replaced, kept as
@@ -10,82 +14,126 @@ independent oracles: every polynomial operation here works one coefficient
 at a time with ``Fraction`` arithmetic, and every series operation one power
 of λ at a time.
 
-The coefficient arithmetic that ``GaussianRational`` leaves out (negation,
-division, conjugation and the zero test) is written here on its ``Fraction``
-fields.
-
-The last four are the ``GaussianRational`` and ``Fraction`` forms of code
-that now runs on integers or on a smaller index set: the rank-one
-factorisation of a star product's matrix, the Poisson bracket of a matrix
-built from one temporary polynomial per entry, the sample generator, and the
-dense check of a Lie algebra's structure constants over every index.  The
-package checks only the antisymmetry half of the last; its Jacobi half holds
-the built-in tables here.
+Three more are the pair and ``Fraction`` forms of code that now runs on
+integers or on a smaller index set: the rank-one factorisation of a star
+product's matrix, the sample generator, and the dense check of a Lie
+algebra's structure constants over every index.  The package checks only the
+antisymmetry half of the last; its Jacobi half holds the built-in tables
+here.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from qkoszul.exact import (
     AlgebraError,
-    GaussianRational,
     LambdaSeries,
     MultiPoly,
     OrderMismatchError,
     VariableMismatchError,
-    gr,
-    render_gauss,
 )
 from qkoszul.phase_space import StarProduct
 
+ORACLE = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+
+
+def load_oracle():
+    """The benchmark's reference module, which imports nothing from qkoszul."""
+    spec = importlib.util.spec_from_file_location("bench_oracle", ORACLE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = load_oracle()
+
 Exponent = Tuple[int, ...]
-GR_ZERO = gr(0)
-GR_ONE = gr(1)
+Gauss = oracle.Gauss
+ZERO: Gauss = (Fraction(0), Fraction(0))
+ONE: Gauss = (Fraction(1), Fraction(0))
 # a product that is not Hermitian and that none of the three kinds is: a
 # complex entry on the diagonal and unequal off-diagonal pairs on R^4
-SKEW = {(0, 0): gr(Fraction(1, 3), 1), (0, 2): gr(0, Fraction(1, 2)),
-        (2, 0): gr(-1, Fraction(-1, 2)), (1, 3): gr(2), (3, 1): gr(0, -1),
-        (2, 3): gr(Fraction(-2, 5))}
+SKEW = {(0, 0): (1, 3, 3), (0, 2): (0, 1, 2), (2, 0): (-2, -1, 2), (1, 3): (2, 0, 1),
+        (3, 1): (0, -1, 1), (2, 3): (-2, 0, 5)}
 
 # [e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e1 is antisymmetric but violates Jacobi
 JACOBI_BREAKING = {(1, 2, 3): 1, (2, 1, 3): -1, (2, 3, 1): 1, (3, 2, 1): -1,
                    (3, 1, 1): 1, (1, 3, 1): -1}
 
 
-def is_zero(c: GaussianRational) -> bool:
-    return c.re == 0 and c.im == 0
+# -- the conversion --------------------------------------------------------
+
+def pair(c) -> Gauss:
+    """The (re, im) pair of an int, a Fraction, an (re, im, den) triple or a
+    pair."""
+    if isinstance(c, tuple) and len(c) == 3:
+        re, im, den = c
+        return Fraction(re, den), Fraction(im, den)
+    if isinstance(c, tuple):
+        return Fraction(c[0]), Fraction(c[1])
+    return Fraction(c), Fraction(0)
 
 
-def neg(c: GaussianRational) -> GaussianRational:
-    return GaussianRational(-c.re, -c.im)
+def triple(c) -> Tuple[int, int, int]:
+    """The (re, im, den) triple in lowest terms, den positive, of anything
+    ``pair`` reads."""
+    re, im = pair(c)
+    den = lcm(re.denominator, im.denominator)
+    return re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den
 
 
-def conj(c: GaussianRational) -> GaussianRational:
-    return GaussianRational(c.re, -c.im)
+# -- the pair arithmetic ---------------------------------------------------
+
+def is_zero(c: Gauss) -> bool:
+    return c[0] == 0 and c[1] == 0
 
 
-def div(a: GaussianRational, b: GaussianRational) -> GaussianRational:
-    n = b.re * b.re + b.im * b.im
+def add(a: Gauss, b: Gauss) -> Gauss:
+    return a[0] + b[0], a[1] + b[1]
+
+
+def mul(a: Gauss, b: Gauss) -> Gauss:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def times(c: Gauss, x) -> Gauss:
+    """c times the int or Fraction x."""
+    return c[0] * x, c[1] * x
+
+
+def neg(c: Gauss) -> Gauss:
+    return -c[0], -c[1]
+
+
+def conj(c: Gauss) -> Gauss:
+    return c[0], -c[1]
+
+
+def div(a: Gauss, b: Gauss) -> Gauss:
+    n = b[0] * b[0] + b[1] * b[1]
     if n == 0:
         raise ZeroDivisionError("division by zero Gaussian rational")
-    return GaussianRational((a.re * b.re + a.im * b.im) / n, (a.im * b.re - a.re * b.im) / n)
+    return (a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n
 
 
 class RefPoly:
     """Sparse multivariate polynomial over Gaussian rationals.
 
     ``vars`` is an ordered tuple of variable names; ``terms`` maps exponent
-    tuples (one entry per variable) to nonzero coefficients.
+    tuples (one entry per variable) to nonzero (re, im) pairs.
     """
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars: Sequence[str], terms: Mapping[Exponent, GaussianRational]):
+    def __init__(self, vars: Sequence[str], terms: Mapping[Exponent, Gauss]):
         vs = tuple(vars)
-        clean: Dict[Exponent, GaussianRational] = {}
+        clean: Dict[Exponent, Gauss] = {}
         for exp, c in terms.items():
             if len(exp) != len(vs):
                 raise VariableMismatchError(
@@ -102,7 +150,11 @@ class RefPoly:
 
     @staticmethod
     def of(p: MultiPoly) -> "RefPoly":
-        return RefPoly(p.vars, dict(p.terms.items()))
+        return RefPoly(p.vars, {e: pair(t) for e, t in p.terms.items()})
+
+    def poly(self) -> MultiPoly:
+        """The same polynomial in the package's form."""
+        return MultiPoly(self.vars, {e: triple(c) for e, c in self.terms.items()})
 
     # -- constructors -------------------------------------------------
 
@@ -112,9 +164,7 @@ class RefPoly:
 
     @staticmethod
     def const(vars: Sequence[str], c) -> "RefPoly":
-        if isinstance(c, (int, Fraction)):
-            c = gr(c)
-        return RefPoly(vars, {(0,) * len(tuple(vars)): c})
+        return RefPoly(vars, {(0,) * len(tuple(vars)): pair(c)})
 
     @staticmethod
     def variable(vars: Sequence[str], name: str) -> "RefPoly":
@@ -123,7 +173,7 @@ class RefPoly:
             raise VariableMismatchError(f"unknown variable {name!r}")
         exp = [0] * len(vs)
         exp[vs.index(name)] = 1
-        return RefPoly(vs, {tuple(exp): GR_ONE})
+        return RefPoly(vs, {tuple(exp): ONE})
 
     # -- ring operations ----------------------------------------------
 
@@ -135,7 +185,7 @@ class RefPoly:
         self._check(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            out[exp] = out.get(exp, GR_ZERO) + c
+            out[exp] = add(out.get(exp, ZERO), c)
         return RefPoly(self.vars, out)
 
     def __sub__(self, other: "RefPoly") -> "RefPoly":
@@ -146,19 +196,13 @@ class RefPoly:
 
     def __mul__(self, other: "RefPoly") -> "RefPoly":
         self._check(other)
-        out: Dict[Exponent, GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, GR_ZERO) + c1 * c2
-        return RefPoly(self.vars, out)
+        return RefPoly(self.vars, oracle.poly_mul(self.terms, other.terms))
 
     def scale(self, c) -> "RefPoly":
-        if isinstance(c, (int, Fraction)):
-            c = gr(c)
+        c = pair(c)
         if is_zero(c):
             return RefPoly.zero(self.vars)
-        return RefPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+        return RefPoly(self.vars, {e: mul(k, c) for e, k in self.terms.items()})
 
     def conjugate(self) -> "RefPoly":
         return RefPoly(self.vars, {e: conj(c) for e, c in self.terms.items()})
@@ -169,7 +213,7 @@ class RefPoly:
         if var not in self.vars:
             raise VariableMismatchError(f"unknown variable {var!r}")
         i = self.vars.index(var)
-        out: Dict[Exponent, GaussianRational] = {}
+        out: Dict[Exponent, Gauss] = {}
         for exp, c in self.terms.items():
             if exp[i] == 0:
                 continue
@@ -177,7 +221,7 @@ class RefPoly:
             k = e[i]
             e[i] = k - 1
             e = tuple(e)
-            out[e] = out.get(e, GR_ZERO) + c * gr(k)
+            out[e] = add(out.get(e, ZERO), times(c, k))
         return RefPoly(self.vars, out)
 
     def substitute(self, assignments: Mapping[str, "RefPoly"]) -> "RefPoly":
@@ -205,14 +249,14 @@ class RefPoly:
                 powers[key] = power(i, k - 1) * images[i]
             return powers[key]
 
-        out: Dict[Exponent, GaussianRational] = {}
+        out: Dict[Exponent, Gauss] = {}
         for exp, c in self.terms.items():
             term = RefPoly.const(target, 1).scale(c)
             for i, k in enumerate(exp):
                 if k:
                     term = term * power(i, k)
             for e, v in term.terms.items():
-                out[e] = out[e] + v if e in out else v
+                out[e] = add(out[e], v) if e in out else v
         return RefPoly(target, out)
 
     def zero_outside(self, vars: Sequence[str]) -> "RefPoly":
@@ -227,7 +271,7 @@ class RefPoly:
         idx = []
         for j, v in enumerate(self.vars):
             idx.append(vs.index(v) if v in vs else None)
-        out: Dict[Exponent, GaussianRational] = {}
+        out: Dict[Exponent, Gauss] = {}
         for exp, c in self.terms.items():
             e = [0] * len(vs)
             for j, k in enumerate(exp):
@@ -238,7 +282,7 @@ class RefPoly:
                         f"variable {self.vars[j]!r} used but absent from target list"
                     )
                 e[idx[j]] = k
-            out[tuple(e)] = out.get(tuple(e), GR_ZERO) + c
+            out[tuple(e)] = add(out.get(tuple(e), ZERO), c)
         return RefPoly(vs, out)
 
     def uses(self, var: str) -> bool:
@@ -259,34 +303,20 @@ class RefPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
-
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        keys = sorted(self.terms, key=lambda e: (-sum(e), tuple(-k for k in e)))
-        parts = []
-        for exp in keys:
-            mono = "*".join(
-                f"{v}^{k}" if k > 1 else v
-                for v, k in zip(self.vars, exp)
-                if k
-            )
-            c = render_gauss(self.terms[exp])
-            parts.append(f"{c}*{mono}" if mono else c)
-        return " + ".join(parts)
+        return oracle.render_poly(self.terms, self.vars)
 
 
-def derivative(f: RefPoly, v: Sequence[Tuple[int, GaussianRational]], m: int = 1) -> RefPoly:
-    """The directional derivative Σ_i v_i ∂_i f, divided by m."""
-    out: Dict[Tuple[int, ...], GaussianRational] = {}
+def derivative(f: RefPoly, v: Sequence[Tuple[int, object]], m: int = 1) -> RefPoly:
+    """The directional derivative Σ_i v_i ∂_i f, divided by m, for v_i anything
+    ``pair`` reads."""
+    out: Dict[Tuple[int, ...], Gauss] = {}
     for e, c in f.terms.items():
         for i, vi in v:
             k = e[i]
             if k:
                 d = e[:i] + (k - 1,) + e[i + 1:]
-                out[d] = out.get(d, GR_ZERO) + c * vi * gr(Fraction(k, m))
+                out[d] = add(out.get(d, ZERO), times(mul(c, pair(vi)), Fraction(k, m)))
     return RefPoly(f.vars, out)
 
 
@@ -301,8 +331,18 @@ def homotopy(f: RefPoly, vpos: Sequence[int], k: int,
             i = vpos[a - 1]
             m = e[i]
             if m:
-                out[e[:i] + (m - 1,) + e[i + 1:]] = c * gr(Fraction(m, deg + k))
+                out[e[:i] + (m - 1,) + e[i + 1:]] = times(c, Fraction(m, deg + k))
     return {a: RefPoly(f.vars, out) for a, out in outs.items()}
+
+
+def matrix_bracket(C: Mapping[Tuple[int, int], object], f: RefPoly, g: RefPoly) -> RefPoly:
+    """Σ B^{ij} ∂_i f ∂_j g with B = -i (C - Cᵀ), one entry at a time, for a
+    matrix C of entries ``pair`` reads."""
+    out, vs = RefPoly.zero(f.vars), f.vars
+    for i, j in set(C) | {(j, i) for i, j in C}:
+        b = mul(add(pair(C.get((i, j), 0)), neg(pair(C.get((j, i), 0)))), (0, -1))
+        out = out + (f.diff(vs[i]) * g.diff(vs[j])).scale(b)
+    return out
 
 
 class RefSeries:
@@ -437,12 +477,12 @@ def series_product(star, f: RefSeries, g: RefSeries) -> RefSeries:
 
 # -- the forms replaced by integer set-up and support-based checks -----------
 
-def rank_one_terms(C: Mapping[Tuple[int, int], GaussianRational]):
-    """C = Σ_k a_k b_kᵀ by rank-one elimination in GaussianRational
-    arithmetic: each step takes the first nonzero entry C^{ij} as pivot and
-    removes C[:, j] C[i, :] / C^{ij}; a is the pivot column and b the pivot
-    row scaled to 1 at the pivot."""
-    C = dict(C)
+def rank_one_terms(C: Mapping[Tuple[int, int], object]):
+    """C = Σ_k a_k b_kᵀ by rank-one elimination in pair arithmetic, for a
+    matrix of entries ``pair`` reads: each step takes the first nonzero entry
+    C^{ij} as pivot and removes C[:, j] C[i, :] / C^{ij}; a is the pivot
+    column and b the pivot row scaled to 1 at the pivot."""
+    C = {ij: pair(c) for ij, c in C.items()}
     terms = []
     while C:
         i, j = min(C)
@@ -451,7 +491,7 @@ def rank_one_terms(C: Mapping[Tuple[int, int], GaussianRational]):
         row = sorted((l, c) for (k, l), c in C.items() if k == i)
         for k, ck in col:
             for l, cl in row:
-                v = C.get((k, l), GR_ZERO) - div(ck * cl, pivot)
+                v = add(C.get((k, l), ZERO), neg(div(mul(ck, cl), pivot)))
                 if is_zero(v):
                     C.pop((k, l), None)
                 else:
@@ -460,29 +500,20 @@ def rank_one_terms(C: Mapping[Tuple[int, int], GaussianRational]):
     return terms
 
 
-def pairing(C: Mapping[Tuple[int, int], GaussianRational], f: MultiPoly,
-            g: MultiPoly) -> MultiPoly:
-    """Σ C^{ij} ∂_i f ∂_j g, one product of derivatives per entry."""
-    out = MultiPoly.zero(f.vars)
-    for (i, j), c in C.items():
-        out = out + (f.diff(f.vars[i]) * g.diff(g.vars[j])).scale(c)
-    return out
-
-
 def random_poly(rng: random.Random, vars: Sequence[str], max_degree: int) -> MultiPoly:
-    """A sample drawn as ``qkoszul.sampling`` documents it, summed in
-    GaussianRational arithmetic."""
+    """A sample drawn as ``qkoszul.sampling`` documents it, summed in pair
+    arithmetic."""
     vs = tuple(vars)
-    terms: Dict[Exponent, GaussianRational] = {}
+    terms: Dict[Exponent, Gauss] = {}
     for _ in range(rng.randint(2, 4)):
         deg = rng.randint(0, max_degree)
         e = [0] * len(vs)
         for _ in range(deg):
             e[rng.randrange(len(vs))] += 1
-        c = gr(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        c = (Fraction(rng.randint(-6, 6), rng.randint(1, 4)), Fraction(0))
         key = tuple(e)
-        terms[key] = terms.get(key, GR_ZERO) + c
-    p = MultiPoly(vs, {k: v for k, v in terms.items() if not is_zero(v)})
+        terms[key] = add(terms.get(key, ZERO), c)
+    p = RefPoly(vs, terms).poly()
     return p if not p.is_zero() else MultiPoly.const(vs, 1)
 
 

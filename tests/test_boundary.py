@@ -8,7 +8,8 @@ No other module of the package calls ``_layout`` or reads a polynomial's
 hand coefficients over as ints, Fractions and (re, im, den) triples, which
 ``exact.gauss`` reads: no module but ``exact``, not even the package's
 ``__init__``, imports or names ``GaussianRational``, ``gr``, ``GR_I`` or
-``GR_MINUS_I``.
+``GR_MINUS_I``.  Nor does any test module but those of ``EXEMPT``: the tests
+compute on (re, im) pairs and hand the package triples.
 
 The slot width ``SLOT_BITS`` is a constant: the caches of ``exact`` do not
 key by it, so no test module may set it."""
@@ -85,7 +86,15 @@ def gaussian_names(source: str) -> list:
     return found
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem != "exact"),
+# the test modules that may name the type, and why
+EXEMPT = {
+    "test_gaussian_rational": "the tests of the type itself, which go with it",
+    "test_boundary": "this rule, whose names and demo source name each one",
+}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem != "exact")
+                         + sorted(p for p in TESTS.glob("*.py") if p.stem not in EXEMPT),
                          ids=lambda p: p.stem)
 def test_no_module_but_exact_names_a_gaussian_rational(path):
     assert gaussian_names(path.read_text(encoding="utf-8")) == []

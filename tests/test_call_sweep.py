@@ -74,7 +74,7 @@ ALLOWED = {
     ("exact.MultiPoly.terms", "n, den = len(self.vars), self.den"):
         "bench/tracing.py counts terms by len(p.terms)",
     ("exact.MultiPoly.terms",
-     "return {_unpack(k, n): GaussianRational(Fraction(r, den), Fraction(i, den))"):
+     "return {_unpack(k, n): gauss((r, i, den)) for k, (r, i) in self.nums.items()}"):
         "bench/tracing.py counts terms by len(p.terms)",
     ("exact.MultiPoly.diff", "s, mask = self._slot(var)"):
         "bench/tracing.py wraps it by name",

@@ -11,7 +11,6 @@ classical one, written from the product's matrix alone.  Shifted scenarios
 feed these their straightened samples.
 """
 
-import importlib.util
 import json
 import operator
 from fractions import Fraction
@@ -19,7 +18,6 @@ from functools import reduce
 import random
 from itertools import combinations, combinations_with_replacement
 from math import factorial
-from pathlib import Path
 
 import pytest
 
@@ -33,7 +31,6 @@ from qkoszul.exact import (
     MultiPoly,
     OrderMismatchError,
     VariableMismatchError,
-    gr,
     invert_unipotent,
 )
 from qkoszul.koszul import (
@@ -66,7 +63,7 @@ from qkoszul.reduction import (
 )
 from qkoszul.sampling import sample_polys
 from qkoszul.stages import StageConfig, StagePipeline
-from reference_poly import RefSeries, is_zero
+from reference_poly import RefSeries, oracle, triple
 
 L = 4
 
@@ -365,7 +362,7 @@ class TestQuantumRestriction:
         ctx = ReductionContext.canonical(sp, [1], StarProduct.weyl(sp), L)
         f = ctx.series(sp.q(1) * sp.q(1) * sp.p(1))
         expected = LambdaSeries.from_poly(
-            MultiPoly.variable(ctx.cvars, "q1").scale(gr(0, -1)), L, shift=1)
+            MultiPoly.variable(ctx.cvars, "q1").scale((0, -1, 1)), L, shift=1)
         assert quantum_restriction(f, ctx) == expected
         assert restriction(f, ctx).is_zero()
 
@@ -401,7 +398,7 @@ class TestFullSuite:
         corrected = QuantumMomentumMap(base.Jq.lie, [
             base.Jq.components[0] +
             LambdaSeries.from_poly(
-                MultiPoly.const(sp.vars, 1).scale(gr(0, Fraction(2, 5))), L, shift=1)
+                MultiPoly.const(sp.vars, (0, 2, 5)), L, shift=1)
         ])
         ctx = ReductionContext.canonical(sp, [1], star, L, Jq=corrected)
         samples = sample_polys(47, sp.vars, 3, 4)
@@ -550,8 +547,8 @@ def t_integral(f: MultiPoly) -> MultiPoly:
     """∫_0^1 dt of a polynomial whose last variable is t: each monomial
     t^m·g contributes g/(m+1)."""
     out = MultiPoly.zero(f.vars[:-1])
-    for e, c in f.terms.items():
-        out = out + MultiPoly(out.vars, {e[:-1]: c * gr(Fraction(1, e[-1] + 1))})
+    for e, (r, i, d) in f.terms.items():
+        out = out + MultiPoly(out.vars, {e[:-1]: (r, i, d * (e[-1] + 1))})
     return out
 
 
@@ -686,7 +683,7 @@ def homotopy_chains(case: str):
     if corrected:
         Jq = QuantumMomentumMap(LieAlgebraData.abelian(len(translated)), [
             LambdaSeries.from_poly(sp.p(a), order) + LambdaSeries.from_poly(
-                MultiPoly.const(sp.vars, 1).scale(gr(0, Fraction(i, 7))), order, shift=1)
+                MultiPoly.const(sp.vars, (0, i, 7)), order, shift=1)
             for i, a in enumerate(translated, start=1)])
     base = ReductionContext.canonical(sp, translated, getattr(StarProduct, kind)(sp),
                                       order, Jq=Jq)
@@ -729,16 +726,9 @@ class TestQuantumHomotopyAgainstOracle:
 # the quantum restriction against the conjugating operator T
 # ---------------------------------------------------------------------------
 
-def load_bench_oracle():
-    """The benchmark's reference module, which imports nothing from qkoszul."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
-    spec = importlib.util.spec_from_file_location("bench_oracle", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bench_oracle = load_bench_oracle()
+def kind_matrix(kind: str, n: int) -> dict:
+    """The benchmark oracle's matrix of a product kind on T*R^n, as triples."""
+    return {ij: triple(c) for ij, c in oracle.kind_matrix(kind, n).items()}
 
 
 def conjugating_operator(F: LambdaSeries, C, P, c) -> LambdaSeries:
@@ -762,7 +752,7 @@ def conjugating_operator(F: LambdaSeries, C, P, c) -> LambdaSeries:
                     out = out - d(f, i, a).scale(C[i, a])
             for b in P:
                 if (a, b) in C:
-                    out = out - d(f, a, b).scale(C[a, b] * gr(Fraction(1, 2)))
+                    out = out - d(f, a, b).scale(C[a, b]).scale(Fraction(1, 2))
         return out
 
     def c_dp(f):
@@ -784,8 +774,8 @@ def conjugating_operator(F: LambdaSeries, C, P, c) -> LambdaSeries:
 
 
 # the constants c_a of Jq_a = p_a + λc_a, by translated label
-CORRECTIONS = (gr(0, Fraction(1, 3)), gr(0, Fraction(-2, 7)), gr(Fraction(1, 5)),
-               gr(Fraction(-3, 4), Fraction(1, 6)))
+# (i/3, -2i/7, 1/5, -3/4 + i/6)
+CORRECTIONS = ((0, 1, 3), (0, -2, 7), (1, 0, 5), (-9, 2, 12))
 
 
 @pytest.mark.parametrize("kind", ("weyl", "wick", "std"))
@@ -793,13 +783,13 @@ def test_quantum_restriction_is_the_restriction_after_T(kind):
     differ = 0
     for n, translated in ((2, (1,)), (3, (1, 2)), (4, (2, 3))):
         sp = PhaseSpace.of_dim(n)
-        C = {ij: gr(re, im) for ij, (re, im) in bench_oracle.kind_matrix(kind, n).items()}
+        C = kind_matrix(kind, n)
         P = [sp.vars.index(f"p{a}") for a in translated]
         # the identity needs C symmetric on the translated fiber block
         assert all(C.get((a, b)) == C.get((b, a)) for a in P for b in P)
         samples = sample_polys(173 + n, sp.vars, 4, 4)
         for corrected in (False, True):
-            c = [CORRECTIONS[a - 1] if corrected else gr(0) for a in translated]
+            c = [CORRECTIONS[a - 1] if corrected else 0 for a in translated]
             for order in (3, 4):
                 Jq = QuantumMomentumMap(LieAlgebraData.abelian(len(translated)), [
                     LambdaSeries.from_poly(sp.p(a), order) + LambdaSeries.from_poly(
@@ -821,7 +811,7 @@ def corrected_Jq(sp: PhaseSpace, translated, order: int, corrected: bool) -> Qua
     """Jq_a = p_a + λc_a, with c_a = 0 unless ``corrected``."""
     return QuantumMomentumMap(LieAlgebraData.abelian(len(translated)), [
         LambdaSeries.from_poly(sp.p(a), order) + LambdaSeries.from_poly(
-            MultiPoly.const(sp.vars, 1).scale(CORRECTIONS[a - 1] if corrected else gr(0)),
+            MultiPoly.const(sp.vars, 1).scale(CORRECTIONS[a - 1] if corrected else 0),
             order, shift=1)
         for a in translated])
 
@@ -837,9 +827,9 @@ def test_T_conjugates_the_quantum_boundary_to_the_classical_one(kind, corrected)
     # T ∂_q = ∂ T on chains of every grade from 1 to gdim
     n, translated, order = 3, (1, 3), 3
     sp = PhaseSpace.of_dim(n)
-    C = {ij: gr(re, im) for ij, (re, im) in bench_oracle.kind_matrix(kind, n).items()}
+    C = kind_matrix(kind, n)
     P = [sp.vars.index(f"p{a}") for a in translated]
-    c = [CORRECTIONS[a - 1] if corrected else gr(0) for a in translated]
+    c = [CORRECTIONS[a - 1] if corrected else 0 for a in translated]
     ctx = ReductionContext.canonical(sp, translated, getattr(StarProduct, kind)(sp), order,
                                      Jq=corrected_Jq(sp, translated, order, corrected))
 
@@ -899,11 +889,11 @@ def test_T_on_unrestricted_series_equals_the_oracle(kind, corrected):
     differ = 0
     for ctx in T_contexts(kind, corrected):
         vs = ctx.space.vars
-        C = {ij: gr(Fraction(r, d), Fraction(m, d)) for ij, (r, m, d) in ctx.star.matrix.items()}
+        C = dict(ctx.star.matrix)
         P = [vs.index(f"p{a}") for a in ctx.action.translated]
         # c_a is the λ^1 constant of Jq_a
-        c = [Ja.coeff(1).terms.get((0,) * len(vs), gr(0)) for Ja in ctx.Jq.components]
-        assert any(not is_zero(ca) for ca in c) == corrected
+        c = [Ja.coeff(1).terms.get((0,) * len(vs), 0) for Ja in ctx.Jq.components]
+        assert any(ca != 0 for ca in c) == corrected
         polys = [ctx.straighten(f) for f in sample_polys(229, vs, 3, 4)]
         J1 = ctx.J.components[0]
         for f, g in zip(polys, polys[1:]):
@@ -922,14 +912,13 @@ def test_T_reads_a_matrix_of_no_kind(corrected):
     # from a q and from an untranslated p, and C^{p_1 q_3}, which X ignores
     sp, translated = PhaseSpace.of_dim(3), (1, 2)
     q3, p1, p2, p3 = (sp.vars.index(v) for v in ("q3", "p1", "p2", "p3"))
-    C = {ij: gr(re, im) for ij, (re, im) in bench_oracle.kind_matrix("weyl", 3).items()}
-    C.update({(p1, p2): gr(Fraction(2, 3)), (p2, p1): gr(Fraction(2, 3)),
-              (p1, p1): gr(Fraction(1, 5), Fraction(1, 7)), (q3, p1): gr(Fraction(-3, 4)),
-              (p3, p2): gr(0, Fraction(1, 3)), (p1, q3): gr(Fraction(5, 6))})
+    C = kind_matrix("weyl", 3)
+    C.update({(p1, p2): (2, 0, 3), (p2, p1): (2, 0, 3), (p1, p1): (7, 5, 35),
+              (q3, p1): (-3, 0, 4), (p3, p2): (0, 1, 3), (p1, q3): (5, 0, 6)})
     ctx = ReductionContext.canonical(sp, translated, StarProduct.constant(sp, C), L,
                                      Jq=corrected_Jq(sp, translated, L, corrected))
     assert ctx.conjugation is not None
-    c = [CORRECTIONS[a - 1] if corrected else gr(0) for a in translated]
+    c = [CORRECTIONS[a - 1] if corrected else 0 for a in translated]
     J1, J2 = ctx.J.components
     polys = sample_polys(223, sp.vars, 3, 4)
     for f, g in zip(polys, polys[1:]):
@@ -970,8 +959,7 @@ def test_contexts_without_T_take_the_series(monkeypatch):
         LambdaSeries.from_poly(sp.p(1), L) + LambdaSeries.from_poly(sp.q(2), L, shift=1)])
     lifted = ReductionContext.canonical(sp, (1,), StarProduct.weyl(sp), L, Jq=Jq)
     # Weyl's matrix with C^{p_1 p_2} = 1 ≠ C^{p_2 p_1}
-    C = {ij: gr(re, im) for ij, (re, im) in bench_oracle.kind_matrix("weyl", 3).items()}
-    skew = StarProduct.constant(sp, {**C, (3, 4): gr(1)})
+    skew = StarProduct.constant(sp, {**kind_matrix("weyl", 3), (3, 4): 1})
     unsymmetric = ReductionContext.canonical(sp, (1, 2), skew, L)
     assert pipe.ctx2.star.matrix is None
     assert base.conjugation is not None and pipe.ctx1.conjugation is not None

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkoszul.exact import AlgebraError, LambdaSeries, MultiPoly, VariableMismatchError, gr
+from qkoszul.exact import AlgebraError, LambdaSeries, MultiPoly, VariableMismatchError
 from qkoszul.lie import (
     LieAlgebraData,
     MomentumMap,
@@ -152,7 +152,7 @@ class TestMomentumMaps:
         sp = PhaseSpace.of_dim(1)
         lie = LieAlgebraData.abelian(1)
         with pytest.raises(AlgebraError):
-            MomentumMap(lie, [sp.p(1).scale(gr(0, 1))])
+            MomentumMap(lie, [sp.p(1).scale((0, 1, 1))])
 
     # a magnetic or shifted momentum component straightens to the fiber
     # coordinate of its direction
@@ -234,7 +234,7 @@ class TestQuantumMomentumMap:
         J = canonical_momentum_map(TranslationAction(sp, [1]))
         corrected = LambdaSeries.from_poly(J.components[0], 4) + \
             LambdaSeries.from_poly(
-                MultiPoly.const(sp.vars, 1).scale(gr(0, Fraction(1, 7))), 4, shift=1)
+                MultiPoly.const(sp.vars, (0, 1, 7)), 4, shift=1)
         Jq = QuantumMomentumMap(J.lie, [corrected])
         samples = sample_polys(17, sp.vars, 3, 6)
         checks = {c["name"]: c for c in

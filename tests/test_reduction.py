@@ -13,7 +13,6 @@ from qkoszul.exact import (
     MultiPoly,
     OrderMismatchError,
     VariableMismatchError,
-    gr,
     invert_unipotent,
 )
 from qkoszul.koszul import (
@@ -472,7 +471,7 @@ def delta_star(F: LambdaSeries, up: ReductionContext) -> LambdaSeries:
     assert up.order == F.order + 1
     D = RefSeries.of(vertical_difference(F.truncate(up.order), up))
     assert D.coeffs[0].is_zero()
-    return RefSeries(D.coeffs[1:]).to_series().scale(gr(0, -1))
+    return RefSeries(D.coeffs[1:]).to_series().scale((0, -1, 1))
 
 
 def corrected_s1p_ctx(order: int) -> ReductionContext:
@@ -543,12 +542,13 @@ class TestDeltaStar:
             D = RefSeries.of(koszul_boundary(h, up).series() -
                              quantum_koszul_boundary(h, up).series())
             assert D.coeffs[0].is_zero()
-            via_boundaries = RefSeries(D.coeffs[1:]).to_series().scale(gr(0, -1))
+            via_boundaries = RefSeries(D.coeffs[1:]).to_series().scale((0, -1, 1))
             assert via_op == via_boundaries
 
 
 # constant parts c_a of Jq_a = p_a + λc_a, for the first and second translation
-CONSTANT_C = (gr(0, Fraction(1, 3)), gr(Fraction(-3, 4), Fraction(1, 6)))
+# i/3 and -3/4 + i/6
+CONSTANT_C = ((0, 1, 3), (-9, 2, 12))
 
 
 def knp_contexts(kind: str, order: int):
@@ -561,7 +561,7 @@ def knp_contexts(kind: str, order: int):
         q = sp.q(next(i for i in range(1, n + 1) if i not in translated))
         for jq, c in (("canonical", [MultiPoly.zero(sp.vars)] * 2),
                       ("constant", [MultiPoly.const(sp.vars, 1).scale(x) for x in CONSTANT_C]),
-                      ("polynomial", [q, q.scale(gr(0, 1))])):
+                      ("polynomial", [q, q.scale((0, 1, 1))])):
             Jq = QuantumMomentumMap(LieAlgebraData.abelian(len(translated)), [
                 LambdaSeries.from_poly(sp.p(a), order) + LambdaSeries.from_poly(ca, order, shift=1)
                 for a, ca in zip(translated, c)])

@@ -1,6 +1,7 @@
-"""The sample generator against the GaussianRational form it replaced: the
-same draws give the same polynomials, in canonical form, which pins the
-determinism contract of ``qkoszul.sampling``."""
+"""The sample generator against the form it replaced, which sums the draws
+in the (re, im) pair arithmetic of ``reference_poly``: the same draws give
+the same polynomials, in canonical form, which pins the determinism
+contract of ``qkoszul.sampling``."""
 
 from math import gcd
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qkoszul import phase_space
-from qkoszul.exact import AlgebraError, LambdaSeries, MultiPoly, gr
+from qkoszul.exact import AlgebraError, LambdaSeries, MultiPoly
 from qkoszul.koszul import ReductionContext, quantum_restriction, restriction
 from qkoszul.lie import (
     LieAlgebraData,
@@ -108,16 +108,17 @@ class TestInducedSecondStage:
         # complement part of the constant
         sp = PhaseSpace.of_dim(3)
         J = canonical_momentum_map(TranslationAction(sp, (1, 2)))
-        consts = [Fraction(1, 3), Fraction(-2, 7)]
+        # i/3 and -2i/7
+        consts = [(0, 1, 3), (0, -2, 7)]
         Jq = QuantumMomentumMap(J.lie, [
             LambdaSeries.from_poly(c, L) +
             LambdaSeries.from_poly(
-                MultiPoly.const(sp.vars, 1).scale(gr(0, a)), L, shift=1)
+                MultiPoly.const(sp.vars, a), L, shift=1)
             for c, a in zip(J.components, consts)])
         pipe = StagePipeline(s1_ctx(Jq=Jq), StageConfig(J.lie, [1]))
         sp2 = pipe.red1.space
         want = LambdaSeries.from_poly(sp2.p(2), L) + LambdaSeries.from_poly(
-            MultiPoly.const(sp2.vars, 1).scale(gr(0, consts[1])), L, shift=1)
+            MultiPoly.const(sp2.vars, consts[1]), L, shift=1)
         assert pipe.Jq2.components == (want,)
 
     def test_quantum_identities_for_induced_map(self):
@@ -200,8 +201,8 @@ class TestStageEquality:
         J = canonical_momentum_map(TranslationAction(sp, (1, 2)))
         one = MultiPoly.const(sp.vars, 1)
         Jq = QuantumMomentumMap(J.lie, [
-            LambdaSeries.from_poly(c, L) + LambdaSeries.from_poly(one.scale(gr(0, a)), L, shift=1)
-            for c, a in zip(J.components, (Fraction(1, 3), Fraction(-2, 7)))])
+            LambdaSeries.from_poly(c, L) + LambdaSeries.from_poly(one.scale(a), L, shift=1)
+            for c, a in zip(J.components, ((0, 1, 3), (0, -2, 7)))])
         ctx = ReductionContext.canonical(sp, (1, 2), getattr(StarProduct, kind)(sp), L, Jq=Jq)
         pipe = StagePipeline(ctx, StageConfig(ctx.action.lie, [1]))
         (f, g), = sample_pairs(71, pipe.red.space.vars, 3, 1)
