@@ -481,8 +481,6 @@ class MultiPoly:
         cr, ci, d = gauss(c)
         if not (cr or ci):
             return MultiPoly.zero(self.vars)
-        if (cr, ci, d) == (1, 0, 1):
-            return self
         return _canonical(self.vars, self.den * d, {
             k: (r * cr - i * ci, r * ci + i * cr) for k, (r, i) in self.nums.items()})
 
@@ -645,6 +643,22 @@ class MultiPoly:
         return f"MultiPoly({self.render()})"
 
 
+def _shifted(p: MultiPoly, var: str) -> Nums:
+    """The numerators of p times the variable ``var``."""
+    unit = 1 << p._slot(var)[0]
+    nums = {k + unit: v for k, v in p.nums.items()}
+    if reduce(or_, nums, 0) & unit << SLOT_BITS - 1:
+        raise _overflow()
+    return nums
+
+
+def uses_test(vars: Sequence[str], names: Sequence[str]) -> Callable[[MultiPoly], bool]:
+    """``MultiPoly.uses`` of ``names`` on polynomials over ``vars``, with the
+    key bits of the names read once."""
+    mask = _mask(tuple(vars), tuple(names))
+    return lambda p: bool(mask and reduce(or_, p.nums, 0) & mask)
+
+
 def _derive(nums: Nums, steps) -> Nums:
     """Σ_i (re_i + i·im_i) ∂_i on raw numerators, one step (slot shift, unit
     key, slot mask, re_i, im_i) per i: the numerators of the directional
@@ -774,6 +788,12 @@ class LambdaSeries:
 
     def uses(self, *vars: str) -> bool:
         return self.poly.uses(*vars)
+
+    def times_variable(self, var: str) -> "LambdaSeries":
+        """The product with the variable ``var``: one shift of every key.
+        An exponent past 32767 is an ExponentOverflowError, as from ``*``."""
+        p = self.poly
+        return LambdaSeries(_wrap(p.vars, p.den, _shifted(p, var)), self.order)
 
     # -- queries ------------------------------------------------------
 
@@ -985,9 +1005,10 @@ def pairing(vars: Vars, B) -> Callable[[MultiPoly, MultiPoly], MultiPoly]:
 class ConstantOperator:
     """A differential operator Y of order at most two with constant
     coefficients, on series over (λ, *vars): the sum over ``entries`` of
-    c·∂_i∂_j for an entry (i, j, c) and of c·∂_j for an entry (None, j, c),
-    with i and j positions in ``vars`` and c a triple (re, im, den).  The
-    entries are decoded once, over one common denominator."""
+    c·∂_i∂_j for an entry (i, j, c), of c·∂_j for an entry (None, j, c) and
+    of c for an entry (None, None, c), with i and j positions in ``vars``
+    and c a triple (re, im, den).  The entries are decoded once, over one
+    common denominator, and a zero entry takes no step."""
 
     __slots__ = ("vars", "entries", "_den", "_steps")
 
@@ -995,40 +1016,53 @@ class ConstantOperator:
         self.vars, self.entries = tuple(vars), tuple(entries)
         shifts = _layout(len(self.vars) + 1)[0]
         self._den = den = lcm(*(d for *_, (_, _, d) in self.entries))
-        self._steps = tuple((None if i is None else shifts[i + 1], shifts[j + 1],
+        # each key steps ∂_j, then ∂_i for a second-order entry, and λ
+        self._steps = tuple((None if i is None else shifts[i + 1],
+                             None if j is None else shifts[j + 1],
+                             (0 if j is None else 1 << shifts[j + 1]) - (1 << shifts[0]),
                              r * (den // d), m * (den // d))
-                            for i, j, (r, m, d) in self.entries)
+                            for i, j, (r, m, d) in self.entries if r or m)
 
-    def exp(self, f: LambdaSeries, sign: int) -> LambdaSeries:
-        """exp(sign·λY) f, truncated at the order of f: Y once per power of λ
-        on raw numerators."""
+    def _step(self, f: LambdaSeries, nums: Nums, sign: int, out: Nums) -> Nums:
+        """sign·λY on the raw numerators ``nums`` of a series over (λ, *vars)
+        at the order of f, over their denominator times Y's, added into
+        ``out``."""
         if f.vars != self.vars:
             raise VariableMismatchError(f"a series is not over {self.vars}")
-        poly, L = f.poly, f.order
-        shifts, _, mask = _layout(len(poly.vars))
-        lam, bound = 1 << shifts[0], (L + 1) << shifts[0]
-        # λ^k Y^k f / k! over den·Y.den^k·k!, each key stepping ∂_j, then ∂_i
-        # for a second-order entry, and λ
-        y = [(si, sj, (1 << sj) - lam, sign * yr, sign * yi) for si, sj, yr, yi in self._steps]
-        terms, cur = [poly], poly.nums
-        for k in range(1, L + 1):
-            nxt: Nums = {}
-            for key, (r, i) in cur.items():
-                for si, sj, uj, yr, yi in y:
-                    e = key >> sj & mask
-                    if e:
-                        d = key - uj
-                        if si is not None:
-                            e *= d >> si & mask
-                            d -= 1 << si
-                        if e and d < bound:
-                            t = nxt.get(d, (0, 0))
-                            nxt[d] = (t[0] + (r * yr - i * yi) * e, t[1] + (r * yi + i * yr) * e)
-            cur = _nonzero(nxt)
+        mask, bound = (1 << SLOT_BITS) - 1, (f.order + 1) << f._shift()
+        for key, (r, i) in nums.items():
+            for si, sj, uj, yr, yi in self._steps:
+                e = sign if sj is None else (key >> sj & mask) * sign
+                if e:
+                    d = key - uj
+                    if si is not None:
+                        e *= d >> si & mask
+                        d -= 1 << si
+                    if e and d < bound:
+                        t = out.get(d, (0, 0))
+                        out[d] = (t[0] + (r * yr - i * yi) * e, t[1] + (r * yi + i * yr) * e)
+        return _nonzero(out) if (0, 0) in out.values() else out
+
+    def lambda_step(self, f: LambdaSeries, var: str) -> LambdaSeries:
+        """f·var + λY f, truncated at the order of f: the shift of
+        ``LambdaSeries.times_variable`` and one step of ``exp``, in one
+        pass."""
+        p, den = f.poly, self._den
+        out = {k: (r * den, i * den) for k, (r, i) in _shifted(p, var).items()}
+        return LambdaSeries(_canonical(p.vars, p.den * den, self._step(f, p.nums, 1, out)),
+                            f.order)
+
+    def exp(self, f: LambdaSeries, sign: int) -> LambdaSeries:
+        """exp(sign·λY) f, truncated at the order of f: λ^k Y^k f / k!, over
+        den·Y.den^k·k!, by one more step per power of λ."""
+        p = f.poly
+        terms, cur = [p], p.nums
+        for k in range(1, f.order + 1):
+            cur = self._step(f, cur, sign, {})
             if not cur:
                 break
-            terms.append(_wrap(poly.vars, poly.den * self._den ** k * factorial(k), cur))
-        return LambdaSeries(_sum(poly.vars, terms), L)
+            terms.append(_wrap(p.vars, p.den * self._den ** k * factorial(k), cur))
+        return LambdaSeries(_sum(p.vars, terms), f.order)
 
 
 def invert_unipotent(raiser: Callable, order: int) -> Callable:

@@ -13,6 +13,15 @@ constrained direction a.  A shifted or magnetic scenario is this canonical
 scenario in straightened coordinates: its context records the straightening
 p_a -> p_a - alpha_a, which maps samples in once (``straighten``).
 
+Both boundaries are closed forms where the context's data allows.  The
+classical one multiplies by J_a = p_a, a shift of every key.  Where the
+product has a constant matrix C and Jq_a = p_a + λc_a with constant c_a,
+the star exponential by Jq_a stops after one term:
+F ⋆ Jq_a = F·p_a + λX_aF with X_a = Σ_i C^{i p_a} ∂_i + c_a.  The context
+reads each X_a once, from the column of C at p_a and the λ¹ part of Jq_a,
+as its ``deformation``; a context whose product has no matrix, the second
+stage of a pipeline, takes the star walk for ∂_q.
+
 The quantum restriction is the classical one after a correction series,
 ``quantum_correction``.  Where the product has a constant matrix and the
 quantum momentum map is p_a + λc_a with constant c_a, an operator T
@@ -32,13 +41,16 @@ from itertools import combinations
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .exact import (
+    LAMBDA,
     AlgebraError,
     ConstantOperator,
+    ContractViolationError,
     LambdaSeries,
     MultiPoly,
     OrderMismatchError,
     VariableMismatchError,
     invert_unipotent,
+    uses_test,
 )
 from .lie import (
     LieAlgebraData,
@@ -118,14 +130,14 @@ class KoszulChain:
         out = dict(self.terms)
         for k, s in other.terms.items():
             out[k] = out[k] + s if k in out else s
-        return KoszulChain(self.gdim, self.grade, self.vars, self.order, out)
+        return _chain(self.gdim, self.grade, self.vars, self.order, out)
 
     def __sub__(self, other: "KoszulChain") -> "KoszulChain":
         return self + other.scale(-1)
 
     def scale(self, c) -> "KoszulChain":
-        return KoszulChain(self.gdim, self.grade, self.vars, self.order,
-                           {k: s.scale(c) for k, s in self.terms.items()})
+        return _chain(self.gdim, self.grade, self.vars, self.order,
+                      {k: s.scale(c) for k, s in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -144,6 +156,39 @@ class KoszulChain:
                           for key in sorted(self.terms)) or "0"
 
 
+def _chain(gdim: int, grade: int, vars: Tuple[str, ...], order: int,
+           terms: Dict[IndexKey, LambdaSeries]) -> KoszulChain:
+    """A chain from keys, series, variables and order already checked:
+    only its zero entries are dropped."""
+    x = object.__new__(KoszulChain)
+    x.gdim, x.grade, x.vars, x.order = gdim, grade, vars, order
+    x.terms = {k: s for k, s in terms.items() if not s.is_zero()}
+    return x
+
+
+def _deformation(ctx: ReductionContext) -> Optional[Tuple[ConstantOperator, ...]]:
+    """The operators X_a = Σ_i C^{i p_a} ∂_i + c_a over the context's
+    variables, one per constrained p_a, for a product with a constant matrix
+    C and Jq_a = J_a + λc_a, c_a constant: Jq_a is linear, so the star
+    exponential stops after its first term, and F ⋆ Jq_a = F·p_a + λX_aF.
+    None where the product has no matrix or some Jq_a - J_a is not λ times
+    a constant."""
+    C, vars = ctx.star.matrix, ctx.space.vars
+    if C is None:
+        return None
+    X = []
+    for p, Ja, Jqa in zip(ctx.constrained, ctx.J.components, ctx.Jq.components):
+        # c_a is the λ¹ part of Jq_a, which must be a constant
+        c = Jqa.coeff(1)
+        if (ca := c.as_constant()) is None or Jqa - LambdaSeries.from_poly(c, Jqa.order, shift=1) \
+                != LambdaSeries.from_poly(Ja, Jqa.order):
+            return None
+        j = vars.index(p)
+        X.append(ConstantOperator(vars, [(None, i, Cij) for (i, k), Cij in sorted(C.items())
+                                         if k == j] + [(None, None, ca)]))
+    return tuple(X)
+
+
 def _conjugation(ctx: ReductionContext) -> Optional[ConstantOperator]:
     """The operator Y over the context's variables, for a product with a
     constant matrix C and Jq_a = J_a + λc_a, c_a constant, on the positions
@@ -152,11 +197,12 @@ def _conjugation(ctx: ReductionContext) -> Optional[ConstantOperator]:
         Y = -Σ_a Σ_{i∉P} C^{i p_a} ∂_i∂_{p_a} - ½ Σ_{a,b} C^{p_a p_b} ∂_{p_a}∂_{p_b}
             - Σ_a c_a ∂_{p_a}.
 
-    Then T = exp(λY) has T(f ⋆ Jq_a) = p_a·T(f).  None where that does not
-    hold: a product without a matrix, some Jq_a - J_a that is not λ times
-    a constant, or C not symmetric on P × P."""
-    C, vars = ctx.star.matrix, ctx.space.vars
-    if C is None:
+    Then T = exp(λY) has T(f ⋆ Jq_a) = p_a·T(f).  The c_a are the constant
+    terms of the X_a of the context's ``deformation``.  None where that
+    does not hold: a context without a ``deformation``, or C not symmetric
+    on P × P."""
+    C, vars, X = ctx.star.matrix, ctx.space.vars, ctx.deformation
+    if X is None:
         return None
     P = [vars.index(p) for p in ctx.constrained]
     if any(C.get((a, b)) != C.get((b, a)) for a in P for b in P):
@@ -165,15 +211,8 @@ def _conjugation(ctx: ReductionContext) -> Optional[ConstantOperator]:
     # for a ≠ b add up, as C is symmetric there
     y = [(i, j, (-r, -m, 2 * d if i == j else d))
          for (i, j), (r, m, d) in sorted(C.items()) if j in P and (i not in P or i <= j)]
-    for j, Ja, Jqa in zip(P, ctx.J.components, ctx.Jq.components):
-        # Jq_a must be J_a + λc_a, with c_a = coeff(1) a constant
-        c = Jqa.coeff(1)
-        if (ca := c.as_constant()) is None or Jqa - LambdaSeries.from_poly(c, Jqa.order, shift=1) \
-                != LambdaSeries.from_poly(Ja, Jqa.order):
-            return None
-        r, m, d = ca
-        if r or m:
-            y.append((None, j, (-r, -m, d)))
+    y += [(None, j, (-r, -m, d)) for j, Xa in zip(P, X)
+          for _, i, (r, m, d) in Xa.entries if i is None and (r or m)]
     return ConstantOperator(vars, y)
 
 
@@ -188,9 +227,13 @@ class ReductionContext:
     an OrderMismatchError, since its missing powers are not zero but
     unknown.  A shifted scenario adds the substitution that straightens its
     samples.
-    ``conjugation`` is the operator Y of T = exp(λY), through which the
-    quantum restriction is computed in closed form, or None where T does
-    not apply.  Immutable after construction."""
+    ``deformation`` holds the operators X_a of the closed-form ∂_q, read
+    off the column of the product's matrix at each constrained p_a and the
+    λ¹ part of Jq_a, or None where the product has no matrix or Jq is not
+    J + λc: there ∂_q takes the star walk.  ``conjugation`` is the
+    operator Y of T = exp(λY), through which the quantum restriction is
+    computed in closed form, or None where T does not apply.  Immutable
+    after construction."""
 
     def __init__(self, action: TranslationAction, star: StarProduct,
                  Jq: QuantumMomentumMap, order: int,
@@ -214,6 +257,9 @@ class ReductionContext:
         self.constrained = tuple(f"p{a}" for a in action.translated)
         self.cvars = tuple(v for v in space.vars if v not in self.constrained)
         self.gdim = len(action.translated)
+        # the series of this context use a constrained p_a where this holds
+        self.uses_constrained = uses_test((LAMBDA, *space.vars), self.constrained)
+        self.deformation = _deformation(self)
         self.conjugation = _conjugation(self)
 
     @staticmethod
@@ -239,6 +285,15 @@ class ReductionContext:
 # boundary operators
 # ---------------------------------------------------------------------------
 
+def _held(data, name: str):
+    """The context's ``data``, where it holds it; a ContractViolationError
+    that names it where it does not."""
+    if data is None:
+        raise ContractViolationError(f"the context holds no {name}, as its product and its "
+                                     f"Jq do not give one")
+    return data
+
+
 def _boundary(x: KoszulChain, ctx: ReductionContext,
               times: Callable[[LambdaSeries, int], LambdaSeries]) -> KoszulChain:
     """The insertion derivation against the momentum components: the entry
@@ -250,23 +305,34 @@ def _boundary(x: KoszulChain, ctx: ReductionContext,
     for key, F in x.terms.items():
         for pos, idx in enumerate(key):
             sign, rest = remove_index(key, pos)
-            contrib = times(F, idx).scale(sign)
+            contrib = times(F, idx) if sign > 0 else times(F, idx).scale(-1)
             out[rest] = out[rest] + contrib if rest in out else contrib
-    return KoszulChain(ctx.gdim, x.grade - 1, ctx.space.vars, ctx.order, out)
+    return _chain(ctx.gdim, x.grade - 1, x.vars, x.order, out)
 
 
 def koszul_boundary(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
     """Classical boundary: pointwise multiplication by the momentum
-    components."""
-    return _boundary(x, ctx, lambda F, a: F * ctx.series(ctx.J.components[a - 1]))
+    components J_a = p_a, each a shift of the keys."""
+    pv = ctx.constrained
+    return _boundary(x, ctx, lambda F, a: F.times_variable(pv[a - 1]))
+
+
+def _star_Jq(ctx: ReductionContext) -> Callable[[LambdaSeries, int], LambdaSeries]:
+    """F, a ↦ F ⋆ Jq_a in closed form, F·p_a + λX_aF, on a context that
+    holds the X_a as its ``deformation``."""
+    X, pv = _held(ctx.deformation, "deformation"), ctx.constrained
+    return lambda F, a: X[a - 1].lambda_step(F, pv[a - 1])
 
 
 def quantum_koszul_boundary(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
     """Quantum boundary: right star multiplication by the quantum momentum
-    components.  A momentum map takes only an abelian algebra, and rejects
-    one with structure constants, so there is no structure-constant
-    correction."""
-    return _boundary(x, ctx, lambda F, a: ctx.star.eval(F, ctx.Jq.components[a - 1]))
+    components, in closed form where the context holds their
+    ``deformation``, and by the star walk where it does not.  A momentum
+    map takes only an abelian algebra, and rejects one with structure
+    constants, so there is no structure-constant correction."""
+    if ctx.deformation is None:
+        return _boundary(x, ctx, lambda F, a: ctx.star.eval(F, ctx.Jq.components[a - 1]))
+    return _boundary(x, ctx, _star_Jq(ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +414,10 @@ def classical_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
         for a in range(1, ctx.gdim + 1):
             if a not in key:
                 sign, newkey = insert_index(a, key)
-                G = F.weighted_diff(pv[a - 1], pv, k).scale(sign)
+                G = F.weighted_diff(pv[a - 1], pv, k)
+                G = G if sign > 0 else G.scale(-1)
                 out[newkey] = out[newkey] + G if newkey in out else G
-    return KoszulChain(ctx.gdim, k + 1, ctx.space.vars, ctx.order, out)
+    return _chain(ctx.gdim, k + 1, x.vars, x.order, out)
 
 
 def _corrected(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
@@ -377,7 +444,7 @@ def fixed_by_corrections(f: LambdaSeries, ctx: ReductionContext) -> bool:
     if f.vars != ctx.space.vars:
         raise VariableMismatchError(f"a series over {f.vars} does not match the context's "
                                     f"variables {ctx.space.vars}")
-    return not f.uses(*ctx.constrained)
+    return not ctx.uses_constrained(f.poly)
 
 
 def series_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
@@ -402,8 +469,10 @@ def series_restriction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
 
 def conjugate(f: LambdaSeries, ctx: ReductionContext, sign: int = 1) -> LambdaSeries:
     """T f = exp(λY) f, or T⁻¹ f = exp(-λY) f for a sign of -1, truncated at
-    the order of f, on a context whose ``conjugation`` is not None."""
-    return f if fixed_by_corrections(f, ctx) else ctx.conjugation.exp(f, sign)
+    the order of f, on a context that holds its ``conjugation``."""
+    if fixed_by_corrections(f, ctx):
+        return f
+    return _held(ctx.conjugation, "conjugation").exp(f, sign)
 
 
 def quantum_correction(f: LambdaSeries, ctx: ReductionContext) -> LambdaSeries:
@@ -428,8 +497,8 @@ def quantum_homotopy(x: KoszulChain, ctx: ReductionContext) -> KoszulChain:
         return classical_homotopy(_corrected(x, ctx), ctx)
 
     def T(y: KoszulChain, sign: int) -> KoszulChain:
-        return KoszulChain(y.gdim, y.grade, y.vars, y.order,
-                           {key: conjugate(F, ctx, sign) for key, F in y.terms.items()})
+        return _chain(y.gdim, y.grade, y.vars, y.order,
+                      {key: conjugate(F, ctx, sign) for key, F in y.terms.items()})
 
     return T(classical_homotopy(T(x, 1), ctx), -1)
 

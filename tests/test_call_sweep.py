@@ -36,16 +36,16 @@ GENERAL_CASE = {
         "and no complex suite runs on one. "
         "tests/test_koszul.py::test_the_series_quantum_homotopy_equals_the_oracle "
         "holds it to the oracle",
-    # its first return None, for a product without a matrix, is reached by
-    # every stage-2 context
+    # the first return None of each, for a product without a matrix, is
+    # reached by every stage-2 context
     ("koszul._conjugation", "return None [2]"):
         "no T for a matrix not symmetric on the p_a; the Weyl, Wick and std matrices "
         "are symmetric there. "
         "tests/test_koszul.py::test_contexts_without_T_take_the_series builds such a "
         "context to hold the series to T",
-    ("koszul._conjugation", "return None [3]"):
-        "no T for a Jq_a other than J_a + λc_a with c_a constant; every run's Jq has "
-        "that form. "
+    ("koszul._deformation", "return None [2]"):
+        "no closed-form ∂_q, and so no T, for a Jq_a other than J_a + λc_a with c_a "
+        "constant; every run's Jq has that form. "
         "tests/test_koszul.py::test_contexts_without_T_take_the_series and "
         "tests/test_reduction.py::knp_contexts build such contexts to hold the "
         "series to T",
@@ -83,6 +83,16 @@ ALLOWED = {
         "bench/tracing.py wraps it by name",
     ("exact.LambdaSeries.__hash__", "return hash((self.order, self.poly))"):
         "defined beside __eq__; bench/tracing.py keys restrictions by series",
+    # the old path of a closed form, kept as its oracle
+    ("exact.LambdaSeries.__mul__", "self._check(other)"):
+        "the pointwise product, which koszul_boundary's shift replaced; "
+        "tests/test_koszul.py::test_the_closed_form_boundaries_equal_their_old_paths "
+        "holds the shift to it",
+    ("exact.LambdaSeries.__mul__",
+     "return LambdaSeries(self.poly * other.poly, self.order).truncate(self.order)"):
+        "the pointwise product, which koszul_boundary's shift replaced; "
+        "tests/test_koszul.py::test_the_closed_form_boundaries_equal_their_old_paths "
+        "holds the shift to it",
     # failure and error paths, which a passing run never takes
     ("exact._overflow",
      'return ExponentOverflowError(f"an exponent exceeds {_TOP}, the largest a "'):

@@ -367,6 +367,32 @@ class TestReports:
                            "complex.quantum_restriction_after_T",
                            "knp.deformed_restriction_equals_quantum_restriction"]
 
+    @pytest.mark.parametrize("name", ("s1-translation", "s1p-single"))
+    def test_negated_cross_terms_of_X_fail_the_complex_and_knp_suites(self, name, monkeypatch,
+                                                                       capsysbinary):
+        # ∂_q in closed form, F·p_a + λX_aF, with each C^{i p_a} of X_a
+        # negated: the series' restriction, which takes ∂_q, no longer
+        # matches the one through T, which reads C apart from X
+        deformation = koszul._deformation
+
+        def negated(ctx):
+            X = deformation(ctx)
+            return X and tuple(ConstantOperator(Xa.vars, [
+                (i, j, c) if j is None else (i, j, (-c[0], -c[1], c[2]))
+                for i, j, c in Xa.entries]) for Xa in X)
+
+        monkeypatch.setattr(koszul, "_deformation", negated)
+        assert main(["--scenario", name]) == 1
+        report = json.loads(capsysbinary.readouterr().out)
+        failing = [c["name"] for c in report["checks"] if c["status"] == "fail"]
+        # s1-translation translates two coordinates, so it has a grade 2 as well
+        grade_2 = ["complex.quantum_homotopy_identity_grade_2"] * (name == "s1-translation")
+        assert failing == ["complex.direct_sum_complement_in_kernel",
+                           "complex.quantum_homotopy_identity_grade_1", *grade_2,
+                           "complex.quantum_restriction_after_T",
+                           "complex.quantum_restriction_of_quantum_boundary_zero",
+                           "knp.deformed_restriction_equals_quantum_restriction"]
+
     def test_forward_straightening_fails_s2_magnetic(self, monkeypatch, capsysbinary):
         # translating p_a forward by alpha_a instead of back keeps every
         # check on the straightened samples; only the two checks against the

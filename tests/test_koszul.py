@@ -21,12 +21,13 @@ from math import factorial
 
 import pytest
 
-from qkoszul import cli, koszul
+from qkoszul import cli, koszul, phase_space
 from qkoszul.cli import builtin_config, main, run_scenario
 from qkoszul.exact import (
     AlgebraError,
     ConstantOperator,
     ContractViolationError,
+    ExponentOverflowError,
     LambdaSeries,
     MultiPoly,
     OrderMismatchError,
@@ -905,22 +906,30 @@ def test_T_on_unrestricted_series_equals_the_oracle(kind, corrected):
     assert (differ > 0) == (kind != "std" or corrected)
 
 
-@pytest.mark.parametrize("corrected", (False, True))
-def test_T_reads_a_matrix_of_no_kind(corrected):
-    # C is symmetric on P × P but is none of the three kinds: Weyl's q/p
-    # entries, C^{p_1 p_2} = C^{p_2 p_1}, a complex C^{p_1 p_1}, C^{i p_a}
-    # from a q and from an untranslated p, and C^{p_1 q_3}, which X ignores
+def no_kind_context(corrected: bool) -> ReductionContext:
+    """T*R^3 with (1, 2) translated, under a matrix C that is symmetric on
+    P × P but is none of the three kinds: Weyl's q/p entries,
+    C^{p_1 p_2} = C^{p_2 p_1}, a complex C^{p_1 p_1}, C^{i p_a} from a q
+    other than q_a and from an untranslated p, and C^{p_1 q_3}, which X
+    ignores."""
     sp, translated = PhaseSpace.of_dim(3), (1, 2)
     q3, p1, p2, p3 = (sp.vars.index(v) for v in ("q3", "p1", "p2", "p3"))
     C = kind_matrix("weyl", 3)
     C.update({(p1, p2): (2, 0, 3), (p2, p1): (2, 0, 3), (p1, p1): (7, 5, 35),
               (q3, p1): (-3, 0, 4), (p3, p2): (0, 1, 3), (p1, q3): (5, 0, 6)})
-    ctx = ReductionContext.canonical(sp, translated, StarProduct.constant(sp, C), L,
-                                     Jq=corrected_Jq(sp, translated, L, corrected))
+    return ReductionContext.canonical(sp, translated, StarProduct.constant(sp, C), L,
+                                      Jq=corrected_Jq(sp, translated, L, corrected))
+
+
+@pytest.mark.parametrize("corrected", (False, True))
+def test_T_reads_a_matrix_of_no_kind(corrected):
+    ctx = no_kind_context(corrected)
     assert ctx.conjugation is not None
+    C, translated = dict(ctx.star.matrix), ctx.action.translated
+    p1, p2 = (ctx.space.vars.index(v) for v in ("p1", "p2"))
     c = [CORRECTIONS[a - 1] if corrected else 0 for a in translated]
     J1, J2 = ctx.J.components
-    polys = sample_polys(223, sp.vars, 3, 4)
+    polys = sample_polys(223, ctx.space.vars, 3, 4)
     for f, g in zip(polys, polys[1:]):
         # p_1 p_2 and p_1² in every coefficient of λ
         F = ctx.series(f * J1 * J2 + g * J1 * J1) + LambdaSeries.from_poly(
@@ -1221,3 +1230,88 @@ def test_unflipped_sign_of_X_in_T_inverse_fails_the_quantum_homotopy(monkeypatch
                    if c["status"] == "fail"]
         assert "complex.quantum_homotopy_identity_grade_1" in failing
 
+
+# ---------------------------------------------------------------------------
+# the closed-form boundaries against the products they replace
+# ---------------------------------------------------------------------------
+
+def grade_one(ctx: ReductionContext, a: int, F: LambdaSeries) -> KoszulChain:
+    """F at the key (a,), which both boundaries send to () with the sign +1."""
+    return KoszulChain(ctx.gdim, 1, ctx.space.vars, ctx.order, {(a,): F})
+
+
+@pytest.mark.parametrize("kind", ("weyl", "wick", "std", "no kind"))
+@pytest.mark.parametrize("corrected", (False, True))
+def test_the_closed_form_boundaries_equal_their_old_paths(kind, corrected):
+    # ∂ against the pointwise product by J_a, and ∂_q against the star walk
+    # by Jq_a, on every straightened monomial of degree ≤ 3 and on its copy
+    # at λ^L, where λX_aF falls past the order
+    differ = 0
+    contexts = [no_kind_context(corrected)] if kind == "no kind" \
+        else list(T_contexts(kind, corrected))
+    for ctx in contexts:
+        assert ctx.deformation is not None
+        basis = monomial_basis(ctx, 3)
+        inputs = [ctx.series(m) for m in basis] + \
+            [LambdaSeries.from_poly(m, ctx.order, shift=ctx.order) for m in basis]
+        for a, Ja, Jqa in zip(range(1, ctx.gdim + 1), ctx.J.components, ctx.Jq.components):
+            for F in inputs:
+                x = grade_one(ctx, a, F)
+                d, dq = koszul_boundary(x, ctx).series(), quantum_koszul_boundary(x, ctx).series()
+                assert d == F * ctx.series(Ja)
+                assert dq == ctx.star.eval(F, Jqa)
+                differ += d != dq
+    # std has no C^{i p_a}, so without corrections ∂_q = ∂
+    assert (differ > 0) == (kind != "std" or corrected)
+
+
+def test_the_shift_overflows_where_the_product_does():
+    # p_1^32767 is the largest power a key holds
+    ctx = s1_context()
+    vs = ctx.space.vars
+    top = ctx.series(MultiPoly(vs, {tuple(32767 * (v == "p1") for v in vs): 1}))
+    below = ctx.series(MultiPoly(vs, {tuple(32766 * (v == "p1") for v in vs): 1}))
+    J1 = ctx.series(ctx.J.components[0])
+    for d in (koszul_boundary, quantum_koszul_boundary):
+        with pytest.raises(ExponentOverflowError):
+            d(grade_one(ctx, 1, top), ctx)
+        assert d(grade_one(ctx, 1, below), ctx).series() == below * J1 == top
+    with pytest.raises(ExponentOverflowError):
+        top * J1
+
+
+def stage_two(order: int = 3):
+    """T*R^3 under Weyl with (1, 2) translated, and the second stage of its
+    split (1) | (2), whose product is a reduced one, without a matrix."""
+    sp = PhaseSpace.of_dim(3)
+    base = ReductionContext.canonical(sp, (1, 2), StarProduct.weyl(sp), order)
+    return base, StagePipeline(base, StageConfig(base.action.lie, (1,))).ctx2
+
+
+def test_only_a_product_without_a_matrix_walks_for_the_quantum_boundary(monkeypatch):
+    walks = []
+    walk = phase_space.star_exponential
+    monkeypatch.setattr(phase_space, "star_exponential",
+                        lambda fields, f, g: walks.append(f) or walk(fields, f, g))
+    base, ctx2 = stage_two()
+    assert base.deformation is not None and ctx2.deformation is None
+    for ctx in (base, ctx2):
+        sp, a = ctx.space, ctx.action.translated[0]
+        F = ctx.series(sp.q(a) * sp.p(a) * sp.q(3) + sp.p(3))
+        walks.clear()
+        got = quantum_koszul_boundary(grade_one(ctx, 1, F), ctx).series()
+        assert len(walks) == (ctx is ctx2)
+        assert got == ctx.star.eval(F, ctx.Jq.components[0]) != koszul_boundary(
+            grade_one(ctx, 1, F), ctx).series()
+
+
+def test_a_context_without_the_data_names_what_it_lacks():
+    # a stage-2 context has neither T nor the X_a: conjugate and the closed
+    # form of ∂_q say so, not with an AttributeError on None
+    _, ctx2 = stage_two()
+    sp = ctx2.space
+    F = ctx2.series(sp.p(2) * sp.q(3))
+    with pytest.raises(ContractViolationError, match="no conjugation"):
+        conjugate(F, ctx2)
+    with pytest.raises(ContractViolationError, match="no deformation"):
+        koszul._star_Jq(ctx2)
